@@ -1,12 +1,16 @@
 package mptcpnet
 
 import (
+	"crypto/sha256"
+	"io"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
 
 	"mptcp/internal/chaos"
 	"mptcp/internal/chaos/leak"
+	"mptcp/internal/sched"
 )
 
 // TestTransferSurvivesBitCorruption runs a transfer through a chaos.Path
@@ -36,5 +40,87 @@ func TestTransferSurvivesBitCorruption(t *testing.T) {
 	_, rx := transfer(t, 128<<10, 2, corrupting, Config{}, 60*time.Second)
 	if rx.Corrupted() == 0 {
 		t.Error("no corrupted frames counted despite a 5% corruption rate")
+	}
+}
+
+// TestFrameRecyclingSafeUnderChaos is the ownership rule's stress test:
+// pooled frames are reused as fast as the paths give them back, so a
+// frame freed while something could still read it (a queued transmission
+// aliasing a payload, a reorder slot released twice) shows up as a wrong
+// byte in the stream — or, under -race, as a report. Loss, reordering and
+// duplication on every path, a 16-segment shared receive buffer, and the
+// two schedulers that retransmit the most: redundant (every segment on
+// every subflow) and minRTT with both §6 countermeasures.
+func TestFrameRecyclingSafeUnderChaos(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second lossy transfer")
+	}
+	for si, spec := range []string{"redundant", "minrtt+otr+pen"} {
+		si, spec := si, spec
+		t.Run(spec, func(t *testing.T) {
+			leak.Check(t, 5*time.Second) // registered first: runs after the paths are closed
+			sch, opts, err := sched.Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var paths []*chaos.Path
+			var sConns, rConns []net.PacketConn
+			var remotes []net.Addr
+			for i := 0; i < 2; i++ {
+				s, r, ra := pipePair(t, time.Millisecond, 0.05, 0, int64(7000+100*si+2*i))
+				for _, c := range []net.PacketConn{s, r} {
+					p := c.(*EmuPath).Path
+					p.Update(func(c *chaos.PathConfig) {
+						c.ReorderRate, c.ReorderDelay, c.DupRate = 0.1, 3*time.Millisecond, 0.05
+					})
+					paths = append(paths, p)
+				}
+				sConns, rConns, remotes = append(sConns, s), append(rConns, r), append(remotes, ra)
+			}
+			t.Cleanup(func() {
+				for _, p := range paths {
+					p.Close()
+				}
+				// A delivery already firing when Close ran finishes on its own.
+				deadline := time.Now().Add(3 * time.Second)
+				for _, p := range paths {
+					for p.Pending() != 0 && time.Now().Before(deadline) {
+						time.Sleep(5 * time.Millisecond)
+					}
+					if n := p.Pending(); n != 0 {
+						t.Errorf("chaos path still holds %d scheduled deliveries after close: leaked timers", n)
+					}
+				}
+			})
+
+			data := make([]byte, 512<<10)
+			rand.New(rand.NewSource(int64(si))).Read(data)
+			rx := NewReceiver(11, rConns, 16)
+			defer rx.Close()
+			tx := NewSender(11, sConns, remotes, Config{Sched: sch, SchedOpts: opts, MinRTO: 20 * time.Millisecond})
+			werr := make(chan error, 1)
+			go func() {
+				_, err := tx.Write(data)
+				tx.Close()
+				werr <- err
+			}()
+			got := sha256.New()
+			n, err := io.Copy(got, rx)
+			if err != nil || n != int64(len(data)) {
+				t.Fatalf("received %d of %d bytes: %v", n, len(data), err)
+			}
+			if err := <-werr; err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if err := tx.Wait(60 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if want := sha256.Sum256(data); string(got.Sum(nil)) != string(want[:]) {
+				t.Fatal("received stream differs from the sent one: a frame was reused while still owned")
+			}
+			if st := tx.Stats(); st.SegsRetx == 0 && st.Reinjects == 0 && spec != "redundant" {
+				t.Error("no retransmission at 5% loss: the fault model was not exercised")
+			}
+		})
 	}
 }

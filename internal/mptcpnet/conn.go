@@ -71,11 +71,16 @@ type Sender struct {
 	// at most once (§6 countermeasures).
 	oppSeq int64
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	cc         []core.Subflow
-	sendBuf    [][]byte // segments not yet assigned a data sequence
-	segs       map[int64][]byte
+	mu   sync.Mutex
+	cond *sync.Cond
+	cc   []core.Subflow
+	// segs holds the payload frame of every data sequence in
+	// [dataUna, dataEnd): Write fills dataEnd, [dataUna, dataNxt) has been
+	// sent at least once, and [dataNxt, dataEnd) is the queue not yet
+	// assigned to a subflow. A frame is freed when the data-level ACK
+	// passes it.
+	segs       ring[*frame]
+	dataEnd    int64
 	dataNxt    int64
 	dataUna    int64
 	edge       int64 // flow-control edge (dataAck + window)
@@ -115,17 +120,22 @@ type sendSubflow struct {
 	// One goroutine per WriteTo (the previous design) let the scheduler
 	// reorder in-subflow transmissions, manufacturing spurious dupSACKs
 	// and fast retransmits on a loss-free path.
-	sendQ chan []byte
+	sendQ chan *frame
 
+	// meta is the scoreboard of [sndUna, sndNxt), by subflow sequence.
 	sndNxt, sndUna int64
-	meta           map[int64]*sentSeg
+	meta           ring[sentSeg]
 	dupSacks       int64
 	recover        int64
 	inRec          bool
 
+	// timer is created once and re-armed with Reset; deadline is when the
+	// armed RTO really expires, so a callback that fires early or lost a
+	// race with an ACK can tell (see onRTO).
 	srtt, rttvar, rto time.Duration
 	timer             *time.Timer
 	timerOn           bool
+	deadline          time.Time
 	start             time.Time
 
 	// rtoStreak counts consecutive RTOs since this subflow last made
@@ -200,7 +210,6 @@ func NewSender(connID uint64, conns []net.PacketConn, remotes []net.Addr, cfg Co
 		connID: connID,
 		alg:    cfg.Alg,
 		sched:  cfg.Sched,
-		segs:   make(map[int64][]byte),
 		edge:   defaultWindow,
 		done:   make(chan struct{}),
 		oppSeq: -1,
@@ -224,12 +233,13 @@ func NewSender(connID uint64, conns []net.PacketConn, remotes []net.Addr, cfg Co
 			conn:   conns[i],
 			remote: remotes[i],
 			parent: s,
-			sendQ:  make(chan []byte, sendQueueCap),
-			meta:   make(map[int64]*sentSeg),
+			sendQ:  make(chan *frame, sendQueueCap),
 			rto:    time.Second,
 			start:  now,
 			rng:    rand.New(rand.NewSource(int64(connID)*31 + int64(i))),
 		}
+		sf.timer = time.AfterFunc(maxRTO, sf.onRTO)
+		sf.timer.Stop() // armed by the first transmission
 		s.subs = append(s.subs, sf)
 		s.cc = append(s.cc, core.Subflow{Cwnd: 2, SSThresh: 1 << 30})
 	}
@@ -256,18 +266,19 @@ func (s *Sender) Write(p []byte) (int, error) {
 		}
 		// Backpressure: cap the unassigned queue — but keep the network
 		// pumped before blocking, or nothing would ever drain it.
-		if len(s.sendBuf) > 1024 {
+		if s.dataEnd-s.dataNxt > 1024 {
 			s.pumpLocked()
-			for len(s.sendBuf) > 1024 && s.err == nil && !s.closed {
+			for s.dataEnd-s.dataNxt > 1024 && s.err == nil && !s.closed {
 				s.cond.Wait()
 			}
 		}
 		if s.err != nil {
 			return n, s.err
 		}
-		buf := make([]byte, len(seg))
-		copy(buf, seg)
-		s.sendBuf = append(s.sendBuf, buf)
+		f := getFrame()
+		f.n = headerSize + copy(f.buf[headerSize:], seg)
+		s.segs.put(s.dataUna, s.dataEnd, f)
+		s.dataEnd++
 		p = p[len(seg):]
 		n += len(seg)
 	}
@@ -292,26 +303,25 @@ func (s *Sender) Close() error {
 // Wait blocks until all data (and the FIN) has been acknowledged, or the
 // timeout expires.
 func (s *Sender) Wait(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-s.done: // finished or aborted
+	case <-t.C:
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.finishedLocked() {
-		if s.err != nil {
-			return s.err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("mptcpnet: %d segments unacked at timeout", s.dataNxt-s.dataUna)
-		}
-		s.mu.Unlock()
-		time.Sleep(5 * time.Millisecond)
-		s.mu.Lock()
+	switch {
+	case s.finishedLocked():
+		return nil
+	case s.err != nil:
+		return s.err
 	}
-	s.maybeFinishLocked()
-	return nil
+	return fmt.Errorf("mptcpnet: %d segments unacked at timeout", s.dataNxt-s.dataUna)
 }
 
 func (s *Sender) finishedLocked() bool {
-	return s.closed && len(s.sendBuf) == 0 && s.dataUna >= s.dataNxt && s.finSent
+	return s.closed && s.dataUna >= s.dataEnd && s.finSent
 }
 
 // maybeFinishLocked closes done once the stream is fully acknowledged.
@@ -347,9 +357,7 @@ func (s *Sender) abortLocked(err error) {
 // additionally gated on doneClosed for the timer that is mid-flight).
 func (s *Sender) stopTimersLocked() {
 	for _, sf := range s.subs {
-		if sf.timer != nil {
-			sf.timer.Stop()
-		}
+		sf.timer.Stop()
 		sf.timerOn = false
 	}
 }
@@ -405,13 +413,11 @@ func (s *Sender) popDataLocked() (seq int64, fin bool, ok bool) {
 	for len(s.reinj) > 0 {
 		d := s.reinj[0]
 		s.reinj = s.reinj[1:]
-		if d >= s.dataUna {
-			if _, have := s.segs[d]; have {
-				return d, false, true
-			}
+		if s.seg(d) != nil {
+			return d, false, true
 		}
 	}
-	if len(s.sendBuf) == 0 {
+	if s.dataNxt == s.dataEnd {
 		if s.closed && !s.finSent && s.dataNxt >= s.dataUna {
 			return 0, true, true
 		}
@@ -421,8 +427,6 @@ func (s *Sender) popDataLocked() (seq int64, fin bool, ok bool) {
 		return 0, false, false // flow control
 	}
 	seq = s.dataNxt
-	s.segs[seq] = s.sendBuf[0]
-	s.sendBuf = s.sendBuf[1:]
 	s.dataNxt++
 	s.cond.Broadcast()
 	return seq, false, true
@@ -478,7 +482,7 @@ func (s *Sender) pumpRedundantLocked() {
 				s.dupNxt[i] = s.dataUna
 			}
 			if s.dupNxt[i] < s.dataNxt {
-				if _, have := s.segs[s.dupNxt[i]]; have {
+				if s.seg(s.dupNxt[i]) != nil {
 					sf.sendData(s.dupNxt[i])
 				}
 				s.dupNxt[i]++
@@ -544,10 +548,10 @@ func (s *Sender) rbufCountermeasuresLocked() {
 	if !s.cfg.SchedOpts.Any() || len(s.subs) < 2 {
 		return
 	}
-	if (len(s.sendBuf) == 0 && len(s.reinj) == 0) || s.dataNxt < s.edge {
+	if (s.dataNxt == s.dataEnd && len(s.reinj) == 0) || s.dataNxt < s.edge {
 		return // app-limited, not flow-control-blocked
 	}
-	if _, have := s.segs[s.dataUna]; !have {
+	if s.seg(s.dataUna) == nil {
 		return // blocking segment already delivered; ACK in flight
 	}
 	// Gate before the blocker scan: while the connection stays blocked
@@ -616,13 +620,31 @@ func (s *Sender) rbufCountermeasuresLocked() {
 // outstanding and not SACKed), or nil.
 func (s *Sender) findBlockerLocked() *sendSubflow {
 	for _, sf := range s.subs {
-		for _, m := range sf.meta {
-			if !m.sacked && m.dataSeq == s.dataUna {
+		for seq := sf.sndUna; seq < sf.sndNxt; seq++ {
+			if m := sf.meta.at(seq); !m.sacked && m.dataSeq == s.dataUna {
 				return sf
 			}
 		}
 	}
 	return nil
+}
+
+// seg returns the payload frame of a sent, not yet data-acknowledged
+// sequence, or nil.
+func (s *Sender) seg(d int64) *frame {
+	if d < s.dataUna || d >= s.dataNxt {
+		return nil
+	}
+	return *s.segs.at(d)
+}
+
+// seg returns the scoreboard entry of an outstanding subflow sequence,
+// or nil.
+func (sf *sendSubflow) seg(seq int64) *sentSeg {
+	if seq < sf.sndUna || seq >= sf.sndNxt {
+		return nil
+	}
+	return sf.meta.at(seq)
 }
 
 func (s *Sender) logf(format string, args ...any) {
@@ -640,19 +662,25 @@ func (sf *sendSubflow) elapsedMicros() uint32 {
 func (sf *sendSubflow) sendData(dataSeq int64) {
 	s := sf.parent
 	seq := sf.sndNxt
+	sf.meta.put(sf.sndUna, seq, sentSeg{dataSeq: dataSeq})
 	sf.sndNxt++
-	sf.meta[seq] = &sentSeg{dataSeq: dataSeq}
 	sf.transmit(seq, false)
 	s.segsSent++
 }
 
 func (sf *sendSubflow) transmit(seq int64, retx bool) {
 	s := sf.parent
-	m := sf.meta[seq]
+	m := sf.seg(seq)
 	if m == nil {
 		return
 	}
-	payload := s.segs[m.dataSeq]
+	// Copy, never alias: the payload frame may be freed (and rewritten)
+	// by the next data ACK while this transmission still sits in sendQ.
+	w := getFrame()
+	w.n = headerSize
+	if p := s.seg(m.dataSeq); p != nil {
+		w.n += copy(w.buf[headerSize:], p.buf[headerSize:p.n])
+	}
 	h := header{
 		Type:    typeData,
 		Subflow: uint16(sf.id),
@@ -660,12 +688,10 @@ func (sf *sendSubflow) transmit(seq int64, retx bool) {
 		Seq:     seq,
 		DataSeq: m.dataSeq,
 		Echo:    sf.elapsedMicros(),
-		Plen:    uint16(len(payload)),
+		Plen:    uint16(w.n - headerSize),
 	}
-	buf := make([]byte, headerSize+len(payload))
-	h.marshal(buf)
-	copy(buf[headerSize:], payload)
-	sealFrame(buf)
+	h.marshal(w.buf[:])
+	sealFrame(w.buf[:w.n])
 	m.retx = m.retx || retx
 	if retx {
 		s.segsRetx++
@@ -678,19 +704,21 @@ func (sf *sendSubflow) transmit(seq int64, retx bool) {
 	if !sf.timerOn {
 		sf.armTimer()
 	}
-	sf.queueWrite(buf)
+	if !sf.queueWrite(w) {
+		putFrame(w)
+	}
 }
 
-// queueWrite hands buf to the subflow's writer goroutine, preserving the
+// queueWrite hands f to the subflow's writer goroutine, preserving the
 // transmission order decided under the lock, and reports whether the
 // segment was queued. Called with s.mu held, so it must never block: if
 // the writer has fallen sendQueueCap segments behind (a stalled socket),
 // the segment is dropped exactly as a congested path would drop it —
 // retransmission recovers it — rather than wedging every lock acquirer
 // (including Wait's deadline check) behind a dead PacketConn.
-func (sf *sendSubflow) queueWrite(buf []byte) bool {
+func (sf *sendSubflow) queueWrite(f *frame) bool {
 	select {
-	case sf.sendQ <- buf:
+	case sf.sendQ <- f:
 		return true
 	default:
 		sf.parent.logf("sf%d writer backlogged, dropping segment", sf.id)
@@ -702,23 +730,29 @@ func (sf *sendSubflow) queueWrite(buf []byte) bool {
 // queue so segments hit the socket in transmit order, and exits once the
 // connection is done — flushing anything queued first, because the final
 // FIN is queued in the same critical section that closes done and must
-// still reach the wire.
+// still reach the wire. Every frame goes back to the pool once written.
 func (sf *sendSubflow) writeLoop() {
 	for {
 		select {
-		case buf := <-sf.sendQ:
-			sf.conn.WriteTo(buf, sf.remote) //nolint:errcheck // lossy path semantics
+		case f := <-sf.sendQ:
+			sf.write(f)
 		case <-sf.parent.done:
 			for {
 				select {
-				case buf := <-sf.sendQ:
-					sf.conn.WriteTo(buf, sf.remote) //nolint:errcheck
+				case f := <-sf.sendQ:
+					sf.write(f)
 				default:
 					return
 				}
 			}
 		}
 	}
+}
+
+// write puts one wire frame on the socket and frees it.
+func (sf *sendSubflow) write(f *frame) {
+	sf.conn.WriteTo(f.buf[:f.n], sf.remote) //nolint:errcheck // lossy path semantics
+	putFrame(f)
 }
 
 // sendFinLocked broadcasts the FIN on every subflow and arms the retry
@@ -749,7 +783,7 @@ func (s *Sender) sendFinLocked() {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.doneClosed || s.finishedLockedFin() {
+		if s.doneClosed || s.finishedLocked() {
 			s.maybeFinishLocked()
 			return
 		}
@@ -771,20 +805,17 @@ func (sf *sendSubflow) transmitFin() {
 		Aux:     s.dataNxt,
 		Echo:    sf.elapsedMicros(),
 	}
-	buf := make([]byte, headerSize)
-	h.marshal(buf)
-	sealFrame(buf)
-	if !sf.queueWrite(buf) {
+	f := getFrame()
+	f.n = headerSize
+	h.marshal(f.buf[:])
+	sealFrame(f.buf[:f.n])
+	if !sf.queueWrite(f) {
 		// The writer is backlogged or already gone: bypass the queue
 		// rather than drop the FIN (it carries no sequence-space
 		// ordering constraint). Bounded: at most one such write per
 		// subflow per retry tick.
-		go sf.conn.WriteTo(buf, sf.remote) //nolint:errcheck // lossy path semantics
+		go sf.write(f)
 	}
-}
-
-func (s *Sender) finishedLockedFin() bool {
-	return s.dataUna >= s.dataNxt && len(s.sendBuf) == 0
 }
 
 // readLoop consumes ACKs for one subflow. Runs unlocked; state updates
@@ -830,11 +861,12 @@ func (s *Sender) handleAck(sf *sendSubflow, h *header) {
 	defer s.mu.Unlock()
 
 	// Data-level bookkeeping (§6: explicit data ack + shared window).
-	if h.DataSeq > s.dataUna {
-		for d := s.dataUna; d < h.DataSeq; d++ {
-			delete(s.segs, d)
-		}
-		s.dataUna = h.DataSeq
+	// Sequences beyond what was sent cannot be acknowledged: clamp, so a
+	// bogus ACK can neither walk the rings out of range nor invert them.
+	for dataAck := min(h.DataSeq, s.dataNxt); s.dataUna < dataAck; s.dataUna++ {
+		slot := s.segs.at(s.dataUna)
+		putFrame(*slot)
+		*slot = nil
 	}
 	if e := h.DataSeq + int64(h.Window); e > s.edge {
 		s.edge = e
@@ -843,13 +875,13 @@ func (s *Sender) handleAck(sf *sendSubflow, h *header) {
 	// SACK scoreboard.
 	newInfo := false
 	if h.Flags&flagSack != 0 {
-		if m := sf.meta[h.Aux]; m != nil && !m.sacked {
+		if m := sf.seg(h.Aux); m != nil && !m.sacked {
 			m.sacked = true
 			newInfo = true
 		}
 	}
 
-	ack := h.Seq
+	ack := min(h.Seq, sf.sndNxt)
 	switch {
 	case ack > sf.sndUna:
 		sf.rtoStreak = 0
@@ -862,10 +894,7 @@ func (s *Sender) handleAck(sf *sendSubflow, h *header) {
 		// these via per-packet timestamps; here we check the retx marks.
 		retxAcked := false
 		for seq := sf.sndUna; seq < ack; seq++ {
-			if m := sf.meta[seq]; m != nil && m.retx {
-				retxAcked = true
-			}
-			delete(sf.meta, seq)
+			retxAcked = retxAcked || sf.meta.at(seq).retx
 		}
 		sf.sndUna = ack
 		if !retxAcked {
@@ -930,14 +959,12 @@ func (s *Sender) fastRetransmit(sf *sendSubflow) {
 	sf.inRec = true
 	sf.recover = sf.sndNxt
 	sf.dupSacks = 0
-	high := int64(-1)
-	for seq, m := range sf.meta {
-		if m.sacked && seq > high {
-			high = seq
-		}
+	high := sf.sndNxt - 1
+	for high >= sf.sndUna && !sf.meta.at(high).sacked {
+		high--
 	}
 	for seq := sf.sndUna; seq < high; seq++ {
-		if m := sf.meta[seq]; m != nil && !m.sacked && !m.retx {
+		if m := sf.meta.at(seq); !m.sacked && !m.retx {
 			sf.transmit(seq, true)
 		}
 	}
@@ -945,11 +972,21 @@ func (s *Sender) fastRetransmit(sf *sendSubflow) {
 }
 
 // onRTO collapses the window, retransmits the front and reinjects
-// outstanding data onto the other subflows.
+// outstanding data onto the other subflows, in sequence order. It is the
+// timer callback, and Stop cannot recall a callback already blocked on
+// mu: one that lost the race with an ACK finds the timer disarmed or the
+// deadline moved, and only re-arms for the remainder.
 func (sf *sendSubflow) onRTO() {
 	s := sf.parent
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !sf.timerOn {
+		return
+	}
+	if d := time.Until(sf.deadline); d > 0 {
+		sf.timer.Reset(d)
+		return
+	}
 	sf.timerOn = false
 	if s.doneClosed || sf.sndNxt == sf.sndUna {
 		return // finished/aborted senders must not rearm
@@ -974,8 +1011,9 @@ func (sf *sendSubflow) onRTO() {
 		s.tracer.Loss(s.traceID, int32(sf.id), "rto", sf.sndUna)
 		s.tracer.CwndChange(s.traceID, int32(sf.id), cc.Cwnd)
 	}
-	for seq, m := range sf.meta {
-		if m.sacked || seq < sf.sndUna {
+	for seq := sf.sndUna; seq < sf.sndNxt; seq++ {
+		m := sf.meta.at(seq)
+		if m.sacked {
 			continue
 		}
 		// Earlier retransmissions are presumed lost too; clearing the
@@ -993,6 +1031,7 @@ func (sf *sendSubflow) onRTO() {
 	}
 	sf.armTimer()
 	s.pumpLocked()
+	s.maybeFinishLocked()
 }
 
 func (sf *sendSubflow) sampleRTT(rtt time.Duration) {
@@ -1027,15 +1066,13 @@ func (sf *sendSubflow) sampleRTT(rtt time.Duration) {
 }
 
 func (sf *sendSubflow) armTimer() {
-	if sf.timer != nil {
+	sf.timerOn = !sf.parent.doneClosed && sf.sndNxt != sf.sndUna
+	if !sf.timerOn {
 		sf.timer.Stop()
-	}
-	sf.timerOn = false
-	if sf.parent.doneClosed || sf.sndNxt == sf.sndUna {
 		return
 	}
-	sf.timerOn = true
-	sf.timer = time.AfterFunc(sf.rto, sf.onRTO)
+	sf.deadline = time.Now().Add(sf.rto)
+	sf.timer.Reset(sf.rto)
 }
 
 var _ io.WriteCloser = (*Sender)(nil)

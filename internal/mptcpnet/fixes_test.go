@@ -24,6 +24,13 @@ func (a memAddr) String() string  { return string(a) }
 // lossless.
 type memConn struct {
 	addr memAddr
+	from net.Addr // what ReadFrom reports, boxed once
+
+	// free, when non-nil, switches the conn to its allocation-free mode
+	// (preallocate): WriteTo copies into a buffer taken from free instead
+	// of a fresh one and records nothing, and the peer's ReadFrom hands
+	// the buffer back.
+	free chan []byte
 
 	mu     sync.Mutex
 	writes [][]byte
@@ -33,11 +40,23 @@ type memConn struct {
 }
 
 func newMemConn(name string) *memConn {
-	return &memConn{addr: memAddr(name), inbox: make(chan []byte, 4096)}
+	return &memConn{addr: memAddr(name), from: memAddr("peer"), inbox: make(chan []byte, 4096)}
 }
 
 // wire cross-connects two memConns into a lossless FIFO pipe.
-func wire(a, b *memConn) { a.peer, b.peer = b, a }
+func wire(a, b *memConn) {
+	a.peer, b.peer = b, a
+	a.from, b.from = b.addr, a.addr
+}
+
+// preallocate gives the conn n datagram buffers up front, so that the
+// fake itself allocates nothing per WriteTo/ReadFrom.
+func (c *memConn) preallocate(n int) {
+	c.free = make(chan []byte, n)
+	for i := 0; i < n; i++ {
+		c.free <- make([]byte, headerSize+MaxPayload)
+	}
+}
 
 func (c *memConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	buf, ok := <-c.inbox
@@ -45,14 +64,21 @@ func (c *memConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		return 0, nil, net.ErrClosed
 	}
 	n := copy(p, buf)
-	var from net.Addr = memAddr("peer")
-	if c.peer != nil {
-		from = c.peer.addr
+	if c.peer != nil && c.peer.free != nil {
+		c.peer.free <- buf[:cap(buf)]
 	}
-	return n, from, nil
+	return n, c.from, nil
 }
 
 func (c *memConn) WriteTo(p []byte, _ net.Addr) (int, error) {
+	if c.free != nil {
+		select {
+		case b := <-c.free:
+			c.peer.deliver(b[:copy(b, p)])
+		default: // every buffer in flight: drop, like a saturated path
+		}
+		return len(p), nil
+	}
 	b := append([]byte(nil), p...)
 	c.mu.Lock()
 	if c.closed {
@@ -144,7 +170,7 @@ func TestRetxAckSuppressesRTTSample(t *testing.T) {
 	sf := s.subs[0]
 
 	s.mu.Lock()
-	sf.meta[0].retx = true // segment 0 was retransmitted
+	sf.meta.at(0).retx = true // segment 0 was retransmitted
 	s.mu.Unlock()
 	s.handleAck(sf, &header{Type: typeAck, Seq: 1, DataSeq: 1, Window: 64, Echo: 0})
 	s.mu.Lock()
@@ -196,6 +222,88 @@ func TestInSubflowSendOrderFIFO(t *testing.T) {
 		if h.Seq != int64(i) {
 			t.Fatalf("socket write %d carries seq %d: transmissions reordered", i, h.Seq)
 		}
+	}
+}
+
+// newTestSender2 is a two-subflow sender over unwired memConns: nothing
+// is ever acknowledged.
+func newTestSender2(t *testing.T, cfg Config) (*Sender, [2]*memConn) {
+	t.Helper()
+	cs := [2]*memConn{newMemConn("snd0"), newMemConn("snd1")}
+	t.Cleanup(func() { cs[0].Close(); cs[1].Close() })
+	s := NewSender(42, []net.PacketConn{cs[0], cs[1]}, []net.Addr{memAddr("rcv0"), memAddr("rcv1")}, cfg)
+	return s, cs
+}
+
+// After a timeout the subflow's outstanding data must be reinjected in
+// data-sequence order. The scoreboard used to be a map, so onRTO filled
+// the reinjection queue in random order and the other subflow carried
+// the stream's head last as often as first.
+func TestReinjectionLeavesInSequenceOrder(t *testing.T) {
+	s, cs := newTestSender2(t, Config{})
+	const held = 8 // segments stranded on subflow 0
+	s.mu.Lock()
+	s.cc[0].Cwnd, s.cc[1].Cwnd = held, 1
+	s.subs[0].rto, s.subs[1].rto = 10*time.Millisecond, time.Hour // only subflow 0 times out
+	s.mu.Unlock()
+	if _, err := s.Write(make([]byte, (held+1)*MaxPayload)); err != nil {
+		t.Fatal(err)
+	}
+	stranded := waitWrites(t, cs[0], typeData, held)[:held]
+	waitWrites(t, cs[1], typeData, 1)
+	s.mu.Lock()
+	s.cc[1].Cwnd = 64 // room for the reinjections when the RTO pumps
+	s.mu.Unlock()
+
+	reinj := waitWrites(t, cs[1], typeData, 1+held)[1 : 1+held]
+	for i, h := range reinj {
+		if h.DataSeq != stranded[i].DataSeq {
+			t.Fatalf("reinjection %d carries data seq %d, want %d (subflow 0 sent %v in order)",
+				i, h.DataSeq, stranded[i].DataSeq, dataSeqs(stranded))
+		}
+	}
+	if st := s.Stats(); st.Reinjects < held {
+		t.Errorf("Reinjects = %d, want >= %d", st.Reinjects, held)
+	}
+}
+
+func dataSeqs(hs []header) []int64 {
+	out := make([]int64, len(hs))
+	for i, h := range hs {
+		out[i] = h.DataSeq
+	}
+	return out
+}
+
+// Timer.Stop cannot recall a callback that is already waiting for the
+// connection lock: an onRTO that runs before the armed deadline (it lost
+// the race with the ACK that re-armed the timer) must change nothing.
+func TestStaleRTOFireIsIgnored(t *testing.T) {
+	s, cs := newTestSender2(t, Config{})
+	s.mu.Lock()
+	s.cc[0].Cwnd, s.cc[1].Cwnd = 4, 4
+	s.mu.Unlock()
+	if _, err := s.Write(make([]byte, 8*MaxPayload)); err != nil {
+		t.Fatal(err)
+	}
+	waitWrites(t, cs[0], typeData, 4)
+	waitWrites(t, cs[1], typeData, 4)
+
+	for _, sf := range s.subs {
+		sf.onRTO() // the initial 1 s RTO is nowhere near expiry
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, sf := range s.subs {
+		if s.cc[i].Cwnd != 4 || sf.rtoStreak != 0 {
+			t.Errorf("subflow %d: cwnd = %v, rtoStreak = %d after an early fire, want 4 and 0", i, s.cc[i].Cwnd, sf.rtoStreak)
+		}
+		if !sf.timerOn || time.Until(sf.deadline) <= 0 {
+			t.Errorf("subflow %d: timer not left armed for the remainder", i)
+		}
+	}
+	if s.segsRetx != 0 || s.reinjects != 0 || len(s.reinj) != 0 {
+		t.Errorf("early fire retransmitted: segsRetx = %d, reinjects = %d, reinj = %v", s.segsRetx, s.reinjects, s.reinj)
 	}
 }
 
@@ -324,5 +432,48 @@ func TestFinChainGivesUpWithoutPeer(t *testing.T) {
 	s.mu.Unlock()
 	if err == nil {
 		t.Error("giving up should record an error")
+	}
+}
+
+// Read is woken only by an arrival that makes data readable: a segment
+// that joins the reorder buffer leaves it parked, and the one that fills
+// the gap delivers both.
+func TestReadWakesWhenGapFills(t *testing.T) {
+	c := newMemConn("rcv")
+	t.Cleanup(func() { c.Close() })
+	rx := NewReceiver(42, []net.PacketConn{c}, 16)
+	defer rx.Close()
+	data := func(seq int64, b byte) []byte {
+		f := make([]byte, headerSize+1)
+		h := header{Type: typeData, ConnID: 42, Seq: seq, DataSeq: seq, Plen: 1}
+		h.marshal(f)
+		f[headerSize] = b
+		sealFrame(f)
+		return f
+	}
+	got := make(chan []byte, 1)
+	go func() {
+		buf := make([]byte, 8)
+		n, _ := io.ReadFull(rx, buf[:2])
+		got <- buf[:n]
+	}()
+
+	c.deliver(data(1, 'b')) // out of order: held, acknowledged, not readable
+	if acks := waitWrites(t, c, typeAck, 1); acks[0].DataSeq != 0 {
+		t.Fatalf("data ack after the out-of-order segment = %d, want 0", acks[0].DataSeq)
+	}
+	select {
+	case b := <-got:
+		t.Fatalf("Read returned %q with segment 0 still missing", b)
+	case <-time.After(20 * time.Millisecond):
+	}
+	c.deliver(data(0, 'a'))
+	select {
+	case b := <-got:
+		if string(b) != "ab" {
+			t.Errorf("Read delivered %q, want \"ab\"", b)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Read was not woken by the segment that filled the gap")
 	}
 }

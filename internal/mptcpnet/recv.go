@@ -20,13 +20,17 @@ type Receiver struct {
 	cond      *sync.Cond
 	subRcvNxt []int64
 	subOOO    []map[int64]struct{}
-	segs      map[int64][]byte
-	dataNxt   int64
-	finSeq    int64 // end-of-stream data sequence, -1 until FIN seen
-	readBuf   []byte
-	bufCap    int64 // shared receive buffer, segments
-	held      int64
-	closed    bool
+	// segs holds every frame the receiver owns, by data sequence:
+	// [readNxt, dataNxt) is the in-order read queue Read copies out of,
+	// slots above dataNxt are the reorder buffer (nil = not yet arrived).
+	// Delivering a segment in order is therefore just dataNxt++.
+	segs    ring[*frame]
+	readNxt int64
+	dataNxt int64
+	finSeq  int64 // end-of-stream data sequence, -1 until FIN seen
+	bufCap  int64 // shared receive buffer, segments
+	held    int64
+	closed  bool
 
 	// Stats, guarded by mu; read via Stats() and SubflowReceived().
 	segsRecvd    int64
@@ -51,7 +55,6 @@ func NewReceiver(connID uint64, conns []net.PacketConn, bufSegments int64) *Rece
 		conns:        conns,
 		subRcvNxt:    make([]int64, len(conns)),
 		subOOO:       make([]map[int64]struct{}, len(conns)),
-		segs:         make(map[int64][]byte),
 		finSeq:       -1,
 		bufCap:       bufSegments,
 		subflowRecvd: make([]int64, len(conns)),
@@ -71,7 +74,7 @@ func NewReceiver(connID uint64, conns []net.PacketConn, bufSegments int64) *Rece
 func (r *Receiver) Read(p []byte) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for len(r.readBuf) == 0 {
+	for r.readNxt == r.dataNxt {
 		if r.finSeq >= 0 && r.dataNxt >= r.finSeq {
 			return 0, io.EOF
 		}
@@ -80,8 +83,18 @@ func (r *Receiver) Read(p []byte) (int, error) {
 		}
 		r.cond.Wait()
 	}
-	n := copy(p, r.readBuf)
-	r.readBuf = r.readBuf[n:]
+	n := 0
+	for n < len(p) && r.readNxt < r.dataNxt {
+		slot := r.segs.at(r.readNxt)
+		f := *slot
+		c := copy(p[n:], f.buf[f.off:f.n])
+		n, f.off = n+c, f.off+c
+		if f.off == f.n { // consumed: the frame goes back to the pool
+			*slot = nil
+			putFrame(f)
+			r.readNxt++
+		}
+	}
 	return n, nil
 }
 
@@ -131,15 +144,21 @@ func (r *Receiver) window() int64 {
 	return w
 }
 
+// readLoop reads datagrams straight into a pooled frame. A frame that
+// onDataLocked keeps (new data) is replaced by a fresh one; anything else
+// is overwritten by the next read. The ACK is built in the same critical
+// section as the state change it reports and marshalled into a scratch
+// header this goroutine owns.
 func (r *Receiver) readLoop(sub int) {
-	buf := make([]byte, 2048)
+	var ackBuf [headerSize]byte
+	f := getFrame()
 	for {
-		n, from, err := r.conns[sub].ReadFrom(buf)
+		n, from, err := r.conns[sub].ReadFrom(f.buf[:])
 		if err != nil {
 			return
 		}
 		var h header
-		if err := h.unmarshal(buf[:n]); err != nil {
+		if err := h.unmarshal(f.buf[:n]); err != nil {
 			if errors.Is(err, errBadFrame) {
 				r.corrupt.Add(1)
 			}
@@ -148,21 +167,38 @@ func (r *Receiver) readLoop(sub int) {
 		if h.ConnID != r.connID {
 			continue
 		}
+		sack, reply, kept := int64(-1), true, false
+		r.mu.Lock()
 		switch h.Type {
 		case typeData:
-			payload := make([]byte, h.Plen)
-			copy(payload, buf[headerSize:headerSize+int(h.Plen)])
-			r.onData(sub, &h, payload, from)
+			f.n, f.off = headerSize+int(h.Plen), headerSize
+			sack, reply, kept = r.onDataLocked(sub, &h, f)
 		case typeFin:
-			r.onFin(sub, &h, from)
+			if r.finSeq < 0 || h.Aux < r.finSeq {
+				r.finSeq = h.Aux
+			}
+			r.cond.Broadcast()
 		case typeProbe:
-			r.ack(sub, h.Echo, -1, from)
+		default:
+			reply = false
+		}
+		ack := r.ackLocked(sub, h.Echo, sack)
+		r.mu.Unlock()
+		if kept {
+			f = getFrame()
+		}
+		if reply {
+			ack.marshal(ackBuf[:])
+			sealFrame(ackBuf[:])
+			r.conns[sub].WriteTo(ackBuf[:], from) //nolint:errcheck // lossy path semantics
 		}
 	}
 }
 
-func (r *Receiver) onData(sub int, h *header, payload []byte, from net.Addr) {
-	r.mu.Lock()
+// onDataLocked admits one data segment carried in f. It reports the new
+// SACK information (-1: none), whether to acknowledge at all, and
+// whether the receiver kept f.
+func (r *Receiver) onDataLocked(sub int, h *header, f *frame) (sack int64, reply, kept bool) {
 	r.segsRecvd++
 
 	// Shared-buffer admission first (§6): data beyond the buffer edge is
@@ -172,11 +208,10 @@ func (r *Receiver) onData(sub int, h *header, payload []byte, from net.Addr) {
 	// data would acknowledge a segment whose payload nobody will resend.
 	if h.DataSeq >= r.dataNxt+r.bufCap {
 		r.overflow++
-		r.mu.Unlock()
-		return
+		return -1, false, false
 	}
 
-	sack := int64(-1)
+	sack = -1
 	seq := h.Seq
 	switch {
 	case seq == r.subRcvNxt[sub]:
@@ -196,46 +231,39 @@ func (r *Receiver) onData(sub int, h *header, payload []byte, from net.Addr) {
 	}
 
 	d := h.DataSeq
-	if d < r.dataNxt {
+	if d < r.dataNxt || r.seg(d) != nil {
 		r.dupData++
-	} else if _, dup := r.segs[d]; dup {
-		r.dupData++
-	} else {
-		r.segs[d] = payload
-		r.held++
-		r.subflowRecvd[sub]++
-		for {
-			seg, ok := r.segs[r.dataNxt]
-			if !ok {
-				break
-			}
-			r.readBuf = append(r.readBuf, seg...)
-			delete(r.segs, r.dataNxt)
+		return sack, true, false
+	}
+	r.segs.put(r.readNxt, d, f)
+	r.held++
+	r.subflowRecvd[sub]++
+	// Only an arrival at dataNxt makes anything readable. Waking Read for
+	// a segment that merely joins the reorder buffer costs a goroutine
+	// switch that finds nothing — on paths of unequal delay that is most
+	// arrivals.
+	if d == r.dataNxt {
+		for r.seg(r.dataNxt) != nil {
 			r.held--
 			r.dataNxt++
 		}
 		r.cond.Broadcast()
 	}
-	echo := h.Echo
-	r.mu.Unlock()
-	r.ack(sub, echo, sack, from)
+	return sack, true, true
 }
 
-func (r *Receiver) onFin(sub int, h *header, from net.Addr) {
-	r.mu.Lock()
-	if r.finSeq < 0 || h.Aux < r.finSeq {
-		r.finSeq = h.Aux
+// seg returns the frame held for data sequence d >= readNxt, or nil.
+func (r *Receiver) seg(d int64) *frame {
+	if d-r.readNxt >= int64(len(r.segs.buf)) {
+		return nil
 	}
-	r.cond.Broadcast()
-	echo := h.Echo
-	r.mu.Unlock()
-	r.ack(sub, echo, -1, from)
+	return *r.segs.at(d)
 }
 
-// ack emits the §6 acknowledgment: subflow cumulative ack, explicit data
-// ack, shared-buffer window and echoed timestamp (+ optional SACK).
-func (r *Receiver) ack(sub int, echo uint32, sack int64, to net.Addr) {
-	r.mu.Lock()
+// ackLocked builds the §6 acknowledgment: subflow cumulative ack,
+// explicit data ack, shared-buffer window and echoed timestamp (+
+// optional SACK).
+func (r *Receiver) ackLocked(sub int, echo uint32, sack int64) header {
 	h := header{
 		Type:    typeAck,
 		Subflow: uint16(sub),
@@ -249,12 +277,7 @@ func (r *Receiver) ack(sub int, echo uint32, sack int64, to net.Addr) {
 		h.Flags |= flagSack
 		h.Aux = sack
 	}
-	conn := r.conns[sub]
-	r.mu.Unlock()
-	buf := make([]byte, headerSize)
-	h.marshal(buf)
-	sealFrame(buf)
-	conn.WriteTo(buf, to) //nolint:errcheck // lossy path semantics
+	return h
 }
 
 var _ io.Reader = (*Receiver)(nil)

@@ -91,12 +91,15 @@ var (
 // enough (and optional on IPv4) that corrupted datagrams do reach us.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// zeroSum stands in for the checksum field while summing. Package-level:
+// a local array escapes through crc32.Update, one heap object per call.
+var zeroSum [headerSize - sumOffset]byte
+
 // frameSum computes the frame checksum over the whole datagram with the
 // checksum field treated as zero.
 func frameSum(buf []byte) uint32 {
-	var zero [4]byte
 	sum := crc32.Update(0, crcTable, buf[:sumOffset])
-	sum = crc32.Update(sum, crcTable, zero[:])
+	sum = crc32.Update(sum, crcTable, zeroSum[:])
 	return crc32.Update(sum, crcTable, buf[headerSize:])
 }
 
