@@ -81,13 +81,13 @@ func benchExperiment(b *testing.B, id string, keys ...string) {
 // rides on. The packet-hop path and the per-ACK timer rearm are required
 // to run at 0 allocs/op (asserted by TestPacketHopZeroAlloc in
 // internal/netsim and TestPostZeroAlloc/TestTimerResetZeroAlloc in
-// internal/sim); CI additionally records events/sec via
-// `mptcp-exp -bench-engine` as BENCH_engine.json.
+// internal/sim); `bash bench/run.sh` measures the same ring with
+// repetitions as netsim.hop_ns and netsim.hop_allocs.
 
 // BenchmarkEnginePacketHop measures ns and allocations per packet-hop
 // event through the full netsim path (queue admission, departure
 // accounting, typed forward event, delivery), on the same
-// netsim.BenchRing workload the CI engine-bench record uses.
+// netsim.BenchRing workload bench/ measures.
 func BenchmarkEnginePacketHop(b *testing.B) {
 	s := sim.New(1)
 	netsim.NewBenchRing(s, 4, 256)

@@ -10,11 +10,10 @@
 //	mptcp-exp -exp dynamics [-scenario handover] [-json]
 //	mptcp-exp -exp schedgrid [-sched minrtt+otr+pen] [-json]
 //	mptcp-exp -exp appgrid [-workload video] [-json]
-//	mptcp-exp -exp dynamics -json -trace trace.jsonl
+//	mptcp-exp -exp dynamics|tournament|schedgrid|appgrid -json -trace trace.jsonl
 //	mptcp-exp -exp fleet [-shards 4] -json
 //	mptcp-exp -analyze [-csv out.csv] grid.jsonl trace.jsonl
 //	mptcp-exp -analyze -diff A.jsonl B.jsonl
-//	mptcp-exp -bench-engine BENCH_engine.json [-bench-baseline BENCH_trajectory.jsonl]
 //	mptcp-exp -train-sched internal/learn/bandit.model -seed 1 -scale 0.2 [-train-rounds 40]
 //
 // Independent trial cells fan out across -parallel workers (default
@@ -100,20 +99,16 @@ func main() {
 	parallel := flag.Int("parallel", 0, "max concurrent trial cells (0 = GOMAXPROCS)")
 	trials := flag.Int("trials", 1, "repetitions per experiment, base seeds seed..seed+trials-1")
 	scenarioID := flag.String("scenario", "", "restrict the dynamics experiment to one scenario (see -list); cell seeds match the full grid")
-	schedSpec := flag.String("sched", "", "restrict the schedgrid experiment to one scheduler spec, e.g. minrtt+otr+pen (see -list); cell seeds match the full grid")
+	schedSpec := flag.String("sched", "", "restrict the schedgrid, appgrid and fleet experiments to one scheduler spec, e.g. minrtt+otr+pen (see -list); cell seeds match the full grid")
 	workloadID := flag.String("workload", "", "restrict the appgrid experiment to one application workload (see -list); cell seeds match the full grid")
 	jsonOut := flag.Bool("json", false, "emit one JSON record per trial instead of rendered reports")
-	traceOut := flag.String("trace", "", "write per-connection protocol traces (JSONL) to FILE for experiments that support tracing")
+	traceOut := flag.String("trace", "", "write the cells' per-connection protocol traces (JSONL) to FILE; tournament, dynamics, schedgrid and appgrid record one")
 	analyze := flag.Bool("analyze", false, "aggregate JSONL artifacts (grid records, trial records, traces) named as positional args ('-' or none = stdin) into summary tables")
 	diff := flag.Bool("diff", false, "with -analyze, compare exactly two JSONL files A and B and print per-cell delta tables instead of aggregates")
 	csvOut := flag.String("csv", "", "with -analyze, also write the summary rows as CSV to FILE ('-' = stdout)")
 	shards := flag.Int("shards", 0, "max concurrent partition domains per cell for sharded-engine experiments (fleet); 0 = GOMAXPROCS, results identical for every value")
 	trainSched := flag.String("train-sched", "", "train the learned bandit scheduler offline over the schedgrid corpus and write the serialized model to FILE (deterministic for a fixed -seed/-scale/-train-rounds)")
 	trainRounds := flag.Int("train-rounds", 40, "with -train-sched, passes over the training corpus (one ε-greedy episode per corpus cell per round)")
-	benchEngine := flag.String("bench-engine", "", "measure the event engine's packet-hop path (plus the sharded fleet-shaped workload) and write the record to FILE")
-	benchBaseline := flag.String("bench-baseline", "", "with -bench-engine, compare against the baseline record in FILE (.jsonl = last line of a trajectory) and fail if events/sec regressed >10%")
-	benchTrajectory := flag.String("bench-trajectory", "BENCH_trajectory.jsonl", "with -bench-engine, append the record as one JSONL line to FILE ('' disables)")
-	benchCommit := flag.String("bench-commit", "", "with -bench-engine, commit id stamped into the record (default $GITHUB_SHA, else 'local')")
 	flag.Parse()
 	if *expID != "" {
 		id = expID
@@ -161,20 +156,6 @@ func main() {
 		return
 	}
 
-	if *benchEngine != "" {
-		commit := *benchCommit
-		if commit == "" {
-			if commit = os.Getenv("GITHUB_SHA"); commit == "" {
-				commit = "local"
-			}
-		}
-		if err := runEngineBench(*benchEngine, *benchBaseline, *benchTrajectory, commit); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *list || *id == "" {
 		fmt.Println("Experiments reproducing Wischik et al., NSDI 2011:")
 		for _, e := range exp.All() {
@@ -205,6 +186,7 @@ func main() {
 	}
 
 	cfg := exp.Config{Seed: *seed, Scale: *scale, Parallelism: *parallel, Shards: *shards, Scenario: *scenarioID, Sched: *schedSpec, Workload: *workloadID}
+	var traceFile *os.File
 	if *traceOut != "" {
 		// Trials run concurrently and each flushes its own cells to the
 		// trace writer; one traced trial keeps the file deterministic.
@@ -212,13 +194,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-trace requires -trials 1 (concurrent trials would interleave trace output)")
 			os.Exit(1)
 		}
-		tf, err := os.Create(*traceOut)
-		if err != nil {
+		var err error
+		if traceFile, err = os.Create(*traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer tf.Close()
-		cfg.TraceW = tf
+		cfg.TraceW = traceFile
 	}
 
 	// Stream each trial as soon as it (and its predecessors) finish:
@@ -280,5 +261,21 @@ func main() {
 	if encErr != nil {
 		fmt.Fprintln(os.Stderr, encErr)
 		os.Exit(1)
+	}
+	if traceFile != nil {
+		st, err := traceFile.Stat()
+		if cerr := traceFile.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil && st.Size() == 0 {
+			// Only the single-world grids trace; an empty file would read
+			// as "traced, nothing happened".
+			os.Remove(*traceOut)
+			err = fmt.Errorf("-trace: nothing in this run records a protocol trace (tournament, dynamics, schedgrid and appgrid do); %s not written", *traceOut)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"net"
 	"time"
 
+	"mptcp/internal/chaos"
 	"mptcp/internal/mptcpnet"
 )
 
@@ -30,12 +31,12 @@ func main() {
 	s3G, r3G := listen(), listen()
 
 	sndConns := []net.PacketConn{
-		mptcpnet.NewEmuPath(sWiFi, 5*time.Millisecond, 0.01, 16e6, 1),
-		mptcpnet.NewEmuPath(s3G, 40*time.Millisecond, 0.001, 2e6, 2),
+		chaos.New(sWiFi, chaos.PathConfig{Delay: 5 * time.Millisecond, LossRate: 0.01, RateBps: 16e6}, 1),
+		chaos.New(s3G, chaos.PathConfig{Delay: 40 * time.Millisecond, LossRate: 0.001, RateBps: 2e6}, 2),
 	}
 	rcvConns := []net.PacketConn{
-		mptcpnet.NewEmuPath(rWiFi, 5*time.Millisecond, 0.002, 0, 3),
-		mptcpnet.NewEmuPath(r3G, 40*time.Millisecond, 0, 0, 4),
+		chaos.New(rWiFi, chaos.PathConfig{Delay: 5 * time.Millisecond, LossRate: 0.002}, 3),
+		chaos.New(r3G, chaos.PathConfig{Delay: 40 * time.Millisecond}, 4),
 	}
 	remotes := []net.Addr{rWiFi.LocalAddr(), r3G.LocalAddr()}
 

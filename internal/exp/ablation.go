@@ -82,7 +82,6 @@ func runAblationCap(cfg Config) *Result {
 func runAblationPerAck(cfg Config) *Result {
 	cfg = cfg.norm()
 	res := newResult("ablation-peracck")
-	rtt := 100 * sim.Millisecond
 	warm, end := cfg.dur(50*sim.Second), cfg.dur(250*sim.Second)
 
 	table := Table{
@@ -93,22 +92,14 @@ func runAblationPerAck(cfg Config) *Result {
 	cells := RunCells(cfg, len(perAckVariants), func(cell Config, i int) CellResult {
 		perAck := perAckVariants[i]
 		w := newWorld(cell.Seed)
-		tor := topo.NewTorus([]float64{1000, 1000, 500, 1000, 1000}, rtt)
-		conns := make([]*transport.Conn, 5)
-		for i := range conns {
-			conns[i] = transport.NewConn(w.n, transport.Config{
-				Alg:   &core.MPTCP{PerAck: perAck},
-				Paths: tor.FlowPaths(i),
-			})
-			conns[i].Start()
-		}
-		rates := w.measure(conns, warm, end)
+		sc := torusScene(w, 500, func() transport.Config { return transport.Config{Alg: &core.MPTCP{PerAck: perAck}} })
+		rates := w.measure(sc.all, warm, end)
 		var mean float64
 		for _, r := range rates {
 			mean += r / 5
 		}
 		meanPkt := mean * 1e6 / (8 * 1500)
-		ratio := tor.Links[0].AB.Stats.LossFraction() / tor.Links[2].AB.Stats.LossFraction()
+		ratio := sc.links[0].AB.Stats.LossFraction() / sc.links[2].AB.Stats.LossFraction()
 		name := "cached (paper impl.)"
 		metric := "cached_pktps"
 		if perAck {

@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"mptcp/internal/core"
-	"mptcp/internal/scenario"
-	"mptcp/internal/sched"
 	"mptcp/internal/sim"
-	"mptcp/internal/topo"
 	"mptcp/internal/transport"
 	"mptcp/internal/workload"
 )
@@ -44,50 +40,14 @@ const appRecvBuf = 16
 // appEnd is the (unscaled) issuing horizon of one cell.
 const appEnd = 30 * sim.Second
 
-// appTopo is one topology column: build constructs the cell's
-// background flows and returns the multipath path set application
-// transfers run over, plus the scriptable links the column's scenario
-// (if any) drives.
-type appTopo struct {
-	name     string
-	scenario string // network-dynamics script installed over the links; "" = static
-	build    func(w *world) (paths []transport.Path, links []*topo.Duplex)
-}
-
-func appTopos() []appTopo {
-	return []appTopo{
-		{"wifi3g", "handover", appWiFi3G},
-		{"dualhomed", "", appDualHomed},
-	}
-}
-
-// appWiFi3G: §5's busy wireless client — application transfers share
-// WiFi+3G with one competing bulk TCP per radio, and the handover
-// script kills WiFi mid-run.
-func appWiFi3G(w *world) ([]transport.Path, []*topo.Duplex) {
-	wl := busyWireless()
-	tcpW := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[:1]})
-	tcpG := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[1:]})
-	tcpW.Start()
-	tcpG.Start()
-	return wl.Paths(), []*topo.Duplex{wl.WiFi, wl.G3}
-}
-
-// appDualHomed: §3's multihomed server with its background TCP load (2
-// on link 1, 6 on link 2); application transfers use both access links.
-func appDualHomed(w *world) ([]transport.Path, []*topo.Duplex) {
-	rtt := 20 * sim.Millisecond
-	d := topo.NewDualHomed(100, rtt/2, topo.BDPPackets(100, rtt))
-	addTCP := func(link, n int) {
-		for i := 0; i < n; i++ {
-			c := transport.NewConn(w.n, transport.Config{Paths: d.ClientPath(link)})
-			c.Start()
-		}
-	}
-	addTCP(1, 2)
-	addTCP(2, 6)
-	return d.MultipathPaths(), []*topo.Duplex{d.Link1, d.Link2}
-}
+// appTopos are the topology columns: scenes whose background TCPs
+// compete with the application transfers. appScenario names the
+// network-dynamics script installed over a column's links (absent: a
+// static network); on wifi3g the handover script kills WiFi mid-run.
+var (
+	appTopos    = []string{"wifi3g", "dualhomed"}
+	appScenario = map[string]string{"wifi3g": "handover"}
+)
 
 // appOut is one cell's measurements.
 type appOut struct {
@@ -115,130 +75,45 @@ func appLatPrefix(wl string) string {
 }
 
 func runAppGrid(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("appgrid")
-	wls := workload.Names()
-	specs := appSchedSpecs()
-	algs := appAlgs()
-	topos := appTopos()
-	if cfg.Workload != "" {
-		found := false
-		for _, n := range wls {
-			if n == cfg.Workload {
-				found = true
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("exp: unknown workload %q (have %v)", cfg.Workload, wls))
-		}
+	g := grid{
+		id:    "appgrid",
+		title: "Application workloads: completed units (headline: latency-p95 s, or rebuffer ratio for video) per workload × scheduler × algorithm × topology",
+		axes:  []axis{{"workload", workload.Names()}, {"scheduler", appSchedSpecs()}, {"algorithm", appAlgs()}, {"topology", appTopos}},
 	}
-	if cfg.Sched != "" {
-		canon, err := sched.Canonical(cfg.Sched)
-		if err != nil {
-			panic(fmt.Sprintf("exp: bad scheduler spec %q: %v", cfg.Sched, err))
-		}
-		cfg.Sched = canon
-		found := false
-		for _, s := range specs {
-			if s == cfg.Sched {
-				found = true
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("exp: scheduler spec %q is not an appgrid column (have %v)", cfg.Sched, specs))
-		}
-	}
-
-	// One cell per (workload, scheduler, algorithm, topology) in
-	// workload-major order: registering a new workload appends its
-	// cells after the existing ones. A -workload or -sched filter
-	// selects a subset of cells but keeps each cell's full-grid index as
-	// its seed index, so a filtered run reproduces the corresponding
-	// cells of the full grid bit-for-bit.
-	type cellKey struct{ wi, si, ai, ti, idx int }
-	var sel []cellKey
-	idx := 0
-	for wi := range wls {
-		for si := range specs {
-			for ai := range algs {
-				for ti := range topos {
-					if (cfg.Workload == "" || wls[wi] == cfg.Workload) &&
-						(cfg.Sched == "" || specs[si] == cfg.Sched) {
-						sel = append(sel, cellKey{wi, si, ai, ti, idx})
-					}
-					idx++
-				}
-			}
-		}
-	}
-	cells := RunCells(cfg, len(sel), func(cell Config, i int) appOut {
-		k := sel[i]
-		cell.Seed = CellSeed(cfg.Seed, k.idx)
-		return runAppCell(cell, wls[k.wi], parseSchedSpec(specs[k.si]), newAlg(algs[k.ai]), topos[k.ti])
-	})
-
-	table := Table{
-		Title: "Application workloads: completed units (headline: latency-p95 s, or rebuffer ratio for video) per workload × scheduler × algorithm × topology",
-		Cols:  []string{"workload", "scheduler", "algorithm"},
-	}
-	for _, tp := range topos {
-		table.Cols = append(table.Cols, tp.name)
-	}
-	// Rows are one per (workload, scheduler, algorithm) with topology
-	// columns; records, metrics and rows are all assembled in
-	// deterministic cell order, never goroutine order.
-	rowOf := map[[3]int]int{}
-	for i, k := range sel {
-		c := cells[i]
-		wl, spec, alg, tp := wls[k.wi], specs[k.si], algs[k.ai], topos[k.ti]
-		mets := appMetrics(wl, c, cfg.dur(appEnd))
-		key := fmt.Sprintf("%s_%s_%s_%s", wl, spec, strings.ToLower(alg), tp.name)
-		res.Metrics[key+"_completed"] = float64(c.stats.Completed)
-		if headline, ok := appHeadline(wl, mets); ok {
-			res.Metrics[key+"_"+headline.name] = headline.v
+	res := runGrid(cfg, g, appCell, func(res *Result, c *gridCell, out appOut) []string {
+		wl, spec, alg, tp := c.vals[0], c.vals[1], c.vals[2], c.vals[3]
+		mets := appMetrics(wl, out, c.dur(appEnd))
+		key := fmt.Sprintf("%s_%s_%s_%s", wl, spec, strings.ToLower(alg), tp)
+		res.Metrics[key+"_completed"] = float64(out.stats.Completed)
+		text := f0(float64(out.stats.Completed))
+		if name, v, ok := appHeadline(wl, mets); ok {
+			res.Metrics[key+"_"+name] = v
+			text += " (" + fmt.Sprintf("%.3g", v) + ")"
 		}
 		res.Records = append(res.Records, Record{
 			Algorithm: alg,
-			Topology:  tp.name,
-			Scenario:  tp.scenario,
+			Topology:  tp,
+			Scenario:  appScenario[tp],
 			Scheduler: spec,
 			RecvBuf:   appRecvBuf,
 			Workload:  wl,
 			Metrics:   mets,
 		})
-		rk := [3]int{k.wi, k.si, k.ai}
-		ri, ok := rowOf[rk]
-		if !ok {
-			ri = len(table.Rows)
-			rowOf[rk] = ri
-			table.Rows = append(table.Rows, []string{wl, spec, alg})
-		}
-		cellTxt := f0(float64(c.stats.Completed))
-		if h, ok := appHeadline(wl, mets); ok {
-			cellTxt += " (" + fmt.Sprintf("%.3g", h.v) + ")"
-		}
-		table.Rows[ri] = append(table.Rows[ri], cellTxt)
-	}
-	res.Tables = append(res.Tables, table)
+		return []string{text}
+	})
 	res.note("all transfers share a %d-packet receive buffer; wifi3g runs the handover script (WiFi dies at 0.4T), dualhomed is static; latency fields are omitted when a cell completed nothing", appRecvBuf)
 	return res
 }
 
 // appHeadline picks a cell's single summary number for the table and
 // res.Metrics: the rebuffer ratio for video, the latency p95 otherwise.
-type headlineVal struct {
-	name string
-	v    float64
-}
-
-func appHeadline(wl string, mets map[string]float64) (headlineVal, bool) {
+func appHeadline(wl string, mets map[string]float64) (name string, v float64, ok bool) {
+	name = appLatPrefix(wl) + "_p95"
 	if wl == "video" {
-		v, ok := mets["rebuffer_ratio"]
-		return headlineVal{"rebuffer_ratio", v}, ok
+		name = "rebuffer_ratio"
 	}
-	name := appLatPrefix(wl) + "_p95"
-	v, ok := mets[name]
-	return headlineVal{name, v}, ok
+	v, ok = mets[name]
+	return name, v, ok
 }
 
 // appMetrics assembles one cell's JSONL metrics. Latency quantiles are
@@ -274,37 +149,37 @@ func appMetrics(wl string, c appOut, dur sim.Time) map[string]float64 {
 	return mets
 }
 
-// runAppCell simulates one grid cell: build the topology's background
-// flows, wire the workload's spawner through a ConnPool over the cell's
+// appCell simulates one grid cell: build the scene's background flows,
+// wire the workload's spawner through a ConnPool over the scene's
 // multipath paths (every transfer gets the cell's scheduler, algorithm
 // and shared receive buffer), install the column's scenario, install
 // the workload, and run to the horizon. In-flight transfers at the
 // horizon are accounted via the pool's live set — the same fix as the
 // fleet's goodput undercount.
-func runAppCell(cell Config, wlName string, spec schedSpec, alg core.Algorithm, tp appTopo) appOut {
-	w := newWorld(cell.Seed)
-	end := cell.dur(appEnd)
-	paths, links := tp.build(w)
+func appCell(c *gridCell) appOut {
+	w := c.world()
+	end := c.dur(appEnd)
+	spec, alg := parseSchedSpec(c.vals[1]), c.vals[2]
+	sc := scenes[c.vals[3]](w, nil)
 	pool := transport.NewConnPool(w.n)
 
 	var out appOut
 	spawn := func(pkts int64, done func()) {
-		var c *transport.Conn
-		cfg := schedConfig(spec, alg, appRecvBuf, paths)
-		cfg.DataPackets = pkts
+		var conn *transport.Conn
+		cfg := mpConfig(spec, alg, appRecvBuf)
+		cfg.Paths, cfg.Tracer, cfg.DataPackets = sc.paths, w.tr, pkts
 		cfg.OnComplete = func() {
 			out.pkts += pkts
-			pool.Put(c)
+			pool.Put(conn)
 			done()
 		}
-		c = pool.Get(cfg)
-		c.Start()
+		conn = pool.Get(cfg)
+		conn.Start()
 	}
-	if tp.scenario != "" {
-		sc := scenario.MustBuild(tp.scenario, end)
-		sc.MustInstall(&scenario.Env{Sim: w.s, Net: w.n, Links: links})
+	if scen := appScenario[c.vals[3]]; scen != "" {
+		sc.install(w, scen, end)
 	}
-	st := workload.MustBuild(wlName, end).Install(&workload.Env{Sim: w.s, Spawn: spawn, End: end})
+	st := workload.MustBuild(c.vals[0], end).Install(&workload.Env{Sim: w.s, Spawn: spawn, End: end})
 	w.s.RunUntil(end)
 
 	out.stats = st

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"reflect"
 	"testing"
 
 	"mptcp/internal/netsim"
@@ -115,7 +114,7 @@ func TestAppGridPLTHandComputed(t *testing.T) {
 func TestAppGridCompletenessAndOrder(t *testing.T) {
 	e, _ := Get("appgrid")
 	res := e.Run(Config{Seed: 5, Scale: 0.02})
-	wls, specs, algs, topos := workload.Names(), appSchedSpecs(), appAlgs(), appTopos()
+	wls, specs, algs, topos := workload.Names(), appSchedSpecs(), appAlgs(), appTopos
 	want := len(wls) * len(specs) * len(algs) * len(topos)
 	if len(res.Records) != want {
 		t.Fatalf("%d records, want %d", len(res.Records), want)
@@ -127,54 +126,20 @@ func TestAppGridCompletenessAndOrder(t *testing.T) {
 				for _, tp := range topos {
 					r := res.Records[i]
 					i++
-					if r.Workload != wl || r.Scheduler != spec || r.Algorithm != alg || r.Topology != tp.name {
+					if r.Workload != wl || r.Scheduler != spec || r.Algorithm != alg || r.Topology != tp {
 						t.Fatalf("record %d is %s/%s/%s/%s, want %s/%s/%s/%s",
-							i-1, r.Workload, r.Scheduler, r.Algorithm, r.Topology, wl, spec, alg, tp.name)
+							i-1, r.Workload, r.Scheduler, r.Algorithm, r.Topology, wl, spec, alg, tp)
 					}
-					if r.Scenario != tp.scenario || r.RecvBuf != appRecvBuf {
+					if r.Scenario != appScenario[tp] || r.RecvBuf != appRecvBuf {
 						t.Errorf("record %d: scenario %q recvbuf %d", i-1, r.Scenario, r.RecvBuf)
 					}
 					for _, m := range []string{"issued", "completed", "incomplete", "goodput_mbps"} {
 						if _, ok := r.Metrics[m]; !ok {
-							t.Errorf("record %d (%s/%s) lacks %s", i-1, wl, tp.name, m)
+							t.Errorf("record %d (%s/%s) lacks %s", i-1, wl, tp, m)
 						}
 					}
 				}
 			}
 		}
 	}
-}
-
-// TestAppGridWorkloadFilterKeepsSeeds: a -workload filter must select a
-// subset of cells without renumbering their seeds — the filtered run's
-// records are bit-identical to the corresponding records of the full
-// grid.
-func TestAppGridWorkloadFilterKeepsSeeds(t *testing.T) {
-	e, _ := Get("appgrid")
-	cfg := Config{Seed: 5, Scale: 0.02}
-	full := e.Run(cfg)
-	cfg.Workload = "video"
-	filtered := e.Run(cfg)
-	var sub []Record
-	for _, r := range full.Records {
-		if r.Workload == "video" {
-			sub = append(sub, r)
-		}
-	}
-	if len(filtered.Records) == 0 || !reflect.DeepEqual(filtered.Records, sub) {
-		t.Fatalf("filtered records (%d) diverge from the full grid's video subset (%d)",
-			len(filtered.Records), len(sub))
-	}
-}
-
-// TestAppGridUnknownWorkloadPanics: a bad -workload must fail loudly,
-// not silently run zero cells.
-func TestAppGridUnknownWorkloadPanics(t *testing.T) {
-	e, _ := Get("appgrid")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown workload did not panic")
-		}
-	}()
-	e.Run(Config{Seed: 1, Scale: 0.02, Workload: "bogus"})
 }

@@ -1,16 +1,12 @@
 package exp
 
 import (
-	"fmt"
 	"strings"
 
 	"mptcp/internal/cc"
-	"mptcp/internal/core"
 	"mptcp/internal/model"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
-	"mptcp/internal/topo"
-	"mptcp/internal/trace"
 	"mptcp/internal/transport"
 )
 
@@ -24,23 +20,7 @@ func init() {
 	})
 }
 
-// dynTopo is one topology column of the dynamics grid. build constructs
-// the world's links and measured flows (all multipath flows driven by
-// alg) and returns the scenario Env — links in the topology's canonical
-// order, Spawn wired for churn — plus the flow set to measure and the
-// slice of those flows that counts as "the multipath aggregate".
-type dynTopo struct {
-	name  string
-	build func(w *world, alg core.Algorithm) (env *scenario.Env, all []*transport.Conn, mp []*transport.Conn)
-}
-
-func dynTopos() []dynTopo {
-	return []dynTopo{
-		{"torus", dynTorus},
-		{"dualhomed", dynDualHomed},
-		{"wifi3g", dynWiFi3G},
-	}
-}
+var dynTopos = []string{"torus", "dualhomed", "wifi3g"}
 
 // dynWarm/dynEnd are the (unscaled) measurement window of one dynamics
 // cell; every scenario script is built with T = dynEnd so disturbances
@@ -56,253 +36,59 @@ type dynOut struct {
 	recovery float64 // multipath aggregate over the final tenth of the run
 	jain     float64 // Jain's index over all persistent flows
 	churn    float64 // flows spawned by the scenario (churn script only)
-	// tr is the cell's protocol trace, nil unless Config.TraceW enabled
-	// tracing; runDynamics flushes the cells' tracers in cell order.
-	tr *trace.Tracer
 }
 
 func runDynamics(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("dynamics")
-	algs := cc.Names()
-	topos := dynTopos()
-	scens := scenario.Names()
-	if cfg.Scenario != "" {
-		found := false
-		for _, s := range scens {
-			if s == cfg.Scenario {
-				found = true
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("exp: unknown scenario %q (have %v)", cfg.Scenario, scens))
-		}
+	g := grid{
+		id:    "dynamics",
+		title: "Dynamics: multipath Mb/s over the run (Mb/s in the post-disturbance tail) [Jain] per algorithm × scenario × topology",
+		axes:  []axis{{"algorithm", cc.Names()}, {"topology", dynTopos}, {"scenario", scenario.Names()}},
 	}
-
-	// One cell per (algorithm, topology, scenario), algorithm-major so
-	// registering a new algorithm appends cells without perturbing the
-	// derived seeds of existing ones. A -scenario filter selects a
-	// subset of cells but keeps each cell's full-grid index as its seed
-	// index, so a filtered run reproduces the corresponding cells of
-	// the full grid bit-for-bit.
-	type cellKey struct{ ai, ti, si, idx int }
-	var sel []cellKey
-	idx := 0
-	for ai := range algs {
-		for ti := range topos {
-			for si := range scens {
-				if cfg.Scenario == "" || scens[si] == cfg.Scenario {
-					sel = append(sel, cellKey{ai, ti, si, idx})
-				}
-				idx++
-			}
-		}
-	}
-	cells := RunCells(cfg, len(sel), func(cell Config, i int) dynOut {
-		k := sel[i]
-		cell.Seed = CellSeed(cfg.Seed, k.idx)
-		return runDynCell(cell, topos[k.ti], scens[k.si], newAlg(algs[k.ai]))
-	})
-
-	table := Table{
-		Title: "Dynamics: multipath Mb/s over the run (Mb/s in the post-disturbance tail) [Jain] per algorithm × scenario × topology",
-		Cols:  []string{"algorithm", "scenario"},
-	}
-	for _, tp := range topos {
-		table.Cols = append(table.Cols, tp.name)
-	}
-	// Rows are one per (algorithm, scenario) with topology columns;
-	// records, metrics and rows are all assembled in deterministic cell
-	// order, never goroutine order.
-	rowOf := map[[2]int]int{}
-	for i, k := range sel {
-		c := cells[i]
-		name, tp, sc := algs[k.ai], topos[k.ti].name, scens[k.si]
-		key := strings.ToLower(name) + "_" + tp + "_" + sc
-		res.Metrics[key+"_mbps"] = c.mbps
-		res.Metrics[key+"_recovery_mbps"] = c.recovery
-		res.Metrics[key+"_jain"] = c.jain
+	res := runGrid(cfg, g, dynCell, func(res *Result, c *gridCell, out dynOut) []string {
+		key := strings.ToLower(c.vals[0]) + "_" + c.vals[1] + "_" + c.vals[2]
+		res.Metrics[key+"_mbps"] = out.mbps
+		res.Metrics[key+"_recovery_mbps"] = out.recovery
+		res.Metrics[key+"_jain"] = out.jain
 		res.Records = append(res.Records, Record{
-			Algorithm: name,
-			Topology:  tp,
-			Scenario:  sc,
+			Algorithm: c.vals[0],
+			Topology:  c.vals[1],
+			Scenario:  c.vals[2],
 			Metrics: map[string]float64{
-				"mbps":           c.mbps,
-				"recovery_mbps":  c.recovery,
-				"jain":           c.jain,
-				"churn_arrivals": c.churn,
+				"mbps":           out.mbps,
+				"recovery_mbps":  out.recovery,
+				"jain":           out.jain,
+				"churn_arrivals": out.churn,
 			},
 		})
-		rk := [2]int{k.ai, k.si}
-		ri, ok := rowOf[rk]
-		if !ok {
-			ri = len(table.Rows)
-			rowOf[rk] = ri
-			table.Rows = append(table.Rows, []string{name, sc})
-		}
-		table.Rows[ri] = append(table.Rows[ri],
-			f1(c.mbps)+" ("+f1(c.recovery)+") ["+f2(c.jain)+"]")
-	}
+		return []string{f1(out.mbps) + " (" + f1(out.recovery) + ") [" + f2(out.jain) + "]"}
+	})
 	res.note("every algorithm must survive flaps, ramps, churn and handover on every topology; recovery is the final tenth of the run, after the last disturbance")
-	res.Tables = append(res.Tables, table)
-	// Flush the cells' traces sequentially in cell order: the trace
-	// bytes, like the Records above, are then identical at any
-	// Parallelism. No-op (nil tracers) unless Config.TraceW is set.
-	if cfg.TraceW != nil {
-		for i := range cells {
-			if err := cells[i].tr.Flush(cfg.TraceW); err != nil {
-				res.note("trace flush failed: %v", err)
-				break
-			}
-		}
-	}
 	return res
 }
 
-// runDynCell simulates one grid cell: build the topology's flows, bind
-// and install the scenario script, then measure over [warm, end] with a
-// post-disturbance recovery window over the final tenth. With tracing
-// enabled the cell gets a private tracer (returned in dynOut for the
-// grid to flush in cell order); the builders hand it to every
-// connection and the scenario's scriptable links report state changes
-// into it.
-func runDynCell(cell Config, tp dynTopo, scen string, alg core.Algorithm) dynOut {
-	var w *world
-	if cell.TraceW != nil {
-		w = newTracedWorld(cell.Seed, alg.Name()+"/"+tp.name+"/"+scen)
-	} else {
-		w = newWorld(cell.Seed)
-	}
-	warm, end := cell.dur(dynWarm), cell.dur(dynEnd)
-	env, all, mp := tp.build(w, alg)
-	if w.tr != nil {
-		for _, d := range env.Links {
-			d.Trace(w.tr)
-		}
-	}
-	sc := scenario.MustBuild(scen, end)
-	sc.MustInstall(env)
+// dynCell simulates one grid cell: build the scene with every multipath
+// flow driven by the cell's algorithm, install the scenario script, then
+// measure over [warm, end] with a post-disturbance recovery window over
+// the final tenth.
+func dynCell(c *gridCell) dynOut {
+	w := c.world()
+	warm, end := c.dur(dynWarm), c.dur(dynEnd)
+	sc := scenes[c.vals[1]](w, func() transport.Config { return transport.Config{Alg: newAlg(c.vals[0])} })
+	env := sc.install(w, c.vals[2], end)
 
 	w.s.RunUntil(warm)
-	base := snapshot(all)
+	base := snapshot(sc.all)
 	recStart := end - end/10
 	w.s.RunUntil(recStart)
-	recBase := snapshot(all)
+	recBase := snapshot(sc.all)
 	w.s.RunUntil(end)
 
-	rates := ratesSince(all, base, end-warm)
-	recRates := ratesSince(all, recBase, end-recStart)
-	var out dynOut
-	for i, c := range all {
-		for _, m := range mp {
-			if m == c {
-				out.mbps += rates[i]
-				out.recovery += recRates[i]
-			}
-		}
+	rates := ratesSince(sc.all, base, end-warm)
+	recRates := ratesSince(sc.all, recBase, end-recStart)
+	return dynOut{
+		mbps:     sumRates(rates[sc.lo:sc.hi]),
+		recovery: sumRates(recRates[sc.lo:sc.hi]),
+		jain:     model.JainIndex(rates),
+		churn:    float64(env.ChurnArrivals),
 	}
-	out.jain = model.JainIndex(rates)
-	out.churn = float64(env.ChurnArrivals)
-	out.tr = w.tr
-	return out
-}
-
-func snapshot(conns []*transport.Conn) []int64 {
-	out := make([]int64, len(conns))
-	for i, c := range conns {
-		out[i] = c.Delivered()
-	}
-	return out
-}
-
-func ratesSince(conns []*transport.Conn, base []int64, dur sim.Time) []float64 {
-	out := make([]float64, len(conns))
-	for i, c := range conns {
-		out[i] = mbps(c.Delivered()-base[i], dur)
-	}
-	return out
-}
-
-// dynTorus: §3's five-link torus with five two-path flows of the
-// algorithm under test; scriptable links are the torus links A..E, and
-// churn spawns single-path transfers across a random torus link.
-func dynTorus(w *world, alg core.Algorithm) (*scenario.Env, []*transport.Conn, []*transport.Conn) {
-	tor := topo.NewTorus([]float64{1000, 1000, 500, 1000, 1000}, 100*sim.Millisecond)
-	conns := make([]*transport.Conn, 5)
-	for i := range conns {
-		conns[i] = transport.NewConn(w.n, transport.Config{
-			Alg:    freshAlg(alg),
-			Paths:  tor.FlowPaths(i),
-			Tracer: w.tr,
-		})
-		conns[i].Start()
-	}
-	env := &scenario.Env{Sim: w.s, Net: w.n, Links: tor.Links}
-	env.Spawn = func(pkts int64) {
-		c := transport.NewConn(w.n, transport.Config{
-			Paths:       []transport.Path{topo.PathThrough(tor.Links[w.s.Rand().Intn(5)])},
-			DataPackets: pkts,
-			Tracer:      w.tr,
-		})
-		c.Start()
-	}
-	return env, conns, conns
-}
-
-// dynDualHomed: §3's multihomed server (2 TCPs on link 1, 6 on link 2,
-// 4 multipath flows across both); scriptable links are the two access
-// links, and churn spawns client downloads on a random access link.
-func dynDualHomed(w *world, alg core.Algorithm) (*scenario.Env, []*transport.Conn, []*transport.Conn) {
-	rtt := 20 * sim.Millisecond
-	d := topo.NewDualHomed(100, rtt/2, topo.BDPPackets(100, rtt))
-	var all []*transport.Conn
-	addTCP := func(link, n int) {
-		for i := 0; i < n; i++ {
-			c := transport.NewConn(w.n, transport.Config{Paths: d.ClientPath(link), Tracer: w.tr})
-			c.Start()
-			all = append(all, c)
-		}
-	}
-	addTCP(1, 2)
-	addTCP(2, 6)
-	var mp []*transport.Conn
-	for i := 0; i < 4; i++ {
-		c := transport.NewConn(w.n, transport.Config{Alg: freshAlg(alg), Paths: d.MultipathPaths(), Tracer: w.tr})
-		c.Start()
-		all = append(all, c)
-		mp = append(mp, c)
-	}
-	env := &scenario.Env{Sim: w.s, Net: w.n, Links: []*topo.Duplex{d.Link1, d.Link2}}
-	env.Spawn = func(pkts int64) {
-		c := transport.NewConn(w.n, transport.Config{
-			Paths:       d.ClientPath(1 + w.s.Rand().Intn(2)),
-			DataPackets: pkts,
-			Tracer:      w.tr,
-		})
-		c.Start()
-	}
-	return env, all, mp
-}
-
-// dynWiFi3G: §5's busy wireless client (multipath flow under test vs a
-// competing TCP per radio); scriptable links are [WiFi, 3G], and churn
-// spawns short downloads over WiFi — neighbours on the same basestation.
-func dynWiFi3G(w *world, alg core.Algorithm) (*scenario.Env, []*transport.Conn, []*transport.Conn) {
-	wl := busyWireless()
-	mp := transport.NewConn(w.n, transport.Config{Alg: freshAlg(alg), Paths: wl.Paths(), Tracer: w.tr})
-	tcpW := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[:1], Tracer: w.tr})
-	tcpG := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[1:], Tracer: w.tr})
-	mp.Start()
-	tcpW.Start()
-	tcpG.Start()
-	env := &scenario.Env{Sim: w.s, Net: w.n, Links: []*topo.Duplex{wl.WiFi, wl.G3}}
-	env.Spawn = func(pkts int64) {
-		c := transport.NewConn(w.n, transport.Config{
-			Paths:       []transport.Path{topo.PathThrough(wl.WiFi)},
-			DataPackets: pkts,
-			Tracer:      w.tr,
-		})
-		c.Start()
-	}
-	return env, []*transport.Conn{mp, tcpW, tcpG}, []*transport.Conn{mp}
 }

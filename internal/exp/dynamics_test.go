@@ -2,7 +2,6 @@ package exp
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"mptcp/internal/cc"
@@ -57,37 +56,6 @@ func TestDynamicsGridComplete(t *testing.T) {
 					t.Errorf("missing cell %s/%s/%s", a, tp, sc)
 				}
 			}
-		}
-	}
-}
-
-// TestDynamicsScenarioFilterKeepsSeeds checks the -scenario contract: a
-// filtered run selects a subset of cells but reproduces those cells'
-// records bit-for-bit, because cell seeds derive from full-grid indices
-// rather than filtered positions.
-func TestDynamicsScenarioFilterKeepsSeeds(t *testing.T) {
-	e, _ := Get("dynamics")
-	full := e.Run(Config{Seed: 4, Scale: 0.02})
-	byKey := map[string]Record{}
-	for _, r := range full.Records {
-		byKey[r.Algorithm+"/"+r.Topology+"/"+r.Scenario] = r
-	}
-	flap := e.Run(Config{Seed: 4, Scale: 0.02, Scenario: "flap"})
-	algs := cc.Names()
-	if want := len(algs) * 3; len(flap.Records) != want {
-		t.Fatalf("filtered run has %d records, want %d", len(flap.Records), want)
-	}
-	for _, r := range flap.Records {
-		if r.Scenario != "flap" {
-			t.Errorf("filtered run contains scenario %q", r.Scenario)
-		}
-		want, ok := byKey[r.Algorithm+"/"+r.Topology+"/"+r.Scenario]
-		if !ok {
-			t.Fatalf("cell %s/%s missing from the full grid", r.Algorithm, r.Topology)
-		}
-		if !reflect.DeepEqual(r.Metrics, want.Metrics) {
-			t.Errorf("cell %s/%s/flap diverges between filtered and full runs:\n  filtered: %v\n  full:     %v",
-				r.Algorithm, r.Topology, r.Metrics, want.Metrics)
 		}
 	}
 }

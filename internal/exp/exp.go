@@ -38,27 +38,25 @@ type Config struct {
 	// for every value (sim.Sharded's barrier-merge guarantees it).
 	// Experiments without intra-cell sharding ignore it.
 	Shards int
-	// Scenario restricts scenario-grid experiments (dynamics) to one
-	// named scenario; empty runs the full grid. Filtering never changes
-	// a cell's derived seed — a filtered run reproduces exactly the
-	// corresponding cells of the full grid.
+	// Scenario, Sched and Workload restrict a grid experiment to one
+	// value of its "scenario", "scheduler" or "workload" axis (dynamics;
+	// schedgrid, appgrid, fleet; appgrid); empty runs the full grid, and
+	// a grid without the axis ignores the field. Sched is a sched.Parse
+	// spec such as "minrtt+otr+pen" and is canonicalised before matching.
+	// Filtering never changes a cell's derived seed — a filtered run
+	// reproduces exactly the corresponding cells of the full grid (see
+	// grid.go).
 	Scenario string
-	// Sched restricts scheduler-grid experiments (schedgrid) to one
-	// scheduler spec (e.g. "minrtt+otr+pen"); empty runs the full grid.
-	// Like Scenario, filtering never changes a cell's derived seed.
-	Sched string
-	// Workload restricts workload-grid experiments (appgrid) to one
-	// named application workload (see internal/workload); empty runs
-	// the full grid. Like Scenario, filtering never changes a cell's
-	// derived seed.
+	Sched    string
 	Workload string
-	// TraceW, when non-nil, enables protocol tracing in experiments that
-	// support it (currently the dynamics grid): each cell records its
-	// connections' events into a private internal/trace tracer, and the
-	// cells' traces are flushed to TraceW as JSONL in cell order after
-	// the grid completes — so the trace bytes, like the results, are
-	// identical at any Parallelism. Tracing never perturbs simulation
-	// results: enabled and disabled runs produce bit-identical Records.
+	// TraceW, when non-nil, enables protocol tracing in the grids whose
+	// cells run in one simulated world (tournament, dynamics, schedgrid,
+	// appgrid; not fleet): each cell records its connections' events
+	// into a private internal/trace tracer, and the cells' traces are
+	// flushed to TraceW as JSONL in cell order after the grid completes —
+	// so the trace bytes, like the results, are identical at any
+	// Parallelism. Tracing never perturbs simulation results: enabled
+	// and disabled runs produce bit-identical Records.
 	TraceW io.Writer
 }
 
@@ -270,8 +268,9 @@ type world struct {
 	s *sim.Simulator
 	n *netsim.Net
 	// tr is the cell's protocol tracer: nil (tracing disabled, the
-	// default) unless the experiment opted in via newTracedWorld.
-	// Builders pass it to transport.NewConn as Config.Tracer.
+	// default) unless a grid cell built the world with Config.TraceW set
+	// (gridCell.world). Builders pass it to transport.NewConn as
+	// Config.Tracer.
 	tr *trace.Tracer
 }
 
@@ -280,31 +279,37 @@ func newWorld(seed int64) *world {
 	return &world{s: s, n: netsim.NewNet(s)}
 }
 
-// newTracedWorld is newWorld plus a cell-private tracer on the
-// simulator's clock, labelled so concatenated flushes stay
-// attributable. Used by grid cells when Config.TraceW is set.
-func newTracedWorld(seed int64, label string) *world {
-	w := newWorld(seed)
-	w.tr = trace.New(0, trace.SimNow(w.s))
-	w.tr.SetLabel(label)
-	return w
-}
-
 // measure runs the simulation to warm, snapshots flow progress, runs to
 // end, and returns each connection's throughput in Mb/s over [warm, end].
 func (w *world) measure(conns []*transport.Conn, warm, end sim.Time) []float64 {
 	w.s.RunUntil(warm)
-	base := make([]int64, len(conns))
-	for i, c := range conns {
-		base[i] = c.Delivered()
-	}
+	base := snapshot(conns)
 	w.s.RunUntil(end)
-	out := make([]float64, len(conns))
-	dur := (end - warm).Seconds()
+	return ratesSince(conns, base, end-warm)
+}
+
+func snapshot(conns []*transport.Conn) []int64 {
+	out := make([]int64, len(conns))
 	for i, c := range conns {
-		out[i] = float64(c.Delivered()-base[i]) * netsim.DataPacketSize * 8 / dur / 1e6
+		out[i] = c.Delivered()
 	}
 	return out
+}
+
+func ratesSince(conns []*transport.Conn, base []int64, dur sim.Time) []float64 {
+	out := make([]float64, len(conns))
+	for i, c := range conns {
+		out[i] = mbps(c.Delivered()-base[i], dur)
+	}
+	return out
+}
+
+func sumRates(rates []float64) float64 {
+	t := 0.0
+	for _, r := range rates {
+		t += r
+	}
+	return t
 }
 
 // mbps converts delivered packets over a duration to Mb/s.

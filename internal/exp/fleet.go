@@ -119,72 +119,50 @@ func (g *fleetGroup) sendTransit(end sim.Time) {
 }
 
 func runFleet(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("fleet")
-	algs := cc.Names()
-	scheds := fleetScheds()
-
-	type cellKey struct{ ai, si, idx int }
-	var sel []cellKey
-	idx := 0
-	for ai := range algs {
-		for si := range scheds {
-			if cfg.Sched == "" || scheds[si] == cfg.Sched {
-				sel = append(sel, cellKey{ai, si, idx})
-			}
-			idx++
-		}
+	g := grid{
+		id:    "fleet",
+		title: "Fleet: flow-completion time seconds p50/p95/p99 (completed flows) per algorithm × scheduler",
+		axes:  []axis{{"algorithm", cc.Names()}, {"scheduler", fleetScheds()}},
+		cols:  []string{"p50", "p95", "p99", "mean", "completed", "arrivals"},
 	}
-	cells := RunCells(cfg, len(sel), func(cell Config, i int) fleetOut {
-		k := sel[i]
-		cell.Seed = CellSeed(cfg.Seed, k.idx)
-		return runFleetCell(cell, algs[k.ai], scheds[k.si])
-	})
-
-	table := Table{
-		Title: "Fleet: flow-completion time seconds p50/p95/p99 (completed flows) per algorithm × scheduler",
-		Cols:  []string{"algorithm", "scheduler", "p50", "p95", "p99", "mean", "completed", "arrivals"},
-	}
-	for i, k := range sel {
-		c := cells[i]
-		name, sc := algs[k.ai], scheds[k.si]
-		key := strings.ToLower(name) + "_" + sc
-		res.Metrics[key+"_fct_p50_s"] = c.fct.P50()
-		res.Metrics[key+"_fct_p99_s"] = c.fct.P99()
-		res.Metrics[key+"_completed"] = float64(c.completed)
+	res := runGrid(cfg, g, func(c *gridCell) fleetOut {
+		return runFleetCell(c.Config, c.vals[0], c.vals[1])
+	}, func(res *Result, c *gridCell, out fleetOut) []string {
+		key := strings.ToLower(c.vals[0]) + "_" + c.vals[1]
+		res.Metrics[key+"_fct_p50_s"] = out.fct.P50()
+		res.Metrics[key+"_fct_p99_s"] = out.fct.P99()
+		res.Metrics[key+"_completed"] = float64(out.completed)
 		// goodput counts completed and in-flight deliveries; the fct_*
 		// fields are omitted (not zero) when nothing completed, matching
 		// Summary's NaN-when-empty contract.
 		mets := map[string]float64{
-			"completed":    float64(c.completed),
-			"incomplete":   float64(c.incomplete),
-			"arrivals":     float64(c.arrivals),
-			"goodput_mbps": mbps(c.pkts+c.partial, cfg.dur(fleetDur)),
-			"transit":      float64(c.transit),
-			"pool_reuses":  float64(c.reuses),
+			"completed":    float64(out.completed),
+			"incomplete":   float64(out.incomplete),
+			"arrivals":     float64(out.arrivals),
+			"goodput_mbps": mbps(out.pkts+out.partial, c.dur(fleetDur)),
+			"transit":      float64(out.transit),
+			"pool_reuses":  float64(out.reuses),
 		}
-		if c.fct.N() > 0 {
-			mets["fct_p50_s"] = c.fct.P50()
-			mets["fct_p95_s"] = c.fct.P95()
-			mets["fct_p99_s"] = c.fct.P99()
-			mets["fct_mean_s"] = c.fct.Mean()
-			mets["fct_max_s"] = c.fct.Max()
+		if out.fct.N() > 0 {
+			mets["fct_p50_s"] = out.fct.P50()
+			mets["fct_p95_s"] = out.fct.P95()
+			mets["fct_p99_s"] = out.fct.P99()
+			mets["fct_mean_s"] = out.fct.Mean()
+			mets["fct_max_s"] = out.fct.Max()
 		}
 		res.Records = append(res.Records, Record{
-			Algorithm: name,
+			Algorithm: c.vals[0],
 			Topology:  "fleet32",
 			Scenario:  "poisson-pareto-churn",
-			Scheduler: sc,
+			Scheduler: c.vals[1],
 			RecvBuf:   fleetRecvBuf,
 			Metrics:   mets,
 		})
-		table.Rows = append(table.Rows, []string{
-			name, sc,
-			f2(c.fct.P50()), f2(c.fct.P95()), f2(c.fct.P99()), f2(c.fct.Mean()),
-			f0(float64(c.completed)), f0(float64(c.arrivals)),
-		})
-	}
-	res.Tables = append(res.Tables, table)
+		return []string{
+			f2(out.fct.P50()), f2(out.fct.P95()), f2(out.fct.P99()), f2(out.fct.Mean()),
+			f0(float64(out.completed)), f0(float64(out.arrivals)),
+		}
+	})
 	res.note("%d connection groups per cell, Poisson %.0f arrivals/s/group × Pareto(1.5) sizes of mean %.0f pkts, shared recvbuf %d pkts; groups coupled by ring transit bursts over sharded pipes",
 		fleetDomains, fleetRate, fleetMeanPkts, fleetRecvBuf)
 	return res

@@ -1,0 +1,182 @@
+// The grid engine: everything the cross-product experiments
+// (tournament, dynamics, schedgrid, appgrid, fleet) share. A grid
+// declares named axes; the engine enumerates them row-major, derives
+// every cell's seed from its index in the FULL grid, applies the Config
+// filters, fans the selected cells out with RunCells, pivots the outputs
+// into one table and flushes the cells' traces in cell order.
+//
+// Seeds and registries: the first-declared axis varies slowest, so a
+// value appended to it (a newly registered algorithm, scheduler or
+// workload) appends cells and leaves every existing cell's seed alone;
+// a value added to any later axis — a topology, say — renumbers the
+// grid and moves every golden.
+//
+// Filters: Config.Scenario, Config.Sched (canonicalised with
+// sched.Canonical) and Config.Workload restrict the axis named
+// "scenario", "scheduler" and "workload" of a grid that declares one,
+// and are ignored by a grid that does not. A filter selects cells, it
+// never renumbers them: a filtered run reproduces the corresponding
+// cells of the full grid bit for bit. A value that is not on the axis
+// panics with the axis's values rather than running zero cells.
+
+package exp
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"mptcp/internal/sched"
+	"mptcp/internal/trace"
+)
+
+// axis is one named dimension of a grid; the name is also its table
+// header and selects the Config filter that addresses it.
+type axis struct {
+	name string
+	vals []string
+}
+
+// grid declares one cross-product experiment.
+type grid struct {
+	id    string
+	title string // of the result table
+	axes  []axis
+	// cols head the per-cell value columns of a grid without a
+	// "topology" axis; with one, its values are the columns.
+	cols []string
+}
+
+// gridCell is one selected cell. The embedded Config is the run's with
+// Seed replaced by CellSeed(base, full-grid index).
+type gridCell struct {
+	Config
+	base int64    // the run's base seed, for workloads shared across cells
+	at   []int    // the cell's index on each axis
+	vals []string // the cell's value on each axis
+	tr   *trace.Tracer
+}
+
+// world builds the cell's simulator and network. With Config.TraceW set
+// the world carries a cell-private tracer on the simulator's clock,
+// labelled with the cell's axis values, which runGrid flushes; a cell
+// that builds its simulators some other way (fleet) stays untraced.
+func (c *gridCell) world() *world {
+	w := newWorld(c.Seed)
+	if c.TraceW != nil {
+		w.tr = trace.New(0, trace.SimNow(w.s))
+		w.tr.SetLabel(strings.Join(c.vals, "/"))
+		c.tr = w.tr
+	}
+	return w
+}
+
+// filter returns the value cfg restricts the axis called name to, ""
+// for none.
+func (cfg Config) filter(name string) string {
+	switch name {
+	case "scenario":
+		return cfg.Scenario
+	case "workload":
+		return cfg.Workload
+	case "scheduler":
+		if cfg.Sched != "" {
+			canon, err := sched.Canonical(cfg.Sched)
+			if err != nil {
+				panic(err)
+			}
+			return canon
+		}
+	}
+	return ""
+}
+
+// cells enumerates the grid row-major and returns the cells cfg's
+// filters select, each seeded by its full-grid index.
+func (g grid) cells(cfg Config) []*gridCell {
+	want := make([]string, len(g.axes))
+	total := 1
+	for i, a := range g.axes {
+		want[i] = cfg.filter(a.name)
+		if want[i] != "" && !slices.Contains(a.vals, want[i]) {
+			article := "a"
+			if strings.ContainsRune("aeiou", rune(g.id[0])) {
+				article = "an"
+			}
+			panic(fmt.Sprintf("exp: %s %q is not %s %s column (have %v)", a.name, want[i], article, g.id, a.vals))
+		}
+		total *= len(a.vals)
+	}
+	var sel []*gridCell
+	at, vals := make([]int, len(g.axes)), make([]string, len(g.axes))
+	for idx := 0; idx < total; idx++ {
+		keep := true
+		for i, rem := len(g.axes)-1, idx; i >= 0; i-- {
+			a := g.axes[i].vals
+			at[i], rem = rem%len(a), rem/len(a)
+			vals[i] = a[at[i]]
+			keep = keep && (want[i] == "" || want[i] == vals[i])
+		}
+		if keep {
+			c := &gridCell{Config: cfg, base: cfg.Seed, at: slices.Clone(at), vals: slices.Clone(vals)}
+			c.Seed = CellSeed(cfg.Seed, idx)
+			sel = append(sel, c)
+		}
+	}
+	return sel
+}
+
+// runGrid runs the selected cells of g through measure on cfg's worker
+// pool and assembles the Result in cell order, never goroutine order:
+// report adds each cell's Record and headline metrics to res and returns
+// its table text. The table has one row per combination of every axis
+// but "topology", whose values are the columns.
+func runGrid[T any](cfg Config, g grid, measure func(*gridCell) T, report func(res *Result, c *gridCell, out T) []string) *Result {
+	cfg = cfg.norm()
+	res := newResult(g.id)
+	cells := g.cells(cfg)
+	outs := RunCells(cfg, len(cells), func(_ Config, i int) T { return measure(cells[i]) })
+
+	table := Table{Title: g.title}
+	pivot := -1
+	for i, a := range g.axes {
+		if a.name == "topology" {
+			pivot = i
+		} else {
+			table.Cols = append(table.Cols, a.name)
+		}
+	}
+	if pivot >= 0 {
+		table.Cols = append(table.Cols, g.axes[pivot].vals...)
+	} else {
+		table.Cols = append(table.Cols, g.cols...)
+	}
+	rowOf := map[string]int{}
+	for i, c := range cells {
+		var head []string
+		for j, v := range c.vals {
+			if j != pivot {
+				head = append(head, v)
+			}
+		}
+		key := strings.Join(head, "\x00")
+		ri, ok := rowOf[key]
+		if !ok {
+			ri = len(table.Rows)
+			rowOf[key] = ri
+			table.Rows = append(table.Rows, head)
+		}
+		table.Rows[ri] = append(table.Rows[ri], report(res, c, outs[i])...)
+	}
+	res.Tables = append(res.Tables, table)
+
+	// Cell order again, so the trace bytes, like the Records, are the
+	// same at any Parallelism. Flush is a no-op on an untraced cell.
+	for _, c := range cells {
+		if err := c.tr.Flush(cfg.TraceW); err != nil {
+			res.note("trace flush failed: %v", err)
+			break
+		}
+	}
+	return res
+}

@@ -38,7 +38,6 @@ func TestGridArtefactsGolden(t *testing.T) {
 		"fleet":      "2ca0f28a94813d4c4764595c65bd23c9c0b89d4ac9f3cbfca1aac24d06237db1",
 		"appgrid":    "46ac4b8d19aac0097a015d3556b93be6f00be5f81579410d43c8d3474bb58c85",
 	} {
-		id, want := id, want
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			e, ok := Get(id)

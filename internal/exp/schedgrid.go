@@ -5,11 +5,9 @@ import (
 	"strings"
 
 	"mptcp/internal/cc"
-	"mptcp/internal/core"
 	"mptcp/internal/model"
 	"mptcp/internal/sched"
 	"mptcp/internal/sim"
-	"mptcp/internal/topo"
 	"mptcp/internal/transport"
 )
 
@@ -37,7 +35,9 @@ func schedSpecs() []string {
 // unconstrained default (1<<20), 64 binds mildly on the overbuffered
 // paths, 16 forces head-of-line blocking — the regime the §6
 // countermeasures exist for.
-func schedBufs() []int64 { return []int64{0, 64, 16} }
+var schedBufs = []int64{0, 64, 16}
+
+var schedTopos = []string{"torus", "dualhomed", "wifi3g"}
 
 // schedWarm/schedEnd are the (unscaled) measurement window of one cell:
 // long enough for the blocking dynamics to reach steady state, short
@@ -46,23 +46,6 @@ const (
 	schedWarm = 5 * sim.Second
 	schedEnd  = 45 * sim.Second
 )
-
-// schedTopo is one topology column of the scheduler grid. run builds
-// the cell's world, drives the multipath flows with the given scheduler
-// spec, congestion controller and shared receive buffer, and reports
-// the cell's measurements.
-type schedTopo struct {
-	name string
-	run  func(cell Config, spec schedSpec, alg core.Algorithm, recvBuf int64) schedOut
-}
-
-func schedTopos() []schedTopo {
-	return []schedTopo{
-		{"torus", schedTorus},
-		{"dualhomed", schedDualHomed},
-		{"wifi3g", schedWiFi3G},
-	}
-}
 
 // schedSpec is a parsed scheduler column: the spec string plus a
 // constructor (cells run concurrently, so every connection needs a
@@ -86,6 +69,19 @@ func parseSchedSpec(spec string) schedSpec {
 	}
 }
 
+// mpConfig is the transport.Config of one multipath flow under a
+// scheduler column: fresh controller and scheduler instances, the
+// column's §6 options and the shared receive buffer. Paths are the
+// scene's to fill in.
+func mpConfig(spec schedSpec, alg string, recvBuf int64) transport.Config {
+	return transport.Config{
+		Alg:       newAlg(alg),
+		Sched:     spec.mk(),
+		SchedOpts: spec.opts,
+		RecvBuf:   recvBuf,
+	}
+}
+
 // schedOut is one cell's measurements.
 type schedOut struct {
 	mbps      float64 // multipath aggregate over [warm, end]
@@ -95,189 +91,58 @@ type schedOut struct {
 }
 
 func runSchedGrid(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("schedgrid")
-	specs := schedSpecs()
-	algs := cc.Names()
-	topos := schedTopos()
-	bufs := schedBufs()
-	if cfg.Sched != "" {
-		// Canonicalise so aliases, case variants and reordered options
-		// ("RR", "MinRTT+pen+otr") select the column they name.
-		canon, err := sched.Canonical(cfg.Sched)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Sched = canon
-		found := false
-		for _, s := range specs {
-			if s == cfg.Sched {
-				found = true
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("exp: scheduler spec %q is not a schedgrid column (have %v)", cfg.Sched, specs))
-		}
+	bufs := make([]string, len(schedBufs))
+	for i, b := range schedBufs {
+		bufs[i] = fmt.Sprint(b)
 	}
-
-	// One cell per (scheduler, algorithm, topology, recvbuf) in
-	// scheduler-major order: registering a new scheduler appends its
-	// cells after the existing specs' (only the trailing composed spec
-	// shifts), mirroring the tournament's algorithm-major layout. A
-	// -sched filter selects a subset of cells but keeps each cell's
-	// full-grid index as its seed index, so a filtered run reproduces
-	// the corresponding cells of the full grid bit-for-bit.
-	type cellKey struct{ si, ai, ti, bi, idx int }
-	var sel []cellKey
-	idx := 0
-	for si := range specs {
-		for ai := range algs {
-			for ti := range topos {
-				for bi := range bufs {
-					if cfg.Sched == "" || specs[si] == cfg.Sched {
-						sel = append(sel, cellKey{si, ai, ti, bi, idx})
-					}
-					idx++
-				}
-			}
-		}
+	g := grid{
+		id:    "schedgrid",
+		title: "Scheduler grid: multipath Mb/s [Jain] per scheduler × algorithm × recvbuf × topology",
+		axes:  []axis{{"scheduler", schedSpecs()}, {"algorithm", cc.Names()}, {"topology", schedTopos}, {"recvbuf", bufs}},
 	}
-	cells := RunCells(cfg, len(sel), func(cell Config, i int) schedOut {
-		k := sel[i]
-		cell.Seed = CellSeed(cfg.Seed, k.idx)
-		return topos[k.ti].run(cell, parseSchedSpec(specs[k.si]), newAlg(algs[k.ai]), bufs[k.bi])
-	})
-
-	table := Table{
-		Title: "Scheduler grid: multipath Mb/s [Jain] per scheduler × algorithm × recvbuf × topology",
-		Cols:  []string{"scheduler", "algorithm", "recvbuf"},
-	}
-	for _, tp := range topos {
-		table.Cols = append(table.Cols, tp.name)
-	}
-	// Rows are one per (scheduler, algorithm, recvbuf) with topology
-	// columns; records, metrics and rows are all assembled in
-	// deterministic cell order, never goroutine order.
-	rowOf := map[[3]int]int{}
-	for i, k := range sel {
-		c := cells[i]
-		spec, alg, tp, buf := specs[k.si], algs[k.ai], topos[k.ti].name, bufs[k.bi]
-		key := fmt.Sprintf("%s_%s_%s_buf%d", spec, strings.ToLower(alg), tp, buf)
-		res.Metrics[key+"_mbps"] = c.mbps
-		res.Metrics[key+"_jain"] = c.jain
+	res := runGrid(cfg, g, func(c *gridCell) schedOut {
+		return schedCell(c.world(), c.Config, c.vals[2], "", parseSchedSpec(c.vals[0]), c.vals[1], schedBufs[c.at[3]])
+	}, func(res *Result, c *gridCell, out schedOut) []string {
+		key := fmt.Sprintf("%s_%s_%s_buf%s", c.vals[0], strings.ToLower(c.vals[1]), c.vals[2], c.vals[3])
+		res.Metrics[key+"_mbps"] = out.mbps
+		res.Metrics[key+"_jain"] = out.jain
 		res.Records = append(res.Records, Record{
-			Algorithm: alg,
-			Topology:  tp,
-			Scheduler: spec,
-			RecvBuf:   buf,
+			Algorithm: c.vals[1],
+			Topology:  c.vals[2],
+			Scheduler: c.vals[0],
+			RecvBuf:   schedBufs[c.at[3]],
 			Metrics: map[string]float64{
-				"mbps":      c.mbps,
-				"jain":      c.jain,
-				"opp_retx":  c.oppRetx,
-				"penalties": c.penalties,
+				"mbps":      out.mbps,
+				"jain":      out.jain,
+				"opp_retx":  out.oppRetx,
+				"penalties": out.penalties,
 			},
 		})
-		rk := [3]int{k.si, k.ai, k.bi}
-		ri, ok := rowOf[rk]
-		if !ok {
-			ri = len(table.Rows)
-			rowOf[rk] = ri
-			table.Rows = append(table.Rows, []string{spec, alg, fmt.Sprintf("%d", buf)})
-		}
-		table.Rows[ri] = append(table.Rows[ri], f1(c.mbps)+" ["+f2(c.jain)+"]")
-	}
-	res.Tables = append(res.Tables, table)
+		return []string{f1(out.mbps) + " [" + f2(out.jain) + "]"}
+	})
 	res.note("recvbuf 0 is unconstrained; 16 forces receive-buffer head-of-line blocking — the regime where minrtt+otr+pen (opportunistic retransmission + subflow penalization, §6) must beat plain minrtt")
 	return res
 }
 
-// schedConfig assembles a multipath transport.Config for one cell.
-func schedConfig(spec schedSpec, alg core.Algorithm, recvBuf int64, paths []transport.Path) transport.Config {
-	return transport.Config{
-		Alg:       freshAlg(alg),
-		Sched:     spec.mk(),
-		SchedOpts: spec.opts,
-		RecvBuf:   recvBuf,
-		Paths:     paths,
+// schedCell measures one scene with its multipath flows driven by the
+// scheduler column, algorithm and shared receive buffer under test (the
+// single-path TCPs keep stack defaults), optionally under a scenario
+// script: the multipath aggregate, Jain's index over all flows and the
+// multipath flows' countermeasure activity. The wifi3g scene's
+// overbuffered 3G path (hundreds of packets of queue) is exactly the
+// slow subflow that head-of-line-blocks a constrained shared buffer, so
+// that column is where the §6 countermeasures earn their keep.
+func schedCell(w *world, cell Config, scene, scen string, spec schedSpec, alg string, recvBuf int64) schedOut {
+	warm, end := cell.dur(schedWarm), cell.dur(schedEnd)
+	sc := scenes[scene](w, func() transport.Config { return mpConfig(spec, alg, recvBuf) })
+	if scen != "" {
+		sc.install(w, scen, end)
 	}
-}
-
-// counters sums the countermeasure activity over the cell's multipath
-// connections.
-func counters(out *schedOut, conns ...*transport.Conn) {
-	for _, c := range conns {
+	rates := w.measure(sc.all, warm, end)
+	out := schedOut{mbps: sumRates(rates[sc.lo:sc.hi]), jain: model.JainIndex(rates)}
+	for _, c := range sc.mp() {
 		out.oppRetx += float64(c.OppRetx)
 		out.penalties += float64(c.Penalties)
 	}
-}
-
-// schedTorus: §3's five-link torus with five two-path flows, all driven
-// by the scheduler and algorithm under test, each with the cell's
-// shared receive buffer.
-func schedTorus(cell Config, spec schedSpec, alg core.Algorithm, recvBuf int64) schedOut {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(schedWarm), cell.dur(schedEnd)
-	tor := topo.NewTorus([]float64{1000, 1000, 500, 1000, 1000}, 100*sim.Millisecond)
-	conns := make([]*transport.Conn, 5)
-	for i := range conns {
-		conns[i] = transport.NewConn(w.n, schedConfig(spec, alg, recvBuf, tor.FlowPaths(i)))
-		conns[i].Start()
-	}
-	rates := w.measure(conns, warm, end)
-	out := schedOut{mbps: sumRates(rates), jain: model.JainIndex(rates)}
-	counters(&out, conns...)
-	return out
-}
-
-// schedDualHomed: §3's multihomed server (2 TCPs on link 1, 6 on link
-// 2, 4 multipath flows across both); the scheduler, algorithm and
-// receive buffer apply to the multipath flows, the single-path TCPs
-// keep stack defaults. Throughput is the multipath aggregate, fairness
-// is Jain's index over all twelve flows.
-func schedDualHomed(cell Config, spec schedSpec, alg core.Algorithm, recvBuf int64) schedOut {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(schedWarm), cell.dur(schedEnd)
-	rtt := 20 * sim.Millisecond
-	d := topo.NewDualHomed(100, rtt/2, topo.BDPPackets(100, rtt))
-	var conns []*transport.Conn
-	addTCP := func(link, n int) {
-		for i := 0; i < n; i++ {
-			c := transport.NewConn(w.n, transport.Config{Paths: d.ClientPath(link)})
-			c.Start()
-			conns = append(conns, c)
-		}
-	}
-	addTCP(1, 2)
-	addTCP(2, 6)
-	nTCP := len(conns)
-	for i := 0; i < 4; i++ {
-		c := transport.NewConn(w.n, schedConfig(spec, alg, recvBuf, d.MultipathPaths()))
-		c.Start()
-		conns = append(conns, c)
-	}
-	rates := w.measure(conns, warm, end)
-	out := schedOut{mbps: sumRates(rates[nTCP:]), jain: model.JainIndex(rates)}
-	counters(&out, conns[nTCP:]...)
-	return out
-}
-
-// schedWiFi3G: §5's busy wireless client — the multipath flow under
-// test against one competing TCP per radio. The overbuffered 3G path
-// (hundreds of packets of queue) is exactly the slow subflow that
-// head-of-line-blocks a constrained shared buffer, so this column is
-// where the §6 countermeasures earn their keep.
-func schedWiFi3G(cell Config, spec schedSpec, alg core.Algorithm, recvBuf int64) schedOut {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(schedWarm), cell.dur(schedEnd)
-	wl := busyWireless()
-	mp := transport.NewConn(w.n, schedConfig(spec, alg, recvBuf, wl.Paths()))
-	tcpW := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[:1]})
-	tcpG := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[1:]})
-	mp.Start()
-	tcpW.Start()
-	tcpG.Start()
-	rates := w.measure([]*transport.Conn{mp, tcpW, tcpG}, warm, end)
-	out := schedOut{mbps: rates[0], jain: model.JainIndex(rates)}
-	counters(&out, mp)
 	return out
 }

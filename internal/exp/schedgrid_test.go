@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"reflect"
 	"testing"
 
 	"mptcp/internal/cc"
@@ -22,7 +21,7 @@ func TestSchedGridComplete(t *testing.T) {
 		t.Fatal("schedgrid not registered")
 	}
 	res := e.Run(Config{Seed: 9, Scale: 0.02})
-	specs, algs, bufs := schedSpecs(), cc.Names(), schedBufs()
+	specs, algs, bufs := schedSpecs(), cc.Names(), schedBufs
 	want := len(specs) * len(algs) * 3 * len(bufs)
 	if len(res.Records) != want {
 		t.Fatalf("got %d records, want %d", len(res.Records), want)
@@ -59,25 +58,6 @@ func TestSchedGridComplete(t *testing.T) {
 	}
 }
 
-// TestSchedGridFilterKeepsSeeds pins the -sched filter contract: a
-// filtered run reproduces exactly the corresponding cells of the full
-// grid, because cell seeds index the full grid, not the selection.
-func TestSchedGridFilterKeepsSeeds(t *testing.T) {
-	e, _ := Get("schedgrid")
-	full := e.Run(Config{Seed: 4, Scale: 0.02})
-	one := e.Run(Config{Seed: 4, Scale: 0.02, Sched: "blest"})
-	var want []Record
-	for _, r := range full.Records {
-		if r.Scheduler == "blest" {
-			want = append(want, r)
-		}
-	}
-	if len(one.Records) == 0 || !reflect.DeepEqual(one.Records, want) {
-		t.Errorf("filtered records diverge from the full grid's blest cells (%d vs %d)",
-			len(one.Records), len(want))
-	}
-}
-
 // TestCountermeasuresBeatPlainMinRTTOnWiFi3G is the acceptance pin for
 // the §6 countermeasures: on the busy-wireless cell (lossy WiFi beside
 // the deeply overbuffered 3G radio) with the tight 16-packet shared
@@ -87,8 +67,8 @@ func TestSchedGridFilterKeepsSeeds(t *testing.T) {
 // real regression — not realisation noise — trips it.
 func TestCountermeasuresBeatPlainMinRTTOnWiFi3G(t *testing.T) {
 	cell := Config{Seed: CellSeed(42, 0), Scale: 0.1}.norm()
-	plain := schedWiFi3G(cell, parseSchedSpec("minrtt"), newAlg("MPTCP"), 16)
-	cured := schedWiFi3G(cell, parseSchedSpec("minrtt+otr+pen"), newAlg("MPTCP"), 16)
+	plain := schedCell(newWorld(cell.Seed), cell, "wifi3g", "", parseSchedSpec("minrtt"), "MPTCP", 16)
+	cured := schedCell(newWorld(cell.Seed), cell, "wifi3g", "", parseSchedSpec("minrtt+otr+pen"), "MPTCP", 16)
 	if cured.oppRetx == 0 || cured.penalties == 0 {
 		t.Errorf("countermeasures idle on the blocking cell: otr=%v pen=%v", cured.oppRetx, cured.penalties)
 	}

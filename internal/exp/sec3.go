@@ -40,7 +40,6 @@ func init() {
 func runFig8(cfg Config) *Result {
 	cfg = cfg.norm()
 	res := newResult("fig8-torus")
-	rtt := 100 * sim.Millisecond
 	warm, end := cfg.dur(50*sim.Second), cfg.dur(250*sim.Second)
 	capsC := []float64{100, 250, 500, 750, 1000}
 	algs := algSet()
@@ -60,19 +59,10 @@ func runFig8(cfg Config) *Result {
 		alg := algSet()[idx/len(capsC)]
 		capC := capsC[idx%len(capsC)]
 		w := newWorld(cell.Seed)
-		rates := []float64{1000, 1000, capC, 1000, 1000}
-		tor := topo.NewTorus(rates, rtt)
-		conns := make([]*transport.Conn, 5)
-		for i := range conns {
-			conns[i] = transport.NewConn(w.n, transport.Config{
-				Alg:   freshAlg(alg),
-				Paths: tor.FlowPaths(i),
-			})
-			conns[i].Start()
-		}
-		flowRates := w.measure(conns, warm, end)
-		pA := tor.Links[0].AB.Stats.LossFraction()
-		pC := tor.Links[2].AB.Stats.LossFraction()
+		sc := torusScene(w, capC, func() transport.Config { return transport.Config{Alg: freshAlg(alg)} })
+		flowRates := w.measure(sc.all, warm, end)
+		pA := sc.links[0].AB.Stats.LossFraction()
+		pC := sc.links[2].AB.Stats.LossFraction()
 		ratio := 0.0
 		if pC > 0 {
 			ratio = pA / pC

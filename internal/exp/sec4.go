@@ -68,7 +68,7 @@ func startFlows(w *world, rng *rand.Rand, src, dst []int, alg core.Algorithm, pa
 		} else {
 			a = freshAlg(alg)
 		}
-		c := transport.NewConn(w.n, transport.Config{Alg: a, Paths: p})
+		c := transport.NewConn(w.n, transport.Config{Alg: a, Paths: p, Tracer: w.tr})
 		// Desynchronise starts across a few milliseconds.
 		w.s.At(sim.Time(rng.Int63n(int64(5*sim.Millisecond))), c.Start)
 		conns = append(conns, c)

@@ -115,14 +115,9 @@ func runFig15(cfg Config) *Result {
 	cells := RunCells(cfg, len(algSet()), func(cell Config, i int) CellResult {
 		alg := algSet()[i]
 		w := newWorld(cell.Seed)
-		wl := busyWireless()
-		mp := transport.NewConn(w.n, transport.Config{Alg: freshAlg(alg), Paths: wl.Paths()})
-		tcpW := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[:1]})
-		tcpG := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[1:]})
-		mp.Start()
-		tcpW.Start()
-		tcpG.Start()
-		rates := w.measure([]*transport.Conn{mp, tcpW, tcpG}, warm, end)
+		sc := wifi3gScene(w, func() transport.Config { return transport.Config{Alg: freshAlg(alg)} })
+		rates := w.measure(sc.all, warm, end)
+		mp := sc.all[0]
 		wifiShare := 0.0
 		if d := mp.SubflowDelivered(0) + mp.SubflowDelivered(1); d > 0 {
 			wifiShare = float64(mp.SubflowDelivered(0)) / float64(d)

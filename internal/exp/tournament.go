@@ -23,137 +23,68 @@ func init() {
 	})
 }
 
-// tourTopo is one topology column of the tournament grid. run builds
-// the scenario from the cell's world seed, drives one algorithm through
-// it, and reports (total throughput in Mb/s, Jain's fairness index over
-// the scenario's flow rates). base is the run's base seed: workload
-// randomness (traffic matrices, path choices) derives from it so every
-// algorithm is measured on the identical workload, exactly as in the §4
-// experiments.
-type tourTopo struct {
-	name string
-	run  func(cell Config, base int64, alg core.Algorithm) (mbps, jain float64)
+// tourTopos are the topology columns, each measured over the window
+// (unscaled warm-up and end) of the §3–§5 experiment that owns it.
+var tourTopos = []string{"torus", "dualhomed", "fattree", "wifi3g"}
+
+var tourWindows = map[string][2]sim.Time{
+	"torus":     {30 * sim.Second, 130 * sim.Second},
+	"dualhomed": {20 * sim.Second, 120 * sim.Second},
+	"fattree":   {4 * sim.Second, 10 * sim.Second},
+	"wifi3g":    {30 * sim.Second, 230 * sim.Second},
 }
 
-func tourTopos() []tourTopo {
-	return []tourTopo{
-		{"torus", tourTorus},
-		{"dualhomed", tourDualHomed},
-		{"fattree", tourFatTree},
-		{"wifi3g", tourWiFi3G},
-	}
-}
+// tourOut is one cell: the multipath aggregate in Mb/s (on the FatTree,
+// the mean per-host rate) and Jain's fairness index over every flow in
+// the scene, so an algorithm that starves the competing TCPs (or its own
+// flows) scores low.
+type tourOut struct{ mbps, jain float64 }
 
 func runTournament(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("tournament")
-	algs := cc.Names()
-	topos := tourTopos()
-
-	// One cell per (algorithm, topology) pair in algorithm-major order:
-	// registering a new algorithm appends its cells at the end, leaving
-	// every existing cell's derived seed untouched. (Adding a topology
-	// column, by contrast, reshuffles all cell seeds and resets any
-	// recorded baselines.)
-	type cellOut struct{ mbps, jain float64 }
-	cells := RunCells(cfg, len(algs)*len(topos), func(cell Config, idx int) cellOut {
-		alg := newAlg(algs[idx/len(topos)])
-		tp := topos[idx%len(topos)]
-		m, j := tp.run(cell, cfg.Seed, alg)
-		return cellOut{mbps: m, jain: j}
+	g := grid{
+		id:    "tournament",
+		title: "Tournament: total throughput Mb/s (Jain's fairness index) per algorithm × topology",
+		axes:  []axis{{"algorithm", cc.Names()}, {"topology", tourTopos}},
+	}
+	res := runGrid(cfg, g, tourCell, func(res *Result, c *gridCell, out tourOut) []string {
+		key := strings.ToLower(c.vals[0]) + "_" + c.vals[1]
+		res.Metrics[key+"_mbps"] = out.mbps
+		res.Metrics[key+"_jain"] = out.jain
+		res.Records = append(res.Records, Record{
+			Algorithm: c.vals[0],
+			Topology:  c.vals[1],
+			Metrics:   map[string]float64{"mbps": out.mbps, "jain": out.jain},
+		})
+		return []string{f1(out.mbps) + " (" + f2(out.jain) + ")"}
 	})
-
-	table := Table{
-		Title: "Tournament: total throughput Mb/s (Jain's fairness index) per algorithm × topology",
-		Cols:  []string{"algorithm"},
-	}
-	for _, tp := range topos {
-		table.Cols = append(table.Cols, tp.name)
-	}
-	for ai, name := range algs {
-		row := []string{name}
-		for ti, tp := range topos {
-			c := cells[ai*len(topos)+ti]
-			row = append(row, f1(c.mbps)+" ("+f2(c.jain)+")")
-			key := strings.ToLower(name) + "_" + tp.name
-			res.Metrics[key+"_mbps"] = c.mbps
-			res.Metrics[key+"_jain"] = c.jain
-			res.Records = append(res.Records, Record{
-				Algorithm: name,
-				Topology:  tp.name,
-				Metrics:   map[string]float64{"mbps": c.mbps, "jain": c.jain},
-			})
-		}
-		table.Rows = append(table.Rows, row)
-	}
-	res.Tables = append(res.Tables, table)
 	res.note("grid spans the paper's five algorithms plus the Linux-kernel family (OLIA, BALIA, delay-based WVEGAS); REGULAR runs uncoupled over the same path set — the §2.1 strawman")
 	return res
 }
 
-// tourTorus is §3's five-link torus (link C at half capacity) with five
-// two-path flows, all driven by the algorithm under test.
-func tourTorus(cell Config, _ int64, alg core.Algorithm) (float64, float64) {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(30*sim.Second), cell.dur(130*sim.Second)
-	tor := topo.NewTorus([]float64{1000, 1000, 500, 1000, 1000}, 100*sim.Millisecond)
-	conns := make([]*transport.Conn, 5)
-	for i := range conns {
-		conns[i] = transport.NewConn(w.n, transport.Config{
-			Alg:   freshAlg(alg),
-			Paths: tor.FlowPaths(i),
-		})
-		conns[i].Start()
+func tourCell(c *gridCell) tourOut {
+	w := c.world()
+	alg, tp := c.vals[0], c.vals[1]
+	warm, end := c.dur(tourWindows[tp][0]), c.dur(tourWindows[tp][1])
+	if tp == "fattree" {
+		return tourFatTree(w, c, newAlg(alg), warm, end)
 	}
-	rates := w.measure(conns, warm, end)
-	return sumRates(rates), model.JainIndex(rates)
-}
-
-// tourDualHomed is §3's multihomed server: 2 TCPs on link 1, 6 on
-// link 2, and 4 multipath flows of the algorithm under test across
-// both. Throughput is the multipath aggregate; fairness is Jain's index
-// over all twelve flows, so an algorithm that starves either TCP group
-// (or its own flows) scores low.
-func tourDualHomed(cell Config, _ int64, alg core.Algorithm) (float64, float64) {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(20*sim.Second), cell.dur(120*sim.Second)
-	rtt := 20 * sim.Millisecond
-	d := topo.NewDualHomed(100, rtt/2, topo.BDPPackets(100, rtt))
-	var conns []*transport.Conn
-	addTCP := func(link, n int) {
-		for i := 0; i < n; i++ {
-			c := transport.NewConn(w.n, transport.Config{Paths: d.ClientPath(link)})
-			c.Start()
-			conns = append(conns, c)
-		}
-	}
-	addTCP(1, 2)
-	addTCP(2, 6)
-	nTCP := len(conns)
-	for i := 0; i < 4; i++ {
-		c := transport.NewConn(w.n, transport.Config{Alg: freshAlg(alg), Paths: d.MultipathPaths()})
-		c.Start()
-		conns = append(conns, c)
-	}
-	rates := w.measure(conns, warm, end)
-	return sumRates(rates[nTCP:]), model.JainIndex(rates)
+	sc := scenes[tp](w, func() transport.Config { return transport.Config{Alg: newAlg(alg)} })
+	rates := w.measure(sc.all, warm, end)
+	return tourOut{sumRates(rates[sc.lo:sc.hi]), model.JainIndex(rates)}
 }
 
 // tourFatTree is §4's FatTree under the TP1 permutation traffic
 // pattern, every flow using the algorithm under test over the usual
-// path count. The workload rng derives from the base seed so all
-// algorithms race on the identical permutation and path choices.
-// Throughput is the mean per-host rate; fairness is Jain's index over
-// the per-flow rates.
-func tourFatTree(cell Config, base int64, alg core.Algorithm) (float64, float64) {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(4*sim.Second), cell.dur(10*sim.Second)
-	k, _, _ := dcSizes(cell)
+// path count. The workload rng derives from the run's base seed, not
+// the cell's, so all algorithms race on the identical permutation and
+// path choices, exactly as in the §4 experiments.
+func tourFatTree(w *world, c *gridCell, alg core.Algorithm, warm, end sim.Time) tourOut {
+	k, _, _ := dcSizes(c.Config)
 	nPaths := 8
 	if k < 8 {
 		nPaths = 4
 	}
-	rng := rand.New(rand.NewSource(base + 23))
+	rng := rand.New(rand.NewSource(c.base + 23))
 	ft := topo.NewFatTree(topo.FatTreeConfig{K: k})
 	d := traffic.Permutation(rng, ft.NumHosts())
 	var src, dst []int
@@ -164,30 +95,5 @@ func tourFatTree(cell Config, base int64, alg core.Algorithm) (float64, float64)
 	pf := func(rng *rand.Rand, s, t int) []transport.Path { return ft.Paths(rng, s, t, nPaths) }
 	conns := startFlows(w, rng, src, dst, alg, pf)
 	rates := w.measure(conns, warm, end)
-	return perHost(src, rates), model.JainIndex(rates)
-}
-
-// tourWiFi3G is §5's busy wireless client: the multipath flow under
-// test against one competing TCP on each radio. Throughput is the
-// multipath flow's; fairness is Jain's index across all three flows.
-func tourWiFi3G(cell Config, _ int64, alg core.Algorithm) (float64, float64) {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(30*sim.Second), cell.dur(230*sim.Second)
-	wl := busyWireless()
-	mp := transport.NewConn(w.n, transport.Config{Alg: freshAlg(alg), Paths: wl.Paths()})
-	tcpW := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[:1]})
-	tcpG := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[1:]})
-	mp.Start()
-	tcpW.Start()
-	tcpG.Start()
-	rates := w.measure([]*transport.Conn{mp, tcpW, tcpG}, warm, end)
-	return rates[0], model.JainIndex(rates)
-}
-
-func sumRates(rates []float64) float64 {
-	t := 0.0
-	for _, r := range rates {
-		t += r
-	}
-	return t
+	return tourOut{perHost(src, rates), model.JainIndex(rates)}
 }

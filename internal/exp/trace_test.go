@@ -14,17 +14,17 @@ var updateTrace = flag.Bool("update-trace-golden", false,
 // traceWiFi3GFlapCell runs the fixed reference cell — MPTCP on the
 // WiFi+3G topology under the flap scenario, seed CellSeed(5, 0), scale
 // 0.02 — with tracing on and returns the flushed trace bytes.
-func traceWiFi3GFlapCell(t *testing.T) ([]byte, dynOut) {
+func traceWiFi3GFlapCell(t *testing.T) []byte {
 	t.Helper()
 	var sink bytes.Buffer
-	cell := Config{Scale: 0.02, TraceW: &sink}.norm()
-	cell.Seed = CellSeed(5, 0)
-	out := runDynCell(cell, dynTopos()[2], "flap", newAlg("MPTCP"))
+	c := &gridCell{Config: Config{Scale: 0.02, TraceW: &sink}.norm(), vals: []string{"MPTCP", "wifi3g", "flap"}}
+	c.Seed = CellSeed(5, 0)
+	dynCell(c)
 	var b bytes.Buffer
-	if err := out.tr.Flush(&b); err != nil {
+	if err := c.tr.Flush(&b); err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes(), out
+	return b.Bytes()
 }
 
 // TestTraceGoldenWiFi3GFlap pins the trace JSONL of a fixed-seed cell
@@ -37,7 +37,7 @@ func traceWiFi3GFlapCell(t *testing.T) ([]byte, dynOut) {
 //
 // and say why in the commit message.
 func TestTraceGoldenWiFi3GFlap(t *testing.T) {
-	got, _ := traceWiFi3GFlapCell(t)
+	got := traceWiFi3GFlapCell(t)
 	const path = "testdata/trace_wifi3g_flap.golden.jsonl"
 	if *updateTrace {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -62,28 +62,47 @@ func TestTraceGoldenWiFi3GFlap(t *testing.T) {
 	}
 }
 
+// tracedGrids are the grids whose cells run in one simulated world,
+// each with a filter that keeps the traced runs below small (the
+// tournament has no filter axis; its grid is small enough).
+var tracedGrids = []struct {
+	id     string
+	filter Config
+}{
+	{"tournament", Config{}},
+	{"dynamics", Config{Scenario: "flap"}},
+	{"schedgrid", Config{Sched: "minrtt+otr+pen"}},
+	{"appgrid", Config{Workload: "video"}},
+}
+
 // TestTraceDeterministicAcrossParallelism extends the runner's core
-// guarantee to the trace artifact: the dynamics grid's concatenated
-// trace file is byte-identical whether cells run on one worker or
-// eight, because each cell records into a private tracer and the grid
-// flushes them sequentially in cell order.
+// guarantee to the trace artifact: a grid's concatenated trace file is
+// byte-identical whether cells run on one worker or eight, because each
+// cell records into a private tracer and the grid engine flushes them
+// sequentially in cell order.
 func TestTraceDeterministicAcrossParallelism(t *testing.T) {
-	e, _ := Get("dynamics")
-	run := func(par int) []byte {
-		var b bytes.Buffer
-		e.Run(Config{Seed: 5, Scale: 0.02, Parallelism: par, Scenario: "flap", TraceW: &b})
-		return b.Bytes()
-	}
-	serial := run(1)
-	parallel := run(8)
-	if len(serial) == 0 {
-		t.Fatal("traced dynamics run produced no trace output")
-	}
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("trace bytes diverge across parallelism: %d vs %d bytes", len(serial), len(parallel))
-	}
-	if again := run(8); !bytes.Equal(parallel, again) {
-		t.Error("two same-seed traced runs diverge (hidden shared state?)")
+	for _, g := range tracedGrids {
+		t.Run(g.id, func(t *testing.T) {
+			e, _ := Get(g.id)
+			run := func(par int) []byte {
+				var b bytes.Buffer
+				cfg := g.filter
+				cfg.Seed, cfg.Scale, cfg.Parallelism, cfg.TraceW = 5, 0.02, par, &b
+				e.Run(cfg)
+				return b.Bytes()
+			}
+			serial := run(1)
+			parallel := run(8)
+			if len(serial) == 0 {
+				t.Fatal("traced run produced no trace output")
+			}
+			if !bytes.Equal(serial, parallel) {
+				t.Fatalf("trace bytes diverge across parallelism: %d vs %d bytes", len(serial), len(parallel))
+			}
+			if again := run(8); !bytes.Equal(parallel, again) {
+				t.Error("two same-seed traced runs diverge (hidden shared state?)")
+			}
+		})
 	}
 }
 
@@ -92,21 +111,25 @@ func TestTraceDeterministicAcrossParallelism(t *testing.T) {
 // the world RNG or changes event timing. Metrics and per-cell Records
 // of traced and untraced same-seed runs must be DeepEqual.
 func TestTracingDoesNotPerturbResults(t *testing.T) {
-	e, _ := Get("dynamics")
-	cfg := Config{Seed: 5, Scale: 0.02, Parallelism: 4, Scenario: "flap"}
-	plain := e.Run(cfg)
-	var b bytes.Buffer
-	traced := cfg
-	traced.TraceW = &b
-	withTrace := e.Run(traced)
-	if !reflect.DeepEqual(plain.Metrics, withTrace.Metrics) {
-		t.Errorf("tracing perturbed metrics:\n  off: %v\n  on:  %v", plain.Metrics, withTrace.Metrics)
-	}
-	if !reflect.DeepEqual(plain.Records, withTrace.Records) {
-		t.Error("tracing perturbed per-cell records")
-	}
-	if b.Len() == 0 {
-		t.Error("traced run wrote no trace output")
+	for _, g := range tracedGrids {
+		t.Run(g.id, func(t *testing.T) {
+			e, _ := Get(g.id)
+			cfg := g.filter
+			cfg.Seed, cfg.Scale, cfg.Parallelism = 5, 0.02, 4
+			plain := e.Run(cfg)
+			var b bytes.Buffer
+			cfg.TraceW = &b
+			withTrace := e.Run(cfg)
+			if !reflect.DeepEqual(plain.Metrics, withTrace.Metrics) {
+				t.Errorf("tracing perturbed metrics:\n  off: %v\n  on:  %v", plain.Metrics, withTrace.Metrics)
+			}
+			if !reflect.DeepEqual(plain.Records, withTrace.Records) {
+				t.Error("tracing perturbed per-cell records")
+			}
+			if b.Len() == 0 {
+				t.Error("traced run wrote no trace output")
+			}
+		})
 	}
 }
 
@@ -114,7 +137,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 // flap scenario must surface link down/up events, and a live MPTCP
 // transfer must produce RTT samples and cwnd changes.
 func TestTraceStreamShape(t *testing.T) {
-	got, _ := traceWiFi3GFlapCell(t)
+	got := traceWiFi3GFlapCell(t)
 	for _, want := range []string{
 		`"ev":"meta"`, `"label":"MPTCP/wifi3g/flap"`,
 		`"ev":"link"`, `"what":"down"`, `"what":"up"`,

@@ -22,13 +22,9 @@ import (
 	"io"
 	"math/rand"
 
-	"mptcp/internal/core"
 	"mptcp/internal/learn"
-	"mptcp/internal/scenario"
 	"mptcp/internal/sched"
 	"mptcp/internal/sim"
-	"mptcp/internal/topo"
-	"mptcp/internal/transport"
 )
 
 // trainCorpusName names the corpus in the model's provenance header.
@@ -66,16 +62,15 @@ func (t TrainConfig) norm() TrainConfig {
 	return t
 }
 
-// trainCell is one corpus cell: a named world (topology × optional
-// scenario × receive buffer) an episode runs the exploring scheduler
-// in. The congestion controller is the paper's MPTCP throughout — the
-// policy's features are controller-agnostic (window headroom, not
-// window dynamics), and the grid's other controllers ride on the same
-// table.
+// trainCell is one corpus cell: a named world (scene × optional
+// scenario script × receive buffer) an episode runs the exploring
+// scheduler in. The congestion controller is the paper's MPTCP
+// throughout — the policy's features are controller-agnostic (window
+// headroom, not window dynamics), and the grid's other controllers ride
+// on the same table.
 type trainCell struct {
-	name string
-	buf  int64
-	run  func(cell Config, spec schedSpec, alg core.Algorithm, recvBuf int64) schedOut
+	name, scene, scen string
+	buf               int64
 }
 
 // trainCorpus is the episode corpus: every schedgrid topology column
@@ -83,51 +78,15 @@ type trainCell struct {
 // blocking, 64 binds mildly), plus dynamic wifi3g episodes under the
 // handover and flap scripts so the policy sees paths dying and
 // recovering, not just steady-state heterogeneity.
-func trainCorpus() []trainCell {
-	scen := func(name string) func(Config, schedSpec, core.Algorithm, int64) schedOut {
-		return func(cell Config, spec schedSpec, alg core.Algorithm, buf int64) schedOut {
-			return trainWiFi3GScenario(cell, spec, alg, buf, name)
-		}
-	}
-	return []trainCell{
-		{"torus/buf16", 16, schedTorus},
-		{"torus/buf64", 64, schedTorus},
-		{"dualhomed/buf16", 16, schedDualHomed},
-		{"dualhomed/buf64", 64, schedDualHomed},
-		{"wifi3g/buf16", 16, schedWiFi3G},
-		{"wifi3g/buf64", 64, schedWiFi3G},
-		{"wifi3g+handover/buf16", 16, scen("handover")},
-		{"wifi3g+flap/buf16", 16, scen("flap")},
-	}
-}
-
-// trainWiFi3GScenario is schedWiFi3G with a network-dynamics script
-// installed over the radios (the dynamics grid's wifi3g wiring, with
-// the scheduler/receive-buffer axis of the schedgrid).
-func trainWiFi3GScenario(cell Config, spec schedSpec, alg core.Algorithm, recvBuf int64, scen string) schedOut {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(schedWarm), cell.dur(schedEnd)
-	wl := busyWireless()
-	mp := transport.NewConn(w.n, schedConfig(spec, alg, recvBuf, wl.Paths()))
-	tcpW := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[:1]})
-	tcpG := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[1:]})
-	mp.Start()
-	tcpW.Start()
-	tcpG.Start()
-	env := &scenario.Env{Sim: w.s, Net: w.n, Links: []*topo.Duplex{wl.WiFi, wl.G3}}
-	env.Spawn = func(pkts int64) {
-		c := transport.NewConn(w.n, transport.Config{
-			Paths:       []transport.Path{topo.PathThrough(wl.WiFi)},
-			DataPackets: pkts,
-		})
-		c.Start()
-	}
-	sc := scenario.MustBuild(scen, end)
-	sc.MustInstall(env)
-	rates := w.measure([]*transport.Conn{mp, tcpW, tcpG}, warm, end)
-	out := schedOut{mbps: rates[0]}
-	counters(&out, mp)
-	return out
+var trainCorpus = []trainCell{
+	{"torus/buf16", "torus", "", 16},
+	{"torus/buf64", "torus", "", 64},
+	{"dualhomed/buf16", "dualhomed", "", 16},
+	{"dualhomed/buf64", "dualhomed", "", 64},
+	{"wifi3g/buf16", "wifi3g", "", 16},
+	{"wifi3g/buf64", "wifi3g", "", 64},
+	{"wifi3g+handover/buf16", "wifi3g", "handover", 16},
+	{"wifi3g+flap/buf16", "wifi3g", "flap", 16},
 }
 
 // Disjoint sim.MixSeed index ranges: episodes use [0, 2·rounds·cells),
@@ -136,11 +95,6 @@ const (
 	trainBaseIdx = 1_000_000
 	trainEvalIdx = 2_000_000
 )
-
-// classicSpec wraps a registered scheduler name as a schedSpec column.
-func classicSpec(name string) schedSpec {
-	return schedSpec{spec: name, mk: func() sched.Scheduler { return sched.MustNew(name) }}
-}
 
 // banditSpec wraps one shared Bandit instance (frozen or exploring) as
 // a schedSpec column. Every connection of the episode's single-threaded
@@ -187,13 +141,12 @@ func (r *TrainReport) Render(w io.Writer) {
 // Parallelism.
 func TrainSched(cfg TrainConfig) (*learn.Model, *TrainReport) {
 	cfg = cfg.norm()
-	corpus := trainCorpus()
+	corpus := trainCorpus
 	runner := Runner{Parallelism: cfg.Parallelism}
 
 	episode := func(ci int, seed int64, spec schedSpec) schedOut {
-		cell := Config{Seed: seed, Scale: cfg.Scale}.norm()
-		cell.Seed = seed // norm leaves non-zero seeds alone; keep explicit
-		return corpus[ci].run(cell, spec, newAlg("MPTCP"), corpus[ci].buf)
+		tc := corpus[ci]
+		return schedCell(newWorld(seed), Config{Scale: cfg.Scale}, tc.scene, tc.scen, spec, "MPTCP", tc.buf)
 	}
 
 	// Per-cell minrtt baselines normalize rewards: Mb/s differs by an
@@ -201,7 +154,7 @@ func TrainSched(cfg TrainConfig) (*learn.Model, *TrainReport) {
 	// learn "torus episodes are worth more".
 	base := make([]float64, len(corpus))
 	runner.Do(len(corpus), func(ci int) {
-		out := episode(ci, CellSeed(cfg.Seed, trainBaseIdx+ci), classicSpec("minrtt"))
+		out := episode(ci, CellSeed(cfg.Seed, trainBaseIdx+ci), parseSchedSpec("minrtt"))
 		base[ci] = out.mbps
 		if base[ci] < 0.05 {
 			base[ci] = 0.05
@@ -248,8 +201,8 @@ func TrainSched(cfg TrainConfig) (*learn.Model, *TrainReport) {
 		report.Eval[ci] = TrainEval{
 			Cell:   corpus[ci].name,
 			Bandit: episode(ci, seed, banditSpec(sched.NewBanditFrom(model))).mbps,
-			MinRTT: episode(ci, seed, classicSpec("minrtt")).mbps,
-			Blest:  episode(ci, seed, classicSpec("blest")).mbps,
+			MinRTT: episode(ci, seed, parseSchedSpec("minrtt")).mbps,
+			Blest:  episode(ci, seed, parseSchedSpec("blest")).mbps,
 		}
 	})
 	return model, report

@@ -26,11 +26,11 @@ import (
 // 93.859 vs 80.949 Mb/s — the ordering this test pins.
 func TestLearnedSchedulerBeatsMinRTTAndBLEST(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		buf  int64
+		name, scene string
+		buf         int64
 	}{
-		{"torus/buf64", 64},
-		{"dualhomed/buf16", 16},
+		{"torus/buf64", "torus", 64},
+		{"dualhomed/buf16", "dualhomed", 16},
 	} {
 		var bandit, minrtt, blest float64
 		for k := 0; k < 4; k++ {
@@ -38,20 +38,15 @@ func TestLearnedSchedulerBeatsMinRTTAndBLEST(t *testing.T) {
 			cfg = cfg.norm()
 			cfg.Seed = CellSeed(42, k)
 			episode := func(spec schedSpec) float64 {
-				switch c.name {
-				case "torus/buf64":
-					return schedTorus(cfg, spec, newAlg("MPTCP"), c.buf).mbps
-				default:
-					return schedDualHomed(cfg, spec, newAlg("MPTCP"), c.buf).mbps
-				}
+				return schedCell(newWorld(cfg.Seed), cfg, c.scene, "", spec, "MPTCP", c.buf).mbps
 			}
 			b, err := sched.NewBandit()
 			if err != nil {
 				t.Fatalf("NewBandit: %v", err)
 			}
 			bandit += episode(banditSpec(b))
-			minrtt += episode(classicSpec("minrtt"))
-			blest += episode(classicSpec("blest"))
+			minrtt += episode(parseSchedSpec("minrtt"))
+			blest += episode(parseSchedSpec("blest"))
 		}
 		t.Logf("%s: bandit %.3f, minrtt %.3f, blest %.3f Mb/s (4-seed sum)", c.name, bandit, minrtt, blest)
 		if bandit <= minrtt {
@@ -100,7 +95,7 @@ func TestTrainSchedPopulatesModel(t *testing.T) {
 	if m.Corpus != trainCorpusName || m.Seed != 3 {
 		t.Errorf("provenance headers: corpus %q seed %d", m.Corpus, m.Seed)
 	}
-	wantEp := int64(2 * len(trainCorpus()))
+	wantEp := int64(2 * len(trainCorpus))
 	if m.Episodes != wantEp {
 		t.Errorf("Episodes = %d, want %d", m.Episodes, wantEp)
 	}
@@ -113,7 +108,7 @@ func TestTrainSchedPopulatesModel(t *testing.T) {
 	if trained == 0 {
 		t.Error("no action bucket saw any training")
 	}
-	if len(r.Eval) != len(trainCorpus()) {
-		t.Errorf("report evaluates %d cells, want %d", len(r.Eval), len(trainCorpus()))
+	if len(r.Eval) != len(trainCorpus) {
+		t.Errorf("report evaluates %d cells, want %d", len(r.Eval), len(trainCorpus))
 	}
 }

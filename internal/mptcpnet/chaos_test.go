@@ -69,7 +69,7 @@ func TestFrameRecyclingSafeUnderChaos(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				s, r, ra := pipePair(t, time.Millisecond, 0.05, 0, int64(7000+100*si+2*i))
 				for _, c := range []net.PacketConn{s, r} {
-					p := c.(*EmuPath).Path
+					p := c.(*chaos.Path)
 					p.Update(func(c *chaos.PathConfig) {
 						c.ReorderRate, c.ReorderDelay, c.DupRate = 0.1, 3*time.Millisecond, 0.05
 					})

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mptcp/internal/chaos"
 	"mptcp/internal/chaos/leak"
 )
 
@@ -13,7 +14,7 @@ import (
 // transfer, close, repeat — while a background "scenario" goroutine
 // flaps one of the two emulated paths (loss 1.0 ⇄ 0) and wobbles its
 // delay the whole time. Run under -race (CI does) this exercises the
-// concurrency of EmuPath mutation against the per-subflow writer
+// concurrency of chaos.Path mutation against the per-subflow writer
 // goroutines, and the repeated setup/teardown catches goroutine or
 // timer leaks that a single long transfer hides: path 0 stays clean, so
 // every transfer must finish via reinjection no matter where in the
@@ -25,7 +26,7 @@ func TestSocketChurnUnderPathFlaps(t *testing.T) {
 	leak.Check(t, 5*time.Second) // registered first ⇒ runs after every churned socket's cleanups
 	const iterations = 5
 
-	var flapped []*EmuPath
+	var flapped []*chaos.Path
 	var mu sync.Mutex
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -45,13 +46,13 @@ func TestSocketChurnUnderPathFlaps(t *testing.T) {
 				down = !down
 				mu.Lock()
 				for _, e := range flapped {
-					if down {
-						e.SetLossRate(1.0)
-						e.SetDelay(10 * time.Millisecond)
-					} else {
-						e.SetLossRate(0)
-						e.SetDelay(time.Millisecond)
-					}
+					e.Update(func(c *chaos.PathConfig) {
+						if down {
+							c.LossRate, c.Delay = 1, 10*time.Millisecond
+						} else {
+							c.LossRate, c.Delay = 0, time.Millisecond
+						}
+					})
 				}
 				mu.Unlock()
 			}
@@ -67,7 +68,7 @@ func TestSocketChurnUnderPathFlaps(t *testing.T) {
 			s, r, ra := pipePair(t, time.Millisecond, 0, 8e6, int64(1000+10*iter+i))
 			if i == 1 {
 				mu.Lock()
-				flapped = append(flapped, s.(*EmuPath))
+				flapped = append(flapped, s.(*chaos.Path))
 				mu.Unlock()
 			}
 			return s, r, ra

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mptcp/internal/cc"
+	"mptcp/internal/chaos"
 	"mptcp/internal/sched"
 )
 
@@ -26,8 +27,8 @@ func pipePair(t *testing.T, delay time.Duration, loss, rateBps float64, seed int
 	}
 	t.Cleanup(func() { a.Close(); b.Close() })
 	// Shape both directions identically.
-	return NewEmuPath(a, delay, loss, rateBps, seed),
-		NewEmuPath(b, delay, loss/4, 0, seed+1), // ACK path: lighter loss, no cap
+	return chaos.New(a, chaos.PathConfig{Delay: delay, LossRate: loss, RateBps: rateBps}, seed),
+		chaos.New(b, chaos.PathConfig{Delay: delay, LossRate: loss / 4}, seed+1), // ACK path: lighter loss, no cap
 		b.LocalAddr()
 }
 
@@ -231,16 +232,16 @@ func TestSchedulerRoundRobin(t *testing.T) {
 }
 
 func TestPathDeathReinjection(t *testing.T) {
-	var emus []*EmuPath
+	var emus []*chaos.Path
 	tx, _ := transferWithSetup(t, 400<<10, 2, func(i int) (net.PacketConn, net.PacketConn, net.Addr) {
 		// ~4 Mb/s per path so the 400 KB transfer spans ~400 ms.
 		s, r, ra := pipePair(t, time.Millisecond, 0, 4e6, 500+int64(i))
-		emus = append(emus, s.(*EmuPath))
+		emus = append(emus, s.(*chaos.Path))
 		return s, r, ra
 	}, Config{}, 60*time.Second, func() {
 		// Kill path 1 shortly after the transfer starts.
 		time.AfterFunc(50*time.Millisecond, func() {
-			emus[1].SetLossRate(1.0)
+			emus[1].Update(func(c *chaos.PathConfig) { c.LossRate = 1 })
 		})
 	})
 	if st := tx.Stats(); st.Reinjects == 0 {

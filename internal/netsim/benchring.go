@@ -7,8 +7,8 @@ import (
 )
 
 // BenchRing is the canonical engine-benchmark workload shared by the
-// go-test benchmarks (BenchmarkEnginePacketHop) and the CI perf record
-// (mptcp-exp -bench-engine): a ring of store-and-forward links with a
+// go-test benchmarks (BenchmarkEnginePacketHop) and the repository
+// benchmark (bash bench/run.sh, netsim.hop_ns): a ring of store-and-forward links with a
 // fixed population of circulating packets. Every delivery immediately
 // re-injects, so the steady state is a pure packet-hop event stream with
 // no endpoint logic — one event per packet per hop. Keeping one
