@@ -87,9 +87,17 @@ func TestChaosAllFaultKindsExercised(t *testing.T) {
 	res := RunT(t, Config{
 		Sockets: 3,
 		Paths:   2,
-		Bytes:   96 << 10,
-		Seed:    seedFor(t) + 29,
-		Churn:   200 * time.Millisecond, // director mostly idle; faults come from the base model
+		// The base model must stay in force for the whole transfer, and
+		// the transfer must be long enough, for every injector to fire
+		// whatever the seed: the director's closing heal-all switches
+		// loss off, and the burst-loss chain enters its bad state only
+		// once per ~50 datagrams. (With a 200 ms churn window and 96 KiB,
+		// a connection that spent those 200 ms waiting out one RTO saw no
+		// drop at all — a few seeds in a hundred.)
+		Bytes: 256 << 10,
+		Seed:  seedFor(t) + 29,
+		Churn: 2 * time.Second,
+		Tick:  500 * time.Millisecond, // director mostly idle; faults come from the base model
 		SenderPath: &chaos.PathConfig{
 			Delay:        time.Millisecond,
 			Jitter:       2 * time.Millisecond,

@@ -11,9 +11,9 @@
 //     1/w_r cap, the paper's final algorithm (standardised as RFC 6356).
 //
 // The algorithms are pure window arithmetic with no dependency on the
-// simulator or on real sockets, so the identical code drives both the
-// packet-level simulation (internal/tcpsim, internal/mptcpsim) and the
-// userspace UDP protocol stack (internal/mptcpnet).
+// simulator or on real sockets: the one protocol core (internal/proto)
+// calls them, and that core drives both the packet-level simulation
+// (internal/transport) and the userspace UDP stack (internal/mptcpnet).
 //
 // Windows are measured in packets, as in the paper. An Algorithm only
 // governs congestion avoidance; slow start, fast recovery and timeouts are

@@ -4,21 +4,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mptcp/internal/cc"
 	"mptcp/internal/core"
+	"mptcp/internal/proto"
 	"mptcp/internal/sched"
 	"mptcp/internal/trace"
 )
 
 // Config parameterises a sender.
 type Config struct {
-	// Alg is the coupled congestion controller; defaults to &core.MPTCP{}.
+	// Alg is the coupled congestion controller; defaults to &core.MPTCP{}
+	// (core.Regular{}, the same arithmetic, on a single subflow).
 	Alg core.Algorithm
 	// Sched picks the subflow for each new segment (any scheduler from
 	// internal/sched's registry); defaults to minRTT, the Linux MPTCP
@@ -43,70 +43,41 @@ type Config struct {
 // Sender is the transmitting side of a multipath connection. It
 // implements io.WriteCloser; Write blocks when both the send buffer and
 // the network are full, providing backpressure.
+//
+// It is the real-UDP shell of the protocol core: it owns the payload and
+// wire frames, the sockets and their goroutines, the time.Timers and the
+// FIN, and implements proto.Shell. Every protocol decision — what to
+// send where, loss recovery, flow control — is the core's.
 type Sender struct {
 	cfg    Config
 	connID uint64
 	subs   []*sendSubflow
-	alg    core.Algorithm
-
-	// Optional algorithm hooks (internal/cc's extended contract),
-	// resolved once; nil when the algorithm does not implement them.
-	// Invoked with mu held, like every other algorithm call.
-	rttObs  cc.RTTObserver
-	lossObs cc.LossObserver
-
-	// Scheduler state (all used with mu held): the configured scheduler,
-	// whether it duplicates segments across subflows (resolved once,
-	// like the cc hooks), and a scratch View slice rebuilt per pick.
-	sched     sched.Scheduler
-	redundant bool
-	views     []sched.View
-	// dupNxt is the redundant scheduler's per-subflow replay frontier:
-	// the next data sequence subflow i should (re)carry. Nil unless the
-	// scheduler duplicates.
-	dupNxt []int64
-
-	// oppSeq remembers the last data sequence opportunistically
-	// retransmitted, so each receive-buffer-blocking segment is re-sent
-	// at most once (§6 countermeasures).
-	oppSeq int64
+	start  time.Time // epoch of the core's clock and of the echoed timestamps
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	cc   []core.Subflow
+	// core is the protocol; every call into it, and every proto.Shell
+	// call it makes back, runs with mu held.
+	core proto.Sender
 	// segs holds the payload frame of every data sequence in
-	// [dataUna, dataEnd): Write fills dataEnd, [dataUna, dataNxt) has been
-	// sent at least once, and [dataNxt, dataEnd) is the queue not yet
-	// assigned to a subflow. A frame is freed when the data-level ACK
-	// passes it.
+	// [freed, dataEnd): Write fills dataEnd, and a frame is freed when the
+	// core's data-level ACK passes it.
 	segs       ring[*frame]
 	dataEnd    int64
-	dataNxt    int64
-	dataUna    int64
-	edge       int64 // flow-control edge (dataAck + window)
-	reinj      []int64
-	closed     bool
+	freed      int64
+	persist    timer
+	closed     bool // Close was called: no more data
+	completed  bool // the core saw everything acknowledged
 	finSent    bool
+	finAcked   bool // an ACK said the receiver has seen the FIN
 	finRetries int
 	err        error
 	done       chan struct{} // closed once the stream is fully acknowledged
 	doneClosed bool
 
-	// Counters, guarded by mu; snapshotted coherently by Stats().
-	segsSent  int64
-	segsRetx  int64
-	reinjects int64
-	oppRetx   int64
-	penalties int64
-
 	// corrupt counts inbound frames dropped by the checksum; atomic (not
 	// mu) because readLoop bumps it without taking the connection lock.
 	corrupt atomic.Int64
-
-	// tracer is nil unless Config.Tracer enabled tracing; traceID is the
-	// sender's tracer-scoped connection ID.
-	tracer  *trace.Tracer
-	traceID int32
 }
 
 type sendSubflow struct {
@@ -116,57 +87,59 @@ type sendSubflow struct {
 	parent *Sender
 
 	// sendQ feeds the subflow's single writer goroutine (writeLoop):
-	// socket writes leave in exactly the order transmit queued them.
-	// One goroutine per WriteTo (the previous design) let the scheduler
-	// reorder in-subflow transmissions, manufacturing spurious dupSACKs
-	// and fast retransmits on a loss-free path.
+	// socket writes leave in exactly the order Emit queued them. One
+	// goroutine per WriteTo would let the Go scheduler reorder in-subflow
+	// transmissions, manufacturing spurious dupSACKs and fast retransmits
+	// on a loss-free path.
 	sendQ chan *frame
 
-	// meta is the scoreboard of [sndUna, sndNxt), by subflow sequence.
-	sndNxt, sndUna int64
-	meta           ring[sentSeg]
-	dupSacks       int64
-	recover        int64
-	inRec          bool
-
-	// timer is created once and re-armed with Reset; deadline is when the
-	// armed RTO really expires, so a callback that fires early or lost a
-	// race with an ACK can tell (see onRTO).
-	srtt, rttvar, rto time.Duration
-	timer             *time.Timer
-	timerOn           bool
-	deadline          time.Time
-	start             time.Time
-
-	// rtoStreak counts consecutive RTOs since this subflow last made
-	// cumulative-ACK progress; when every subflow's streak reaches
-	// maxRTOStreak the sender gives up. Guarded by the parent's mu.
-	rtoStreak int
-
-	// nextPenalty rate-limits receive-buffer penalization (§6) to once
-	// per RTT on this subflow. Guarded by the parent's mu.
-	nextPenalty time.Time
-
-	rng *rand.Rand
+	rto timer // the retransmission timer, guarded by the parent's mu
 }
 
-// sentSeg is the sender-side scoreboard entry for one outstanding
-// segment. RTT comes from the echoed timestamp (with retransmission-
-// ambiguous samples suppressed via retx, Karn's rule), so no per-segment
-// send time is kept.
-type sentSeg struct {
-	dataSeq int64
-	sacked  bool
-	retx    bool
+// timer is a time.Timer created once and re-armed with Reset. deadline
+// is when the armed expiry really is, so a callback that fires early or
+// lost a race with a re-arm can tell (see expired).
+type timer struct {
+	t        *time.Timer
+	on       bool
+	deadline time.Time
+}
+
+func newTimer(f func()) timer {
+	t := time.AfterFunc(time.Hour, f)
+	t.Stop() // armed by the core
+	return timer{t: t}
+}
+
+func (tm *timer) arm(d proto.Time) {
+	tm.on, tm.deadline = true, time.Now().Add(time.Duration(d))
+	tm.t.Reset(time.Duration(d))
+}
+
+func (tm *timer) stop() {
+	tm.on = false
+	tm.t.Stop()
+}
+
+// expired reports, with mu held, whether the callback now running is the
+// armed expiry. Stop cannot recall a callback already blocked on mu: one
+// that lost the race with an ACK finds the timer disarmed, or the
+// deadline moved — and then only re-arms for the remainder.
+func (tm *timer) expired() bool {
+	if !tm.on {
+		return false
+	}
+	if d := time.Until(tm.deadline); d > 0 {
+		tm.t.Reset(d)
+		return false
+	}
+	tm.on = false
+	return true
 }
 
 // defaultWindow is the conservative flow-control edge assumed until the
 // first ACK advertises the receiver's real shared-buffer window.
 const defaultWindow = 64
-
-// maxRTO bounds the retransmission timer (RFC 6298 §2.5 allows a maximum
-// of at least 60 seconds; the simulator transport applies the same cap).
-const maxRTO = 60 * time.Second
 
 // maxFinRetries bounds the FIN retransmission chain when the peer never
 // acknowledges: after this many (exponentially backed-off) attempts the
@@ -180,7 +153,7 @@ const maxFinRetries = 12
 // (all radios gone and staying gone) and the sender aborts with an error
 // rather than retransmitting forever — the transfers-complete-or-fail
 // invariant the chaos harness asserts. A single live subflow resets its
-// own streak on every ACK, so no amount of chaos on the other paths
+// own count on every ACK, so no amount of chaos on the other paths
 // trips this while one path still delivers. Eight doublings put the
 // final wait at 256× the measured RTO — patient enough to ride out any
 // plausible congestion event, yet bounded (seconds to about a minute)
@@ -190,59 +163,35 @@ const maxRTOStreak = 8
 // sendQueueCap is the per-subflow writer queue depth, in segments.
 const sendQueueCap = 512
 
+// maxUnsent caps the segments Write queues ahead of the network.
+const maxUnsent = 1024
+
 // NewSender builds a sender whose subflow i talks over conns[i] to
 // remotes[i]. The caller owns the PacketConns until Close.
 func NewSender(connID uint64, conns []net.PacketConn, remotes []net.Addr, cfg Config) *Sender {
 	if len(conns) == 0 || len(conns) != len(remotes) {
 		panic("mptcpnet: need one remote per subflow conn")
 	}
-	if cfg.Alg == nil {
-		cfg.Alg = &core.MPTCP{}
-	}
 	if cfg.Sched == nil {
 		cfg.Sched = sched.MinRTT{}
 	}
-	if cfg.MinRTO <= 0 {
-		cfg.MinRTO = 200 * time.Millisecond
-	}
-	s := &Sender{
-		cfg:    cfg,
-		connID: connID,
-		alg:    cfg.Alg,
-		sched:  cfg.Sched,
-		edge:   defaultWindow,
-		done:   make(chan struct{}),
-		oppSeq: -1,
-		tracer: cfg.Tracer,
-	}
-	s.traceID = cfg.Tracer.ConnID() // nil-safe: -1 when tracing is off
-	s.rttObs, _ = s.alg.(cc.RTTObserver)
-	s.lossObs, _ = s.alg.(cc.LossObserver)
-	if d, ok := s.sched.(sched.Duplicator); ok {
-		s.redundant = d.Duplicates()
-	}
-	if s.redundant {
-		s.dupNxt = make([]int64, len(conns))
-	}
-	s.views = make([]sched.View, len(conns))
+	s := &Sender{cfg: cfg, connID: connID, start: time.Now(), done: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
-	now := time.Now()
+	s.persist = newTimer(s.onPersist)
 	for i := range conns {
-		sf := &sendSubflow{
-			id:     i,
-			conn:   conns[i],
-			remote: remotes[i],
-			parent: s,
-			sendQ:  make(chan *frame, sendQueueCap),
-			rto:    time.Second,
-			start:  now,
-			rng:    rand.New(rand.NewSource(int64(connID)*31 + int64(i))),
-		}
-		sf.timer = time.AfterFunc(maxRTO, sf.onRTO)
-		sf.timer.Stop() // armed by the first transmission
+		sf := &sendSubflow{id: i, conn: conns[i], remote: remotes[i], parent: s, sendQ: make(chan *frame, sendQueueCap)}
+		sf.rto = newTimer(sf.onRTO)
 		s.subs = append(s.subs, sf)
-		s.cc = append(s.cc, core.Subflow{Cwnd: 2, SSThresh: 1 << 30})
 	}
+	s.core.Reset(s, proto.SenderConfig{
+		Subflows:  len(conns),
+		Alg:       cfg.Alg,
+		Sched:     cfg.Sched,
+		SchedOpts: cfg.SchedOpts,
+		Window:    defaultWindow,
+		MinRTO:    proto.Time(cfg.MinRTO),
+		Tracer:    cfg.Tracer,
+	})
 	for _, sf := range s.subs {
 		go sf.readLoop()
 		go sf.writeLoop()
@@ -250,37 +199,41 @@ func NewSender(connID uint64, conns []net.PacketConn, remotes []net.Addr, cfg Co
 	return s
 }
 
+// now is the core's clock: monotonic time since the sender was built.
+func (s *Sender) now() proto.Time { return proto.Time(time.Since(s.start)) }
+
+// echoNow is the timestamp stamped on outgoing frames and echoed by the
+// receiver: microseconds on the same clock, truncated to the wire's 32
+// bits.
+func (s *Sender) echoNow() uint32 { return uint32(time.Since(s.start) / time.Microsecond) }
+
 // Write queues p for transmission, blocking on flow control. It
 // implements io.Writer over the data stream.
 func (s *Sender) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, errors.New("mptcpnet: write on closed sender")
-	}
 	n := 0
 	for len(p) > 0 {
-		seg := p
-		if len(seg) > MaxPayload {
-			seg = seg[:MaxPayload]
-		}
 		// Backpressure: cap the unassigned queue — but keep the network
 		// pumped before blocking, or nothing would ever drain it.
-		if s.dataEnd-s.dataNxt > 1024 {
+		if s.dataEnd-s.core.DataNxt() > maxUnsent {
 			s.pumpLocked()
-			for s.dataEnd-s.dataNxt > 1024 && s.err == nil && !s.closed {
+			for s.dataEnd-s.core.DataNxt() > maxUnsent && s.err == nil && !s.closed {
 				s.cond.Wait()
 			}
 		}
 		if s.err != nil {
 			return n, s.err
 		}
+		if s.closed {
+			return n, errors.New("mptcpnet: write on closed sender")
+		}
 		f := getFrame()
-		f.n = headerSize + copy(f.buf[headerSize:], seg)
-		s.segs.put(s.dataUna, s.dataEnd, f)
+		f.n = headerSize + copy(f.buf[headerSize:], p[:min(len(p), MaxPayload)])
+		s.segs.put(s.freed, s.dataEnd, f)
 		s.dataEnd++
-		p = p[len(seg):]
-		n += len(seg)
+		p = p[f.n-headerSize:]
+		n += f.n - headerSize
 	}
 	s.pumpLocked()
 	return n, nil
@@ -291,12 +244,12 @@ func (s *Sender) Write(p []byte) (int, error) {
 func (s *Sender) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
+	if !s.closed {
+		s.closed = true
+		s.core.Supply(s.now(), s.dataEnd)
+		s.core.Finish()
+		s.settleLocked()
 	}
-	s.closed = true
-	s.pumpLocked()
-	s.maybeFinishLocked()
 	return nil
 }
 
@@ -317,56 +270,64 @@ func (s *Sender) Wait(timeout time.Duration) error {
 	case s.err != nil:
 		return s.err
 	}
-	return fmt.Errorf("mptcpnet: %d segments unacked at timeout", s.dataNxt-s.dataUna)
+	return fmt.Errorf("mptcpnet: %d segments unacked at timeout", s.core.DataNxt()-s.core.DataUna())
 }
 
-func (s *Sender) finishedLocked() bool {
-	return s.closed && s.dataUna >= s.dataEnd && s.finSent
+func (s *Sender) finishedLocked() bool { return s.completed && s.finAcked }
+
+// pumpLocked offers everything Write has queued to the core.
+func (s *Sender) pumpLocked() {
+	s.core.Supply(s.now(), s.dataEnd)
+	s.settleLocked()
 }
 
-// maybeFinishLocked closes done once the stream is fully acknowledged.
-// The close releases the writer goroutines and terminates the FIN
-// retransmission chain, which previously leaked timers past Close.
-func (s *Sender) maybeFinishLocked() {
-	if s.doneClosed || !s.finishedLocked() {
-		return
+// settleLocked is the shell's bookkeeping after every core entry point:
+// free the payload frames the data-level ACK has passed, send the FIN
+// once every segment has been assigned to a subflow, finish once
+// everything is acknowledged, and wake a Write blocked on backpressure.
+func (s *Sender) settleLocked() {
+	for una := s.core.DataUna(); s.freed < una; s.freed++ {
+		putFrame(*s.segs.at(s.freed))
 	}
-	s.doneClosed = true
-	close(s.done)
-	s.stopTimersLocked()
+	if !s.doneClosed {
+		if s.closed && !s.finSent && s.core.DataNxt() == s.dataEnd {
+			s.finSent = true
+			s.sendFinLocked()
+		}
+		if s.finishedLocked() {
+			s.closeDoneLocked()
+		}
+	}
 	s.cond.Broadcast()
 }
 
-// abortLocked records err, closes done and wakes everyone: the sender is
-// giving up (e.g. the peer vanished and the FIN retry budget ran out, or
-// a subflow socket was closed under us).
-func (s *Sender) abortLocked(err error) {
-	if s.err == nil {
-		s.err = err
-	}
+// closeDoneLocked closes done, which releases the writer goroutines and
+// terminates the FIN retransmission chain. The core has stopped the
+// timers by now: it stops itself on completion, and abortLocked stops it.
+func (s *Sender) closeDoneLocked() {
 	if !s.doneClosed {
 		s.doneClosed = true
 		close(s.done)
 	}
-	s.stopTimersLocked()
-	s.cond.Broadcast()
 }
 
-// stopTimersLocked cancels every subflow's retransmission timer so a
-// finished or aborted sender stops rescheduling (onRTO and armTimer are
-// additionally gated on doneClosed for the timer that is mid-flight).
-func (s *Sender) stopTimersLocked() {
-	for _, sf := range s.subs {
-		sf.timer.Stop()
-		sf.timerOn = false
+// abortLocked records err and gives up: the peer vanished and the FIN
+// retry budget ran out, every path is dead, or a subflow socket was
+// closed under us.
+func (s *Sender) abortLocked(err error) {
+	if s.err == nil {
+		s.err = err
 	}
+	s.core.Stop()
+	s.closeDoneLocked()
+	s.cond.Broadcast()
 }
 
 // Cwnd returns subflow i's congestion window in segments.
 func (s *Sender) Cwnd(i int) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cc[i].Cwnd
+	return s.core.Cwnd(i)
 }
 
 // Stats is one coherent snapshot of the sender's counters, taken under
@@ -375,7 +336,7 @@ func (s *Sender) Cwnd(i int) float64 {
 // trio, whose separate calls could interleave with progress and whose
 // counters therefore never described one instant.
 type Stats struct {
-	SegsSent  int64 // data segments transmitted (incl. retransmissions)
+	SegsSent  int64 // data segments given a subflow sequence (first transmissions, incl. reinjected and duplicated data)
 	SegsRetx  int64 // subflow-level retransmissions
 	Reinjects int64 // data reinjections onto other subflows after RTOs
 	OppRetx   int64 // §6 opportunistic retransmissions of a blocking segment
@@ -393,258 +354,28 @@ func (s *Sender) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		SegsSent:    s.segsSent,
-		SegsRetx:    s.segsRetx,
-		Reinjects:   s.reinjects,
-		OppRetx:     s.oppRetx,
-		Penalties:   s.penalties,
+		Reinjects:   s.core.Reinjects,
+		OppRetx:     s.core.OppRetx,
+		Penalties:   s.core.Penalties,
 		Corrupt:     s.corrupt.Load(),
 		SubflowSent: make([]int64, len(s.subs)),
 	}
-	for i, sf := range s.subs {
-		st.SubflowSent[i] = sf.sndNxt
+	for i := range s.subs {
+		c := s.core.Stats(i)
+		st.SubflowSent[i] = c.PktsSent - c.PktsRetx
+		st.SegsSent += st.SubflowSent[i]
+		st.SegsRetx += c.PktsRetx
 	}
 	return st
 }
 
-// popData returns the next data sequence to send, preferring
-// reinjections; ok=false when nothing is sendable.
-func (s *Sender) popDataLocked() (seq int64, fin bool, ok bool) {
-	for len(s.reinj) > 0 {
-		d := s.reinj[0]
-		s.reinj = s.reinj[1:]
-		if s.seg(d) != nil {
-			return d, false, true
-		}
-	}
-	if s.dataNxt == s.dataEnd {
-		if s.closed && !s.finSent && s.dataNxt >= s.dataUna {
-			return 0, true, true
-		}
-		return 0, false, false
-	}
-	if s.dataNxt >= s.edge {
-		return 0, false, false // flow control
-	}
-	seq = s.dataNxt
-	s.dataNxt++
-	s.cond.Broadcast()
-	return seq, false, true
-}
-
-// pumpLocked lets every subflow with window space transmit, in scheduler
-// order — the paper's striping across subflows as windows open. When the
-// shared receive buffer blocks further assignment, the §6
-// countermeasures (if enabled) are applied before giving up.
-func (s *Sender) pumpLocked() {
-	if s.redundant {
-		s.pumpRedundantLocked()
-		return
-	}
-	for {
-		sf := s.pickLocked()
-		if sf == nil {
-			return
-		}
-		seq, fin, ok := s.popDataLocked()
-		if !ok {
-			s.rbufCountermeasuresLocked()
-			return
-		}
-		if fin {
-			s.finSent = true
-			s.sendFinLocked()
-			return
-		}
-		sf.sendData(seq)
-		if s.tracer != nil {
-			s.tracer.SchedPick(s.traceID, int32(sf.id), seq)
-		}
-	}
-}
-
-// pumpRedundantLocked drives the redundant scheduler: every subflow
-// keeps its own replay frontier (dupNxt) over the data stream and,
-// window permitting, carries every data sequence itself — the subflow
-// furthest ahead pulls new data, the others replay it. Frontiers skip
-// data the receiver already holds (below dataUna), so a subflow that
-// fell behind replays only the still-unacknowledged window, like
-// Linux's mptcp_redundant; later copies count as duplicate data at the
-// receiver and consume no shared buffer.
-func (s *Sender) pumpRedundantLocked() {
-	for progress := true; progress; {
-		progress = false
-		for i, sf := range s.subs {
-			if !s.spaceLocked(sf) {
-				continue
-			}
-			if s.dupNxt[i] < s.dataUna {
-				s.dupNxt[i] = s.dataUna
-			}
-			if s.dupNxt[i] < s.dataNxt {
-				if s.seg(s.dupNxt[i]) != nil {
-					sf.sendData(s.dupNxt[i])
-				}
-				s.dupNxt[i]++
-				progress = true
-				continue
-			}
-			seq, fin, ok := s.popDataLocked()
-			if !ok {
-				continue
-			}
-			if fin {
-				s.finSent = true
-				s.sendFinLocked()
-				return
-			}
-			sf.sendData(seq)
-			if seq+1 > s.dupNxt[i] {
-				s.dupNxt[i] = seq + 1
-			}
-			progress = true
-		}
-	}
-}
-
-// spaceLocked reports whether sf may carry a new segment: window room
-// and not in fast recovery.
-func (s *Sender) spaceLocked(sf *sendSubflow) bool {
-	w := int64(s.cc[sf.id].Cwnd)
-	if w < 1 {
-		w = 1
-	}
-	return sf.sndNxt-sf.sndUna < w && !sf.inRec
-}
-
-// pickLocked dispatches the subflow choice to the configured scheduler
-// over a scratch View slice, or nil when the scheduler declines.
-func (s *Sender) pickLocked() *sendSubflow {
-	for i, sf := range s.subs {
-		s.views[i] = sched.View{
-			Cwnd:     s.cc[i].Cwnd,
-			Inflight: sf.sndNxt - sf.sndUna,
-			SRTT:     sf.srtt.Seconds(),
-			Sendable: !sf.inRec,
-			Sent:     sf.sndNxt,
-		}
-	}
-	i := s.sched.Pick(sched.Ctx{Window: s.edge - s.dataNxt}, s.views)
-	if i < 0 {
-		return nil
-	}
-	return s.subs[i]
-}
-
-// rbufCountermeasuresLocked applies the paper's §6 remedies when the
-// shared receive buffer has blocked assignment (data queued but
-// dataNxt at the flow-control edge): opportunistically retransmit the
-// blocking segment — the data-level cumulative ack, parked on a slow
-// subflow — on the fastest other subflow with window space (once per
-// blocking segment), and halve the blocking subflow's congestion
-// window, at most once per its RTT. No-ops unless Config.SchedOpts
-// enables the countermeasures.
-func (s *Sender) rbufCountermeasuresLocked() {
-	if !s.cfg.SchedOpts.Any() || len(s.subs) < 2 {
-		return
-	}
-	if (s.dataNxt == s.dataEnd && len(s.reinj) == 0) || s.dataNxt < s.edge {
-		return // app-limited, not flow-control-blocked
-	}
-	if s.seg(s.dataUna) == nil {
-		return // blocking segment already delivered; ACK in flight
-	}
-	// Gate before the blocker scan: while the connection stays blocked
-	// on the same segment, every ACK re-enters here, and once the
-	// opportunistic retransmission is spent and every penalty backoff is
-	// still running there is nothing left to do this round trip.
-	now := time.Now()
-	needOpp := s.cfg.SchedOpts.OpportunisticRetx && s.oppSeq != s.dataUna
-	needPen := false
-	if s.cfg.SchedOpts.Penalize {
-		for _, sf := range s.subs {
-			if !now.Before(sf.nextPenalty) {
-				needPen = true
-				break
-			}
-		}
-	}
-	if !needOpp && !needPen {
-		return
-	}
-	blocker := s.findBlockerLocked()
-	if blocker == nil {
-		return
-	}
-	if s.cfg.SchedOpts.Penalize && !now.Before(blocker.nextPenalty) {
-		cw := &s.cc[blocker.id]
-		if cw.Cwnd > 1 {
-			cw.Cwnd /= 2
-			if cw.Cwnd < 1 {
-				cw.Cwnd = 1
-			}
-			cw.SSThresh = cw.Cwnd
-			s.penalties++
-			if s.tracer != nil {
-				s.tracer.Penalty(s.traceID, int32(blocker.id), cw.Cwnd)
-			}
-		}
-		d := blocker.srtt
-		if d <= 0 {
-			d = s.cfg.MinRTO
-		}
-		blocker.nextPenalty = now.Add(d)
-	}
-	if needOpp {
-		for i, sf := range s.subs {
-			s.views[i] = sched.View{
-				Cwnd:     s.cc[i].Cwnd,
-				Inflight: sf.sndNxt - sf.sndUna,
-				SRTT:     sf.srtt.Seconds(),
-				Sendable: !sf.inRec,
-			}
-		}
-		if best := sched.PickMinRTT(s.views, blocker.id); best >= 0 {
-			s.subs[best].sendData(s.dataUna)
-			s.oppSeq = s.dataUna
-			s.oppRetx++
-			if s.tracer != nil {
-				s.tracer.OppRetx(s.traceID, int32(best), s.dataUna)
-			}
-		}
-	}
-}
-
-// findBlockerLocked returns the subflow holding the un-delivered
-// segment the receive window is stuck on (dataSeq == dataUna,
-// outstanding and not SACKed), or nil.
-func (s *Sender) findBlockerLocked() *sendSubflow {
-	for _, sf := range s.subs {
-		for seq := sf.sndUna; seq < sf.sndNxt; seq++ {
-			if m := sf.meta.at(seq); !m.sacked && m.dataSeq == s.dataUna {
-				return sf
-			}
-		}
-	}
-	return nil
-}
-
-// seg returns the payload frame of a sent, not yet data-acknowledged
+// seg returns the payload frame of a written, not yet data-acknowledged
 // sequence, or nil.
 func (s *Sender) seg(d int64) *frame {
-	if d < s.dataUna || d >= s.dataNxt {
+	if d < s.freed || d >= s.dataEnd {
 		return nil
 	}
 	return *s.segs.at(d)
-}
-
-// seg returns the scoreboard entry of an outstanding subflow sequence,
-// or nil.
-func (sf *sendSubflow) seg(seq int64) *sentSeg {
-	if seq < sf.sndUna || seq >= sf.sndNxt {
-		return nil
-	}
-	return sf.meta.at(seq)
 }
 
 func (s *Sender) logf(format string, args ...any) {
@@ -653,60 +384,55 @@ func (s *Sender) logf(format string, args ...any) {
 	}
 }
 
-// --- subflow send machinery (all called with s.mu held unless noted) ---
+// --- proto.Shell: the core's side effects (all called with s.mu held) ---
 
-func (sf *sendSubflow) elapsedMicros() uint32 {
-	return uint32(time.Since(sf.start) / time.Microsecond)
-}
-
-func (sf *sendSubflow) sendData(dataSeq int64) {
-	s := sf.parent
-	seq := sf.sndNxt
-	sf.meta.put(sf.sndUna, seq, sentSeg{dataSeq: dataSeq})
-	sf.sndNxt++
-	sf.transmit(seq, false)
-	s.segsSent++
-}
-
-func (sf *sendSubflow) transmit(seq int64, retx bool) {
-	s := sf.parent
-	m := sf.seg(seq)
-	if m == nil {
-		return
-	}
+// Emit builds the wire frame of one data transmission and queues it on
+// the subflow's writer.
+func (s *Sender) Emit(sub int, seq, dataSeq int64, _ bool) {
 	// Copy, never alias: the payload frame may be freed (and rewritten)
 	// by the next data ACK while this transmission still sits in sendQ.
+	// Data already acknowledged at the data level (a subflow-level
+	// retransmission of it) travels as a bare header.
 	w := getFrame()
 	w.n = headerSize
-	if p := s.seg(m.dataSeq); p != nil {
+	if p := s.seg(dataSeq); p != nil {
 		w.n += copy(w.buf[headerSize:], p.buf[headerSize:p.n])
 	}
-	h := header{
-		Type:    typeData,
-		Subflow: uint16(sf.id),
-		ConnID:  s.connID,
-		Seq:     seq,
-		DataSeq: m.dataSeq,
-		Echo:    sf.elapsedMicros(),
-		Plen:    uint16(w.n - headerSize),
-	}
-	h.marshal(w.buf[:])
-	sealFrame(w.buf[:w.n])
-	m.retx = m.retx || retx
-	if retx {
-		s.segsRetx++
-		if s.tracer != nil {
-			s.tracer.Retx(s.traceID, int32(sf.id), seq)
-		}
-	}
-	// Arm only if no timer is pending: the RTO must track the oldest
-	// outstanding segment, not the most recent transmission.
-	if !sf.timerOn {
-		sf.armTimer()
-	}
+	sf := s.subs[sub]
+	sf.seal(w, header{Type: typeData, Seq: seq, DataSeq: dataSeq, Plen: uint16(w.n - headerSize)})
 	if !sf.queueWrite(w) {
 		putFrame(w)
 	}
+}
+
+// Probe sends a zero-window probe.
+func (s *Sender) Probe(sub int) {
+	sf := s.subs[sub]
+	w := getFrame()
+	w.n = headerSize
+	sf.seal(w, header{Type: typeProbe})
+	if !sf.queueWrite(w) {
+		putFrame(w)
+	}
+}
+
+func (s *Sender) ArmRTO(sub int, d proto.Time) { s.subs[sub].rto.arm(d) }
+func (s *Sender) StopRTO(sub int)              { s.subs[sub].rto.stop() }
+func (s *Sender) ArmPersist(d proto.Time)      { s.persist.arm(d) }
+func (s *Sender) StopPersist()                 { s.persist.stop() }
+
+// Completed records that all data is acknowledged; settleLocked, which
+// follows every core call, finishes once the FIN is acknowledged too.
+func (s *Sender) Completed() { s.completed = true }
+
+// --- subflow I/O ---
+
+// seal completes h with the subflow's identity and the timestamp to
+// echo, and marshals and checksums it into f, whose payload is in place.
+func (sf *sendSubflow) seal(f *frame, h header) {
+	h.Subflow, h.ConnID, h.Echo = uint16(sf.id), sf.parent.connID, sf.parent.echoNow()
+	h.marshal(f.buf[:])
+	sealFrame(f.buf[:f.n])
 }
 
 // queueWrite hands f to the subflow's writer goroutine, preserving the
@@ -756,78 +482,59 @@ func (sf *sendSubflow) write(f *frame) {
 }
 
 // sendFinLocked broadcasts the FIN on every subflow and arms the retry
-// chain. Broadcasting matters: the FIN is the one segment whose silent
-// loss the data machinery cannot recover (the receiver would never see
-// EOF), the retry chain stops as soon as the data stream is fully
-// acknowledged, and a FIN bound to a single subflow dies with that
-// path. Sending it on all subflows makes EOF delivery as reliable as
-// the best live path; the receiver treats repeated FINs idempotently.
+// chain. The FIN is the one segment the data machinery cannot recover
+// (it occupies no sequence space), so the chain runs until an ACK
+// carries flagFin — the receiver's word that it has seen one — not
+// merely until the data is acknowledged: a transfer whose tail recovers
+// quickly would otherwise finish with every copy of its only FIN lost,
+// and the receiver would never see EOF. Broadcasting makes each attempt
+// as reliable as the best live path (a FIN bound to a single subflow
+// dies with that path); the receiver treats repeated FINs idempotently.
 func (s *Sender) sendFinLocked() {
 	for _, sf := range s.subs {
-		sf.transmitFin()
+		f := getFrame()
+		f.n = headerSize
+		sf.seal(f, header{Type: typeFin, Aux: s.dataEnd})
+		if !sf.queueWrite(f) {
+			// The writer is backlogged or already gone: bypass the queue
+			// rather than drop the FIN (it carries no sequence-space
+			// ordering constraint). Bounded: at most one such write per
+			// subflow per retry tick.
+			go sf.write(f)
+		}
 	}
-	// Retransmit the FIN (with exponential backoff) until everything is
-	// acked. The chain is gated on done so it terminates as soon as the
-	// stream completes, and a retry budget stops it rescheduling forever
-	// when the peer is gone.
-	delay := s.cfg.MinRTO << uint(s.finRetries)
-	if delay > maxRTO || delay <= 0 {
-		delay = maxRTO
+	// Retransmit the FIN (with exponential backoff) until the stream is
+	// finished. The chain is gated on done so it terminates as soon as
+	// that happens, and a retry budget stops it rescheduling forever when
+	// the peer is gone.
+	delay := time.Duration(s.core.MinRTO()) << uint(s.finRetries)
+	if delay > time.Duration(proto.MaxRTO) || delay <= 0 {
+		delay = time.Duration(proto.MaxRTO)
 	}
 	s.finRetries++
 	time.AfterFunc(delay, func() {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.doneClosed || s.finishedLocked() {
-			s.maybeFinishLocked()
-			return
-		}
-		if s.finRetries > maxFinRetries {
+		switch {
+		case s.doneClosed:
+		case s.finRetries > maxFinRetries:
 			s.abortLocked(errors.New("mptcpnet: FIN unacknowledged after retries, giving up"))
-			return
+		default:
+			s.sendFinLocked()
 		}
-		s.sendFinLocked()
 	})
-}
-
-// transmitFin puts one FIN on this subflow's wire.
-func (sf *sendSubflow) transmitFin() {
-	s := sf.parent
-	h := header{
-		Type:    typeFin,
-		Subflow: uint16(sf.id),
-		ConnID:  s.connID,
-		Aux:     s.dataNxt,
-		Echo:    sf.elapsedMicros(),
-	}
-	f := getFrame()
-	f.n = headerSize
-	h.marshal(f.buf[:])
-	sealFrame(f.buf[:f.n])
-	if !sf.queueWrite(f) {
-		// The writer is backlogged or already gone: bypass the queue
-		// rather than drop the FIN (it carries no sequence-space
-		// ordering constraint). Bounded: at most one such write per
-		// subflow per retry tick.
-		go sf.write(f)
-	}
 }
 
 // readLoop consumes ACKs for one subflow. Runs unlocked; state updates
 // take the connection lock.
 func (sf *sendSubflow) readLoop() {
 	buf := make([]byte, 2048)
+	s := sf.parent
 	// A closed subflow socket means no ACK can ever arrive here again: if
 	// the stream is not already finished, abort so the writer goroutine,
-	// the FIN chain and the RTO timers are all released rather than
-	// leaked with an abandoned sender.
+	// the FIN chain and the timers are all released rather than leaked
+	// with an abandoned sender.
 	defer func() {
-		s := sf.parent
 		s.mu.Lock()
 		if !s.doneClosed {
 			s.abortLocked(fmt.Errorf("mptcpnet: subflow %d socket closed", sf.id))
@@ -842,237 +549,74 @@ func (sf *sendSubflow) readLoop() {
 		var h header
 		if err := h.unmarshal(buf[:n]); err != nil {
 			if errors.Is(err, errBadFrame) {
-				sf.parent.corrupt.Add(1)
+				s.corrupt.Add(1)
 			}
 			continue
 		}
-		if h.ConnID != sf.parent.connID {
-			continue
+		if h.ConnID == s.connID && h.Type == typeAck {
+			s.handleAck(sf, &h)
 		}
-		if h.Type != typeAck {
-			continue
-		}
-		sf.parent.handleAck(sf, &h)
 	}
 }
 
+// handleAck decodes one ACK for the core.
 func (s *Sender) handleAck(sf *sendSubflow, h *header) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	// Data-level bookkeeping (§6: explicit data ack + shared window).
-	// Sequences beyond what was sent cannot be acknowledged: clamp, so a
-	// bogus ACK can neither walk the rings out of range nor invert them.
-	for dataAck := min(h.DataSeq, s.dataNxt); s.dataUna < dataAck; s.dataUna++ {
-		slot := s.segs.at(s.dataUna)
-		putFrame(*slot)
-		*slot = nil
-	}
-	if e := h.DataSeq + int64(h.Window); e > s.edge {
-		s.edge = e
-	}
-
-	// SACK scoreboard.
-	newInfo := false
+	a := proto.Ack{Sub: sf.id, Seq: h.Seq, DataAck: h.DataSeq, Window: int64(h.Window), Sack: -1}
 	if h.Flags&flagSack != 0 {
-		if m := sf.seg(h.Aux); m != nil && !m.sacked {
-			m.sacked = true
-			newInfo = true
-		}
+		a.Sack = h.Aux
 	}
-
-	ack := min(h.Seq, sf.sndNxt)
-	switch {
-	case ack > sf.sndUna:
-		sf.rtoStreak = 0
-		newly := ack - sf.sndUna
-		// Karn's rule: an ACK that covers a retransmitted segment is
-		// ambiguous (it may acknowledge either transmission), so it must
-		// not feed the RTT estimator — an ambiguous sample corrupts
-		// srtt/RTO and flows into OnRTTSample, poisoning delay-based
-		// algorithms (wVegas baseRTT). The simulator transport suppresses
-		// these via per-packet timestamps; here we check the retx marks.
-		retxAcked := false
-		for seq := sf.sndUna; seq < ack; seq++ {
-			retxAcked = retxAcked || sf.meta.at(seq).retx
-		}
-		sf.sndUna = ack
-		if !retxAcked {
-			sf.sampleRTT(time.Duration(sf.elapsedMicros()-h.Echo) * time.Microsecond)
-		}
-		cc := &s.cc[sf.id]
-		if sf.inRec && ack >= sf.recover {
-			sf.inRec = false
-			sf.dupSacks = 0
-			if s.tracer != nil {
-				s.tracer.SubflowState(s.traceID, int32(sf.id), "open")
-			}
-		}
-		if !sf.inRec {
-			for i := int64(0); i < newly; i++ {
-				if cc.Cwnd < cc.SSThresh {
-					cc.Cwnd++
-				} else {
-					cc.Cwnd += s.alg.Increase(s.cc, sf.id)
-				}
-			}
-			if s.tracer != nil {
-				s.tracer.CwndChange(s.traceID, int32(sf.id), cc.Cwnd)
-			}
-		}
-		sf.armTimer()
-	case ack == sf.sndUna && newInfo && !sf.inRec:
-		sf.dupSacks++
-		if sf.dupSacks >= 3 {
-			s.fastRetransmit(sf)
-		}
+	if h.Flags&flagFin != 0 {
+		s.finAcked = true
 	}
-	s.pumpLocked()
-	s.maybeFinishLocked()
+	if h.Echo != 0 { // 0: a window update, which echoes no transmission
+		a.RTT = proto.Time(time.Duration(s.echoNow()-h.Echo) * time.Microsecond)
+	}
+	s.core.OnAck(s.now(), a)
+	s.settleLocked()
 }
 
-// allSubflowsTimedOutLocked reports whether every subflow has hit the
+// onRTO is the retransmission timer's callback.
+func (sf *sendSubflow) onRTO() {
+	s := sf.parent
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !sf.rto.expired() {
+		return
+	}
+	now := s.now()
+	s.core.OnRTO(now, sf.id)
+	if s.allPathsDeadLocked() {
+		s.abortLocked(errors.New("mptcpnet: every subflow timed out repeatedly with no progress, giving up"))
+		return
+	}
+	// The core's OnRTO does not pump (in the simulator the other
+	// subflows' ACK clock does); here they may all be idle, so the
+	// reinjections must leave now.
+	s.core.Pump(now)
+	s.settleLocked()
+}
+
+// allPathsDeadLocked reports whether every subflow has hit the
 // consecutive-RTO give-up bound — the all-paths-dead terminal state.
-func (s *Sender) allSubflowsTimedOutLocked() bool {
-	for _, sf := range s.subs {
-		if sf.rtoStreak < maxRTOStreak {
+func (s *Sender) allPathsDeadLocked() bool {
+	for i := range s.subs {
+		if s.core.Backoff(i) < maxRTOStreak {
 			return false
 		}
 	}
 	return true
 }
 
-// fastRetransmit halves the window once and retransmits all unsacked
-// segments below the highest sacked sequence.
-func (s *Sender) fastRetransmit(sf *sendSubflow) {
-	cc := &s.cc[sf.id]
-	if s.lossObs != nil {
-		s.lossObs.OnLoss(s.cc, sf.id)
-	}
-	cc.Cwnd = s.alg.Decrease(s.cc, sf.id)
-	cc.SSThresh = cc.Cwnd
-	if s.tracer != nil {
-		s.tracer.Loss(s.traceID, int32(sf.id), "fast", sf.sndUna)
-		s.tracer.CwndChange(s.traceID, int32(sf.id), cc.Cwnd)
-		s.tracer.SubflowState(s.traceID, int32(sf.id), "recovery")
-	}
-	sf.inRec = true
-	sf.recover = sf.sndNxt
-	sf.dupSacks = 0
-	high := sf.sndNxt - 1
-	for high >= sf.sndUna && !sf.meta.at(high).sacked {
-		high--
-	}
-	for seq := sf.sndUna; seq < high; seq++ {
-		if m := sf.meta.at(seq); !m.sacked && !m.retx {
-			sf.transmit(seq, true)
-		}
-	}
-	s.logf("sf%d fast retransmit, cwnd=%.1f", sf.id, cc.Cwnd)
-}
-
-// onRTO collapses the window, retransmits the front and reinjects
-// outstanding data onto the other subflows, in sequence order. It is the
-// timer callback, and Stop cannot recall a callback already blocked on
-// mu: one that lost the race with an ACK finds the timer disarmed or the
-// deadline moved, and only re-arms for the remainder.
-func (sf *sendSubflow) onRTO() {
-	s := sf.parent
+// onPersist is the persist timer's callback.
+func (s *Sender) onPersist() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !sf.timerOn {
-		return
+	if s.persist.expired() {
+		s.core.OnPersist(s.now())
 	}
-	if d := time.Until(sf.deadline); d > 0 {
-		sf.timer.Reset(d)
-		return
-	}
-	sf.timerOn = false
-	if s.doneClosed || sf.sndNxt == sf.sndUna {
-		return // finished/aborted senders must not rearm
-	}
-	sf.rtoStreak++
-	if s.allSubflowsTimedOutLocked() {
-		s.abortLocked(errors.New("mptcpnet: every subflow timed out repeatedly with no progress, giving up"))
-		return
-	}
-	cc := &s.cc[sf.id]
-	if s.lossObs != nil {
-		s.lossObs.OnLoss(s.cc, sf.id)
-	}
-	cc.SSThresh = s.alg.Decrease(s.cc, sf.id)
-	if cc.SSThresh < 2 {
-		cc.SSThresh = 2
-	}
-	cc.Cwnd = 1
-	sf.inRec = false
-	sf.dupSacks = 0
-	if s.tracer != nil {
-		s.tracer.Loss(s.traceID, int32(sf.id), "rto", sf.sndUna)
-		s.tracer.CwndChange(s.traceID, int32(sf.id), cc.Cwnd)
-	}
-	for seq := sf.sndUna; seq < sf.sndNxt; seq++ {
-		m := sf.meta.at(seq)
-		if m.sacked {
-			continue
-		}
-		// Earlier retransmissions are presumed lost too; clearing the
-		// mark lets the next fast recovery retransmit them again.
-		m.retx = false
-		if len(s.subs) > 1 {
-			s.reinj = append(s.reinj, m.dataSeq)
-			s.reinjects++
-		}
-	}
-	sf.transmit(sf.sndUna, true)
-	sf.rto *= 2
-	if sf.rto > maxRTO {
-		sf.rto = maxRTO
-	}
-	sf.armTimer()
-	s.pumpLocked()
-	s.maybeFinishLocked()
-}
-
-func (sf *sendSubflow) sampleRTT(rtt time.Duration) {
-	if rtt <= 0 {
-		return
-	}
-	if sf.srtt == 0 {
-		sf.srtt, sf.rttvar = rtt, rtt/2
-	} else {
-		diff := sf.srtt - rtt
-		if diff < 0 {
-			diff = -diff
-		}
-		sf.rttvar = (3*sf.rttvar + diff) / 4
-		sf.srtt = (7*sf.srtt + rtt) / 8
-	}
-	sf.parent.cc[sf.id].SRTT = sf.srtt.Seconds()
-	if obs := sf.parent.rttObs; obs != nil {
-		obs.OnRTTSample(sf.parent.cc, sf.id, rtt.Seconds())
-	}
-	if tr := sf.parent.tracer; tr != nil {
-		tr.RTTSample(sf.parent.traceID, int32(sf.id), rtt.Seconds())
-	}
-	rto := sf.srtt + 4*sf.rttvar
-	if rto < sf.parent.cfg.MinRTO {
-		rto = sf.parent.cfg.MinRTO
-	}
-	if rto > maxRTO {
-		rto = maxRTO
-	}
-	sf.rto = rto
-}
-
-func (sf *sendSubflow) armTimer() {
-	sf.timerOn = !sf.parent.doneClosed && sf.sndNxt != sf.sndUna
-	if !sf.timerOn {
-		sf.timer.Stop()
-		return
-	}
-	sf.deadline = time.Now().Add(sf.rto)
-	sf.timer.Reset(sf.rto)
 }
 
 var _ io.WriteCloser = (*Sender)(nil)
+var _ proto.Shell = (*Sender)(nil)

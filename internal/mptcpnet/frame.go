@@ -8,9 +8,9 @@ import "sync"
 //
 //   - Sender.Write copies application bytes into a payload frame, which
 //     the send ring owns until the data-level ACK passes it;
-//   - transmit copies that payload (under mu — never aliases it) into a
-//     wire frame, which passes through sendQ to writeLoop and is freed
-//     after WriteTo returns;
+//   - Emit copies that payload (under mu — never aliases it) into a wire
+//     frame, which passes through sendQ to writeLoop and is freed after
+//     WriteTo returns;
 //   - the receiver's readLoop reads each datagram into a frame that the
 //     reorder ring owns until Read has consumed it.
 //
@@ -28,7 +28,7 @@ func getFrame() *frame  { return framePool.Get().(*frame) }
 func putFrame(f *frame) { framePool.Put(f) }
 
 // ring is a power-of-two circular buffer indexed by sequence number, the
-// shape of transport.Subflow's scoreboard: the owner keeps the live range
+// shape of the protocol core's scoreboard: the owner keeps the live range
 // [lo, hi) and the ring doubles on demand, so it is sized by what is
 // actually outstanding, never by a window the peer advertises.
 type ring[T any] struct{ buf []T }

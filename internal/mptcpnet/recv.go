@@ -6,37 +6,36 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"mptcp/internal/proto"
 )
 
 // Receiver is the receiving side of a multipath connection: it reads
 // segments from every subflow socket, acknowledges them (subflow ack +
 // explicit data ack + shared-buffer window, per §6), reassembles the data
-// stream and serves it through Read.
+// stream and serves it through Read. The sequence tracking, the window
+// and the keep-or-drop verdicts are the protocol core's; this shell owns
+// the sockets, the payload frames and the blocking Read.
 type Receiver struct {
 	connID uint64
 	conns  []net.PacketConn
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	subRcvNxt []int64
-	subOOO    []map[int64]struct{}
-	// segs holds every frame the receiver owns, by data sequence:
-	// [readNxt, dataNxt) is the in-order read queue Read copies out of,
-	// slots above dataNxt are the reorder buffer (nil = not yet arrived).
-	// Delivering a segment in order is therefore just dataNxt++.
+	mu   sync.Mutex
+	cond *sync.Cond
+	core proto.Receiver
+	// segs holds every payload frame the receiver owns, by data
+	// sequence, from readNxt (the core's consumed point) up:
+	// [readNxt, core.DataRcvNxt()) is the in-order queue Read copies out
+	// of, slots above it are the reorder buffer.
 	segs    ring[*frame]
 	readNxt int64
-	dataNxt int64
 	finSeq  int64 // end-of-stream data sequence, -1 until FIN seen
-	bufCap  int64 // shared receive buffer, segments
-	held    int64
 	closed  bool
+	// peers is where each subflow's datagrams last came from: Read sends
+	// its window updates there.
+	peers []net.Addr
 
-	// Stats, guarded by mu; read via Stats() and SubflowReceived().
-	segsRecvd    int64
-	dupData      int64
-	overflow     int64 // segments refused by the shared buffer
-	subflowRecvd []int64
+	segsRecvd int64 // segments received, including duplicates
 
 	// corrupt counts inbound frames dropped by the checksum; atomic (not
 	// mu) because readLoop bumps it without taking the lock.
@@ -50,19 +49,9 @@ func NewReceiver(connID uint64, conns []net.PacketConn, bufSegments int64) *Rece
 	if bufSegments <= 0 {
 		bufSegments = 256
 	}
-	r := &Receiver{
-		connID:       connID,
-		conns:        conns,
-		subRcvNxt:    make([]int64, len(conns)),
-		subOOO:       make([]map[int64]struct{}, len(conns)),
-		finSeq:       -1,
-		bufCap:       bufSegments,
-		subflowRecvd: make([]int64, len(conns)),
-	}
+	r := &Receiver{connID: connID, conns: conns, finSeq: -1, peers: make([]net.Addr, len(conns))}
+	r.core.Reset(len(conns), bufSegments)
 	r.cond = sync.NewCond(&r.mu)
-	for i := range r.subOOO {
-		r.subOOO[i] = make(map[int64]struct{})
-	}
 	for i := range conns {
 		go r.readLoop(i)
 	}
@@ -70,29 +59,47 @@ func NewReceiver(connID uint64, conns []net.PacketConn, bufSegments int64) *Rece
 }
 
 // Read returns in-order stream data, blocking until some is available or
-// the stream ends (io.EOF).
+// the stream ends (io.EOF). A read that reopens a closed receive window
+// sends a window update on every subflow.
 func (r *Receiver) Read(p []byte) (int, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.readNxt == r.dataNxt {
-		if r.finSeq >= 0 && r.dataNxt >= r.finSeq {
-			return 0, io.EOF
+	for r.core.Readable() == 0 {
+		var err error
+		switch {
+		case r.finSeq >= 0 && r.core.DataRcvNxt() >= r.finSeq:
+			err = io.EOF
+		case r.closed:
+			err = io.ErrClosedPipe
 		}
-		if r.closed {
-			return 0, io.ErrClosedPipe
+		if err != nil {
+			r.mu.Unlock()
+			return 0, err
 		}
 		r.cond.Wait()
 	}
-	n := 0
-	for n < len(p) && r.readNxt < r.dataNxt {
-		slot := r.segs.at(r.readNxt)
-		f := *slot
+	n, reopened := 0, false
+	for n < len(p) && r.core.Readable() > 0 {
+		f := *r.segs.at(r.readNxt)
 		c := copy(p[n:], f.buf[f.off:f.n])
 		n, f.off = n+c, f.off+c
 		if f.off == f.n { // consumed: the frame goes back to the pool
-			*slot = nil
 			putFrame(f)
 			r.readNxt++
+			reopened = r.core.Consume(1) || reopened
+		}
+	}
+	var updates []header
+	var peers []net.Addr
+	if reopened {
+		peers = append(peers, r.peers...)
+		for sub := range r.conns {
+			updates = append(updates, r.ackLocked(sub, 0, -1)) // echo 0: no transmission to time
+		}
+	}
+	r.mu.Unlock()
+	for sub := range updates {
+		if peers[sub] != nil {
+			r.writeAck(sub, &updates[sub], peers[sub], make([]byte, headerSize))
 		}
 	}
 	return n, nil
@@ -111,7 +118,7 @@ func (r *Receiver) Close() error {
 func (r *Receiver) Received() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dataNxt
+	return r.core.DataRcvNxt()
 }
 
 // Stats returns the receiver's counters: segments received (including
@@ -120,7 +127,7 @@ func (r *Receiver) Received() int64 {
 func (r *Receiver) Stats() (recvd, dupData, overflow int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.segsRecvd, r.dupData, r.overflow
+	return r.segsRecvd, r.core.DupData, r.core.Overflow
 }
 
 // Corrupted returns the count of inbound frames dropped because their
@@ -133,24 +140,15 @@ func (r *Receiver) Corrupted() int64 { return r.corrupt.Load() }
 func (r *Receiver) SubflowReceived(i int) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.subflowRecvd[i]
+	return r.core.SubDelivered(i)
 }
 
-func (r *Receiver) window() int64 {
-	w := r.bufCap - r.held
-	if w < 0 {
-		w = 0
-	}
-	return w
-}
-
-// readLoop reads datagrams straight into a pooled frame. A frame that
-// onDataLocked keeps (new data) is replaced by a fresh one; anything else
-// is overwritten by the next read. The ACK is built in the same critical
-// section as the state change it reports and marshalled into a scratch
-// header this goroutine owns.
+// readLoop reads datagrams straight into a pooled frame. A frame the
+// core's verdict keeps (new data) is replaced by a fresh one; anything
+// else is overwritten by the next read. The ACK is built in the same
+// critical section as the state change it reports.
 func (r *Receiver) readLoop(sub int) {
-	var ackBuf [headerSize]byte
+	ackBuf := make([]byte, headerSize)
 	f := getFrame()
 	for {
 		n, from, err := r.conns[sub].ReadFrom(f.buf[:])
@@ -169,16 +167,16 @@ func (r *Receiver) readLoop(sub int) {
 		}
 		sack, reply, kept := int64(-1), true, false
 		r.mu.Lock()
+		r.peers[sub] = from
 		switch h.Type {
 		case typeData:
-			f.n, f.off = headerSize+int(h.Plen), headerSize
 			sack, reply, kept = r.onDataLocked(sub, &h, f)
 		case typeFin:
 			if r.finSeq < 0 || h.Aux < r.finSeq {
 				r.finSeq = h.Aux
 			}
 			r.cond.Broadcast()
-		case typeProbe:
+		case typeProbe: // acknowledge current state, change nothing
 		default:
 			reply = false
 		}
@@ -188,96 +186,60 @@ func (r *Receiver) readLoop(sub int) {
 			f = getFrame()
 		}
 		if reply {
-			ack.marshal(ackBuf[:])
-			sealFrame(ackBuf[:])
-			r.conns[sub].WriteTo(ackBuf[:], from) //nolint:errcheck // lossy path semantics
+			r.writeAck(sub, &ack, from, ackBuf)
 		}
 	}
 }
 
-// onDataLocked admits one data segment carried in f. It reports the new
-// SACK information (-1: none), whether to acknowledge at all, and
-// whether the receiver kept f.
+// onDataLocked hands one data segment, carried in f, to the core and
+// acts on its verdict. It reports the new SACK information (-1: none),
+// whether to acknowledge at all, and whether the receiver kept f.
 func (r *Receiver) onDataLocked(sub int, h *header, f *frame) (sack int64, reply, kept bool) {
 	r.segsRecvd++
-
-	// Shared-buffer admission first (§6): data beyond the buffer edge is
-	// treated exactly like a network loss — no subflow state changes and
-	// no ACK — so subflow-level retransmission recovers it once the
-	// window reopens. Admitting the subflow sequence while dropping the
-	// data would acknowledge a segment whose payload nobody will resend.
-	if h.DataSeq >= r.dataNxt+r.bufCap {
-		r.overflow++
-		return -1, false, false
-	}
-
-	sack = -1
-	seq := h.Seq
-	switch {
-	case seq == r.subRcvNxt[sub]:
-		r.subRcvNxt[sub]++
-		for {
-			if _, ok := r.subOOO[sub][r.subRcvNxt[sub]]; !ok {
-				break
-			}
-			delete(r.subOOO[sub], r.subRcvNxt[sub])
-			r.subRcvNxt[sub]++
+	v, sack := r.core.OnData(sub, h.Seq, h.DataSeq)
+	if v == proto.New {
+		f.n, f.off = headerSize+int(h.Plen), headerSize
+		r.segs.put(r.readNxt, h.DataSeq, f)
+		// Only an arrival that makes data readable wakes Read: waking it
+		// for a segment that merely joins the reorder buffer costs a
+		// goroutine switch that finds nothing — on paths of unequal
+		// delay that is most arrivals.
+		if h.DataSeq < r.core.DataRcvNxt() {
+			r.cond.Broadcast()
 		}
-	case seq > r.subRcvNxt[sub]:
-		if _, dup := r.subOOO[sub][seq]; !dup {
-			sack = seq // new SACK information only (RFC 6675)
-		}
-		r.subOOO[sub][seq] = struct{}{}
 	}
-
-	d := h.DataSeq
-	if d < r.dataNxt || r.seg(d) != nil {
-		r.dupData++
-		return sack, true, false
-	}
-	r.segs.put(r.readNxt, d, f)
-	r.held++
-	r.subflowRecvd[sub]++
-	// Only an arrival at dataNxt makes anything readable. Waking Read for
-	// a segment that merely joins the reorder buffer costs a goroutine
-	// switch that finds nothing — on paths of unequal delay that is most
-	// arrivals.
-	if d == r.dataNxt {
-		for r.seg(r.dataNxt) != nil {
-			r.held--
-			r.dataNxt++
-		}
-		r.cond.Broadcast()
-	}
-	return sack, true, true
-}
-
-// seg returns the frame held for data sequence d >= readNxt, or nil.
-func (r *Receiver) seg(d int64) *frame {
-	if d-r.readNxt >= int64(len(r.segs.buf)) {
-		return nil
-	}
-	return *r.segs.at(d)
+	return sack, v != proto.Overflow, v == proto.New
 }
 
 // ackLocked builds the §6 acknowledgment: subflow cumulative ack,
 // explicit data ack, shared-buffer window and echoed timestamp (+
-// optional SACK).
+// optional SACK, + the FIN-seen mark).
 func (r *Receiver) ackLocked(sub int, echo uint32, sack int64) header {
 	h := header{
 		Type:    typeAck,
 		Subflow: uint16(sub),
 		ConnID:  r.connID,
-		Seq:     r.subRcvNxt[sub],
-		DataSeq: r.dataNxt,
-		Window:  uint32(r.window()),
+		Seq:     r.core.SubRcvNxt(sub),
+		DataSeq: r.core.DataRcvNxt(),
+		Window:  uint32(r.core.Window()),
 		Echo:    echo,
 	}
 	if sack >= 0 {
 		h.Flags |= flagSack
 		h.Aux = sack
 	}
+	if r.finSeq >= 0 {
+		h.Flags |= flagFin // tells the sender its FIN chain may stop
+	}
 	return h
+}
+
+// writeAck marshals one ACK into buf, scratch the calling goroutine owns,
+// and puts it on subflow sub's socket.
+func (r *Receiver) writeAck(sub int, h *header, to net.Addr, buf []byte) {
+	h.marshal(buf)
+	sealFrame(buf)
+	r.conns[sub].WriteTo(buf, to) //nolint:errcheck // lossy path semantics
 }
 
 var _ io.Reader = (*Receiver)(nil)

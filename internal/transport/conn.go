@@ -3,31 +3,17 @@
 //
 // A Conn is a connection with one or more subflows, each taking its own
 // route. Single-path TCP is simply a Conn with one subflow driven by
-// core.Regular — exactly how the paper treats it. Each subflow runs
-// NewReno-style machinery (slow start, fast retransmit/recovery, RFC 6298
-// retransmission timer); congestion avoidance window arithmetic is
-// delegated to a core.Algorithm, so REGULAR/EWTCP/COUPLED/SEMICOUPLED/
-// MPTCP all share identical loss detection, exactly as in the paper's
-// Linux implementation.
+// core.Regular — exactly how the paper treats it.
 //
-// New data is assigned to subflows by a pluggable packet scheduler from
-// internal/sched (default: the historical first-fit striping; minRTT,
-// round-robin, cwnd-weighted, redundant and BLEST are registered), and
-// the §6 receive-buffer-blocking countermeasures — opportunistic
-// retransmission and subflow penalization — compose with any scheduler
-// via Config.SchedOpts. Loss-recovery transmissions never go through
-// the scheduler.
-//
-// The protocol model follows §6 of the paper:
-//
-//   - separate sequence spaces: per-subflow sequence numbers for loss
-//     detection, and connection-level data sequence numbers for stream
-//     reassembly, carried on every data packet;
-//   - explicit data acknowledgments carried on every ACK (the paper shows
-//     inferring the data ack from subflow acks is unsound when ACKs
-//     arrive out of order across subflows);
-//   - a single shared receive buffer, its window advertised relative to
-//     the data-level cumulative ack (per-subflow buffers can deadlock).
+// The protocol itself — per-subflow NewReno machinery, the §6 data
+// sequence space, data ACKs, shared receive window, reinjection and
+// receive-buffer countermeasures, with window arithmetic delegated to a
+// core.Algorithm and placement of new data to a sched.Scheduler (default:
+// the historical first-fit striping) — is internal/proto's, shared with
+// the real-UDP stack. This package is its simulator shell: it maps the
+// core's emissions onto netsim.Packets and Routes, its timers onto
+// sim.Timers, draws the send jitter, recycles connections through
+// ConnPool and guards each life of a pooled connection by FlowID.
 //
 // Sequence numbers count packets, not bytes, and windows are maintained
 // in packets, as the paper presents them.
@@ -35,19 +21,18 @@ package transport
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
-	"mptcp/internal/cc"
 	"mptcp/internal/core"
 	"mptcp/internal/netsim"
+	"mptcp/internal/proto"
 	"mptcp/internal/sched"
 	"mptcp/internal/sim"
 	"mptcp/internal/trace"
 )
 
 // Infinite marks an unlimited data supply (a long-lived flow).
-const Infinite int64 = -1
+const Infinite = proto.Infinite
 
 // Path is the pair of routes used by one subflow: Fwd carries data from
 // sender to receiver, Rev carries ACKs back.
@@ -122,69 +107,27 @@ type Config struct {
 }
 
 // Conn is the sender side of a (multipath) connection together with its
-// receiver model. Create with NewConn, then Start.
+// receiver model. Create with NewConn, then Start. It is the simulator
+// shell of the protocol core: it owns the routes, the timers and the
+// send-jitter draw, and implements proto.Shell.
 type Conn struct {
-	ID   int
-	net  *netsim.Net
-	cfg  Config
-	alg  core.Algorithm
-	subs []*Subflow
-	cc   []core.Subflow
-	recv *Receiver
-
-	// Optional algorithm hooks (internal/cc's extended contract),
-	// resolved once at construction so the per-ACK path pays no type
-	// assertion: nil when the algorithm does not implement them.
-	rttObs  cc.RTTObserver
-	lossObs cc.LossObserver
-
-	// tracer is nil unless Config.Tracer enabled tracing; traceID is
-	// this connection's tracer-scoped ID, allocated in construction
-	// order (deterministic within a world, unlike the diagnostic global
-	// ID below).
-	tracer  *trace.Tracer
-	traceID int32
-
-	// Scheduler state: the configured scheduler, whether it duplicates
-	// segments (resolved once, like the cc hooks), and a scratch View
-	// slice reused across pumps so the per-ACK path allocates nothing.
-	sched     sched.Scheduler
-	redundant bool
-	views     []sched.View
-	// dupNxt is the redundant scheduler's per-subflow replay frontier:
-	// the next data sequence subflow i should (re)carry. Nil unless the
-	// scheduler duplicates.
-	dupNxt []int64
-
-	// Receive-buffer countermeasure state (§6): oppRetxSeq remembers the
-	// last data sequence opportunistically retransmitted so each blocking
-	// segment is re-sent at most once.
-	oppRetxSeq int64
-
+	ID int
 	// OppRetx counts opportunistic retransmissions; Penalties counts
 	// subflow-penalization window halvings (both 0 unless SchedOpts
-	// enables the countermeasures).
-	OppRetx   int64
-	Penalties int64
+	// enables the countermeasures). Kept by the protocol core.
+	*proto.Counters
 
-	dataNxt   int64 // next new data sequence number to assign
-	dataUna   int64 // cumulative data-level acknowledgment
-	dataEdge  int64 // highest permitted dataSeq+1 (flow control edge)
-	total     int64 // total data packets, or Infinite
-	reinjectQ []int64
-	started   bool
-	done      bool
-	startedAt sim.Time
-	doneAt    sim.Time
+	net  *netsim.Net
+	cfg  Config
+	core proto.Sender
+	subs []*Subflow
+	recv *Receiver
 
-	// Zero-window persist state: when the advertised window closes and
-	// nothing is in flight, the sender probes periodically so a lost
-	// window update cannot deadlock the connection.
-	fcBlocked    bool
+	started      bool
+	startedAt    sim.Time
+	doneAt       sim.Time
 	persistTimer *sim.Timer
 }
-
-const persistInterval = 200 * sim.Millisecond
 
 // nextConnID is atomic because independent simulator worlds construct
 // connections concurrently (internal/exp's parallel runner). The ID is
@@ -201,31 +144,18 @@ func NewConn(nw *netsim.Net, cfg Config) *Conn {
 
 // init (re)constructs the connection in place. A zero Conn becomes a
 // fresh connection; a completed connection is rebuilt for a new life
-// (ConnPool), reusing its subflows — with their grown meta rings — its
-// receiver's maps, and its scratch slices. Reuse requires an equal path
-// count (the pool keys on it); on mismatch everything is rebuilt.
-// Routes are always fresh allocations: packets from a previous life
-// still in flight keep their old route object intact, and the FlowID
+// (ConnPool), reusing its subflows, the protocol core's grown scoreboard
+// rings and scratch slices, and its receiver's maps. Reuse requires an
+// equal path count (the pool keys on it); on mismatch everything is
+// rebuilt. Routes are always fresh allocations: packets from a previous
+// life still in flight keep their old route object intact, and the FlowID
 // guard in the receive paths discards them on arrival.
 func (c *Conn) init(nw *netsim.Net, cfg Config) {
 	if len(cfg.Paths) == 0 {
 		panic("transport: connection needs at least one path")
 	}
-	if cfg.Alg == nil {
-		if len(cfg.Paths) == 1 {
-			cfg.Alg = core.Regular{}
-		} else {
-			cfg.Alg = &core.MPTCP{}
-		}
-	}
 	if cfg.RecvBuf <= 0 {
 		cfg.RecvBuf = 1 << 20
-	}
-	if cfg.InitialCwnd <= 0 {
-		cfg.InitialCwnd = 2
-	}
-	if cfg.MinRTO <= 0 {
-		cfg.MinRTO = 200 * sim.Millisecond
 	}
 	if cfg.DataPackets == 0 {
 		cfg.DataPackets = Infinite
@@ -240,71 +170,42 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 		cfg.Sched = sched.FirstFit{}
 	}
 	n := len(cfg.Paths)
-	// Salvage the reusable allocations of a previous life before the
-	// wholesale reset below clears every field.
-	subs, ccs, views, recv := c.subs, c.cc, c.views, c.recv
-	reinjectQ, dupNxt := c.reinjectQ, c.dupNxt
-	if len(subs) != n {
-		subs, ccs, views, recv, dupNxt = nil, nil, nil, nil, nil
+	c.ID = int(nextConnID.Add(1))
+	c.net, c.cfg = nw, cfg
+	c.started, c.startedAt, c.doneAt = false, 0, 0
+	c.core.Reset(c, proto.SenderConfig{
+		Subflows:        n,
+		Alg:             cfg.Alg,
+		Sched:           cfg.Sched,
+		SchedOpts:       cfg.SchedOpts,
+		Total:           cfg.DataPackets,
+		Window:          cfg.RecvBuf,
+		InitialCwnd:     cfg.InitialCwnd,
+		MinRTO:          proto.Time(cfg.MinRTO),
+		DisableReinject: cfg.DisableReinject,
+		Tracer:          cfg.Tracer,
+	})
+	if cfg.DataPackets != Infinite {
+		c.core.Finish()
 	}
-	*c = Conn{
-		ID:         int(nextConnID.Add(1)),
-		net:        nw,
-		cfg:        cfg,
-		alg:        cfg.Alg,
-		total:      cfg.DataPackets,
-		dataEdge:   cfg.RecvBuf,
-		sched:      cfg.Sched,
-		oppRetxSeq: -1,
-		tracer:     cfg.Tracer,
-		traceID:    cfg.Tracer.ConnID(), // nil-safe: -1 when tracing is off
-	}
-	if reinjectQ != nil {
-		c.reinjectQ = reinjectQ[:0]
-	}
-	c.rttObs, _ = c.alg.(cc.RTTObserver)
-	c.lossObs, _ = c.alg.(cc.LossObserver)
-	if d, ok := c.sched.(sched.Duplicator); ok {
-		c.redundant = d.Duplicates()
-	}
-	if c.redundant {
-		if dupNxt != nil {
-			clear(dupNxt)
-			c.dupNxt = dupNxt
-		} else {
-			c.dupNxt = make([]int64, n)
+	c.Counters = &c.core.Counters
+	c.persistTimer = nw.Sim.NewTimer(c.onPersist)
+	if len(c.subs) != n {
+		c.subs, c.recv = make([]*Subflow, n), &Receiver{rev: make([]*netsim.Route, n)}
+		for i := range c.subs {
+			c.subs[i] = &Subflow{conn: c, id: i}
 		}
 	}
-	if views != nil {
-		c.views = views
-	} else {
-		c.views = make([]sched.View, n)
-	}
-	c.persistTimer = nw.Sim.NewTimer(c.persistProbe)
-	if ccs != nil {
-		c.cc = ccs
-	} else {
-		c.cc = make([]core.Subflow, n)
-	}
-	if recv != nil {
-		recv.reset(nw, c, cfg.RecvBuf)
-		c.recv = recv
-	} else {
-		c.recv = newReceiver(nw, c, n, cfg.RecvBuf)
-	}
-	c.subs = subs
+	c.recv.net, c.recv.conn, c.recv.stalled = nw, c, false
+	c.recv.Reset(n, cfg.RecvBuf)
 	for i, p := range cfg.Paths {
-		var sf *Subflow
-		if subs != nil {
-			sf = subs[i]
-			sf.reset(c)
-		} else {
-			sf = newSubflow(c, i)
-			c.subs = append(c.subs, sf)
-		}
+		sf := c.subs[i]
+		sf.SubflowStats, sf.nextSend = c.core.Stats(i), 0
+		// One owned timer for the life of the subflow, rearmed in place
+		// on every ACK (ArmRTO) instead of re-created.
+		sf.rtoTimer = nw.Sim.NewTimer(sf.onRTO)
 		sf.fwd = netsim.NewRoute(c.recv, p.Fwd...)
 		c.recv.rev[i] = netsim.NewRoute(sf, p.Rev...)
-		c.cc[i] = core.Subflow{Cwnd: cfg.InitialCwnd, SSThresh: math.Inf(1)}
 	}
 }
 
@@ -315,8 +216,10 @@ func (c *Conn) Start() {
 	}
 	c.started = true
 	c.startedAt = c.net.Sim.Now()
-	c.pump()
+	c.core.Pump(c.now())
 }
+
+func (c *Conn) now() proto.Time { return proto.Time(c.net.Sim.Now()) }
 
 // Receiver returns the connection's receiver model.
 func (c *Conn) Receiver() *Receiver { return c.recv }
@@ -325,36 +228,43 @@ func (c *Conn) Receiver() *Receiver { return c.recv }
 func (c *Conn) Subflows() []*Subflow { return c.subs }
 
 // Alg returns the congestion control algorithm driving the connection.
-func (c *Conn) Alg() core.Algorithm { return c.alg }
+func (c *Conn) Alg() core.Algorithm { return c.core.Alg() }
 
-// Done reports whether a finite flow has been fully acknowledged.
-func (c *Conn) Done() bool { return c.done }
+// Done reports whether a finite flow has been fully acknowledged (or the
+// connection was stopped).
+func (c *Conn) Done() bool { return c.core.Done() }
 
 // Stop terminates the connection immediately: no more transmissions, all
 // timers cancelled. Used by experiments that remove flows mid-run (§2.4's
 // departing flow, the server workload's completed transfers).
 func (c *Conn) Stop() {
-	if c.done {
+	if c.core.Done() {
 		return
 	}
-	c.done = true
-	c.doneAt = c.net.Sim.Now()
-	c.releaseTimers()
+	c.core.Stop()
+	c.finish()
 }
 
-// releaseTimers stops the connection's timers and returns them to the
-// simulator's freelist: a finished connection leaves no timer garbage
-// behind, which matters for workloads that churn through thousands of
-// connections (the §3 server experiment). Only called once the done flag
-// guards every transmission path.
-func (c *Conn) releaseTimers() {
-	// Clear the flow-control latch first: a late ACK's window update must
-	// not touch the released persist timer (onDataAck only stops it while
-	// fcBlocked holds).
-	c.fcBlocked = false
+// finish stamps the end of the connection's life and returns its timers
+// (already stopped by the core) to the simulator's freelist: a finished
+// connection leaves no timer garbage behind, which matters for workloads
+// that churn through thousands of connections (the §3 server
+// experiment).
+func (c *Conn) finish() {
+	c.doneAt = c.net.Sim.Now()
 	c.persistTimer.Release()
 	for _, sf := range c.subs {
 		sf.rtoTimer.Release()
+	}
+}
+
+// Completed implements proto.Shell: the final data packet was
+// cumulatively acknowledged. OnComplete may Put and re-Get this very
+// connection; the timers are released first so that is safe.
+func (c *Conn) Completed() {
+	c.finish()
+	if c.cfg.OnComplete != nil {
+		c.cfg.OnComplete()
 	}
 }
 
@@ -366,312 +276,62 @@ func (c *Conn) CompletedAt() sim.Time { return c.doneAt }
 
 // Delivered returns the count of data packets delivered in order to the
 // receiving application.
-func (c *Conn) Delivered() int64 { return c.recv.dataRcvNxt }
+func (c *Conn) Delivered() int64 { return c.recv.DataRcvNxt() }
 
 // SubflowDelivered returns the number of distinct data packets the
 // receiver obtained via subflow i (per-path goodput, used by Fig. 15/17).
-func (c *Conn) SubflowDelivered(i int) int64 { return c.recv.subDelivered[i] }
+func (c *Conn) SubflowDelivered(i int) int64 { return c.recv.SubDelivered(i) }
 
 // Cwnd returns subflow i's congestion window in packets.
-func (c *Conn) Cwnd(i int) float64 { return c.cc[i].Cwnd }
+func (c *Conn) Cwnd(i int) float64 { return c.core.Cwnd(i) }
 
 // SRTT returns subflow i's smoothed RTT estimate.
-func (c *Conn) SRTT(i int) sim.Time { return c.subs[i].srtt }
+func (c *Conn) SRTT(i int) sim.Time { return sim.Time(c.core.SRTT(i)) }
 
-// popData hands the next data sequence number to transmit on a subflow,
-// preferring reinjections. ok is false when the connection is app-limited
-// or flow-control limited.
-func (c *Conn) popData() (seq int64, ok bool) {
-	for len(c.reinjectQ) > 0 {
-		s := c.reinjectQ[0]
-		c.reinjectQ = c.reinjectQ[1:]
-		if s >= c.dataUna {
-			return s, true
-		}
+// Emit implements proto.Shell: it puts the packet on the wire after a
+// small random host-processing jitter that breaks drop-tail phase locking
+// while preserving FIFO order within the subflow. The jitter is the
+// shell's one random draw per emission.
+func (c *Conn) Emit(sub int, seq, dataSeq int64, retx bool) {
+	sf, nw := c.subs[sub], c.net
+	at := nw.Sim.Now()
+	if j := c.cfg.SendJitter; j > 0 {
+		at = max(at+sim.Time(nw.Sim.Rand().Int63n(int64(j)+1)), sf.nextSend)
+		sf.nextSend = at
 	}
-	if c.total != Infinite && c.dataNxt >= c.total {
-		return 0, false
-	}
-	if c.dataNxt >= c.dataEdge {
-		c.fcBlocked = true // flow control (§6): respect the shared buffer
-		return 0, false
-	}
-	s := c.dataNxt
-	c.dataNxt++
-	return s, true
+	p := nw.AllocPacket()
+	p.Size = netsim.DataPacketSize
+	p.FlowID = c.ID
+	p.SubflowID = sub
+	p.Seq = seq
+	p.DataSeq = dataSeq
+	p.SentAt = at
+	p.Retx = retx
+	nw.SendAt(at, sf.fwd, p)
 }
 
-// onDataAck processes the explicit data-level acknowledgment and window
-// carried on an ACK (§6).
-func (c *Conn) onDataAck(dataAck, rcvWnd int64) {
-	if dataAck > c.dataUna {
-		c.dataUna = dataAck
-	}
-	// The edge is monotone: old ACKs cannot shrink it.
-	if e := dataAck + rcvWnd; e > c.dataEdge {
-		c.dataEdge = e
-		if c.fcBlocked {
-			c.fcBlocked = false
-			c.persistTimer.Stop()
-		}
-	}
-	if c.total != Infinite && !c.done && c.dataUna >= c.total {
-		c.done = true
-		c.doneAt = c.net.Sim.Now()
-		c.releaseTimers()
-		if c.cfg.OnComplete != nil {
-			c.cfg.OnComplete()
-		}
-	}
+// Probe implements proto.Shell: a tiny packet that elicits an ACK
+// carrying the current window.
+func (c *Conn) Probe(sub int) {
+	p := c.net.AllocPacket()
+	p.Size = netsim.AckPacketSize
+	p.FlowID = c.ID
+	p.SubflowID = sub
+	p.IsProbe = true
+	p.SentAt = c.net.Sim.Now()
+	c.net.Send(c.subs[sub].fwd, p)
 }
 
-// reinject queues data sequences for retransmission on any subflow; used
-// after an RTO so a dying path cannot strand the data stream (§6 / §5
-// mobility).
-func (c *Conn) reinject(dataSeqs []int64) {
-	if c.cfg.DisableReinject {
-		return
-	}
-	for _, s := range dataSeqs {
-		if s >= c.dataUna {
-			c.reinjectQ = append(c.reinjectQ, s)
-		}
-	}
-}
+// ArmRTO, StopRTO, ArmPersist and StopPersist implement proto.Shell over
+// sim.Timer, which rearms in place: the per-ACK stop-and-rearm leaves no
+// dead entry in the event queue and allocates nothing.
+func (c *Conn) ArmRTO(sub int, d proto.Time) { c.subs[sub].rtoTimer.Reset(sim.Time(d)) }
+func (c *Conn) StopRTO(sub int)              { c.subs[sub].rtoTimer.Stop() }
+func (c *Conn) ArmPersist(d proto.Time)      { c.persistTimer.Reset(sim.Time(d)) }
+func (c *Conn) StopPersist()                 { c.persistTimer.Stop() }
 
-// pump drives transmission: loss-recovery repairs first (per subflow,
-// in configuration order — they are not scheduling decisions), then new
-// data assigned by the configured scheduler, then, if the shared
-// receive buffer blocked the sender, the §6 countermeasures. With the
-// default FirstFit scheduler this reproduces the paper's "stripes
-// packets across these subflows as space in the subflow windows becomes
-// available" bit for bit.
-func (c *Conn) pump() {
-	if !c.started || c.done {
-		return
-	}
-	for _, sf := range c.subs {
-		sf.sendRepairs()
-	}
-	c.schedule()
-	if c.fcBlocked {
-		c.rbufCountermeasures()
-		if !c.persistTimer.Active() && c.idle() {
-			c.persistTimer.Reset(persistInterval)
-		}
-	}
-}
-
-// schedule assigns new data to subflows, one segment per scheduler
-// Pick, until the scheduler declines or the data supply (application or
-// flow control) runs dry. The View slice is scratch owned by the
-// connection, refreshed in place each pump: the per-ACK path allocates
-// nothing.
-func (c *Conn) schedule() {
-	if c.redundant {
-		c.scheduleRedundant()
-		return
-	}
-	for i, sf := range c.subs {
-		c.views[i] = sched.View{
-			Cwnd:     c.cc[i].Cwnd,
-			Inflight: sf.outstanding(),
-			SRTT:     sf.srtt.Seconds(),
-			Sendable: !sf.inRec && !sf.inRepair(),
-			Sent:     sf.sndNxt,
-		}
-	}
-	for {
-		// The flow-control headroom shrinks as the loop assigns new
-		// data, so the Ctx is rebuilt per pick — a blocking-aware
-		// scheduler (BLEST) must see the headroom left now, not the
-		// pump-entry snapshot.
-		i := c.sched.Pick(sched.Ctx{Window: c.dataEdge - c.dataNxt}, c.views)
-		if i < 0 {
-			return
-		}
-		dataSeq, ok := c.subs[i].sendNew()
-		if !ok {
-			return
-		}
-		if c.tracer != nil {
-			c.tracer.SchedPick(c.traceID, int32(i), dataSeq)
-		}
-		c.views[i].Inflight++
-		c.views[i].Sent++
-	}
-}
-
-// scheduleRedundant drives a duplicating scheduler: every subflow keeps
-// its own replay frontier (dupNxt) over the data stream and, window
-// permitting, carries every data sequence itself — the subflow that is
-// furthest ahead pulls new data, the others replay it. Frontiers skip
-// data the receiver already holds (below dataUna), so a subflow that
-// fell behind replays only the still-unacknowledged window, like
-// Linux's mptcp_redundant. The first copy to arrive delivers; later
-// copies count as duplicate data and consume no receive buffer.
-func (c *Conn) scheduleRedundant() {
-	for progress := true; progress; {
-		progress = false
-		for i, sf := range c.subs {
-			if sf.inRec || sf.inRepair() || sf.outstanding() >= sf.window() {
-				continue
-			}
-			if c.dupNxt[i] < c.dataUna {
-				c.dupNxt[i] = c.dataUna
-			}
-			if c.dupNxt[i] < c.dataNxt {
-				sf.sendMapped(c.dupNxt[i])
-				c.dupNxt[i]++
-				progress = true
-				continue
-			}
-			dataSeq, ok := sf.sendNew()
-			if !ok {
-				continue
-			}
-			if dataSeq+1 > c.dupNxt[i] {
-				c.dupNxt[i] = dataSeq + 1
-			}
-			progress = true
-		}
-	}
-}
-
-// rbufCountermeasures applies the paper's §6 remedies when the shared
-// receive buffer has blocked the sender: the segment everyone is
-// waiting on is the data-level cumulative ack (dataUna), typically
-// parked on a slow subflow while faster ones drained. Opportunistic
-// retransmission re-sends that segment on the fastest other subflow
-// with window space (once per blocking segment); penalization halves
-// the blocking subflow's congestion window (at most once per its RTT)
-// so it stops re-filling the buffer. Both are off unless Config
-// .SchedOpts enables them, leaving default behaviour untouched.
-func (c *Conn) rbufCountermeasures() {
-	if !c.cfg.SchedOpts.Any() || len(c.subs) < 2 {
-		return
-	}
-	// Gate before the blocker scan: while the connection stays blocked
-	// on the same segment, every ACK re-enters here, and once the
-	// opportunistic retransmission is spent and every penalty backoff
-	// is still running there is nothing left to do this round trip.
-	needOpp := c.cfg.SchedOpts.OpportunisticRetx && c.oppRetxSeq != c.dataUna
-	needPen := false
-	if c.cfg.SchedOpts.Penalize {
-		now := c.net.Sim.Now()
-		for _, sf := range c.subs {
-			if now >= sf.nextPenalty {
-				needPen = true
-				break
-			}
-		}
-	}
-	if !needOpp && !needPen {
-		return
-	}
-	blocker := c.findBlocker()
-	if blocker < 0 {
-		return
-	}
-	if c.cfg.SchedOpts.Penalize {
-		c.penalize(blocker)
-	}
-	if needOpp {
-		for i, sf := range c.subs {
-			c.views[i] = sched.View{
-				Cwnd:     c.cc[i].Cwnd,
-				Inflight: sf.outstanding(),
-				SRTT:     sf.srtt.Seconds(),
-				Sendable: !sf.inRec && !sf.inRepair(),
-			}
-		}
-		if best := sched.PickMinRTT(c.views, blocker); best >= 0 {
-			c.subs[best].sendMapped(c.dataUna)
-			c.oppRetxSeq = c.dataUna
-			c.OppRetx++
-			if c.tracer != nil {
-				c.tracer.OppRetx(c.traceID, int32(best), c.dataUna)
-			}
-		}
-	}
-}
-
-// penalize halves the congestion window of the subflow blocking the
-// receive buffer, backoff-limited to once per smoothed RTT (MinRTO when
-// unmeasured) so repeated blocking events within one round trip do not
-// collapse the window to nothing.
-func (c *Conn) penalize(i int) {
-	sf := c.subs[i]
-	now := c.net.Sim.Now()
-	if now < sf.nextPenalty {
-		return
-	}
-	cw := &c.cc[i]
-	if cw.Cwnd > 1 {
-		cw.Cwnd /= 2
-		if cw.Cwnd < 1 {
-			cw.Cwnd = 1
-		}
-		cw.SSThresh = cw.Cwnd
-		c.Penalties++
-		if c.tracer != nil {
-			c.tracer.Penalty(c.traceID, int32(i), cw.Cwnd)
-		}
-	}
-	d := sf.srtt
-	if d <= 0 {
-		d = c.cfg.MinRTO
-	}
-	sf.nextPenalty = now + d
-}
-
-// findBlocker returns the subflow holding the un-delivered segment the
-// receive window is stuck on (dataSeq == dataUna, outstanding and not
-// SACKed), or -1. The scan is bounded by the subflows' outstanding data
-// and runs only on blocking events, which the countermeasures rate-
-// limit.
-func (c *Conn) findBlocker() int {
-	for i, sf := range c.subs {
-		for s := sf.sndUna; s < sf.sndNxt; s++ {
-			m := sf.slot(s)
-			if !m.sacked && m.dataSeq == c.dataUna {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// idle reports whether no subflow has data in flight (so no ACK will
-// arrive to reopen a closed window on its own).
-func (c *Conn) idle() bool {
-	for _, sf := range c.subs {
-		if sf.outstanding() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// persistProbe sends a zero-window probe (TCP's persist timer): a tiny
-// packet that elicits an ACK carrying the current window, guarding
-// against a lost window update deadlocking a flow-control-blocked sender.
-func (c *Conn) persistProbe() {
-	if c.done || !c.fcBlocked {
-		return
-	}
-	for _, sf := range c.subs {
-		p := c.net.AllocPacket()
-		p.Size = netsim.AckPacketSize
-		p.FlowID = c.ID
-		p.SubflowID = sf.id
-		p.IsProbe = true
-		p.SentAt = c.net.Sim.Now()
-		c.net.Send(sf.fwd, p)
-	}
-	c.persistTimer.Reset(persistInterval)
-}
+func (c *Conn) onPersist() { c.core.OnPersist(c.now()) }
 
 func (c *Conn) String() string {
-	return fmt.Sprintf("conn%d[%s,%d subflows]", c.ID, c.alg.Name(), len(c.subs))
+	return fmt.Sprintf("conn%d[%s,%d subflows]", c.ID, c.Alg().Name(), len(c.subs))
 }

@@ -56,7 +56,7 @@ func (p *ConnPool) Get(cfg Config) *Conn {
 // from Config.OnComplete is safe — the completion path releases the
 // connection's timers before invoking the callback.
 func (p *ConnPool) Put(c *Conn) {
-	if !c.done {
+	if !c.Done() {
 		panic("transport: pooling a connection that has not completed")
 	}
 	delete(p.live, c)

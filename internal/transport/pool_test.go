@@ -169,12 +169,13 @@ func TestConnPoolLiveTracking(t *testing.T) {
 // TestConnPoolRecycleInsideOnComplete: a workload may Put and re-Get
 // the completing connection from inside OnComplete (a web page fetching
 // the next object the instant its dependency lands). OnComplete runs
-// inside Subflow.Receive, in the middle of processing the final ACK of
-// the old life — the remainder of that ACK must not be applied to the
-// new life. Before the life-change guard in Subflow.Receive, the old
-// ACK's subflow cumulative ack pushed the fresh subflow's sndUna past
-// sndNxt (negative outstanding, later a panic in onRTO) and credited
-// the fresh window with phantom slow-start increments.
+// inside the protocol core's OnAck, in the middle of processing the final
+// ACK of the old life — the remainder of that ACK must not be applied to
+// the new life. The core's life guard is pinned by its own event script
+// (proto.TestResetInsideCompletedDropsRestOfAck); this checks it through
+// the real pool: without the guard the old ACK's subflow cumulative ack
+// pushed the fresh subflow's sndUna past sndNxt (negative outstanding)
+// and credited the fresh window with phantom slow-start increments.
 func TestConnPoolRecycleInsideOnComplete(t *testing.T) {
 	s := sim.New(1)
 	n := netsim.NewNet(s)
@@ -204,9 +205,8 @@ func TestConnPoolRecycleInsideOnComplete(t *testing.T) {
 				// final ack (6) must not have touched it.
 				recycled := c
 				s.After(sim.Millisecond, func() {
-					sf := recycled.Subflows()[0]
-					if sf.sndUna > sf.sndNxt {
-						t.Errorf("old life's ack leaked into the new life: sndUna %d > sndNxt %d", sf.sndUna, sf.sndNxt)
+					if out := recycled.core.Outstanding(0); out < 0 {
+						t.Errorf("old life's ack leaked into the new life: %d packets outstanding", out)
 					}
 					if cw := recycled.Cwnd(0); cw != 2 {
 						t.Errorf("fresh cwnd = %v, want the initial 2 (phantom slow-start credits)", cw)

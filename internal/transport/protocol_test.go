@@ -74,30 +74,6 @@ func TestNoRTOsOnCleanLink(t *testing.T) {
 	}
 }
 
-func TestCouplingVisibleAcrossSubflows(t *testing.T) {
-	// COUPLED's decrease on one subflow depends on the other's window:
-	// verify the transport feeds the full state vector to the algorithm.
-	e := newEnv(23)
-	l1 := netsim.NewLink("p1", 10, 10*sim.Millisecond, 100)
-	l2 := netsim.NewLink("p2", 10, 10*sim.Millisecond, 100)
-	c := NewConn(e.n, Config{
-		Alg:   core.Coupled{},
-		Paths: []Path{e.path(l1), e.path(l2)},
-	})
-	c.Start()
-	e.s.RunUntil(5 * sim.Second)
-	// Force a loss event on subflow 0 via its CC hooks directly.
-	w0, w1 := c.Cwnd(0), c.Cwnd(1)
-	dec := c.Alg().Decrease(c.cc, 0)
-	want := w0 - (w0+w1)/2
-	if want < core.MinCwnd {
-		want = core.MinCwnd
-	}
-	if dec != want {
-		t.Errorf("coupled decrease = %v, want w0 - wtotal/2 = %v (w0=%v w1=%v)", dec, want, w0, w1)
-	}
-}
-
 func TestMPTCPPrefersShorterRTTForEqualLoss(t *testing.T) {
 	// Two equal-capacity paths with very different RTTs, no competition:
 	// MPTCP fills both (goal (3): at least best single path; here both

@@ -2,79 +2,24 @@ package transport
 
 import (
 	"mptcp/internal/netsim"
+	"mptcp/internal/proto"
 	"mptcp/internal/sim"
 )
 
-// Receiver is the receive-side model of a connection: per-subflow
-// cumulative acknowledgment for loss detection, connection-level stream
-// reassembly over data sequence numbers, and a single shared receive
-// buffer whose window is advertised relative to the data-level cumulative
-// ACK — the design §6 of the paper arrives at after eliminating
-// per-subflow buffers (deadlock) and inferred data ACKs (spurious drops).
+// Receiver is the receive-side model of a connection: the protocol
+// core's receiver (per-subflow cumulative acknowledgment, data-level
+// reassembly, one shared receive buffer) plus the reverse routes and an
+// application that reads instantly unless stalled.
 //
 // Every data packet is acknowledged immediately with a pure ACK carrying
 // the subflow cumulative ack, the explicit data ack, the receive window
 // and the echoed timestamp.
 type Receiver struct {
-	net  *netsim.Net
-	conn *Conn
-	rev  []*netsim.Route // per-subflow reverse routes
-
-	// Per-subflow sequence state.
-	subRcvNxt    []int64
-	subOOO       []map[int64]struct{}
-	subDelivered []int64
-
-	// Connection-level reassembly.
-	dataRcvNxt int64
-	dataOOO    map[int64]struct{}
-	maxHeld    int64 // highest dataSeq buffered, for span accounting
-
-	// Shared receive buffer (§6), in packets.
-	bufCap   int64
-	readPt   int64 // data consumed by the application
-	stalled  bool  // application stopped reading (flow-control tests)
-	Overflow int64 // packets dropped because the buffer was full
-
-	// DupData counts packets carrying already-received data (e.g. after
-	// reinjection); they consume no buffer.
-	DupData int64
-}
-
-func newReceiver(nw *netsim.Net, c *Conn, nsub int, bufCap int64) *Receiver {
-	r := &Receiver{
-		net:          nw,
-		conn:         c,
-		rev:          make([]*netsim.Route, nsub),
-		subRcvNxt:    make([]int64, nsub),
-		subOOO:       make([]map[int64]struct{}, nsub),
-		subDelivered: make([]int64, nsub),
-		dataOOO:      make(map[int64]struct{}),
-		bufCap:       bufCap,
-	}
-	for i := range r.subOOO {
-		r.subOOO[i] = make(map[int64]struct{})
-	}
-	return r
-}
-
-// reset rebuilds the receiver for a new life of a pooled connection:
-// all sequence state returns to zero, the out-of-order maps are cleared
-// (keeping their buckets), and the reverse routes are rewired by
-// Conn.init afterwards.
-func (r *Receiver) reset(nw *netsim.Net, c *Conn, bufCap int64) {
-	r.net = nw
-	r.conn = c
-	for i := range r.subRcvNxt {
-		r.subRcvNxt[i] = 0
-		r.subDelivered[i] = 0
-		clear(r.subOOO[i])
-	}
-	clear(r.dataOOO)
-	r.dataRcvNxt, r.maxHeld = 0, 0
-	r.bufCap, r.readPt = bufCap, 0
-	r.stalled = false
-	r.Overflow, r.DupData = 0, 0
+	proto.Receiver
+	net     *netsim.Net
+	conn    *Conn
+	rev     []*netsim.Route // per-subflow reverse routes
+	stalled bool            // application stopped reading (flow-control tests)
 }
 
 // SetAppStalled freezes or resumes the receiving application's reads.
@@ -85,24 +30,11 @@ func (r *Receiver) reset(nw *netsim.Net, c *Conn, bufCap int64) {
 func (r *Receiver) SetAppStalled(stalled bool) {
 	r.stalled = stalled
 	if !stalled {
-		r.readPt = r.dataRcvNxt
+		r.Consume(r.Readable())
 		for i := range r.rev {
-			r.sendAck(i, 0)
+			r.sendAck(i, 0, -1)
 		}
 	}
-}
-
-// DataRcvNxt returns the connection-level cumulative data received.
-func (r *Receiver) DataRcvNxt() int64 { return r.dataRcvNxt }
-
-// Window returns the advertised receive window in packets, relative to
-// the data-level cumulative ack.
-func (r *Receiver) Window() int64 {
-	w := r.readPt + r.bufCap - r.dataRcvNxt
-	if w < 0 {
-		w = 0
-	}
-	return w
 }
 
 // Receive consumes a data packet (netsim.Endpoint).
@@ -113,96 +45,36 @@ func (r *Receiver) Receive(pkt *netsim.Packet) {
 		r.net.FreePacket(pkt)
 		return
 	}
-	sfID := pkt.SubflowID
-	seq, dataSeq, sentAt := pkt.Seq, pkt.DataSeq, pkt.SentAt
-	probe := pkt.IsProbe
+	sub, seq, dataSeq, sentAt, probe := pkt.SubflowID, pkt.Seq, pkt.DataSeq, pkt.SentAt, pkt.IsProbe
 	r.net.FreePacket(pkt)
-
 	if probe {
 		// Window probe: acknowledge current state, change nothing.
-		r.sendAck(sfID, sentAt)
+		r.sendAck(sub, sentAt, -1)
 		return
 	}
-
-	// Shared-buffer admission: data beyond the advertised edge cannot be
-	// buffered. Treat it like a network loss so subflow-level
-	// retransmission recovers it; a correct sender never triggers this.
-	if dataSeq >= r.readPt+r.bufCap {
-		r.Overflow++
+	v, sack := r.OnData(sub, seq, dataSeq)
+	if v == proto.Overflow {
 		return
 	}
-
-	// Subflow-level sequence tracking (loss detection). Out-of-order
-	// arrivals are SACKed individually; with per-packet ACKs the sender
-	// learns the exact hole set.
-	sack := int64(-1)
-	if seq == r.subRcvNxt[sfID] {
-		r.subRcvNxt[sfID]++
-		for {
-			if _, ok := r.subOOO[sfID][r.subRcvNxt[sfID]]; !ok {
-				break
-			}
-			delete(r.subOOO[sfID], r.subRcvNxt[sfID])
-			r.subRcvNxt[sfID]++
-		}
-	} else if seq > r.subRcvNxt[sfID] {
-		if _, dup := r.subOOO[sfID][seq]; !dup {
-			// Only a *new* out-of-order arrival is SACKed; duplicate
-			// arrivals produce an ACK with no new information, which
-			// the sender must not count toward fast retransmit
-			// (RFC 6675's DupAck definition).
-			sack = seq
-		}
-		r.subOOO[sfID][seq] = struct{}{}
+	if v == proto.New && !r.stalled {
+		r.Consume(r.Readable()) // the application reads instantly
 	}
-
-	// Connection-level reassembly.
-	if dataSeq < r.dataRcvNxt {
-		r.DupData++
-	} else if _, dup := r.dataOOO[dataSeq]; dup {
-		r.DupData++
-	} else {
-		r.subDelivered[sfID]++
-		if dataSeq == r.dataRcvNxt {
-			r.dataRcvNxt++
-			for {
-				if _, ok := r.dataOOO[r.dataRcvNxt]; !ok {
-					break
-				}
-				delete(r.dataOOO, r.dataRcvNxt)
-				r.dataRcvNxt++
-			}
-		} else {
-			r.dataOOO[dataSeq] = struct{}{}
-			if dataSeq > r.maxHeld {
-				r.maxHeld = dataSeq
-			}
-		}
-		if !r.stalled {
-			r.readPt = r.dataRcvNxt // the application reads instantly
-		}
-	}
-
-	r.sendAckSack(sfID, sentAt, sack)
+	r.sendAck(sub, sentAt, sack)
 }
 
-func (r *Receiver) sendAck(sfID int, echo sim.Time) {
-	r.sendAckSack(sfID, echo, -1)
-}
-
-func (r *Receiver) sendAckSack(sfID int, echo sim.Time, sack int64) {
+func (r *Receiver) sendAck(sub int, echo sim.Time, sack int64) {
 	a := r.net.AllocPacket()
 	a.Size = netsim.AckPacketSize
 	a.IsAck = true
 	a.FlowID = r.conn.ID
-	a.SubflowID = sfID
-	a.Ack = r.subRcvNxt[sfID]
-	a.DataAck = r.dataRcvNxt
+	a.SubflowID = sub
+	a.Ack = r.SubRcvNxt(sub)
+	a.DataAck = r.DataRcvNxt()
 	a.RcvWnd = r.Window()
 	a.EchoTS = echo
 	if sack >= 0 {
 		a.HasSack = true
 		a.SackSeq = sack
 	}
-	r.net.Send(r.rev[sfID], a)
+	r.net.Send(r.rev[sub], a)
 }

@@ -1,482 +1,55 @@
 package transport
 
 import (
-	"mptcp/internal/core"
 	"mptcp/internal/netsim"
+	"mptcp/internal/proto"
 	"mptcp/internal/sim"
 )
 
-// Subflow is the sender-side state machine of one subflow: SACK-based
-// loss recovery with proportional rate reduction and an RFC 6298
-// retransmission timer over the subflow sequence space, with congestion-
-// avoidance increments delegated to the connection's coupled algorithm.
-// (The paper's Linux implementation inherits SACK recovery from the
-// kernel stack; our receiver SACKs every out-of-order packet
-// individually, so the scoreboard is exact.) It implements
-// netsim.Endpoint to consume ACKs arriving on its reverse route.
+// Subflow is the simulator shell of one sender-side subflow: its forward
+// route, its retransmission timer and its send-jitter FIFO clock. The
+// subflow's protocol state — scoreboard, loss recovery, RTT estimator —
+// lives in the connection's protocol core. It implements netsim.Endpoint
+// to consume ACKs arriving on its reverse route.
 type Subflow struct {
-	conn *Conn
-	id   int
-	fwd  *netsim.Route
+	// PktsSent, PktsRetx, RTOs and FastRetx, kept by the protocol core.
+	*proto.SubflowStats
 
-	// Subflow sequence space, in packets.
-	sndNxt int64
-	sndUna int64
-
-	// meta maps outstanding subflow sequence numbers to their data-level
-	// mapping and scoreboard state, in a power-of-two ring buffer.
-	meta []pktMeta
-	mask int64
-
-	// Fast-recovery state (SACK + conservation/PRR-style): on entry the
-	// window is halved once; every subsequent arriving ACK permits one
-	// transmission after the pipe has drained by `debt` packets.
-	// Transmission candidates are unsacked holes below `recover` first,
-	// then new data.
-	dupAcks int64
-	inRec   bool
-	recover int64
-	rtxNxt  int64
-	debt    int64
-
-	// Post-RTO go-back-N repair: sequence numbers in [repairNxt,
-	// repairEnd) are presumed lost and retransmitted, window permitting,
-	// before any new data; sacked packets are skipped. Sequence numbers
-	// are never rolled back or reused, so each sequence number's data
-	// mapping is immutable.
-	repairNxt int64
-	repairEnd int64
-
-	// RFC 6298 retransmission timer.
-	srtt, rttvar, rto sim.Time
-	rtoTimer          *sim.Timer
-	backoff           uint
-
-	// nextPenalty rate-limits receive-buffer penalization (§6) to once
-	// per RTT on this subflow.
-	nextPenalty sim.Time
+	conn     *Conn
+	id       int
+	fwd      *netsim.Route
+	rtoTimer *sim.Timer
 
 	// nextSend enforces FIFO transmission within the subflow when random
 	// send jitter is enabled.
 	nextSend sim.Time
-
-	// Stats.
-	PktsSent int64 // data packets transmitted (incl. retransmissions)
-	PktsRetx int64 // subflow-level retransmissions
-	RTOs     int64 // retransmission timeouts
-	FastRetx int64 // fast-retransmit (recovery entry) events
 }
 
-type pktMeta struct {
-	dataSeq int64
-	sentAt  sim.Time
-	retx    bool
-	sacked  bool
-}
-
-const initialRTO = 1 * sim.Second // RFC 6298 §2.1
-const maxRTO = 60 * sim.Second
-
-func newSubflow(c *Conn, id int) *Subflow {
-	sf := &Subflow{
-		conn: c,
-		id:   id,
-		meta: make([]pktMeta, 256),
-		mask: 255,
-		rto:  initialRTO,
-	}
-	// One owned timer for the life of the subflow, rearmed in place on
-	// every ACK (armTimer) instead of re-created.
-	sf.rtoTimer = c.net.Sim.NewTimer(sf.onRTO)
-	return sf
-}
-
-// reset rebuilds the subflow for a new life of a pooled connection:
-// every field returns to its newSubflow value, but the meta ring keeps
-// its grown size (zeroed) and the RTO timer comes from the simulator's
-// freelist. The forward route is wired by Conn.init afterwards.
-func (sf *Subflow) reset(c *Conn) {
-	meta, mask, id := sf.meta, sf.mask, sf.id
-	clear(meta)
-	*sf = Subflow{conn: c, id: id, meta: meta, mask: mask, rto: initialRTO}
-	sf.rtoTimer = c.net.Sim.NewTimer(sf.onRTO)
-}
-
-func (sf *Subflow) cc() *core.Subflow { return &sf.conn.cc[sf.id] }
-
-// outstanding is the number of unacknowledged packets in flight.
-func (sf *Subflow) outstanding() int64 { return sf.sndNxt - sf.sndUna }
-
-// window is the effective congestion window in whole packets.
-func (sf *Subflow) window() int64 {
-	w := int64(sf.cc().Cwnd)
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-func (sf *Subflow) slot(seq int64) *pktMeta { return &sf.meta[seq&sf.mask] }
-
-func (sf *Subflow) growRing() {
-	old := sf.meta
-	oldMask := sf.mask
-	sf.meta = make([]pktMeta, len(old)*2)
-	sf.mask = int64(len(sf.meta) - 1)
-	for s := sf.sndUna; s < sf.sndNxt; s++ {
-		sf.meta[s&sf.mask] = old[s&oldMask]
-	}
-}
-
-func (sf *Subflow) inRepair() bool { return sf.repairEnd > sf.sndUna }
-
-// sendRepairs retransmits the post-RTO repair backlog, window permitting:
-// presumed-lost packets are resent (same sequence numbers, same data
-// mapping) before the subflow carries any new data. No-op outside
-// repair. New data is assigned by the connection's scheduler
-// (Conn.schedule), which never selects a subflow in repair or fast
-// recovery; recovery transmissions are ACK-clocked (see recoveryAck),
-// not window-driven.
-func (sf *Subflow) sendRepairs() {
-	for sf.repairNxt < sf.repairEnd && sf.repairNxt-sf.sndUna < sf.window() {
-		seq := sf.repairNxt
-		sf.repairNxt++
-		if sf.slot(seq).sacked {
-			continue // receiver already has it
-		}
-		sf.transmit(seq, true)
-	}
-}
-
-// sendNew transmits one packet of new connection data, returning the
-// data sequence it carried and whether any data was available.
-func (sf *Subflow) sendNew() (int64, bool) {
-	dataSeq, ok := sf.conn.popData()
-	if !ok {
-		return 0, false
-	}
-	sf.sendMapped(dataSeq)
-	return dataSeq, true
-}
-
-// sendMapped transmits dataSeq on this subflow under a fresh subflow
-// sequence number. Besides sendNew, the redundant scheduler's
-// duplicates and the opportunistic retransmission of a receive-buffer-
-// blocking segment go through here: the receiver tolerates duplicate
-// data (it consumes no buffer), so re-mapping an already-sent dataSeq
-// is safe.
-func (sf *Subflow) sendMapped(dataSeq int64) {
-	seq := sf.sndNxt
-	sf.sndNxt++
-	for sf.sndNxt-sf.sndUna > sf.mask {
-		sf.growRing()
-	}
-	*sf.slot(seq) = pktMeta{dataSeq: dataSeq}
-	sf.transmit(seq, false)
-}
-
-// transmit puts the packet for subflow sequence seq on the wire, after a
-// small random host-processing jitter that breaks drop-tail phase locking
-// while preserving FIFO order within the subflow.
-func (sf *Subflow) transmit(seq int64, retx bool) {
-	nw := sf.conn.net
-	now := nw.Sim.Now()
-	at := now
-	if j := sf.conn.cfg.SendJitter; j > 0 {
-		at = now + sim.Time(nw.Sim.Rand().Int63n(int64(j)+1))
-		if at < sf.nextSend {
-			at = sf.nextSend
-		}
-		sf.nextSend = at
-	}
-	m := sf.slot(seq)
-	m.sentAt = at
-	m.retx = m.retx || retx
-	p := nw.AllocPacket()
-	p.Size = netsim.DataPacketSize
-	p.FlowID = sf.conn.ID
-	p.SubflowID = sf.id
-	p.Seq = seq
-	p.DataSeq = m.dataSeq
-	p.SentAt = at
-	p.Retx = retx
-	sf.PktsSent++
-	if retx {
-		sf.PktsRetx++
-		if tr := sf.conn.tracer; tr != nil {
-			tr.Retx(sf.conn.traceID, int32(sf.id), seq)
-		}
-	}
-	if !sf.rtoTimer.Active() {
-		sf.armTimer()
-	}
-	nw.SendAt(at, sf.fwd, p)
-}
+func (sf *Subflow) onRTO() { sf.conn.core.OnRTO(sf.conn.now(), sf.id) }
 
 // Receive consumes an ACK delivered by the network (netsim.Endpoint).
 func (sf *Subflow) Receive(pkt *netsim.Packet) {
-	if pkt.FlowID != sf.conn.ID {
+	c := sf.conn
+	if pkt.FlowID != c.ID {
 		// A straggler from a previous life of a pooled connection: its
 		// route still terminates here, but its sequence numbers belong
 		// to the finished flow. Connection IDs never repeat, so the
 		// guard costs non-pooled workloads nothing.
-		sf.conn.net.FreePacket(pkt)
+		c.net.FreePacket(pkt)
 		return
 	}
-	ack := pkt.Ack
-	dataAck, rcvWnd, echo := pkt.DataAck, pkt.RcvWnd, pkt.EchoTS
-	hasSack, sackSeq := pkt.HasSack, pkt.SackSeq
-	sf.conn.net.FreePacket(pkt)
-
-	// onDataAck may complete the connection, and a pooled connection's
-	// OnComplete may Put and re-Get it synchronously — Conn.init then
-	// rebuilds this very subflow for a new life before the callback
-	// returns here. The ID (fresh every life) detects that: the rest of
-	// this ACK belongs to the finished life, and applying its subflow
-	// cumulative ack to the new life would push sndUna past sndNxt.
-	life := sf.conn.ID
-	sf.conn.onDataAck(dataAck, rcvWnd)
-	if sf.conn.done || sf.conn.ID != life {
-		return
+	now := c.now()
+	a := proto.Ack{
+		Sub:     sf.id,
+		Seq:     pkt.Ack,
+		DataAck: pkt.DataAck,
+		Window:  pkt.RcvWnd,
+		Sack:    -1,
+		RTT:     now - proto.Time(pkt.EchoTS),
 	}
-	// An ACK is a countable duplicate only if it conveys new SACK
-	// information (RFC 6675): pure duplicate arrivals — e.g. echoes of
-	// our own spurious retransmissions — must not drive loss detection.
-	newInfo := false
-	if hasSack && sackSeq >= sf.sndUna && sackSeq < sf.sndNxt {
-		m := sf.slot(sackSeq)
-		if !m.sacked {
-			m.sacked = true
-			newInfo = true
-		}
+	if pkt.HasSack {
+		a.Sack = pkt.SackSeq
 	}
-
-	switch {
-	case ack > sf.sndUna:
-		sf.onNewAck(ack, echo)
-	case ack == sf.sndUna && sf.outstanding() > 0 && newInfo:
-		sf.onDupAck()
-	}
-	sf.conn.pump()
-}
-
-func (sf *Subflow) onNewAck(ack int64, echo sim.Time) {
-	newlyAcked := ack - sf.sndUna
-	sf.sndUna = ack
-	sf.backoff = 0
-	sf.sampleRTT(sf.conn.net.Sim.Now() - echo)
-
-	if sf.repairEnd > 0 {
-		if sf.repairNxt < sf.sndUna {
-			sf.repairNxt = sf.sndUna
-		}
-		if sf.sndUna >= sf.repairEnd {
-			sf.repairEnd, sf.repairNxt = 0, 0
-		}
-	}
-
-	cc := sf.cc()
-	if sf.inRec {
-		if ack >= sf.recover {
-			// Full ACK: recovery complete.
-			sf.inRec = false
-			sf.dupAcks = 0
-			sf.debt = 0
-			if tr := sf.conn.tracer; tr != nil {
-				tr.SubflowState(sf.conn.traceID, int32(sf.id), "open")
-			}
-		} else {
-			sf.recoveryAck(newlyAcked)
-		}
-	} else {
-		sf.dupAcks = 0
-		for i := int64(0); i < newlyAcked; i++ {
-			if cc.Cwnd < cc.SSThresh {
-				cc.Cwnd++ // slow start
-			} else {
-				cc.Cwnd += sf.conn.alg.Increase(sf.conn.cc, sf.id)
-			}
-		}
-		if tr := sf.conn.tracer; tr != nil && newlyAcked > 0 {
-			tr.CwndChange(sf.conn.traceID, int32(sf.id), cc.Cwnd)
-		}
-	}
-	sf.armTimer()
-}
-
-func (sf *Subflow) onDupAck() {
-	sf.dupAcks++
-	if sf.inRepair() {
-		return // the timeout repair already handles everything
-	}
-	if sf.inRec {
-		sf.recoveryAck(1)
-		return
-	}
-	if sf.dupAcks == 3 {
-		sf.FastRetx++
-		cc := sf.cc()
-		pipe := sf.outstanding()
-		if obs := sf.conn.lossObs; obs != nil {
-			obs.OnLoss(sf.conn.cc, sf.id)
-		}
-		cc.Cwnd = sf.conn.alg.Decrease(sf.conn.cc, sf.id)
-		cc.SSThresh = cc.Cwnd
-		if tr := sf.conn.tracer; tr != nil {
-			tr.Loss(sf.conn.traceID, int32(sf.id), "fast", sf.sndUna)
-			tr.CwndChange(sf.conn.traceID, int32(sf.id), cc.Cwnd)
-			tr.SubflowState(sf.conn.traceID, int32(sf.id), "recovery")
-		}
-		sf.inRec = true
-		sf.recover = sf.sndNxt
-		sf.rtxNxt = sf.sndUna
-		// Drain the pipe down to the new window, then clock one
-		// transmission out per ACK in (conservation / PRR-style).
-		sf.debt = pipe - int64(cc.Cwnd)
-		if sf.debt < 0 {
-			sf.debt = 0
-		}
-		sf.retransmitHole() // first retransmission goes out immediately
-	}
-}
-
-// recoveryAck processes n arriving ACKs during fast recovery: each one
-// signals a packet has left the network, permitting one transmission once
-// the halving debt is paid.
-func (sf *Subflow) recoveryAck(n int64) {
-	for ; n > 0; n-- {
-		if sf.debt > 0 {
-			sf.debt--
-			continue
-		}
-		if !sf.retransmitHole() {
-			// ACK-clocked recovery transmission: new data bypasses the
-			// scheduler because the clocking, not a policy choice,
-			// decides when this subflow may transmit.
-			sf.sendNew()
-		}
-	}
-}
-
-// retransmitHole retransmits the first unsacked, not-yet-retransmitted
-// hole below the recovery point. It reports whether a retransmission was
-// sent.
-func (sf *Subflow) retransmitHole() bool {
-	s := sf.rtxNxt
-	if s < sf.sndUna {
-		s = sf.sndUna
-	}
-	for ; s < sf.recover; s++ {
-		m := sf.slot(s)
-		if m.sacked || m.retx {
-			continue
-		}
-		sf.rtxNxt = s + 1
-		sf.transmit(s, true)
-		return true
-	}
-	sf.rtxNxt = s
-	return false
-}
-
-// onRTO is the retransmission timeout: collapse to one packet, go back to
-// slow start, retransmit outstanding holes window-paced and back the
-// timer off. Outstanding data becomes eligible for reinjection on the
-// other subflows, so a dead path cannot strand the connection (§5
-// mobility, §6).
-func (sf *Subflow) onRTO() {
-	if sf.outstanding() == 0 || sf.conn.done {
-		return
-	}
-	sf.RTOs++
-	cc := sf.cc()
-	if obs := sf.conn.lossObs; obs != nil {
-		obs.OnLoss(sf.conn.cc, sf.id)
-	}
-	cc.SSThresh = sf.conn.alg.Decrease(sf.conn.cc, sf.id)
-	if cc.SSThresh < 2 {
-		cc.SSThresh = 2
-	}
-	cc.Cwnd = 1
-	sf.inRec = false
-	sf.dupAcks = 0
-	sf.debt = 0
-	if tr := sf.conn.tracer; tr != nil {
-		tr.Loss(sf.conn.traceID, int32(sf.id), "rto", sf.sndUna)
-		tr.CwndChange(sf.conn.traceID, int32(sf.id), cc.Cwnd)
-		tr.SubflowState(sf.conn.traceID, int32(sf.id), "repair")
-	}
-
-	if len(sf.conn.subs) > 1 {
-		stranded := make([]int64, 0, sf.outstanding())
-		for s := sf.sndUna; s < sf.sndNxt; s++ {
-			if !sf.slot(s).sacked {
-				stranded = append(stranded, sf.slot(s).dataSeq)
-			}
-		}
-		sf.conn.reinject(stranded)
-	}
-
-	// Go-back-N repair: everything outstanding and unsacked is presumed
-	// lost, including earlier recovery retransmissions.
-	for s := sf.sndUna; s < sf.sndNxt; s++ {
-		sf.slot(s).retx = false
-	}
-	sf.repairNxt = sf.sndUna
-	sf.repairEnd = sf.sndNxt
-	if sf.backoff < 10 {
-		sf.backoff++
-	}
-	sf.armTimer()
-	sf.sendRepairs()
-}
-
-// sampleRTT folds one RTT measurement into the RFC 6298 estimator.
-func (sf *Subflow) sampleRTT(rtt sim.Time) {
-	if rtt <= 0 {
-		return
-	}
-	if sf.srtt == 0 {
-		sf.srtt = rtt
-		sf.rttvar = rtt / 2
-	} else {
-		// SRTT = 7/8 SRTT + 1/8 R, RTTVAR = 3/4 RTTVAR + 1/4 |SRTT-R|.
-		diff := sf.srtt - rtt
-		if diff < 0 {
-			diff = -diff
-		}
-		sf.rttvar = (3*sf.rttvar + diff) / 4
-		sf.srtt = (7*sf.srtt + rtt) / 8
-	}
-	sf.cc().SRTT = sf.srtt.Seconds()
-	if obs := sf.conn.rttObs; obs != nil {
-		obs.OnRTTSample(sf.conn.cc, sf.id, rtt.Seconds())
-	}
-	if tr := sf.conn.tracer; tr != nil {
-		tr.RTTSample(sf.conn.traceID, int32(sf.id), rtt.Seconds())
-	}
-	rto := sf.srtt + 4*sf.rttvar
-	if rto < sf.conn.cfg.MinRTO {
-		rto = sf.conn.cfg.MinRTO
-	}
-	if rto > maxRTO {
-		rto = maxRTO
-	}
-	sf.rto = rto
-}
-
-// armTimer (re)starts the retransmission timer for the oldest outstanding
-// packet, or stops it when nothing is in flight. The timer is rearmed in
-// place: the per-ACK stop-and-rearm leaves no dead entry in the event
-// queue and allocates nothing.
-func (sf *Subflow) armTimer() {
-	if sf.outstanding() == 0 {
-		sf.rtoTimer.Stop()
-		return
-	}
-	d := sf.rto << sf.backoff
-	if d > maxRTO {
-		d = maxRTO
-	}
-	sf.rtoTimer.Reset(d)
+	c.net.FreePacket(pkt)
+	c.core.OnAck(now, a)
 }
