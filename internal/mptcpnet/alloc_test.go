@@ -91,3 +91,31 @@ func TestSteadyStateSegmentPathAllocationFree(t *testing.T) {
 		t.Errorf("loss-free pipe saw %d retransmissions, want 0", st.SegsRetx)
 	}
 }
+
+// The ACKs sent from outside readLoop — Read's window update, the delay
+// timer's — marshal into a pooled frame: no header buffer, no slices.
+func TestOutOfBandAckAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates and randomly drops sync.Pool puts")
+	}
+	snd, rcv := newMemConn("snd"), newMemConn("rcv")
+	wire(snd, rcv)
+	rcv.preallocate(8) // once those are in flight the fake drops, allocating nothing
+	defer snd.Close()
+	defer rcv.Close()
+	rx := NewReceiver(7, []net.PacketConn{rcv}, 16)
+	defer rx.Close()
+	f := make([]byte, headerSize)
+	h := header{Type: typeProbe, ConnID: 7}
+	h.marshal(f)
+	sealFrame(f)
+	rcv.deliver(f) // tells the receiver where subflow 0's peer is
+	for deadline := time.Now().Add(5 * time.Second); len(snd.inbox) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the probe was never answered")
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { rx.ackOutOfBand(0, true) }); n != 0 {
+		t.Errorf("%.1f allocations per window update, want 0", n)
+	}
+}

@@ -71,6 +71,7 @@ type Sender struct {
 	finSent    bool
 	finAcked   bool // an ACK said the receiver has seen the FIN
 	finRetries int
+	acksRecvd  int64
 	err        error
 	done       chan struct{} // closed once the stream is fully acknowledged
 	doneClosed bool
@@ -342,6 +343,7 @@ type Stats struct {
 	OppRetx   int64 // §6 opportunistic retransmissions of a blocking segment
 	Penalties int64 // §6 penalization window halvings
 	Corrupt   int64 // inbound frames dropped by the checksum
+	AcksRecvd int64 // ACK datagrams processed (the receiver delays ACKs: about one per two segments)
 	// SubflowSent is the count of segments assigned to each subflow
 	// (its subflow-sequence high-water mark), indexed by subflow ID.
 	SubflowSent []int64
@@ -358,6 +360,7 @@ func (s *Sender) Stats() Stats {
 		OppRetx:     s.core.OppRetx,
 		Penalties:   s.core.Penalties,
 		Corrupt:     s.corrupt.Load(),
+		AcksRecvd:   s.acksRecvd,
 		SubflowSent: make([]int64, len(s.subs)),
 	}
 	for i := range s.subs {
@@ -563,6 +566,7 @@ func (sf *sendSubflow) readLoop() {
 func (s *Sender) handleAck(sf *sendSubflow, h *header) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.acksRecvd++
 	a := proto.Ack{Sub: sf.id, Seq: h.Seq, DataAck: h.DataSeq, Window: int64(h.Window), Sack: -1}
 	if h.Flags&flagSack != 0 {
 		a.Sack = h.Aux

@@ -442,6 +442,12 @@ func TestUnreadDataIsFlowControlled(t *testing.T) {
 	if err := tx.Wait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// Window updates and probe answers are cumulative ACKs that settle
+	// what was owed, not extras: even with the window shut or nearly so
+	// for much of the transfer there are fewer ACKs than segments.
+	if acks := tx.Stats().AcksRecvd; acks > segs {
+		t.Errorf("%d ACKs for %d segments, want window updates to replace delayed ACKs, not add to them", acks, segs)
+	}
 }
 
 // A window update lost in flight must not wedge the connection: the
@@ -456,6 +462,9 @@ func TestLostWindowUpdateRecoveredByProbe(t *testing.T) {
 		var h header
 		if h.unmarshal(b) != nil || h.Type != typeAck || h.Echo != 0 {
 			return false
+		}
+		if h.Window == 0 || h.Flags&flagSack != 0 {
+			t.Errorf("window update advertises window %d, flags %#x: want an open window and no SACK", h.Window, h.Flags)
 		}
 		lost.Add(1)
 		return true

@@ -6,16 +6,24 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mptcp/internal/proto"
 )
 
+// ackDelay is how long an ACK the core owes may wait for a second
+// segment: well under MinRTO and the persist interval, and LAN-sized —
+// the 25-40 ms of WAN stacks would tax every cwnd = 1 segment after a
+// timeout.
+const ackDelay = time.Millisecond
+
 // Receiver is the receiving side of a multipath connection: it reads
 // segments from every subflow socket, acknowledges them (subflow ack +
 // explicit data ack + shared-buffer window, per §6), reassembles the data
-// stream and serves it through Read. The sequence tracking, the window
-// and the keep-or-drop verdicts are the protocol core's; this shell owns
-// the sockets, the payload frames and the blocking Read.
+// stream and serves it through Read. The sequence tracking, the window,
+// the keep-or-drop verdicts and when to acknowledge are the protocol
+// core's; this shell owns the sockets, the payload frames, the blocking
+// Read and the delay timers.
 type Receiver struct {
 	connID uint64
 	conns  []net.PacketConn
@@ -31,15 +39,24 @@ type Receiver struct {
 	readNxt int64
 	finSeq  int64 // end-of-stream data sequence, -1 until FIN seen
 	closed  bool
-	// peers is where each subflow's datagrams last came from: Read sends
-	// its window updates there.
+	// peers is where each subflow's datagrams last came from: window
+	// updates and delayed ACKs go there.
 	peers []net.Addr
+	held  []heldAck
 
 	segsRecvd int64 // segments received, including duplicates
 
 	// corrupt counts inbound frames dropped by the checksum; atomic (not
 	// mu) because readLoop bumps it without taking the lock.
 	corrupt atomic.Int64
+}
+
+// heldAck is one subflow's delayed-ACK state: the timer, and the echo
+// timestamp of the segment whose ACK waits with its arrival time.
+type heldAck struct {
+	tm   timer
+	echo uint32
+	at   time.Time
 }
 
 // NewReceiver builds a receiver listening on the given subflow sockets.
@@ -49,10 +66,11 @@ func NewReceiver(connID uint64, conns []net.PacketConn, bufSegments int64) *Rece
 	if bufSegments <= 0 {
 		bufSegments = 256
 	}
-	r := &Receiver{connID: connID, conns: conns, finSeq: -1, peers: make([]net.Addr, len(conns))}
-	r.core.Reset(len(conns), bufSegments)
+	r := &Receiver{connID: connID, conns: conns, finSeq: -1, peers: make([]net.Addr, len(conns)), held: make([]heldAck, len(conns))}
+	r.core.Reset(len(conns), bufSegments, proto.AckDelayed)
 	r.cond = sync.NewCond(&r.mu)
 	for i := range conns {
+		r.held[i].tm = newTimer(func() { r.ackOutOfBand(i, false) })
 		go r.readLoop(i)
 	}
 	return r
@@ -88,27 +106,50 @@ func (r *Receiver) Read(p []byte) (int, error) {
 			reopened = r.core.Consume(1) || reopened
 		}
 	}
-	var updates []header
-	var peers []net.Addr
-	if reopened {
-		peers = append(peers, r.peers...)
-		for sub := range r.conns {
-			updates = append(updates, r.ackLocked(sub, 0, -1)) // echo 0: no transmission to time
-		}
-	}
 	r.mu.Unlock()
-	for sub := range updates {
-		if peers[sub] != nil {
-			r.writeAck(sub, &updates[sub], peers[sub], make([]byte, headerSize))
+	if reopened {
+		for sub := range r.conns {
+			r.ackOutOfBand(sub, true)
 		}
 	}
 	return n, nil
+}
+
+// ackOutOfBand acknowledges subflow sub's current state from outside its
+// readLoop, with a pooled frame as marshalling scratch: Read's window
+// update (echo 0: no transmission to time), or the delay timer asking the
+// core whether an ACK is still owed. That one echoes the held segment's
+// timestamp advanced by the time it was held, so the sender's now - echo
+// sample does not count the delay.
+func (r *Receiver) ackOutOfBand(sub int, update bool) {
+	r.mu.Lock()
+	h, echo := &r.held[sub], uint32(0)
+	if !update {
+		h.tm.on = false
+		if r.closed || !r.core.OnAckDelay(sub) {
+			r.mu.Unlock()
+			return
+		}
+		if echo = h.echo; echo != 0 {
+			echo += uint32(time.Since(h.at) / time.Microsecond)
+		}
+	}
+	ack, to := r.ackLocked(sub, echo, -1), r.peers[sub]
+	r.mu.Unlock()
+	if to != nil {
+		f := getFrame()
+		r.writeAck(sub, &ack, to, f.buf[:headerSize])
+		putFrame(f)
+	}
 }
 
 // Close stops the receiver (the sockets themselves belong to the caller).
 func (r *Receiver) Close() error {
 	r.mu.Lock()
 	r.closed = true
+	for i := range r.held {
+		r.held[i].tm.stop()
+	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	return nil
@@ -165,27 +206,34 @@ func (r *Receiver) readLoop(sub int) {
 		if h.ConnID != r.connID {
 			continue
 		}
-		sack, reply, kept := int64(-1), true, false
+		sack, acks, kept := int64(-1), 1, false
 		r.mu.Lock()
 		r.peers[sub] = from
 		switch h.Type {
 		case typeData:
-			sack, reply, kept = r.onDataLocked(sub, &h, f)
+			sack, acks, kept = r.onDataLocked(sub, &h, f)
 		case typeFin:
 			if r.finSeq < 0 || h.Aux < r.finSeq {
 				r.finSeq = h.Aux
 			}
+			r.core.OnProbe(sub, true)
 			r.cond.Broadcast()
 		case typeProbe: // acknowledge current state, change nothing
+			r.core.OnProbe(sub, false)
 		default:
-			reply = false
+			acks = 0
 		}
 		ack := r.ackLocked(sub, h.Echo, sack)
 		r.mu.Unlock()
 		if kept {
 			f = getFrame()
 		}
-		if reply {
+		if acks == 2 { // the owed cumulative ACK goes first, without the SACK
+			owed := ack
+			owed.Flags &^= flagSack
+			r.writeAck(sub, &owed, from, ackBuf)
+		}
+		if acks > 0 {
 			r.writeAck(sub, &ack, from, ackBuf)
 		}
 	}
@@ -193,10 +241,20 @@ func (r *Receiver) readLoop(sub int) {
 
 // onDataLocked hands one data segment, carried in f, to the core and
 // acts on its verdict. It reports the new SACK information (-1: none),
-// whether to acknowledge at all, and whether the receiver kept f.
-func (r *Receiver) onDataLocked(sub int, h *header, f *frame) (sack int64, reply, kept bool) {
+// how many ACKs the core wants sent now, and whether the receiver kept f.
+// An ACK the core owes instead waits for the subflow's delay timer, which
+// is armed only when idle and never stopped by a later ACK: an expiry that
+// finds nothing owed costs less than a Reset and a Stop per pair of
+// segments.
+func (r *Receiver) onDataLocked(sub int, h *header, f *frame) (sack int64, acks int, kept bool) {
 	r.segsRecvd++
-	v, sack := r.core.OnData(sub, h.Seq, h.DataSeq)
+	v, sack, acks := r.core.OnData(sub, h.Seq, h.DataSeq)
+	if held := &r.held[sub]; acks == 0 && v != proto.Overflow {
+		held.echo, held.at = h.Echo, time.Now()
+		if !held.tm.on && !r.closed {
+			held.tm.arm(proto.Time(ackDelay))
+		}
+	}
 	if v == proto.New {
 		f.n, f.off = headerSize+int(h.Plen), headerSize
 		r.segs.put(r.readNxt, h.DataSeq, f)
@@ -208,7 +266,7 @@ func (r *Receiver) onDataLocked(sub int, h *header, f *frame) (sack int64, reply
 			r.cond.Broadcast()
 		}
 	}
-	return sack, v != proto.Overflow, v == proto.New
+	return sack, acks, v == proto.New
 }
 
 // ackLocked builds the §6 acknowledgment: subflow cumulative ack,

@@ -7,16 +7,13 @@ package proto
 // design §6 of the paper arrives at after eliminating per-subflow buffers
 // (deadlock) and inferred data ACKs (spurious drops).
 //
-// It tracks sequence numbers only; the shell keeps the payloads, and
-// acknowledges every data packet immediately with the subflow cumulative
-// ack, the explicit data ack, the window and the echoed timestamp. The
-// zero value becomes usable with Reset.
+// It tracks sequence numbers only; the shell keeps the payloads and
+// sends the acknowledgments — subflow cumulative ack, explicit data ack,
+// window, echoed timestamp — when the core says so: at once, or, under
+// AckDelayed, owed until a second segment or the shell's delay timer
+// (OnAckDelay). The zero value becomes usable with Reset.
 type Receiver struct {
-	// Per-subflow sequence state; subDelivered counts the distinct data
-	// packets each subflow was first to deliver.
-	subRcvNxt    []int64
-	subOOO       []map[int64]struct{}
-	subDelivered []int64
+	subs []rcvSub
 
 	// Connection-level reassembly.
 	dataRcvNxt int64
@@ -27,6 +24,12 @@ type Receiver struct {
 	bufCap int64
 	readPt int64
 
+	// Delayed acknowledgment (RFC 5681 §4.2): how many quiet segments one
+	// ACK may cover, and whether the peer has signalled the end of its
+	// stream (nothing is delayed after that).
+	policy AckPolicy
+	fin    bool
+
 	// Overflow counts packets dropped because the buffer was full.
 	Overflow int64
 	// DupData counts packets carrying already-received data (e.g. after
@@ -34,27 +37,48 @@ type Receiver struct {
 	DupData int64
 }
 
-// Reset rebuilds the receiver for a new life with nsub subflows and a
-// shared buffer of bufCap packets, clearing (and keeping) the
-// out-of-order sets of a previous life with the same subflow count.
-func (r *Receiver) Reset(nsub int, bufCap int64) {
-	if len(r.subRcvNxt) != nsub {
-		*r = Receiver{
-			subRcvNxt:    make([]int64, nsub),
-			subOOO:       make([]map[int64]struct{}, nsub),
-			subDelivered: make([]int64, nsub),
-			dataOOO:      make(map[int64]struct{}),
-		}
-		for i := range r.subOOO {
-			r.subOOO[i] = make(map[int64]struct{})
+// rcvSub is one subflow's receive-side state.
+type rcvSub struct {
+	rcvNxt int64              // cumulative acknowledgment
+	ooo    map[int64]struct{} // received above it
+	// delivered counts the distinct data packets this subflow was first
+	// to deliver; ackOwed the segments it holds unacknowledged, always
+	// below the policy.
+	delivered int64
+	ackOwed   AckPolicy
+}
+
+// AckPolicy is how many quiet in-order segments of a subflow one
+// acknowledgment may cover. A shell picks it once, at Reset.
+type AckPolicy int8
+
+const (
+	// AckEveryPacket acknowledges every data packet as it arrives: the
+	// simulator's rule, which all its artefacts pin.
+	AckEveryPacket AckPolicy = 1
+	// AckDelayed owes the ACK of a lone quiet segment until the next one
+	// or the shell's delay, halving the ACK traffic of a bulk transfer.
+	AckDelayed AckPolicy = 2
+)
+
+// Reset rebuilds the receiver for a new life with nsub subflows, a shared
+// buffer of bufCap packets and the given ACK policy, clearing (and
+// keeping) the out-of-order sets of a previous life with the same subflow
+// count.
+func (r *Receiver) Reset(nsub int, bufCap int64, policy AckPolicy) {
+	if len(r.subs) != nsub {
+		*r = Receiver{subs: make([]rcvSub, nsub), dataOOO: make(map[int64]struct{})}
+		for i := range r.subs {
+			r.subs[i].ooo = make(map[int64]struct{})
 		}
 	}
-	for i := range r.subRcvNxt {
-		r.subRcvNxt[i], r.subDelivered[i] = 0, 0
-		clear(r.subOOO[i])
+	for i := range r.subs {
+		sf := &r.subs[i]
+		sf.rcvNxt, sf.delivered, sf.ackOwed = 0, 0, 0
+		clear(sf.ooo)
 	}
 	clear(r.dataOOO)
-	r.dataRcvNxt, r.readPt, r.bufCap = 0, 0, bufCap
+	r.dataRcvNxt, r.readPt, r.bufCap, r.policy, r.fin = 0, 0, bufCap, policy, false
 	r.Overflow, r.DupData = 0, 0
 }
 
@@ -63,11 +87,11 @@ func (r *Receiver) Reset(nsub int, bufCap int64) {
 func (r *Receiver) DataRcvNxt() int64 { return r.dataRcvNxt }
 
 // SubRcvNxt returns subflow sub's cumulative acknowledgment.
-func (r *Receiver) SubRcvNxt(sub int) int64 { return r.subRcvNxt[sub] }
+func (r *Receiver) SubRcvNxt(sub int) int64 { return r.subs[sub].rcvNxt }
 
 // SubDelivered returns the number of distinct data packets obtained via
 // subflow sub (per-path goodput).
-func (r *Receiver) SubDelivered(sub int) int64 { return r.subDelivered[sub] }
+func (r *Receiver) SubDelivered(sub int) int64 { return r.subs[sub].delivered }
 
 // Readable returns the count of in-order data packets the application
 // has not consumed yet.
@@ -80,11 +104,36 @@ func (r *Receiver) Window() int64 { return max(r.readPt+r.bufCap-r.dataRcvNxt, 0
 // Consume records that the application read n more data packets and
 // reports whether that reopened a closed window — when the shell owes the
 // sender a window update on every subflow, as a real TCP receiver sends
-// one when the application's read reopens a closed window.
+// one when the application's read reopens a closed window. The updates
+// are cumulative ACKs: they settle whatever the subflows owed.
 func (r *Receiver) Consume(n int64) (reopened bool) {
 	closed := r.Window() == 0
 	r.readPt += n
-	return closed && r.Window() > 0
+	if reopened = closed && r.Window() > 0; reopened {
+		for i := range r.subs {
+			r.subs[i].ackOwed = 0
+		}
+	}
+	return reopened
+}
+
+// OnProbe admits a packet outside the sequence space on sub — a
+// zero-window probe or, with fin, the shell's end-of-stream mark — which
+// the shell answers at once with the current state, settling what sub
+// owed. After a FIN nothing is delayed: the peer has no more data coming
+// to clock an owed ACK out.
+func (r *Receiver) OnProbe(sub int, fin bool) {
+	r.subs[sub].ackOwed = 0
+	r.fin = r.fin || fin
+}
+
+// OnAckDelay is the shell's delay expiring on sub (the core has no
+// clock): it reports whether an acknowledgment is still owed there, and
+// settles it.
+func (r *Receiver) OnAckDelay(sub int) (owed bool) {
+	owed = r.subs[sub].ackOwed > 0
+	r.subs[sub].ackOwed = 0
+	return owed
 }
 
 // Verdict is what the shell must do with an arriving data packet.
@@ -107,46 +156,70 @@ const (
 // selectively acknowledge, or -1: only a new out-of-order arrival is
 // SACKed, so that a duplicate arrival produces an ACK with no new
 // information, which the sender must not count toward fast retransmit
-// (RFC 6675's DupAck definition).
-func (r *Receiver) OnData(sub int, seq, dataSeq int64) (v Verdict, sack int64) {
+// (RFC 6675's DupAck definition). acks is how many acknowledgments the
+// shell sends now: 0 with Overflow, or when the ACK is owed and the shell
+// sees that its delay timer runs; 2 when an out-of-order arrival finds one
+// owed — first the owed cumulative ACK with no SACK, then this packet's,
+// because the sender counts a SACK as a duplicate only on an ACK that
+// leaves its cumulative point alone.
+func (r *Receiver) OnData(sub int, seq, dataSeq int64) (v Verdict, sack int64, acks int) {
 	// Shared-buffer admission comes first: admitting the subflow sequence
 	// while dropping the data would acknowledge a packet whose payload
 	// nobody will resend.
 	if dataSeq >= r.readPt+r.bufCap {
 		r.Overflow++
-		return Overflow, -1
+		return Overflow, -1, 0
 	}
 
 	// Subflow-level sequence tracking (loss detection). Out-of-order
-	// arrivals are SACKed individually; with per-packet ACKs the sender
+	// arrivals are SACKed individually and never delayed, so the sender
 	// learns the exact hole set.
 	sack = -1
-	ooo := r.subOOO[sub]
-	if seq == r.subRcvNxt[sub] {
-		r.subRcvNxt[sub] = drain(ooo, seq+1)
-	} else if seq > r.subRcvNxt[sub] {
-		if _, dup := ooo[seq]; !dup {
+	sf := &r.subs[sub]
+	if seq == sf.rcvNxt {
+		sf.rcvNxt = drain(sf.ooo, seq+1)
+	} else if seq > sf.rcvNxt {
+		if _, dup := sf.ooo[seq]; !dup {
 			sack = seq
 		}
-		ooo[seq] = struct{}{}
+		sf.ooo[seq] = struct{}{}
 	}
 
 	// Connection-level reassembly.
-	held := dataSeq < r.dataRcvNxt
+	v, was := New, r.dataRcvNxt
+	held := dataSeq < was
 	if !held {
 		_, held = r.dataOOO[dataSeq]
 	}
-	if held {
+	switch {
+	case held:
 		r.DupData++
-		return Duplicate, sack
-	}
-	r.subDelivered[sub]++
-	if dataSeq == r.dataRcvNxt {
+		v = Duplicate
+	case dataSeq == was:
+		sf.delivered++
 		r.dataRcvNxt = drain(r.dataOOO, dataSeq+1)
-	} else {
+	default:
+		sf.delivered++
 		r.dataOOO[dataSeq] = struct{}{}
 	}
-	return New, sack
+
+	// Only a quiet segment may wait: new data, next in order on a subflow
+	// with no hole above it, that moved the data-level point by at most
+	// itself, before any FIN and with more than a quarter of the buffer
+	// still on offer. Everything else tells the sender something it acts
+	// on — a loss, a repair, a jump of the flow-control edge — and goes
+	// now, as does the segment that reaches the policy's count.
+	owed := sf.ackOwed
+	if owed+1 < r.policy && v == New && sf.rcvNxt == seq+1 && len(sf.ooo) == 0 &&
+		r.dataRcvNxt-was <= 1 && !r.fin && 4*r.Window() > r.bufCap {
+		sf.ackOwed++
+		return v, sack, 0
+	}
+	sf.ackOwed = 0
+	if owed > 0 && sack >= 0 {
+		return v, sack, 2
+	}
+	return v, sack, 1
 }
 
 // drain advances a cumulative point from next across the out-of-order

@@ -322,10 +322,10 @@ func TestPersistProbesWhileWindowClosed(t *testing.T) {
 // a duplicate wherever it arrives.
 func TestReceiverWindowCountsUnreadData(t *testing.T) {
 	var r Receiver
-	r.Reset(2, 4)
+	r.Reset(2, 4, AckEveryPacket)
 	step := func(sub int, seq, dataSeq int64, wantV Verdict, wantSack, wantWnd int64) {
 		t.Helper()
-		v, sack := r.OnData(sub, seq, dataSeq)
+		v, sack, _ := r.OnData(sub, seq, dataSeq)
 		if v != wantV || sack != wantSack || r.Window() != wantWnd {
 			t.Fatalf("OnData(sub%d seq%d data%d) = verdict %d sack %d window %d, want %d %d %d",
 				sub, seq, dataSeq, v, sack, r.Window(), wantV, wantSack, wantWnd)
@@ -354,5 +354,195 @@ func TestReceiverWindowCountsUnreadData(t *testing.T) {
 	if r.Overflow != 1 || r.DupData != 2 || r.SubDelivered(0) != 3 || r.SubDelivered(1) != 2 {
 		t.Errorf("counters: overflow %d dup %d delivered %d/%d, want 1 2 3/2",
 			r.Overflow, r.DupData, r.SubDelivered(0), r.SubDelivered(1))
+	}
+}
+
+// --- Delayed acknowledgments (AckDelayed, what mptcpnet runs) ---
+
+// acksFor feeds one data packet and returns how many ACKs go now.
+func acksFor(t *testing.T, r *Receiver, sub int, seq, dataSeq int64) int {
+	t.Helper()
+	v, _, acks := r.OnData(sub, seq, dataSeq)
+	if v == Overflow {
+		t.Fatalf("OnData(sub%d seq%d data%d) overflowed the buffer", sub, seq, dataSeq)
+	}
+	return acks
+}
+
+func newDelayed(nsub int, bufCap int64) *Receiver {
+	r := &Receiver{}
+	r.Reset(nsub, bufCap, AckDelayed)
+	return r
+}
+
+// The second quiet segment of a subflow releases the ACK for both, and
+// the count starts over.
+func TestDelayedAckSecondSegmentAcknowledges(t *testing.T) {
+	r := newDelayed(1, 64)
+	for seq, want := range []int{0, 1, 0, 1, 0} {
+		if got := acksFor(t, r, 0, int64(seq), int64(seq)); got != want {
+			t.Errorf("segment %d: %d ACKs now, want %d", seq, got, want)
+		}
+	}
+}
+
+// A lone segment is owed until the shell's delay expires, exactly once,
+// and what one subflow owes does not make another subflow's first segment
+// a second one.
+func TestDelayedAckLoneSegmentOwesUntilDelay(t *testing.T) {
+	r := newDelayed(2, 64)
+	if got := acksFor(t, r, 0, 0, 0); got != 0 {
+		t.Fatalf("lone segment: %d ACKs now, want it owed", got)
+	}
+	if got := acksFor(t, r, 1, 0, 1); got != 0 {
+		t.Errorf("first segment of subflow 1: %d ACKs now, want it owed too", got)
+	}
+	if !r.OnAckDelay(0) {
+		t.Error("delay expired on subflow 0: nothing owed, want the lone segment's ACK")
+	}
+	if r.OnAckDelay(0) {
+		t.Error("second expiry on subflow 0 still owes an ACK")
+	}
+	if got := acksFor(t, r, 0, 1, 2); got != 0 {
+		t.Errorf("next segment after the timer-fired ACK: %d ACKs now, want a fresh owed one", got)
+	}
+	if !r.OnAckDelay(1) {
+		t.Error("subflow 1's owed ACK was settled by subflow 0's expiry")
+	}
+}
+
+// Everything the sender acts on goes at once: loss signals, repairs, a
+// jump of the data-level point, probes, the end of the stream and a
+// window that is closing.
+func TestDelayedAckSignalsAcknowledgeAtOnce(t *testing.T) {
+	type pkt struct {
+		sub          int
+		seq, dataSeq int64
+	}
+	cases := []struct {
+		name    string
+		nsub    int
+		bufCap  int64
+		prelude func(r *Receiver) // brings the receiver to the state under test
+		arrival pkt
+		want    int
+	}{
+		{name: "out of order", nsub: 1, bufCap: 64, arrival: pkt{0, 1, 1}, want: 1},
+		{name: "out of order with one owed: the owed ACK first, then the SACK", nsub: 1, bufCap: 64,
+			prelude: func(r *Receiver) { r.OnData(0, 0, 0) }, arrival: pkt{0, 2, 2}, want: 2},
+		{name: "duplicate", nsub: 1, bufCap: 64,
+			prelude: func(r *Receiver) { r.OnData(0, 0, 0); r.OnAckDelay(0) }, arrival: pkt{0, 0, 0}, want: 1},
+		{name: "fills the subflow's gap", nsub: 1, bufCap: 64,
+			prelude: func(r *Receiver) { r.OnData(0, 1, 1) }, arrival: pkt{0, 0, 0}, want: 1},
+		{name: "in order below a hole that stays", nsub: 1, bufCap: 64,
+			prelude: func(r *Receiver) { r.OnData(0, 2, 2) }, arrival: pkt{0, 0, 0}, want: 1},
+		{name: "fills the data-level gap", nsub: 2, bufCap: 64,
+			prelude: func(r *Receiver) { r.OnData(1, 0, 1); r.OnAckDelay(1) }, arrival: pkt{0, 0, 0}, want: 1},
+		{name: "after the FIN", nsub: 1, bufCap: 64,
+			prelude: func(r *Receiver) { r.OnProbe(0, true) }, arrival: pkt{0, 0, 0}, want: 1},
+		{name: "lone, but the window is down to a quarter of the buffer", nsub: 1, bufCap: 8,
+			prelude: func(r *Receiver) {
+				for seq := int64(0); seq < 5; seq++ { // unread: the fifth still leaves 3 of 8 and is owed
+					r.OnData(0, seq, seq)
+				}
+				r.OnAckDelay(0)
+			},
+			arrival: pkt{0, 5, 5}, want: 1},
+	}
+	for _, c := range cases {
+		r := newDelayed(c.nsub, c.bufCap)
+		if c.prelude != nil {
+			c.prelude(r)
+		}
+		if got := acksFor(t, r, c.arrival.sub, c.arrival.seq, c.arrival.dataSeq); got != c.want {
+			t.Errorf("%s: %d ACKs now, want %d", c.name, got, c.want)
+		}
+		if r.OnAckDelay(c.arrival.sub) {
+			t.Errorf("%s: an ACK is still owed after the immediate one", c.name)
+		}
+	}
+	// A segment in order on its subflow whose data is ahead of the
+	// data-level point is quiet: on paths of unequal delay that is every
+	// segment of the faster one.
+	r := newDelayed(2, 64)
+	if got := acksFor(t, r, 1, 0, 5); got != 0 {
+		t.Errorf("in order on the subflow, ahead at the data level: %d ACKs now, want it owed", got)
+	}
+}
+
+// A probe's answer and a window update are cumulative ACKs: they settle
+// what was owed, so no redundant delayed ACK follows them.
+func TestDelayedAckSettledByProbeAndWindowUpdate(t *testing.T) {
+	r := newDelayed(2, 4)
+	if got := acksFor(t, r, 0, 0, 0); got != 0 {
+		t.Fatalf("lone segment: %d ACKs now, want it owed", got)
+	}
+	r.OnProbe(0, false)
+	if r.OnAckDelay(0) {
+		t.Error("an ACK is still owed after the probe was answered")
+	}
+	if got := acksFor(t, r, 0, 1, 1); got != 0 { // window 2 of 4: still comfortable
+		t.Fatalf("lone segment: %d ACKs now, want it owed", got)
+	}
+	for seq := int64(0); seq < 2; seq++ { // subflow 1 shuts the window
+		if got := acksFor(t, r, 1, seq, 2+seq); got != 1 {
+			t.Errorf("segment %d into a closing window: %d ACKs now, want 1", seq, got)
+		}
+	}
+	if reopened := r.Consume(4); !reopened {
+		t.Fatal("reading a full buffer did not reopen the window")
+	}
+	if r.OnAckDelay(0) {
+		t.Error("an ACK is still owed on subflow 0 after the window update went out on every subflow")
+	}
+}
+
+// The policy transport runs: every packet is answered by exactly one
+// ACK, whatever it is.
+func TestDelayedAckEveryPacketPolicyNeverOwes(t *testing.T) {
+	var r Receiver
+	r.Reset(2, 64, AckEveryPacket)
+	for i, p := range [][3]int64{{0, 0, 0}, {0, 1, 1}, {0, 3, 3}, {1, 0, 4}, {0, 2, 2}, {0, 2, 2}, {1, 1, 5}, {1, 3, 7}} {
+		if got := acksFor(t, &r, int(p[0]), p[1], p[2]); got != 1 {
+			t.Errorf("packet %d (sub%d seq%d): %d ACKs now, want 1", i, p[0], p[1], got)
+		}
+		if r.OnAckDelay(int(p[0])) {
+			t.Errorf("packet %d: the every-packet policy owes an ACK", i)
+		}
+	}
+}
+
+// The ACK that covers a held in-order segment must not also be the one
+// that carries the first SACK: the sender counts a SACK as a duplicate
+// only when the cumulative point stays, so fast retransmit would fire one
+// arrival late. One held segment, a loss, three out-of-order arrivals.
+func TestDelayedAckHeldSegmentDoesNotDelayFastRetransmit(t *testing.T) {
+	s, _ := newScript(SenderConfig{Subflows: 1, Total: Infinite, InitialCwnd: 10})
+	s.Pump(0) // seq 0-9 in flight; seq 1 is lost
+	r := newDelayed(1, 64)
+	feed := func(seq int64) {
+		_, sack, acks := r.OnData(0, seq, seq)
+		a := Ack{Sub: 0, Seq: r.SubRcvNxt(0), DataAck: r.DataRcvNxt(), Window: r.Window(), Sack: -1, RTT: 10 * Millisecond}
+		if acks == 2 {
+			s.OnAck(10*Millisecond, a)
+		}
+		if acks > 0 {
+			a.Sack = sack
+			s.OnAck(10*Millisecond, a)
+		}
+	}
+	feed(0) // held
+	if s.Outstanding(0) != 10 {
+		t.Fatalf("%d packets outstanding with seq 0's ACK held, want all 10", s.Outstanding(0))
+	}
+	for _, seq := range []int64{2, 3} {
+		feed(seq)
+		if n := s.Stats(0).FastRetx; n != 0 {
+			t.Fatalf("FastRetx = %d after the SACK of seq %d, want 0 before the third", n, seq)
+		}
+	}
+	feed(4)
+	if n := s.Stats(0).FastRetx; n != 1 {
+		t.Errorf("FastRetx = %d after three out-of-order arrivals behind a held segment, want 1", n)
 	}
 }

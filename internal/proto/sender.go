@@ -25,8 +25,8 @@
 // The package is sans-I/O: it owns no clock, timer, socket, goroutine,
 // lock or random source. A shell feeds it events stamped with the shell's
 // own clock (Sender.OnAck, OnRTO, OnPersist, Supply, Pump;
-// Receiver.OnData, Consume) and performs the side effects it asks for
-// through the Shell interface. After warm-up (rings and queues grown) no
+// Receiver.OnData, OnProbe, OnAckDelay, Consume) and performs the side
+// effects it asks for through the Shell interface or its return values. After warm-up (rings and queues grown) no
 // entry point allocates. DESIGN.md §16 has the ordering contract.
 package proto
 

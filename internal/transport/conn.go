@@ -197,7 +197,7 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 		}
 	}
 	c.recv.net, c.recv.conn, c.recv.stalled = nw, c, false
-	c.recv.Reset(n, cfg.RecvBuf)
+	c.recv.Reset(n, cfg.RecvBuf, proto.AckEveryPacket)
 	for i, p := range cfg.Paths {
 		sf := c.subs[i]
 		sf.SubflowStats, sf.nextSend = c.core.Stats(i), 0

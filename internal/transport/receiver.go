@@ -11,9 +11,11 @@ import (
 // reassembly, one shared receive buffer) plus the reverse routes and an
 // application that reads instantly unless stalled.
 //
-// Every data packet is acknowledged immediately with a pure ACK carrying
-// the subflow cumulative ack, the explicit data ack, the receive window
-// and the echoed timestamp.
+// The core runs under proto.AckEveryPacket: each data packet is answered
+// at once with a pure ACK carrying the subflow cumulative ack, the
+// explicit data ack, the receive window and the echoed timestamp. Every
+// golden and artefact digest pins that ACK stream, so the delayed-ACK
+// policy mptcpnet runs is not an option here.
 type Receiver struct {
 	proto.Receiver
 	net     *netsim.Net
@@ -52,7 +54,7 @@ func (r *Receiver) Receive(pkt *netsim.Packet) {
 		r.sendAck(sub, sentAt, -1)
 		return
 	}
-	v, sack := r.OnData(sub, seq, dataSeq)
+	v, sack, _ := r.OnData(sub, seq, dataSeq) // every packet: one ACK, at once
 	if v == proto.Overflow {
 		return
 	}
