@@ -220,9 +220,6 @@ func runFleetCell(cell Config, algName, schedSpec string) fleetOut {
 // pooled two-path connections, and the transit-burst plumbing.
 func buildFleetGroup(s *sim.Simulator, id int, end sim.Time, algName, schedSpec string) *fleetGroup {
 	n := netsim.NewNet(s)
-	// The batched-departure path keeps the domain's event heap at
-	// O(links) despite hundreds of concurrent flows.
-	n.BatchDepartures = true
 	g := &fleetGroup{
 		s: s, n: n,
 		d1:   topo.NewDuplex(fmt.Sprintf("g%d/acc1", id), 16, 10*sim.Millisecond, topo.BDPPackets(16, 20*sim.Millisecond)),

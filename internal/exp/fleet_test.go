@@ -22,38 +22,30 @@ import (
 //	4th packet finishes serialising at 4 ms, arrives 4+45 = 49 ms;
 //	its ack departs 49 ms + ackTx and lands 45 ms later.
 //
-// FCT = 4·dataTx + 45 ms + ackTx + 45 ms. The batched-departure path
-// must produce the identical timeline.
+// FCT = 4·dataTx + 45 ms + ackTx + 45 ms.
 func TestFleetFCTHandComputed(t *testing.T) {
-	run := func(batched bool) sim.Time {
-		s := sim.New(7)
-		n := netsim.NewNet(s)
-		n.BatchDepartures = batched
-		fwd := netsim.NewLinkPktPerSec("fwd", 1000, 45*sim.Millisecond, 100)
-		rev := netsim.NewLinkPktPerSec("rev", 1000, 45*sim.Millisecond, 100)
-		c := transport.NewConn(n, transport.Config{
-			Paths:       []transport.Path{{Fwd: []*netsim.Link{fwd}, Rev: []*netsim.Link{rev}}},
-			DataPackets: 4,
-			InitialCwnd: 4,
-			SendJitter:  -1,
-		})
-		c.Start()
-		s.RunUntil(5 * sim.Second)
-		if !c.Done() {
-			t.Fatal("flow did not complete")
-		}
-		return c.CompletedAt() - c.StartedAt()
+	s := sim.New(7)
+	n := netsim.NewNet(s)
+	fwd := netsim.NewLinkPktPerSec("fwd", 1000, 45*sim.Millisecond, 100)
+	rev := netsim.NewLinkPktPerSec("rev", 1000, 45*sim.Millisecond, 100)
+	c := transport.NewConn(n, transport.Config{
+		Paths:       []transport.Path{{Fwd: []*netsim.Link{fwd}, Rev: []*netsim.Link{rev}}},
+		DataPackets: 4,
+		InitialCwnd: 4,
+		SendJitter:  -1,
+	})
+	c.Start()
+	s.RunUntil(5 * sim.Second)
+	if !c.Done() {
+		t.Fatal("flow did not complete")
 	}
 
 	dataBits, ackBits := float64(netsim.DataPacketSize*8), float64(netsim.AckPacketSize*8)
 	dataTx := sim.Time(dataBits / 12e6 * float64(sim.Second))
 	ackTx := sim.Time(ackBits / 12e6 * float64(sim.Second))
 	want := 4*dataTx + 45*sim.Millisecond + ackTx + 45*sim.Millisecond
-
-	for _, batched := range []bool{false, true} {
-		if got := run(batched); got != want {
-			t.Errorf("batched=%v: FCT %v, want %v", batched, got, want)
-		}
+	if got := c.CompletedAt() - c.StartedAt(); got != want {
+		t.Errorf("FCT %v, want %v", got, want)
 	}
 }
 

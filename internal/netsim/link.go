@@ -15,12 +15,14 @@ import (
 // (Fig. 17).
 //
 // The queue is simulated implicitly: each accepted packet is assigned a
-// departure time, one event per packet per hop. Queue occupancy at time t
-// is the number of accepted packets whose departure is still in the
-// future, which the implementation tracks with a FIFO of departure times
-// purged lazily. This halves the event count versus separate
-// transmit-complete/arrival events and is the main reason the simulator
-// sustains tens of millions of packet-hops per second.
+// departure time and posted, at that time plus PropDelay, on the link's
+// sim.Lane — one event per packet per hop, but one heap entry per busy
+// link, since a link's arrivals at its far end are FIFO. Queue occupancy
+// at time t is the number of accepted packets whose departure is still in
+// the future, tracked with a ring of departure times purged lazily. This
+// halves the event count versus separate transmit-complete/arrival events
+// and is the main reason the simulator sustains tens of millions of
+// packet-hops per second.
 type Link struct {
 	Name      string
 	RateBps   float64  // line rate, bits per second
@@ -37,26 +39,18 @@ type Link struct {
 	down bool
 
 	// lastDepart is the departure time of the most recently accepted
-	// packet; departs holds departure times of accepted packets not yet
-	// departed (the implicit queue).
-	lastDepart sim.Time
-	departs    []sim.Time
-	head       int // index of first live entry in departs
+	// packet; departs is a ring (power-of-two length, grown by doubling)
+	// holding the departure times of the queued accepted packets not yet
+	// purged — the implicit queue — starting at index head.
+	lastDepart   sim.Time
+	departs      []sim.Time
+	head, queued int
 
-	// Batched-departure state (Net.BatchDepartures): the FIFO of
-	// accepted packets with their far-end arrival times, and the single
-	// timer armed at the head's arrival. Unused on the default path.
-	batch  []batchItem
-	bhead  int // index of first live entry in batch
-	btimer *sim.Timer
+	// lane carries the accepted packets to the far end; bound to the
+	// link's world on first use.
+	lane *sim.Lane
 
 	Stats LinkStats
-}
-
-// batchItem is one in-flight packet on the batched-departure path.
-type batchItem struct {
-	pkt *Packet
-	at  sim.Time // arrival at the far end: departure + PropDelay
 }
 
 // LinkStats accumulates per-link counters. Loss rate and utilisation for
@@ -163,20 +157,11 @@ func (l *Link) Down() bool { return l.down }
 
 // QueueLen returns the instantaneous queue occupancy in packets.
 func (l *Link) QueueLen(now sim.Time) int {
-	l.purge(now)
-	return len(l.departs) - l.head
-}
-
-func (l *Link) purge(now sim.Time) {
-	for l.head < len(l.departs) && l.departs[l.head] <= now {
-		l.head++
+	for l.queued > 0 && l.departs[l.head] <= now {
+		l.head = (l.head + 1) & (len(l.departs) - 1)
+		l.queued--
 	}
-	// Compact once the dead prefix dominates, to bound memory.
-	if l.head > 1024 && l.head*2 >= len(l.departs) {
-		n := copy(l.departs, l.departs[l.head:])
-		l.departs = l.departs[:n]
-		l.head = 0
-	}
+	return l.queued
 }
 
 // txTime returns the serialisation delay for a packet of size bytes.
@@ -200,8 +185,7 @@ func (l *Link) enqueue(n *Net, pkt *Packet) {
 		n.FreePacket(pkt)
 		return
 	}
-	l.purge(now)
-	if len(l.departs)-l.head >= l.QueueCap {
+	if l.QueueLen(now) >= l.QueueCap {
 		l.Stats.Drops++
 		n.FreePacket(pkt)
 		return
@@ -213,65 +197,24 @@ func (l *Link) enqueue(n *Net, pkt *Packet) {
 	}
 	depart := start + tx
 	l.lastDepart = depart
-	l.departs = append(l.departs, depart)
+	if l.queued == len(l.departs) {
+		d := make([]sim.Time, max(2*l.queued, 8))
+		for i := range l.departs {
+			d[i] = l.departs[(l.head+i)&(l.queued-1)]
+		}
+		l.departs, l.head = d, 0
+	}
+	l.departs[(l.head+l.queued)&(len(l.departs)-1)] = depart
+	l.queued++
 	// Departure statistics (Departures/BytesSent/BusyTime) are accounted
 	// by depart (see Link.depart) when the scheduled event fires, not at
 	// accept time: packets still queued at run end, or stranded when the
 	// link goes down, must not count as departed.
 	pkt.txTime = tx
-	if n.BatchDepartures {
-		l.batchPush(n, pkt, depart+l.PropDelay)
-		return
+	if l.lane == nil {
+		l.lane = n.Sim.NewLane(n)
 	}
-	n.Sim.Post(depart+l.PropDelay, n, pkt)
-}
-
-// batchPush appends pkt to the link's in-flight FIFO and arms the
-// link timer if it is idle. Arrival times are clamped monotone: a
-// mid-run SetDelay decrease could otherwise time a later acceptance
-// before an earlier one, and the FIFO head must always be the earliest
-// arrival for the single-timer scheme to be correct. (The default
-// per-packet-event path permits such overtaking; the batched path
-// trades that corner — irrelevant to workloads that never shrink a
-// delay mid-flight — for an O(links) heap.)
-func (l *Link) batchPush(n *Net, pkt *Packet, at sim.Time) {
-	if k := len(l.batch); k > l.bhead && at < l.batch[k-1].at {
-		at = l.batch[k-1].at
-	}
-	l.batch = append(l.batch, batchItem{pkt: pkt, at: at})
-	if l.btimer == nil {
-		l.btimer = n.Sim.NewTimer(func() { l.batchFire(n) })
-	}
-	if !l.btimer.Active() {
-		l.btimer.ResetAt(l.batch[l.bhead].at)
-	}
-}
-
-// batchFire delivers every FIFO entry whose arrival time has come —
-// crediting the link's departure accounting and forwarding, exactly as
-// the per-packet event path does — then rearms the timer at the next
-// head, if any.
-func (l *Link) batchFire(n *Net) {
-	now := n.Sim.Now()
-	for l.bhead < len(l.batch) && l.batch[l.bhead].at <= now {
-		it := l.batch[l.bhead]
-		l.batch[l.bhead] = batchItem{}
-		l.bhead++
-		if l.depart(n, it.pkt) {
-			n.forward(it.pkt)
-		}
-	}
-	if l.bhead > 1024 && l.bhead*2 >= len(l.batch) {
-		k := copy(l.batch, l.batch[l.bhead:])
-		for i := k; i < len(l.batch); i++ {
-			l.batch[i] = batchItem{}
-		}
-		l.batch = l.batch[:k]
-		l.bhead = 0
-	}
-	if l.bhead < len(l.batch) {
-		l.btimer.ResetAt(l.batch[l.bhead].at)
-	}
+	l.lane.Post(depart+l.PropDelay, pkt)
 }
 
 // depart completes pkt's crossing of the link when its scheduled event

@@ -108,18 +108,6 @@ type Net struct {
 	Sim  *sim.Simulator
 	free []*Packet
 
-	// BatchDepartures selects the batched link-departure path: instead
-	// of one heap event per packet per hop, each link keeps a FIFO of
-	// in-flight packets and a single rearmable timer at the head's
-	// arrival time, shrinking the event heap from O(packets in flight)
-	// to O(links). Results are still deterministic, but same-instant
-	// event interleaving across links differs from the default path
-	// (deliveries fire through per-link timers rather than per-packet
-	// events), so existing goldens keep the default; large-population
-	// worlds (the fleet experiment) opt in at construction, before any
-	// packet is sent.
-	BatchDepartures bool
-
 	// Stats
 	PacketsSent  int64
 	PacketsRecvd int64

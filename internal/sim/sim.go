@@ -9,21 +9,22 @@
 //
 // # Zero-allocation scheduling
 //
-// The event queue is a binary min-heap of event records stored by value —
-// a tagged union of {typed handler callback, rearmable timer, one-shot
-// function}. Scheduling therefore never allocates per event: the heap's
-// backing array is the event pool (a popped slot is reused by the next
-// push), typed events (Post) carry a pre-built handler interface plus a
-// pointer-sized argument, and rearmable timers (NewTimer) are rearmed in
-// place with Reset, which re-keys the queued record and restores heap
-// order instead of abandoning a dead entry. Cancelled events are removed
-// eagerly, so the heap holds live events only. A Timer freelist owned by
-// the Simulator (mirroring netsim's packet freelist) recycles timer
-// objects across short-lived connections via NewTimer/Release.
+// The event queue is a binary min-heap of pointer-free {time, sequence,
+// slot} entries; what an entry dispatches — a one-shot function, a typed
+// handler callback, a rearmable timer or the head of a Lane — lives in a
+// slot table beside it, recycled through a free list. Scheduling never
+// allocates per event: typed events (Post) carry a pre-built handler
+// interface plus a pointer-sized argument, rearmable timers (NewTimer)
+// are re-keyed in place by Reset, and a Lane keeps a whole FIFO of events
+// behind one heap entry. Cancelled events are removed eagerly, so the
+// heap holds live events only. A Timer freelist owned by the Simulator
+// (mirroring netsim's packet freelist) recycles timer objects across
+// short-lived connections via NewTimer/Release.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -56,57 +57,67 @@ func (t Time) String() string {
 // Handler consumes a typed event posted with Simulator.Post. Implementing
 // it lets an object (a network, an endpoint) receive scheduled callbacks
 // without a per-event closure: the packet-forward hot path schedules
-// {handler, argument} pairs that are stored by value in the event heap.
+// {handler, argument} pairs that are stored by value in the slot table.
 type Handler interface {
 	OnEvent(arg any)
 }
 
-// evKind tags the event union.
+// evKind tags the payload union.
 type evKind uint8
 
 const (
 	evFunc    evKind = iota // one-shot function (At/After)
 	evHandler               // typed callback: h.OnEvent(arg)
 	evTimer                 // rearmable Timer: tm.fn()
+	evLane                  // head of a Lane: ln.h.OnEvent(head.arg)
 )
 
-// event is one scheduled occurrence, stored by value in the heap. Exactly
-// one of {fn, h/arg, tm} is meaningful, per kind.
-type event struct {
+// entry is one heap element: the (at, seq) key and the slot of its
+// payload. It holds no pointers, so a sift moves 24 bytes per level with
+// no write barrier.
+type entry struct {
 	at   Time
 	seq  uint64
+	slot int32
+}
+
+// payload is what a queued entry dispatches. Exactly one of {fn, h/arg,
+// tm, ln} is meaningful, per kind.
+type payload struct {
 	kind evKind
 	fn   func()
 	h    Handler
 	arg  any
 	tm   *Timer
+	ln   *Lane
 }
 
 // Timer is a rearmable handle to a scheduled event, created with
 // Simulator.NewTimer. Reset rearms it in place: if the timer is queued,
-// its event record is re-keyed and the heap repaired (heap fix), so
+// its entry is re-keyed and the heap repaired (heap fix), so
 // stop-and-rearm cycles — a retransmission timer touched on every ACK —
 // create no garbage and leave no dead entries in the queue.
 type Timer struct {
-	s     *Simulator
-	fn    func()
-	at    Time
-	index int // position of the timer's event in the heap, -1 when idle
+	s    *Simulator
+	fn   func()
+	at   Time
+	slot int32 // slot of the timer's queued entry, -1 when idle
 }
 
 // Stop cancels the timer, removing its event from the queue. It is safe
 // to call on a timer that has already fired or been stopped. It reports
 // whether the call prevented the event from firing.
 func (t *Timer) Stop() bool {
-	if t == nil || t.index < 0 {
+	if t == nil || t.slot < 0 {
 		return false
 	}
-	t.s.remove(t.index)
+	t.s.remove(int(t.s.pos[t.slot]))
+	t.slot = -1
 	return true
 }
 
 // Active reports whether the timer is still pending.
-func (t *Timer) Active() bool { return t != nil && t.index >= 0 }
+func (t *Timer) Active() bool { return t != nil && t.slot >= 0 }
 
 // When returns the instant the timer is (or was last) scheduled to fire.
 func (t *Timer) When() Time { return t.at }
@@ -120,19 +131,16 @@ func (t *Timer) Reset(d Time) { t.ResetAt(t.s.now + d) }
 // ResetAt (re)arms the timer to fire at absolute time at.
 func (t *Timer) ResetAt(at Time) {
 	s := t.s
-	if at < s.now {
-		panic(fmt.Sprintf("sim: rearming timer at %v before now %v", at, s.now))
+	if t.slot < 0 {
+		t.slot = s.push(at)
+		p := &s.slots[t.slot]
+		p.kind, p.tm = evTimer, t
+	} else {
+		s.checkFuture(at)
+		s.seq++
+		s.fix(int(s.pos[t.slot]), entry{at, s.seq, t.slot})
 	}
 	t.at = at
-	s.seq++
-	if t.index >= 0 {
-		e := &s.ev[t.index]
-		e.at = at
-		e.seq = s.seq
-		s.fix(t.index)
-		return
-	}
-	s.push(event{at: at, seq: s.seq, kind: evTimer, tm: t})
 }
 
 // Release stops the timer and returns it to the simulator's freelist for
@@ -148,11 +156,63 @@ func (t *Timer) Release() {
 	t.s.free = append(t.s.free, t)
 }
 
+// Lane is a FIFO of typed events for one Handler, for a source whose
+// event times never decrease — a link's departures. The whole lane is
+// one heap entry keyed by its head; every item still draws its sequence
+// number when posted, exactly as Post does, so the dispatch order is the
+// one Post would give while the heap stays O(lanes) instead of O(items).
+type Lane struct {
+	s       *Simulator
+	h       Handler
+	q       []laneItem // ring; len(q) is a power of two
+	head, n int
+}
+
+type laneItem struct {
+	at  Time
+	seq uint64
+	arg any
+}
+
+// NewLane returns an empty lane delivering to h.
+func (s *Simulator) NewLane(h Handler) *Lane { return &Lane{s: s, h: h} }
+
+// Post schedules h.OnEvent(arg) at absolute time at. A post earlier than
+// the lane's newest item cannot queue behind it and becomes an ordinary
+// Post with the same key, so the lane never reorders anything.
+func (l *Lane) Post(at Time, arg any) {
+	s := l.s
+	switch {
+	case l.n == 0:
+		p := &s.slots[s.push(at)]
+		p.kind, p.ln = evLane, l
+	case at < l.q[(l.head+l.n-1)&(len(l.q)-1)].at:
+		s.Post(at, l.h, arg)
+		return
+	default:
+		s.seq++
+		s.behind++
+	}
+	if l.n == len(l.q) {
+		q := make([]laneItem, max(2*l.n, 8))
+		for i := range l.q {
+			q[i] = l.q[(l.head+i)&(l.n-1)]
+		}
+		l.q, l.head = q, 0
+	}
+	l.q[(l.head+l.n)&(len(l.q)-1)] = laneItem{at, s.seq, arg}
+	l.n++
+}
+
 // Simulator is a discrete-event scheduler. The zero value is not usable;
 // construct with New.
 type Simulator struct {
 	now    Time
-	ev     []event // binary min-heap ordered by (at, seq)
+	heap   []entry   // binary min-heap ordered by (at, seq)
+	slots  []payload // payloads of the queued entries, by slot
+	pos    []int32   // slot → heap position
+	spare  []int32   // free slots
+	behind int       // lane items queued behind their lane's head entry
 	seq    uint64
 	rng    *rand.Rand
 	nsteps uint64
@@ -185,21 +245,17 @@ func (s *Simulator) NewTimer(fn func()) *Timer {
 		t := s.free[n-1]
 		s.free = s.free[:n-1]
 		t.fn = fn
-		t.index = -1
 		return t
 	}
-	return &Timer{s: s, fn: fn, index: -1}
+	return &Timer{s: s, fn: fn, slot: -1}
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it is always a bug in the caller. For an event that must be
 // cancelled or rearmed later, use NewTimer instead.
 func (s *Simulator) At(t Time, fn func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	s.seq++
-	s.push(event{at: t, seq: s.seq, kind: evFunc, fn: fn})
+	p := &s.slots[s.push(t)]
+	p.kind, p.fn = evFunc, fn
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -208,16 +264,12 @@ func (s *Simulator) After(d Time, fn func()) {
 }
 
 // Post schedules h.OnEvent(arg) at absolute time t. This is the
-// allocation-free path used for packet-hop events: the handler interface
-// and the (pointer-sized) argument are stored by value in the event
-// record, so the per-hop cost is one heap insert and nothing for the
-// garbage collector.
+// allocation-free path for typed events: the handler interface and the
+// (pointer-sized) argument are stored by value in the slot table, so the
+// cost is one heap insert and nothing for the garbage collector.
 func (s *Simulator) Post(t Time, h Handler, arg any) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	s.seq++
-	s.push(event{at: t, seq: s.seq, kind: evHandler, h: h, arg: arg})
+	p := &s.slots[s.push(t)]
+	p.kind, p.h, p.arg = evHandler, h, arg
 }
 
 // RunUntil executes events in timestamp order until the event queue is
@@ -225,150 +277,146 @@ func (s *Simulator) Post(t Time, h Handler, arg any) {
 // time of the last executed event, or at end if no event at or before end
 // remains.
 func (s *Simulator) RunUntil(end Time) {
-	for len(s.ev) > 0 && s.ev[0].at <= end {
-		e := s.pop()
-		s.now = e.at
-		s.dispatch(e)
-		s.nsteps++
-	}
+	s.run(end)
 	if s.now < end {
 		s.now = end
 	}
 }
 
 // Run executes events until the queue empties.
-func (s *Simulator) Run() {
-	for len(s.ev) > 0 {
-		e := s.pop()
+func (s *Simulator) Run() { s.run(math.MaxInt64) }
+
+// run dispatches, in (at, seq) order, every event due at or before end.
+func (s *Simulator) run(end Time) {
+	for len(s.heap) > 0 && s.heap[0].at <= end {
+		e := s.heap[0]
 		s.now = e.at
-		s.dispatch(e)
+		// Each case takes what it needs out of the payload and settles
+		// the heap before calling out: the callee may schedule anything.
+		switch p := &s.slots[e.slot]; p.kind {
+		case evLane:
+			// Re-key the top to the lane's next item (one sift) rather
+			// than pop now and push later.
+			l := p.ln
+			arg := l.q[l.head].arg
+			l.q[l.head].arg = nil
+			l.head = (l.head + 1) & (len(l.q) - 1)
+			if l.n--; l.n > 0 {
+				s.behind--
+				s.down(0, entry{l.q[l.head].at, l.q[l.head].seq, e.slot})
+			} else {
+				s.remove(0)
+			}
+			l.h.OnEvent(arg)
+		case evFunc:
+			fn := p.fn
+			s.remove(0)
+			fn()
+		case evHandler:
+			h, arg := p.h, p.arg
+			s.remove(0)
+			h.OnEvent(arg)
+		case evTimer:
+			tm := p.tm
+			s.remove(0)
+			tm.slot = -1 // idle before the callback, so it may rearm
+			tm.fn()
+		}
 		s.nsteps++
 	}
 }
 
-func (s *Simulator) dispatch(e event) {
-	switch e.kind {
-	case evFunc:
-		e.fn()
-	case evHandler:
-		e.h.OnEvent(e.arg)
-	case evTimer:
-		e.tm.fn()
+// Pending returns the number of scheduled events not yet dispatched,
+// items queued in lanes included. Cancelled events are removed eagerly,
+// so every pending event is live.
+func (s *Simulator) Pending() int { return len(s.heap) + s.behind }
+
+// --- event heap: binary min-heap over []entry ordered by (at, seq).
+// Implemented directly (not via container/heap) so pushes never box
+// through an interface, and sifted by moving a hole: one store per level.
+
+func less(a, b entry) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
+
+func (s *Simulator) checkFuture(at Time) {
+	if at < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
 }
 
-// Pending returns the number of events in the queue. Cancelled events are
-// removed eagerly, so every pending event is live.
-func (s *Simulator) Pending() int { return len(s.ev) }
-
-// --- event heap: binary min-heap over []event ordered by (at, seq).
-// Implemented directly (not via container/heap) so records stay by value
-// and pushes never box through an interface.
-
-func (s *Simulator) less(i, j int) bool {
-	if s.ev[i].at != s.ev[j].at {
-		return s.ev[i].at < s.ev[j].at
-	}
-	return s.ev[i].seq < s.ev[j].seq
+// place stores e at heap position i and records where its slot went.
+func (s *Simulator) place(i int, e entry) {
+	s.heap[i] = e
+	s.pos[e.slot] = int32(i)
 }
 
-func (s *Simulator) swap(i, j int) {
-	s.ev[i], s.ev[j] = s.ev[j], s.ev[i]
-	if t := s.ev[i].tm; t != nil {
-		t.index = i
-	}
-	if t := s.ev[j].tm; t != nil {
-		t.index = j
-	}
-}
-
-func (s *Simulator) up(i int) {
+// up places e at position i or above it.
+func (s *Simulator) up(i int, e entry) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !less(e, s.heap[parent]) {
 			break
 		}
-		s.swap(i, parent)
+		s.place(i, s.heap[parent])
 		i = parent
 	}
+	s.place(i, e)
 }
 
-// down sifts the element at i toward the leaves; it reports whether the
-// element moved.
-func (s *Simulator) down(i int) bool {
-	start := i
-	n := len(s.ev)
-	for {
-		l := 2*i + 1
-		if l >= n {
+// down places e at position i or below it.
+func (s *Simulator) down(i int, e entry) {
+	for n := len(s.heap); ; {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		j := l
-		if r := l + 1; r < n && s.less(r, l) {
-			j = r
+		if r := c + 1; r < n && less(s.heap[r], s.heap[c]) {
+			c = r
 		}
-		if !s.less(j, i) {
+		if !less(s.heap[c], e) {
 			break
 		}
-		s.swap(i, j)
-		i = j
+		s.place(i, s.heap[c])
+		i = c
 	}
-	return i > start
+	s.place(i, e)
 }
 
-func (s *Simulator) fix(i int) {
-	if !s.down(i) {
-		s.up(i)
+// fix places e, whose key may have moved either way, from position i.
+func (s *Simulator) fix(i int, e entry) {
+	if i > 0 && less(e, s.heap[(i-1)/2]) {
+		s.up(i, e)
+	} else {
+		s.down(i, e)
 	}
 }
 
-func (s *Simulator) push(e event) {
-	s.ev = append(s.ev, e)
-	i := len(s.ev) - 1
-	if t := e.tm; t != nil {
-		t.index = i
+// push queues a new entry at time at under the next sequence number and
+// returns its slot, whose zeroed payload the caller fills in.
+func (s *Simulator) push(at Time) int32 {
+	s.checkFuture(at)
+	s.seq++
+	var slot int32
+	if n := len(s.spare); n > 0 {
+		slot, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		slot = int32(len(s.slots))
+		s.slots, s.pos = append(s.slots, payload{}), append(s.pos, 0)
 	}
-	s.up(i)
+	s.heap = append(s.heap, entry{})
+	s.up(len(s.heap)-1, entry{at, s.seq, slot})
+	return slot
 }
 
-// pop removes and returns the minimum event. If the event belongs to a
-// timer, the timer is detached (index -1) before return so its callback
-// may rearm it immediately.
-func (s *Simulator) pop() event {
-	e := s.ev[0]
-	n := len(s.ev) - 1
-	if n > 0 {
-		s.ev[0] = s.ev[n]
-		if t := s.ev[0].tm; t != nil {
-			t.index = 0
-		}
-	}
-	s.ev[n] = event{} // release fn/handler/arg references
-	s.ev = s.ev[:n]
-	if n > 1 {
-		s.down(0)
-	}
-	if t := e.tm; t != nil {
-		t.index = -1
-	}
-	return e
-}
-
-// remove deletes the event at heap position i (a cancelled timer).
+// remove deletes the entry at heap position i (the dispatched top, or a
+// cancelled timer) and frees its slot, dropping the payload's references.
 func (s *Simulator) remove(i int) {
-	if t := s.ev[i].tm; t != nil {
-		t.index = -1
-	}
-	n := len(s.ev) - 1
-	if i != n {
-		s.ev[i] = s.ev[n]
-		if t := s.ev[i].tm; t != nil {
-			t.index = i
-		}
-	}
-	s.ev[n] = event{}
-	s.ev = s.ev[:n]
+	slot := s.heap[i].slot
+	s.slots[slot] = payload{}
+	s.spare = append(s.spare, slot)
+	n := len(s.heap) - 1
+	last := s.heap[n]
+	s.heap = s.heap[:n]
 	if i < n {
-		s.fix(i)
+		s.fix(i, last)
 	}
 }

@@ -127,6 +127,7 @@ type Conn struct {
 	startedAt    sim.Time
 	doneAt       sim.Time
 	persistTimer *sim.Timer
+	persistFn    func() // c.onPersist, bound once so a pooled life reuses it
 }
 
 // nextConnID is atomic because independent simulator worlds construct
@@ -147,9 +148,12 @@ func NewConn(nw *netsim.Net, cfg Config) *Conn {
 // (ConnPool), reusing its subflows, the protocol core's grown scoreboard
 // rings and scratch slices, and its receiver's maps. Reuse requires an
 // equal path count (the pool keys on it); on mismatch everything is
-// rebuilt. Routes are always fresh allocations: packets from a previous
-// life still in flight keep their old route object intact, and the FlowID
-// guard in the receive paths discards them on arrival.
+// rebuilt. A route object is kept only when the new life's path is the
+// very slice the old life used (see sameLinks): a packet from the
+// previous life still in flight then crosses the same links to the same
+// endpoint as it would have, and the FlowID guard in the receive paths
+// discards it on arrival. Any other path gets a fresh route and leaves
+// the old object intact for such stragglers.
 func (c *Conn) init(nw *netsim.Net, cfg Config) {
 	if len(cfg.Paths) == 0 {
 		panic("transport: connection needs at least one path")
@@ -189,11 +193,16 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 		c.core.Finish()
 	}
 	c.Counters = &c.core.Counters
-	c.persistTimer = nw.Sim.NewTimer(c.onPersist)
+	if c.persistFn == nil {
+		c.persistFn = c.onPersist
+	}
+	c.persistTimer = nw.Sim.NewTimer(c.persistFn)
 	if len(c.subs) != n {
 		c.subs, c.recv = make([]*Subflow, n), &Receiver{rev: make([]*netsim.Route, n)}
 		for i := range c.subs {
-			c.subs[i] = &Subflow{conn: c, id: i}
+			sf := &Subflow{conn: c, id: i}
+			sf.rtoFn = sf.onRTO
+			c.subs[i] = sf
 		}
 	}
 	c.recv.net, c.recv.conn, c.recv.stalled = nw, c, false
@@ -203,10 +212,20 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 		sf.SubflowStats, sf.nextSend = c.core.Stats(i), 0
 		// One owned timer for the life of the subflow, rearmed in place
 		// on every ACK (ArmRTO) instead of re-created.
-		sf.rtoTimer = nw.Sim.NewTimer(sf.onRTO)
-		sf.fwd = netsim.NewRoute(c.recv, p.Fwd...)
-		c.recv.rev[i] = netsim.NewRoute(sf, p.Rev...)
+		sf.rtoTimer = nw.Sim.NewTimer(sf.rtoFn)
+		if sf.fwd == nil || !sameLinks(sf.fwd.Links, p.Fwd) {
+			sf.fwd = netsim.NewRoute(c.recv, p.Fwd...)
+		}
+		if r := c.recv.rev[i]; r == nil || !sameLinks(r.Links, p.Rev) {
+			c.recv.rev[i] = netsim.NewRoute(sf, p.Rev...)
+		}
 	}
+}
+
+// sameLinks reports whether a and b are the same slice — same backing
+// array position and length — not merely equal element by element.
+func sameLinks(a, b []*netsim.Link) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Start begins transmission at the current simulated time.

@@ -132,6 +132,53 @@ func TestConnPoolRecyclesObjects(t *testing.T) {
 	}
 }
 
+// TestConnPoolCycleAllocs bounds what a pooled life costs the allocator
+// when the next flow uses the very path slices of the last one (the
+// fleet's case): the bound timer callbacks and the four route objects
+// carry over, so what is left is the protocol core's per-life state. A
+// life over other slices gets fresh routes — equal links are not enough,
+// a straggler of the old life must keep the route object it left with.
+func TestConnPoolCycleAllocs(t *testing.T) {
+	s := sim.New(1)
+	n := netsim.NewNet(s)
+	var paths []Path
+	for _, name := range []string{"a", "b"} {
+		paths = append(paths, Path{
+			Fwd: []*netsim.Link{netsim.NewLink(name, 100, sim.Millisecond, 50)},
+			Rev: []*netsim.Link{netsim.NewLink(name+"-rev", 100, sim.Millisecond, 50)},
+		})
+	}
+	pool := NewConnPool(n)
+	cfg := Config{Paths: paths, DataPackets: 10}
+	cycle := func() *Conn {
+		c := pool.Get(cfg)
+		c.Start()
+		for !c.Done() {
+			s.RunUntil(s.Now() + sim.Millisecond)
+		}
+		pool.Put(c)
+		return c
+	}
+	c := cycle()
+	fwd, rev := c.subs[1].fwd, c.recv.rev[1]
+	if allocs := testing.AllocsPerRun(100, func() { cycle() }); allocs > 2 {
+		t.Errorf("pooled life allocated %.1f objects, want at most 2", allocs)
+	}
+	if c.subs[1].fwd != fwd || c.recv.rev[1] != rev {
+		t.Error("a life over the same path slices did not keep its routes")
+	}
+	cfg.Paths = []Path{paths[0], {Fwd: []*netsim.Link{paths[1].Fwd[0]}, Rev: []*netsim.Link{paths[1].Rev[0]}}}
+	if cycle() != c {
+		t.Fatal("pool did not recycle the connection")
+	}
+	if c.subs[1].fwd == fwd || c.recv.rev[1] == rev {
+		t.Error("a life over other slices (equal links) reused the previous life's routes")
+	}
+	if c.subs[0].fwd.Links[0] != paths[0].Fwd[0] || c.subs[1].fwd.Links[0] != paths[1].Fwd[0] {
+		t.Error("routes do not follow the configured paths")
+	}
+}
+
 // TestConnPoolLiveTracking: connections handed out by Get and not yet
 // returned by Put form the live set, and their partial deliveries are
 // visible mid-flight — the hook horizon accounting (fleet, appgrid)
