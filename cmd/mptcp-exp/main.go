@@ -10,7 +10,8 @@
 //	mptcp-exp -exp dynamics [-scenario handover] [-json]
 //	mptcp-exp -exp schedgrid [-sched minrtt+otr+pen] [-json]
 //	mptcp-exp -exp appgrid [-workload video] [-json]
-//	mptcp-exp -exp dynamics|tournament|schedgrid|appgrid -json -trace trace.jsonl
+//	mptcp-exp -run fig15-wireless-compete -trace trace.jsonl
+//	mptcp-exp -exp dynamics -json -trace trace.jsonl
 //	mptcp-exp -exp fleet [-shards 4] -json
 //	mptcp-exp -analyze [-csv out.csv] grid.jsonl trace.jsonl
 //	mptcp-exp -analyze -diff A.jsonl B.jsonl
@@ -20,8 +21,9 @@
 // GOMAXPROCS); results are bit-identical for every worker count. With
 // -trials N each experiment repeats N times on base seeds seed..seed+N-1.
 // With -json each trial emits one machine-readable JSON record per line
-// instead of the rendered report; -trace additionally streams the cells'
-// protocol traces (internal/trace JSONL) to a file.
+// instead of the rendered report; -trace additionally writes the cells'
+// protocol traces (internal/trace JSONL, each labelled with its cell's
+// axis values) to a file, for every experiment but fleet.
 //
 // -analyze is the offline half: it reads any mix of the JSONL artifacts
 // above (grid cell records, trial records, protocol traces — files can
@@ -102,7 +104,7 @@ func main() {
 	schedSpec := flag.String("sched", "", "restrict the schedgrid, appgrid and fleet experiments to one scheduler spec, e.g. minrtt+otr+pen (see -list); cell seeds match the full grid")
 	workloadID := flag.String("workload", "", "restrict the appgrid experiment to one application workload (see -list); cell seeds match the full grid")
 	jsonOut := flag.Bool("json", false, "emit one JSON record per trial instead of rendered reports")
-	traceOut := flag.String("trace", "", "write the cells' per-connection protocol traces (JSONL) to FILE; tournament, dynamics, schedgrid and appgrid record one")
+	traceOut := flag.String("trace", "", "write the cells' per-connection protocol traces (JSONL) to FILE; every experiment but fleet records one")
 	analyze := flag.Bool("analyze", false, "aggregate JSONL artifacts (grid records, trial records, traces) named as positional args ('-' or none = stdin) into summary tables")
 	diff := flag.Bool("diff", false, "with -analyze, compare exactly two JSONL files A and B and print per-cell delta tables instead of aggregates")
 	csvOut := flag.String("csv", "", "with -analyze, also write the summary rows as CSV to FILE ('-' = stdout)")
@@ -188,10 +190,11 @@ func main() {
 	cfg := exp.Config{Seed: *seed, Scale: *scale, Parallelism: *parallel, Shards: *shards, Scenario: *scenarioID, Sched: *schedSpec, Workload: *workloadID}
 	var traceFile *os.File
 	if *traceOut != "" {
-		// Trials run concurrently and each flushes its own cells to the
-		// trace writer; one traced trial keeps the file deterministic.
-		if *trials > 1 {
-			fmt.Fprintln(os.Stderr, "-trace requires -trials 1 (concurrent trials would interleave trace output)")
+		// Experiments and trials run concurrently and each flushes its own
+		// cells to the trace writer; one traced run keeps the file
+		// deterministic.
+		if *trials > 1 || len(exps) > 1 {
+			fmt.Fprintln(os.Stderr, "-trace requires one experiment and -trials 1 (concurrent runs would interleave trace output)")
 			os.Exit(1)
 		}
 		var err error
@@ -268,10 +271,10 @@ func main() {
 			err = cerr
 		}
 		if err == nil && st.Size() == 0 {
-			// Only the single-world grids trace; an empty file would read
-			// as "traced, nothing happened".
+			// Only cells that run in one simulated world trace; an empty
+			// file would read as "traced, nothing happened".
 			os.Remove(*traceOut)
-			err = fmt.Errorf("-trace: nothing in this run records a protocol trace (tournament, dynamics, schedgrid and appgrid do); %s not written", *traceOut)
+			err = fmt.Errorf("-trace: nothing in this run records a protocol trace (every experiment but fleet does); %s not written", *traceOut)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

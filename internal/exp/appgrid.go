@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 	"mptcp/internal/transport"
 	"mptcp/internal/workload"
@@ -177,7 +178,7 @@ func appCell(c *gridCell) appOut {
 		conn.Start()
 	}
 	if scen := appScenario[c.vals[3]]; scen != "" {
-		sc.install(w, scen, end)
+		sc.script(w, scenario.MustBuild(scen, end))
 	}
 	st := workload.MustBuild(c.vals[0], end).Install(&workload.Env{Sim: w.s, Spawn: spawn, End: end})
 	w.s.RunUntil(end)

@@ -7,7 +7,6 @@ import (
 	"mptcp/internal/model"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
-	"mptcp/internal/transport"
 )
 
 func init() {
@@ -73,8 +72,8 @@ func runDynamics(cfg Config) *Result {
 func dynCell(c *gridCell) dynOut {
 	w := c.world()
 	warm, end := c.dur(dynWarm), c.dur(dynEnd)
-	sc := scenes[c.vals[1]](w, func() transport.Config { return transport.Config{Alg: newAlg(c.vals[0])} })
-	env := sc.install(w, c.vals[2], end)
+	sc := scenes[c.vals[1]](w, mpAlg(c.vals[0]))
+	env := sc.script(w, scenario.MustBuild(c.vals[2], end))
 
 	w.s.RunUntil(warm)
 	base := snapshot(sc.all)

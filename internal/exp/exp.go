@@ -29,7 +29,7 @@ type Config struct {
 	// 1.0 reproduces the paper-fidelity setup.
 	Scale float64
 	// Parallelism bounds how many trial cells run concurrently (see
-	// RunCells). Zero means runtime.GOMAXPROCS(0); results are
+	// grid.go). Zero means runtime.GOMAXPROCS(0); results are
 	// bit-identical for every value.
 	Parallelism int
 	// Shards bounds how many partition domains of a sharded-engine
@@ -49,14 +49,14 @@ type Config struct {
 	Scenario string
 	Sched    string
 	Workload string
-	// TraceW, when non-nil, enables protocol tracing in the grids whose
-	// cells run in one simulated world (tournament, dynamics, schedgrid,
-	// appgrid; not fleet): each cell records its connections' events
-	// into a private internal/trace tracer, and the cells' traces are
-	// flushed to TraceW as JSONL in cell order after the grid completes —
-	// so the trace bytes, like the results, are identical at any
-	// Parallelism. Tracing never perturbs simulation results: enabled
-	// and disabled runs produce bit-identical Records.
+	// TraceW, when non-nil, enables protocol tracing in every experiment
+	// whose cells each run in one simulated world — all but fleet: each
+	// cell records its connections' events into a private internal/trace
+	// tracer labelled with the cell's axis values, and the cells' traces
+	// are flushed to TraceW as JSONL in cell order after the experiment
+	// completes — so the trace bytes, like the results, are identical at
+	// any Parallelism. Tracing never perturbs simulation results: enabled
+	// and disabled runs produce bit-identical reports and Records.
 	TraceW io.Writer
 }
 
@@ -248,11 +248,21 @@ func All() []*Experiment {
 
 // --- shared helpers ---------------------------------------------------
 
-// algSet returns fresh instances of the multipath algorithms the paper
-// compares (EWTCP, COUPLED, MPTCP) in presentation order. Fresh instances
-// matter: MPTCP keeps per-connection scratch state.
-func algSet() []core.Algorithm {
-	return []core.Algorithm{core.EWTCP{}, core.Coupled{}, &core.MPTCP{}}
+// paperAlgs are the multipath algorithms the paper compares, in its
+// presentation order.
+var paperAlgs = []string{"EWTCP", "COUPLED", "MPTCP"}
+
+// metricKey turns an algorithm or flow name ("MPTCP", "TCP-WiFi") into
+// the prefix of its headline metrics ("mptcp", "tcp_wifi").
+func metricKey(name string) string {
+	return strings.ToLower(strings.ReplaceAll(name, "-", "_"))
+}
+
+// mpAlg is a scene's mp argument for multipath flows that differ from
+// the stack defaults only in their algorithm: a fresh instance per
+// flow, since MPTCP and its successors keep per-connection state.
+func mpAlg(name string) func() transport.Config {
+	return func() transport.Config { return transport.Config{Alg: newAlg(name)} }
 }
 
 func newAlg(name string) core.Algorithm {
@@ -268,9 +278,8 @@ type world struct {
 	s *sim.Simulator
 	n *netsim.Net
 	// tr is the cell's protocol tracer: nil (tracing disabled, the
-	// default) unless a grid cell built the world with Config.TraceW set
-	// (gridCell.world). Builders pass it to transport.NewConn as
-	// Config.Tracer.
+	// default) unless the cell built the world with Config.TraceW set
+	// (gridCell.world). scene.add passes it to every connection.
 	tr *trace.Tracer
 }
 

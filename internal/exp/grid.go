@@ -1,9 +1,18 @@
-// The grid engine: everything the cross-product experiments
-// (tournament, dynamics, schedgrid, appgrid, fleet) share. A grid
-// declares named axes; the engine enumerates them row-major, derives
-// every cell's seed from its index in the FULL grid, applies the Config
-// filters, fans the selected cells out with RunCells, pivots the outputs
-// into one table and flushes the cells' traces in cell order.
+// The grid engine: the one way an experiment enumerates, seeds, fans
+// out, traces and assembles its cells. A grid declares named axes; sweep
+// enumerates them row-major, derives every cell's seed from its index in
+// the FULL grid, applies the Config filters, fans the selected cells out
+// on the worker pool and flushes the cells' traces in cell order.
+// runGrid pivots the outputs into one table on top of that; an
+// experiment whose report is a figure or a hand-laid table assembles it
+// from sweep's (cells, outs) itself, and one whose flows all share a
+// world (oneWorld) is the single cell of a grid without axes.
+//
+// Determinism is by derivation, not by ordering: cell i of a run with
+// base seed s always simulates with CellSeed(s, i), cells never share
+// mutable state (each builds its own world and algorithm instances
+// inside measure), and outputs are collected by cell index — so the
+// result is bit-identical for any Parallelism and goroutine schedule.
 //
 // Seeds and registries: the first-declared axis varies slowest, so a
 // value appended to it (a newly registered algorithm, scheduler or
@@ -37,13 +46,25 @@ type axis struct {
 	vals []string
 }
 
-// grid declares one cross-product experiment.
+// axisVals renders the values of a numeric axis.
+func axisVals[T any](xs []T) []string {
+	vals := make([]string, len(xs))
+	for i, x := range xs {
+		vals[i] = fmt.Sprint(x)
+	}
+	return vals
+}
+
+// grid declares one experiment's cells.
 type grid struct {
 	id    string
 	title string // of the result table
 	axes  []axis
-	// cols head the per-cell value columns of a grid without a
-	// "topology" axis; with one, its values are the columns.
+	// pivot names the axis whose values head runGrid's value columns;
+	// "" means "topology".
+	pivot string
+	// cols head the per-cell value columns of a grid without a pivot
+	// axis.
 	cols []string
 }
 
@@ -59,7 +80,7 @@ type gridCell struct {
 
 // world builds the cell's simulator and network. With Config.TraceW set
 // the world carries a cell-private tracer on the simulator's clock,
-// labelled with the cell's axis values, which runGrid flushes; a cell
+// labelled with the cell's axis values, which sweep flushes; a cell
 // that builds its simulators some other way (fleet) stays untraced.
 func (c *gridCell) world() *world {
 	w := newWorld(c.Seed)
@@ -126,21 +147,55 @@ func (g grid) cells(cfg Config) []*gridCell {
 	return sel
 }
 
-// runGrid runs the selected cells of g through measure on cfg's worker
-// pool and assembles the Result in cell order, never goroutine order:
-// report adds each cell's Record and headline metrics to res and returns
-// its table text. The table has one row per combination of every axis
-// but "topology", whose values are the columns.
-func runGrid[T any](cfg Config, g grid, measure func(*gridCell) T, report func(res *Result, c *gridCell, out T) []string) *Result {
+// sweep runs the cells of g that cfg selects through measure on cfg's
+// worker pool and returns them with their outputs, both in cell order,
+// never goroutine order. measure must build everything it simulates from
+// its cell — the world with c.world(), algorithm instances afresh — since
+// cells run concurrently.
+func sweep[T any](res *Result, cfg Config, g grid, measure func(*gridCell) T) ([]*gridCell, []T) {
 	cfg = cfg.norm()
-	res := newResult(g.id)
 	cells := g.cells(cfg)
-	outs := RunCells(cfg, len(cells), func(_ Config, i int) T { return measure(cells[i]) })
+	outs := make([]T, len(cells))
+	Runner{Parallelism: cfg.Parallelism}.Do(len(cells), func(i int) { outs[i] = measure(cells[i]) })
+	// Cell order again, so the trace bytes, like the outputs, are the
+	// same at any Parallelism. Flush is a no-op on an untraced cell.
+	for _, c := range cells {
+		if err := c.tr.Flush(cfg.TraceW); err != nil {
+			res.note("trace flush failed: %v", err)
+			break
+		}
+	}
+	return cells, outs
+}
 
+// oneWorld runs an experiment whose flows all share one simulated world
+// as the only cell of a grid without axes (seed CellSeed(base, 0)); run
+// writes the report straight into res.
+func oneWorld(cfg Config, id string, run func(c *gridCell, res *Result)) *Result {
+	res := newResult(id)
+	sweep(res, cfg, grid{id: id}, func(c *gridCell) struct{} {
+		run(c, res)
+		return struct{}{}
+	})
+	return res
+}
+
+// runGrid sweeps g and pivots the outputs into one table: report adds
+// each cell's headline metrics (and Record, for the cross-product grids)
+// to res and returns its table text. The table has one row per
+// combination of every axis but the pivot, whose values are the columns.
+func runGrid[T any](cfg Config, g grid, measure func(*gridCell) T, report func(res *Result, c *gridCell, out T) []string) *Result {
+	res := newResult(g.id)
+	cells, outs := sweep(res, cfg, g, measure)
+
+	pivotName := g.pivot
+	if pivotName == "" {
+		pivotName = "topology"
+	}
 	table := Table{Title: g.title}
 	pivot := -1
 	for i, a := range g.axes {
-		if a.name == "topology" {
+		if a.name == pivotName {
 			pivot = i
 		} else {
 			table.Cols = append(table.Cols, a.name)
@@ -169,14 +224,5 @@ func runGrid[T any](cfg Config, g grid, measure func(*gridCell) T, report func(r
 		table.Rows[ri] = append(table.Rows[ri], report(res, c, outs[i])...)
 	}
 	res.Tables = append(res.Tables, table)
-
-	// Cell order again, so the trace bytes, like the Records, are the
-	// same at any Parallelism. Flush is a no-op on an untraced cell.
-	for _, c := range cells {
-		if err := c.tr.Flush(cfg.TraceW); err != nil {
-			res.note("trace flush failed: %v", err)
-			break
-		}
-	}
 	return res
 }

@@ -57,6 +57,31 @@ func TestGridFilterKeepsSeeds(t *testing.T) {
 	}
 }
 
+// TestSweepOrderAndSeeds pins the other half of the contract, the one
+// every unfiltered experiment relies on: outputs come back in cell order
+// whatever the worker pool does, and cell i of a one-axis grid runs with
+// CellSeed(base, i).
+func TestSweepOrderAndSeeds(t *testing.T) {
+	idx := make([]int, 25)
+	for i := range idx {
+		idx[i] = i
+	}
+	g := grid{id: "x", axes: []axis{{"i", axisVals(idx)}}}
+	cfg := Config{Seed: 9, Parallelism: 4}.norm()
+	cells, seeds := sweep(newResult(g.id), cfg, g, func(c *gridCell) int64 { return c.Seed })
+	if len(cells) != len(idx) {
+		t.Fatalf("swept %d cells, want %d", len(cells), len(idx))
+	}
+	for i, c := range cells {
+		if c.at[0] != i {
+			t.Errorf("slot %d holds cell %d", i, c.at[0])
+		}
+		if seeds[i] != CellSeed(9, i) {
+			t.Errorf("cell %d ran with seed %d, want %d", i, seeds[i], CellSeed(9, i))
+		}
+	}
+}
+
 // TestGridUnknownFilterPanics: a filter value that is well-formed but
 // not on the grid's axis must fail loudly with the axis's values, not
 // silently run zero cells.

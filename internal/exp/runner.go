@@ -1,15 +1,7 @@
-// Parallel deterministic execution of experiment cells.
-//
-// Every experiment in this package decomposes into independent trial
-// cells — one (algorithm × parameter) combination, each running its own
-// simulator instance. Cells never share mutable state (each builds a
-// fresh world and fresh algorithm instances), so they can fan out across
-// a bounded worker pool. Determinism is preserved by derivation, not by
-// ordering: cell i of a run with base seed s always simulates with seed
-// CellSeed(s, i) = sim.MixSeed(s, i), and results are collected by cell
-// index, so the output is bit-identical for any Parallelism and any
-// goroutine schedule. See DESIGN.md §"Parallel runner" for the full
-// scheme.
+// The worker pool behind every experiment, and the batch runner above
+// them. How an experiment decomposes into cells, and why its results do
+// not depend on the pool, is in grid.go; see DESIGN.md §"Parallel
+// runner" for the full scheme.
 
 package exp
 
@@ -79,49 +71,6 @@ func (r Runner) Do(n int, fn func(i int)) {
 	}
 	close(idx)
 	wg.Wait()
-}
-
-// RunCells fans the n trial cells of one experiment out across cfg's
-// worker pool and returns their outputs in cell order. Cell i receives
-// a copy of cfg whose Seed is CellSeed(cfg.Seed, i); everything the cell
-// simulates must derive its randomness from that seed (build worlds with
-// newWorld(cell.Seed), auxiliary generators with cell.Seed offsets) and
-// algorithm instances must be constructed inside fn, since cells run
-// concurrently.
-func RunCells[T any](cfg Config, n int, fn func(cell Config, idx int) T) []T {
-	cfg = cfg.norm()
-	out := make([]T, n)
-	Runner{Parallelism: cfg.Parallelism}.Do(n, func(i int) {
-		cell := cfg
-		cell.Seed = CellSeed(cfg.Seed, i)
-		out[i] = fn(cell, i)
-	})
-	return out
-}
-
-// CellResult is the common per-cell output shape: one table row plus the
-// headline metrics and notes the cell contributes to the experiment's
-// Result. Cells with richer output (figures, cross-cell aggregates)
-// return their own types from RunCells and assemble by hand.
-type CellResult struct {
-	Row     []string
-	Metrics map[string]float64
-	Notes   []string
-}
-
-// Collect appends cell outputs to res in cell order: rows to table (when
-// non-nil), metrics and notes into res. Because RunCells already ordered
-// cells by index, the assembled Result is identical for any Parallelism.
-func Collect(res *Result, table *Table, cells []CellResult) {
-	for _, c := range cells {
-		if table != nil && c.Row != nil {
-			table.Rows = append(table.Rows, c.Row)
-		}
-		for k, v := range c.Metrics {
-			res.Metrics[k] = v
-		}
-		res.Notes = append(res.Notes, c.Notes...)
-	}
 }
 
 // TrialResult is one (experiment × trial) cell of a batch run. Seed and

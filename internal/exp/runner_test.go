@@ -99,43 +99,6 @@ func TestChainedSeedDerivationNoCollision(t *testing.T) {
 	}
 }
 
-func TestRunCellsOrderAndSeeds(t *testing.T) {
-	type out struct {
-		idx  int
-		seed int64
-	}
-	cells := RunCells(Config{Seed: 9, Parallelism: 4}, 25, func(cell Config, i int) out {
-		return out{idx: i, seed: cell.Seed}
-	})
-	for i, c := range cells {
-		if c.idx != i {
-			t.Errorf("slot %d holds cell %d", i, c.idx)
-		}
-		if c.seed != CellSeed(9, i) {
-			t.Errorf("cell %d seed %d, want %d", i, c.seed, CellSeed(9, i))
-		}
-	}
-}
-
-func TestCollectKeepsCellOrder(t *testing.T) {
-	res := newResult("x")
-	table := Table{Cols: []string{"name"}}
-	Collect(res, &table, []CellResult{
-		{Row: []string{"a"}, Metrics: map[string]float64{"a": 1}},
-		{Metrics: map[string]float64{"b": 2}, Notes: []string{"note-b"}},
-		{Row: []string{"c"}},
-	})
-	if len(table.Rows) != 2 || table.Rows[0][0] != "a" || table.Rows[1][0] != "c" {
-		t.Errorf("rows = %v", table.Rows)
-	}
-	if res.Metrics["a"] != 1 || res.Metrics["b"] != 2 {
-		t.Errorf("metrics = %v", res.Metrics)
-	}
-	if len(res.Notes) != 1 || res.Notes[0] != "note-b" {
-		t.Errorf("notes = %v", res.Notes)
-	}
-}
-
 // TestDeterminismAcrossParallelism is the regression test for the
 // parallel runner's core guarantee: a representative multi-cell
 // experiment produces bit-identical results whether its cells run on one

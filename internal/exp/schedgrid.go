@@ -6,6 +6,7 @@ import (
 
 	"mptcp/internal/cc"
 	"mptcp/internal/model"
+	"mptcp/internal/scenario"
 	"mptcp/internal/sched"
 	"mptcp/internal/sim"
 	"mptcp/internal/transport"
@@ -91,14 +92,10 @@ type schedOut struct {
 }
 
 func runSchedGrid(cfg Config) *Result {
-	bufs := make([]string, len(schedBufs))
-	for i, b := range schedBufs {
-		bufs[i] = fmt.Sprint(b)
-	}
 	g := grid{
 		id:    "schedgrid",
 		title: "Scheduler grid: multipath Mb/s [Jain] per scheduler × algorithm × recvbuf × topology",
-		axes:  []axis{{"scheduler", schedSpecs()}, {"algorithm", cc.Names()}, {"topology", schedTopos}, {"recvbuf", bufs}},
+		axes:  []axis{{"scheduler", schedSpecs()}, {"algorithm", cc.Names()}, {"topology", schedTopos}, {"recvbuf", axisVals(schedBufs)}},
 	}
 	res := runGrid(cfg, g, func(c *gridCell) schedOut {
 		return schedCell(c.world(), c.Config, c.vals[2], "", parseSchedSpec(c.vals[0]), c.vals[1], schedBufs[c.at[3]])
@@ -136,7 +133,7 @@ func schedCell(w *world, cell Config, scene, scen string, spec schedSpec, alg st
 	warm, end := cell.dur(schedWarm), cell.dur(schedEnd)
 	sc := scenes[scene](w, func() transport.Config { return mpConfig(spec, alg, recvBuf) })
 	if scen != "" {
-		sc.install(w, scen, end)
+		sc.script(w, scenario.MustBuild(scen, end))
 	}
 	rates := w.measure(sc.all, warm, end)
 	out := schedOut{mbps: sumRates(rates[sc.lo:sc.hi]), jain: model.JainIndex(rates)}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"mptcp/internal/core"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
 	"mptcp/internal/transport"
@@ -34,84 +33,54 @@ func init() {
 	})
 }
 
-func runFig2(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("fig2-triangle")
-	rtt := 100 * sim.Millisecond
-	warm, end := cfg.dur(60*sim.Second), cfg.dur(260*sim.Second)
+// flowsOut is one cell of a three-flow figure (Figs. 2, 3, 15): the
+// flows' rates in Mb/s and the one further statistic its table shows.
+type flowsOut struct {
+	rates []float64
+	stat  float64
+}
 
-	table := Table{
-		Title: "Per-flow throughput (Mb/s); optimal = 12 (one-hop only), even split = 8",
-		Cols:  []string{"algorithm", "flowA", "flowB", "flowC", "mean", "one-hop share"},
+func runFig2(cfg Config) *Result {
+	g := grid{
+		id:    "fig2-triangle",
+		title: "Per-flow throughput (Mb/s); optimal = 12 (one-hop only), even split = 8",
+		axes:  []axis{{"algorithm", paperAlgs}},
+		cols:  []string{"flowA", "flowB", "flowC", "mean", "one-hop share"},
 	}
-	cells := RunCells(cfg, len(algSet()), func(cell Config, i int) CellResult {
-		alg := algSet()[i]
-		w := newWorld(cell.Seed)
-		links := make([]*topo.Duplex, 3)
-		for i := range links {
-			links[i] = topo.NewDuplex("tri"+string(rune('A'+i)), 12, rtt/2, topo.BDPPackets(12, rtt))
-		}
-		conns := make([]*transport.Conn, 3)
-		for i := range conns {
-			paths := []transport.Path{
-				topo.PathThrough(links[i]),                       // one-hop
-				topo.PathThrough(links[(i+1)%3], links[(i+2)%3]), // two-hop
-			}
-			conns[i] = transport.NewConn(w.n, transport.Config{Alg: freshAlg(alg), Paths: paths})
-			conns[i].Start()
-		}
-		rates := w.measure(conns, warm, end)
+	res := runGrid(cfg, g, func(c *gridCell) flowsOut {
+		w := c.world()
+		sc := triangleScene(w, mpAlg(c.vals[0]))
+		rates := w.measure(sc.all, c.dur(60*sim.Second), c.dur(260*sim.Second))
 		var oneHop, total int64
-		for _, c := range conns {
-			oneHop += c.SubflowDelivered(0)
-			total += c.SubflowDelivered(0) + c.SubflowDelivered(1)
+		for _, f := range sc.all {
+			oneHop += f.SubflowDelivered(0)
+			total += f.SubflowDelivered(0) + f.SubflowDelivered(1)
 		}
-		mean := (rates[0] + rates[1] + rates[2]) / 3
-		share := float64(oneHop) / float64(total)
-		return CellResult{
-			Row: []string{alg.Name(), f2(rates[0]), f2(rates[1]), f2(rates[2]), f2(mean), f2(share)},
-			Metrics: map[string]float64{
-				metricName(alg, "mean_mbps"):    mean,
-				metricName(alg, "onehop_share"): share,
-			},
-		}
+		return flowsOut{rates, float64(oneHop) / float64(total)}
+	}, func(res *Result, c *gridCell, o flowsOut) []string {
+		mean := (o.rates[0] + o.rates[1] + o.rates[2]) / 3
+		key := metricKey(c.vals[0])
+		res.Metrics[key+"_mean_mbps"] = mean
+		res.Metrics[key+"_onehop_share"] = o.stat
+		return []string{f2(o.rates[0]), f2(o.rates[1]), f2(o.rates[2]), f2(mean), f2(o.stat)}
 	})
-	Collect(res, &table, cells)
-	res.Tables = append(res.Tables, table)
 	res.note("paper: even split gives 8 Mb/s/flow, EWTCP ~8.5, optimal (one-hop only) 12; COUPLED/MPTCP should approach the optimum")
 	return res
 }
 
 func runFig3(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("fig3-mesh")
-	rtt := 100 * sim.Millisecond
-	caps := []float64{5, 12, 10, 3}
-	warm, end := cfg.dur(60*sim.Second), cfg.dur(260*sim.Second)
-
-	table := Table{
-		Title: "Per-flow totals (Mb/s) and link loss-rate spread; paper: EWTCP (11,11,8) vs COUPLED (10,10,10)",
-		Cols:  []string{"algorithm", "flowA", "flowB", "flowC", "max/min link loss"},
+	g := grid{
+		id:    "fig3-mesh",
+		title: "Per-flow totals (Mb/s) and link loss-rate spread; paper: EWTCP (11,11,8) vs COUPLED (10,10,10)",
+		axes:  []axis{{"algorithm", paperAlgs}},
+		cols:  []string{"flowA", "flowB", "flowC", "max/min link loss"},
 	}
-	cells := RunCells(cfg, len(algSet()), func(cell Config, i int) CellResult {
-		alg := algSet()[i]
-		w := newWorld(cell.Seed)
-		links := make([]*topo.Duplex, 4)
-		for i, c := range caps {
-			links[i] = topo.NewDuplex("mesh"+string(rune('0'+i)), c, rtt/2, topo.BDPPackets(c, rtt))
-		}
-		conns := make([]*transport.Conn, 3)
-		for i := range conns {
-			paths := []transport.Path{
-				topo.PathThrough(links[i]),
-				topo.PathThrough(links[i+1]),
-			}
-			conns[i] = transport.NewConn(w.n, transport.Config{Alg: freshAlg(alg), Paths: paths})
-			conns[i].Start()
-		}
-		rates := w.measure(conns, warm, end)
+	return runGrid(cfg, g, func(c *gridCell) flowsOut {
+		w := c.world()
+		sc := chainScene(w, mpAlg(c.vals[0]))
+		rates := w.measure(sc.all, c.dur(60*sim.Second), c.dur(260*sim.Second))
 		lo, hi := 1.0, 0.0
-		for _, d := range links {
+		for _, d := range sc.links {
 			p := d.AB.Stats.LossFraction()
 			if p < lo {
 				lo = p
@@ -124,163 +93,95 @@ func runFig3(cfg Config) *Result {
 		if lo > 0 {
 			spread = hi / lo
 		}
-		return CellResult{
-			Row: []string{alg.Name(), f2(rates[0]), f2(rates[1]), f2(rates[2]), f1(spread)},
-			Metrics: map[string]float64{
-				metricName(alg, "flowA_mbps"):  rates[0],
-				metricName(alg, "flowC_mbps"):  rates[2],
-				metricName(alg, "loss_spread"): spread,
-			},
-		}
+		return flowsOut{rates, spread}
+	}, func(res *Result, c *gridCell, o flowsOut) []string {
+		key := metricKey(c.vals[0])
+		res.Metrics[key+"_flowA_mbps"] = o.rates[0]
+		res.Metrics[key+"_flowC_mbps"] = o.rates[2]
+		res.Metrics[key+"_loss_spread"] = o.stat
+		return []string{f2(o.rates[0]), f2(o.rates[1]), f2(o.rates[2]), f1(o.stat)}
 	})
-	Collect(res, &table, cells)
-	res.Tables = append(res.Tables, table)
-	return res
+}
+
+// radioFlow decodes a row of the two-radio tables: "TCP-WiFi" and
+// "TCP-3G" are single-path TCPs on path 0 and path 1, any other name is
+// the algorithm of a flow over both paths[lo:hi].
+func radioFlow(name string) (alg string, lo, hi int) {
+	switch name {
+	case "TCP-WiFi":
+		return "REGULAR", 0, 1
+	case "TCP-3G":
+		return "REGULAR", 1, 2
+	}
+	return name, 0, 2
 }
 
 func runSec23(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("sec23-wifi3g-model")
-	warm, end := cfg.dur(50*sim.Second), cfg.dur(350*sim.Second)
-
-	// Ample-capacity links with exogenous loss, per the worked example.
-	mkWiFi := func() *topo.Duplex {
-		d := topo.NewDuplexPkt("wifi", 5000, 5*sim.Millisecond, 5000)
-		d.AB.LossRate = 0.04
-		return d
+	g := grid{
+		id:    "sec23-wifi3g-model",
+		title: "Throughput under fixed loss (pkt/s); paper: TCP-WiFi 707, TCP-3G 141, EWTCP 424, COUPLED 141, MPTCP >= 707",
+		axes:  []axis{{"flow", append([]string{"TCP-WiFi", "TCP-3G"}, paperAlgs...)}},
+		cols:  []string{"pkt/s"},
 	}
-	mk3G := func() *topo.Duplex {
-		d := topo.NewDuplexPkt("3g", 5000, 50*sim.Millisecond, 5000)
-		d.AB.LossRate = 0.01
-		return d
-	}
-
-	flows := []struct {
-		name   string
-		metric string
-		alg    func() core.Algorithm
-		both   bool
-	}{
-		{"TCP-WiFi", "tcp_wifi_pktps", func() core.Algorithm { return core.Regular{} }, false},
-		{"TCP-3G", "tcp_3g_pktps", func() core.Algorithm { return core.Regular{} }, false},
-		{"EWTCP", "ewtcp_pktps", func() core.Algorithm { return core.EWTCP{} }, true},
-		{"COUPLED", "coupled_pktps", func() core.Algorithm { return core.Coupled{} }, true},
-		{"MPTCP", "mptcp_pktps", func() core.Algorithm { return &core.MPTCP{} }, true},
-	}
-	table := Table{
-		Title: "Throughput under fixed loss (pkt/s); paper: TCP-WiFi 707, TCP-3G 141, EWTCP 424, COUPLED 141, MPTCP >= 707",
-		Cols:  []string{"flow", "pkt/s"},
-	}
-	cells := RunCells(cfg, len(flows), func(cell Config, i int) CellResult {
-		fl := flows[i]
-		w := newWorld(cell.Seed)
-		var paths []transport.Path
-		switch {
-		case fl.both:
-			paths = []transport.Path{topo.PathThrough(mkWiFi()), topo.PathThrough(mk3G())}
-		case fl.name == "TCP-WiFi":
-			paths = []transport.Path{topo.PathThrough(mkWiFi())}
-		default:
-			paths = []transport.Path{topo.PathThrough(mk3G())}
-		}
-		c := transport.NewConn(w.n, transport.Config{Alg: fl.alg(), Paths: paths})
-		c.Start()
+	res := runGrid(cfg, g, func(c *gridCell) float64 {
+		w := c.world()
+		warm, end := c.dur(50*sim.Second), c.dur(350*sim.Second)
+		alg, lo, hi := radioFlow(c.vals[0])
+		flow := fixedLossScene(w, transport.Config{Alg: newAlg(alg)}, lo, hi).all[0]
 		w.s.RunUntil(warm)
-		base := c.Delivered()
+		base := flow.Delivered()
 		w.s.RunUntil(end)
-		rate := pktps(c.Delivered()-base, end-warm)
-		return CellResult{
-			Row:     []string{fl.name, f0(rate)},
-			Metrics: map[string]float64{fl.metric: rate},
-		}
+		return pktps(flow.Delivered()-base, end-warm)
+	}, func(res *Result, c *gridCell, rate float64) []string {
+		res.Metrics[metricKey(c.vals[0])+"_pktps"] = rate
+		return []string{f0(rate)}
 	})
-	Collect(res, &table, cells)
-	res.Tables = append(res.Tables, table)
 	res.note("√(2/p)/RTT predicts 707 and 141 pkt/s; packet-level rates run lower (timeouts at 4%% loss) but the ordering EWTCP in-between, COUPLED at 3G rate, MPTCP near best-path must hold")
 	return res
 }
 
 func runFig5(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("fig5-trap")
-	rtt := 50 * sim.Millisecond
-	phase := cfg.dur(100 * sim.Second)
-
-	table := Table{
-		Title: "Multipath throughput (Mb/s) per phase: A = 2 TCPs/link, B = top TCP gone, C = top TCP back",
-		Cols:  []string{"algorithm", "phaseA", "phaseB", "phaseC", "C recovery vs A"},
+	g := grid{
+		id:    "fig5-trap",
+		title: "Multipath throughput (Mb/s) per phase: A = 2 TCPs/link, B = top TCP gone, C = top TCP back",
+		axes:  []axis{{"algorithm", paperAlgs}},
+		cols:  []string{"phaseA", "phaseB", "phaseC", "C recovery vs A"},
 	}
-	cells := RunCells(cfg, len(algSet()), func(cell Config, i int) CellResult {
-		alg := algSet()[i]
-		w := newWorld(cell.Seed)
+	res := runGrid(cfg, g, func(c *gridCell) [3]float64 {
+		w := c.world()
+		rtt := 50 * sim.Millisecond
+		phase := c.dur(100 * sim.Second)
 		top := topo.NewDuplex("top", 10, rtt/2, topo.BDPPackets(10, rtt))
 		bot := topo.NewDuplex("bot", 10, rtt/2, topo.BDPPackets(10, rtt))
-		mkTCP := func(d *topo.Duplex) *transport.Conn {
-			c := transport.NewConn(w.n, transport.Config{Paths: []transport.Path{topo.PathThrough(d)}})
-			c.Start()
-			return c
+		sc := linkScene(top, bot)
+		for _, link := range []int{0, 0, 1, 1} {
+			sc.add(w, transport.Config{}, sc.paths[link:link+1]).Start()
 		}
-		top1 := mkTCP(top)
-		mkTCP(top)
-		mkTCP(bot)
-		mkTCP(bot)
-		mp := transport.NewConn(w.n, transport.Config{
-			Alg:   freshAlg(alg),
-			Paths: []transport.Path{topo.PathThrough(top), topo.PathThrough(bot)},
-		})
+		mp := sc.add(w, transport.Config{Alg: newAlg(c.vals[0])}, sc.paths)
 		mp.Start()
 
-		w.s.At(phase, func() { top1.Stop() })
-		w.s.At(2*phase, func() { mkTCP(top) })
+		// A top-link TCP leaves, and a phase later one comes back.
+		w.s.At(phase, sc.all[0].Stop)
+		w.s.At(2*phase, func() { sc.add(w, transport.Config{}, sc.paths[:1]).Start() })
 
-		sampleAt := func(t sim.Time) int64 {
-			w.s.RunUntil(t)
-			return mp.Delivered()
-		}
 		// Skip the first third of each phase as transient.
 		third := phase / 3
-		a0 := sampleAt(third)
-		a1 := sampleAt(phase)
-		b0 := sampleAt(phase + third)
-		b1 := sampleAt(2 * phase)
-		c0 := sampleAt(2*phase + third)
-		c1 := sampleAt(3 * phase)
-		ra := mbps(a1-a0, phase-third)
-		rb := mbps(b1-b0, phase-third)
-		rc := mbps(c1-c0, phase-third)
-		rec := rc / ra
-		return CellResult{
-			Row: []string{alg.Name(), f2(ra), f2(rb), f2(rc), f2(rec)},
-			Metrics: map[string]float64{
-				metricName(alg, "phaseA_mbps"): ra,
-				metricName(alg, "phaseB_mbps"): rb,
-				metricName(alg, "phaseC_mbps"): rc,
-			},
+		var rates [3]float64
+		for i := range rates {
+			start := sim.Time(i) * phase
+			w.s.RunUntil(start + third)
+			base := mp.Delivered()
+			w.s.RunUntil(start + phase)
+			rates[i] = mbps(mp.Delivered()-base, phase-third)
 		}
+		return rates
+	}, func(res *Result, c *gridCell, r [3]float64) []string {
+		key := metricKey(c.vals[0])
+		res.Metrics[key+"_phaseA_mbps"] = r[0]
+		res.Metrics[key+"_phaseB_mbps"] = r[1]
+		res.Metrics[key+"_phaseC_mbps"] = r[2]
+		return []string{f2(r[0]), f2(r[1]), f2(r[2]), f2(r[2] / r[0])}
 	})
-	Collect(res, &table, cells)
-	res.Tables = append(res.Tables, table)
 	res.note("after the departed TCP returns (phase C), a trapped algorithm is left with less than it had in phase A; MPTCP's per-path probe cap lets it re-balance")
 	return res
-}
-
-// freshAlg returns a new instance of the same algorithm type, since
-// stateful algorithms must not be shared across connections.
-func freshAlg(a core.Algorithm) core.Algorithm {
-	return newAlg(a.Name())
-}
-
-func metricName(a core.Algorithm, suffix string) string {
-	switch a.(type) {
-	case *core.MPTCP:
-		return "mptcp_" + suffix
-	case core.EWTCP:
-		return "ewtcp_" + suffix
-	case core.Coupled:
-		return "coupled_" + suffix
-	case core.SemiCoupled:
-		return "semicoupled_" + suffix
-	default:
-		return "tcp_" + suffix
-	}
 }

@@ -1,7 +1,8 @@
 package exp
 
 import (
-	"mptcp/internal/core"
+	"fmt"
+
 	"mptcp/internal/metrics"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
@@ -62,41 +63,23 @@ func busyWireless() *topo.Wireless {
 }
 
 func runWirelessStatic(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("table-wireless-static")
-	warm, end := cfg.dur(10*sim.Second), cfg.dur(110*sim.Second)
-
-	flows := []struct {
-		name   string
-		metric string
-		alg    func() core.Algorithm
-		paths  func(*topo.Wireless) []transport.Path
-	}{
-		{"TCP-WiFi", "tcp_wifi_mbps", func() core.Algorithm { return core.Regular{} },
-			func(wl *topo.Wireless) []transport.Path { return wl.Paths()[:1] }},
-		{"TCP-3G", "tcp_3g_mbps", func() core.Algorithm { return core.Regular{} },
-			func(wl *topo.Wireless) []transport.Path { return wl.Paths()[1:] }},
-		{"MPTCP", "mptcp_mbps", func() core.Algorithm { return &core.MPTCP{} },
-			func(wl *topo.Wireless) []transport.Path { return wl.Paths() }},
+	g := grid{
+		id:    "table-wireless-static",
+		title: "Idle-path throughput (Mb/s); paper: TCP-WiFi 14.4, TCP-3G 2.1, MPTCP 17.3 (the sum)",
+		axes:  []axis{{"flow", []string{"TCP-WiFi", "TCP-3G", "MPTCP"}}},
+		cols:  []string{"Mb/s"},
 	}
-	table := Table{
-		Title: "Idle-path throughput (Mb/s); paper: TCP-WiFi 14.4, TCP-3G 2.1, MPTCP 17.3 (the sum)",
-		Cols:  []string{"flow", "Mb/s"},
-	}
-	cells := RunCells(cfg, len(flows), func(cell Config, i int) CellResult {
-		fl := flows[i]
-		w := newWorld(cell.Seed)
+	res := runGrid(cfg, g, func(c *gridCell) float64 {
+		w := c.world()
+		alg, lo, hi := radioFlow(c.vals[0])
 		wl := goodWireless()
-		c := transport.NewConn(w.n, transport.Config{Alg: fl.alg(), Paths: fl.paths(wl)})
-		c.Start()
-		r := w.measure([]*transport.Conn{c}, warm, end)[0]
-		return CellResult{
-			Row:     []string{fl.name, f2(r)},
-			Metrics: map[string]float64{fl.metric: r},
-		}
+		sc := linkScene(wl.WiFi, wl.G3)
+		sc.add(w, transport.Config{Alg: newAlg(alg)}, sc.paths[lo:hi]).Start()
+		return w.measure(sc.all, c.dur(10*sim.Second), c.dur(110*sim.Second))[0]
+	}, func(res *Result, c *gridCell, r float64) []string {
+		res.Metrics[metricKey(c.vals[0])+"_mbps"] = r
+		return []string{f2(r)}
 	})
-	Collect(res, &table, cells)
-	res.Tables = append(res.Tables, table)
 	m := res.Metrics
 	m["sum_ratio"] = m["mptcp_mbps"] / (m["tcp_wifi_mbps"] + m["tcp_3g_mbps"])
 	res.note("§2.5: with no competing traffic both access links are fully utilised, so MPTCP's fairness goals permit the full sum")
@@ -104,62 +87,42 @@ func runWirelessStatic(cfg Config) *Result {
 }
 
 func runFig15(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("fig15-wireless-compete")
-	warm, end := cfg.dur(30*sim.Second), cfg.dur(330*sim.Second)
-
-	table := Table{
-		Title: "Competing flows (Mb/s); paper: EWTCP 1.66/3.11/1.20, COUPLED 1.41/3.49/0.97, MPTCP 2.21/2.56/0.65 (multipath/TCP-WiFi/TCP-3G)",
-		Cols:  []string{"algorithm", "multipath", "TCP-WiFi", "TCP-3G", "mp WiFi-share"},
+	g := grid{
+		id:    "fig15-wireless-compete",
+		title: "Competing flows (Mb/s); paper: EWTCP 1.66/3.11/1.20, COUPLED 1.41/3.49/0.97, MPTCP 2.21/2.56/0.65 (multipath/TCP-WiFi/TCP-3G)",
+		axes:  []axis{{"algorithm", paperAlgs}},
+		cols:  []string{"multipath", "TCP-WiFi", "TCP-3G", "mp WiFi-share"},
 	}
-	cells := RunCells(cfg, len(algSet()), func(cell Config, i int) CellResult {
-		alg := algSet()[i]
-		w := newWorld(cell.Seed)
-		sc := wifi3gScene(w, func() transport.Config { return transport.Config{Alg: freshAlg(alg)} })
-		rates := w.measure(sc.all, warm, end)
+	res := runGrid(cfg, g, func(c *gridCell) flowsOut {
+		w := c.world()
+		sc := wifi3gScene(w, mpAlg(c.vals[0]))
+		rates := w.measure(sc.all, c.dur(30*sim.Second), c.dur(330*sim.Second))
 		mp := sc.all[0]
 		wifiShare := 0.0
 		if d := mp.SubflowDelivered(0) + mp.SubflowDelivered(1); d > 0 {
 			wifiShare = float64(mp.SubflowDelivered(0)) / float64(d)
 		}
-		return CellResult{
-			Row: []string{alg.Name(), f2(rates[0]), f2(rates[1]), f2(rates[2]), f2(wifiShare)},
-			Metrics: map[string]float64{
-				metricName(alg, "mp_mbps"):      rates[0],
-				metricName(alg, "tcpwifi_mbps"): rates[1],
-				metricName(alg, "tcp3g_mbps"):   rates[2],
-			},
-		}
+		return flowsOut{rates, wifiShare}
+	}, func(res *Result, c *gridCell, o flowsOut) []string {
+		key := metricKey(c.vals[0])
+		res.Metrics[key+"_mp_mbps"] = o.rates[0]
+		res.Metrics[key+"_tcpwifi_mbps"] = o.rates[1]
+		res.Metrics[key+"_tcp3g_mbps"] = o.rates[2]
+		return []string{f2(o.rates[0]), f2(o.rates[1]), f2(o.rates[2]), f2(o.stat)}
 	})
-	Collect(res, &table, cells)
-	res.Tables = append(res.Tables, table)
 	res.note("only MPTCP approaches the competing WiFi TCP's throughput; COUPLED hides on the 3G path, EWTCP splits half-and-half")
 	return res
 }
 
 func runSec5Wired(cfg Config) *Result {
-	cfg = cfg.norm()
-	warm, end := cfg.dur(100*sim.Second), cfg.dur(500*sim.Second)
-
 	// S1, S2 and M compete in one shared world: a single cell.
-	return RunCells(cfg, 1, func(cell Config, _ int) *Result {
-		res := newResult("sec5-wired-sim")
-		w := newWorld(cell.Seed)
-		l1 := topo.NewDuplexPkt("link1", 250, 250*sim.Millisecond, topo.BDPPacketsPkt(250, 500*sim.Millisecond))
-		l2 := topo.NewDuplexPkt("link2", 500, 25*sim.Millisecond, topo.BDPPacketsPkt(500, 50*sim.Millisecond))
-		s1 := transport.NewConn(w.n, transport.Config{Paths: []transport.Path{topo.PathThrough(l1)}})
-		s2 := transport.NewConn(w.n, transport.Config{Paths: []transport.Path{topo.PathThrough(l2)}})
-		m := transport.NewConn(w.n, transport.Config{
-			Alg:   &core.MPTCP{},
-			Paths: []transport.Path{topo.PathThrough(l1), topo.PathThrough(l2)},
-		})
-		s1.Start()
-		s2.Start()
-		m.Start()
-		rates := w.measure([]*transport.Conn{s1, s2, m}, warm, end)
+	return oneWorld(cfg, "sec5-wired-sim", func(c *gridCell, res *Result) {
+		w := c.world()
+		sc := wiredPairScene(w, pktLink("link1", 250, 500*sim.Millisecond), pktLink("link2", 500, 50*sim.Millisecond))
+		rates := w.measure(sc.all, c.dur(100*sim.Second), c.dur(500*sim.Second))
 		toPkt := 1e6 / (8.0 * 1500)
-		p1 := l1.AB.Stats.LossFraction()
-		p2 := l2.AB.Stats.LossFraction()
+		p1 := sc.links[0].AB.Stats.LossFraction()
+		p2 := sc.links[1].AB.Stats.LossFraction()
 
 		res.Tables = append(res.Tables, Table{
 			Title: "Throughput (pkt/s) and loss; paper: S1 130, S2 315, M 305, p1 0.22%, p2 0.28%",
@@ -176,40 +139,21 @@ func runSec5Wired(cfg Config) *Result {
 		res.Metrics["s2_pktps"] = rates[1] * toPkt
 		res.Metrics["m_pktps"] = rates[2] * toPkt
 		res.note("M aims for what a single-path TCP would get at path 2's loss rate (~S2), not for C2/2 = 250 pkt/s — §5's subtle fairness point")
-		return res
-	})[0]
+	})
 }
 
 func runFig16(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("fig16-rtt-sweep")
-	warm, end := cfg.dur(60*sim.Second), cfg.dur(360*sim.Second)
 	rtts := []float64{12, 25, 50, 100, 200, 400, 800} // ms
 	caps := []float64{400, 800, 1600, 3200}           // pkt/s
-
-	fig := Figure{
-		Title:  "Fig. 16: M's throughput / best(S1, S2) — one curve per C2",
-		XLabel: "RTT2 (ms)",
-		YLabel: "ratio",
-	}
-	// One cell per (C2, RTT2) pair.
-	ratios := RunCells(cfg, len(caps)*len(rtts), func(cell Config, idx int) float64 {
-		c2 := caps[idx/len(rtts)]
-		rtt2 := rtts[idx%len(rtts)]
-		w := newWorld(cell.Seed)
-		l1 := topo.NewDuplexPkt("l1", 400, 50*sim.Millisecond, topo.BDPPacketsPkt(400, 100*sim.Millisecond))
+	g := grid{id: "fig16-rtt-sweep", axes: []axis{{"C2", axisVals(caps)}, {"RTT2", axisVals(rtts)}}}
+	res := newResult(g.id)
+	cells, ratios := sweep(res, cfg, g, func(c *gridCell) float64 {
+		w := c.world()
+		c2, rtt2 := caps[c.at[0]], rtts[c.at[1]]
 		d2 := sim.Time(rtt2/2) * sim.Millisecond
 		l2 := topo.NewDuplexPkt("l2", c2, d2, topo.BDPPacketsPkt(c2, sim.Time(rtt2)*sim.Millisecond))
-		s1 := transport.NewConn(w.n, transport.Config{Paths: []transport.Path{topo.PathThrough(l1)}})
-		s2 := transport.NewConn(w.n, transport.Config{Paths: []transport.Path{topo.PathThrough(l2)}})
-		m := transport.NewConn(w.n, transport.Config{
-			Alg:   &core.MPTCP{},
-			Paths: []transport.Path{topo.PathThrough(l1), topo.PathThrough(l2)},
-		})
-		s1.Start()
-		s2.Start()
-		m.Start()
-		rates := w.measure([]*transport.Conn{s1, s2, m}, warm, end)
+		sc := wiredPairScene(w, pktLink("l1", 400, 100*sim.Millisecond), l2)
+		rates := w.measure(sc.all, c.dur(60*sim.Second), c.dur(360*sim.Second))
 		denom := rates[0]
 		if rates[1] > denom {
 			denom = rates[1]
@@ -219,25 +163,30 @@ func runFig16(cfg Config) *Result {
 		}
 		return rates[2] / denom
 	})
-	worst, best, sum, count := 2.0, 0.0, 0.0, 0.0
-	for ci, c2 := range caps {
-		curve := Curve{Name: "C2=" + f0(c2)}
-		for ri, rtt2 := range rtts {
-			ratio := ratios[ci*len(rtts)+ri]
-			curve.Pts = append(curve.Pts, Point{X: rtt2, Y: ratio})
-			if ratio < worst {
-				worst = ratio
-			}
-			if ratio > best {
-				best = ratio
-			}
-			sum += ratio
-			count++
+
+	fig := Figure{
+		Title:  "Fig. 16: M's throughput / best(S1, S2) — one curve per C2",
+		XLabel: "RTT2 (ms)",
+		YLabel: "ratio",
+	}
+	worst, best, sum := 2.0, 0.0, 0.0
+	for i, c := range cells {
+		ratio := ratios[i]
+		if c.at[1] == 0 {
+			fig.Curves = append(fig.Curves, Curve{Name: "C2=" + f0(caps[c.at[0]])})
 		}
-		fig.Curves = append(fig.Curves, curve)
+		curve := &fig.Curves[c.at[0]]
+		curve.Pts = append(curve.Pts, Point{X: rtts[c.at[1]], Y: ratio})
+		if ratio < worst {
+			worst = ratio
+		}
+		if ratio > best {
+			best = ratio
+		}
+		sum += ratio
 	}
 	res.Figures = append(res.Figures, fig)
-	res.Metrics["ratio_mean"] = sum / count
+	res.Metrics["ratio_mean"] = sum / float64(len(cells))
 	res.Metrics["ratio_worst"] = worst
 	res.Metrics["ratio_best"] = best
 	res.note("paper: within a few percent of 1.0 except where link 2's bandwidth-delay product is very small (timeout-dominated)")
@@ -245,27 +194,26 @@ func runFig16(cfg Config) *Result {
 }
 
 func runFig17(cfg Config) *Result {
-	cfg = cfg.norm()
-	// Timeline (scaled): phase 1 walk around the office, phase 2 the
-	// stairwell (no WiFi, good 3G), phase 3 near a fresh basestation.
-	p1 := cfg.dur(240 * sim.Second)
-	p2 := cfg.dur(60 * sim.Second)
-	p3 := cfg.dur(120 * sim.Second)
-
 	// One continuous walk with shared link state: a single cell.
-	return RunCells(cfg, 1, func(cell Config, _ int) *Result {
-		res := newResult("fig17-mobility")
-		w := newWorld(cell.Seed)
+	return oneWorld(cfg, "fig17-mobility", func(c *gridCell, res *Result) {
+		// Timeline (scaled): phase 1 walk around the office, phase 2 the
+		// stairwell (no WiFi, good 3G), phase 3 near a fresh basestation.
+		p1 := c.dur(240 * sim.Second)
+		p2 := c.dur(60 * sim.Second)
+		p3 := c.dur(120 * sim.Second)
+
+		w := c.world()
 		wl := topo.NewWireless(topo.WirelessConfig{
 			WiFiMbps: 10, WiFiDelay: 8 * sim.Millisecond, WiFiLoss: 0.01, WiFiBuf: 25,
 			G3Mbps: 2.0, G3Delay: 50 * sim.Millisecond, G3Loss: 0.0005, G3Buf: 300,
 		})
-		tcpW := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[:1]})
-		tcpG := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[1:]})
-		mp := transport.NewConn(w.n, transport.Config{Alg: &core.MPTCP{}, Paths: wl.Paths()})
+		sc := linkScene(wl.WiFi, wl.G3)
+		tcpW := sc.add(w, transport.Config{}, sc.paths[:1])
+		tcpG := sc.add(w, transport.Config{}, sc.paths[1:])
+		mp := sc.add(w, transport.Config{Alg: newAlg("MPTCP")}, sc.paths)
 		tcpW.Start()
 		tcpG.Start()
-		w.s.After(cell.dur(10*sim.Second), mp.Start)
+		w.s.After(c.dur(10*sim.Second), mp.Start)
 
 		// The walk, as a declarative scenario over [WiFi, 3G]: entering
 		// the stairwell kills WiFi and improves 3G; afterwards a new
@@ -273,17 +221,16 @@ func runFig17(cfg Config) *Result {
 		// (the paper's measured conditions), so the rewire onto
 		// internal/scenario is bit-identical to the hand-coded closures
 		// it replaced (pinned by TestScenarioRewireGolden).
-		walk := scenario.Scenario{Name: "fig17-walk", Directives: []scenario.Directive{
+		sc.script(w, scenario.Scenario{Name: "fig17-walk", Directives: []scenario.Directive{
 			scenario.LinkDown{Link: 0, At: p1},
 			scenario.RateRamp{Link: 1, Start: p1, To: 2.8, Abs: true},
 			scenario.LinkUp{Link: 0, At: p1 + p2},
 			scenario.RateRamp{Link: 0, Start: p1 + p2, To: 12, Abs: true},
 			scenario.LossStep{Link: 0, At: p1 + p2, Loss: 0.004},
 			scenario.RateRamp{Link: 1, Start: p1 + p2, To: 2.0, Abs: true},
-		}}
-		walk.MustInstall(&scenario.Env{Sim: w.s, Net: w.n, Links: []*topo.Duplex{wl.WiFi, wl.G3}})
+		}})
 
-		sampler := metrics.NewSampler(w.s, cell.dur(5*sim.Second))
+		sampler := metrics.NewSampler(w.s, c.dur(5*sim.Second))
 		sampler.Probe("mp-wifi", func() float64 { return float64(mp.SubflowDelivered(0)) })
 		sampler.Probe("mp-3g", func() float64 { return float64(mp.SubflowDelivered(1)) })
 		sampler.Probe("tcp-wifi", func() float64 { return float64(tcpW.Delivered()) })
@@ -292,11 +239,13 @@ func runFig17(cfg Config) *Result {
 		end := p1 + p2 + p3
 		w.s.RunUntil(end)
 
-		fig := Figure{
+		res.Figures = append(res.Figures, Figure{
 			Title:  "Fig. 17: 5s-binned throughput while walking (WiFi outage in the middle phase)",
 			XLabel: "time (s)",
 			YLabel: "Mb/s",
-		}
+			Curves: rateCurves(sampler),
+		})
+
 		phaseMean := func(s *metrics.Series, from, to sim.Time) float64 {
 			r := s.Rate()
 			var tot float64
@@ -312,34 +261,18 @@ func runFig17(cfg Config) *Result {
 			}
 			return tot / float64(n)
 		}
-		for _, name := range sampler.Names() {
-			r := sampler.Series(name).Rate()
-			c := Curve{Name: name}
-			for i := 0; i < r.Len(); i++ {
-				c.Pts = append(c.Pts, Point{X: r.Times[i].Seconds(), Y: r.Vals[i] * 1500 * 8 / 1e6})
-			}
-			fig.Curves = append(fig.Curves, c)
-		}
-		res.Figures = append(res.Figures, fig)
-
-		wifiSeries := sampler.Series("mp-wifi")
-		g3Series := sampler.Series("mp-3g")
-		mpPhase1 := phaseMean(wifiSeries, 0, p1) + phaseMean(g3Series, 0, p1)
-		mpPhase2 := phaseMean(wifiSeries, p1, p1+p2) + phaseMean(g3Series, p1, p1+p2)
-		mpPhase3 := phaseMean(wifiSeries, p1+p2, end) + phaseMean(g3Series, p1+p2, end)
-		res.Tables = append(res.Tables, Table{
+		table := Table{
 			Title: "Multipath throughput by phase (Mb/s)",
 			Cols:  []string{"phase", "multipath Mb/s", "of which 3G"},
-			Rows: [][]string{
-				{"office (WiFi+3G)", f2(mpPhase1), f2(phaseMean(g3Series, 0, p1))},
-				{"stairwell (3G only)", f2(mpPhase2), f2(phaseMean(g3Series, p1, p1+p2))},
-				{"new basestation", f2(mpPhase3), f2(phaseMean(g3Series, p1+p2, end))},
-			},
-		})
-		res.Metrics["phase1_mbps"] = mpPhase1
-		res.Metrics["phase2_mbps"] = mpPhase2
-		res.Metrics["phase3_mbps"] = mpPhase3
+		}
+		bounds := []sim.Time{0, p1, p1 + p2, end}
+		for i, name := range []string{"office (WiFi+3G)", "stairwell (3G only)", "new basestation"} {
+			wifi := phaseMean(sampler.Series("mp-wifi"), bounds[i], bounds[i+1])
+			g3 := phaseMean(sampler.Series("mp-3g"), bounds[i], bounds[i+1])
+			table.Rows = append(table.Rows, []string{name, f2(wifi + g3), f2(g3)})
+			res.Metrics[fmt.Sprintf("phase%d_mbps", i+1)] = wifi + g3
+		}
+		res.Tables = append(res.Tables, table)
 		res.note("the connection survives the WiFi outage on 3G alone and immediately exploits the new basestation — the robustness story of §5")
-		return res
-	})[0]
+	})
 }

@@ -1,16 +1,11 @@
 package exp
 
 import (
-	"math/rand"
 	"strings"
 
 	"mptcp/internal/cc"
-	"mptcp/internal/core"
 	"mptcp/internal/model"
 	"mptcp/internal/sim"
-	"mptcp/internal/topo"
-	"mptcp/internal/traffic"
-	"mptcp/internal/transport"
 )
 
 func init() {
@@ -66,34 +61,13 @@ func tourCell(c *gridCell) tourOut {
 	alg, tp := c.vals[0], c.vals[1]
 	warm, end := c.dur(tourWindows[tp][0]), c.dur(tourWindows[tp][1])
 	if tp == "fattree" {
-		return tourFatTree(w, c, newAlg(alg), warm, end)
+		// §4's FatTree under TP1, every flow using the algorithm under
+		// test over the usual path count.
+		sc, _, src := tp1Scene(c, w, 23, alg, dcPaths(c.Config))
+		rates := w.measure(sc.all, warm, end)
+		return tourOut{perHost(src, rates), model.JainIndex(rates)}
 	}
-	sc := scenes[tp](w, func() transport.Config { return transport.Config{Alg: newAlg(alg)} })
+	sc := scenes[tp](w, mpAlg(alg))
 	rates := w.measure(sc.all, warm, end)
 	return tourOut{sumRates(rates[sc.lo:sc.hi]), model.JainIndex(rates)}
-}
-
-// tourFatTree is §4's FatTree under the TP1 permutation traffic
-// pattern, every flow using the algorithm under test over the usual
-// path count. The workload rng derives from the run's base seed, not
-// the cell's, so all algorithms race on the identical permutation and
-// path choices, exactly as in the §4 experiments.
-func tourFatTree(w *world, c *gridCell, alg core.Algorithm, warm, end sim.Time) tourOut {
-	k, _, _ := dcSizes(c.Config)
-	nPaths := 8
-	if k < 8 {
-		nPaths = 4
-	}
-	rng := rand.New(rand.NewSource(c.base + 23))
-	ft := topo.NewFatTree(topo.FatTreeConfig{K: k})
-	d := traffic.Permutation(rng, ft.NumHosts())
-	var src, dst []int
-	for s, t := range d {
-		src = append(src, s)
-		dst = append(dst, t)
-	}
-	pf := func(rng *rand.Rand, s, t int) []transport.Path { return ft.Paths(rng, s, t, nPaths) }
-	conns := startFlows(w, rng, src, dst, alg, pf)
-	rates := w.measure(conns, warm, end)
-	return tourOut{perHost(src, rates), model.JainIndex(rates)}
 }

@@ -62,9 +62,10 @@ func TestTraceGoldenWiFi3GFlap(t *testing.T) {
 	}
 }
 
-// tracedGrids are the grids whose cells run in one simulated world,
+// tracedGrids are the four grids whose cells run in one simulated world,
 // each with a filter that keeps the traced runs below small (the
-// tournament has no filter axis; its grid is small enough).
+// tournament has no filter axis; its grid is small enough), and two of
+// the paper's own figures: a swept one and a single-world one.
 var tracedGrids = []struct {
 	id     string
 	filter Config
@@ -73,6 +74,8 @@ var tracedGrids = []struct {
 	{"dynamics", Config{Scenario: "flap"}},
 	{"schedgrid", Config{Sched: "minrtt+otr+pen"}},
 	{"appgrid", Config{Workload: "video"}},
+	{"fig15-wireless-compete", Config{}},
+	{"fig17-mobility", Config{}},
 }
 
 // TestTraceDeterministicAcrossParallelism extends the runner's core
@@ -109,7 +112,8 @@ func TestTraceDeterministicAcrossParallelism(t *testing.T) {
 // TestTracingDoesNotPerturbResults: enabling tracing must leave the
 // simulation bit-identical — the tracer only observes, never draws from
 // the world RNG or changes event timing. Metrics and per-cell Records
-// of traced and untraced same-seed runs must be DeepEqual.
+// of traced and untraced same-seed runs must be DeepEqual, and the
+// rendered reports (all a per-figure experiment has) the same bytes.
 func TestTracingDoesNotPerturbResults(t *testing.T) {
 	for _, g := range tracedGrids {
 		t.Run(g.id, func(t *testing.T) {
@@ -125,6 +129,12 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 			}
 			if !reflect.DeepEqual(plain.Records, withTrace.Records) {
 				t.Error("tracing perturbed per-cell records")
+			}
+			var off, on bytes.Buffer
+			plain.Render(&off)
+			withTrace.Render(&on)
+			if !bytes.Equal(off.Bytes(), on.Bytes()) {
+				t.Error("tracing perturbed the rendered report")
 			}
 			if b.Len() == 0 {
 				t.Error("traced run wrote no trace output")

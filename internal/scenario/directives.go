@@ -298,11 +298,7 @@ func (c *churnRun) step() {
 		}
 		c.env.Spawn(pkts)
 	}
-	gap := sim.Time(c.env.Sim.Rand().ExpFloat64() / c.d.Rate * float64(sim.Second))
-	if gap < sim.Microsecond {
-		gap = sim.Microsecond
-	}
-	next := now + gap
+	next := now + traffic.PoissonGap(c.env.Sim.Rand(), c.d.Rate)
 	if next > c.d.End {
 		c.tm.Release()
 		return

@@ -8,9 +8,11 @@
 // in experiments, one derived from the cell seed — and drive
 // transmission off rearm-in-place sim.Timers, so workloads are exactly
 // as reproducible as the world that hosts them and safe to build inside
-// the parallel runner's concurrent cells. The scenario engine's
-// BackgroundCBR and FlowChurn directives are thin wrappers over this
-// package.
+// the parallel runner's concurrent cells. This is the one sampler
+// package: the scenario engine's BackgroundCBR directive wraps OnOffCBR,
+// and its FlowChurn directive (which internal/workload's mice are) is
+// its own arrival process drawing sizes from Pareto and gaps from
+// PoissonGap.
 package traffic
 
 import (
@@ -149,17 +151,24 @@ type PoissonArrivals struct {
 // Start schedules the first arrival.
 func (pa *PoissonArrivals) Start() { pa.next() }
 
+// PoissonGap draws the time to the next arrival of a Poisson process of
+// rate arrivals per second, floored at one microsecond so that a process
+// always advances the clock.
+func PoissonGap(rng *rand.Rand, rate float64) sim.Time {
+	gap := sim.Time(rng.ExpFloat64() / rate * float64(sim.Second))
+	if gap < sim.Microsecond {
+		gap = sim.Microsecond
+	}
+	return gap
+}
+
 func (pa *PoissonArrivals) next() {
 	if pa.Rate <= 0 {
 		// Poll again shortly in case the rate is restored.
 		pa.Net.Sim.After(10*sim.Millisecond, pa.next)
 		return
 	}
-	gap := sim.Time(pa.Net.Sim.Rand().ExpFloat64() / pa.Rate * float64(sim.Second))
-	if gap < sim.Microsecond {
-		gap = sim.Microsecond
-	}
-	pa.Net.Sim.After(gap, func() {
+	pa.Net.Sim.After(PoissonGap(pa.Net.Sim.Rand(), pa.Rate), func() {
 		pa.Arrivals++
 		pa.Spawn()
 		pa.next()
