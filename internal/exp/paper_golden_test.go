@@ -112,8 +112,8 @@ var paperGolden = map[string][2]string{
 		"9e0ae5cc4841bf8eef6db08547692f434e72ecc50e180d9413ae04a4a7d88aca",
 	},
 	"fig16-rtt-sweep": {
-		"70533e034cc7a9d8fd9fd7fd44ed5abbae665207d6cd888d6d3168673ebd13f8",
-		"3a28f706489d5db84a961b558c4a43260a4b7d41dc5efa26529d356dc1345708",
+		"e8ed501ebea5605e4fcf783a02ac54c54a5f89965908778b9231f54adf517abc",
+		"c46080700216acf3d01ee589fb8a4cb5d5ac009a1778655de9b38dbafe76ff76",
 	},
 	"fig17-mobility": {
 		"810c2a496193c468c92438f77f956a36393070efff7f405b49bc91519585f986",

@@ -149,10 +149,8 @@ func runFig16(cfg Config) *Result {
 	res := newResult(g.id)
 	cells, ratios := sweep(res, cfg, g, func(c *gridCell) float64 {
 		w := c.world()
-		c2, rtt2 := caps[c.at[0]], rtts[c.at[1]]
-		d2 := sim.Time(rtt2/2) * sim.Millisecond
-		l2 := topo.NewDuplexPkt("l2", c2, d2, topo.BDPPacketsPkt(c2, sim.Time(rtt2)*sim.Millisecond))
-		sc := wiredPairScene(w, pktLink("l1", 400, 100*sim.Millisecond), l2)
+		c2, rtt2 := caps[c.at[0]], sim.Time(rtts[c.at[1]]*float64(sim.Millisecond))
+		sc := wiredPairScene(w, pktLink("l1", 400, 100*sim.Millisecond), pktLink("l2", c2, rtt2))
 		rates := w.measure(sc.all, c.dur(60*sim.Second), c.dur(360*sim.Second))
 		denom := rates[0]
 		if rates[1] > denom {
