@@ -390,8 +390,8 @@ func (sk *socket) run(cfg Config, log *chaos.Log) outcome {
 	select {
 	case err := <-werr:
 		if err != nil {
-			// Sender gave up (all paths dead, FIN retry budget, socket
-			// closed). Release the reader and report the explicit error.
+			// Sender gave up (all paths dead, socket closed). Release the
+			// reader and report the explicit error.
 			sk.rx.Close()
 			<-rres
 			return outcome{socket: sk.id, err: err}

@@ -123,8 +123,8 @@ func TestChaosAllFaultKindsExercised(t *testing.T) {
 // TestChaosAllPathsDeadGivesUp is the terminal scenario: every path of
 // every connection is killed shortly after start and stays dead. The
 // invariant flips — every transfer must FAIL with an explicit error (the
-// sender's consecutive-RTO / FIN-retry give-up), nothing may complete,
-// nothing may stall silently, and teardown must still leak zero
+// sender's one give-up rule: consecutive RTOs on every path), nothing may
+// complete, nothing may stall silently, and teardown must still leak zero
 // goroutines and timers.
 func TestChaosAllPathsDeadGivesUp(t *testing.T) {
 	if testing.Short() {

@@ -30,8 +30,6 @@ type Config struct {
 	SchedOpts sched.Options
 	// MinRTO bounds the retransmission timer (default 200 ms).
 	MinRTO time.Duration
-	// Logf, if set, receives debug traces.
-	Logf func(format string, args ...any)
 	// Tracer, when non-nil, records the sender's protocol events (cwnd
 	// changes, RTT samples, losses, retransmissions, scheduler picks, §6
 	// countermeasures) into internal/trace ring buffers, stamped on the
@@ -45,9 +43,10 @@ type Config struct {
 // the network are full, providing backpressure.
 //
 // It is the real-UDP shell of the protocol core: it owns the payload and
-// wire frames, the sockets and their goroutines, the time.Timers and the
-// FIN, and implements proto.Shell. Every protocol decision — what to
-// send where, loss recovery, flow control — is the core's.
+// wire frames, the sockets and their goroutines and the time.Timers, and
+// implements proto.Shell. Every protocol decision — what to send where,
+// loss recovery, flow control, when the stream is delivered — is the
+// core's.
 type Sender struct {
 	cfg    Config
 	connID uint64
@@ -60,20 +59,18 @@ type Sender struct {
 	// call it makes back, runs with mu held.
 	core proto.Sender
 	// segs holds the payload frame of every data sequence in
-	// [freed, dataEnd): Write fills dataEnd, and a frame is freed when the
-	// core's data-level ACK passes it.
+	// [freed, dataEnd): Write fills dataEnd, Close appends the empty
+	// end-of-stream segment, and a frame is freed when the core's
+	// data-level ACK passes it.
 	segs       ring[*frame]
 	dataEnd    int64
 	freed      int64
 	persist    timer
-	closed     bool // Close was called: no more data
-	completed  bool // the core saw everything acknowledged
-	finSent    bool
-	finAcked   bool // an ACK said the receiver has seen the FIN
-	finRetries int
+	closed     bool // Close was called: dataEnd-1 is the end-of-stream segment
+	completed  bool // the core saw everything, the end of stream included, acknowledged
 	acksRecvd  int64
 	err        error
-	done       chan struct{} // closed once the stream is fully acknowledged
+	done       chan struct{} // closed once the sender has completed or aborted
 	doneClosed bool
 
 	// corrupt counts inbound frames dropped by the checksum; atomic (not
@@ -142,13 +139,7 @@ func (tm *timer) expired() bool {
 // first ACK advertises the receiver's real shared-buffer window.
 const defaultWindow = 64
 
-// maxFinRetries bounds the FIN retransmission chain when the peer never
-// acknowledges: after this many (exponentially backed-off) attempts the
-// sender gives up and releases its goroutines instead of rescheduling
-// timers forever.
-const maxFinRetries = 12
-
-// maxRTOStreak is the data-level give-up bound: when EVERY subflow has
+// maxRTOStreak is the give-up bound, the only one: when EVERY subflow has
 // suffered this many consecutive retransmission timeouts with no
 // cumulative-ACK progress anywhere, the connection is dead end to end
 // (all radios gone and staying gone) and the sender aborts with an error
@@ -240,13 +231,18 @@ func (s *Sender) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// Close marks the end of the stream; the FIN is delivered reliably. It
-// does not wait for acknowledgment — use Wait.
+// Close ends the stream with one more data segment, empty and flagged as
+// the last, which the core delivers like any other. It does not wait for
+// acknowledgment — use Wait.
 func (s *Sender) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.closed {
 		s.closed = true
+		f := getFrame()
+		f.n = headerSize
+		s.segs.put(s.freed, s.dataEnd, f)
+		s.dataEnd++
 		s.core.Supply(s.now(), s.dataEnd)
 		s.core.Finish()
 		s.settleLocked()
@@ -254,8 +250,8 @@ func (s *Sender) Close() error {
 	return nil
 }
 
-// Wait blocks until all data (and the FIN) has been acknowledged, or the
-// timeout expires.
+// Wait blocks until the whole stream, its end included, has been
+// acknowledged, the sender has given up, or the timeout expires.
 func (s *Sender) Wait(timeout time.Duration) error {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
@@ -266,15 +262,13 @@ func (s *Sender) Wait(timeout time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
-	case s.finishedLocked():
+	case s.completed:
 		return nil
 	case s.err != nil:
 		return s.err
 	}
 	return fmt.Errorf("mptcpnet: %d segments unacked at timeout", s.core.DataNxt()-s.core.DataUna())
 }
-
-func (s *Sender) finishedLocked() bool { return s.completed && s.finAcked }
 
 // pumpLocked offers everything Write has queued to the core.
 func (s *Sender) pumpLocked() {
@@ -283,28 +277,18 @@ func (s *Sender) pumpLocked() {
 }
 
 // settleLocked is the shell's bookkeeping after every core entry point:
-// free the payload frames the data-level ACK has passed, send the FIN
-// once every segment has been assigned to a subflow, finish once
-// everything is acknowledged, and wake a Write blocked on backpressure.
+// free the payload frames the data-level ACK has passed and wake a Write
+// blocked on backpressure.
 func (s *Sender) settleLocked() {
 	for una := s.core.DataUna(); s.freed < una; s.freed++ {
 		putFrame(*s.segs.at(s.freed))
 	}
-	if !s.doneClosed {
-		if s.closed && !s.finSent && s.core.DataNxt() == s.dataEnd {
-			s.finSent = true
-			s.sendFinLocked()
-		}
-		if s.finishedLocked() {
-			s.closeDoneLocked()
-		}
-	}
 	s.cond.Broadcast()
 }
 
-// closeDoneLocked closes done, which releases the writer goroutines and
-// terminates the FIN retransmission chain. The core has stopped the
-// timers by now: it stops itself on completion, and abortLocked stops it.
+// closeDoneLocked closes done, which releases the writer goroutines. The
+// core has stopped the timers by now: it stops itself on completion, and
+// abortLocked stops it.
 func (s *Sender) closeDoneLocked() {
 	if !s.doneClosed {
 		s.doneClosed = true
@@ -312,9 +296,8 @@ func (s *Sender) closeDoneLocked() {
 	}
 }
 
-// abortLocked records err and gives up: the peer vanished and the FIN
-// retry budget ran out, every path is dead, or a subflow socket was
-// closed under us.
+// abortLocked records err and gives up: every path is dead, or a subflow
+// socket was closed under us.
 func (s *Sender) abortLocked(err error) {
 	if s.err == nil {
 		s.err = err
@@ -337,7 +320,7 @@ func (s *Sender) Cwnd(i int) float64 {
 // trio, whose separate calls could interleave with progress and whose
 // counters therefore never described one instant.
 type Stats struct {
-	SegsSent  int64 // data segments given a subflow sequence (first transmissions, incl. reinjected and duplicated data)
+	SegsSent  int64 // data segments given a subflow sequence (first transmissions, incl. reinjected and duplicated data, and the end-of-stream segment)
 	SegsRetx  int64 // subflow-level retransmissions
 	Reinjects int64 // data reinjections onto other subflows after RTOs
 	OppRetx   int64 // §6 opportunistic retransmissions of a blocking segment
@@ -381,16 +364,11 @@ func (s *Sender) seg(d int64) *frame {
 	return *s.segs.at(d)
 }
 
-func (s *Sender) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
 // --- proto.Shell: the core's side effects (all called with s.mu held) ---
 
 // Emit builds the wire frame of one data transmission and queues it on
-// the subflow's writer.
+// the subflow's writer. The segment Close appended carries flagFin on
+// every transmission, so whichever copy arrives first ends the stream.
 func (s *Sender) Emit(sub int, seq, dataSeq int64, _ bool) {
 	// Copy, never alias: the payload frame may be freed (and rewritten)
 	// by the next data ACK while this transmission still sits in sendQ.
@@ -401,8 +379,12 @@ func (s *Sender) Emit(sub int, seq, dataSeq int64, _ bool) {
 	if p := s.seg(dataSeq); p != nil {
 		w.n += copy(w.buf[headerSize:], p.buf[headerSize:p.n])
 	}
+	h := header{Type: typeData, Seq: seq, DataSeq: dataSeq, Plen: uint16(w.n - headerSize)}
+	if s.closed && dataSeq == s.dataEnd-1 {
+		h.Flags = flagFin
+	}
 	sf := s.subs[sub]
-	sf.seal(w, header{Type: typeData, Seq: seq, DataSeq: dataSeq, Plen: uint16(w.n - headerSize)})
+	sf.seal(w, h)
 	if !sf.queueWrite(w) {
 		putFrame(w)
 	}
@@ -424,9 +406,12 @@ func (s *Sender) StopRTO(sub int)              { s.subs[sub].rto.stop() }
 func (s *Sender) ArmPersist(d proto.Time)      { s.persist.arm(d) }
 func (s *Sender) StopPersist()                 { s.persist.stop() }
 
-// Completed records that all data is acknowledged; settleLocked, which
-// follows every core call, finishes once the FIN is acknowledged too.
-func (s *Sender) Completed() { s.completed = true }
+// Completed is the one completion predicate: the data-level ACK passed
+// the end-of-stream segment.
+func (s *Sender) Completed() {
+	s.completed = true
+	s.closeDoneLocked()
+}
 
 // --- subflow I/O ---
 
@@ -450,82 +435,25 @@ func (sf *sendSubflow) queueWrite(f *frame) bool {
 	case sf.sendQ <- f:
 		return true
 	default:
-		sf.parent.logf("sf%d writer backlogged, dropping segment", sf.id)
 		return false
 	}
 }
 
 // writeLoop is the subflow's single writer: it drains the FIFO send
 // queue so segments hit the socket in transmit order, and exits once the
-// connection is done — flushing anything queued first, because the final
-// FIN is queued in the same critical section that closes done and must
-// still reach the wire. Every frame goes back to the pool once written.
+// connection is done — whatever is still queued then repeats something
+// already acknowledged, or belongs to an aborted stream. Every frame
+// written goes back to the pool.
 func (sf *sendSubflow) writeLoop() {
 	for {
 		select {
 		case f := <-sf.sendQ:
-			sf.write(f)
+			sf.conn.WriteTo(f.buf[:f.n], sf.remote) //nolint:errcheck // lossy path semantics
+			putFrame(f)
 		case <-sf.parent.done:
-			for {
-				select {
-				case f := <-sf.sendQ:
-					sf.write(f)
-				default:
-					return
-				}
-			}
+			return
 		}
 	}
-}
-
-// write puts one wire frame on the socket and frees it.
-func (sf *sendSubflow) write(f *frame) {
-	sf.conn.WriteTo(f.buf[:f.n], sf.remote) //nolint:errcheck // lossy path semantics
-	putFrame(f)
-}
-
-// sendFinLocked broadcasts the FIN on every subflow and arms the retry
-// chain. The FIN is the one segment the data machinery cannot recover
-// (it occupies no sequence space), so the chain runs until an ACK
-// carries flagFin — the receiver's word that it has seen one — not
-// merely until the data is acknowledged: a transfer whose tail recovers
-// quickly would otherwise finish with every copy of its only FIN lost,
-// and the receiver would never see EOF. Broadcasting makes each attempt
-// as reliable as the best live path (a FIN bound to a single subflow
-// dies with that path); the receiver treats repeated FINs idempotently.
-func (s *Sender) sendFinLocked() {
-	for _, sf := range s.subs {
-		f := getFrame()
-		f.n = headerSize
-		sf.seal(f, header{Type: typeFin, Aux: s.dataEnd})
-		if !sf.queueWrite(f) {
-			// The writer is backlogged or already gone: bypass the queue
-			// rather than drop the FIN (it carries no sequence-space
-			// ordering constraint). Bounded: at most one such write per
-			// subflow per retry tick.
-			go sf.write(f)
-		}
-	}
-	// Retransmit the FIN (with exponential backoff) until the stream is
-	// finished. The chain is gated on done so it terminates as soon as
-	// that happens, and a retry budget stops it rescheduling forever when
-	// the peer is gone.
-	delay := time.Duration(s.core.MinRTO()) << uint(s.finRetries)
-	if delay > time.Duration(proto.MaxRTO) || delay <= 0 {
-		delay = time.Duration(proto.MaxRTO)
-	}
-	s.finRetries++
-	time.AfterFunc(delay, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		switch {
-		case s.doneClosed:
-		case s.finRetries > maxFinRetries:
-			s.abortLocked(errors.New("mptcpnet: FIN unacknowledged after retries, giving up"))
-		default:
-			s.sendFinLocked()
-		}
-	})
 }
 
 // readLoop consumes ACKs for one subflow. Runs unlocked; state updates
@@ -534,9 +462,8 @@ func (sf *sendSubflow) readLoop() {
 	buf := make([]byte, 2048)
 	s := sf.parent
 	// A closed subflow socket means no ACK can ever arrive here again: if
-	// the stream is not already finished, abort so the writer goroutine,
-	// the FIN chain and the timers are all released rather than leaked
-	// with an abandoned sender.
+	// the stream is not already finished, abort so the writer goroutine and
+	// the timers are released rather than leaked with an abandoned sender.
 	defer func() {
 		s.mu.Lock()
 		if !s.doneClosed {
@@ -570,9 +497,6 @@ func (s *Sender) handleAck(sf *sendSubflow, h *header) {
 	a := proto.Ack{Sub: sf.id, Seq: h.Seq, DataAck: h.DataSeq, Window: int64(h.Window), Sack: -1}
 	if h.Flags&flagSack != 0 {
 		a.Sack = h.Aux
-	}
-	if h.Flags&flagFin != 0 {
-		s.finAcked = true
 	}
 	if h.Echo != 0 { // 0: a window update, which echoes no transmission
 		a.RTT = proto.Time(time.Duration(s.echoNow()-h.Echo) * time.Microsecond)

@@ -38,9 +38,9 @@ func TestDelayedAckHalvesAckTraffic(t *testing.T) {
 	}
 }
 
-// The last segment of an odd-length transfer is not left waiting: the FIN
-// behind it is acknowledged at once, covering it, and Wait returns long
-// before any retransmission timer could have fired.
+// The last segment of an odd-length transfer is not left waiting: the
+// end-of-stream segment behind it is acknowledged at once, covering it,
+// and Wait returns long before any retransmission timer could have fired.
 func TestDelayedAckTailIsNotHeld(t *testing.T) {
 	tx, rx, snd := memPipe(t, Config{}, 256)
 	if _, err := tx.Write(make([]byte, 3*MaxPayload)); err != nil {
@@ -60,8 +60,8 @@ func TestDelayedAckTailIsNotHeld(t *testing.T) {
 	if st := tx.Stats(); st.SegsRetx != 0 {
 		t.Errorf("%d retransmissions of a 3-segment transfer, want 0", st.SegsRetx)
 	}
-	if fins := len(snd.typedWrites(typeFin)); fins != 1 {
-		t.Errorf("%d FINs sent, want the first one acknowledged", fins)
+	if ends := endWrites(snd); len(ends) != 1 || ends[0].DataSeq != 3 || ends[0].Plen != 0 {
+		t.Errorf("end-of-stream transmissions %+v, want one empty segment at data sequence 3, acknowledged first time", ends)
 	}
 }
 

@@ -1,9 +1,8 @@
 package mptcpnet
 
 // Regression tests for what the shell owns: in-subflow FIFO transmission
-// order, the stale-timer-fire check, FIN-timer termination, writer
-// lifecycle, Read wake-ups, and the flow control the receiver's
-// application drives. They run over a deterministic in-memory
+// order, the stale-timer-fire check, writer lifecycle, Read wake-ups, and
+// the flow control the receiver's application drives. They run over a deterministic in-memory
 // PacketConn, not real sockets, so ordering assertions are exact. (The
 // protocol's own rules — RTO clamp, RTT sampling, reinjection order —
 // are pinned by internal/proto's event scripts.)
@@ -149,6 +148,17 @@ func newTestSender(t *testing.T, cfg Config) (*Sender, *memConn) {
 	return NewSender(42, []net.PacketConn{c}, []net.Addr{memAddr("rcv")}, cfg), c
 }
 
+// segFrame is the sealed datagram of one data segment as a sender would
+// put it on the wire.
+func segFrame(connID uint64, seq, dataSeq int64, flags byte, payload string) []byte {
+	f := make([]byte, headerSize+len(payload))
+	h := header{Type: typeData, Flags: flags, ConnID: connID, Seq: seq, DataSeq: dataSeq, Plen: uint16(len(payload))}
+	h.marshal(f)
+	copy(f[headerSize:], payload)
+	sealFrame(f)
+	return f
+}
+
 // waitWrites blocks until the writer goroutine has flushed at least n
 // writes of the given type.
 func waitWrites(t *testing.T, c *memConn, typ byte, n int) []header {
@@ -276,37 +286,10 @@ func TestNoSpuriousRetxOnCleanPipe(t *testing.T) {
 	}
 }
 
-// Once Wait returns, the FIN retransmission chain must terminate: done is
-// closed and no further FIN hits the socket.
-func TestFinTimerStopsAfterWait(t *testing.T) {
-	cfg := Config{MinRTO: 20 * time.Millisecond}
-	tx, rx, snd := memPipe(t, cfg, 256)
-	go func() {
-		tx.Write(make([]byte, 8<<10)) //nolint:errcheck
-		tx.Close()
-	}()
-	if got := drainEOF(t, rx); got != 8<<10 {
-		t.Fatalf("received %d bytes, want %d", got, 8<<10)
-	}
-	if err := tx.Wait(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-tx.done:
-	default:
-		t.Fatal("done not closed after Wait succeeded")
-	}
-	fins := len(snd.typedWrites(typeFin))
-	time.Sleep(8 * cfg.MinRTO) // several would-be retransmit intervals
-	if later := len(snd.typedWrites(typeFin)); later != fins {
-		t.Errorf("FIN count grew from %d to %d after completion: timer chain leaked", fins, later)
-	}
-}
-
 // Closing a subflow socket under an unfinished sender must abort it:
-// done closes (releasing the writer goroutine, FIN chain and RTO
-// timers) and the error surfaces, instead of leaking a parked writer per
-// abandoned sender.
+// done closes (releasing the writer goroutine and the RTO timers) and
+// the error surfaces, instead of leaking a parked writer per abandoned
+// sender.
 func TestSocketCloseAbortsSender(t *testing.T) {
 	s, c := newTestSender(t, Config{})
 	if _, err := s.Write(make([]byte, MaxPayload)); err != nil { // unacked data in flight
@@ -326,32 +309,6 @@ func TestSocketCloseAbortsSender(t *testing.T) {
 	}
 }
 
-// With the peer unreachable the FIN chain must not reschedule forever:
-// the retry budget aborts the sender instead of leaking timers.
-func TestFinChainGivesUpWithoutPeer(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second backoff wait")
-	}
-	s, _ := newTestSender(t, Config{MinRTO: time.Millisecond})
-	if _, err := s.Write(make([]byte, 2*MaxPayload)); err != nil { // fits the initial window
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil { // sends the FIN; no peer will ever ack
-		t.Fatal(err)
-	}
-	select {
-	case <-s.done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("FIN chain still running: retry budget did not trip")
-	}
-	s.mu.Lock()
-	err := s.err
-	s.mu.Unlock()
-	if err == nil {
-		t.Error("giving up should record an error")
-	}
-}
-
 // Read is woken only by an arrival that makes data readable: a segment
 // that joins the reorder buffer leaves it parked, and the one that fills
 // the gap delivers both.
@@ -360,14 +317,6 @@ func TestReadWakesWhenGapFills(t *testing.T) {
 	t.Cleanup(func() { c.Close() })
 	rx := NewReceiver(42, []net.PacketConn{c}, 16)
 	defer rx.Close()
-	data := func(seq int64, b byte) []byte {
-		f := make([]byte, headerSize+1)
-		h := header{Type: typeData, ConnID: 42, Seq: seq, DataSeq: seq, Plen: 1}
-		h.marshal(f)
-		f[headerSize] = b
-		sealFrame(f)
-		return f
-	}
 	got := make(chan []byte, 1)
 	go func() {
 		buf := make([]byte, 8)
@@ -375,7 +324,7 @@ func TestReadWakesWhenGapFills(t *testing.T) {
 		got <- buf[:n]
 	}()
 
-	c.deliver(data(1, 'b')) // out of order: held, acknowledged, not readable
+	c.deliver(segFrame(42, 1, 1, 0, "b")) // out of order: held, acknowledged, not readable
 	if acks := waitWrites(t, c, typeAck, 1); acks[0].DataSeq != 0 {
 		t.Fatalf("data ack after the out-of-order segment = %d, want 0", acks[0].DataSeq)
 	}
@@ -384,7 +333,7 @@ func TestReadWakesWhenGapFills(t *testing.T) {
 		t.Fatalf("Read returned %q with segment 0 still missing", b)
 	case <-time.After(20 * time.Millisecond):
 	}
-	c.deliver(data(0, 'a'))
+	c.deliver(segFrame(42, 0, 0, 0, "a"))
 	select {
 	case b := <-got:
 		if string(b) != "ab" {
@@ -493,47 +442,5 @@ func TestLostWindowUpdateRecoveredByProbe(t *testing.T) {
 	}
 	if len(snd.typedWrites(typeProbe)) == 0 {
 		t.Error("the transfer completed without a zero-window probe")
-	}
-}
-
-// The FIN occupies no sequence space, so only its own retry chain can
-// recover it — and the chain must run until the receiver says it has
-// seen a FIN (flagFin on an ACK), not merely until the data is
-// acknowledged: here the data is acknowledged within a millisecond and
-// the first FIN is lost.
-func TestLostFinIsRetransmittedUntilAcked(t *testing.T) {
-	snd, rcv := newMemConn("snd"), newMemConn("rcv")
-	wire(snd, rcv)
-	t.Cleanup(func() { snd.Close(); rcv.Close() })
-	var fins atomic.Int64
-	snd.drop = func(b []byte) bool { // lose the first FIN
-		var h header
-		return h.unmarshal(b) == nil && h.Type == typeFin && fins.Add(1) == 1
-	}
-	rx := NewReceiver(7, []net.PacketConn{rcv}, 256)
-	tx := NewSender(7, []net.PacketConn{snd}, []net.Addr{memAddr("rcv")}, Config{MinRTO: 20 * time.Millisecond})
-	if _, err := tx.Write(make([]byte, 4*MaxPayload)); err != nil {
-		t.Fatal(err)
-	}
-	tx.Close()
-	eof := make(chan int, 1)
-	go func() {
-		n, _ := io.Copy(io.Discard, rx)
-		eof <- int(n)
-	}()
-	select {
-	case n := <-eof:
-		if n != 4*MaxPayload {
-			t.Errorf("received %d bytes before EOF, want %d", n, 4*MaxPayload)
-		}
-	case <-time.After(5 * time.Second):
-		rx.Close()
-		t.Fatal("the receiver never saw EOF: the only FIN was lost and not retransmitted")
-	}
-	if err := tx.Wait(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if fins.Load() < 2 {
-		t.Errorf("%d FINs sent, want the lost one and a retransmission", fins.Load())
 	}
 }

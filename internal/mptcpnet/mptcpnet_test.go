@@ -281,25 +281,55 @@ func TestSenderWriteAfterClose(t *testing.T) {
 	}
 }
 
+// EOF is the end-of-stream segment read in order, not its arrival: on
+// paths of unequal delay it overtakes data, and Read must then wait for
+// the gap to fill.
 func TestReceiverEOFOnlyAfterAllData(t *testing.T) {
-	s, r, ra := pipePair(t, time.Millisecond, 0, 0, 600)
-	_ = ra
-	rx := NewReceiver(9, []net.PacketConn{r}, 64)
+	cs := [2]*memConn{newMemConn("rcv0"), newMemConn("rcv1")}
+	t.Cleanup(func() { cs[0].Close(); cs[1].Close() })
+	rx := NewReceiver(9, []net.PacketConn{cs[0], cs[1]}, 64)
 	defer rx.Close()
-	_ = s
-	// No FIN: Read must block, not EOF.
-	done := make(chan struct{})
-	go func() {
-		buf := make([]byte, 16)
-		rx.Read(buf) //nolint:errcheck
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Error("Read returned with no data and no FIN")
-	case <-time.After(100 * time.Millisecond):
+	type result struct {
+		got string
+		err error
 	}
-	rx.Close()
+	done := make(chan result, 1)
+	go func() {
+		b, err := io.ReadAll(rx)
+		done <- result{string(b), err}
+	}()
+	stillBlocked := func(why string) {
+		t.Helper()
+		select {
+		case r := <-done:
+			t.Fatalf("Read returned %q, %v %s", r.got, r.err, why)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	stillBlocked("with no data and no end of stream")
+
+	// The fast path delivers the end of the stream (data sequence 2) and
+	// then "b"; the slow one is still carrying "a".
+	cs[1].deliver(segFrame(9, 0, 2, flagFin, ""))
+	if acks := waitWrites(t, cs[1], typeAck, 1); acks[0].DataSeq != 0 {
+		t.Fatalf("data ack after the early end-of-stream segment = %d, want 0", acks[0].DataSeq)
+	}
+	stillBlocked("on the end-of-stream segment alone, both data segments missing")
+	cs[1].deliver(segFrame(9, 1, 1, 0, "b"))
+	waitWrites(t, cs[1], typeAck, 2)
+	stillBlocked("with data sequence 0 still missing")
+	cs[0].deliver(segFrame(9, 0, 0, 0, "a"))
+	select {
+	case r := <-done:
+		if r.got != "ab" || r.err != nil {
+			t.Errorf("stream read as %q, %v, want \"ab\" and a clean EOF", r.got, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no EOF after the gap filled")
+	}
+	if got := rx.Received(); got != 3 {
+		t.Errorf("Received() = %d, want the 2 data segments and the end-of-stream one", got)
+	}
 }
 
 func TestFlowControlSharedBuffer(t *testing.T) {

@@ -37,7 +37,7 @@ type Receiver struct {
 	// of, slots above it are the reorder buffer.
 	segs    ring[*frame]
 	readNxt int64
-	finSeq  int64 // end-of-stream data sequence, -1 until FIN seen
+	finSeq  int64 // data sequence of the end-of-stream segment, -1 until it arrives
 	closed  bool
 	// peers is where each subflow's datagrams last came from: window
 	// updates and delayed ACKs go there.
@@ -77,14 +77,16 @@ func NewReceiver(connID uint64, conns []net.PacketConn, bufSegments int64) *Rece
 }
 
 // Read returns in-order stream data, blocking until some is available or
-// the stream ends (io.EOF). A read that reopens a closed receive window
+// the stream ends (io.EOF): Read has consumed the end-of-stream segment,
+// which is in order only once everything before it is. It never returns
+// 0, nil for a non-empty p. A read that reopens a closed receive window
 // sends a window update on every subflow.
 func (r *Receiver) Read(p []byte) (int, error) {
 	r.mu.Lock()
 	for r.core.Readable() == 0 {
 		var err error
 		switch {
-		case r.finSeq >= 0 && r.core.DataRcvNxt() >= r.finSeq:
+		case r.endedLocked():
 			err = io.EOF
 		case r.closed:
 			err = io.ErrClosedPipe
@@ -106,14 +108,24 @@ func (r *Receiver) Read(p []byte) (int, error) {
 			reopened = r.core.Consume(1) || reopened
 		}
 	}
+	// The empty end-of-stream segment is consumed like any other (the
+	// window accounting closes); when nothing else was readable it is the
+	// EOF.
+	ended := n == 0 && r.endedLocked()
 	r.mu.Unlock()
 	if reopened {
 		for sub := range r.conns {
 			r.ackOutOfBand(sub, true)
 		}
 	}
+	if ended {
+		return 0, io.EOF
+	}
 	return n, nil
 }
+
+// endedLocked reports whether Read has consumed the end-of-stream segment.
+func (r *Receiver) endedLocked() bool { return r.finSeq >= 0 && r.readNxt > r.finSeq }
 
 // ackOutOfBand acknowledges subflow sub's current state from outside its
 // readLoop, with a pooled frame as marshalling scratch: Read's window
@@ -155,7 +167,9 @@ func (r *Receiver) Close() error {
 	return nil
 }
 
-// Received returns the count of distinct data segments delivered so far.
+// Received returns the count of distinct data segments delivered in order
+// so far. The end-of-stream segment has a data sequence and is one of
+// them: a finished stream of n segments reads n+1.
 func (r *Receiver) Received() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -212,14 +226,8 @@ func (r *Receiver) readLoop(sub int) {
 		switch h.Type {
 		case typeData:
 			sack, acks, kept = r.onDataLocked(sub, &h, f)
-		case typeFin:
-			if r.finSeq < 0 || h.Aux < r.finSeq {
-				r.finSeq = h.Aux
-			}
-			r.core.OnProbe(sub, true)
-			r.cond.Broadcast()
 		case typeProbe: // acknowledge current state, change nothing
-			r.core.OnProbe(sub, false)
+			r.core.OnProbe(sub)
 		default:
 			acks = 0
 		}
@@ -248,7 +256,8 @@ func (r *Receiver) readLoop(sub int) {
 // segments.
 func (r *Receiver) onDataLocked(sub int, h *header, f *frame) (sack int64, acks int, kept bool) {
 	r.segsRecvd++
-	v, sack, acks := r.core.OnData(sub, h.Seq, h.DataSeq)
+	last := h.Flags&flagFin != 0
+	v, sack, acks := r.core.OnData(sub, h.Seq, h.DataSeq, last)
 	if held := &r.held[sub]; acks == 0 && v != proto.Overflow {
 		held.echo, held.at = h.Echo, time.Now()
 		if !held.tm.on && !r.closed {
@@ -256,6 +265,9 @@ func (r *Receiver) onDataLocked(sub int, h *header, f *frame) (sack int64, acks 
 		}
 	}
 	if v == proto.New {
+		if last {
+			r.finSeq = h.DataSeq
+		}
 		f.n, f.off = headerSize+int(h.Plen), headerSize
 		r.segs.put(r.readNxt, h.DataSeq, f)
 		// Only an arrival that makes data readable wakes Read: waking it
@@ -271,7 +283,7 @@ func (r *Receiver) onDataLocked(sub int, h *header, f *frame) (sack int64, acks 
 
 // ackLocked builds the §6 acknowledgment: subflow cumulative ack,
 // explicit data ack, shared-buffer window and echoed timestamp (+
-// optional SACK, + the FIN-seen mark).
+// optional SACK).
 func (r *Receiver) ackLocked(sub int, echo uint32, sack int64) header {
 	h := header{
 		Type:    typeAck,
@@ -285,9 +297,6 @@ func (r *Receiver) ackLocked(sub int, echo uint32, sack int64) header {
 	if sack >= 0 {
 		h.Flags |= flagSack
 		h.Aux = sack
-	}
-	if r.finSeq >= 0 {
-		h.Flags |= flagFin // tells the sender its FIN chain may stop
 	}
 	return h
 }

@@ -6,7 +6,9 @@
 //     RFC 6298-style retransmission timer;
 //   - a connection-level data sequence number on every data segment and
 //     an explicit data acknowledgment on every ACK (§6 shows inferring
-//     data ACKs from subflow ACKs is unsound);
+//     data ACKs from subflow ACKs is unsound); the end of the stream is
+//     the last data sequence, an empty flagged segment delivered like
+//     the rest;
 //   - a single shared receive buffer whose window is advertised relative
 //     to the data-level cumulative ACK;
 //   - data-level reinjection after a subflow timeout, so a dead path
@@ -36,14 +38,12 @@ import (
 const (
 	typeData  = 1
 	typeAck   = 2
-	typeSyn   = 3 // subflow join: carries connID and subflow index
-	typeFin   = 4 // end of data stream (carries final dataSeq)
-	typeProbe = 5 // zero-window probe
+	typeProbe = 3 // zero-window probe
 )
 
 const (
-	flagSack = 1 << 0
-	flagFin  = 1 << 1
+	flagSack = 1 << 0 // ACK: aux selectively acknowledges a subflow sequence
+	flagFin  = 1 << 1 // DATA: the stream ends with this data sequence
 )
 
 // headerSize is the fixed wire header length in bytes.
@@ -62,7 +62,7 @@ const MaxPayload = 1200
 //	4   connID(8)
 //	12  seq(8)      subflow sequence (DATA) / cumulative subflow ack (ACK)
 //	20  dataSeq(8)  data sequence (DATA) / cumulative data ack (ACK)
-//	28  aux(8)      SACK seq (ACK) / final data seq (FIN)
+//	28  aux(8)      SACK seq (ACK)
 //	36  window(4)   receive window in segments (ACK)
 //	40  echo(4)     truncated timestamp echo, microseconds
 //	44  plen(2)

@@ -10,11 +10,12 @@ import (
 // fits the datagram). Run `go test -fuzz=FuzzDecodeFrame ./internal/mptcpnet`
 // to explore beyond the seed corpus.
 func FuzzDecodeFrame(f *testing.F) {
-	// Seed corpus: a sealed frame of every segment type, a truncated
-	// frame, an unsealed frame, and junk.
-	for _, typ := range []byte{typeData, typeAck, typeSyn, typeFin, typeProbe} {
+	// Seed corpus: a sealed frame of every segment type, of the
+	// end-of-stream data segment and of a type and flags nobody sends,
+	// each also truncated; an unsealed frame, and junk.
+	for _, tf := range [][2]byte{{typeData, 0}, {typeAck, flagSack}, {typeProbe, 0}, {typeData, flagFin}, {0xff, 0xff}} {
 		h := header{
-			Type: typ, Flags: flagSack, Subflow: 2, ConnID: 424242,
+			Type: tf[0], Flags: tf[1], Subflow: 2, ConnID: 424242,
 			Seq: 1 << 40, DataSeq: 77, Aux: -1, Window: 512, Echo: 12345,
 			Plen: 16,
 		}

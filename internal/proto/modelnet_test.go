@@ -2,7 +2,8 @@ package proto
 
 // A scripted model network under a Sender/Receiver pair: fixed one-way
 // delay per path, a loss mask over each path's emissions, an application
-// that reads at once, and the shell's timers as queue entries. No
+// that reads at once, the shell's timers as queue entries, and the stream's
+// final packet marked as its last, the way mptcpnet ends a stream. No
 // simulator, no sockets, no randomness — enough to run whole transfers
 // through the core and compare two of them.
 
@@ -29,8 +30,9 @@ type modelNet struct {
 	now   Time
 	queue []modelEvent // sorted by time; insertion order breaks ties
 
-	snd Sender
-	rcv Receiver
+	snd  Sender
+	rcv  Receiver
+	last int64 // data sequence of the stream's final packet
 
 	delay    []Time           // one-way, per path, both directions
 	lose     []map[int64]bool // per path: emission indices that vanish
@@ -52,7 +54,7 @@ type modelNet struct {
 func newModelNet(policy AckPolicy, total int64, delay []Time, lose []map[int64]bool) *modelNet {
 	n := len(delay)
 	m := &modelNet{
-		delay: delay, lose: lose, ackDelay: Millisecond,
+		delay: delay, lose: lose, ackDelay: Millisecond, last: total - 1,
 		emitted: make([]int64, n), rtoGen: make([]int, n),
 		delayArmed: make([]bool, n), heldEcho: make([]Time, n), heldAt: make([]Time, n),
 		cwndAt: make([]map[int64]float64, n),
@@ -114,7 +116,7 @@ func (m *modelNet) run() *modelNet {
 		m.now = e.at
 		switch e.kind {
 		case "data":
-			v, sack, acks := m.rcv.OnData(e.sub, e.seq, e.data)
+			v, sack, acks := m.rcv.OnData(e.sub, e.seq, e.data, e.data == m.last)
 			if v == New {
 				m.rcv.Consume(m.rcv.Readable())
 			}

@@ -25,8 +25,8 @@ type Receiver struct {
 	readPt int64
 
 	// Delayed acknowledgment (RFC 5681 §4.2): how many quiet segments one
-	// ACK may cover, and whether the peer has signalled the end of its
-	// stream (nothing is delayed after that).
+	// ACK may cover, and whether the packet that ends the peer's stream
+	// has arrived (nothing is delayed after that).
 	policy AckPolicy
 	fin    bool
 
@@ -117,15 +117,10 @@ func (r *Receiver) Consume(n int64) (reopened bool) {
 	return reopened
 }
 
-// OnProbe admits a packet outside the sequence space on sub — a
-// zero-window probe or, with fin, the shell's end-of-stream mark — which
-// the shell answers at once with the current state, settling what sub
-// owed. After a FIN nothing is delayed: the peer has no more data coming
-// to clock an owed ACK out.
-func (r *Receiver) OnProbe(sub int, fin bool) {
-	r.subs[sub].ackOwed = 0
-	r.fin = r.fin || fin
-}
+// OnProbe admits a zero-window probe on sub — a packet outside the
+// sequence space, which the shell answers at once with the current state,
+// settling what sub owed.
+func (r *Receiver) OnProbe(sub int) { r.subs[sub].ackOwed = 0 }
 
 // OnAckDelay is the shell's delay expiring on sub (the core has no
 // clock): it reports whether an acknowledgment is still owed there, and
@@ -152,8 +147,10 @@ const (
 	New
 )
 
-// OnData admits one data packet. sack is the subflow sequence to
-// selectively acknowledge, or -1: only a new out-of-order arrival is
+// OnData admits one data packet; last marks the one that ends the peer's
+// stream, after which nothing is delayed: no more data is coming to clock
+// an owed ACK out. sack is the subflow sequence to selectively
+// acknowledge, or -1: only a new out-of-order arrival is
 // SACKed, so that a duplicate arrival produces an ACK with no new
 // information, which the sender must not count toward fast retransmit
 // (RFC 6675's DupAck definition). acks is how many acknowledgments the
@@ -162,7 +159,7 @@ const (
 // owed — first the owed cumulative ACK with no SACK, then this packet's,
 // because the sender counts a SACK as a duplicate only on an ACK that
 // leaves its cumulative point alone.
-func (r *Receiver) OnData(sub int, seq, dataSeq int64) (v Verdict, sack int64, acks int) {
+func (r *Receiver) OnData(sub int, seq, dataSeq int64, last bool) (v Verdict, sack int64, acks int) {
 	// Shared-buffer admission comes first: admitting the subflow sequence
 	// while dropping the data would acknowledge a packet whose payload
 	// nobody will resend.
@@ -170,6 +167,7 @@ func (r *Receiver) OnData(sub int, seq, dataSeq int64) (v Verdict, sack int64, a
 		r.Overflow++
 		return Overflow, -1, 0
 	}
+	r.fin = r.fin || last
 
 	// Subflow-level sequence tracking (loss detection). Out-of-order
 	// arrivals are SACKed individually and never delayed, so the sender
@@ -205,7 +203,7 @@ func (r *Receiver) OnData(sub int, seq, dataSeq int64) (v Verdict, sack int64, a
 
 	// Only a quiet segment may wait: new data, next in order on a subflow
 	// with no hole above it, that moved the data-level point by at most
-	// itself, before any FIN and with more than a quarter of the buffer
+	// itself, before the last one and with more than a quarter of the buffer
 	// still on offer. Everything else tells the sender something it acts
 	// on — a loss, a repair, a jump of the flow-control edge — and goes
 	// now, as does the segment that reaches the policy's count.

@@ -325,7 +325,7 @@ func TestReceiverWindowCountsUnreadData(t *testing.T) {
 	r.Reset(2, 4, AckEveryPacket)
 	step := func(sub int, seq, dataSeq int64, wantV Verdict, wantSack, wantWnd int64) {
 		t.Helper()
-		v, sack, _ := r.OnData(sub, seq, dataSeq)
+		v, sack, _ := r.OnData(sub, seq, dataSeq, false)
 		if v != wantV || sack != wantSack || r.Window() != wantWnd {
 			t.Fatalf("OnData(sub%d seq%d data%d) = verdict %d sack %d window %d, want %d %d %d",
 				sub, seq, dataSeq, v, sack, r.Window(), wantV, wantSack, wantWnd)
@@ -362,7 +362,7 @@ func TestReceiverWindowCountsUnreadData(t *testing.T) {
 // acksFor feeds one data packet and returns how many ACKs go now.
 func acksFor(t *testing.T, r *Receiver, sub int, seq, dataSeq int64) int {
 	t.Helper()
-	v, _, acks := r.OnData(sub, seq, dataSeq)
+	v, _, acks := r.OnData(sub, seq, dataSeq, false)
 	if v == Overflow {
 		t.Fatalf("OnData(sub%d seq%d data%d) overflowed the buffer", sub, seq, dataSeq)
 	}
@@ -429,21 +429,21 @@ func TestDelayedAckSignalsAcknowledgeAtOnce(t *testing.T) {
 	}{
 		{name: "out of order", nsub: 1, bufCap: 64, arrival: pkt{0, 1, 1}, want: 1},
 		{name: "out of order with one owed: the owed ACK first, then the SACK", nsub: 1, bufCap: 64,
-			prelude: func(r *Receiver) { r.OnData(0, 0, 0) }, arrival: pkt{0, 2, 2}, want: 2},
+			prelude: func(r *Receiver) { r.OnData(0, 0, 0, false) }, arrival: pkt{0, 2, 2}, want: 2},
 		{name: "duplicate", nsub: 1, bufCap: 64,
-			prelude: func(r *Receiver) { r.OnData(0, 0, 0); r.OnAckDelay(0) }, arrival: pkt{0, 0, 0}, want: 1},
+			prelude: func(r *Receiver) { r.OnData(0, 0, 0, false); r.OnAckDelay(0) }, arrival: pkt{0, 0, 0}, want: 1},
 		{name: "fills the subflow's gap", nsub: 1, bufCap: 64,
-			prelude: func(r *Receiver) { r.OnData(0, 1, 1) }, arrival: pkt{0, 0, 0}, want: 1},
+			prelude: func(r *Receiver) { r.OnData(0, 1, 1, false) }, arrival: pkt{0, 0, 0}, want: 1},
 		{name: "in order below a hole that stays", nsub: 1, bufCap: 64,
-			prelude: func(r *Receiver) { r.OnData(0, 2, 2) }, arrival: pkt{0, 0, 0}, want: 1},
+			prelude: func(r *Receiver) { r.OnData(0, 2, 2, false) }, arrival: pkt{0, 0, 0}, want: 1},
 		{name: "fills the data-level gap", nsub: 2, bufCap: 64,
-			prelude: func(r *Receiver) { r.OnData(1, 0, 1); r.OnAckDelay(1) }, arrival: pkt{0, 0, 0}, want: 1},
-		{name: "after the FIN", nsub: 1, bufCap: 64,
-			prelude: func(r *Receiver) { r.OnProbe(0, true) }, arrival: pkt{0, 0, 0}, want: 1},
+			prelude: func(r *Receiver) { r.OnData(1, 0, 1, false); r.OnAckDelay(1) }, arrival: pkt{0, 0, 0}, want: 1},
+		{name: "after the stream's last segment, which the other path delivered early", nsub: 2, bufCap: 64,
+			prelude: func(r *Receiver) { r.OnData(1, 0, 5, true) }, arrival: pkt{0, 0, 0}, want: 1},
 		{name: "lone, but the window is down to a quarter of the buffer", nsub: 1, bufCap: 8,
 			prelude: func(r *Receiver) {
 				for seq := int64(0); seq < 5; seq++ { // unread: the fifth still leaves 3 of 8 and is owed
-					r.OnData(0, seq, seq)
+					r.OnData(0, seq, seq, false)
 				}
 				r.OnAckDelay(0)
 			},
@@ -463,10 +463,15 @@ func TestDelayedAckSignalsAcknowledgeAtOnce(t *testing.T) {
 	}
 	// A segment in order on its subflow whose data is ahead of the
 	// data-level point is quiet: on paths of unequal delay that is every
-	// segment of the faster one.
+	// segment of the faster one. Unless it is the stream's last: no later
+	// segment will come to release its ACK.
 	r := newDelayed(2, 64)
 	if got := acksFor(t, r, 1, 0, 5); got != 0 {
 		t.Errorf("in order on the subflow, ahead at the data level: %d ACKs now, want it owed", got)
+	}
+	r = newDelayed(2, 64)
+	if _, _, got := r.OnData(1, 0, 5, true); got != 1 || r.OnAckDelay(1) {
+		t.Errorf("the same segment, marked last: %d ACKs now, want 1 and nothing owed", got)
 	}
 }
 
@@ -477,7 +482,7 @@ func TestDelayedAckSettledByProbeAndWindowUpdate(t *testing.T) {
 	if got := acksFor(t, r, 0, 0, 0); got != 0 {
 		t.Fatalf("lone segment: %d ACKs now, want it owed", got)
 	}
-	r.OnProbe(0, false)
+	r.OnProbe(0)
 	if r.OnAckDelay(0) {
 		t.Error("an ACK is still owed after the probe was answered")
 	}
@@ -521,7 +526,7 @@ func TestDelayedAckHeldSegmentDoesNotDelayFastRetransmit(t *testing.T) {
 	s.Pump(0) // seq 0-9 in flight; seq 1 is lost
 	r := newDelayed(1, 64)
 	feed := func(seq int64) {
-		_, sack, acks := r.OnData(0, seq, seq)
+		_, sack, acks := r.OnData(0, seq, seq, false)
 		a := Ack{Sub: 0, Seq: r.SubRcvNxt(0), DataAck: r.DataRcvNxt(), Window: r.Window(), Sack: -1, RTT: 10 * Millisecond}
 		if acks == 2 {
 			s.OnAck(10*Millisecond, a)

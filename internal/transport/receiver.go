@@ -54,7 +54,9 @@ func (r *Receiver) Receive(pkt *netsim.Packet) {
 		r.sendAck(sub, sentAt, -1)
 		return
 	}
-	v, sack, _ := r.OnData(sub, seq, dataSeq) // every packet: one ACK, at once
+	// Every packet: one ACK, at once. No packet is the stream's last: a
+	// flow's end is the sender's Total, which the receiver never needs.
+	v, sack, _ := r.OnData(sub, seq, dataSeq, false)
 	if v == proto.Overflow {
 		return
 	}
