@@ -10,7 +10,7 @@ import (
 
 // TestSteadyStateSegmentPathAllocationFree pins the per-segment data path
 // — Write, transmit, writeLoop, the receiver's readLoop/onData/ACK, the
-// sender's handleAck and RTO re-arm, Read — at zero steady-state heap
+// sender's ACK handling and RTO re-arm, Read — at zero steady-state heap
 // allocations: pooled frames, sequence rings and one re-armed timer per
 // subflow. It runs over the in-memory pipe with preallocated buffers, so
 // whatever is counted is the protocol's own. The bounds leave room for
@@ -21,20 +21,41 @@ func TestSteadyStateSegmentPathAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates and randomly drops sync.Pool puts")
 	}
-	const (
-		warmup   = 4_000
-		measured = 20_000
-		perWrite = 64 // segments per Write call
-	)
 	snd, rcv := newMemConn("snd"), newMemConn("rcv")
 	wire(snd, rcv)
 	snd.preallocate(2048)
 	rcv.preallocate(2048)
 	defer snd.Close()
 	defer rcv.Close()
+	segmentPathAllocs(t, snd, rcv, memAddr("rcv"), 1.0)
+}
+
+// TestSteadyStateSegmentPathAllocationFreeOverUDP is the same pin over a
+// real loopback *net.UDPConn pair, where the run path carries every
+// datagram: the addresses net.(*UDPConn).ReadFrom allocated (≈ 3.1
+// objects per segment) must not come back.
+func TestSteadyStateSegmentPathAllocationFreeOverUDP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates and randomly drops sync.Pool puts")
+	}
+	snd, rcv := rawUDP(t), rawUDP(t)
+	skipWithoutRuns(t, snd)
+	segmentPathAllocs(t, snd, rcv, rcv.LocalAddr(), 0.1)
+}
+
+// segmentPathAllocs streams 20 000 segments from snd to rcv after a
+// warm-up, fails above maxAllocs heap objects or 256 B per segment, and
+// then requires a clean end of stream with no retransmission.
+func segmentPathAllocs(t *testing.T, snd, rcv net.PacketConn, remote net.Addr, maxAllocs float64) {
+	t.Helper()
+	const (
+		warmup   = 4_000
+		measured = 20_000
+		perWrite = 64 // segments per Write call
+	)
 	rx := NewReceiver(7, []net.PacketConn{rcv}, 256)
 	defer rx.Close()
-	tx := NewSender(7, []net.PacketConn{snd}, []net.Addr{memAddr("rcv")}, Config{})
+	tx := NewSender(7, []net.PacketConn{snd}, []net.Addr{remote}, Config{})
 
 	chunk := make([]byte, perWrite*MaxPayload)
 	rbuf := make([]byte, 64<<10)
@@ -73,8 +94,8 @@ func TestSteadyStateSegmentPathAllocationFree(t *testing.T) {
 	allocs := float64(m1.Mallocs-m0.Mallocs) / segs
 	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / segs
 	t.Logf("%.3f allocs and %.1f B per segment over %.0f segments", allocs, bytes, segs)
-	if allocs > 1.0 {
-		t.Errorf("%.2f heap allocations per segment, want <= 1.0", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("%.2f heap allocations per segment, want <= %.1f", allocs, maxAllocs)
 	}
 	if bytes > 256 {
 		t.Errorf("%.0f heap bytes per segment, want <= 256", bytes)

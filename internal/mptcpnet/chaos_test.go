@@ -43,6 +43,46 @@ func TestTransferSurvivesBitCorruption(t *testing.T) {
 	}
 }
 
+// TestChaosRunsThroughRelays puts faults on the run path. Every other
+// chaos test wraps the endpoints' sockets in chaos.Path, which takes one
+// datagram per call; here both endpoints keep raw *net.UDPConn sockets,
+// so the sender's data and the receiver's ACKs leave as GSO runs, and a
+// chaos.Relay per path loses, reorders, duplicates and corrupts the data
+// direction between them.
+func TestChaosRunsThroughRelays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second lossy transfer")
+	}
+	leak.Check(t, 5*time.Second)
+	faults := chaos.PathConfig{
+		Delay: time.Millisecond, LossRate: 0.02, ReorderRate: 0.05, ReorderDelay: 3 * time.Millisecond,
+		DupRate: 0.02, CorruptRate: 0.02,
+	}
+	relayed := func(i int) (net.PacketConn, net.PacketConn, net.Addr) {
+		s, r := rawUDP(t), rawUDP(t)
+		skipWithoutRuns(t, s)
+		relay, err := chaos.NewRelay(r.LocalAddr(), faults, int64(8000+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { relay.Close() })
+		return s, r, relay.Addr()
+	}
+	tx, rx := transfer(t, 512<<10, 2, relayed, Config{}, 60*time.Second)
+	defer rx.Close()
+	if err := tx.Wait(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i, sf := range tx.subs {
+		if !sf.sock.gso.Load() || !rx.socks[i].gso.Load() || !sf.sock.gro || !rx.socks[i].gro {
+			t.Errorf("subflow %d left the run path", i)
+		}
+	}
+	if st := tx.Stats(); st.SegsRetx == 0 || rx.Corrupted() == 0 {
+		t.Errorf("%d retransmissions, %d corrupted frames: the faults were not exercised", st.SegsRetx, rx.Corrupted())
+	}
+}
+
 // TestFrameRecyclingSafeUnderChaos is the ownership rule's stress test:
 // pooled frames are reused as fast as the paths give them back, so a
 // frame freed while something could still read it (a queued transmission

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mptcp/internal/core"
@@ -69,24 +68,21 @@ type Sender struct {
 	closed     bool // Close was called: dataEnd-1 is the end-of-stream segment
 	completed  bool // the core saw everything, the end of stream included, acknowledged
 	acksRecvd  int64
+	corrupt    int64 // inbound frames dropped by the checksum
 	err        error
 	done       chan struct{} // closed once the sender has completed or aborted
 	doneClosed bool
-
-	// corrupt counts inbound frames dropped by the checksum; atomic (not
-	// mu) because readLoop bumps it without taking the connection lock.
-	corrupt atomic.Int64
 }
 
 type sendSubflow struct {
 	id     int
-	conn   net.PacketConn
+	sock   *sock
 	remote net.Addr
 	parent *Sender
 
 	// sendQ feeds the subflow's single writer goroutine (writeLoop):
-	// socket writes leave in exactly the order Emit queued them. One
-	// goroutine per WriteTo would let the Go scheduler reorder in-subflow
+	// datagrams leave in exactly the order Emit queued them. One
+	// goroutine per write would let the Go scheduler reorder in-subflow
 	// transmissions, manufacturing spurious dupSACKs and fast retransmits
 	// on a loss-free path.
 	sendQ chan *frame
@@ -159,7 +155,8 @@ const sendQueueCap = 512
 const maxUnsent = 1024
 
 // NewSender builds a sender whose subflow i talks over conns[i] to
-// remotes[i]. The caller owns the PacketConns until Close.
+// remotes[i]. The caller owns the PacketConns until Close; a
+// *net.UDPConn is left with UDP_GRO on where the kernel has it.
 func NewSender(connID uint64, conns []net.PacketConn, remotes []net.Addr, cfg Config) *Sender {
 	if len(conns) == 0 || len(conns) != len(remotes) {
 		panic("mptcpnet: need one remote per subflow conn")
@@ -171,7 +168,7 @@ func NewSender(connID uint64, conns []net.PacketConn, remotes []net.Addr, cfg Co
 	s.cond = sync.NewCond(&s.mu)
 	s.persist = newTimer(s.onPersist)
 	for i := range conns {
-		sf := &sendSubflow{id: i, conn: conns[i], remote: remotes[i], parent: s, sendQ: make(chan *frame, sendQueueCap)}
+		sf := &sendSubflow{id: i, sock: newSock(conns[i]), remote: remotes[i], parent: s, sendQ: make(chan *frame, sendQueueCap)}
 		sf.rto = newTimer(sf.onRTO)
 		s.subs = append(s.subs, sf)
 	}
@@ -342,7 +339,7 @@ func (s *Sender) Stats() Stats {
 		Reinjects:   s.core.Reinjects,
 		OppRetx:     s.core.OppRetx,
 		Penalties:   s.core.Penalties,
-		Corrupt:     s.corrupt.Load(),
+		Corrupt:     s.corrupt,
 		AcksRecvd:   s.acksRecvd,
 		SubflowSent: make([]int64, len(s.subs)),
 	}
@@ -442,24 +439,50 @@ func (sf *sendSubflow) queueWrite(f *frame) bool {
 // writeLoop is the subflow's single writer: it drains the FIFO send
 // queue so segments hit the socket in transmit order, and exits once the
 // connection is done — whatever is still queued then repeats something
-// already acknowledged, or belongs to an aborted stream. Every frame
-// written goes back to the pool.
+// already acknowledged, or belongs to an aborted stream. Each write is a
+// run: the frame at the head of the queue and those already queued
+// behind it of the same size (the last may be shorter), up to the
+// socket's run limit; a larger frame starts the next run. Every frame is
+// copied into the run and goes back to the pool at once.
 func (sf *sendSubflow) writeLoop() {
+	sk := sf.sock
+	buf := make([]byte, 0, min(sk.runLen*(headerSize+MaxPayload), maxRunBytes))
+	var next *frame // dequeued, but it starts the next run
 	for {
-		select {
-		case f := <-sf.sendQ:
-			sf.conn.WriteTo(f.buf[:f.n], sf.remote) //nolint:errcheck // lossy path semantics
-			putFrame(f)
-		case <-sf.parent.done:
-			return
+		f := next
+		if f == nil {
+			select {
+			case f = <-sf.sendQ:
+			case <-sf.parent.done:
+				return
+			}
 		}
+		size, last := f.n, f.n
+		b := append(buf[:0], f.buf[:f.n]...)
+		putFrame(f)
+		next = nil
+	run:
+		for n := 1; n < sk.runLen && last == size; n++ {
+			select {
+			case f = <-sf.sendQ:
+			default:
+				break run
+			}
+			if f.n > size || len(b)+f.n > cap(b) {
+				next = f
+				break
+			}
+			last = f.n
+			b = append(b, f.buf[:f.n]...)
+			putFrame(f)
+		}
+		sk.writeRun(b, size, sf.remote)
 	}
 }
 
-// readLoop consumes ACKs for one subflow. Runs unlocked; state updates
-// take the connection lock.
+// readLoop consumes ACKs for one subflow, a run at a time under one
+// acquisition of the connection lock.
 func (sf *sendSubflow) readLoop() {
-	buf := make([]byte, 2048)
 	s := sf.parent
 	// A closed subflow socket means no ACK can ever arrive here again: if
 	// the stream is not already finished, abort so the writer goroutine and
@@ -472,27 +495,29 @@ func (sf *sendSubflow) readLoop() {
 		s.mu.Unlock()
 	}()
 	for {
-		n, _, err := sf.conn.ReadFrom(buf)
+		b, size, _, err := sf.sock.readRun()
 		if err != nil {
 			return // socket closed
 		}
-		var h header
-		if err := h.unmarshal(buf[:n]); err != nil {
-			if errors.Is(err, errBadFrame) {
-				s.corrupt.Add(1)
+		s.mu.Lock()
+		for off := 0; off < len(b); off += size {
+			var h header
+			if err := h.unmarshal(b[off:min(off+size, len(b))]); err != nil {
+				if errors.Is(err, errBadFrame) {
+					s.corrupt++
+				}
+				continue
 			}
-			continue
+			if h.ConnID == s.connID && h.Type == typeAck {
+				s.onAckLocked(sf, &h)
+			}
 		}
-		if h.ConnID == s.connID && h.Type == typeAck {
-			s.handleAck(sf, &h)
-		}
+		s.mu.Unlock()
 	}
 }
 
-// handleAck decodes one ACK for the core.
-func (s *Sender) handleAck(sf *sendSubflow, h *header) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// onAckLocked decodes one ACK for the core.
+func (s *Sender) onAckLocked(sf *sendSubflow, h *header) {
 	s.acksRecvd++
 	a := proto.Ack{Sub: sf.id, Seq: h.Seq, DataAck: h.DataSeq, Window: int64(h.Window), Sack: -1}
 	if h.Flags&flagSack != 0 {

@@ -9,10 +9,11 @@ import "sync"
 //   - Sender.Write copies application bytes into a payload frame, which
 //     the send ring owns until the data-level ACK passes it;
 //   - Emit copies that payload (under mu — never aliases it) into a wire
-//     frame, which passes through sendQ to writeLoop and is freed after
-//     WriteTo returns;
-//   - the receiver's readLoop reads each datagram into a frame that the
-//     reorder ring owns until Read has consumed it.
+//     frame, which passes through sendQ to writeLoop; the writer copies
+//     it into its run buffer and frees it at once;
+//   - the receiver's readLoop copies the payload of each new segment of
+//     a run into a frame that the reorder ring owns until Read has
+//     consumed it.
 //
 // Nothing touches a frame after putFrame. Frames still held when a
 // connection is torn down are left to the garbage collector.

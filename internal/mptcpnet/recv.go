@@ -26,7 +26,7 @@ const ackDelay = time.Millisecond
 // Read and the delay timers.
 type Receiver struct {
 	connID uint64
-	conns  []net.PacketConn
+	socks  []*sock
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -61,15 +61,17 @@ type heldAck struct {
 
 // NewReceiver builds a receiver listening on the given subflow sockets.
 // bufSegments is the shared receive buffer size in segments (default 256
-// if <= 0).
+// if <= 0). The sockets stay the caller's; a *net.UDPConn is left with
+// UDP_GRO on where the kernel has it.
 func NewReceiver(connID uint64, conns []net.PacketConn, bufSegments int64) *Receiver {
 	if bufSegments <= 0 {
 		bufSegments = 256
 	}
-	r := &Receiver{connID: connID, conns: conns, finSeq: -1, peers: make([]net.Addr, len(conns)), held: make([]heldAck, len(conns))}
+	r := &Receiver{connID: connID, finSeq: -1, socks: make([]*sock, len(conns)), peers: make([]net.Addr, len(conns)), held: make([]heldAck, len(conns))}
 	r.core.Reset(len(conns), bufSegments, proto.AckDelayed)
 	r.cond = sync.NewCond(&r.mu)
 	for i := range conns {
+		r.socks[i] = newSock(conns[i])
 		r.held[i].tm = newTimer(func() { r.ackOutOfBand(i, false) })
 		go r.readLoop(i)
 	}
@@ -114,7 +116,7 @@ func (r *Receiver) Read(p []byte) (int, error) {
 	ended := n == 0 && r.endedLocked()
 	r.mu.Unlock()
 	if reopened {
-		for sub := range r.conns {
+		for sub := range r.socks {
 			r.ackOutOfBand(sub, true)
 		}
 	}
@@ -146,11 +148,11 @@ func (r *Receiver) ackOutOfBand(sub int, update bool) {
 			echo += uint32(time.Since(h.at) / time.Microsecond)
 		}
 	}
-	ack, to := r.ackLocked(sub, echo, -1), r.peers[sub]
+	acks, to := [1]header{r.ackLocked(sub, echo, -1)}, r.peers[sub]
 	r.mu.Unlock()
 	if to != nil {
 		f := getFrame()
-		r.writeAck(sub, &ack, to, f.buf[:headerSize])
+		r.writeAcks(sub, acks[:], to, f.buf[:headerSize])
 		putFrame(f)
 	}
 }
@@ -198,63 +200,80 @@ func (r *Receiver) SubflowReceived(i int) int64 {
 	return r.core.SubDelivered(i)
 }
 
-// readLoop reads datagrams straight into a pooled frame. A frame the
-// core's verdict keeps (new data) is replaced by a fresh one; anything
-// else is overwritten by the next read. The ACK is built in the same
-// critical section as the state change it reports.
+// arrival is one verified datagram of a run: its header and payload.
+type arrival struct {
+	h       header
+	payload []byte
+}
+
+// readLoop reads a run at a time. Every datagram is checksummed before
+// the lock is taken; the ones for this connection then go to the core
+// under one acquisition, each ACK built in the same critical section as
+// the state change it reports, and the ACKs the run produced leave
+// together as a run.
 func (r *Receiver) readLoop(sub int) {
-	ackBuf := make([]byte, headerSize)
-	f := getFrame()
+	sk := r.socks[sub]
+	var in []arrival
+	var acks []header
+	ackBuf := make([]byte, sk.runLen*headerSize)
 	for {
-		n, from, err := r.conns[sub].ReadFrom(f.buf[:])
+		b, size, from, err := sk.readRun()
 		if err != nil {
 			return
 		}
-		var h header
-		if err := h.unmarshal(f.buf[:n]); err != nil {
-			if errors.Is(err, errBadFrame) {
-				r.corrupt.Add(1)
+		in = in[:0]
+		for off := 0; off < len(b); off += size {
+			var h header
+			if err := h.unmarshal(b[off:min(off+size, len(b))]); err != nil {
+				if errors.Is(err, errBadFrame) {
+					r.corrupt.Add(1)
+				}
+				continue
 			}
+			if h.ConnID == r.connID {
+				in = append(in, arrival{h, b[off+headerSize : off+headerSize+int(h.Plen)]})
+			}
+		}
+		if len(in) == 0 {
 			continue
 		}
-		if h.ConnID != r.connID {
-			continue
-		}
-		sack, acks, kept := int64(-1), 1, false
+		acks = acks[:0]
 		r.mu.Lock()
 		r.peers[sub] = from
-		switch h.Type {
-		case typeData:
-			sack, acks, kept = r.onDataLocked(sub, &h, f)
-		case typeProbe: // acknowledge current state, change nothing
-			r.core.OnProbe(sub)
-		default:
-			acks = 0
+		for i := range in {
+			a := &in[i]
+			sack, n := int64(-1), 1
+			switch a.h.Type {
+			case typeData:
+				sack, n = r.onDataLocked(sub, &a.h, a.payload)
+			case typeProbe: // acknowledge current state, change nothing
+				r.core.OnProbe(sub)
+			default:
+				n = 0
+			}
+			ack := r.ackLocked(sub, a.h.Echo, sack)
+			if n == 2 { // the owed cumulative ACK goes first, without the SACK
+				owed := ack
+				owed.Flags &^= flagSack
+				acks = append(acks, owed)
+			}
+			if n > 0 {
+				acks = append(acks, ack)
+			}
 		}
-		ack := r.ackLocked(sub, h.Echo, sack)
 		r.mu.Unlock()
-		if kept {
-			f = getFrame()
-		}
-		if acks == 2 { // the owed cumulative ACK goes first, without the SACK
-			owed := ack
-			owed.Flags &^= flagSack
-			r.writeAck(sub, &owed, from, ackBuf)
-		}
-		if acks > 0 {
-			r.writeAck(sub, &ack, from, ackBuf)
-		}
+		r.writeAcks(sub, acks, from, ackBuf)
 	}
 }
 
-// onDataLocked hands one data segment, carried in f, to the core and
-// acts on its verdict. It reports the new SACK information (-1: none),
-// how many ACKs the core wants sent now, and whether the receiver kept f.
-// An ACK the core owes instead waits for the subflow's delay timer, which
-// is armed only when idle and never stopped by a later ACK: an expiry that
-// finds nothing owed costs less than a Reset and a Stop per pair of
-// segments.
-func (r *Receiver) onDataLocked(sub int, h *header, f *frame) (sack int64, acks int, kept bool) {
+// onDataLocked hands one data segment to the core and acts on its
+// verdict: new data is copied into a frame the receiver keeps. It reports
+// the new SACK information (-1: none) and how many ACKs the core wants
+// sent now. An ACK the core owes instead waits for the subflow's delay
+// timer, which is armed only when idle and never stopped by a later ACK:
+// an expiry that finds nothing owed costs less than a Reset and a Stop
+// per pair of segments.
+func (r *Receiver) onDataLocked(sub int, h *header, payload []byte) (sack int64, acks int) {
 	r.segsRecvd++
 	last := h.Flags&flagFin != 0
 	v, sack, acks := r.core.OnData(sub, h.Seq, h.DataSeq, last)
@@ -268,7 +287,8 @@ func (r *Receiver) onDataLocked(sub int, h *header, f *frame) (sack int64, acks 
 		if last {
 			r.finSeq = h.DataSeq
 		}
-		f.n, f.off = headerSize+int(h.Plen), headerSize
+		f := getFrame()
+		f.n, f.off = headerSize+copy(f.buf[headerSize:], payload), headerSize
 		r.segs.put(r.readNxt, h.DataSeq, f)
 		// Only an arrival that makes data readable wakes Read: waking it
 		// for a segment that merely joins the reorder buffer costs a
@@ -278,7 +298,7 @@ func (r *Receiver) onDataLocked(sub int, h *header, f *frame) (sack int64, acks 
 			r.cond.Broadcast()
 		}
 	}
-	return sack, acks, v == proto.New
+	return sack, acks
 }
 
 // ackLocked builds the §6 acknowledgment: subflow cumulative ack,
@@ -301,12 +321,19 @@ func (r *Receiver) ackLocked(sub int, echo uint32, sack int64) header {
 	return h
 }
 
-// writeAck marshals one ACK into buf, scratch the calling goroutine owns,
-// and puts it on subflow sub's socket.
-func (r *Receiver) writeAck(sub int, h *header, to net.Addr, buf []byte) {
-	h.marshal(buf)
-	sealFrame(buf)
-	r.conns[sub].WriteTo(buf, to) //nolint:errcheck // lossy path semantics
+// writeAcks marshals ACKs into buf, scratch the calling goroutine owns,
+// and puts them on subflow sub's socket as runs of as many as buf holds.
+func (r *Receiver) writeAcks(sub int, hs []header, to net.Addr, buf []byte) {
+	for len(hs) > 0 {
+		n := min(len(hs), len(buf)/headerSize)
+		for i := range hs[:n] {
+			f := buf[i*headerSize : (i+1)*headerSize]
+			hs[i].marshal(f)
+			sealFrame(f)
+		}
+		r.socks[sub].writeRun(buf[:n*headerSize], headerSize, to)
+		hs = hs[n:]
+	}
 }
 
 var _ io.Reader = (*Receiver)(nil)

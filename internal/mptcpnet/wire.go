@@ -23,8 +23,10 @@
 //
 // The package substitutes for the paper's Linux kernel implementation:
 // real multihomed interfaces are replaced by multiple UDP 5-tuples
-// (optionally shaped by the Emu path emulator), which is exactly the kind
-// of path diversity the paper exploits via ECMP in §7.
+// (optionally shaped by a chaos.Path fault model), which is exactly the
+// kind of path diversity the paper exploits via ECMP in §7. On Linux a
+// raw *net.UDPConn carries a run of datagrams per system call (UDP GSO
+// and GRO, sock.go).
 package mptcpnet
 
 import (
