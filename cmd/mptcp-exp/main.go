@@ -100,9 +100,9 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "duration/topology scale (1.0 = paper fidelity)")
 	parallel := flag.Int("parallel", 0, "max concurrent trial cells (0 = GOMAXPROCS)")
 	trials := flag.Int("trials", 1, "repetitions per experiment, base seeds seed..seed+trials-1")
-	scenarioID := flag.String("scenario", "", "restrict the dynamics experiment to one scenario (see -list); cell seeds match the full grid")
+	scenarioID := flag.String("scenario", "", "restrict the dynamics experiment to one scenario (see -list; names are case-insensitive); cell seeds match the full grid")
 	schedSpec := flag.String("sched", "", "restrict the schedgrid, appgrid and fleet experiments to one scheduler spec, e.g. minrtt+otr+pen (see -list); cell seeds match the full grid")
-	workloadID := flag.String("workload", "", "restrict the appgrid experiment to one application workload (see -list); cell seeds match the full grid")
+	workloadID := flag.String("workload", "", "restrict the appgrid experiment to one application workload (see -list; names are case-insensitive); cell seeds match the full grid")
 	jsonOut := flag.Bool("json", false, "emit one JSON record per trial instead of rendered reports")
 	traceOut := flag.String("trace", "", "write the cells' per-connection protocol traces (JSONL) to FILE; every experiment but fleet records one")
 	analyze := flag.Bool("analyze", false, "aggregate JSONL artifacts (grid records, trial records, traces) named as positional args ('-' or none = stdin) into summary tables")

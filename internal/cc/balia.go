@@ -68,12 +68,3 @@ func (b BALIA) Decrease(subs []core.Subflow, r int) float64 {
 	}
 	return w
 }
-
-func init() {
-	Register(Info{
-		Name: "BALIA",
-		Desc: "balanced linked adaptation: trades off TCP-friendliness vs responsiveness between LIA and OLIA",
-		Ref:  "Peng et al. ToN'16, Linux mptcp_balia",
-		Rank: 6,
-	}, func() core.Algorithm { return BALIA{} })
-}

@@ -6,9 +6,9 @@
 // internal/core keeps the paper's pure window arithmetic and defines the
 // base core.Algorithm contract (Increase/Decrease); this package owns
 //
-//   - construction by name: algorithms self-register a constructor and
-//     an Info record in their file's init, and New resolves names (and
-//     aliases) case-insensitively. Callers — the CLI tools, the
+//   - construction by name: one catalogue (below) lists every
+//     algorithm's constructor and Info record, and New resolves names
+//     by internal/registry's rule. Callers — the CLI tools, the
 //     experiment registry, tests — never hard-code the algorithm list;
 //     they derive it from Names/Infos.
 //   - the optional hooks RTTObserver and LossObserver, which both
@@ -18,7 +18,7 @@
 //     delay-based ones (wVegas) and algorithms with per-loss-event state
 //     (OLIA) need them.
 //
-// Besides the paper's five algorithms (registered from internal/core),
+// Besides the paper's five algorithms (implemented in internal/core),
 // the package implements the Linux-kernel successor family surveyed by
 // Kimura & Loureiro, "MPTCP Linux Kernel Congestion Controls": OLIA
 // (olia.go), BALIA (balia.go) and the delay-based wVegas (wvegas.go).
@@ -31,11 +31,10 @@ package cc
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"mptcp/internal/core"
+	"mptcp/internal/registry"
 )
 
 // RTTObserver is an optional extension of core.Algorithm: OnRTTSample is
@@ -64,8 +63,7 @@ type Info struct {
 	// Name is the canonical (upper-case) algorithm name.
 	Name string
 	// Aliases are alternative names accepted by New (e.g. REGULAR's
-	// UNCOUPLED and TCP). Lookup of names and aliases is
-	// case-insensitive.
+	// UNCOUPLED and TCP).
 	Aliases []string
 	// Desc is a one-line description for CLI help and docs.
 	Desc string
@@ -76,118 +74,93 @@ type Info struct {
 	// loss.
 	DelayBased bool
 	// Hooks lists the optional hook interfaces the algorithm
-	// implements ("OnRTTSample", "OnLoss"). Filled in by Register from
-	// the constructor's concrete type; never hand-maintained.
+	// implements ("OnRTTSample", "OnLoss"). Filled in from the
+	// constructor's concrete type; never hand-maintained.
 	Hooks []string
-	// Rank orders Names/Infos for presentation: the paper's five
-	// algorithms in presentation order, then the kernel successors.
-	Rank int
 }
 
 type entry struct {
-	info Info
+	Info
 	ctor func() core.Algorithm
 }
 
-var (
-	mu      sync.RWMutex
-	byName  = map[string]*entry{}
-	entries []*entry
-)
+var algorithms = registry.New[entry]("cc", "algorithm")
 
-// Register adds an algorithm constructor under info.Name and its
-// aliases. It is called from init functions; duplicate names (case-
-// insensitive, across names and aliases) panic. The constructor must
-// return a fresh instance on every call. Register fills info.Hooks by
-// probing which optional interfaces the constructed type implements.
-func Register(info Info, ctor func() core.Algorithm) {
-	if info.Name == "" || ctor == nil {
-		panic("cc: Register needs a name and a constructor")
+// The catalogue, in presentation order: the paper's five algorithms,
+// then the Linux-kernel successor family. Every constructor returns a
+// fresh instance per call.
+func init() {
+	for _, e := range []entry{
+		{Info{Name: "REGULAR", Aliases: []string{"UNCOUPLED", "TCP"}, Ref: "NSDI'11 §2.1",
+			Desc: "uncoupled NewReno on every subflow (single-path baseline; unfair strawman with >1)"},
+			func() core.Algorithm { return core.Regular{} }},
+		{Info{Name: "EWTCP", Ref: "NSDI'11 §2.1",
+			Desc: "equally-weighted TCP: each subflow runs weighted AIMD at 1/n of a TCP's share"},
+			func() core.Algorithm { return core.EWTCP{} }},
+		{Info{Name: "COUPLED", Ref: "NSDI'11 §2.2",
+			Desc: "fully coupled increase/decrease; moves all traffic to the least-congested path"},
+			func() core.Algorithm { return core.Coupled{} }},
+		{Info{Name: "SEMICOUPLED", Ref: "NSDI'11 §2.4",
+			Desc: "coupled increase, per-subflow decrease; splits windows in proportion to 1/p_r"},
+			func() core.Algorithm { return core.SemiCoupled{} }},
+		{Info{Name: "MPTCP", Ref: "NSDI'11 §2, RFC 6356",
+			Desc: "the paper's eq. (1): semicoupled with RTT compensation and the 1/w_r cap"},
+			func() core.Algorithm { return &core.MPTCP{} }},
+		{Info{Name: "OLIA", Ref: "Khalili et al. CoNEXT'12, Linux mptcp_olia",
+			Desc: "opportunistic linked increases: Pareto-optimality fix, probe traffic steered to the best paths"},
+			func() core.Algorithm { return &OLIA{} }},
+		{Info{Name: "BALIA", Ref: "Peng et al. ToN'16, Linux mptcp_balia",
+			Desc: "balanced linked adaptation: trades off TCP-friendliness vs responsiveness between LIA and OLIA"},
+			func() core.Algorithm { return BALIA{} }},
+		{Info{Name: "WVEGAS", Aliases: []string{"VEGAS"}, Ref: "Cao et al. ICNP'12, Linux mptcp_wvegas", DelayBased: true,
+			Desc: "weighted Vegas: delay-based, backs off on queuing delay before queues overflow"},
+			func() core.Algorithm { return &WVegas{} }},
+	} {
+		register(e)
 	}
-	probe := ctor()
-	if probe == nil {
-		panic("cc: constructor for " + info.Name + " returned nil")
-	}
-	if probe.Name() != info.Name {
-		panic(fmt.Sprintf("cc: %s constructor builds algorithm named %q", info.Name, probe.Name()))
-	}
-	info.Hooks = hooksOf(probe)
-
-	mu.Lock()
-	defer mu.Unlock()
-	e := &entry{info: info, ctor: ctor}
-	for _, key := range append([]string{info.Name}, info.Aliases...) {
-		k := strings.ToLower(key)
-		if _, dup := byName[k]; dup {
-			panic("cc: duplicate algorithm name " + key)
-		}
-		byName[k] = e
-	}
-	entries = append(entries, e)
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].info.Rank != entries[j].info.Rank {
-			return entries[i].info.Rank < entries[j].info.Rank
-		}
-		return entries[i].info.Name < entries[j].info.Name
-	})
 }
 
-// hooksOf reports which optional hook interfaces a implements.
-func hooksOf(a core.Algorithm) []string {
-	var h []string
-	if _, ok := a.(RTTObserver); ok {
-		h = append(h, "OnRTTSample")
+// register adds e to the catalogue and fills its Hooks by probing which
+// optional interfaces the constructed type implements. A constructor
+// that builds an algorithm of another name panics.
+func register(e entry) {
+	probe := e.ctor()
+	if probe.Name() != e.Name {
+		panic(fmt.Sprintf("cc: %s constructor builds algorithm named %q", e.Name, probe.Name()))
 	}
-	if _, ok := a.(LossObserver); ok {
-		h = append(h, "OnLoss")
+	if _, ok := probe.(RTTObserver); ok {
+		e.Hooks = append(e.Hooks, "OnRTTSample")
 	}
-	return h
+	if _, ok := probe.(LossObserver); ok {
+		e.Hooks = append(e.Hooks, "OnLoss")
+	}
+	algorithms.Add(e, e.Name, e.Aliases...)
 }
 
 // New constructs a fresh instance of the algorithm registered under
-// name (or one of its aliases). Lookup is case-insensitive and ignores
-// surrounding whitespace.
+// name (or one of its aliases).
 func New(name string) (core.Algorithm, error) {
-	mu.RLock()
-	e, ok := byName[strings.ToLower(strings.TrimSpace(name))]
-	mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cc: unknown algorithm %q (have %s)", name, strings.Join(Names(), ", "))
+	e, err := algorithms.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return e.ctor(), nil
 }
 
-// Lookup returns the Info registered under name (or an alias),
-// case-insensitively.
+// Lookup returns the Info registered under name (or an alias).
 func Lookup(name string) (Info, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	e, ok := byName[strings.ToLower(strings.TrimSpace(name))]
-	if !ok {
-		return Info{}, false
-	}
-	return e.info, true
+	e, err := algorithms.Lookup(name)
+	return e.Info, err == nil
 }
 
-// Names lists the canonical algorithm names in Rank order (the paper's
-// five, then the kernel successor family).
-func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = e.info.Name
-	}
-	return out
-}
+// Names lists the canonical algorithm names in catalogue order.
+func Names() []string { return algorithms.Names() }
 
 // Infos returns the registered metadata in the same order as Names.
 func Infos() []Info {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]Info, len(entries))
-	for i, e := range entries {
-		out[i] = e.info
+	var out []Info
+	for _, e := range algorithms.Entries() {
+		out = append(out, e.Info)
 	}
 	return out
 }

@@ -25,9 +25,9 @@ func ExampleNew() {
 
 // The registry drives every algorithm list in the repo — the CLI help,
 // the tournament/dynamics/schedgrid grids, the property suites — so
-// registering a new algorithm file is the only step needed to appear
-// everywhere. Names are in presentation order: the paper's five, then
-// the Linux-kernel successor family.
+// adding an entry to its catalogue is the only step needed to appear
+// everywhere. Names are in catalogue order: the paper's five, then the
+// Linux-kernel successor family.
 func ExampleNames() {
 	fmt.Println(strings.Join(cc.Names(), " "))
 	// Output:

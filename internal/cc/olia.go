@@ -157,12 +157,3 @@ func (o *OLIA) OnLoss(subs []core.Subflow, r int) {
 }
 
 var _ LossObserver = (*OLIA)(nil)
-
-func init() {
-	Register(Info{
-		Name: "OLIA",
-		Desc: "opportunistic linked increases: Pareto-optimality fix, probe traffic steered to the best paths",
-		Ref:  "Khalili et al. CoNEXT'12, Linux mptcp_olia",
-		Rank: 5,
-	}, func() core.Algorithm { return &OLIA{} })
-}

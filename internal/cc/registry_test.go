@@ -8,15 +8,9 @@ import (
 	"mptcp/internal/core"
 )
 
-// wantNames is the canonical catalogue: the paper's five algorithms in
-// presentation order, then the Linux-kernel successor family.
-var wantNames = []string{"REGULAR", "EWTCP", "COUPLED", "SEMICOUPLED", "MPTCP", "OLIA", "BALIA", "WVEGAS"}
-
-func TestNamesOrder(t *testing.T) {
-	if got := Names(); !reflect.DeepEqual(got, wantNames) {
-		t.Errorf("Names() = %v, want %v", got, wantNames)
-	}
-}
+// The catalogue's order and lookup rule are pinned with the other
+// catalogues' in internal/registry's TestCatalogues; these tests cover
+// what only this catalogue has.
 
 func TestNewByCanonicalName(t *testing.T) {
 	for _, name := range Names() {
@@ -27,40 +21,6 @@ func TestNewByCanonicalName(t *testing.T) {
 		if alg.Name() != name {
 			t.Errorf("New(%q).Name() = %q", name, alg.Name())
 		}
-	}
-}
-
-func TestLookupIsCaseInsensitive(t *testing.T) {
-	for _, name := range []string{"mptcp", "Mptcp", " MPTCP ", "olia", "Balia", "wvegas", "uncoupled", "tcp", "Vegas"} {
-		if _, err := New(name); err != nil {
-			t.Errorf("New(%q): %v", name, err)
-		}
-		if _, ok := Lookup(name); !ok {
-			t.Errorf("Lookup(%q) failed", name)
-		}
-	}
-}
-
-func TestAliasesResolveToCanonical(t *testing.T) {
-	for alias, want := range map[string]string{"UNCOUPLED": "REGULAR", "tcp": "REGULAR", "vegas": "WVEGAS"} {
-		info, ok := Lookup(alias)
-		if !ok || info.Name != want {
-			t.Errorf("Lookup(%q) = (%v, %v), want canonical %q", alias, info.Name, ok, want)
-		}
-		alg, err := New(alias)
-		if err != nil || alg.Name() != want {
-			t.Errorf("New(%q) = (%v, %v), want algorithm %q", alias, alg, err, want)
-		}
-	}
-}
-
-func TestUnknownNameListsCatalogue(t *testing.T) {
-	_, err := New("bogus")
-	if err == nil {
-		t.Fatal("New(bogus) should fail")
-	}
-	if !strings.Contains(err.Error(), "MPTCP") || !strings.Contains(err.Error(), "OLIA") {
-		t.Errorf("error should list the catalogue, got: %v", err)
 	}
 }
 
@@ -78,8 +38,8 @@ func TestNewReturnsFreshInstances(t *testing.T) {
 
 func TestInfoMetadataComplete(t *testing.T) {
 	infos := Infos()
-	if len(infos) != len(wantNames) {
-		t.Fatalf("got %d infos, want %d", len(infos), len(wantNames))
+	if len(infos) != len(Names()) {
+		t.Fatalf("got %d infos, want %d", len(infos), len(Names()))
 	}
 	for _, info := range infos {
 		if info.Desc == "" || info.Ref == "" {
@@ -118,20 +78,11 @@ func TestHelpMentionsEveryAlgorithm(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
-	Register(Info{Name: "MPTCP"}, func() core.Algorithm { return &core.MPTCP{} })
-}
-
 func TestRegisterRejectsNameMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("mismatched constructor name did not panic")
 		}
 	}()
-	Register(Info{Name: "NOT-REGULAR"}, func() core.Algorithm { return core.Regular{} })
+	register(entry{Info{Name: "NOT-REGULAR"}, func() core.Algorithm { return core.Regular{} }})
 }

@@ -159,14 +159,3 @@ var (
 	_ RTTObserver  = (*WVegas)(nil)
 	_ LossObserver = (*WVegas)(nil)
 )
-
-func init() {
-	Register(Info{
-		Name:       "WVEGAS",
-		Aliases:    []string{"VEGAS"},
-		Desc:       "weighted Vegas: delay-based, backs off on queuing delay before queues overflow",
-		Ref:        "Cao et al. ICNP'12, Linux mptcp_wvegas",
-		DelayBased: true,
-		Rank:       7,
-	}, func() core.Algorithm { return &WVegas{} })
-}

@@ -178,14 +178,14 @@ func Run(cfg Config) (*Result, error) {
 	// when it ends); scriptStop only unblocks it if the run bails early.
 	scriptStop := make(chan struct{})
 	if len(cfg.Script) > 0 {
-		byName := make(map[string][]*chaos.Path, len(groups))
+		pathsOf := make(map[string][]*chaos.Path, len(groups))
 		for _, g := range groups {
-			byName[g.Name] = g.Paths
+			pathsOf[g.Name] = g.Paths
 		}
 		chaosWG.Add(1)
 		go func() {
 			defer chaosWG.Done()
-			cfg.Script.Play(byName, log, scriptStop)
+			cfg.Script.Play(pathsOf, log, scriptStop)
 		}()
 	}
 	chaosWG.Add(1)

@@ -9,19 +9,19 @@ import (
 )
 
 func init() {
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "ablation-cap",
 		Ref:  "§2.5 design choice",
 		Desc: "MPTCP vs SEMICOUPLED (no 1/w_r cap, no RTT compensation) on the WiFi/3G mismatch: the cap + compensation is what recovers the best path's throughput.",
 		Run:  runAblationCap,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "ablation-peracck",
 		Ref:  "§2 implementation note",
 		Desc: "MPTCP recomputing eq.(1) on every ACK vs only when the window grows a packet: the throughputs should agree (the cache is a pure CPU optimisation).",
 		Run:  runAblationPerAck,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "ablation-reinject",
 		Ref:  "§6 design choice",
 		Desc: "Data-level reinjection after a path dies: with it the transfer finishes over the surviving path; without it the stream strands.",

@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	Register(&Experiment{
+	register(&Experiment{
 		ID:  "appgrid",
 		Ref: "workload layer × §5–§6",
 		Desc: "Application-workload grid: every internal/workload behaviour (rpc, web, video, mice) × {minrtt, blest, " +

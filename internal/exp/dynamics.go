@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	Register(&Experiment{
+	register(&Experiment{
 		ID:  "dynamics",
 		Ref: "scenario engine × §3/§5",
 		Desc: "Full algorithm grid under time-varying networks: every scenario script (flap, ramp, churn, " +

@@ -15,6 +15,7 @@ import (
 	"mptcp/internal/cc"
 	"mptcp/internal/core"
 	"mptcp/internal/netsim"
+	"mptcp/internal/registry"
 	"mptcp/internal/sim"
 	"mptcp/internal/trace"
 	"mptcp/internal/transport"
@@ -217,34 +218,20 @@ type Experiment struct {
 	Run  func(Config) *Result
 }
 
-var (
-	registry = map[string]*Experiment{}
-	order    []string
-)
+var experiments = registry.New[*Experiment]("exp", "experiment")
 
-// Register adds an experiment; duplicate IDs panic.
-func Register(e *Experiment) {
-	if _, dup := registry[e.ID]; dup {
-		panic("exp: duplicate experiment " + e.ID)
-	}
-	registry[e.ID] = e
-	order = append(order, e.ID)
-}
+// register adds an experiment to the catalogue; each file registers its
+// own in init, so the catalogue's order is the files' init order.
+func register(e *Experiment) { experiments.Add(e, e.ID) }
 
 // Get looks an experiment up by ID.
 func Get(id string) (*Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
+	e, err := experiments.Lookup(id)
+	return e, err == nil
 }
 
-// All returns the experiments in registration order.
-func All() []*Experiment {
-	out := make([]*Experiment, 0, len(order))
-	for _, id := range order {
-		out = append(out, registry[id])
-	}
-	return out
-}
+// All returns the experiments in catalogue order.
+func All() []*Experiment { return experiments.Entries() }
 
 // --- shared helpers ---------------------------------------------------
 

@@ -40,22 +40,11 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	}
 }
 
+// TestRegistryLookup: every experiment carries its metadata and a
+// runner. The catalogue's order and lookup rule are pinned in
+// internal/registry's TestCatalogues.
 func TestRegistryLookup(t *testing.T) {
-	if len(All()) < 15 {
-		t.Errorf("only %d experiments registered; the paper needs 17+", len(All()))
-	}
-	if _, ok := Get("fig8-torus"); !ok {
-		t.Error("fig8-torus missing")
-	}
-	if _, ok := Get("nope"); ok {
-		t.Error("bogus ID resolved")
-	}
-	seen := map[string]bool{}
 	for _, e := range All() {
-		if seen[e.ID] {
-			t.Errorf("duplicate ID %s", e.ID)
-		}
-		seen[e.ID] = true
 		if e.Ref == "" || e.Desc == "" || e.Run == nil {
 			t.Errorf("experiment %s is missing metadata", e.ID)
 		}

@@ -15,7 +15,7 @@ import (
 )
 
 func init() {
-	Register(&Experiment{
+	register(&Experiment{
 		ID:  "fleet",
 		Ref: "scaled-up §3 server workload",
 		Desc: "Fleet-scale flow-completion times: tens of thousands of short MPTCP connections under Poisson " +

@@ -20,10 +20,10 @@
 // a value added to any later axis — a topology, say — renumbers the
 // grid and moves every golden.
 //
-// Filters: Config.Scenario, Config.Sched (canonicalised with
-// sched.Canonical) and Config.Workload restrict the axis named
-// "scenario", "scheduler" and "workload" of a grid that declares one,
-// and are ignored by a grid that does not. A filter selects cells, it
+// Filters: Config.Scenario, Config.Sched and Config.Workload, each
+// canonicalised through its catalogue (sched.Canonical for a spec),
+// restrict the axis named "scenario", "scheduler" and "workload" of a
+// grid that declares one, and are ignored by a grid that does not. A filter selects cells, it
 // never renumbers them: a filtered run reproduces the corresponding
 // cells of the full grid bit for bit. A value that is not on the axis
 // panics with the axis's values rather than running zero cells.
@@ -35,8 +35,11 @@ import (
 	"slices"
 	"strings"
 
+	"mptcp/internal/scenario"
 	"mptcp/internal/sched"
+	"mptcp/internal/sim"
 	"mptcp/internal/trace"
+	"mptcp/internal/workload"
 )
 
 // axis is one named dimension of a grid; the name is also its table
@@ -93,21 +96,25 @@ func (c *gridCell) world() *world {
 }
 
 // filter returns the value cfg restricts the axis called name to, ""
-// for none.
+// for none, canonicalised through the axis's catalogue. A value the
+// catalogue does not know comes back as given, to fail as no column.
 func (cfg Config) filter(name string) string {
 	switch name {
 	case "scenario":
+		if s, err := scenario.Build(cfg.Scenario, 1); err == nil {
+			return s.Name
+		}
 		return cfg.Scenario
 	case "workload":
+		if w, err := workload.Build(cfg.Workload, 1); err == nil {
+			return w.Name()
+		}
 		return cfg.Workload
 	case "scheduler":
-		if cfg.Sched != "" {
-			canon, err := sched.Canonical(cfg.Sched)
-			if err != nil {
-				panic(err)
-			}
-			return canon
+		if c, err := sched.Canonical(cfg.Sched); err == nil {
+			return c
 		}
+		return cfg.Sched
 	}
 	return ""
 }
@@ -156,7 +163,7 @@ func sweep[T any](res *Result, cfg Config, g grid, measure func(*gridCell) T) ([
 	cfg = cfg.norm()
 	cells := g.cells(cfg)
 	outs := make([]T, len(cells))
-	Runner{Parallelism: cfg.Parallelism}.Do(len(cells), func(i int) { outs[i] = measure(cells[i]) })
+	sim.Parallel(len(cells), cfg.Parallelism, func(i int) { outs[i] = measure(cells[i]) })
 	// Cell order again, so the trace bytes, like the outputs, are the
 	// same at any Parallelism. Flush is a no-op on an untraced cell.
 	for _, c := range cells {

@@ -17,9 +17,11 @@ var gridFilters = []struct {
 	want   string
 }{
 	{"dynamics", Config{Scenario: "flap"}, func(r Record) string { return r.Scenario }, "flap"},
+	{"dynamics", Config{Scenario: "FLAP"}, func(r Record) string { return r.Scenario }, "flap"},
 	{"schedgrid", Config{Sched: "BLEST"}, func(r Record) string { return r.Scheduler }, "blest"},
 	{"schedgrid", Config{Sched: "MinRTT+pen+otr"}, func(r Record) string { return r.Scheduler }, "minrtt+otr+pen"},
 	{"appgrid", Config{Workload: "video"}, func(r Record) string { return r.Workload }, "video"},
+	{"appgrid", Config{Workload: "Video"}, func(r Record) string { return r.Workload }, "video"},
 	{"appgrid", Config{Sched: "Bandit"}, func(r Record) string { return r.Scheduler }, "bandit"},
 	{"fleet", Config{Sched: "MinRTT"}, func(r Record) string { return r.Scheduler }, "minrtt"},
 	// No axis of the tournament is filterable: every filter is ignored.

@@ -1,12 +1,11 @@
-// The worker pool behind every experiment, and the batch runner above
-// them. How an experiment decomposes into cells, and why its results do
-// not depend on the pool, is in grid.go; see DESIGN.md §"Parallel
-// runner" for the full scheme.
+// Cell seeds and the batch runner above the experiments; both fan out on
+// sim.Parallel. How an experiment decomposes into cells, and why its
+// results do not depend on the pool, is in grid.go; see DESIGN.md
+// §"Parallel runner" for the full scheme.
 
 package exp
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -21,56 +20,6 @@ import (
 // overflows, which the old base*1e6+idx stride did for seeds ≥ ~9.2e6.
 func CellSeed(base int64, idx int) int64 {
 	return sim.MixSeed(base, idx)
-}
-
-// Runner executes independent units of work on a bounded worker pool.
-type Runner struct {
-	// Parallelism bounds the number of concurrently running units.
-	// Zero or negative means runtime.GOMAXPROCS(0).
-	Parallelism int
-}
-
-func (r Runner) workers() int {
-	if r.Parallelism > 0 {
-		return r.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Do runs fn(i) for every i in [0, n), at most workers() at a time, and
-// returns once all calls have completed. fn must write its output only
-// to slots indexed by i (never to shared state), which keeps Do
-// race-free and its callers' results independent of scheduling order.
-func (r Runner) Do(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := r.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }
 
 // TrialResult is one (experiment × trial) cell of a batch run. Seed and
@@ -116,7 +65,7 @@ func RunBatchStream(cfg Config, exps []*Experiment, trials int, emit func(TrialR
 	ready := make([]bool, n)
 	var mu sync.Mutex
 	next := 0
-	Runner{Parallelism: cfg.Parallelism}.Do(n, func(i int) {
+	sim.Parallel(n, cfg.Parallelism, func(i int) {
 		e, t := exps[i/trials], i%trials
 		tcfg := cfg
 		tcfg.Seed = cfg.Seed + int64(t)

@@ -5,53 +5,10 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"mptcp/internal/sim"
 )
-
-func TestRunnerDoRunsEveryIndexOnce(t *testing.T) {
-	for _, par := range []int{0, 1, 3, 16} {
-		n := 37
-		counts := make([]int32, n)
-		Runner{Parallelism: par}.Do(n, func(i int) {
-			atomic.AddInt32(&counts[i], 1)
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Errorf("parallelism %d: index %d ran %d times", par, i, c)
-			}
-		}
-	}
-}
-
-func TestRunnerDoBoundsConcurrency(t *testing.T) {
-	const limit = 3
-	var cur, peak int32
-	var mu sync.Mutex
-	Runner{Parallelism: limit}.Do(50, func(i int) {
-		c := atomic.AddInt32(&cur, 1)
-		mu.Lock()
-		if c > peak {
-			peak = c
-		}
-		mu.Unlock()
-		atomic.AddInt32(&cur, -1)
-	})
-	if peak > limit {
-		t.Errorf("observed %d concurrent units, limit %d", peak, limit)
-	}
-}
-
-func TestRunnerDoEmpty(t *testing.T) {
-	called := false
-	Runner{}.Do(0, func(int) { called = true })
-	if called {
-		t.Error("Do(0) ran the body")
-	}
-}
 
 func TestCellSeedDerivation(t *testing.T) {
 	// The derivation is pinned to sim.MixSeed: a silent change to the

@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	Register(&Experiment{
+	register(&Experiment{
 		ID:  "schedgrid",
 		Ref: "sched registry × §6",
 		Desc: "Packet-scheduler grid: every scheduler spec (incl. minrtt+otr+pen, the §6 countermeasures) × every " +

@@ -7,25 +7,25 @@ import (
 )
 
 func init() {
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "fig2-triangle",
 		Ref:  "§2.2 Fig. 2",
 		Desc: "Three 12 Mb/s links in a triangle, three two-path flows: coupling should prefer the one-hop paths (12 Mb/s each) where EWTCP gets ~8.5 Mb/s.",
 		Run:  runFig2,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "fig3-mesh",
 		Ref:  "§2.2 Fig. 3",
 		Desc: "Four-link chain (5/12/10/3 Mb/s), three two-path flows: COUPLED/MPTCP balance congestion and equalise totals (~10 Mb/s each); EWTCP gives (11, 11, 8).",
 		Run:  runFig3,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "sec23-wifi3g-model",
 		Ref:  "§2.3 worked example",
 		Desc: "Fixed loss rates: WiFi 4%/10 ms vs 3G 1%/100 ms. Single-path TCPs get ~707 and ~141 pkt/s; EWTCP ~424; COUPLED ~141; MPTCP should reach the best path's ~707.",
 		Run:  runSec23,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "fig5-trap",
 		Ref:  "§2.4 Fig. 5",
 		Desc: "Two links, two TCPs each, one multipath flow. A top-link TCP leaves and later returns: COUPLED gets trapped on the top link; MPTCP re-balances.",

@@ -10,25 +10,25 @@ import (
 )
 
 func init() {
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "fig8-torus",
 		Ref:  "§3 Fig. 7/8",
 		Desc: "Five-link torus, five two-path flows, shrink link C: plot loss-rate ratio pA/pC per algorithm, plus Jain's index at C=100 pkt/s.",
 		Run:  runFig8,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "table-dynamic",
 		Ref:  "§3 table (Fig. 9)",
 		Desc: "Two 100 Mb/s links, bursty CBR on the top one: multipath throughput per link. Paper: EWTCP 85/100, MPTCP 83/99.8, COUPLED 55/99.4 Mb/s.",
 		Run:  runTableDynamic,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "fig10-server-lb",
 		Ref:  "§3 Fig. 10",
 		Desc: "Dual-homed server, 5 TCPs on link 1 and 15 on link 2; 10 MPTCP flows join at t=60 s and shift load toward the less congested link.",
 		Run:  runFig10,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "table-server-poisson",
 		Ref:  "§3 second experiment",
 		Desc: "Link 1: Poisson TCP arrivals alternating 10/s and 60/s with Pareto 200 kB files; link 2: one long TCP. Paper: MPTCP 61 > COUPLED 54 > EWTCP 47 Mb/s.",

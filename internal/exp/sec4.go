@@ -14,25 +14,25 @@ import (
 )
 
 func init() {
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "table-fattree",
 		Ref:  "§4 FatTree table",
 		Desc: "FatTree, TP1/TP2/TP3 per-host throughput. Paper (Mb/s): single-path 51/94/60, EWTCP 92/92.5/99, MPTCP 95/97/99.",
 		Run:  runTableFatTree,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "fig12-paths",
 		Ref:  "§4 Fig. 12",
 		Desc: "FatTree TP1: MPTCP throughput (% of optimal) vs number of paths used; ~8 paths reach ~90% where single-path TCP sits near 50%.",
 		Run:  runFig12,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "fig13-dist",
 		Ref:  "§4 Fig. 13",
 		Desc: "FatTree TP1 distributions: per-flow throughput rank plot and per-link loss-rate rank plots (core vs access links).",
 		Run:  runFig13,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "table-bcube",
 		Ref:  "§4 BCube table",
 		Desc: "BCube, TP1/TP2/TP3 per-host throughput. Paper (Mb/s): single-path 64.5/297/78, EWTCP 84/229/139, MPTCP 86.5/272/135.",

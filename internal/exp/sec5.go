@@ -11,31 +11,31 @@ import (
 )
 
 func init() {
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "table-wireless-static",
 		Ref:  "§5 static experiment",
 		Desc: "Idle WiFi + 3G: single-path TCPs get ~14.4 and ~2.1 Mb/s; MPTCP gets roughly their sum (paper: 17.3).",
 		Run:  runWirelessStatic,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "fig15-wireless-compete",
 		Ref:  "§5 Fig. 15",
 		Desc: "WiFi + 3G with one competing TCP per path. Paper (Mb/s, multipath/TCP-WiFi/TCP-3G): EWTCP 1.66/3.11/1.20, COUPLED 1.41/3.49/0.97, MPTCP 2.21/2.56/0.65.",
 		Run:  runFig15,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "sec5-wired-sim",
 		Ref:  "§5 simulation",
 		Desc: "C1=250 pkt/s RTT 500 ms vs C2=500 pkt/s RTT 50 ms: paper gets S1 130, S2 315, M 305 pkt/s — M matches what a TCP would get at path 2's loss rate, not a naive 250.",
 		Run:  runSec5Wired,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "fig16-rtt-sweep",
 		Ref:  "§5 Fig. 16",
 		Desc: "Sweep RTT2 and C2 against a fixed 400 pkt/s/100 ms link 1: the ratio of M's throughput to the better of S1/S2 should stay near 1.",
 		Run:  runFig16,
 	})
-	Register(&Experiment{
+	register(&Experiment{
 		ID:   "fig17-mobility",
 		Ref:  "§5 Fig. 17 (mobile)",
 		Desc: "Walk through the building: WiFi coverage drops on the stairwell, 3G congestion varies; MPTCP rebalances continuously and never stalls.",

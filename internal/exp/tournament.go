@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	Register(&Experiment{
+	register(&Experiment{
 		ID:  "tournament",
 		Ref: "cc registry × §3–§5",
 		Desc: "Full algorithm grid (every registered algorithm, incl. OLIA/BALIA/WVEGAS) across torus, " +

@@ -142,7 +142,6 @@ func (r *TrainReport) Render(w io.Writer) {
 func TrainSched(cfg TrainConfig) (*learn.Model, *TrainReport) {
 	cfg = cfg.norm()
 	corpus := trainCorpus
-	runner := Runner{Parallelism: cfg.Parallelism}
 
 	episode := func(ci int, seed int64, spec schedSpec) schedOut {
 		tc := corpus[ci]
@@ -153,7 +152,7 @@ func TrainSched(cfg TrainConfig) (*learn.Model, *TrainReport) {
 	// order of magnitude across topologies, and the policy must not
 	// learn "torus episodes are worth more".
 	base := make([]float64, len(corpus))
-	runner.Do(len(corpus), func(ci int) {
+	sim.Parallel(len(corpus), cfg.Parallelism, func(ci int) {
 		out := episode(ci, CellSeed(cfg.Seed, trainBaseIdx+ci), parseSchedSpec("minrtt"))
 		base[ci] = out.mbps
 		if base[ci] < 0.05 {
@@ -173,7 +172,7 @@ func TrainSched(cfg TrainConfig) (*learn.Model, *TrainReport) {
 			reward float64
 		}
 		outs := make([]epOut, len(corpus))
-		runner.Do(len(corpus), func(ci int) {
+		sim.Parallel(len(corpus), cfg.Parallelism, func(ci int) {
 			ei := r*len(corpus) + ci
 			ep := &learn.Episode{}
 			rng := rand.New(rand.NewSource(sim.MixSeed(cfg.Seed, 2*ei+1)))
@@ -196,7 +195,7 @@ func TrainSched(cfg TrainConfig) (*learn.Model, *TrainReport) {
 		Episodes: model.Episodes,
 		Eval:     make([]TrainEval, len(corpus)),
 	}
-	runner.Do(len(corpus), func(ci int) {
+	sim.Parallel(len(corpus), cfg.Parallelism, func(ci int) {
 		seed := CellSeed(cfg.Seed, trainEvalIdx+ci)
 		report.Eval[ci] = TrainEval{
 			Cell:   corpus[ci].name,

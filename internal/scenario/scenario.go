@@ -34,9 +34,9 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
 	"mptcp/internal/netsim"
+	"mptcp/internal/registry"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
 )
@@ -79,7 +79,7 @@ type Directive interface {
 
 // Scenario is a named, declarative list of directives. The zero value
 // is an empty scenario. Times inside directives are absolute simulated
-// instants; builders (see Register) lay them out as fractions of a run
+// instants; builders (see Info) lay them out as fractions of a run
 // length so one script scales with the experiment.
 type Scenario struct {
 	Name       string
@@ -110,63 +110,32 @@ func (s Scenario) MustInstall(env *Env) {
 	}
 }
 
-// --- registry of named scenario builders ------------------------------
+// --- the catalogue of named scenario builders ---------------------------
 
-// BuilderInfo describes one registered scenario for CLI help.
-type BuilderInfo struct {
-	Name string
-	Desc string
-}
-
-type builderEntry struct {
-	info  BuilderInfo
+// Info is one named scenario builder. The builder receives the run's end
+// time T (already scaled by the caller) and lays its directive times out
+// as fractions of T, so the script's event count is independent of
+// scale.
+type Info struct {
+	Name  string
+	Desc  string
 	build func(T sim.Time) Scenario
 }
 
-var (
-	builders  = map[string]builderEntry{}
-	buildName []string
-)
+var scenarios = registry.New[Info]("scenario", "scenario")
 
-// Register adds a named scenario builder. The builder receives the
-// run's end time T (already scaled by the caller) and lays its
-// directive times out as fractions of T, so the script's event count is
-// independent of scale. Duplicate names panic; called from init.
-func Register(name, desc string, build func(T sim.Time) Scenario) {
-	if name == "" || build == nil {
-		panic("scenario: Register needs a name and a builder")
-	}
-	if _, dup := builders[name]; dup {
-		panic("scenario: duplicate scenario " + name)
-	}
-	builders[name] = builderEntry{info: BuilderInfo{Name: name, Desc: desc}, build: build}
-	buildName = append(buildName, name)
-	sort.Strings(buildName)
-}
+// Names lists the registered scenarios in catalogue order — the column
+// order of the dynamics grid.
+func Names() []string { return scenarios.Names() }
 
-// Names lists the registered scenarios in sorted order — the column
-// order of the dynamics grid (sorted, not registration order, so the
-// grid layout never depends on package-init sequence).
-func Names() []string {
-	out := make([]string, len(buildName))
-	copy(out, buildName)
-	return out
-}
-
-// Infos returns the registered scenario descriptions in Names order.
-func Infos() []BuilderInfo {
-	out := make([]BuilderInfo, 0, len(buildName))
-	for _, n := range buildName {
-		out = append(out, builders[n].info)
-	}
-	return out
-}
+// Infos returns the registered scenarios in Names order.
+func Infos() []Info { return scenarios.Entries() }
 
 // Build constructs the named scenario for a run ending at T.
 func Build(name string, T sim.Time) (Scenario, error) {
-	e, ok := builders[name]
-	if !ok {
-		return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, Names())
+	e, err := scenarios.Lookup(name)
+	if err != nil {
+		return Scenario{}, err
 	}
 	return e.build(T), nil
 }

@@ -1,15 +1,5 @@
 package sched
 
-func init() {
-	Register(Info{
-		Name:    "blest",
-		Aliases: []string{"blocking-estimation"},
-		Desc:    "minRTT that skips a slow subflow when sending on it would HoL-block the shared receive buffer",
-		Ref:     "Ferlin et al., BLEST (IFIP Networking 2016)",
-		Rank:    5,
-	}, func() Scheduler { return &BLEST{} })
-}
-
 // blestLambda is the window-growth slack factor of the blocking
 // estimate: the fast subflow is assumed to grow its window by up to
 // this factor while the slow subflow's segment is in flight (BLEST's λ;

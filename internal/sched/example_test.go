@@ -20,8 +20,8 @@ func ExampleNew() {
 }
 
 // The registry drives every scheduler list in the repo — the CLI help
-// and the schedgrid experiment's scheduler axis — so registering a new
-// scheduler file is the only step needed to appear everywhere.
+// and the schedgrid experiment's scheduler axis — so adding an entry to
+// its catalogue is the only step needed to appear everywhere.
 func ExampleNames() {
 	fmt.Println(strings.Join(sched.Names(), " "))
 	// Output:

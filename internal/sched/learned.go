@@ -8,17 +8,6 @@ import (
 	"mptcp/internal/learn"
 )
 
-func init() {
-	RegisterErr(Info{
-		Name:       "bandit",
-		Aliases:    []string{"learned"},
-		Desc:       "offline-trained contextual bandit over SRTT ratio, cwnd headroom and receive-window pressure",
-		Ref:        "learned scheduling, cf. arXiv:2309.09372",
-		Provenance: banditProvenance(),
-		Rank:       6,
-	}, func() (Scheduler, error) { return NewBandit() })
-}
-
 // banditProvenance renders the registry Provenance line from the
 // embedded model's header. It is lenient by design: listing the
 // catalogue must work even when the model file is damaged (loading it

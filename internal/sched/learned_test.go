@@ -203,7 +203,7 @@ func TestBanditCorruptModelFailsCleanly(t *testing.T) {
 			t.Errorf("%s: error does not name the scheduler: %v", name, err)
 		}
 		// The catalogue must still list the entry (Help, -list).
-		if _, ok := Lookup("bandit"); !ok {
+		if _, err := schedulers.Lookup("bandit"); err != nil {
 			t.Errorf("%s: bandit vanished from the registry", name)
 		}
 	}
@@ -230,7 +230,7 @@ func TestBanditEmbeddedModelLoads(t *testing.T) {
 	if m.Episodes == 0 {
 		t.Fatal("embedded model is untrained")
 	}
-	info, _ := Lookup("bandit")
+	info, _ := schedulers.Lookup("bandit")
 	if !strings.Contains(info.Provenance, m.Corpus) {
 		t.Errorf("Provenance %q does not name the corpus %q", info.Provenance, m.Corpus)
 	}

@@ -1,19 +1,13 @@
 package sched
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
 
-// wantNames is the canonical catalogue in presentation order.
-var wantNames = []string{"firstfit", "minrtt", "roundrobin", "wcwnd", "redundant", "blest", "bandit"}
-
-func TestNamesOrder(t *testing.T) {
-	if got := Names(); !reflect.DeepEqual(got, wantNames) {
-		t.Errorf("Names() = %v, want %v", got, wantNames)
-	}
-}
+// The catalogue's order and lookup rule are pinned with the other
+// catalogues' in internal/registry's TestCatalogues; these tests cover
+// what only this catalogue has.
 
 func TestNewByCanonicalName(t *testing.T) {
 	for _, name := range Names() {
@@ -27,44 +21,10 @@ func TestNewByCanonicalName(t *testing.T) {
 	}
 }
 
-func TestLookupIsCaseInsensitive(t *testing.T) {
-	for _, name := range []string{"MinRTT", " MINRTT ", "RR", "rr", "Stripe", "dup", "BLEST", "Weighted"} {
-		if _, err := New(name); err != nil {
-			t.Errorf("New(%q): %v", name, err)
-		}
-		if _, ok := Lookup(name); !ok {
-			t.Errorf("Lookup(%q) failed", name)
-		}
-	}
-}
-
-func TestAliasesResolveToCanonical(t *testing.T) {
-	for alias, want := range map[string]string{"rr": "roundrobin", "dup": "redundant", "stripe": "firstfit", "lowrtt": "minrtt", "default": "minrtt", "learned": "bandit"} {
-		info, ok := Lookup(alias)
-		if !ok || info.Name != want {
-			t.Errorf("Lookup(%q) = (%v, %v), want canonical %q", alias, info.Name, ok, want)
-		}
-		s, err := New(alias)
-		if err != nil || s.Name() != want {
-			t.Errorf("New(%q) = (%v, %v), want scheduler %q", alias, s, err, want)
-		}
-	}
-}
-
-func TestUnknownNameListsCatalogue(t *testing.T) {
-	_, err := New("bogus")
-	if err == nil {
-		t.Fatal("New(bogus) should fail")
-	}
-	if !strings.Contains(err.Error(), "minrtt") || !strings.Contains(err.Error(), "blest") {
-		t.Errorf("error should list the catalogue, got: %v", err)
-	}
-}
-
 func TestInfoMetadataComplete(t *testing.T) {
 	infos := Infos()
-	if len(infos) != len(wantNames) {
-		t.Fatalf("Infos() has %d entries, want %d", len(infos), len(wantNames))
+	if len(infos) != len(Names()) {
+		t.Fatalf("Infos() has %d entries, want %d", len(infos), len(Names()))
 	}
 	for _, info := range infos {
 		if info.Desc == "" || info.Ref == "" {
@@ -80,7 +40,7 @@ func TestInfoMetadataComplete(t *testing.T) {
 		}
 	}
 	help := Help()
-	for _, name := range wantNames {
+	for _, name := range Names() {
 		if !strings.Contains(help, name) {
 			t.Errorf("Help() misses %s", name)
 		}

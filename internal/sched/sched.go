@@ -21,11 +21,9 @@
 //     that caused the blocking, rate-limited to once per RTT, so it
 //     stops re-filling the buffer with far-ahead segments.
 //
-// The package mirrors internal/cc's shape deliberately: schedulers
-// self-register a constructor and an Info record in their file's init,
-// New resolves names (and aliases) case-insensitively, and
-// Names/Infos/Help drive CLI help and the schedgrid experiment, so
-// adding a scheduler file is the only step needed to appear everywhere.
+// One catalogue (below) lists every scheduler's constructor and Info
+// record; New resolves names by internal/registry's rule, and
+// Names/Infos/Help drive CLI help and the schedgrid experiment.
 //
 // A Scheduler sees subflows as neutral View records (window, in-flight,
 // smoothed RTT, sendability) plus a connection-level Ctx (the shared
@@ -38,9 +36,9 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
+
+	"mptcp/internal/registry"
 )
 
 // View is the scheduler-visible state of one subflow. Both endpoint
@@ -147,15 +145,14 @@ func (o Options) String() string {
 type Info struct {
 	// Name is the canonical (lower-case) scheduler name.
 	Name string
-	// Aliases are alternative names accepted by New. Lookup of names
-	// and aliases is case-insensitive.
+	// Aliases are alternative names accepted by New.
 	Aliases []string
 	// Desc is a one-line description for CLI help and docs.
 	Desc string
 	// Ref names the scheduler's origin (Linux scheduler module, paper).
 	Ref string
 	// Redundant marks schedulers that duplicate segments across
-	// subflows. Filled in by Register from the constructed type; never
+	// subflows. Filled in from the constructed type; never
 	// hand-maintained.
 	Redundant bool
 	// Provenance documents what a learned scheduler was trained on —
@@ -163,90 +160,71 @@ type Info struct {
 	// where a policy's behaviour comes from. Empty for classical
 	// (hand-written) schedulers.
 	Provenance string
-	// Rank orders Names/Infos for presentation.
-	Rank int
 }
 
 type entry struct {
-	info Info
+	Info
 	ctor func() (Scheduler, error)
 }
 
-var (
-	mu      sync.RWMutex
-	byName  = map[string]*entry{}
-	entries []*entry
-)
+var schedulers = registry.New[entry]("sched", "scheduler")
 
-// Register adds a scheduler constructor under info.Name and its
-// aliases. It is called from init functions; duplicate names
-// (case-insensitive, across names and aliases) panic. The constructor
-// must return a fresh instance on every call. Register fills
-// info.Redundant by probing the constructed type.
-func Register(info Info, ctor func() Scheduler) {
-	if ctor == nil {
-		panic("sched: Register needs a constructor")
+// The catalogue, in presentation order. Every constructor returns a
+// fresh instance per call. The learned scheduler's can fail (its model
+// must load); it is listed all the same, and New reports the error.
+func init() {
+	for _, e := range []entry{
+		{Info{Name: "firstfit", Aliases: []string{"stripe", "fill"}, Ref: "paper §6 striping",
+			Desc: "fill subflows with window space in configuration order"},
+			func() (Scheduler, error) { return FirstFit{}, nil }},
+		{Info{Name: "minrtt", Aliases: []string{"lowrtt", "default"}, Ref: "Linux mptcp_sched default",
+			Desc: "prefer the subflow with the smallest smoothed RTT"},
+			func() (Scheduler, error) { return MinRTT{}, nil }},
+		{Info{Name: "roundrobin", Aliases: []string{"rr"}, Ref: "Linux mptcp_rr",
+			Desc: "rotate segments across subflows by least segments assigned"},
+			func() (Scheduler, error) { return RoundRobin{}, nil }},
+		{Info{Name: "wcwnd", Aliases: []string{"weighted", "maxspace"}, Ref: "cwnd-weighted striping",
+			Desc: "prefer the subflow with the most free congestion-window space"},
+			func() (Scheduler, error) { return WeightedCwnd{}, nil }},
+		{Info{Name: "redundant", Aliases: []string{"dup"}, Ref: "Linux mptcp_redundant",
+			Desc: "duplicate every segment on all subflows with window space"},
+			func() (Scheduler, error) { return Redundant{}, nil }},
+		{Info{Name: "blest", Aliases: []string{"blocking-estimation"}, Ref: "Ferlin et al., BLEST (IFIP Networking 2016)",
+			Desc: "minRTT that skips a slow subflow when sending on it would HoL-block the shared receive buffer"},
+			func() (Scheduler, error) { return &BLEST{}, nil }},
+		{Info{Name: "bandit", Aliases: []string{"learned"}, Ref: "learned scheduling, cf. arXiv:2309.09372", Provenance: banditProvenance(),
+			Desc: "offline-trained contextual bandit over SRTT ratio, cwnd headroom and receive-window pressure"},
+			func() (Scheduler, error) { return NewBandit() }},
+	} {
+		register(e)
 	}
-	RegisterErr(info, func() (Scheduler, error) {
-		s := ctor()
-		if s == nil {
-			panic("sched: constructor for " + info.Name + " returned nil")
-		}
-		return s, nil
-	})
 }
 
-// RegisterErr is Register for schedulers whose construction can fail —
-// a learned scheduler must load (and validate) its model. A
-// construction error is not a registration error: the entry still
-// appears in Names/Infos/Help, and New surfaces the error to its
-// caller instead of panicking, so a damaged model file degrades into a
-// clean lookup failure rather than an init-time crash.
-func RegisterErr(info Info, ctor func() (Scheduler, error)) {
-	if info.Name == "" || ctor == nil {
-		panic("sched: Register needs a name and a constructor")
-	}
-	if probe, err := ctor(); err == nil {
-		if probe.Name() != info.Name {
-			panic(fmt.Sprintf("sched: %s constructor builds scheduler named %q", info.Name, probe.Name()))
+// register adds e to the catalogue and fills its Redundant flag from
+// the constructed type. A constructor that builds a scheduler of another
+// name panics.
+func register(e entry) {
+	if probe, err := e.ctor(); err == nil {
+		if probe.Name() != e.Name {
+			panic(fmt.Sprintf("sched: %s constructor builds scheduler named %q", e.Name, probe.Name()))
 		}
 		if d, ok := probe.(Duplicator); ok {
-			info.Redundant = d.Duplicates()
+			e.Redundant = d.Duplicates()
 		}
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	e := &entry{info: info, ctor: ctor}
-	for _, key := range append([]string{info.Name}, info.Aliases...) {
-		k := strings.ToLower(key)
-		if _, dup := byName[k]; dup {
-			panic("sched: duplicate scheduler name " + key)
-		}
-		byName[k] = e
-	}
-	entries = append(entries, e)
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].info.Rank != entries[j].info.Rank {
-			return entries[i].info.Rank < entries[j].info.Rank
-		}
-		return entries[i].info.Name < entries[j].info.Name
-	})
+	schedulers.Add(e, e.Name, e.Aliases...)
 }
 
 // New constructs a fresh instance of the scheduler registered under
-// name (or one of its aliases). Lookup is case-insensitive and ignores
-// surrounding whitespace.
+// name (or one of its aliases).
 func New(name string) (Scheduler, error) {
-	mu.RLock()
-	e, ok := byName[strings.ToLower(strings.TrimSpace(name))]
-	mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown scheduler %q (have %s)", name, strings.Join(Names(), ", "))
+	e, err := schedulers.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	s, err := e.ctor()
 	if err != nil {
-		return nil, fmt.Errorf("sched: constructing %s: %w", e.info.Name, err)
+		return nil, fmt.Errorf("sched: constructing %s: %w", e.Name, err)
 	}
 	return s, nil
 }
@@ -303,36 +281,14 @@ func Canonical(spec string) (string, error) {
 	return s.Name() + opts.String(), nil
 }
 
-// Lookup returns the Info registered under name (or an alias),
-// case-insensitively.
-func Lookup(name string) (Info, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	e, ok := byName[strings.ToLower(strings.TrimSpace(name))]
-	if !ok {
-		return Info{}, false
-	}
-	return e.info, true
-}
-
-// Names lists the canonical scheduler names in Rank order.
-func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = e.info.Name
-	}
-	return out
-}
+// Names lists the canonical scheduler names in catalogue order.
+func Names() []string { return schedulers.Names() }
 
 // Infos returns the registered metadata in the same order as Names.
 func Infos() []Info {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]Info, len(entries))
-	for i, e := range entries {
-		out[i] = e.info
+	var out []Info
+	for _, e := range schedulers.Entries() {
+		out = append(out, e.Info)
 	}
 	return out
 }

@@ -1,43 +1,5 @@
 package sched
 
-func init() {
-	Register(Info{
-		Name:    "firstfit",
-		Aliases: []string{"stripe", "fill"},
-		Desc:    "fill subflows with window space in configuration order",
-		Ref:     "paper §6 striping",
-		Rank:    0,
-	}, func() Scheduler { return FirstFit{} })
-	Register(Info{
-		Name:    "minrtt",
-		Aliases: []string{"lowrtt", "default"},
-		Desc:    "prefer the subflow with the smallest smoothed RTT",
-		Ref:     "Linux mptcp_sched default",
-		Rank:    1,
-	}, func() Scheduler { return MinRTT{} })
-	Register(Info{
-		Name:    "roundrobin",
-		Aliases: []string{"rr"},
-		Desc:    "rotate segments across subflows by least segments assigned",
-		Ref:     "Linux mptcp_rr",
-		Rank:    2,
-	}, func() Scheduler { return RoundRobin{} })
-	Register(Info{
-		Name:    "wcwnd",
-		Aliases: []string{"weighted", "maxspace"},
-		Desc:    "prefer the subflow with the most free congestion-window space",
-		Ref:     "cwnd-weighted striping",
-		Rank:    3,
-	}, func() Scheduler { return WeightedCwnd{} })
-	Register(Info{
-		Name:    "redundant",
-		Aliases: []string{"dup"},
-		Desc:    "duplicate every segment on all subflows with window space",
-		Ref:     "Linux mptcp_redundant",
-		Rank:    4,
-	}, func() Scheduler { return Redundant{} })
-}
-
 // FirstFit fills subflows in configuration order: the next segment goes
 // to the lowest-indexed subflow with window space. This is the
 // simulator transport's historical striping order ("stripes packets

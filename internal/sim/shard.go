@@ -195,31 +195,39 @@ func (sh *Sharded) barrier() {
 // source side), so the assignment of domains to workers cannot affect
 // results.
 func (sh *Sharded) runEpoch(until Time) {
-	w := sh.shards
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	Parallel(len(sh.doms), sh.shards, func(i int) { sh.doms[i].RunUntil(until) })
+}
+
+// Parallel runs fn(i) for every i in [0, n) on at most workers
+// goroutines (runtime.GOMAXPROCS(0) when workers <= 0) and returns once
+// every call has completed. It is the one worker pool of the tree: the
+// sharded engine's epochs and internal/exp's grid cells, batch trials
+// and training episodes all fan out through it. fn must write its
+// output only to slots indexed by i (never to shared state), which keeps
+// Parallel race-free and its callers' results independent of
+// scheduling order.
+func Parallel(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if w > len(sh.doms) {
-		w = len(sh.doms)
-	}
-	if w <= 1 {
-		for _, d := range sh.doms {
-			d.RunUntil(until)
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
+	wg.Add(workers)
+	for g := 0; g < workers; g++ {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				sh.doms[i].RunUntil(until)
+				fn(i)
 			}
 		}()
 	}
-	for i := range sh.doms {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)

@@ -75,10 +75,6 @@ type Config struct {
 	// (default 2, as in Linux of the paper's era).
 	InitialCwnd float64
 
-	// MinRTO is the lower bound on the retransmission timeout
-	// (default 200 ms, Linux's RTO_MIN).
-	MinRTO sim.Time
-
 	// DisableReinject turns off data-level reinjection: after an RTO on
 	// one subflow, outstanding data is normally also made available to
 	// other subflows so a dead path cannot strand the stream.
@@ -185,7 +181,6 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 		Total:           cfg.DataPackets,
 		Window:          cfg.RecvBuf,
 		InitialCwnd:     cfg.InitialCwnd,
-		MinRTO:          proto.Time(cfg.MinRTO),
 		DisableReinject: cfg.DisableReinject,
 		Tracer:          cfg.Tracer,
 	})

@@ -25,10 +25,8 @@
 package workload
 
 import (
-	"fmt"
-	"sort"
-
 	"mptcp/internal/metrics"
+	"mptcp/internal/registry"
 	"mptcp/internal/sim"
 )
 
@@ -88,63 +86,32 @@ type Workload interface {
 	Install(env *Env) *Stats
 }
 
-// --- registry of named workload builders -------------------------------
+// --- the catalogue of named workload builders ----------------------------
 
-// BuilderInfo describes one registered workload for CLI help.
-type BuilderInfo struct {
-	Name string
-	Desc string
-}
-
-type builderEntry struct {
-	info  BuilderInfo
+// Info is one named workload builder. The builder receives the run's
+// issuing horizon T (already scaled by the caller) and lays its rates
+// and think times out as fractions of T, so the offered load is
+// independent of scale.
+type Info struct {
+	Name  string
+	Desc  string
 	build func(T sim.Time) Workload
 }
 
-var (
-	builders  = map[string]builderEntry{}
-	buildName []string
-)
+var workloads = registry.New[Info]("workload", "workload")
 
-// Register adds a named workload builder. The builder receives the
-// run's issuing horizon T (already scaled by the caller) and lays its
-// rates and think times out as fractions of T, so the offered load is
-// independent of scale. Duplicate names panic; called from init.
-func Register(name, desc string, build func(T sim.Time) Workload) {
-	if name == "" || build == nil {
-		panic("workload: Register needs a name and a builder")
-	}
-	if _, dup := builders[name]; dup {
-		panic("workload: duplicate workload " + name)
-	}
-	builders[name] = builderEntry{info: BuilderInfo{Name: name, Desc: desc}, build: build}
-	buildName = append(buildName, name)
-	sort.Strings(buildName)
-}
+// Names lists the registered workloads in catalogue order — the row
+// order of the appgrid experiment.
+func Names() []string { return workloads.Names() }
 
-// Names lists the registered workloads in sorted order — the row order
-// of the appgrid experiment (sorted, not registration order, so the
-// grid layout never depends on package-init sequence).
-func Names() []string {
-	out := make([]string, len(buildName))
-	copy(out, buildName)
-	return out
-}
-
-// Infos returns the registered workload descriptions in Names order.
-func Infos() []BuilderInfo {
-	out := make([]BuilderInfo, 0, len(buildName))
-	for _, n := range buildName {
-		out = append(out, builders[n].info)
-	}
-	return out
-}
+// Infos returns the registered workloads in Names order.
+func Infos() []Info { return workloads.Entries() }
 
 // Build constructs the named workload for a run ending at T.
 func Build(name string, T sim.Time) (Workload, error) {
-	e, ok := builders[name]
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown workload %q (have %v)", name, Names())
+	e, err := workloads.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return e.build(T), nil
 }
