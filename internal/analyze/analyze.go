@@ -32,14 +32,14 @@ import (
 	"mptcp/internal/metrics"
 )
 
-// line is the union of every JSONL shape the repo emits; unused fields
-// stay zero. Pointer-free numeric fields suffice because zero values
-// are never ambiguous with real dimensions here (a trial is identified
-// by ID, a trace record by Ev).
+// line is the union of the JSONL fields the analyzer reads; unused
+// fields stay zero and fields it does not read are ignored.
+// Pointer-free numeric fields suffice because zero values are never
+// ambiguous with real dimensions here (a trial is identified by ID, a
+// trace record by Ev).
 type line struct {
 	// Trace records (internal/trace).
 	Ev      string  `json:"ev"`
-	T       int64   `json:"t"`
 	Label   string  `json:"label"` // meta lines: cell label
 	Dropped int64   `json:"dropped"`
 	RTTSec  float64 `json:"rtt_s"`
@@ -47,7 +47,6 @@ type line struct {
 
 	// Grid cell records and trial records (cmd/mptcp-exp -json).
 	ID        string             `json:"id"`
-	Trial     int                `json:"trial"`
 	Algorithm string             `json:"algorithm"`
 	Topology  string             `json:"topology"`
 	Scenario  string             `json:"scenario"`

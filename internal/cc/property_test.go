@@ -267,7 +267,7 @@ func TestWVegasQueuingDelayBackoff(t *testing.T) {
 		t.Errorf("mild-queue epoch delta = %v, want +1", d)
 	}
 	// Heavy queuing: rtt 2.5× baseRTT means diff = 20·0.15/0.25 = 12
-	// packets queued, past α = weight·TotalAlpha = 5; the window steps
+	// packets queued, past α = weight·totalAlpha = 5; the window steps
 	// down to w·baseRTT/rtt = 8.
 	d := epoch(0.25)
 	if d >= 0 {
@@ -292,7 +292,7 @@ func TestWVegasQueuingDelayBackoff(t *testing.T) {
 	})
 
 	t.Run("single-path-epoch-matches-vegas", func(t *testing.T) {
-		// One path owns the whole TotalAlpha budget: backoff only when
+		// One path owns the whole totalAlpha budget: backoff only when
 		// more than 10 packets sit queued.
 		one := &WVegas{}
 		ss := []core.Subflow{{Cwnd: 30, SSThresh: math.Inf(1), SRTT: 0.1}}

@@ -2,10 +2,10 @@ package cc
 
 import "mptcp/internal/core"
 
-// DefaultTotalAlpha is wVegas's default target for the total number of
-// packets the connection keeps queued across all its paths (the kernel
-// module's total_alpha).
-const DefaultTotalAlpha = 10
+// totalAlpha is wVegas's target for the total number of packets the
+// connection keeps queued across all its paths (the kernel module's
+// total_alpha default).
+const totalAlpha = 10
 
 // WVegas is the weighted Vegas algorithm of Cao, Xu & Fu ("Delay-based
 // congestion control for multipath TCP", ICNP 2012; Linux
@@ -20,9 +20,9 @@ const DefaultTotalAlpha = 10
 //
 //	diff_r = w_r · (rtt_r − baseRTT_r) / rtt_r   [packets queued]
 //
-// The connection aims to keep TotalAlpha packets queued in total,
+// The connection aims to keep totalAlpha packets queued in total,
 // apportioned by each path's share of the aggregate rate: α_r =
-// max(1, weight_r·TotalAlpha) with weight_r = (w_r/baseRTT_r) / Σ_k
+// max(1, weight_r·totalAlpha) with weight_r = (w_r/baseRTT_r) / Σ_k
 // (w_k/baseRTT_k). While diff_r ≤ α_r the window grows by one packet
 // per RTT; when diff_r exceeds α_r the window steps down to
 // w_r·baseRTT_r/rtt_r, the value that would drain r's queue share —
@@ -31,10 +31,6 @@ const DefaultTotalAlpha = 10
 // advisory; loss is authoritative), and a loss resets the measurement
 // epoch via OnLoss.
 type WVegas struct {
-	// TotalAlpha is the connection-wide queued-packet target; 0 means
-	// DefaultTotalAlpha.
-	TotalAlpha float64
-
 	st []wvState
 }
 
@@ -51,13 +47,6 @@ func (v *WVegas) ensure(n int) {
 	for len(v.st) < n {
 		v.st = append(v.st, wvState{})
 	}
-}
-
-func (v *WVegas) totalAlpha() float64 {
-	if v.TotalAlpha > 0 {
-		return v.TotalAlpha
-	}
-	return DefaultTotalAlpha
 }
 
 // OnRTTSample feeds one raw RTT measurement on subflow r.
@@ -129,7 +118,7 @@ func (v *WVegas) alphaFor(subs []core.Subflow, r int) float64 {
 	for i := range subs {
 		sum += v.rate(subs, i)
 	}
-	a := v.rate(subs, r) / sum * v.totalAlpha()
+	a := v.rate(subs, r) / sum * totalAlpha
 	if a < 1 {
 		a = 1
 	}

@@ -103,36 +103,26 @@ func (Regular) Decrease(subs []Subflow, r int) float64 {
 	return floorMin(subs[r].Cwnd / 2)
 }
 
-// EWTCP implements the equally-weighted TCP of §2.1: each subflow runs a
-// weighted AIMD such that its equilibrium window is Weight × the window a
-// regular TCP would achieve at the same loss rate. With Weight = 1/n the
-// connection takes one regular TCP's share through a shared bottleneck
-// and, per §2.3, achieves the arithmetic mean of the single-path rates on
-// heterogeneous paths.
+// EWTCP implements the equally-weighted TCP of §2.1: each of n subflows
+// runs a weighted AIMD such that its equilibrium window is 1/n × the
+// window a regular TCP would achieve at the same loss rate. The
+// connection thus takes one regular TCP's share through a shared
+// bottleneck and, per §2.3, achieves the arithmetic mean of the
+// single-path rates on heterogeneous paths.
 //
 // Note on the paper's text: §2.1 prints the increase as "a/w_r with
 // a = 1/√n", but its own worked examples (§2.1 fairness, §2.3's
 // "(707+141)/2 = 424 pkt/s") require the equilibrium window on each path
 // to be exactly 1/n of a regular TCP's, which with halving decrease needs
 // a per-ACK increase of (1/n)²/w_r. We implement the behaviour the paper
-// evaluates: increase Weight²/w_r, so that w_r = Weight·√(2/p_r).
-type EWTCP struct {
-	// Weight is the per-subflow weight; if zero, 1/n is used, matching
-	// the paper's a = 1/√n convention (equilibrium window ∝ a²).
-	Weight float64
-}
+// evaluates: increase weight²/w_r with weight 1/n, so that
+// w_r = weight·√(2/p_r).
+type EWTCP struct{}
 
 func (EWTCP) Name() string { return "EWTCP" }
 
-func (e EWTCP) weight(n int) float64 {
-	if e.Weight > 0 {
-		return e.Weight
-	}
-	return 1 / float64(n)
-}
-
-func (e EWTCP) Increase(subs []Subflow, r int) float64 {
-	w := e.weight(len(subs))
+func (EWTCP) Increase(subs []Subflow, r int) float64 {
+	w := 1 / float64(len(subs))
 	return w * w / floorMin(subs[r].Cwnd)
 }
 

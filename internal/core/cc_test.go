@@ -42,15 +42,11 @@ func TestRegularFloor(t *testing.T) {
 }
 
 func TestEWTCPWeighting(t *testing.T) {
-	alg := EWTCP{} // default weight 1/n
+	alg := EWTCP{} // weight 1/n
 	s := subs(10, 10)
 	// weight 1/2 -> increase (1/4)/10
 	if got := alg.Increase(s, 0); math.Abs(got-0.025) > 1e-12 {
 		t.Errorf("increase = %v, want 0.025", got)
-	}
-	explicit := EWTCP{Weight: 0.5}
-	if got := explicit.Increase(s, 0); math.Abs(got-0.025) > 1e-12 {
-		t.Errorf("explicit weight increase = %v, want 0.025", got)
 	}
 }
 

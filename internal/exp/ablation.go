@@ -2,6 +2,7 @@ package exp
 
 import (
 	"mptcp/internal/core"
+	"mptcp/internal/metrics"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
@@ -52,7 +53,7 @@ func runAblationCap(cfg Config) *Result {
 		w.s.RunUntil(warm)
 		b0, b1 := flow.SubflowDelivered(0), flow.SubflowDelivered(1)
 		w.s.RunUntil(end)
-		return [2]float64{pktps(flow.SubflowDelivered(0)-b0, end-warm), pktps(flow.SubflowDelivered(1)-b1, end-warm)}
+		return [2]float64{metrics.PktPerSec(flow.SubflowDelivered(0)-b0, end-warm), metrics.PktPerSec(flow.SubflowDelivered(1)-b1, end-warm)}
 	}, func(res *Result, c *gridCell, r [2]float64) []string {
 		res.Metrics[metric[c.at[0]]] = r[0] + r[1]
 		return []string{f0(r[0] + r[1]), f0(r[0]), f0(r[1])}

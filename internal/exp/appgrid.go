@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mptcp/internal/metrics"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 	"mptcp/internal/transport"
@@ -127,7 +128,7 @@ func appMetrics(wl string, c appOut, dur sim.Time) map[string]float64 {
 		"issued":       float64(st.Issued),
 		"completed":    float64(st.Completed),
 		"incomplete":   float64(c.incomplete),
-		"goodput_mbps": mbps(c.pkts+c.partial, dur),
+		"goodput_mbps": metrics.ThroughputMbps(c.pkts+c.partial, dur),
 	}
 	if st.Latency.N() > 0 {
 		p := appLatPrefix(wl)
@@ -145,7 +146,7 @@ func appMetrics(wl string, c appOut, dur sim.Time) map[string]float64 {
 			mets["rebuffer_ratio"] = st.StallSec / total
 		}
 	case "mice":
-		mets["elephant_mbps"] = mbps(st.ElephantPkts, dur)
+		mets["elephant_mbps"] = metrics.ThroughputMbps(st.ElephantPkts, dur)
 	}
 	return mets
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"mptcp/internal/cc"
+	"mptcp/internal/metrics"
 	"mptcp/internal/model"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
@@ -85,8 +86,8 @@ func dynCell(c *gridCell) dynOut {
 	rates := ratesSince(sc.all, base, end-warm)
 	recRates := ratesSince(sc.all, recBase, end-recStart)
 	return dynOut{
-		mbps:     sumRates(rates[sc.lo:sc.hi]),
-		recovery: sumRates(recRates[sc.lo:sc.hi]),
+		mbps:     metrics.Sum(rates[sc.lo:sc.hi]),
+		recovery: metrics.Sum(recRates[sc.lo:sc.hi]),
 		jain:     model.JainIndex(rates),
 		churn:    float64(env.ChurnArrivals),
 	}

@@ -14,6 +14,7 @@ import (
 
 	"mptcp/internal/cc"
 	"mptcp/internal/core"
+	"mptcp/internal/metrics"
 	"mptcp/internal/netsim"
 	"mptcp/internal/registry"
 	"mptcp/internal/sim"
@@ -295,33 +296,9 @@ func snapshot(conns []*transport.Conn) []int64 {
 func ratesSince(conns []*transport.Conn, base []int64, dur sim.Time) []float64 {
 	out := make([]float64, len(conns))
 	for i, c := range conns {
-		out[i] = mbps(c.Delivered()-base[i], dur)
+		out[i] = metrics.ThroughputMbps(c.Delivered()-base[i], dur)
 	}
 	return out
-}
-
-func sumRates(rates []float64) float64 {
-	t := 0.0
-	for _, r := range rates {
-		t += r
-	}
-	return t
-}
-
-// mbps converts delivered packets over a duration to Mb/s.
-func mbps(pkts int64, dur sim.Time) float64 {
-	if dur <= 0 {
-		return 0
-	}
-	return float64(pkts) * netsim.DataPacketSize * 8 / dur.Seconds() / 1e6
-}
-
-// pktps converts delivered packets over a duration to packets/s.
-func pktps(pkts int64, dur sim.Time) float64 {
-	if dur <= 0 {
-		return 0
-	}
-	return float64(pkts) / dur.Seconds()
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

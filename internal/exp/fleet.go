@@ -139,7 +139,7 @@ func runFleet(cfg Config) *Result {
 			"completed":    float64(out.completed),
 			"incomplete":   float64(out.incomplete),
 			"arrivals":     float64(out.arrivals),
-			"goodput_mbps": mbps(out.pkts+out.partial, c.dur(fleetDur)),
+			"goodput_mbps": metrics.ThroughputMbps(out.pkts+out.partial, c.dur(fleetDur)),
 			"transit":      float64(out.transit),
 			"pool_reuses":  float64(out.reuses),
 		}
@@ -252,7 +252,7 @@ func buildFleetGroup(s *sim.Simulator, id int, end sim.Time, algName, schedSpec 
 	scenario.Scenario{
 		Name: "fleet-churn",
 		Directives: []scenario.Directive{
-			scenario.FlowChurn{Start: 0, End: end, Rate: fleetRate, MeanPkts: fleetMeanPkts, Alpha: 1.5},
+			scenario.FlowChurn{Start: 0, End: end, Rate: fleetRate, MeanPkts: fleetMeanPkts},
 		},
 	}.MustInstall(g.env)
 	return g

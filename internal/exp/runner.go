@@ -34,27 +34,18 @@ type TrialResult struct {
 	Result  *Result
 }
 
-// RunBatch runs every experiment in exps for trials repetitions on the
-// worker pool and returns the results grouped by experiment, trials in
-// order. Trial t of any experiment uses base seed cfg.Seed + t, so a
-// batch is reproducible from (Seed, Scale, trials) alone. The outer
+// RunBatchStream runs every experiment in exps for trials repetitions on
+// the worker pool. Trial t of any experiment uses base seed cfg.Seed + t,
+// so a batch is reproducible from (Seed, Scale, trials) alone. The outer
 // batch pool and each experiment's inner cell pool are both bounded by
 // cfg.Parallelism; modest oversubscription of CPU-bound work is left to
 // the Go scheduler.
-func RunBatch(cfg Config, exps []*Experiment, trials int) []TrialResult {
-	var out []TrialResult
-	RunBatchStream(cfg, exps, trials, func(tr TrialResult) {
-		out = append(out, tr)
-	})
-	return out
-}
-
-// RunBatchStream is RunBatch with streaming delivery: emit is called for
-// every trial in the same deterministic (experiment, trial) order, but
-// as soon as the trial and all its predecessors have completed, so a
-// long batch produces output while it runs instead of only at the end.
-// emit calls are serialised; they run on worker goroutines and should
-// not block for long.
+//
+// emit is called for every trial in deterministic (experiment, trial)
+// order, as soon as the trial and all its predecessors have completed,
+// so a long batch produces output while it runs instead of only at the
+// end. emit calls are serialised; they run on worker goroutines and
+// should not block for long.
 func RunBatchStream(cfg Config, exps []*Experiment, trials int, emit func(TrialResult)) {
 	cfg = cfg.norm()
 	if trials < 1 {

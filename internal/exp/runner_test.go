@@ -101,8 +101,13 @@ func TestRunBatchOrderSeedsAndDeterminism(t *testing.T) {
 	e1, _ := Get("fig3-mesh")
 	e2, _ := Get("ablation-reinject")
 	exps := []*Experiment{e1, e2}
+	collect := func(cfg Config) []TrialResult {
+		var out []TrialResult
+		RunBatchStream(cfg, exps, 2, func(tr TrialResult) { out = append(out, tr) })
+		return out
+	}
 	cfg := Config{Seed: 3, Scale: 0.02, Parallelism: 4}
-	batch := RunBatch(cfg, exps, 2)
+	batch := collect(cfg)
 	if len(batch) != 4 {
 		t.Fatalf("got %d trial results, want 4", len(batch))
 	}
@@ -118,25 +123,14 @@ func TestRunBatchOrderSeedsAndDeterminism(t *testing.T) {
 			t.Errorf("slot %d: bad result %+v", i, tr.Result)
 		}
 	}
-	serial := RunBatch(Config{Seed: 3, Scale: 0.02, Parallelism: 1}, exps, 2)
+	serial := collect(Config{Seed: 3, Scale: 0.02, Parallelism: 1})
 	for i := range batch {
+		if serial[i].ID != batch[i].ID || serial[i].Trial != batch[i].Trial {
+			t.Errorf("slot %d: serial (%s, trial %d), parallel (%s, trial %d)",
+				i, serial[i].ID, serial[i].Trial, batch[i].ID, batch[i].Trial)
+		}
 		if !reflect.DeepEqual(batch[i].Result.Metrics, serial[i].Result.Metrics) {
 			t.Errorf("trial %d metrics diverge between batch parallelism 4 and 1", i)
-		}
-	}
-	// Streaming delivery preserves the deterministic order and payloads.
-	var streamed []TrialResult
-	RunBatchStream(cfg, exps, 2, func(tr TrialResult) { streamed = append(streamed, tr) })
-	if len(streamed) != len(batch) {
-		t.Fatalf("streamed %d trials, want %d", len(streamed), len(batch))
-	}
-	for i := range streamed {
-		if streamed[i].ID != batch[i].ID || streamed[i].Trial != batch[i].Trial {
-			t.Errorf("stream slot %d: got (%s, trial %d), want (%s, trial %d)",
-				i, streamed[i].ID, streamed[i].Trial, batch[i].ID, batch[i].Trial)
-		}
-		if !reflect.DeepEqual(streamed[i].Result.Metrics, batch[i].Result.Metrics) {
-			t.Errorf("stream slot %d metrics diverge from collected batch", i)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mptcp/internal/cc"
+	"mptcp/internal/metrics"
 	"mptcp/internal/model"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sched"
@@ -136,7 +137,7 @@ func schedCell(w *world, cell Config, scene, scen string, spec schedSpec, alg st
 		sc.script(w, scenario.MustBuild(scen, end))
 	}
 	rates := w.measure(sc.all, warm, end)
-	out := schedOut{mbps: sumRates(rates[sc.lo:sc.hi]), jain: model.JainIndex(rates)}
+	out := schedOut{mbps: metrics.Sum(rates[sc.lo:sc.hi]), jain: model.JainIndex(rates)}
 	for _, c := range sc.mp() {
 		out.oppRetx += float64(c.OppRetx)
 		out.penalties += float64(c.Penalties)

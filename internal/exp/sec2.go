@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"mptcp/internal/metrics"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
 	"mptcp/internal/transport"
@@ -131,7 +132,7 @@ func runSec23(cfg Config) *Result {
 		w.s.RunUntil(warm)
 		base := flow.Delivered()
 		w.s.RunUntil(end)
-		return pktps(flow.Delivered()-base, end-warm)
+		return metrics.PktPerSec(flow.Delivered()-base, end-warm)
 	}, func(res *Result, c *gridCell, rate float64) []string {
 		res.Metrics[metricKey(c.vals[0])+"_pktps"] = rate
 		return []string{f0(rate)}
@@ -172,7 +173,7 @@ func runFig5(cfg Config) *Result {
 			w.s.RunUntil(start + third)
 			base := mp.Delivered()
 			w.s.RunUntil(start + phase)
-			rates[i] = mbps(mp.Delivered()-base, phase-third)
+			rates[i] = metrics.ThroughputMbps(mp.Delivered()-base, phase-third)
 		}
 		return rates
 	}, func(res *Result, c *gridCell, r [3]float64) []string {

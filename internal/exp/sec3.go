@@ -107,7 +107,7 @@ func runTableDynamic(cfg Config) *Result {
 		w.s.RunUntil(warm)
 		b0, b1 := mp.SubflowDelivered(0), mp.SubflowDelivered(1)
 		w.s.RunUntil(end)
-		return [2]float64{mbps(mp.SubflowDelivered(0)-b0, end-warm), mbps(mp.SubflowDelivered(1)-b1, end-warm)}
+		return [2]float64{metrics.ThroughputMbps(mp.SubflowDelivered(0)-b0, end-warm), metrics.ThroughputMbps(mp.SubflowDelivered(1)-b1, end-warm)}
 	}, func(res *Result, c *gridCell, r [2]float64) []string {
 		res.Metrics[metricKey(c.vals[0])+"_top_mbps"] = r[0]
 		res.Metrics[metricKey(c.vals[0])+"_bottom_mbps"] = r[1]
@@ -161,7 +161,7 @@ func runFig10(cfg Config) *Result {
 		dur := end - join
 		w.s.RunUntil(end + dur)
 		perFlow := func(now, base float64, n int) float64 {
-			return mbps(int64(now-base), dur) / float64(n)
+			return metrics.ThroughputMbps(int64(now-base), dur) / float64(n)
 		}
 		t1 := perFlow(delivered(g1), base1, 5)
 		t2 := perFlow(delivered(g2), base2, 15)

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"mptcp/internal/cc"
+	"mptcp/internal/metrics"
 	"mptcp/internal/model"
 	"mptcp/internal/sim"
 )
@@ -69,5 +70,5 @@ func tourCell(c *gridCell) tourOut {
 	}
 	sc := scenes[tp](w, mpAlg(alg))
 	rates := w.measure(sc.all, warm, end)
-	return tourOut{sumRates(rates[sc.lo:sc.hi]), model.JainIndex(rates)}
+	return tourOut{metrics.Sum(rates[sc.lo:sc.hi]), model.JainIndex(rates)}
 }

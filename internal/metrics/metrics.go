@@ -1,8 +1,8 @@
 // Package metrics provides the measurement utilities the experiments in
 // internal/exp build their tables and figures from:
 //
-//   - Series, a sampled time series with mean/warm-up helpers and a
-//     Rate derivative (per-interval deltas);
+//   - Series, a sampled time series with a Rate derivative
+//     (per-interval deltas);
 //   - Sampler, which probes named quantities (cwnd, delivered packets,
 //     link stats) on a fixed simulated-time tick, driving one
 //     rearm-in-place sim.Timer so sampling stays off the allocation
@@ -10,8 +10,9 @@
 //   - conversions (ThroughputMbps, PktPerSec) pinned to the 1500-byte
 //     data-packet size the paper's wired figures use;
 //   - order statistics (Rank, Percentile) for the §4 distribution
-//     plots, plus Sum/Mean/Stddev and the fixed-width Fmt used by the
-//     rendered report tables.
+//     plots, plus Sum/Mean/Stddev;
+//   - Summary and P2Quantile, streaming moments and quantiles that
+//     merge across shards.
 //
 // Everything is computation over values the caller snapshots; nothing
 // here touches simulation state or global clocks, so metrics code is
@@ -19,7 +20,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -43,31 +43,6 @@ func (s *Series) Add(t sim.Time, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Vals) }
 
-// Mean returns the mean of the sampled values (0 for an empty series).
-func (s *Series) Mean() float64 {
-	if len(s.Vals) == 0 {
-		return 0
-	}
-	return Sum(s.Vals) / float64(len(s.Vals))
-}
-
-// MeanAfter returns the mean of samples taken at or after t, discarding
-// warm-up transients.
-func (s *Series) MeanAfter(t sim.Time) float64 {
-	var sum float64
-	var n int
-	for i, at := range s.Times {
-		if at >= t {
-			sum += s.Vals[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Sampler periodically evaluates probes and records them into series.
 type Sampler struct {
 	s        *sim.Simulator
@@ -76,7 +51,6 @@ type Sampler struct {
 	series   map[string]*Series
 	order    []string
 	timer    *sim.Timer
-	stopped  bool
 }
 
 // NewSampler creates a sampler that fires every interval once Start is
@@ -101,16 +75,7 @@ func (sa *Sampler) Start() {
 	sa.timer.Reset(sa.interval)
 }
 
-// Stop halts sampling and removes the pending tick from the event queue.
-func (sa *Sampler) Stop() {
-	sa.stopped = true
-	sa.timer.Stop()
-}
-
 func (sa *Sampler) tick() {
-	if sa.stopped {
-		return
-	}
 	now := sa.s.Now()
 	for _, p := range sa.probes {
 		name, v := p()
@@ -210,16 +175,4 @@ func Percentile(xs []float64, p float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// Fmt renders a float compactly for experiment tables.
-func Fmt(v float64) string {
-	switch {
-	case v == math.Trunc(v) && math.Abs(v) < 1e6:
-		return fmt.Sprintf("%.0f", v)
-	case math.Abs(v) >= 100:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.3g", v)
-	}
 }

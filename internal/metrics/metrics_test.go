@@ -27,32 +27,6 @@ func TestSamplerTicks(t *testing.T) {
 	}
 }
 
-func TestSamplerStop(t *testing.T) {
-	s := sim.New(1)
-	sa := NewSampler(s, sim.Second)
-	sa.Probe("x", func() float64 { return 1 })
-	sa.Start()
-	s.RunUntil(3500 * sim.Millisecond)
-	sa.Stop()
-	s.RunUntil(10 * sim.Second)
-	if got := sa.Series("x").Len(); got > 4 {
-		t.Errorf("sampler kept running after Stop: %d samples", got)
-	}
-}
-
-func TestSeriesMeanAfter(t *testing.T) {
-	var ser Series
-	for i := 1; i <= 10; i++ {
-		ser.Add(sim.Time(i)*sim.Second, float64(i))
-	}
-	if got := ser.MeanAfter(6 * sim.Second); got != 8 {
-		t.Errorf("MeanAfter = %v, want mean(6..10)=8", got)
-	}
-	if got := ser.Mean(); got != 5.5 {
-		t.Errorf("Mean = %v, want 5.5", got)
-	}
-}
-
 func TestSeriesRate(t *testing.T) {
 	var ser Series
 	ser.Add(0, 0)

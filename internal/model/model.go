@@ -10,9 +10,9 @@
 // The solver treats loss rates as fixed and exogenous, exactly as in the
 // paper's §2.3 worked example (WiFi at 4 %, 3G at 1 %); the packet-level
 // simulator in internal/netsim is used when losses must emerge from queue
-// dynamics. Experiments cross-check the two: the sec23-wifi3g-model
-// experiment pits this package's predictions against the simulated
-// stack.
+// dynamics. The experiments use only JainIndex from here; this package's
+// tests cross-check the closed forms against the fluid solver and the
+// paper's §2.3 numbers.
 package model
 
 import (
@@ -82,25 +82,6 @@ func CoupledWindows(p []float64) []float64 {
 		}
 	}
 	return w
-}
-
-// Rates converts windows (packets) and RTTs (seconds) to rates in packets
-// per second.
-func Rates(w, rtt []float64) []float64 {
-	r := make([]float64, len(w))
-	for i := range w {
-		r[i] = w[i] / rtt[i]
-	}
-	return r
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	t := 0.0
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 // Equilibrium numerically solves the fluid (expected drift) equilibrium of

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mptcp/internal/core"
+	"mptcp/internal/metrics"
 )
 
 // The §2.3 worked example: WiFi RTT 10 ms at 4 % loss, 3G RTT 100 ms at
@@ -32,7 +33,7 @@ func TestTCPFormulaSec23(t *testing.T) {
 func TestEWTCPClosedFormSec23(t *testing.T) {
 	// "EWTCP ... will get total throughput (707+141)/2 = 424 pkt/s."
 	w := EWTCPWindows(sec23p)
-	total := Sum(Rates(w, sec23rtt))
+	total, _ := GoalThroughput(w, sec23p, sec23rtt)
 	if math.Abs(total-424) > 2 {
 		t.Errorf("EWTCP total = %.1f, want ~424", total)
 	}
@@ -80,7 +81,7 @@ func TestSemiCoupledSplitExample(t *testing.T) {
 	// §2.4: three paths at 1 %, 1 %, 5 % loss -> 45 %/45 %/10 % split.
 	p := []float64{0.01, 0.01, 0.05}
 	w := SemiCoupledWindows(1, p)
-	tot := Sum(w)
+	tot := metrics.Sum(w)
 	if frac := w[0] / tot; math.Abs(frac-0.45) > 0.02 {
 		t.Errorf("less-congested share = %.3f, want ~0.45", frac)
 	}
@@ -103,7 +104,7 @@ func TestFluidCoupledPicksLeastCongested(t *testing.T) {
 	if math.Abs(w[0]-wantProbe)/wantProbe > 0.05 {
 		t.Errorf("probe window = %v, want ~%v", w[0], wantProbe)
 	}
-	if total := Sum(w); math.Abs(total-wantTotal)/wantTotal > 0.05 {
+	if total := metrics.Sum(w); math.Abs(total-wantTotal)/wantTotal > 0.05 {
 		t.Errorf("total window = %v, want ~%v", total, wantTotal)
 	}
 	// The congested path carries a small fraction of the traffic.
@@ -135,7 +136,7 @@ func TestMPTCPFluidEqualPaths(t *testing.T) {
 		}
 		w := Equilibrium(&core.MPTCP{PerAck: true}, p, rtt)
 		want := TCPWindow(0.01)
-		if got := Sum(w); math.Abs(got-want)/want > 0.1 {
+		if got := metrics.Sum(w); math.Abs(got-want)/want > 0.1 {
 			t.Errorf("n=%d: total window %v, want ~%v", n, got, want)
 		}
 	}

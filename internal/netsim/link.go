@@ -53,15 +53,11 @@ type Link struct {
 	Stats LinkStats
 }
 
-// LinkStats accumulates per-link counters. Loss rate and utilisation for
-// the paper's figures are derived from these.
+// LinkStats counts the packets offered to a link and those it lost. Once
+// the link drains, the packets it delivered number Arrivals − Drops.
 type LinkStats struct {
-	Arrivals   int64 // packets offered to the link
-	Drops      int64 // drop-tail + random losses
-	RandomLoss int64 // subset of Drops caused by LossRate
-	Departures int64 // packets that completed serialisation
-	BytesSent  int64 // bytes of packets that completed serialisation
-	BusyTime   sim.Time
+	Arrivals int64 // packets offered to the link
+	Drops    int64 // drop-tail, random and outage losses
 }
 
 // LossFraction returns Drops/Arrivals, the per-link loss rate used in
@@ -71,15 +67,6 @@ func (s *LinkStats) LossFraction() float64 {
 		return 0
 	}
 	return float64(s.Drops) / float64(s.Arrivals)
-}
-
-// Utilization returns the fraction of the interval [0,now] the link spent
-// transmitting.
-func (l *Link) Utilization(now sim.Time) float64 {
-	if now == 0 {
-		return 0
-	}
-	return l.Stats.BusyTime.Seconds() / now.Seconds()
 }
 
 // NewLink constructs a link. rateMbps is in megabits per second and
@@ -181,7 +168,6 @@ func (l *Link) enqueue(n *Net, pkt *Packet) {
 	}
 	if l.LossRate > 0 && n.Sim.Rand().Float64() < l.LossRate {
 		l.Stats.Drops++
-		l.Stats.RandomLoss++
 		n.FreePacket(pkt)
 		return
 	}
@@ -190,12 +176,11 @@ func (l *Link) enqueue(n *Net, pkt *Packet) {
 		n.FreePacket(pkt)
 		return
 	}
-	tx := l.txTime(pkt.Size)
 	start := now
 	if l.lastDepart > start {
 		start = l.lastDepart
 	}
-	depart := start + tx
+	depart := start + l.txTime(pkt.Size)
 	l.lastDepart = depart
 	if l.queued == len(l.departs) {
 		d := make([]sim.Time, max(2*l.queued, 8))
@@ -206,11 +191,6 @@ func (l *Link) enqueue(n *Net, pkt *Packet) {
 	}
 	l.departs[(l.head+l.queued)&(len(l.departs)-1)] = depart
 	l.queued++
-	// Departure statistics (Departures/BytesSent/BusyTime) are accounted
-	// by depart (see Link.depart) when the scheduled event fires, not at
-	// accept time: packets still queued at run end, or stranded when the
-	// link goes down, must not count as departed.
-	pkt.txTime = tx
 	if l.lane == nil {
 		l.lane = n.Sim.NewLane(n)
 	}
@@ -218,26 +198,16 @@ func (l *Link) enqueue(n *Net, pkt *Packet) {
 }
 
 // depart completes pkt's crossing of the link when its scheduled event
-// fires (at departure time plus PropDelay): the packet is either
-// credited to the departure counters and forwarded, or — if the link
-// went down while it was queued or propagating (SetDown, the §5 mobility
-// outage: a dead radio loses in-flight frames too) — stranded and
-// dropped. It reports whether the packet survived.
-//
-// Because the single per-hop event fires after propagation, counters lag
-// the departure instant by PropDelay: stats read mid-run or at run end
-// omit packets still on the wire. That bias is bounded by one
-// bandwidth-delay product and is conservative (never over-reports),
-// unlike the accept-time accounting this replaced, which counted
-// never-departed packets.
+// fires (at departure time plus PropDelay). If the link is down by then
+// (SetDown while the packet was queued or propagating, the §5 mobility
+// outage: a dead radio loses in-flight frames too), the packet is
+// stranded: counted as one drop and freed. It reports whether the packet
+// survived.
 func (l *Link) depart(n *Net, pkt *Packet) bool {
 	if l.down {
 		l.Stats.Drops++
 		n.FreePacket(pkt)
 		return false
 	}
-	l.Stats.Departures++
-	l.Stats.BytesSent += int64(pkt.Size)
-	l.Stats.BusyTime += pkt.txTime
 	return true
 }

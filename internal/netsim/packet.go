@@ -13,18 +13,14 @@ package netsim
 import "mptcp/internal/sim"
 
 // Packet is a simulated TCP/MPTCP segment. One struct serves both data and
-// ACK packets; which fields are meaningful depends on IsAck. Packet counts,
-// not bytes, define window and buffer occupancy (the paper maintains
-// windows in packets); Size is used only for serialisation time.
+// ACK packets; the endpoint a route delivers to knows which it receives,
+// and reads only that kind's fields. Packet counts, not bytes, define
+// window and buffer occupancy (the paper maintains windows in packets);
+// Size is used only for serialisation time.
 type Packet struct {
 	// Routing state.
 	route *Route
 	hop   int
-
-	// txTime is the serialisation delay assigned when the current link
-	// accepted the packet; the departure event uses it to account
-	// BusyTime at the rate that actually applied.
-	txTime sim.Time
 
 	// Size in bytes on the wire (headers included).
 	Size int
@@ -51,8 +47,6 @@ type Packet struct {
 	DataAck int64
 	RcvWnd  int64
 
-	IsAck bool
-
 	// IsProbe marks a zero-window probe: it occupies no sequence space
 	// and only elicits an ACK from the receiver (TCP persist timer).
 	IsProbe bool
@@ -62,8 +56,9 @@ type Packet struct {
 	SentAt sim.Time
 	EchoTS sim.Time
 
-	// Retx marks a subflow-level retransmission (used by stats and to
-	// suppress bogus RTT samples without timestamps).
+	// Retx marks a subflow-level retransmission. The simulator never
+	// reads it; internal/transport's TestEmissionSequenceGolden hashes it
+	// into every emission record.
 	Retx bool
 
 	// HasSack/SackSeq carry a one-packet selective acknowledgment: the
@@ -99,18 +94,11 @@ func NewRoute(dest Endpoint, links ...*Link) *Route {
 	return &Route{Links: links, Dest: dest}
 }
 
-// Hops returns the number of links on the route.
-func (r *Route) Hops() int { return len(r.Links) }
-
 // Net owns the simulator handle and a packet freelist. All senders and
 // links in one experiment share a single Net.
 type Net struct {
 	Sim  *sim.Simulator
 	free []*Packet
-
-	// Stats
-	PacketsSent  int64
-	PacketsRecvd int64
 }
 
 // NewNet creates a network bound to s.
@@ -140,7 +128,6 @@ func (n *Net) FreePacket(p *Packet) {
 func (n *Net) Send(route *Route, pkt *Packet) {
 	pkt.route = route
 	pkt.hop = 0
-	n.PacketsSent++
 	n.forward(pkt)
 }
 
@@ -161,13 +148,11 @@ func (n *Net) SendAt(at sim.Time, route *Route, pkt *Packet) {
 // OnEvent implements sim.Handler; it is engine plumbing, not part of the
 // public surface. A packet event is either a delayed injection (hop 0,
 // scheduled by SendAt) or the completed crossing of route link hop-1
-// (scheduled by Link.enqueue), which settles that link's departure
-// accounting before the packet advances.
+// (scheduled by Link.enqueue), which drops the packet if that link went
+// down while it was on it.
 func (n *Net) OnEvent(arg any) {
 	pkt := arg.(*Packet)
-	if pkt.hop == 0 {
-		n.PacketsSent++
-	} else if !pkt.route.Links[pkt.hop-1].depart(n, pkt) {
+	if pkt.hop > 0 && !pkt.route.Links[pkt.hop-1].depart(n, pkt) {
 		return // stranded: the link went down mid-flight
 	}
 	n.forward(pkt)
@@ -176,9 +161,7 @@ func (n *Net) OnEvent(arg any) {
 // forward advances pkt to its next link, or delivers it.
 func (n *Net) forward(pkt *Packet) {
 	if pkt.hop >= len(pkt.route.Links) {
-		n.PacketsRecvd++
-		dest := pkt.route.Dest
-		dest.Receive(pkt)
+		pkt.route.Dest.Receive(pkt)
 		return
 	}
 	link := pkt.route.Links[pkt.hop]

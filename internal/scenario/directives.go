@@ -211,7 +211,7 @@ func (f *flapRun) step() {
 
 // BackgroundCBR attaches a bursty on/off constant-bit-rate interferer
 // (traffic.OnOffCBR) to link Link's forward direction between Start and
-// End (End 0 = forever). The burst rate is RateFactor times the link's
+// End. The burst rate is RateFactor times the link's
 // forward line rate at install, so the same script saturates a 100 Mb/s
 // access link and a 2 Mb/s radio alike; on/off periods are exponential
 // with the given means.
@@ -233,28 +233,26 @@ func (d BackgroundCBR) install(env *Env) error {
 	if d.RateFactor <= 0 || d.MeanOn <= 0 || d.MeanOff <= 0 {
 		return fmt.Errorf("CBR needs positive RateFactor and on/off means")
 	}
-	if d.End > 0 && d.End <= d.Start {
+	if d.End <= d.Start {
 		return fmt.Errorf("CBR needs End > Start (got %v..%v)", d.Start, d.End)
 	}
 	cbr := traffic.NewOnOffCBR(env.Net, l.AB.RateBps/1e6*d.RateFactor, d.MeanOn, d.MeanOff, l.AB)
 	env.Sim.At(d.Start, cbr.Start)
-	if d.End > 0 {
-		env.Sim.At(d.End, cbr.Stop)
-	}
+	env.Sim.At(d.End, cbr.Stop)
 	return nil
 }
 
 // FlowChurn spawns short-lived flows via Env.Spawn as a Poisson process
 // of Rate arrivals per second between Start and End, with
-// Pareto(Alpha)-distributed sizes of mean MeanPkts packets — the §3
-// flash-crowd/server workload as a reusable script. Arrival gaps and
-// sizes draw from env.Sim.Rand(); arrivals are counted in
-// env.ChurnArrivals. Runs on one rearm-in-place timer, released at End.
+// Pareto(1.5)-distributed sizes (the paper's file sizes) of mean
+// MeanPkts packets — the §3 flash-crowd/server workload as a reusable
+// script. Arrival gaps and sizes draw from env.Sim.Rand(); arrivals are
+// counted in env.ChurnArrivals. Runs on one rearm-in-place timer,
+// released at End.
 type FlowChurn struct {
 	Start, End sim.Time
 	Rate       float64 // arrivals per second
 	MeanPkts   float64 // mean flow size in packets
-	Alpha      float64 // Pareto shape; 0 = 1.5 (the paper's file sizes)
 }
 
 func (d FlowChurn) install(env *Env) error {
@@ -267,13 +265,7 @@ func (d FlowChurn) install(env *Env) error {
 	if d.End <= d.Start {
 		return fmt.Errorf("churn needs End > Start (got %v..%v)", d.Start, d.End)
 	}
-	if d.Alpha == 0 {
-		d.Alpha = 1.5
-	}
-	if d.Alpha <= 1 {
-		return fmt.Errorf("Pareto shape %v must exceed 1 for the mean to exist", d.Alpha)
-	}
-	c := &churnRun{env: env, d: d, sizes: traffic.NewParetoMean(d.Alpha, d.MeanPkts)}
+	c := &churnRun{env: env, d: d, sizes: traffic.NewParetoMean(1.5, d.MeanPkts)}
 	c.tm = env.Sim.NewTimer(c.step)
 	c.tm.ResetAt(d.Start)
 	return nil

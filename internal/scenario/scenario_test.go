@@ -60,8 +60,8 @@ func TestInstallValidation(t *testing.T) {
 		{"ramp backwards", scenario.RateRamp{Link: 0, Start: 2 * sim.Second, End: sim.Second, From: 1, To: 0.5, Steps: 4}, "End > Start"},
 		{"ramp to zero", scenario.RateRamp{Link: 0, To: 0}, "positive"},
 		{"churn without spawn", scenario.FlowChurn{Start: 0, End: sim.Second, Rate: 1, MeanPkts: 10}, "Spawn"},
-		{"churn bad shape", scenario.FlowChurn{Start: 0, End: sim.Second, Rate: 1, MeanPkts: 10, Alpha: 0.5}, "exceed 1"},
 		{"cbr bad factor", scenario.BackgroundCBR{Link: 0, RateFactor: 0, MeanOn: sim.Second, MeanOff: sim.Second}, "positive"},
+		{"cbr without end", scenario.BackgroundCBR{Link: 0, Start: sim.Second, RateFactor: 1, MeanOn: sim.Second, MeanOff: sim.Second}, "End > Start"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -67,8 +67,8 @@ func TestBanditReturnsMinusOneWhenNothingSendable(t *testing.T) {
 	}
 	cases := [][]View{
 		{},
-		{{Cwnd: 10, Inflight: 10, SRTT: 0.01, Sendable: true}},           // window full
-		{{Cwnd: 10, Inflight: 2, SRTT: 0.01, Sendable: false}},           // in recovery
+		{{Cwnd: 10, Inflight: 10, SRTT: 0.01, Sendable: true}},                                      // window full
+		{{Cwnd: 10, Inflight: 2, SRTT: 0.01, Sendable: false}},                                      // in recovery
 		{{Cwnd: 0, Inflight: 1, Sendable: true}, {Cwnd: 4, Inflight: 4, SRTT: 0.1, Sendable: true}}, // all bound
 	}
 	for i, subs := range cases {

@@ -62,9 +62,6 @@ func NewSharded(seed int64, n int) *Sharded {
 // Pipe.
 func (sh *Sharded) Domain(i int) *Simulator { return sh.doms[i] }
 
-// NumDomains returns the number of domains.
-func (sh *Sharded) NumDomains() int { return len(sh.doms) }
-
 // SetShards bounds how many domains run concurrently during an epoch.
 // Zero or negative means runtime.GOMAXPROCS(0). Results are
 // bit-identical for every value; shards only trades wall-clock time.
@@ -98,9 +95,6 @@ type Pipe struct {
 	src, dst int
 	latency  Time
 	buf      []msg // messages sent this epoch; single writer (src domain)
-
-	// Sent counts messages carried over the pipe's lifetime.
-	Sent int64
 }
 
 // NewPipe creates a pipe from domain src to domain dst with the given
@@ -129,7 +123,6 @@ func (sh *Sharded) NewPipe(src, dst int, latency Time) *Pipe {
 // touched concurrently.
 func (p *Pipe) Send(h Handler, arg any) {
 	p.buf = append(p.buf, msg{at: p.sh.doms[p.src].Now() + p.latency, h: h, arg: arg})
-	p.Sent++
 }
 
 // Run advances every domain to absolute time end. With pipes, execution

@@ -100,7 +100,6 @@ type payload struct {
 type Timer struct {
 	s    *Simulator
 	fn   func()
-	at   Time
 	slot int32 // slot of the timer's queued entry, -1 when idle
 }
 
@@ -118,9 +117,6 @@ func (t *Timer) Stop() bool {
 
 // Active reports whether the timer is still pending.
 func (t *Timer) Active() bool { return t != nil && t.slot >= 0 }
-
-// When returns the instant the timer is (or was last) scheduled to fire.
-func (t *Timer) When() Time { return t.at }
 
 // Reset (re)arms the timer to fire d from now. If the timer is already
 // queued its event is rearmed in place; otherwise a fresh event is
@@ -140,7 +136,6 @@ func (t *Timer) ResetAt(at Time) {
 		s.seq++
 		s.fix(int(s.pos[t.slot]), entry{at, s.seq, t.slot})
 	}
-	t.at = at
 }
 
 // Release stops the timer and returns it to the simulator's freelist for

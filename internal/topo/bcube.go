@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"mptcp/internal/netsim"
-	"mptcp/internal/sim"
 	"mptcp/internal/transport"
 )
 
@@ -34,28 +33,17 @@ type BCube struct {
 	pow []int // pow[i] = n^i
 }
 
-// BCubeConfig sets the link parameters; the paper uses 100 Mb/s links.
+// BCubeConfig sizes the fabric; its links are the paper's 100 Mb/s
+// (newFabricLink).
 type BCubeConfig struct {
-	N         int // switch port count (5 reproduces the paper)
-	K         int // levels-1 (2 reproduces the paper)
-	RateMbps  float64
-	Delay     sim.Time
-	QueuePkts int
+	N int // switch port count (5 reproduces the paper)
+	K int // levels-1 (2 reproduces the paper)
 }
 
 // NewBCube builds the topology.
 func NewBCube(cfg BCubeConfig) *BCube {
 	if cfg.N < 2 || cfg.K < 0 {
 		panic("topo: BCube needs n >= 2, k >= 0")
-	}
-	if cfg.RateMbps == 0 {
-		cfg.RateMbps = 100
-	}
-	if cfg.Delay == 0 {
-		cfg.Delay = 20 * sim.Microsecond
-	}
-	if cfg.QueuePkts == 0 {
-		cfg.QueuePkts = 100
 	}
 	b := &BCube{N: cfg.N, K: cfg.K}
 	levels := cfg.K + 1
@@ -71,8 +59,8 @@ func NewBCube(cfg BCubeConfig) *BCube {
 		b.up[l] = make([]*netsim.Link, b.hosts)
 		b.down[l] = make([]*netsim.Link, b.hosts)
 		for h := 0; h < b.hosts; h++ {
-			b.up[l][h] = netsim.NewLink(fmt.Sprintf("b-h%d-l%d-up", h, l), cfg.RateMbps, cfg.Delay, cfg.QueuePkts)
-			b.down[l][h] = netsim.NewLink(fmt.Sprintf("b-h%d-l%d-down", h, l), cfg.RateMbps, cfg.Delay, cfg.QueuePkts)
+			b.up[l][h] = newFabricLink(fmt.Sprintf("b-h%d-l%d-up", h, l))
+			b.down[l][h] = newFabricLink(fmt.Sprintf("b-h%d-l%d-down", h, l))
 		}
 	}
 	return b

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"mptcp/internal/netsim"
-	"mptcp/internal/sim"
 	"mptcp/internal/transport"
 )
 
@@ -33,12 +32,10 @@ type FatTree struct {
 	downCA [][]*netsim.Link   // [core][pod] core -> agg
 }
 
-// FatTreeConfig sets the link parameters; the paper uses 100 Mb/s links.
+// FatTreeConfig sizes the fabric; its links are the paper's 100 Mb/s
+// (newFabricLink).
 type FatTreeConfig struct {
-	K         int      // must be even; 8 reproduces the paper
-	RateMbps  float64  // default 100
-	Delay     sim.Time // per-link propagation, default 20 µs
-	QueuePkts int      // default 100
+	K int // must be even; 8 reproduces the paper
 }
 
 // NewFatTree builds the topology.
@@ -46,24 +43,12 @@ func NewFatTree(cfg FatTreeConfig) *FatTree {
 	if cfg.K%2 != 0 || cfg.K < 2 {
 		panic("topo: fat tree K must be even and >= 2")
 	}
-	if cfg.RateMbps == 0 {
-		cfg.RateMbps = 100
-	}
-	if cfg.Delay == 0 {
-		cfg.Delay = 20 * sim.Microsecond
-	}
-	if cfg.QueuePkts == 0 {
-		cfg.QueuePkts = 100
-	}
 	k := cfg.K
 	half := k / 2
 	ft := &FatTree{K: k, hosts: k * k * k / 4}
-	mk := func(name string) *netsim.Link {
-		return netsim.NewLink(name, cfg.RateMbps, cfg.Delay, cfg.QueuePkts)
-	}
 	for h := 0; h < ft.hosts; h++ {
-		ft.upHE = append(ft.upHE, mk(fmt.Sprintf("h%d-up", h)))
-		ft.downEH = append(ft.downEH, mk(fmt.Sprintf("h%d-down", h)))
+		ft.upHE = append(ft.upHE, newFabricLink(fmt.Sprintf("h%d-up", h)))
+		ft.downEH = append(ft.downEH, newFabricLink(fmt.Sprintf("h%d-down", h)))
 	}
 	ft.upEA = make([][][]*netsim.Link, k)
 	ft.downAE = make([][][]*netsim.Link, k)
@@ -73,13 +58,13 @@ func NewFatTree(cfg FatTreeConfig) *FatTree {
 		for e := 0; e < half; e++ {
 			ft.upEA[p][e] = make([]*netsim.Link, half)
 			for a := 0; a < half; a++ {
-				ft.upEA[p][e][a] = mk(fmt.Sprintf("p%d-e%d-a%d-up", p, e, a))
+				ft.upEA[p][e][a] = newFabricLink(fmt.Sprintf("p%d-e%d-a%d-up", p, e, a))
 			}
 		}
 		for a := 0; a < half; a++ {
 			ft.downAE[p][a] = make([]*netsim.Link, half)
 			for e := 0; e < half; e++ {
-				ft.downAE[p][a][e] = mk(fmt.Sprintf("p%d-a%d-e%d-down", p, a, e))
+				ft.downAE[p][a][e] = newFabricLink(fmt.Sprintf("p%d-a%d-e%d-down", p, a, e))
 			}
 		}
 	}
@@ -88,7 +73,7 @@ func NewFatTree(cfg FatTreeConfig) *FatTree {
 	for ag := 0; ag < nAgg; ag++ {
 		ft.upAC[ag] = make([]*netsim.Link, half)
 		for c := 0; c < half; c++ {
-			ft.upAC[ag][c] = mk(fmt.Sprintf("ag%d-c%d-up", ag, c))
+			ft.upAC[ag][c] = newFabricLink(fmt.Sprintf("ag%d-c%d-up", ag, c))
 		}
 	}
 	nCore := half * half
@@ -96,7 +81,7 @@ func NewFatTree(cfg FatTreeConfig) *FatTree {
 	for c := 0; c < nCore; c++ {
 		ft.downCA[c] = make([]*netsim.Link, k)
 		for p := 0; p < k; p++ {
-			ft.downCA[c][p] = mk(fmt.Sprintf("c%d-p%d-down", c, p))
+			ft.downCA[c][p] = newFabricLink(fmt.Sprintf("c%d-p%d-down", c, p))
 		}
 	}
 	return ft

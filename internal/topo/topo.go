@@ -85,6 +85,18 @@ func PathThrough(ds ...*Duplex) transport.Path {
 	return p
 }
 
+// The §4 data centres (FatTree, BCube) build every link alike: the
+// paper's 100 Mb/s, 20 µs of propagation and a 100-packet buffer.
+const (
+	fabricRateMbps  = 100
+	fabricDelay     = 20 * sim.Microsecond
+	fabricQueuePkts = 100
+)
+
+func newFabricLink(name string) *netsim.Link {
+	return netsim.NewLink(name, fabricRateMbps, fabricDelay, fabricQueuePkts)
+}
+
 // BDPPackets returns the bandwidth-delay product in 1500-byte packets for
 // rate (Mb/s) and round-trip time.
 func BDPPackets(rateMbps float64, rtt sim.Time) int {

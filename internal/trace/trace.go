@@ -124,8 +124,8 @@ type Event struct {
 	// Seq is a sequence number payload (subflow seq for Retx/Loss, data
 	// seq for SchedPick/OppRetx).
 	Seq int64
-	// V and W are numeric payloads (cwnd, rtt seconds, link values).
-	V, W float64
+	// V is the numeric payload (cwnd, rtt seconds, link values).
+	V float64
 	// Name labels link events with the link name.
 	Name string
 	// Label carries a short discriminator ("fast"/"rto", "down"/"up"/

@@ -138,14 +138,12 @@ func (p Pareto) Sample(rng *rand.Rand) float64 {
 func (p Pareto) Mean() float64 { return p.Alpha * p.Xm / (p.Alpha - 1) }
 
 // PoissonArrivals invokes spawn at exponentially distributed intervals
-// with the given rate (arrivals per second). The rate may be changed at
-// any time (§3 alternates 10/s and 60/s); set 0 to pause.
+// with the given rate (arrivals per second), which must be positive. The
+// rate may be changed at any time (§3 alternates 10/s and 60/s).
 type PoissonArrivals struct {
 	Net   *netsim.Net
 	Rate  float64
 	Spawn func()
-
-	Arrivals int64
 }
 
 // Start schedules the first arrival.
@@ -163,13 +161,7 @@ func PoissonGap(rng *rand.Rand, rate float64) sim.Time {
 }
 
 func (pa *PoissonArrivals) next() {
-	if pa.Rate <= 0 {
-		// Poll again shortly in case the rate is restored.
-		pa.Net.Sim.After(10*sim.Millisecond, pa.next)
-		return
-	}
 	pa.Net.Sim.After(PoissonGap(pa.Net.Sim.Rand(), pa.Rate), func() {
-		pa.Arrivals++
 		pa.Spawn()
 		pa.next()
 	})
@@ -177,11 +169,10 @@ func (pa *PoissonArrivals) next() {
 
 // Permutation returns a random permutation traffic pattern (TP1): dst[i]
 // is the destination of host i, with dst[i] != i and each host receiving
-// exactly one flow (a derangement-ish permutation: fixed points are
-// re-rolled a bounded number of times, then rotated away).
+// exactly one flow. It draws a uniform permutation and swaps each fixed
+// point once with its cyclic successor, which never creates a new one.
 func Permutation(rng *rand.Rand, n int) []int {
 	dst := rng.Perm(n)
-	// Remove fixed points by swapping with a neighbour.
 	for i := 0; i < n; i++ {
 		if dst[i] == i {
 			j := (i + 1) % n

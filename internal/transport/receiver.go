@@ -69,7 +69,6 @@ func (r *Receiver) Receive(pkt *netsim.Packet) {
 func (r *Receiver) sendAck(sub int, echo sim.Time, sack int64) {
 	a := r.net.AllocPacket()
 	a.Size = netsim.AckPacketSize
-	a.IsAck = true
 	a.FlowID = r.conn.ID
 	a.SubflowID = sub
 	a.Ack = r.SubRcvNxt(sub)

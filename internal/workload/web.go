@@ -85,25 +85,20 @@ func FetchPage(env *Env, p Page, done func(plt sim.Time)) {
 }
 
 // Web is the page-browsing workload: Sessions independent users, each
-// cycling think → load page → think. Stats.Latency summarises page-load
-// time in seconds; Issued/Completed count whole pages.
+// cycling think → load page → think, each page drawn by randomPage.
+// Stats.Latency summarises page-load time in seconds; Issued/Completed
+// count whole pages.
 type Web struct {
 	Sessions  int
 	ThinkMean sim.Time // exponential think time between pages
-	// MakePage draws the next page's shape; nil means DefaultPage.
-	MakePage func(r *rand.Rand) Page
 }
 
 func (w Web) Name() string { return "web" }
 
 func (w Web) Install(env *Env) *Stats {
 	st := newStats()
-	mk := w.MakePage
-	if mk == nil {
-		mk = DefaultPage
-	}
 	for i := 0; i < w.Sessions; i++ {
-		s := &webSession{w: w, mk: mk, env: env, st: st}
+		s := &webSession{w: w, env: env, st: st}
 		s.think()
 	}
 	return st
@@ -111,7 +106,6 @@ func (w Web) Install(env *Env) *Stats {
 
 type webSession struct {
 	w   Web
-	mk  func(r *rand.Rand) Page
 	env *Env
 	st  *Stats
 }
@@ -126,19 +120,19 @@ func (s *webSession) load() {
 		return
 	}
 	s.st.Issued++
-	FetchPage(s.env, s.mk(s.env.Sim.Rand()), func(plt sim.Time) {
+	FetchPage(s.env, randomPage(s.env.Sim.Rand()), func(plt sim.Time) {
 		s.st.Completed++
 		s.st.Latency.Add(plt.Seconds())
 		s.think()
 	})
 }
 
-// DefaultPage draws a small web page: one HTML root, a few stylesheets
+// randomPage draws a small web page: one HTML root, a few stylesheets
 // and scripts depending on the root, and a handful of images each
 // depending on the root plus one random script (the script "inserted"
 // it). Sizes and counts are modest so a page is mice-sized — tens of
 // packets — which is what makes page-load time scheduler-sensitive.
-func DefaultPage(r *rand.Rand) Page {
+func randomPage(r *rand.Rand) Page {
 	objs := []Object{{Pkts: 6}} // the HTML document
 	nScript := 2 + r.Intn(3)
 	for i := 0; i < nScript; i++ {
