@@ -15,7 +15,7 @@
 //	mptcp-exp -exp fleet [-shards 4] -json
 //	mptcp-exp -analyze [-csv out.csv] grid.jsonl trace.jsonl
 //	mptcp-exp -analyze -diff A.jsonl B.jsonl
-//	mptcp-exp -train-sched internal/learn/bandit.model -seed 1 -scale 0.2 [-train-rounds 40]
+//	mptcp-exp -train-sched internal/sched/bandit.model -seed 1 -scale 0.2 [-train-rounds 40]
 //
 // Independent trial cells fan out across -parallel workers (default
 // GOMAXPROCS); results are bit-identical for every worker count. With

@@ -15,7 +15,7 @@ import (
 // checked-in model behind sched.New("bandit") is produced by the
 // pinned command documented in DESIGN.md §14:
 //
-//	go run ./cmd/mptcp-exp -train-sched internal/learn/bandit.model -seed 1 -scale 0.2 -train-rounds 40
+//	go run ./cmd/mptcp-exp -train-sched internal/sched/bandit.model -seed 1 -scale 0.2 -train-rounds 40
 func runTrainSched(file string, seed int64, scale float64, rounds, parallel int) error {
 	model, report := exp.TrainSched(exp.TrainConfig{
 		Seed:        seed,

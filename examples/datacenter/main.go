@@ -11,7 +11,6 @@ import (
 
 	"mptcp/internal/core"
 	"mptcp/internal/metrics"
-	"mptcp/internal/model"
 	"mptcp/internal/netsim"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
@@ -65,7 +64,7 @@ func main() {
 			mode = fmt.Sprintf("MPTCP over %d random paths", *npaths)
 		}
 		fmt.Printf("%-28s mean %5.1f Mb/s/host  p10 %5.1f  Jain %.3f\n",
-			mode, metrics.Mean(rates), metrics.Percentile(rates, 10), model.JainIndex(rates))
+			mode, metrics.Mean(rates), metrics.Percentile(rates, 10), metrics.JainIndex(rates))
 	}
 	fmt.Printf("\n(FatTree k=%d: %d hosts; the paper's Fig. 12/13 use k=8 with 8 paths)\n",
 		*k, (*k)*(*k)*(*k)/4)

@@ -31,7 +31,7 @@ func main() {
 		nw := netsim.NewNet(s)
 		wl := topo.NewWireless(topo.WirelessConfig{
 			WiFiMbps: 6, WiFiDelay: 8 * sim.Millisecond, WiFiLoss: 0.015, WiFiBuf: 20,
-			G3Mbps: 2.0, G3Delay: 60 * sim.Millisecond, G3Buf: 300,
+			G3Mbps: 2.0, G3Delay: 60 * sim.Millisecond, G3Loss: 0.0005, G3Buf: 300,
 		})
 		mp := transport.NewConn(nw, transport.Config{Alg: alg, Paths: wl.Paths()})
 		tcpWiFi := transport.NewConn(nw, transport.Config{Paths: wl.Paths()[:1]})

@@ -1,32 +1,13 @@
-// Package cc is the pluggable congestion-control subsystem: a registry
-// of named algorithm constructors with per-algorithm metadata, plus the
-// extended algorithm contract (optional hooks) that post-paper
-// algorithms need.
+// Package cc is the congestion-control name catalogue: one list (below)
+// of every algorithm in internal/core with its constructor and Info
+// record. New resolves names by internal/registry's rule. Callers — the
+// CLI tools, the experiment registry, tests — never hard-code the
+// algorithm list; they derive it from Names/Infos.
 //
-// internal/core keeps the paper's pure window arithmetic and defines the
-// base core.Algorithm contract (Increase/Decrease); this package owns
-//
-//   - construction by name: one catalogue (below) lists every
-//     algorithm's constructor and Info record, and New resolves names
-//     by internal/registry's rule. Callers — the CLI tools, the
-//     experiment registry, tests — never hard-code the algorithm list;
-//     they derive it from Names/Infos.
-//   - the optional hooks RTTObserver and LossObserver, which both
-//     endpoint stacks (internal/transport and internal/mptcpnet) probe
-//     for once at connection setup and invoke on the corresponding
-//     protocol events. Loss-based AIMD algorithms ignore them;
-//     delay-based ones (wVegas) and algorithms with per-loss-event state
-//     (OLIA) need them.
-//
-// Besides the paper's five algorithms (implemented in internal/core),
-// the package implements the Linux-kernel successor family surveyed by
-// Kimura & Loureiro, "MPTCP Linux Kernel Congestion Controls": OLIA
-// (olia.go), BALIA (balia.go) and the delay-based wVegas (wvegas.go).
-//
-// Algorithm instances returned by New are fresh per call and, like
-// core's, are owned by exactly one connection: stateful algorithms
-// (MPTCP's cache, OLIA's inter-loss counters, wVegas's per-path epochs)
-// must never be shared across connections or goroutines.
+// Algorithm instances returned by New are fresh per call and owned by
+// exactly one connection: stateful algorithms (MPTCP's cache, OLIA's
+// inter-loss counters, wVegas's per-path epochs) must never be shared
+// across connections or goroutines.
 package cc
 
 import (
@@ -36,27 +17,6 @@ import (
 	"mptcp/internal/core"
 	"mptcp/internal/registry"
 )
-
-// RTTObserver is an optional extension of core.Algorithm: OnRTTSample is
-// invoked for every new RTT measurement taken on subflow r, before any
-// congestion-avoidance Increase calls for the ACK that carried the
-// sample. subs is the connection's live congestion state (read-only for
-// the observer) and rtt is the raw, unsmoothed sample in seconds.
-// Delay-based algorithms use the stream of samples to estimate
-// propagation delay (their minimum) and queuing delay (the excess).
-type RTTObserver interface {
-	OnRTTSample(subs []core.Subflow, r int, rtt float64)
-}
-
-// LossObserver is an optional extension of core.Algorithm: OnLoss is
-// invoked once per loss event on subflow r — fast-retransmit entry or a
-// retransmission timeout — immediately before the algorithm's Decrease
-// is applied for that event. Algorithms that keep per-loss-event state
-// (e.g. OLIA's inter-loss ACK counters) update it here; Decrease stays
-// pure window arithmetic.
-type LossObserver interface {
-	OnLoss(subs []core.Subflow, r int)
-}
 
 // Info is the registry metadata of one algorithm.
 type Info struct {
@@ -70,13 +30,6 @@ type Info struct {
 	// Ref names the algorithm's origin (paper section, RFC, kernel
 	// module).
 	Ref string
-	// DelayBased marks algorithms driven by queuing delay rather than
-	// loss.
-	DelayBased bool
-	// Hooks lists the optional hook interfaces the algorithm
-	// implements ("OnRTTSample", "OnLoss"). Filled in from the
-	// constructor's concrete type; never hand-maintained.
-	Hooks []string
 }
 
 type entry struct {
@@ -108,31 +61,23 @@ func init() {
 			func() core.Algorithm { return &core.MPTCP{} }},
 		{Info{Name: "OLIA", Ref: "Khalili et al. CoNEXT'12, Linux mptcp_olia",
 			Desc: "opportunistic linked increases: Pareto-optimality fix, probe traffic steered to the best paths"},
-			func() core.Algorithm { return &OLIA{} }},
+			func() core.Algorithm { return &core.OLIA{} }},
 		{Info{Name: "BALIA", Ref: "Peng et al. ToN'16, Linux mptcp_balia",
 			Desc: "balanced linked adaptation: trades off TCP-friendliness vs responsiveness between LIA and OLIA"},
-			func() core.Algorithm { return BALIA{} }},
-		{Info{Name: "WVEGAS", Aliases: []string{"VEGAS"}, Ref: "Cao et al. ICNP'12, Linux mptcp_wvegas", DelayBased: true,
+			func() core.Algorithm { return core.BALIA{} }},
+		{Info{Name: "WVEGAS", Aliases: []string{"VEGAS"}, Ref: "Cao et al. ICNP'12, Linux mptcp_wvegas",
 			Desc: "weighted Vegas: delay-based, backs off on queuing delay before queues overflow"},
-			func() core.Algorithm { return &WVegas{} }},
+			func() core.Algorithm { return &core.WVegas{} }},
 	} {
 		register(e)
 	}
 }
 
-// register adds e to the catalogue and fills its Hooks by probing which
-// optional interfaces the constructed type implements. A constructor
-// that builds an algorithm of another name panics.
+// register adds e to the catalogue. A constructor that builds an
+// algorithm of another name panics.
 func register(e entry) {
-	probe := e.ctor()
-	if probe.Name() != e.Name {
+	if probe := e.ctor(); probe.Name() != e.Name {
 		panic(fmt.Sprintf("cc: %s constructor builds algorithm named %q", e.Name, probe.Name()))
-	}
-	if _, ok := probe.(RTTObserver); ok {
-		e.Hooks = append(e.Hooks, "OnRTTSample")
-	}
-	if _, ok := probe.(LossObserver); ok {
-		e.Hooks = append(e.Hooks, "OnLoss")
 	}
 	algorithms.Add(e, e.Name, e.Aliases...)
 }
@@ -145,12 +90,6 @@ func New(name string) (core.Algorithm, error) {
 		return nil, err
 	}
 	return e.ctor(), nil
-}
-
-// Lookup returns the Info registered under name (or an alias).
-func Lookup(name string) (Info, bool) {
-	e, err := algorithms.Lookup(name)
-	return e.Info, err == nil
 }
 
 // Names lists the canonical algorithm names in catalogue order.

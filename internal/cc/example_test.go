@@ -33,13 +33,3 @@ func ExampleNames() {
 	// Output:
 	// REGULAR EWTCP COUPLED SEMICOUPLED MPTCP OLIA BALIA WVEGAS
 }
-
-// Per-algorithm metadata records which optional hooks an implementation
-// uses; the endpoint stacks resolve the same interfaces by type
-// assertion at connection setup.
-func ExampleLookup() {
-	info, _ := cc.Lookup("wvegas")
-	fmt.Println(info.Name, info.DelayBased, strings.Join(info.Hooks, ","))
-	// Output:
-	// WVEGAS true OnRTTSample,OnLoss
-}

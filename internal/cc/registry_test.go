@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -48,24 +47,22 @@ func TestInfoMetadataComplete(t *testing.T) {
 	}
 }
 
+// TestHooksMetadataMatchesImplementations: the protocol core finds an
+// algorithm's hooks by type assertion on what New builds, so a
+// constructor that returned a value where the hooks have pointer
+// receivers would silently drop them.
 func TestHooksMetadataMatchesImplementations(t *testing.T) {
-	want := map[string][]string{
-		"REGULAR":     nil,
-		"EWTCP":       nil,
-		"COUPLED":     nil,
-		"SEMICOUPLED": nil,
-		"MPTCP":       nil,
-		"OLIA":        {"OnLoss"},
-		"BALIA":       nil,
-		"WVEGAS":      {"OnRTTSample", "OnLoss"},
+	want := map[string][2]bool{ // {RTTObserver, LossObserver}
+		"OLIA":   {false, true},
+		"WVEGAS": {true, true},
 	}
-	for _, info := range Infos() {
-		if !reflect.DeepEqual(info.Hooks, want[info.Name]) {
-			t.Errorf("%s hooks = %v, want %v", info.Name, info.Hooks, want[info.Name])
+	for _, name := range Names() {
+		alg, _ := New(name)
+		_, rtt := alg.(core.RTTObserver)
+		_, loss := alg.(core.LossObserver)
+		if got := [2]bool{rtt, loss}; got != want[name] {
+			t.Errorf("%s: (RTTObserver, LossObserver) = %v, want %v", name, got, want[name])
 		}
-	}
-	if info, _ := Lookup("WVEGAS"); !info.DelayBased {
-		t.Error("WVEGAS should be marked delay-based")
 	}
 }
 

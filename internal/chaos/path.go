@@ -70,27 +70,13 @@ func (p *Path) Killed() bool {
 	return p.killed
 }
 
-// SetConfig replaces the whole fault model. Datagrams already scheduled
-// keep the faults drawn at write time.
-func (p *Path) SetConfig(cfg PathConfig) {
-	p.mu.Lock()
-	p.cfg = cfg
-	p.mu.Unlock()
-}
-
-// Update mutates the fault model in place under the lock — for tweaking
-// one knob without racing another mutator's read-modify-write.
+// Update mutates the fault model in place under the lock, so one knob
+// can change without racing another mutator's read-modify-write.
+// Datagrams already scheduled keep the faults drawn at write time.
 func (p *Path) Update(f func(*PathConfig)) {
 	p.mu.Lock()
 	f(&p.cfg)
 	p.mu.Unlock()
-}
-
-// Config returns a copy of the current fault model.
-func (p *Path) Config() PathConfig {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cfg
 }
 
 // Stats returns the counter snapshot. Safe while writers run.

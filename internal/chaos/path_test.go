@@ -163,7 +163,7 @@ func TestPathReorderHoldsBack(t *testing.T) {
 	p := New(s, PathConfig{ReorderRate: 1, ReorderDelay: 40 * time.Millisecond}, 4)
 	defer p.Close()
 	p.WriteTo([]byte{1}, sinkAddr{}) //nolint:errcheck — held back 40ms
-	p.SetConfig(PathConfig{})
+	p.Update(func(c *PathConfig) { c.ReorderRate = 0 })
 	p.WriteTo([]byte{2}, sinkAddr{}) //nolint:errcheck — direct
 	deadline := time.Now().Add(2 * time.Second)
 	for len(s.got()) < 2 {

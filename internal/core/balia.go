@@ -1,6 +1,4 @@
-package cc
-
-import "mptcp/internal/core"
+package core
 
 // BALIA is the Balanced Linked Adaptation algorithm of Peng, Walid,
 // Hickey & Low ("Multipath TCP: Analysis, Design, and Implementation",
@@ -29,30 +27,30 @@ type BALIA struct{}
 func (BALIA) Name() string { return "BALIA" }
 
 // alphaAndSum returns α_r = max_k(x_k)/x_r and Σ_k x_k.
-func (BALIA) alphaAndSum(subs []core.Subflow, r int) (alpha, sum float64) {
+func (BALIA) alphaAndSum(subs []Subflow, r int) (alpha, sum float64) {
 	maxX := 0.0
 	for i := range subs {
-		x := flooredCwnd(&subs[i]) / subflowRTT(&subs[i])
+		x := floorMin(subs[i].Cwnd) / subs[i].rtt()
 		sum += x
 		if x > maxX {
 			maxX = x
 		}
 	}
-	xr := flooredCwnd(&subs[r]) / subflowRTT(&subs[r])
+	xr := floorMin(subs[r].Cwnd) / subs[r].rtt()
 	return maxX / xr, sum
 }
 
-func (b BALIA) Increase(subs []core.Subflow, r int) float64 {
+func (b BALIA) Increase(subs []Subflow, r int) float64 {
 	if len(subs) == 1 {
-		return 1 / flooredCwnd(&subs[0])
+		return 1 / floorMin(subs[0].Cwnd)
 	}
 	alpha, sum := b.alphaAndSum(subs, r)
-	wr := flooredCwnd(&subs[r])
-	rtt := subflowRTT(&subs[r])
+	wr := floorMin(subs[r].Cwnd)
+	rtt := subs[r].rtt()
 	return (wr / (rtt * rtt)) / (sum * sum) * ((1 + alpha) / 2) * ((4 + alpha) / 5)
 }
 
-func (b BALIA) Decrease(subs []core.Subflow, r int) float64 {
+func (b BALIA) Decrease(subs []Subflow, r int) float64 {
 	w := subs[r].Cwnd
 	if len(subs) == 1 {
 		w /= 2
@@ -63,8 +61,5 @@ func (b BALIA) Decrease(subs []core.Subflow, r int) float64 {
 		}
 		w *= 1 - alpha/2
 	}
-	if w < core.MinCwnd {
-		w = core.MinCwnd
-	}
-	return w
+	return floorMin(w)
 }

@@ -8,7 +8,11 @@
 //     to the least-congested path,
 //   - SEMICOUPLED (§2.4): coupled increase, per-subflow decrease,
 //   - MPTCP (§2, eq. (1)): SEMICOUPLED with RTT compensation and the
-//     1/w_r cap, the paper's final algorithm (standardised as RFC 6356).
+//     1/w_r cap, the paper's final algorithm (standardised as RFC 6356),
+//
+// and the Linux-kernel successor family surveyed by Kimura & Loureiro,
+// "MPTCP Linux Kernel Congestion Controls": OLIA (olia.go), BALIA
+// (balia.go) and the delay-based wVegas (wvegas.go).
 //
 // The algorithms are pure window arithmetic with no dependency on the
 // simulator or on real sockets: the one protocol core (internal/proto)
@@ -18,13 +22,14 @@
 // Windows are measured in packets, as in the paper. An Algorithm only
 // governs congestion avoidance; slow start, fast recovery and timeouts are
 // the transport's business (they are identical across the algorithms
-// evaluated in the paper).
+// evaluated in the paper). Two optional hooks, RTTObserver and
+// LossObserver, feed the successors that need RTT samples (wVegas) or
+// per-loss-event state (OLIA, wVegas).
 //
-// Construction by name lives in internal/cc: every algorithm — these
-// five and the Linux-kernel successors implemented there — registers a
-// named constructor plus metadata in that package's registry, and the
-// optional hook interfaces (RTT samples, per-loss-event state) extending
-// this package's Algorithm contract are defined there too.
+// Construction by name lives in internal/cc, the catalogue of every
+// algorithm here. Stateful instances (MPTCP's cache, OLIA's inter-loss
+// counters, wVegas's per-path epochs) are owned by exactly one
+// connection and never shared across connections or goroutines.
 package core
 
 import (
@@ -69,6 +74,27 @@ type Algorithm interface {
 	// loss event on r (the multiplicative-decrease step). The result is
 	// already floored at MinCwnd.
 	Decrease(subs []Subflow, r int) float64
+}
+
+// RTTObserver is an optional extension of Algorithm: OnRTTSample is
+// invoked for every new RTT measurement taken on subflow r, before any
+// congestion-avoidance Increase calls for the ACK that carried the
+// sample. subs is the connection's live congestion state (read-only for
+// the observer) and rtt is the raw, unsmoothed sample in seconds.
+// Delay-based algorithms use the stream of samples to estimate
+// propagation delay (their minimum) and queuing delay (the excess).
+type RTTObserver interface {
+	OnRTTSample(subs []Subflow, r int, rtt float64)
+}
+
+// LossObserver is an optional extension of Algorithm: OnLoss is invoked
+// once per loss event on subflow r — fast-retransmit entry or a
+// retransmission timeout — immediately before the algorithm's Decrease
+// is applied for that event. Algorithms that keep per-loss-event state
+// (e.g. OLIA's inter-loss ACK counters) update it here; Decrease stays
+// pure window arithmetic.
+type LossObserver interface {
+	OnLoss(subs []Subflow, r int)
 }
 
 // TotalCwnd returns the sum of the subflow windows ("w_total").

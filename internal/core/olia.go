@@ -1,6 +1,4 @@
-package cc
-
-import "mptcp/internal/core"
+package core
 
 // OLIA is the Opportunistic Linked-Increases Algorithm of Khalili,
 // Gast, Popović & Le Boudec ("MPTCP is not Pareto-optimal", CoNEXT'12;
@@ -28,7 +26,7 @@ import "mptcp/internal/core"
 // the last loss on r and between the two preceding losses (the larger
 // of the two, so a path is not written off the instant a loss hits). It
 // therefore implements the LossObserver hook; RTTs come from the
-// smoothed estimates the transport already maintains in core.Subflow.
+// smoothed estimates the transport already maintains in Subflow.
 type OLIA struct {
 	l1 []float64 // packets ACKed on r since the last loss on r
 	l0 []float64 // packets ACKed between the two preceding losses on r
@@ -56,40 +54,26 @@ func (o *OLIA) interLoss(r int) float64 {
 	return l
 }
 
-func subflowRTT(s *core.Subflow) float64 {
-	if s.SRTT > 0 {
-		return s.SRTT
-	}
-	return core.DefaultSRTT
-}
-
-func flooredCwnd(s *core.Subflow) float64 {
-	if s.Cwnd < core.MinCwnd {
-		return core.MinCwnd
-	}
-	return s.Cwnd
-}
-
-func (o *OLIA) Increase(subs []core.Subflow, r int) float64 {
+func (o *OLIA) Increase(subs []Subflow, r int) float64 {
 	n := len(subs)
 	o.ensure(n)
 	o.l1[r]++ // one more ACK since the last loss on r
 	if n == 1 {
-		return 1 / flooredCwnd(&subs[0])
+		return 1 / floorMin(subs[0].Cwnd)
 	}
 	den := 0.0
 	for i := range subs {
-		den += flooredCwnd(&subs[i]) / subflowRTT(&subs[i])
+		den += floorMin(subs[i].Cwnd) / subs[i].rtt()
 	}
-	wr := flooredCwnd(&subs[r])
-	rtt := subflowRTT(&subs[r])
+	wr := floorMin(subs[r].Cwnd)
+	rtt := subs[r].rtt()
 	return (wr/(rtt*rtt))/(den*den) + o.alpha(subs, r)/wr
 }
 
 // alpha computes α_r from the current best-path and max-window sets.
 // Set membership uses a small relative tolerance so exactly-equal
 // floating-point windows tie rather than flap.
-func (o *OLIA) alpha(subs []core.Subflow, r int) float64 {
+func (o *OLIA) alpha(subs []Subflow, r int) float64 {
 	const tol = 1 - 1e-9
 	n := len(subs)
 	bestQual, maxW := 0.0, 0.0
@@ -97,14 +81,14 @@ func (o *OLIA) alpha(subs []core.Subflow, r int) float64 {
 		if q := o.quality(subs, i); q > bestQual {
 			bestQual = q
 		}
-		if w := flooredCwnd(&subs[i]); w > maxW {
+		if w := floorMin(subs[i].Cwnd); w > maxW {
 			maxW = w
 		}
 	}
 	var nBnotM, nM int
 	rInBnotM, rInM := false, false
 	for i := range subs {
-		inM := flooredCwnd(&subs[i]) >= maxW*tol
+		inM := floorMin(subs[i].Cwnd) >= maxW*tol
 		inB := o.quality(subs, i) >= bestQual*tol
 		if inM {
 			nM++
@@ -134,23 +118,19 @@ func (o *OLIA) alpha(subs []core.Subflow, r int) float64 {
 // quality ranks paths by ℓ_r²/rtt_r², proportional to the square of the
 // rate a single-path TCP would achieve there (√(2/p_r)/rtt_r with
 // p_r ≈ 1/ℓ_r) — the OLIA paper's "best paths" criterion.
-func (o *OLIA) quality(subs []core.Subflow, i int) float64 {
+func (o *OLIA) quality(subs []Subflow, i int) float64 {
 	l := o.interLoss(i)
-	rtt := subflowRTT(&subs[i])
+	rtt := subs[i].rtt()
 	return (l * l) / (rtt * rtt)
 }
 
-func (o *OLIA) Decrease(subs []core.Subflow, r int) float64 {
-	w := subs[r].Cwnd / 2
-	if w < core.MinCwnd {
-		w = core.MinCwnd
-	}
-	return w
+func (o *OLIA) Decrease(subs []Subflow, r int) float64 {
+	return floorMin(subs[r].Cwnd / 2)
 }
 
 // OnLoss rotates the inter-loss counters: the window that just ended
 // becomes the previous one and a new count starts.
-func (o *OLIA) OnLoss(subs []core.Subflow, r int) {
+func (o *OLIA) OnLoss(subs []Subflow, r int) {
 	o.ensure(len(subs))
 	o.l0[r] = o.l1[r]
 	o.l1[r] = 0

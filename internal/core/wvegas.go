@@ -1,6 +1,4 @@
-package cc
-
-import "mptcp/internal/core"
+package core
 
 // totalAlpha is wVegas's target for the total number of packets the
 // connection keeps queued across all its paths (the kernel module's
@@ -50,7 +48,7 @@ func (v *WVegas) ensure(n int) {
 }
 
 // OnRTTSample feeds one raw RTT measurement on subflow r.
-func (v *WVegas) OnRTTSample(subs []core.Subflow, r int, rtt float64) {
+func (v *WVegas) OnRTTSample(subs []Subflow, r int, rtt float64) {
 	if rtt <= 0 {
 		return
 	}
@@ -65,7 +63,7 @@ func (v *WVegas) OnRTTSample(subs []core.Subflow, r int, rtt float64) {
 
 // OnLoss discards the current epoch's measurements: the queue state
 // that produced them died with the lost packet's window.
-func (v *WVegas) OnLoss(subs []core.Subflow, r int) {
+func (v *WVegas) OnLoss(subs []Subflow, r int) {
 	v.ensure(len(subs))
 	v.st[r].sumRTT, v.st[r].cnt, v.st[r].acked = 0, 0, 0
 }
@@ -76,11 +74,11 @@ func (v *WVegas) OnLoss(subs []core.Subflow, r int) {
 // path's queue share is below α_r, or a negative step down to
 // w_r·baseRTT_r/rtt_r when queuing delay has grown past it. Between
 // boundaries it returns 0.
-func (v *WVegas) Increase(subs []core.Subflow, r int) float64 {
+func (v *WVegas) Increase(subs []Subflow, r int) float64 {
 	v.ensure(len(subs))
 	st := &v.st[r]
 	st.acked++
-	w := flooredCwnd(&subs[r])
+	w := floorMin(subs[r].Cwnd)
 	if st.acked < w {
 		return 0
 	}
@@ -91,29 +89,25 @@ func (v *WVegas) Increase(subs []core.Subflow, r int) float64 {
 	}
 	diff := w * (rtt - st.baseRTT) / rtt
 	if diff > v.alphaFor(subs, r) {
-		target := w * st.baseRTT / rtt
-		if target < core.MinCwnd {
-			target = core.MinCwnd
-		}
-		return target - w // ≤ 0: back off to drain the excess queue
+		return floorMin(w*st.baseRTT/rtt) - w // ≤ 0: back off to drain the excess queue
 	}
 	return 1
 }
 
 // epochRTT is the epoch's mean RTT sample, falling back to the smoothed
 // estimate when the epoch carried no samples.
-func (v *WVegas) epochRTT(subs []core.Subflow, r int) float64 {
+func (v *WVegas) epochRTT(subs []Subflow, r int) float64 {
 	st := &v.st[r]
 	if st.cnt > 0 {
 		return st.sumRTT / float64(st.cnt)
 	}
-	return subflowRTT(&subs[r])
+	return subs[r].rtt()
 }
 
 // alphaFor is subflow r's share of the connection's queued-packet
 // budget, proportional to its share of the aggregate rate and at least
 // one packet so every path keeps probing.
-func (v *WVegas) alphaFor(subs []core.Subflow, r int) float64 {
+func (v *WVegas) alphaFor(subs []Subflow, r int) float64 {
 	sum := 0.0
 	for i := range subs {
 		sum += v.rate(subs, i)
@@ -127,21 +121,17 @@ func (v *WVegas) alphaFor(subs []core.Subflow, r int) float64 {
 
 // rate estimates subflow i's throughput from its window and propagation
 // delay (baseRTT when known, smoothed RTT otherwise).
-func (v *WVegas) rate(subs []core.Subflow, i int) float64 {
-	rtt := subflowRTT(&subs[i])
+func (v *WVegas) rate(subs []Subflow, i int) float64 {
+	rtt := subs[i].rtt()
 	if i < len(v.st) && v.st[i].baseRTT > 0 {
 		rtt = v.st[i].baseRTT
 	}
-	return flooredCwnd(&subs[i]) / rtt
+	return floorMin(subs[i].Cwnd) / rtt
 }
 
 // Decrease halves the window: loss overrides the delay signal.
-func (v *WVegas) Decrease(subs []core.Subflow, r int) float64 {
-	w := subs[r].Cwnd / 2
-	if w < core.MinCwnd {
-		w = core.MinCwnd
-	}
-	return w
+func (v *WVegas) Decrease(subs []Subflow, r int) float64 {
+	return floorMin(subs[r].Cwnd / 2)
 }
 
 var (

@@ -5,7 +5,6 @@ import (
 
 	"mptcp/internal/cc"
 	"mptcp/internal/metrics"
-	"mptcp/internal/model"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 )
@@ -88,7 +87,7 @@ func dynCell(c *gridCell) dynOut {
 	return dynOut{
 		mbps:     metrics.Sum(rates[sc.lo:sc.hi]),
 		recovery: metrics.Sum(recRates[sc.lo:sc.hi]),
-		jain:     model.JainIndex(rates),
+		jain:     metrics.JainIndex(rates),
 		churn:    float64(env.ChurnArrivals),
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"mptcp/internal/cc"
 	"mptcp/internal/metrics"
-	"mptcp/internal/model"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sched"
 	"mptcp/internal/sim"
@@ -137,7 +136,7 @@ func schedCell(w *world, cell Config, scene, scen string, spec schedSpec, alg st
 		sc.script(w, scenario.MustBuild(scen, end))
 	}
 	rates := w.measure(sc.all, warm, end)
-	out := schedOut{mbps: metrics.Sum(rates[sc.lo:sc.hi]), jain: model.JainIndex(rates)}
+	out := schedOut{mbps: metrics.Sum(rates[sc.lo:sc.hi]), jain: metrics.JainIndex(rates)}
 	for _, c := range sc.mp() {
 		out.oppRetx += float64(c.OppRetx)
 		out.penalties += float64(c.Penalties)

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"mptcp/internal/metrics"
-	"mptcp/internal/model"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
 	"mptcp/internal/traffic"
@@ -52,7 +51,7 @@ func runFig8(cfg Config) *Result {
 		if pC > 0 {
 			ratio = pA / pC
 		}
-		return out{ratio: ratio, jain: model.JainIndex(flowRates)}
+		return out{ratio: ratio, jain: metrics.JainIndex(flowRates)}
 	})
 
 	fig := Figure{

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"mptcp/internal/metrics"
-	"mptcp/internal/model"
 	"mptcp/internal/netsim"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
@@ -197,7 +196,7 @@ func runFig13(cfg Config) *Result {
 
 		o := out{
 			thr:  Curve{Name: name},
-			jain: model.JainIndex(rates),
+			jain: metrics.JainIndex(rates),
 			p10:  metrics.Percentile(rates, 10),
 		}
 		for i, v := range metrics.Rank(rates) {

@@ -5,7 +5,6 @@ import (
 
 	"mptcp/internal/cc"
 	"mptcp/internal/metrics"
-	"mptcp/internal/model"
 	"mptcp/internal/sim"
 )
 
@@ -66,9 +65,9 @@ func tourCell(c *gridCell) tourOut {
 		// test over the usual path count.
 		sc, _, src := tp1Scene(c, w, 23, alg, dcPaths(c.Config))
 		rates := w.measure(sc.all, warm, end)
-		return tourOut{perHost(src, rates), model.JainIndex(rates)}
+		return tourOut{perHost(src, rates), metrics.JainIndex(rates)}
 	}
 	sc := scenes[tp](w, mpAlg(alg))
 	rates := w.measure(sc.all, warm, end)
-	return tourOut{metrics.Sum(rates[sc.lo:sc.hi]), model.JainIndex(rates)}
+	return tourOut{metrics.Sum(rates[sc.lo:sc.hi]), metrics.JainIndex(rates)}
 }

@@ -5,7 +5,7 @@
 // plus scenario-driven wifi3g episodes — with an ε-greedy exploring
 // bandit (sched.NewBanditExplorer), rewards each episode by its
 // multipath goodput normalized to the cell's minrtt baseline, and folds
-// the rewards into the policy table with learn.Model.Update. Everything
+// the rewards into the policy table with sched.Model.Update. Everything
 // is derived from TrainConfig.Seed: episode worlds and exploration rngs
 // use disjoint sim.MixSeed index ranges, rounds snapshot the policy so
 // a round's episodes can run in parallel, and updates apply in fixed
@@ -22,7 +22,6 @@ import (
 	"io"
 	"math/rand"
 
-	"mptcp/internal/learn"
 	"mptcp/internal/sched"
 	"mptcp/internal/sim"
 )
@@ -139,7 +138,7 @@ func (r *TrainReport) Render(w io.Writer) {
 // frozen model plus the evaluation report. Deterministic: equal
 // TrainConfigs yield byte-identical Model.Marshal output at any
 // Parallelism.
-func TrainSched(cfg TrainConfig) (*learn.Model, *TrainReport) {
+func TrainSched(cfg TrainConfig) (*sched.Model, *TrainReport) {
 	cfg = cfg.norm()
 	corpus := trainCorpus
 
@@ -160,7 +159,7 @@ func TrainSched(cfg TrainConfig) (*learn.Model, *TrainReport) {
 		}
 	})
 
-	model := &learn.Model{Corpus: trainCorpusName, Seed: cfg.Seed}
+	model := &sched.Model{Corpus: trainCorpusName, Seed: cfg.Seed}
 	for r := 0; r < cfg.Rounds; r++ {
 		// Snapshot the policy: the round's episodes all explore from the
 		// same frozen view, so they are order-independent and can fan
@@ -168,13 +167,13 @@ func TrainSched(cfg TrainConfig) (*learn.Model, *TrainReport) {
 		frozen := model.Clone()
 		eps := 0.5*(1-float64(r)/float64(cfg.Rounds)) + 0.05
 		type epOut struct {
-			ep     *learn.Episode
+			ep     *sched.Episode
 			reward float64
 		}
 		outs := make([]epOut, len(corpus))
 		sim.Parallel(len(corpus), cfg.Parallelism, func(ci int) {
 			ei := r*len(corpus) + ci
-			ep := &learn.Episode{}
+			ep := &sched.Episode{}
 			rng := rand.New(rand.NewSource(sim.MixSeed(cfg.Seed, 2*ei+1)))
 			expl := sched.NewBanditExplorer(frozen, rng, eps, ep)
 			out := episode(ci, CellSeed(cfg.Seed, 2*ei), banditSpec(expl))

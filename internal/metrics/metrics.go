@@ -10,7 +10,7 @@
 //   - conversions (ThroughputMbps, PktPerSec) pinned to the 1500-byte
 //     data-packet size the paper's wired figures use;
 //   - order statistics (Rank, Percentile) for the §4 distribution
-//     plots, plus Sum/Mean/Stddev;
+//     plots, plus Sum/Mean and Jain's fairness index (JainIndex);
 //   - Summary and P2Quantile, streaming moments and quantiles that
 //     merge across shards.
 //
@@ -146,19 +146,6 @@ func Mean(xs []float64) float64 {
 	return Sum(xs) / float64(len(xs))
 }
 
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		ss += (x - m) * (x - m)
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0..100) by nearest-rank on a
 // sorted copy.
 func Percentile(xs []float64, p float64) float64 {
@@ -175,4 +162,21 @@ func Percentile(xs []float64, p float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
+}
+
+// JainIndex returns Jain's fairness index (Σx)²/(n·Σx²) of the rates xs,
+// used in §3's torus experiment.
+func JainIndex(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 1
+	}
+	var sum, sumSq float64
+	for _, x := range xs {
+		sum += x
+		sumSq += x * x
+	}
+	if sumSq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(xs)) * sumSq)
 }

@@ -69,16 +69,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	if got := Stddev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("constant stddev = %v", got)
-	}
-	got := Stddev([]float64{1, 3})
-	if math.Abs(got-1) > 1e-9 {
-		t.Errorf("stddev = %v, want 1", got)
-	}
-}
-
 // Property: Rank preserves multiset and is monotone nonincreasing.
 func TestRankProperty(t *testing.T) {
 	prop := func(raw []uint16) bool {
@@ -102,6 +92,35 @@ func TestRankProperty(t *testing.T) {
 		return math.Abs(rsum-sum) < 1e-6
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestJainIndex(t *testing.T) {
+	if got := JainIndex([]float64{1, 1, 1, 1}); math.Abs(got-1) > 1e-12 {
+		t.Errorf("equal rates: index %v, want 1", got)
+	}
+	if got := JainIndex([]float64{1, 0, 0, 0}); math.Abs(got-0.25) > 1e-12 {
+		t.Errorf("single user: index %v, want 0.25", got)
+	}
+	if got := JainIndex(nil); got != 1 {
+		t.Errorf("empty: %v, want 1", got)
+	}
+	if got := JainIndex([]float64{0, 0}); got != 1 {
+		t.Errorf("all zero: %v, want 1", got)
+	}
+}
+
+func TestJainIndexRange(t *testing.T) {
+	prop := func(xsRaw []uint16) bool {
+		xs := make([]float64, len(xsRaw))
+		for i, v := range xsRaw {
+			xs[i] = float64(v)
+		}
+		j := JainIndex(xs)
+		return j >= 0 && j <= 1+1e-9
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

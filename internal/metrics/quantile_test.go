@@ -118,10 +118,15 @@ func TestSummary(t *testing.T) {
 	if s.N() != 10000 {
 		t.Fatalf("N = %d", s.N())
 	}
-	if m := Mean(xs); math.Abs(s.Mean()-m) > 1e-9*math.Abs(m) {
+	m := Mean(xs)
+	if math.Abs(s.Mean()-m) > 1e-9*math.Abs(m) {
 		t.Errorf("mean %v, exact %v", s.Mean(), m)
 	}
-	if sd := Stddev(xs); math.Abs(s.Stddev()-sd) > 1e-6*sd {
+	ss := 0.0
+	for _, x := range xs {
+		ss += (x - m) * (x - m)
+	}
+	if sd := math.Sqrt(ss / float64(len(xs))); math.Abs(s.Stddev()-sd) > 1e-6*sd {
 		t.Errorf("stddev %v, exact %v", s.Stddev(), sd)
 	}
 	min, max := xs[0], xs[0]

@@ -2,17 +2,17 @@
 // reason about multipath congestion control: the √(2/p) TCP window
 // formula (eq. 2), closed-form equilibria for EWTCP/COUPLED/SEMICOUPLED,
 // a fluid (expected-drift) Equilibrium solver for arbitrary
-// core.Algorithm implementations, Jain's fairness index, and checkers
-// for the two fairness goals of §2.5 (GoalThroughput: do at least as
-// well as a TCP on the best path; GoalNoHarm: take no more from any
-// link than a single TCP would).
+// core.Algorithm implementations, and checkers for the two fairness
+// goals of §2.5 (GoalThroughput: do at least as well as a TCP on the
+// best path; GoalNoHarm: take no more from any link than a single TCP
+// would).
 //
 // The solver treats loss rates as fixed and exogenous, exactly as in the
 // paper's §2.3 worked example (WiFi at 4 %, 3G at 1 %); the packet-level
 // simulator in internal/netsim is used when losses must emerge from queue
-// dynamics. The experiments use only JainIndex from here; this package's
-// tests cross-check the closed forms against the fluid solver and the
-// paper's §2.3 numbers.
+// dynamics. Nothing outside tests imports this package: its tests
+// cross-check the closed forms against the fluid solver and the paper's
+// §2.3 numbers, and other packages' tests use it as the reference.
 package model
 
 import (
@@ -164,21 +164,4 @@ func GoalNoHarm(w, p, rtt []float64) float64 {
 		worst = math.Max(worst, sum/best)
 	}
 	return worst
-}
-
-// JainIndex returns Jain's fairness index (Σx)²/(n·Σx²) of the rates xs,
-// used in §3's torus experiment.
-func JainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
 }

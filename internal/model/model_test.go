@@ -175,32 +175,3 @@ func TestMPTCPFairnessGoalsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestJainIndex(t *testing.T) {
-	if got := JainIndex([]float64{1, 1, 1, 1}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("equal rates: index %v, want 1", got)
-	}
-	if got := JainIndex([]float64{1, 0, 0, 0}); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("single user: index %v, want 0.25", got)
-	}
-	if got := JainIndex(nil); got != 1 {
-		t.Errorf("empty: %v, want 1", got)
-	}
-	if got := JainIndex([]float64{0, 0}); got != 1 {
-		t.Errorf("all zero: %v, want 1", got)
-	}
-}
-
-func TestJainIndexRange(t *testing.T) {
-	prop := func(xsRaw []uint16) bool {
-		xs := make([]float64, len(xsRaw))
-		for i, v := range xsRaw {
-			xs[i] = float64(v)
-		}
-		j := JainIndex(xs)
-		return j >= 0 && j <= 1+1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}

@@ -33,7 +33,6 @@ package proto
 import (
 	"math"
 
-	"mptcp/internal/cc"
 	"mptcp/internal/core"
 	"mptcp/internal/sched"
 	"mptcp/internal/trace"
@@ -135,10 +134,10 @@ type Sender struct {
 	Counters
 	sh  Shell
 	cfg SenderConfig
-	// Optional algorithm hooks (internal/cc's extended contract),
-	// resolved once so the per-ACK path pays no type assertion.
-	rttObs  cc.RTTObserver
-	lossObs cc.LossObserver
+	// Optional algorithm hooks, resolved once so the per-ACK path pays
+	// no type assertion.
+	rttObs  core.RTTObserver
+	lossObs core.LossObserver
 	traceID int32
 
 	subs []subflow
@@ -146,9 +145,9 @@ type Sender struct {
 	// views is the scratch slate handed to the scheduler, refreshed in
 	// place each pump.
 	views []sched.View
-	// dupNxt is a duplicating scheduler's per-subflow replay frontier:
+	// dupNxt is the redundant scheduler's per-subflow replay frontier:
 	// the next data sequence subflow i should (re)carry. Nil unless the
-	// scheduler duplicates.
+	// scheduler is sched.Redundant.
 	dupNxt []int64
 	// oppRetxSeq remembers the last data sequence opportunistically
 	// retransmitted so each blocking segment is re-sent at most once.
@@ -203,9 +202,9 @@ func (s *Sender) Reset(sh Shell, cfg SenderConfig) {
 		reinjectQ:  s.reinjectQ[:0],
 		life:       s.life + 1,
 	}
-	s.rttObs, _ = cfg.Alg.(cc.RTTObserver)
-	s.lossObs, _ = cfg.Alg.(cc.LossObserver)
-	if d, ok := cfg.Sched.(sched.Duplicator); ok && d.Duplicates() {
+	s.rttObs, _ = cfg.Alg.(core.RTTObserver)
+	s.lossObs, _ = cfg.Alg.(core.LossObserver)
+	if _, ok := cfg.Sched.(sched.Redundant); ok {
 		if dupNxt == nil {
 			dupNxt = make([]int64, n)
 		}
@@ -388,7 +387,7 @@ func (s *Sender) schedule() {
 	}
 }
 
-// scheduleRedundant drives a duplicating scheduler: every subflow keeps
+// scheduleRedundant drives sched.Redundant: every subflow keeps
 // its own replay frontier (dupNxt) over the data stream and, window
 // permitting, carries every data sequence itself — the subflow that is
 // furthest ahead pulls new data, the others replay it. Frontiers skip

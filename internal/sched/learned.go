@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-
-	"mptcp/internal/learn"
 )
 
 // banditProvenance renders the registry Provenance line from the
@@ -13,11 +11,11 @@ import (
 // catalogue must work even when the model file is damaged (loading it
 // is where the error surfaces).
 func banditProvenance() string {
-	meta := learn.MetaOf(learn.EmbeddedBytes())
-	if !meta.OK {
+	m, err := ParseModel(embeddedModel)
+	if err != nil {
 		return "embedded model unreadable"
 	}
-	return fmt.Sprintf("%s, corpus %s, seed %d, %d episodes", meta.Version, meta.Corpus, meta.Seed, meta.Episodes)
+	return fmt.Sprintf("%s, corpus %s, seed %d, %d episodes", modelVersion, m.Corpus, m.Seed, m.Episodes)
 }
 
 // The embedded model is parsed once and shared read-only by every
@@ -25,21 +23,21 @@ func banditProvenance() string {
 // the cache.
 var (
 	banditMu     sync.Mutex
-	banditBytes  []byte // nil means learn.EmbeddedBytes()
-	banditModel  *learn.Model
+	banditBytes  []byte // nil means embeddedModel
+	banditModel  *Model
 	banditLoaded bool
 )
 
-func loadBanditModel() (*learn.Model, error) {
+func loadBanditModel() (*Model, error) {
 	banditMu.Lock()
 	defer banditMu.Unlock()
 	if !banditLoaded {
 		b := banditBytes
 		if b == nil {
-			b = learn.EmbeddedBytes()
+			b = embeddedModel
 		}
 		var err error
-		banditModel, err = learn.Parse(b)
+		banditModel, err = ParseModel(b)
 		if err != nil {
 			return nil, err
 		}
@@ -58,16 +56,16 @@ func banditReset(b []byte) {
 }
 
 // Bandit is the learned scheduler: a contextual bandit whose policy
-// table was trained offline over the schedgrid corpus (see
-// internal/learn and the trainer in internal/exp). Each Pick classifies
-// every subflow with window space into a feature bucket — RTT class
+// table was trained offline over the schedgrid corpus (see model.go and
+// the trainer in internal/exp). Each Pick classifies every subflow with
+// window space into a feature bucket — RTT class
 // relative to the fastest sendable subflow, congestion-window headroom
 // class, and the connection's flow-control pressure class — and picks
 // the candidate whose bucket has the highest trained value; a trained
 // wait bucket can instead return -1 (send nothing now), the BLEST
 // decision learned rather than estimated from a hand-tuned λ.
 //
-// A frozen Bandit (everything sched.New returns) is pure: the policy
+// A frozen Bandit (everything New returns) is pure: the policy
 // table is read-only, Pick draws no randomness, and equal inputs
 // always produce equal picks. Exploration exists only in the trainer's
 // explorer instances, whose ε-greedy randomness comes from a seeded
@@ -76,7 +74,7 @@ func banditReset(b []byte) {
 //
 // Two liveness guards bound the learned wait: the policy may only
 // decline to send when the connection is under flow-control pressure
-// (pressure class ≤ 1, i.e. fewer than learn.PressLow segments of
+// (pressure class ≤ 1, i.e. fewer than pressLow segments of
 // headroom) and when at least one subflow has data in flight — so a
 // future ACK, loss or RTO event is guaranteed to re-invoke the
 // scheduler and the connection can never park itself forever. And when
@@ -84,17 +82,17 @@ func banditReset(b []byte) {
 // PickMinRTT, so an untrained (or out-of-distribution) model degrades
 // to the Linux default rather than to arbitrary ties.
 type Bandit struct {
-	model *learn.Model
+	model *Model
 
 	// Exploration state — nil/zero on frozen instances.
 	rng *rand.Rand
 	eps float64
-	ep  *learn.Episode
+	ep  *Episode
 }
 
 // NewBandit returns a frozen greedy Bandit over the embedded trained
 // model. The model is parsed once and shared; a damaged model file is
-// an error (sched.New("bandit") reports it instead of panicking).
+// an error (New("bandit") reports it instead of panicking).
 func NewBandit() (*Bandit, error) {
 	m, err := loadBanditModel()
 	if err != nil {
@@ -106,7 +104,7 @@ func NewBandit() (*Bandit, error) {
 // NewBanditFrom returns a frozen greedy Bandit over an explicit model
 // (the trainer's evaluation passes and tests use it). The model must
 // not be mutated while the scheduler is in use.
-func NewBanditFrom(m *learn.Model) *Bandit {
+func NewBanditFrom(m *Model) *Bandit {
 	return &Bandit{model: m}
 }
 
@@ -118,7 +116,7 @@ func NewBanditFrom(m *learn.Model) *Bandit {
 // by the caller and must be seeded deterministically; one explorer may
 // be shared by every connection of a single-threaded simulation
 // episode (its state is only touched from Pick).
-func NewBanditExplorer(m *learn.Model, rng *rand.Rand, eps float64, ep *learn.Episode) *Bandit {
+func NewBanditExplorer(m *Model, rng *rand.Rand, eps float64, ep *Episode) *Bandit {
 	return &Bandit{model: m, rng: rng, eps: eps, ep: ep}
 }
 
@@ -127,7 +125,7 @@ func (b *Bandit) Name() string { return "bandit" }
 
 // Pick implements Scheduler.
 func (b *Bandit) Pick(ctx Ctx, subs []View) int {
-	press := learn.PressureClass(ctx.Window)
+	press := pressureClass(ctx.Window)
 
 	// Connection-wide signals: the fastest measured SRTT among sendable
 	// subflows anchors the RTT classes, and the wait action is only
@@ -156,9 +154,9 @@ func (b *Bandit) Pick(ctx Ctx, subs []View) int {
 			continue
 		}
 		w := v.window()
-		bkt := learn.ActionIndex(
-			learn.RTTClass(v.SRTT, minSRTT),
-			learn.HeadroomClass(w-v.Inflight, w),
+		bkt := actionIndex(
+			rttClass(v.SRTT, minSRTT),
+			headroomClass(w-v.Inflight, w),
 			press,
 		)
 		candIdx = append(candIdx, i)
@@ -177,7 +175,7 @@ func (b *Bandit) Pick(ctx Ctx, subs []View) int {
 		}
 		k := b.rng.Intn(arms)
 		if k == nc {
-			b.ep.Wait[learn.WaitIndex(press)]++
+			b.ep.Wait[waitIndex(press)]++
 			return -1
 		}
 		b.ep.Action[bucketOf[k]]++
@@ -217,7 +215,7 @@ func (b *Bandit) Pick(ctx Ctx, subs []View) int {
 	// The learned wait: under pressure, a trained wait bucket that
 	// outscores every sendable candidate declines to send.
 	if waitOK {
-		wi := learn.WaitIndex(press)
+		wi := waitIndex(press)
 		if b.model.WN[wi] > 0 && b.model.W[wi] > bestQ {
 			if b.ep != nil {
 				b.ep.Wait[wi]++

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"mptcp/internal/learn"
 )
 
 // randViews builds a random subflow slate: mixed measured/unmeasured
@@ -40,8 +38,8 @@ func TestBanditNeverPicksBlockedSubflow(t *testing.T) {
 		t.Fatalf("NewBandit: %v", err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	explorer := NewBanditExplorer(&learn.Model{}, rand.New(rand.NewSource(2)), 0.5, &learn.Episode{})
-	for _, b := range []*Bandit{embedded, NewBanditFrom(&learn.Model{}), explorer} {
+	explorer := NewBanditExplorer(&Model{}, rand.New(rand.NewSource(2)), 0.5, &Episode{})
+	for _, b := range []*Bandit{embedded, NewBanditFrom(&Model{}), explorer} {
 		for trial := 0; trial < 20000; trial++ {
 			ctx, subs := randCtx(rng), randViews(rng)
 			i := b.Pick(ctx, subs)
@@ -110,7 +108,7 @@ func TestBanditFrozenInferenceIsPure(t *testing.T) {
 // TestBanditUntrainedFallsBackToMinRTT: with an empty table every pick
 // must match the Linux default scheduler.
 func TestBanditUntrainedFallsBackToMinRTT(t *testing.T) {
-	b := NewBanditFrom(&learn.Model{})
+	b := NewBanditFrom(&Model{})
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5000; trial++ {
 		ctx, subs := randCtx(rng), randViews(rng)
@@ -125,7 +123,7 @@ func TestBanditUntrainedFallsBackToMinRTT(t *testing.T) {
 // wake it. Build a model where waiting dominates every action bucket
 // and check the guard holds.
 func TestBanditWaitRequiresInflight(t *testing.T) {
-	m := &learn.Model{}
+	m := &Model{}
 	for i := range m.Q {
 		m.Q[i], m.QN[i] = 0.1, 1
 	}
@@ -160,8 +158,8 @@ func TestBanditExplorerDeterministicBySeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loadBanditModel: %v", err)
 	}
-	run := func(seed int64) ([]int, *learn.Episode) {
-		ep := &learn.Episode{}
+	run := func(seed int64) ([]int, *Episode) {
+		ep := &Episode{}
 		b := NewBanditExplorer(model, rand.New(rand.NewSource(seed)), 0.3, ep)
 		states := rand.New(rand.NewSource(99)) // same state stream for all runs
 		picks := make([]int, 0, 2000)
@@ -187,7 +185,7 @@ func TestBanditExplorerDeterministicBySeed(t *testing.T) {
 // scheduler.
 func TestBanditCorruptModelFailsCleanly(t *testing.T) {
 	defer banditReset(nil)
-	good := learn.EmbeddedBytes()
+	good := embeddedModel
 	for name, bad := range map[string][]byte{
 		"garbage":   []byte("not a model at all"),
 		"truncated": good[:len(good)/2],

@@ -1,21 +1,14 @@
-// Package learn holds the offline-trained contextual-bandit policy
-// behind the "bandit" packet scheduler (internal/sched's learned
-// registry entry): the discretized feature space, the value tables, the
-// Monte-Carlo update rule the offline trainer applies between episodes,
-// and a byte-exact serialization so a trained model can be checked in,
-// embedded, and reproduced bit-for-bit.
-//
-// The split with internal/sched is deliberate and keeps the import
-// graph acyclic: this package knows nothing about subflows or the
-// Pick(Ctx, []View) contract — it scores *feature buckets* (plain
-// integers) and updates bucket values from episode rewards. The adapter
-// in internal/sched/learned.go translates scheduler Views into bucket
-// indices via the classifier functions here, and the offline trainer in
-// internal/exp replays simulation episodes and feeds the rewards back
-// through Model.Update. The ML-vs-classical scheduling survey in
-// PAPERS.md (arXiv:2309.09372) frames this design point: a learned
-// policy over the same observables hand-tuned schedulers use (SRTT,
-// cwnd, in-flight, buffer headroom), trained offline, deterministic at
+// The bandit scheduler's model: the offline-trained contextual-bandit
+// policy behind the "bandit" registry entry. It holds the discretized
+// feature space, the value tables, the Monte-Carlo update rule the
+// offline trainer (internal/exp/train.go) applies between episodes, and
+// a byte-exact serialization so a trained model can be checked in,
+// embedded, and reproduced bit-for-bit. learned.go translates Views
+// into bucket indices with the classifiers here and picks from the
+// table. The ML-vs-classical scheduling survey in PAPERS.md
+// (arXiv:2309.09372) frames this design point: a learned policy over
+// the same observables hand-tuned schedulers use (SRTT, cwnd,
+// in-flight, buffer headroom), trained offline, deterministic at
 // inference.
 //
 // Determinism contract: a frozen Model is read-only — scoring draws no
@@ -24,11 +17,13 @@
 // comes from seeded generators owned by the trainer; Update applies an
 // episode's bucket-usage counts in fixed index order. Marshal renders
 // floats as Go hex-float literals ('x' format), which round-trip
-// exactly, so Marshal ∘ Parse ∘ Marshal is the identity and two
+// exactly, so Marshal ∘ ParseModel ∘ Marshal is the identity and two
 // same-seed training runs serialize byte-identically.
-package learn
+
+package sched
 
 import (
+	_ "embed"
 	"fmt"
 	"strconv"
 	"strings"
@@ -44,42 +39,41 @@ import (
 //   - headroom class: what fraction of the candidate's congestion
 //     window is still free (the wcwnd scheduler's signal);
 //   - pressure class: how much connection-level flow-control headroom
-//     (sched.Ctx.Window) remains — the signal BLEST thresholds by hand.
+//     (Ctx.Window) remains — the signal BLEST thresholds by hand.
 //
 // The wait table scores the BLEST-style "send nothing now" action,
 // indexed by pressure class alone.
 const (
-	// NRTT: 0 = no sample yet, 1 = fastest (≤ RTTNear × min),
-	// 2 = moderate (≤ RTTFar × min), 3 = slow (> RTTFar × min).
-	NRTT = 4
-	// NHeadroom: 0 = nearly full window (≤ ¼ free), 1 = half free,
+	// nRTT: 0 = no sample yet, 1 = fastest (≤ rttNear × min),
+	// 2 = moderate (≤ rttFar × min), 3 = slow (> rttFar × min).
+	nRTT = 4
+	// nHeadroom: 0 = nearly full window (≤ ¼ free), 1 = half free,
 	// 2 = mostly free (> ½).
-	NHeadroom = 3
-	// NPressure: 0 = < PressTight segments of headroom, 1 = < PressLow,
-	// 2 = < PressMid, 3 = unconstrained.
-	NPressure = 4
-	// NActions is the size of the per-candidate value table.
-	NActions = NRTT * NHeadroom * NPressure
-	// NWait is the size of the wait-action value table.
-	NWait = NPressure
+	nHeadroom = 3
+	// nPressure: 0 = < pressTight segments of headroom, 1 = < pressLow,
+	// 2 = < pressMid, 3 = unconstrained.
+	nPressure = 4
+	// nActions is the size of the per-candidate value table.
+	nActions = nRTT * nHeadroom * nPressure
+	// nWait is the size of the wait-action value table.
+	nWait = nPressure
 )
 
-// Classifier thresholds (see the constants above). Exported so the
-// docs, tests and DESIGN.md speak about the same numbers as the code.
+// Classifier thresholds (see the constants above).
 const (
-	RTTNear    = 1.15
-	RTTFar     = 2.5
-	PressTight = 4
-	PressLow   = 16
-	PressMid   = 64
+	rttNear    = 1.15
+	rttFar     = 2.5
+	pressTight = 4
+	pressLow   = 16
+	pressMid   = 64
 )
 
-// RTTClass buckets a candidate subflow's smoothed RTT against the
+// rttClass buckets a candidate subflow's smoothed RTT against the
 // minimum measured SRTT among sendable subflows (0 when none is
 // measured). An unmeasured candidate is class 0 — distinct from slow,
 // because probing an unmeasured path and parking data on a known-slow
 // one are different decisions.
-func RTTClass(srtt, minSRTT float64) int {
+func rttClass(srtt, minSRTT float64) int {
 	if srtt <= 0 {
 		return 0
 	}
@@ -87,18 +81,18 @@ func RTTClass(srtt, minSRTT float64) int {
 		return 1 // the only measured subflow is, trivially, the fastest
 	}
 	switch ratio := srtt / minSRTT; {
-	case ratio <= RTTNear:
+	case ratio <= rttNear:
 		return 1
-	case ratio <= RTTFar:
+	case ratio <= rttFar:
 		return 2
 	default:
 		return 3
 	}
 }
 
-// HeadroomClass buckets the candidate's free congestion window (free =
+// headroomClass buckets the candidate's free congestion window (free =
 // window − inflight) as a fraction of the window.
-func HeadroomClass(free, window int64) int {
+func headroomClass(free, window int64) int {
 	if window < 1 {
 		window = 1
 	}
@@ -112,36 +106,36 @@ func HeadroomClass(free, window int64) int {
 	}
 }
 
-// PressureClass buckets the connection-level flow-control headroom
-// (sched.Ctx.Window): how many segments may still be assigned before
+// pressureClass buckets the connection-level flow-control headroom
+// (Ctx.Window): how many segments may still be assigned before
 // the shared receive buffer binds.
-func PressureClass(window int64) int {
+func pressureClass(window int64) int {
 	switch {
-	case window < PressTight:
+	case window < pressTight:
 		return 0
-	case window < PressLow:
+	case window < pressLow:
 		return 1
-	case window < PressMid:
+	case window < pressMid:
 		return 2
 	default:
 		return 3
 	}
 }
 
-// ActionIndex flattens an (RTT class, headroom class, pressure class)
+// actionIndex flattens an (RTT class, headroom class, pressure class)
 // triple into the action-table index. Out-of-range classes panic: they
 // are programming errors, not data.
-func ActionIndex(rtt, headroom, pressure int) int {
-	if rtt < 0 || rtt >= NRTT || headroom < 0 || headroom >= NHeadroom || pressure < 0 || pressure >= NPressure {
-		panic(fmt.Sprintf("learn: feature classes out of range (%d, %d, %d)", rtt, headroom, pressure))
+func actionIndex(rtt, headroom, pressure int) int {
+	if rtt < 0 || rtt >= nRTT || headroom < 0 || headroom >= nHeadroom || pressure < 0 || pressure >= nPressure {
+		panic(fmt.Sprintf("sched: feature classes out of range (%d, %d, %d)", rtt, headroom, pressure))
 	}
-	return (rtt*NHeadroom+headroom)*NPressure + pressure
+	return (rtt*nHeadroom+headroom)*nPressure + pressure
 }
 
-// WaitIndex is the wait-table index for a pressure class.
-func WaitIndex(pressure int) int {
-	if pressure < 0 || pressure >= NPressure {
-		panic(fmt.Sprintf("learn: pressure class out of range (%d)", pressure))
+// waitIndex is the wait-table index for a pressure class.
+func waitIndex(pressure int) int {
+	if pressure < 0 || pressure >= nPressure {
+		panic(fmt.Sprintf("sched: pressure class out of range (%d)", pressure))
 	}
 	return pressure
 }
@@ -160,11 +154,11 @@ type Model struct {
 	// Episodes is the number of training episodes applied.
 	Episodes int64
 	// Q and QN are the per-action-bucket value and usage count.
-	Q  [NActions]float64
-	QN [NActions]int64
+	Q  [nActions]float64
+	QN [nActions]int64
 	// W and WN are the per-wait-bucket value and usage count.
-	W  [NWait]float64
-	WN [NWait]int64
+	W  [nWait]float64
+	WN [nWait]int64
 }
 
 // Clone returns an independent copy (the trainer snapshots the policy
@@ -179,8 +173,8 @@ func (m *Model) Clone() *Model {
 // each action bucket was picked and each wait bucket chosen. The
 // explorer scheduler fills it; Update consumes it.
 type Episode struct {
-	Action [NActions]int64
-	Wait   [NWait]int64
+	Action [nActions]int64
+	Wait   [nWait]int64
 }
 
 // Update folds one finished episode into the model: every bucket the
@@ -194,13 +188,13 @@ type Episode struct {
 // the rule touches no randomness, so training is deterministic given
 // the episode sequence.
 func (m *Model) Update(ep *Episode, reward float64) {
-	for b := 0; b < NActions; b++ {
+	for b := 0; b < nActions; b++ {
 		if n := ep.Action[b]; n > 0 {
 			m.QN[b] += n
 			m.Q[b] += (reward - m.Q[b]) * float64(n) / float64(m.QN[b])
 		}
 	}
-	for b := 0; b < NWait; b++ {
+	for b := 0; b < nWait; b++ {
 		if n := ep.Wait[b]; n > 0 {
 			m.WN[b] += n
 			m.W[b] += (reward - m.W[b]) * float64(n) / float64(m.WN[b])
@@ -213,6 +207,14 @@ func (m *Model) Update(ep *Episode, reward float64) {
 // feature space or file shape changes incompatibly.
 const modelVersion = "mptcp-bandit v1"
 
+// embeddedModel is the checked-in trained policy behind New("bandit").
+// It is produced by the deterministic offline trainer — the exact
+// pinned command is documented in DESIGN.md §14 — and re-running that
+// command must reproduce the file byte-for-byte.
+//
+//go:embed bandit.model
+var embeddedModel []byte
+
 // Marshal renders the model in the versioned text format New("bandit")
 // loads. The encoding is canonical: fixed header order, only buckets
 // with a non-zero count or value, fixed index order, hex-float values
@@ -224,13 +226,13 @@ func (m *Model) Marshal() []byte {
 	fmt.Fprintf(&sb, "corpus %s\n", m.Corpus)
 	fmt.Fprintf(&sb, "seed %d\n", m.Seed)
 	fmt.Fprintf(&sb, "episodes %d\n", m.Episodes)
-	fmt.Fprintf(&sb, "dims %d %d %d\n", NRTT, NHeadroom, NPressure)
-	for b := 0; b < NActions; b++ {
+	fmt.Fprintf(&sb, "dims %d %d %d\n", nRTT, nHeadroom, nPressure)
+	for b := 0; b < nActions; b++ {
 		if m.QN[b] != 0 || m.Q[b] != 0 {
 			fmt.Fprintf(&sb, "q %d %d %s\n", b, m.QN[b], strconv.FormatFloat(m.Q[b], 'x', -1, 64))
 		}
 	}
-	for b := 0; b < NWait; b++ {
+	for b := 0; b < nWait; b++ {
 		if m.WN[b] != 0 || m.W[b] != 0 {
 			fmt.Fprintf(&sb, "w %d %d %s\n", b, m.WN[b], strconv.FormatFloat(m.W[b], 'x', -1, 64))
 		}
@@ -239,24 +241,24 @@ func (m *Model) Marshal() []byte {
 	return []byte(sb.String())
 }
 
-// Parse decodes a model serialized by Marshal. It never panics on bad
-// input: corrupted, truncated or version-skewed bytes yield an error,
-// which sched.New("bandit") surfaces to its caller.
-func Parse(data []byte) (*Model, error) {
+// ParseModel decodes a model serialized by Marshal. It never panics on
+// bad input: corrupted, truncated or version-skewed bytes yield an
+// error, which New("bandit") surfaces to its caller.
+func ParseModel(data []byte) (*Model, error) {
 	lines := strings.Split(string(data), "\n")
 	if len(lines) == 0 || lines[0] != modelVersion {
-		return nil, fmt.Errorf("learn: not a %q model file", modelVersion)
+		return nil, fmt.Errorf("sched: not a %q model file", modelVersion)
 	}
 	m := &Model{}
 	i := 1
 	// Fixed header: corpus, seed, episodes, dims.
 	header := func(key string) (string, error) {
 		if i >= len(lines) {
-			return "", fmt.Errorf("learn: truncated model: missing %s header", key)
+			return "", fmt.Errorf("sched: truncated model: missing %s header", key)
 		}
 		val, ok := strings.CutPrefix(lines[i], key+" ")
 		if !ok {
-			return "", fmt.Errorf("learn: model line %d: want %q header, got %q", i+1, key, lines[i])
+			return "", fmt.Errorf("sched: model line %d: want %q header, got %q", i+1, key, lines[i])
 		}
 		i++
 		return val, nil
@@ -271,21 +273,21 @@ func Parse(data []byte) (*Model, error) {
 		return nil, err
 	}
 	if m.Seed, err = strconv.ParseInt(seedS, 10, 64); err != nil {
-		return nil, fmt.Errorf("learn: bad seed %q: %v", seedS, err)
+		return nil, fmt.Errorf("sched: bad seed %q: %v", seedS, err)
 	}
 	epS, err := header("episodes")
 	if err != nil {
 		return nil, err
 	}
 	if m.Episodes, err = strconv.ParseInt(epS, 10, 64); err != nil {
-		return nil, fmt.Errorf("learn: bad episodes %q: %v", epS, err)
+		return nil, fmt.Errorf("sched: bad episodes %q: %v", epS, err)
 	}
 	dims, err := header("dims")
 	if err != nil {
 		return nil, err
 	}
-	if want := fmt.Sprintf("%d %d %d", NRTT, NHeadroom, NPressure); dims != want {
-		return nil, fmt.Errorf("learn: model feature space %q does not match this build (%q)", dims, want)
+	if want := fmt.Sprintf("%d %d %d", nRTT, nHeadroom, nPressure); dims != want {
+		return nil, fmt.Errorf("sched: model feature space %q does not match this build (%q)", dims, want)
 	}
 	// Table entries, then the end marker.
 	done := false
@@ -295,7 +297,7 @@ func Parse(data []byte) (*Model, error) {
 			continue // tolerate a trailing newline only
 		}
 		if done {
-			return nil, fmt.Errorf("learn: model line %d: content after end marker", i+1)
+			return nil, fmt.Errorf("sched: model line %d: content after end marker", i+1)
 		}
 		if line == "end" {
 			done = true
@@ -303,35 +305,35 @@ func Parse(data []byte) (*Model, error) {
 		}
 		f := strings.Fields(line)
 		if len(f) != 4 || (f[0] != "q" && f[0] != "w") {
-			return nil, fmt.Errorf("learn: model line %d: malformed entry %q", i+1, line)
+			return nil, fmt.Errorf("sched: model line %d: malformed entry %q", i+1, line)
 		}
 		idx, err := strconv.Atoi(f[1])
 		if err != nil {
-			return nil, fmt.Errorf("learn: model line %d: bad index %q", i+1, f[1])
+			return nil, fmt.Errorf("sched: model line %d: bad index %q", i+1, f[1])
 		}
 		n, err := strconv.ParseInt(f[2], 10, 64)
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("learn: model line %d: bad count %q", i+1, f[2])
+			return nil, fmt.Errorf("sched: model line %d: bad count %q", i+1, f[2])
 		}
 		v, err := strconv.ParseFloat(f[3], 64)
 		if err != nil || v != v || v > 1e308 || v < -1e308 {
-			return nil, fmt.Errorf("learn: model line %d: bad value %q", i+1, f[3])
+			return nil, fmt.Errorf("sched: model line %d: bad value %q", i+1, f[3])
 		}
 		switch f[0] {
 		case "q":
-			if idx < 0 || idx >= NActions {
-				return nil, fmt.Errorf("learn: model line %d: q index %d out of range", i+1, idx)
+			if idx < 0 || idx >= nActions {
+				return nil, fmt.Errorf("sched: model line %d: q index %d out of range", i+1, idx)
 			}
 			m.Q[idx], m.QN[idx] = v, n
 		case "w":
-			if idx < 0 || idx >= NWait {
-				return nil, fmt.Errorf("learn: model line %d: w index %d out of range", i+1, idx)
+			if idx < 0 || idx >= nWait {
+				return nil, fmt.Errorf("sched: model line %d: w index %d out of range", i+1, idx)
 			}
 			m.W[idx], m.WN[idx] = v, n
 		}
 	}
 	if !done {
-		return nil, fmt.Errorf("learn: truncated model: no end marker")
+		return nil, fmt.Errorf("sched: truncated model: no end marker")
 	}
 	return m, nil
 }

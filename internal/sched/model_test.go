@@ -1,4 +1,4 @@
-package learn
+package sched
 
 import (
 	"bytes"
@@ -12,101 +12,101 @@ func TestClassifierRanges(t *testing.T) {
 	// over a sweep of adversarial inputs.
 	for _, srtt := range []float64{-1, 0, 0.001, 0.05, 0.2, 10} {
 		for _, min := range []float64{-1, 0, 0.001, 0.05, 0.2} {
-			if c := RTTClass(srtt, min); c < 0 || c >= NRTT {
-				t.Fatalf("RTTClass(%g, %g) = %d out of range", srtt, min, c)
+			if c := rttClass(srtt, min); c < 0 || c >= nRTT {
+				t.Fatalf("rttClass(%g, %g) = %d out of range", srtt, min, c)
 			}
 		}
 	}
 	for _, free := range []int64{-5, 0, 1, 2, 7, 100} {
 		for _, w := range []int64{-1, 0, 1, 4, 10, 1 << 40} {
-			if c := HeadroomClass(free, w); c < 0 || c >= NHeadroom {
-				t.Fatalf("HeadroomClass(%d, %d) = %d out of range", free, w, c)
+			if c := headroomClass(free, w); c < 0 || c >= nHeadroom {
+				t.Fatalf("headroomClass(%d, %d) = %d out of range", free, w, c)
 			}
 		}
 	}
 	for _, w := range []int64{-10, 0, 3, 4, 15, 16, 63, 64, 1 << 50} {
-		if c := PressureClass(w); c < 0 || c >= NPressure {
-			t.Fatalf("PressureClass(%d) = %d out of range", w, c)
+		if c := pressureClass(w); c < 0 || c >= nPressure {
+			t.Fatalf("pressureClass(%d) = %d out of range", w, c)
 		}
 	}
 }
 
 func TestClassifierBoundaries(t *testing.T) {
 	// The documented thresholds, exactly.
-	if got := RTTClass(0, 0.1); got != 0 {
+	if got := rttClass(0, 0.1); got != 0 {
 		t.Errorf("unmeasured RTT class = %d, want 0", got)
 	}
-	if got := RTTClass(0.1, 0); got != 1 {
+	if got := rttClass(0.1, 0); got != 1 {
 		t.Errorf("only-measured RTT class = %d, want 1", got)
 	}
-	if got := RTTClass(RTTNear*0.1, 0.1); got != 1 {
-		t.Errorf("ratio == RTTNear class = %d, want 1", got)
+	if got := rttClass(rttNear*0.1, 0.1); got != 1 {
+		t.Errorf("ratio == rttNear class = %d, want 1", got)
 	}
-	if got := RTTClass(RTTFar*0.1, 0.1); got != 2 {
-		t.Errorf("ratio == RTTFar class = %d, want 2", got)
+	if got := rttClass(rttFar*0.1, 0.1); got != 2 {
+		t.Errorf("ratio == rttFar class = %d, want 2", got)
 	}
-	if got := RTTClass(RTTFar*0.1*1.01, 0.1); got != 3 {
-		t.Errorf("ratio > RTTFar class = %d, want 3", got)
+	if got := rttClass(rttFar*0.1*1.01, 0.1); got != 3 {
+		t.Errorf("ratio > rttFar class = %d, want 3", got)
 	}
-	if got := PressureClass(PressTight - 1); got != 0 {
-		t.Errorf("PressureClass(%d) = %d, want 0", PressTight-1, got)
+	if got := pressureClass(pressTight - 1); got != 0 {
+		t.Errorf("pressureClass(%d) = %d, want 0", pressTight-1, got)
 	}
-	if got := PressureClass(PressLow - 1); got != 1 {
-		t.Errorf("PressureClass(%d) = %d, want 1", PressLow-1, got)
+	if got := pressureClass(pressLow - 1); got != 1 {
+		t.Errorf("pressureClass(%d) = %d, want 1", pressLow-1, got)
 	}
-	if got := PressureClass(PressMid); got != 3 {
-		t.Errorf("PressureClass(%d) = %d, want 3", PressMid, got)
+	if got := pressureClass(pressMid); got != 3 {
+		t.Errorf("pressureClass(%d) = %d, want 3", pressMid, got)
 	}
-	if got := HeadroomClass(1, 4); got != 0 {
-		t.Errorf("HeadroomClass(1, 4) = %d, want 0", got)
+	if got := headroomClass(1, 4); got != 0 {
+		t.Errorf("headroomClass(1, 4) = %d, want 0", got)
 	}
-	if got := HeadroomClass(2, 4); got != 1 {
-		t.Errorf("HeadroomClass(2, 4) = %d, want 1", got)
+	if got := headroomClass(2, 4); got != 1 {
+		t.Errorf("headroomClass(2, 4) = %d, want 1", got)
 	}
-	if got := HeadroomClass(3, 4); got != 2 {
-		t.Errorf("HeadroomClass(3, 4) = %d, want 2", got)
+	if got := headroomClass(3, 4); got != 2 {
+		t.Errorf("headroomClass(3, 4) = %d, want 2", got)
 	}
 }
 
 func TestActionIndexBijective(t *testing.T) {
 	seen := map[int]bool{}
-	for r := 0; r < NRTT; r++ {
-		for h := 0; h < NHeadroom; h++ {
-			for p := 0; p < NPressure; p++ {
-				idx := ActionIndex(r, h, p)
-				if idx < 0 || idx >= NActions {
-					t.Fatalf("ActionIndex(%d,%d,%d) = %d out of range", r, h, p, idx)
+	for r := 0; r < nRTT; r++ {
+		for h := 0; h < nHeadroom; h++ {
+			for p := 0; p < nPressure; p++ {
+				idx := actionIndex(r, h, p)
+				if idx < 0 || idx >= nActions {
+					t.Fatalf("actionIndex(%d,%d,%d) = %d out of range", r, h, p, idx)
 				}
 				if seen[idx] {
-					t.Fatalf("ActionIndex(%d,%d,%d) = %d collides", r, h, p, idx)
+					t.Fatalf("actionIndex(%d,%d,%d) = %d collides", r, h, p, idx)
 				}
 				seen[idx] = true
 			}
 		}
 	}
-	if len(seen) != NActions {
-		t.Fatalf("ActionIndex covers %d of %d buckets", len(seen), NActions)
+	if len(seen) != nActions {
+		t.Fatalf("actionIndex covers %d of %d buckets", len(seen), nActions)
 	}
 }
 
 func TestActionIndexPanicsOutOfRange(t *testing.T) {
-	for _, tc := range [][3]int{{-1, 0, 0}, {NRTT, 0, 0}, {0, NHeadroom, 0}, {0, 0, NPressure}} {
+	for _, tc := range [][3]int{{-1, 0, 0}, {nRTT, 0, 0}, {0, nHeadroom, 0}, {0, 0, nPressure}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("ActionIndex(%v) should panic", tc)
+					t.Errorf("actionIndex(%v) should panic", tc)
 				}
 			}()
-			ActionIndex(tc[0], tc[1], tc[2])
+			actionIndex(tc[0], tc[1], tc[2])
 		}()
 	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("WaitIndex(NPressure) should panic")
+				t.Error("waitIndex(nPressure) should panic")
 			}
 		}()
-		WaitIndex(NPressure)
+		waitIndex(nPressure)
 	}()
 }
 
@@ -115,32 +115,32 @@ func TestActionIndexPanicsOutOfRange(t *testing.T) {
 func randomModel(seed int64) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	m := &Model{Corpus: "test-corpus", Seed: seed, Episodes: rng.Int63n(1000)}
-	for b := 0; b < NActions; b++ {
+	for b := 0; b < nActions; b++ {
 		if rng.Intn(3) == 0 {
 			continue // leave some buckets untrained
 		}
 		m.QN[b] = rng.Int63n(1 << 40)
 		m.Q[b] = rng.NormFloat64() * 3
 	}
-	for b := 0; b < NWait; b++ {
+	for b := 0; b < nWait; b++ {
 		m.WN[b] = rng.Int63n(1 << 20)
 		m.W[b] = rng.ExpFloat64()
 	}
 	return m
 }
 
-func TestMarshalParseRoundTripsExactly(t *testing.T) {
+func TestMarshalParseModelRoundTripsExactly(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		m := randomModel(seed)
 		data := m.Marshal()
-		got, err := Parse(data)
+		got, err := ParseModel(data)
 		if err != nil {
-			t.Fatalf("seed %d: Parse(Marshal): %v", seed, err)
+			t.Fatalf("seed %d: ParseModel(Marshal): %v", seed, err)
 		}
 		if *got != *m {
 			t.Fatalf("seed %d: round-trip changed the model:\n got %+v\nwant %+v", seed, got, m)
 		}
-		// Marshal ∘ Parse ∘ Marshal must be the identity on bytes, or
+		// Marshal ∘ ParseModel ∘ Marshal must be the identity on bytes, or
 		// the train-determinism cmp gate is meaningless.
 		if again := got.Marshal(); !bytes.Equal(again, data) {
 			t.Fatalf("seed %d: re-marshal differs from original bytes", seed)
@@ -198,7 +198,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestParseRejectsDamage(t *testing.T) {
+func TestParseModelRejectsDamage(t *testing.T) {
 	good := string(randomModel(11).Marshal())
 	cases := map[string]string{
 		"empty":             "",
@@ -219,48 +219,31 @@ func TestParseRejectsDamage(t *testing.T) {
 		"unknown entry tag": strings.Replace(good, "\nend", "\nz 0 1 0x1p+00\nend", 1),
 	}
 	for name, data := range cases {
-		if _, err := Parse([]byte(data)); err == nil {
-			t.Errorf("%s: Parse should fail", name)
+		if _, err := ParseModel([]byte(data)); err == nil {
+			t.Errorf("%s: ParseModel should fail", name)
 		}
 	}
 	// Sanity: the undamaged bytes do parse.
-	if _, err := Parse([]byte(good)); err != nil {
+	if _, err := ParseModel([]byte(good)); err != nil {
 		t.Fatalf("pristine model failed to parse: %v", err)
 	}
 }
 
-func TestEmbeddedModelIsTrained(t *testing.T) {
-	m, err := Parse(EmbeddedBytes())
-	if err != nil {
-		t.Fatalf("embedded model does not parse: %v", err)
-	}
-	if m.Episodes == 0 {
-		t.Fatal("embedded model is untrained (0 episodes) — re-run the pinned -train-sched command")
-	}
-	meta := MetaOf(EmbeddedBytes())
-	if !meta.OK || meta.Version != modelVersion || meta.Corpus != m.Corpus || meta.Episodes != m.Episodes {
-		t.Errorf("MetaOf disagrees with Parse: %+v vs %+v", meta, m)
-	}
-	if bad := MetaOf([]byte("garbage")); bad.OK {
-		t.Error("MetaOf(garbage) should not be OK")
-	}
-}
-
-// FuzzParse asserts the no-panic contract: arbitrary bytes either parse
-// or error, and anything that parses re-marshals canonically.
-func FuzzParse(f *testing.F) {
+// FuzzParseModel asserts the no-panic contract: arbitrary bytes either
+// parse or error, and anything that parses re-marshals canonically.
+func FuzzParseModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(randomModel(1).Marshal())
 	f.Add([]byte(modelVersion + "\n"))
 	f.Add([]byte(modelVersion + "\ncorpus c\nseed 1\nepisodes 0\ndims 4 3 4\nend\n"))
 	f.Add([]byte(modelVersion + "\ncorpus c\nseed 1\nepisodes 0\ndims 4 3 4\nq 0 1 0x1p+00\nend\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Parse(data)
+		m, err := ParseModel(data)
 		if err != nil {
 			return
 		}
 		// A successful parse must round-trip through the canonical form.
-		again, err := Parse(m.Marshal())
+		again, err := ParseModel(m.Marshal())
 		if err != nil {
 			t.Fatalf("canonical re-marshal does not parse: %v", err)
 		}

@@ -30,9 +30,6 @@ func TestInfoMetadataComplete(t *testing.T) {
 		if info.Desc == "" || info.Ref == "" {
 			t.Errorf("%s: metadata incomplete: %+v", info.Name, info)
 		}
-		if got := info.Redundant; got != (info.Name == "redundant") {
-			t.Errorf("%s: Redundant = %v", info.Name, got)
-		}
 		// Provenance marks learned schedulers only: the bandit must say
 		// what it was trained on, classical entries must stay blank.
 		if learned := info.Name == "bandit"; learned != (info.Provenance != "") {

@@ -23,7 +23,9 @@
 //
 // One catalogue (below) lists every scheduler's constructor and Info
 // record; New resolves names by internal/registry's rule, and
-// Names/Infos/Help drive CLI help and the schedgrid experiment.
+// Names/Infos/Help drive CLI help and the schedgrid experiment. The
+// learned "bandit" entry (learned.go) keeps its trained model beside it
+// (model.go, bandit.model).
 //
 // A Scheduler sees subflows as neutral View records (window, in-flight,
 // smoothed RTT, sendability) plus a connection-level Ctx (the shared
@@ -100,16 +102,6 @@ type Scheduler interface {
 	Pick(ctx Ctx, subs []View) int
 }
 
-// Duplicator is an optional extension of Scheduler: schedulers that
-// return true from Duplicates ask the sender to transmit every new
-// segment on *all* subflows with window space, not only the picked one
-// (the redundant scheduler). The duplicates consume no extra receive
-// buffer — receivers count them as duplicate data — and trade goodput
-// for latency and loss-resilience.
-type Duplicator interface {
-	Duplicates() bool
-}
-
 // Options are the receive-buffer-blocking countermeasures of the
 // paper's §6, composable with any scheduler. Both endpoint stacks apply
 // them when the connection is flow-control-blocked on the shared
@@ -151,10 +143,6 @@ type Info struct {
 	Desc string
 	// Ref names the scheduler's origin (Linux scheduler module, paper).
 	Ref string
-	// Redundant marks schedulers that duplicate segments across
-	// subflows. Filled in from the constructed type; never
-	// hand-maintained.
-	Redundant bool
 	// Provenance documents what a learned scheduler was trained on —
 	// model version, training corpus and seed — so CLI -list shows
 	// where a policy's behaviour comes from. Empty for classical
@@ -200,17 +188,11 @@ func init() {
 	}
 }
 
-// register adds e to the catalogue and fills its Redundant flag from
-// the constructed type. A constructor that builds a scheduler of another
-// name panics.
+// register adds e to the catalogue. A constructor that builds a
+// scheduler of another name panics.
 func register(e entry) {
-	if probe, err := e.ctor(); err == nil {
-		if probe.Name() != e.Name {
-			panic(fmt.Sprintf("sched: %s constructor builds scheduler named %q", e.Name, probe.Name()))
-		}
-		if d, ok := probe.(Duplicator); ok {
-			e.Redundant = d.Duplicates()
-		}
+	if probe, err := e.ctor(); err == nil && probe.Name() != e.Name {
+		panic(fmt.Sprintf("sched: %s constructor builds scheduler named %q", e.Name, probe.Name()))
 	}
 	schedulers.Add(e, e.Name, e.Aliases...)
 }

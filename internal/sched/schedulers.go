@@ -107,12 +107,12 @@ func (WeightedCwnd) Pick(_ Ctx, subs []View) int {
 }
 
 // Redundant duplicates every new segment on all subflows with window
-// space (it implements Duplicator); the pick itself is first-fit, and
-// the sender copies the segment to the other sendable subflows. The
-// first copy to arrive delivers the data, the rest count as duplicate
-// data and consume no receive buffer — so as long as one path is up,
-// the stream never stalls, at the cost of sending every byte on every
-// path.
+// space: the pick itself is first-fit, and a sender that finds this
+// type (internal/proto checks for it) copies the segment to the other
+// sendable subflows. The first copy to arrive delivers the data, the
+// rest count as duplicate data and consume no receive buffer — so as
+// long as one path is up, the stream never stalls, at the cost of
+// sending every byte on every path.
 type Redundant struct{}
 
 // Name implements Scheduler.
@@ -120,6 +120,3 @@ func (Redundant) Name() string { return "redundant" }
 
 // Pick implements Scheduler.
 func (Redundant) Pick(ctx Ctx, subs []View) int { return FirstFit{}.Pick(ctx, subs) }
-
-// Duplicates implements Duplicator.
-func (Redundant) Duplicates() bool { return true }

@@ -88,10 +88,12 @@ func TestWeightedCwndPrefersMostFreeWindow(t *testing.T) {
 }
 
 func TestRedundantDuplicatesAndPicksFirstFit(t *testing.T) {
-	s := Redundant{}
-	if d, ok := any(s).(Duplicator); !ok || !d.Duplicates() {
-		t.Fatal("redundant must implement Duplicator")
+	// The sender duplicates when its scheduler is a Redundant value, so
+	// the catalogue must build exactly that type.
+	if _, ok := MustNew("redundant").(Redundant); !ok {
+		t.Fatal("New(redundant) must build a Redundant value")
 	}
+	s := Redundant{}
 	if got := pick(t, s, Ctx{}, []View{v(2, 0, 0.5), v(2, 0, 0.01)}); got != 0 {
 		t.Errorf("redundant pick is first-fit: got %d", got)
 	}

@@ -153,52 +153,27 @@ func (t *Torus) FlowPaths(i int) []transport.Path {
 // Wireless models the §5 mobile client: a WiFi path (high rate, short
 // RTT, random loss from interference, shallow basestation buffer) and a
 // 3G path (low rate, overbuffered so RTTs reach seconds, negligible
-// radio loss). The defaults reproduce the static experiment's observed
-// single-path rates: ~14.4 Mb/s on WiFi and ~2.1 Mb/s on 3G.
+// radio loss).
 type Wireless struct {
 	WiFi *Duplex
 	G3   *Duplex
 }
 
-// WirelessConfig sets the two radio links' characteristics.
+// WirelessConfig sets the two radio links' characteristics. Every field
+// is taken as given: a zero loss rate is a loss-free radio.
 type WirelessConfig struct {
-	WiFiMbps  float64  // default 15.3
-	WiFiDelay sim.Time // one-way, default 10 ms
-	WiFiLoss  float64  // default 0.04 (2.4 GHz interference)
-	WiFiBuf   int      // default 20 packets ("underbuffered")
-	G3Mbps    float64  // default 2.2
-	G3Delay   sim.Time // one-way, default 50 ms
-	G3Loss    float64  // default 0.0005
-	G3Buf     int      // default 400 packets ("overbuffered": ~2 s)
+	WiFiMbps  float64
+	WiFiDelay sim.Time // one-way
+	WiFiLoss  float64  // data-direction loss; ACKs lose a quarter of it
+	WiFiBuf   int      // packets
+	G3Mbps    float64
+	G3Delay   sim.Time // one-way
+	G3Loss    float64
+	G3Buf     int // packets
 }
 
-// NewWireless builds the wireless client topology, applying defaults for
-// zero fields.
+// NewWireless builds the wireless client topology.
 func NewWireless(cfg WirelessConfig) *Wireless {
-	if cfg.WiFiMbps == 0 {
-		cfg.WiFiMbps = 15.3
-	}
-	if cfg.WiFiDelay == 0 {
-		cfg.WiFiDelay = 10 * sim.Millisecond
-	}
-	if cfg.WiFiLoss == 0 {
-		cfg.WiFiLoss = 0.04
-	}
-	if cfg.WiFiBuf == 0 {
-		cfg.WiFiBuf = 20
-	}
-	if cfg.G3Mbps == 0 {
-		cfg.G3Mbps = 2.2
-	}
-	if cfg.G3Delay == 0 {
-		cfg.G3Delay = 50 * sim.Millisecond
-	}
-	if cfg.G3Loss == 0 {
-		cfg.G3Loss = 0.0005
-	}
-	if cfg.G3Buf == 0 {
-		cfg.G3Buf = 400
-	}
 	w := &Wireless{
 		WiFi: NewDuplex("wifi", cfg.WiFiMbps, cfg.WiFiDelay, cfg.WiFiBuf),
 		G3:   NewDuplex("3g", cfg.G3Mbps, cfg.G3Delay, cfg.G3Buf),

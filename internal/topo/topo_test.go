@@ -240,17 +240,20 @@ func levelOf(b *BCube, l *netsim.Link, src int) int {
 	return -1
 }
 
-func TestWirelessDefaults(t *testing.T) {
-	w := NewWireless(WirelessConfig{})
-	paths := w.Paths()
-	if len(paths) != 2 {
-		t.Fatalf("wireless paths = %d, want 2", len(paths))
+// TestWirelessZeroLossStaysZero: every WirelessConfig field is taken
+// as given, so a loss-free radio can be expressed.
+func TestWirelessZeroLossStaysZero(t *testing.T) {
+	w := NewWireless(WirelessConfig{
+		WiFiMbps: 10, WiFiDelay: 5 * sim.Millisecond, WiFiBuf: 20,
+		G3Mbps: 2, G3Delay: 50 * sim.Millisecond, G3Buf: 400,
+	})
+	if len(w.Paths()) != 2 {
+		t.Fatalf("wireless paths = %d, want 2", len(w.Paths()))
 	}
-	if w.WiFi.AB.LossRate == 0 {
-		t.Error("WiFi should default to lossy")
-	}
-	if w.G3.AB.QueueCap <= w.WiFi.AB.QueueCap {
-		t.Error("3G must be overbuffered relative to WiFi")
+	for _, l := range []*netsim.Link{w.WiFi.AB, w.WiFi.BA, w.G3.AB, w.G3.BA} {
+		if l.LossRate != 0 {
+			t.Errorf("%s: loss rate %v, want the configured 0", l.Name, l.LossRate)
+		}
 	}
 }
 
