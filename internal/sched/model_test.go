@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -226,6 +227,27 @@ func TestParseModelRejectsDamage(t *testing.T) {
 	// Sanity: the undamaged bytes do parse.
 	if _, err := ParseModel([]byte(good)); err != nil {
 		t.Fatalf("pristine model failed to parse: %v", err)
+	}
+}
+
+// TestEmbeddedModelIsTrained pins the checked-in model file itself: it
+// parses, it is trained, it is in canonical form (so the pinned trainer
+// command can reproduce it byte-for-byte), and the registry Provenance
+// line reports the same header ParseModel reads.
+func TestEmbeddedModelIsTrained(t *testing.T) {
+	m, err := ParseModel(embeddedModel)
+	if err != nil {
+		t.Fatalf("embedded model does not parse: %v", err)
+	}
+	if m.Episodes == 0 {
+		t.Fatal("embedded model is untrained (0 episodes) — re-run the pinned -train-sched command")
+	}
+	if !bytes.Equal(m.Marshal(), embeddedModel) {
+		t.Error("embedded model is not in canonical Marshal form")
+	}
+	want := fmt.Sprintf("%s, corpus %s, seed %d, %d episodes", modelVersion, m.Corpus, m.Seed, m.Episodes)
+	if got := banditProvenance(); got != want {
+		t.Errorf("banditProvenance() = %q, want %q", got, want)
 	}
 }
 
