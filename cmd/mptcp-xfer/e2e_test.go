@@ -111,17 +111,19 @@ func TestE2EBinaryTransferOverFlappingRelay(t *testing.T) {
 	go func() {
 		tick := time.NewTicker(30 * time.Millisecond)
 		defer tick.Stop()
+		killed := false
 		for {
 			select {
 			case <-stopFlap:
 				relays[1].Path().Heal()
 				return
 			case <-tick.C:
-				if relays[1].Path().Killed() {
+				if killed {
 					relays[1].Path().Heal()
 				} else {
 					relays[1].Path().Kill()
 				}
+				killed = !killed
 			}
 		}
 	}()

@@ -61,60 +61,46 @@ func diffGroups(title string, dimHeader []string, am, bm map[string]*group) (Sec
 		for _, name := range unionMetricNames(ga, gb) {
 			row := append([]string(nil), dims.dims...)
 			row = append(row, name)
-			var sa, sb *summaryView
+			var sa, sb *metrics.Summary
 			if ga != nil {
-				sa = viewOf(ga.mets[name])
+				sa = ga.mets[name]
 			}
 			if gb != nil {
-				sb = viewOf(gb.mets[name])
+				sb = gb.mets[name]
 			}
 			row = append(row, countCell(sa), countCell(sb))
-			row = append(row, deltaCells(sa, sb, (*summaryView).mean)...)
+			row = append(row, deltaCells(sa, sb, (*metrics.Summary).Mean)...)
 			row = append(row, relCell(sa, sb))
-			row = append(row, deltaCells(sa, sb, (*summaryView).p50)...)
-			row = append(row, deltaCells(sa, sb, (*summaryView).p99)...)
+			row = append(row, deltaCells(sa, sb, (*metrics.Summary).P50)...)
+			row = append(row, deltaCells(sa, sb, (*metrics.Summary).P99)...)
 			sec.Rows = append(sec.Rows, row)
 		}
 	}
 	return sec, true
 }
 
-// summaryView adapts a metrics.Summary for the diff columns; a nil view
-// is a metric absent on that side.
-type summaryView struct {
-	n               int64
-	vMean, v50, v99 float64
-}
+// absent reports whether a metric is missing on one side of the diff: no
+// summary, or one with no samples.
+func absent(s *metrics.Summary) bool { return s == nil || s.N() == 0 }
 
-func viewOf(s *metrics.Summary) *summaryView {
-	if s == nil || s.N() == 0 {
-		return nil
-	}
-	return &summaryView{n: s.N(), vMean: s.Mean(), v50: s.P50(), v99: s.P99()}
-}
-
-func (v *summaryView) mean() float64 { return v.vMean }
-func (v *summaryView) p50() float64  { return v.v50 }
-func (v *summaryView) p99() float64  { return v.v99 }
-
-func countCell(v *summaryView) string {
-	if v == nil {
+func countCell(s *metrics.Summary) string {
+	if absent(s) {
 		return "-"
 	}
-	return strconv.FormatInt(v.n, 10)
+	return strconv.FormatInt(s.N(), 10)
 }
 
 // deltaCells renders [a, b, b−a] for one statistic, "-" where a side is
 // missing.
-func deltaCells(a, b *summaryView, stat func(*summaryView) float64) []string {
+func deltaCells(a, b *metrics.Summary, stat func(*metrics.Summary) float64) []string {
 	ca, cb, d := "-", "-", "-"
-	if a != nil {
+	if !absent(a) {
 		ca = fmtG(stat(a))
 	}
-	if b != nil {
+	if !absent(b) {
 		cb = fmtG(stat(b))
 	}
-	if a != nil && b != nil {
+	if !absent(a) && !absent(b) {
 		d = fmtG(stat(b) - stat(a))
 	}
 	return []string{ca, cb, d}
@@ -122,11 +108,11 @@ func deltaCells(a, b *summaryView, stat func(*summaryView) float64) []string {
 
 // relCell renders the mean's relative change in percent; "-" when either
 // side is missing or the baseline mean is zero.
-func relCell(a, b *summaryView) string {
-	if a == nil || b == nil || a.vMean == 0 {
+func relCell(a, b *metrics.Summary) string {
+	if absent(a) || absent(b) || a.Mean() == 0 {
 		return "-"
 	}
-	return fmtG((b.vMean - a.vMean) / math.Abs(a.vMean) * 100)
+	return fmtG((b.Mean() - a.Mean()) / math.Abs(a.Mean()) * 100)
 }
 
 func unionMetricNames(ga, gb *group) []string {

@@ -69,17 +69,8 @@ func init() {
 			Desc: "weighted Vegas: delay-based, backs off on queuing delay before queues overflow"},
 			func() core.Algorithm { return &core.WVegas{} }},
 	} {
-		register(e)
+		algorithms.Add(e, e.Name, e.Aliases...)
 	}
-}
-
-// register adds e to the catalogue. A constructor that builds an
-// algorithm of another name panics.
-func register(e entry) {
-	if probe := e.ctor(); probe.Name() != e.Name {
-		panic(fmt.Sprintf("cc: %s constructor builds algorithm named %q", e.Name, probe.Name()))
-	}
-	algorithms.Add(e, e.Name, e.Aliases...)
 }
 
 // New constructs a fresh instance of the algorithm registered under

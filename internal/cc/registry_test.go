@@ -74,12 +74,3 @@ func TestHelpMentionsEveryAlgorithm(t *testing.T) {
 		}
 	}
 }
-
-func TestRegisterRejectsNameMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched constructor name did not panic")
-		}
-	}()
-	register(entry{Info{Name: "NOT-REGULAR"}, func() core.Algorithm { return core.Regular{} }})
-}

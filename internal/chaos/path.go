@@ -63,13 +63,6 @@ func (p *Path) Heal() {
 	p.mu.Unlock()
 }
 
-// Killed reports whether the path is currently dead.
-func (p *Path) Killed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.killed
-}
-
 // Update mutates the fault model in place under the lock, so one knob
 // can change without racing another mutator's read-modify-write.
 // Datagrams already scheduled keep the faults drawn at write time.

@@ -273,12 +273,17 @@ func TestScriptPlaysInOrder(t *testing.T) {
 			{At: 0, Kill: true, Name: "p0"},
 		}.Play(groups, nil, nil)
 	}()
+	killed := func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.killed
+	}
 	time.Sleep(10 * time.Millisecond)
-	if !p.Killed() {
+	if !killed() {
 		t.Error("path not killed by the t=0 step")
 	}
 	<-done
-	if p.Killed() {
+	if killed() {
 		t.Error("path not healed by the final step")
 	}
 }

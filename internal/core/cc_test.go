@@ -378,21 +378,3 @@ func max(a, b int) int {
 	}
 	return b
 }
-
-func BenchmarkMPTCPIncreasePerAck(b *testing.B) {
-	alg := &MPTCP{PerAck: true}
-	s := withRTT(subs(10, 20, 30, 40, 15, 25, 35, 45), 0.01, 0.02, 0.05, 0.1, 0.015, 0.025, 0.04, 0.2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		alg.Increase(s, i%8)
-	}
-}
-
-func BenchmarkMPTCPIncreaseCached(b *testing.B) {
-	alg := &MPTCP{}
-	s := withRTT(subs(10, 20, 30, 40, 15, 25, 35, 45), 0.01, 0.02, 0.05, 0.1, 0.015, 0.025, 0.04, 0.2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		alg.Increase(s, i%8)
-	}
-}

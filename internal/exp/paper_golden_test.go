@@ -133,6 +133,18 @@ var paperGolden = map[string][2]string{
 	},
 }
 
+// paperExtraGolden pins three figures at one more (seed, scale) point
+// each: the runs the engine-rewrite and scenario-rewire metric goldens
+// compared before this digest covered them.
+var paperExtraGolden = map[string]struct {
+	cfg    Config
+	digest string
+}{
+	"fig2-triangle":     {Config{Seed: 7, Scale: 0.1}, "97b63e3de99dad5ec659f743226e9b68f0d60d11e8d72fe42aea35fa73d2ff96"},
+	"fig17-mobility":    {Config{Seed: 7, Scale: 0.1}, "e62ce210328d5d351d7d8aaf423e22719b77ef79bc32bb5e29cc6b74ee332006"},
+	"ablation-reinject": {Config{Seed: 42, Scale: 0.5}, "e6760420b19599b486f3f12ca633c787ba52464cbf870e40b08ac3e053595645"},
+}
+
 // paperFabricsGolden holds the digests at paperFabricsConfig.
 var paperFabricsGolden = map[string]string{
 	"table-fattree": "8b86a595e6affbc662873679be3bb3101d7ff2f2b7fcd9fc015123890ca3860f",
@@ -142,30 +154,36 @@ var paperFabricsGolden = map[string]string{
 
 // TestPaperFiguresGolden pins the complete output of the twenty
 // experiments that reproduce the paper's own tables and figures, the
-// way TestGridArtefactsGolden pins the five grids: the metric goldens
-// and shape tests cover a handful of numbers each, so a refactor that
-// reorders connection construction, moves an rng draw or changes a
-// table cell in any other figure passes them. If an intentional change
-// moves a digest, update the literal (the failure message prints the
-// new one) and say why in the commit message. The full-size fabrics
-// are compared only with -paper-fabrics:
+// way TestGridArtefactsGolden pins the five grids: the shape tests
+// cover a handful of numbers each, so a refactor that reorders
+// connection construction, moves an rng draw or changes a table cell in
+// any other figure passes them. If an intentional change moves a
+// digest, update the literal (the failure message prints the new one)
+// and say why in the commit message. The full-size fabrics are compared
+// only with -paper-fabrics:
 //
 //	go test ./internal/exp -run TestPaperFiguresGolden -paper-fabrics -timeout 30m
 func TestPaperFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all twenty per-figure experiments twice")
 	}
+	check := func(t *testing.T, id string, cfg Config, want string) {
+		e, ok := Get(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		if got := resultDigest(e.Run(cfg)); got != want {
+			t.Errorf("%s seed %d scale %g digest = %s, want %s", id, cfg.Seed, cfg.Scale, got, want)
+		}
+	}
 	for id, want := range paperGolden {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			e, ok := Get(id)
-			if !ok {
-				t.Fatalf("%s not registered", id)
-			}
 			for i, cfg := range paperConfigs {
-				if got := resultDigest(e.Run(cfg)); got != want[i] {
-					t.Errorf("%s seed %d scale %g digest = %s, want %s", id, cfg.Seed, cfg.Scale, got, want[i])
-				}
+				check(t, id, cfg, want[i])
+			}
+			if x, ok := paperExtraGolden[id]; ok {
+				check(t, id, x.cfg, x.digest)
 			}
 		})
 	}
@@ -175,10 +193,7 @@ func TestPaperFiguresGolden(t *testing.T) {
 	for id, want := range paperFabricsGolden {
 		t.Run(id+"/fabric", func(t *testing.T) {
 			t.Parallel()
-			e, _ := Get(id)
-			if got := resultDigest(e.Run(paperFabricsConfig)); got != want {
-				t.Errorf("%s seed %d scale %g digest = %s, want %s", id, paperFabricsConfig.Seed, paperFabricsConfig.Scale, got, want)
-			}
+			check(t, id, paperFabricsConfig, want)
 		})
 	}
 }

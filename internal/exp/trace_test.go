@@ -30,7 +30,7 @@ func traceWiFi3GFlapCell(t *testing.T) []byte {
 // TestTraceGoldenWiFi3GFlap pins the trace JSONL of a fixed-seed cell
 // byte for byte against the checked-in golden: the event stream —
 // timestamps, ordering, float rendering — is part of the deterministic
-// surface, exactly like the metric goldens above. If an intentional
+// surface, exactly like the figure digests. If an intentional
 // protocol or tracer change alters the stream, regenerate with
 //
 //	go test ./internal/exp/ -run TestTraceGoldenWiFi3GFlap -update-trace-golden

@@ -140,7 +140,7 @@ func TestDelayedAckTimerStoppedByClose(t *testing.T) {
 	sealFrame(f)
 	c.deliver(f) // a lone segment: owed, timer armed
 	deadline := time.Now().Add(5 * time.Second)
-	for rx.Received() == 0 {
+	for received(rx) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the segment was never received")
 		}

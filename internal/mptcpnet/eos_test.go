@@ -126,9 +126,9 @@ func TestEndOfStreamOnEmptyStream(t *testing.T) {
 	if err := tx.Wait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if st := tx.Stats(); st.SegsSent != 1 || st.SegsRetx != 0 || rx.Received() != 1 {
+	if st := tx.Stats(); st.SegsSent != 1 || st.SegsRetx != 0 || received(rx) != 1 {
 		t.Errorf("sent %d segments (%d retransmitted), receiver counts %d: want the end-of-stream segment alone, counted by both",
-			st.SegsSent, st.SegsRetx, rx.Received())
+			st.SegsSent, st.SegsRetx, received(rx))
 	}
 	if ends := endWrites(snd); len(ends) != 1 || ends[0].DataSeq != 0 {
 		t.Errorf("end-of-stream transmissions %+v, want one at data sequence 0", ends)

@@ -266,6 +266,15 @@ func drainEOF(t *testing.T, rx *Receiver) int {
 	}
 }
 
+// received is the count of distinct data segments rx has delivered in
+// order. The end-of-stream segment has a data sequence and is one of
+// them: a finished stream of n segments reads n+1.
+func received(rx *Receiver) int64 {
+	rx.mu.Lock()
+	defer rx.mu.Unlock()
+	return rx.core.DataRcvNxt()
+}
+
 // On a loss-free FIFO pipe there is nothing to recover: any fast
 // retransmit would be manufactured by send-side reordering.
 func TestNoSpuriousRetxOnCleanPipe(t *testing.T) {
@@ -364,14 +373,14 @@ func TestUnreadDataIsFlowControlled(t *testing.T) {
 	}()
 	// Nobody reads: the receiver fills to exactly its buffer and stays.
 	deadline := time.Now().Add(5 * time.Second)
-	for rx.Received() < bufSegments {
+	for received(rx) < bufSegments {
 		if time.Now().After(deadline) {
-			t.Fatalf("receiver holds %d segments, want the buffer to fill to %d", rx.Received(), bufSegments)
+			t.Fatalf("receiver holds %d segments, want the buffer to fill to %d", received(rx), bufSegments)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(300 * time.Millisecond) // let a zero-window probe (every 200 ms) come and go
-	if got := rx.Received(); got != bufSegments {
+	if got := received(rx); got != bufSegments {
 		t.Errorf("receiver holds %d unread segments, want exactly the %d-segment buffer", got, bufSegments)
 	}
 	if _, _, overflow := rx.Stats(); overflow != 0 {
@@ -425,9 +434,9 @@ func TestLostWindowUpdateRecoveredByProbe(t *testing.T) {
 		tx.Close()
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for rx.Received() < bufSegments { // window shut, sender idle
+	for received(rx) < bufSegments { // window shut, sender idle
 		if time.Now().After(deadline) {
-			t.Fatalf("receiver holds %d segments, want the buffer to fill to %d", rx.Received(), bufSegments)
+			t.Fatalf("receiver holds %d segments, want the buffer to fill to %d", received(rx), bufSegments)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -327,8 +327,8 @@ func TestReceiverEOFOnlyAfterAllData(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no EOF after the gap filled")
 	}
-	if got := rx.Received(); got != 3 {
-		t.Errorf("Received() = %d, want the 2 data segments and the end-of-stream one", got)
+	if got := received(rx); got != 3 {
+		t.Errorf("received %d segments, want the 2 data segments and the end-of-stream one", got)
 	}
 }
 

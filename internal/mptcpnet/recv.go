@@ -169,15 +169,6 @@ func (r *Receiver) Close() error {
 	return nil
 }
 
-// Received returns the count of distinct data segments delivered in order
-// so far. The end-of-stream segment has a data sequence and is one of
-// them: a finished stream of n segments reads n+1.
-func (r *Receiver) Received() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.core.DataRcvNxt()
-}
-
 // Stats returns the receiver's counters: segments received (including
 // duplicates), duplicate-data arrivals, and segments refused by the
 // shared buffer.

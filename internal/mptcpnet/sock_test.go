@@ -188,7 +188,7 @@ func TestRunCorruptDatagramDropsOnlyItself(t *testing.T) {
 	if n := rx.Corrupted(); n != 1 {
 		t.Errorf("Corrupted() = %d, want 1", n)
 	}
-	if n := rx.Received(); n != bad {
+	if n := received(rx); n != bad {
 		t.Errorf("%d segments in order, want the %d ahead of the damaged one", n, bad)
 	}
 	tx.writeRun(seg(bad), size, b.LocalAddr())

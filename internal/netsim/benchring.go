@@ -6,14 +6,12 @@ import (
 	"mptcp/internal/sim"
 )
 
-// BenchRing is the canonical engine-benchmark workload shared by the
-// go-test benchmarks (BenchmarkEnginePacketHop) and the repository
-// benchmark (bash bench/run.sh, netsim.hop_ns): a ring of store-and-forward links with a
-// fixed population of circulating packets. Every delivery immediately
-// re-injects, so the steady state is a pure packet-hop event stream with
-// no endpoint logic — one event per packet per hop. Keeping one
-// definition here means both measurements always run the identical
-// workload.
+// BenchRing is the engine-benchmark workload of the repository
+// benchmark (bash bench/run.sh, netsim.hop_ns and netsim.hop_allocs): a
+// ring of store-and-forward links with a fixed population of circulating
+// packets. Every delivery immediately re-injects, so the steady state is
+// a pure packet-hop event stream with no endpoint logic — one event per
+// packet per hop.
 type BenchRing struct {
 	Net   *Net
 	route *Route

@@ -408,22 +408,3 @@ func TestSendAtDefersInjection(t *testing.T) {
 		t.Errorf("immediate SendAt lost the packet")
 	}
 }
-
-func BenchmarkLinkForwarding(b *testing.B) {
-	s := sim.New(1)
-	n := NewNet(s)
-	l := NewLink("l", 1e6, sim.Millisecond, 1<<30)
-	dst := &sink{net: n}
-	dst.got = make([]int64, 0, b.N)
-	r := NewRoute(dst, l)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := n.AllocPacket()
-		p.Size = 1500
-		n.Send(r, p)
-		if i%1024 == 0 {
-			s.Run()
-		}
-	}
-	s.Run()
-}

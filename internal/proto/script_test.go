@@ -225,7 +225,7 @@ func TestAcksBeyondSentAreClamped(t *testing.T) {
 	s, r := newScript(SenderConfig{Subflows: 1, Total: Infinite})
 	s.Pump(0)
 	s.OnAck(Millisecond, ack(0, 1000, Millisecond))
-	if out := s.Outstanding(0); out < 0 {
+	if out := s.subs[0].outstanding(); out < 0 {
 		t.Errorf("a bogus subflow ack left %d packets outstanding", out)
 	}
 	if s.DataUna() > s.DataNxt() {
@@ -265,7 +265,7 @@ func TestResetInsideCompletedDropsRestOfAck(t *testing.T) {
 	if s.Done() {
 		t.Fatal("the recycled sender is done: the new life never started")
 	}
-	if out := s.Outstanding(0); out != 2 {
+	if out := s.subs[0].outstanding(); out != 2 {
 		t.Errorf("new life has %d packets outstanding, want its initial window of 2 (old ack applied?)", out)
 	}
 	if cw := s.Cwnd(0); cw != 2 {
@@ -537,8 +537,8 @@ func TestDelayedAckHeldSegmentDoesNotDelayFastRetransmit(t *testing.T) {
 		}
 	}
 	feed(0) // held
-	if s.Outstanding(0) != 10 {
-		t.Fatalf("%d packets outstanding with seq 0's ACK held, want all 10", s.Outstanding(0))
+	if s.subs[0].outstanding() != 10 {
+		t.Fatalf("%d packets outstanding with seq 0's ACK held, want all 10", s.subs[0].outstanding())
 	}
 	for _, seq := range []int64{2, 3} {
 		feed(seq)

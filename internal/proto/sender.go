@@ -236,9 +236,6 @@ func (s *Sender) MinRTO() Time { return s.cfg.MinRTO }
 // timeouts since it last made cumulative-ACK progress (capped at 10).
 func (s *Sender) Backoff(i int) uint { return s.subs[i].backoff }
 
-// Outstanding returns subflow i's count of unacknowledged packets.
-func (s *Sender) Outstanding(i int) int64 { return s.subs[i].outstanding() }
-
 // Stats returns subflow i's live counters.
 func (s *Sender) Stats(i int) *SubflowStats { return &s.subs[i].SubflowStats }
 

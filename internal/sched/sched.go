@@ -184,17 +184,8 @@ func init() {
 			Desc: "offline-trained contextual bandit over SRTT ratio, cwnd headroom and receive-window pressure"},
 			func() (Scheduler, error) { return NewBandit() }},
 	} {
-		register(e)
+		schedulers.Add(e, e.Name, e.Aliases...)
 	}
-}
-
-// register adds e to the catalogue. A constructor that builds a
-// scheduler of another name panics.
-func register(e entry) {
-	if probe, err := e.ctor(); err == nil && probe.Name() != e.Name {
-		panic(fmt.Sprintf("sched: %s constructor builds scheduler named %q", e.Name, probe.Name()))
-	}
-	schedulers.Add(e, e.Name, e.Aliases...)
 }
 
 // New constructs a fresh instance of the scheduler registered under

@@ -44,12 +44,6 @@ const (
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Millis reports t as a floating-point number of milliseconds.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
-// FromSeconds converts a floating-point number of seconds into a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
 func (t Time) String() string {
 	return fmt.Sprintf("%.6fs", t.Seconds())
 }
@@ -114,9 +108,6 @@ func (t *Timer) Stop() bool {
 	t.slot = -1
 	return true
 }
-
-// Active reports whether the timer is still pending.
-func (t *Timer) Active() bool { return t != nil && t.slot >= 0 }
 
 // Reset (re)arms the timer to fire d from now. If the timer is already
 // queued its event is rearmed in place; otherwise a fresh event is

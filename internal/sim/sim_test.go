@@ -10,12 +10,6 @@ func TestTimeConversions(t *testing.T) {
 	if got := (2 * Second).Seconds(); got != 2.0 {
 		t.Errorf("Seconds() = %v, want 2", got)
 	}
-	if got := (1500 * Microsecond).Millis(); got != 1.5 {
-		t.Errorf("Millis() = %v, want 1.5", got)
-	}
-	if got := FromSeconds(0.25); got != 250*Millisecond {
-		t.Errorf("FromSeconds(0.25) = %v, want 250ms", got)
-	}
 }
 
 func TestEventOrdering(t *testing.T) {
@@ -70,11 +64,11 @@ func TestTimerStop(t *testing.T) {
 	s := New(1)
 	fired := false
 	tm := s.NewTimer(func() { fired = true })
-	if tm.Active() {
+	if tm.slot >= 0 {
 		t.Error("new timer should be idle until Reset")
 	}
 	tm.Reset(10 * Millisecond)
-	if !tm.Active() {
+	if tm.slot < 0 {
 		t.Error("timer should be active before firing")
 	}
 	if !tm.Stop() {
@@ -90,7 +84,7 @@ func TestTimerStop(t *testing.T) {
 	if fired {
 		t.Error("stopped timer fired")
 	}
-	if tm.Active() {
+	if tm.slot >= 0 {
 		t.Error("stopped timer reports active")
 	}
 }
@@ -99,9 +93,6 @@ func TestTimerStopNil(t *testing.T) {
 	var tm *Timer
 	if tm.Stop() {
 		t.Error("Stop on nil timer should be false")
-	}
-	if tm.Active() {
-		t.Error("nil timer should not be active")
 	}
 }
 
@@ -391,53 +382,3 @@ func TestTimerResetZeroAlloc(t *testing.T) {
 type countHandler struct{ n int }
 
 func (c *countHandler) OnEvent(arg any) { c.n++ }
-
-func BenchmarkEventThroughput(b *testing.B) {
-	s := New(1)
-	var tick func()
-	n := 0
-	tick = func() {
-		n++
-		if n < b.N {
-			s.After(Microsecond, tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.After(0, tick)
-	s.Run()
-}
-
-// BenchmarkTimerChurn is the legacy stop-and-recreate pattern, kept for
-// comparison against the rearm-in-place path (BenchmarkEngineTimerRearm
-// at the repository root).
-func BenchmarkTimerChurn(b *testing.B) {
-	s := New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var prev *Timer
-	for i := 0; i < b.N; i++ {
-		prev.Stop()
-		prev = s.NewTimer(func() {})
-		prev.Reset(Second)
-		if i%16 == 0 {
-			s.RunUntil(s.Now() + Millisecond)
-		}
-	}
-}
-
-// BenchmarkPostHop measures the typed-event scheduling path in isolation.
-func BenchmarkPostHop(b *testing.B) {
-	s := New(1)
-	h := &countHandler{}
-	arg := new(int)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Post(s.Now()+Microsecond, h, arg)
-		if i%16 == 0 {
-			s.RunUntil(s.Now() + Millisecond)
-		}
-	}
-	s.Run()
-}

@@ -252,8 +252,8 @@ func TestConnPoolRecycleInsideOnComplete(t *testing.T) {
 				// final ack (6) must not have touched it.
 				recycled := c
 				s.After(sim.Millisecond, func() {
-					if out := recycled.core.Outstanding(0); out < 0 {
-						t.Errorf("old life's ack leaked into the new life: %d packets outstanding", out)
+					if sent := recycled.Subflows()[0].PktsSent; sent != 2 {
+						t.Errorf("new life sent %d packets, want its initial window of 2 (old life's ack applied?)", sent)
 					}
 					if cw := recycled.Cwnd(0); cw != 2 {
 						t.Errorf("fresh cwnd = %v, want the initial 2 (phantom slow-start credits)", cw)
