@@ -106,7 +106,18 @@ func runReceiver(paths int, out string, connID uint64, debugAddr string) {
 	}
 	fmt.Fprintf(os.Stderr, "received %d bytes in %v (%.2f Mb/s); per-path %v\n",
 		n, el.Round(time.Millisecond), float64(n)*8/el.Seconds()/1e6, perPath)
+	// The stack lives in this process, so exiting closes its sockets. The
+	// ACK of the end-of-stream segment may still be on its way out, or be
+	// lost; a sender whose end is never acknowledged retransmits it until
+	// it gives up, and fails. Stay up for a draining period (TCP's
+	// TIME_WAIT, QUIC's draining state) in which the receiver re-ACKs any
+	// retransmitted end.
+	time.Sleep(drainPeriod)
 }
+
+// drainPeriod is how long the receiver keeps acknowledging after the
+// stream ends: several retransmission timeouts (200 ms minimum).
+const drainPeriod = time.Second
 
 func runSender(file, to, algName string, connID uint64, debugAddr string) {
 	alg, err := cc.New(algName) // registry lookup is case-insensitive

@@ -101,7 +101,7 @@ func runAblationReinject(cfg Config) *Result {
 		flow := sc.add(w, transport.Config{Alg: newAlg("MPTCP"), DataPackets: 6000, DisableReinject: c.at[0] == 1}, sc.paths)
 		flow.Start()
 		// Path death as a declarative scenario (bit-identical to the
-		// closure it replaced; pinned by TestPaperFiguresGolden).
+		// closure it replaced; pinned by TestScenarioRewireGolden).
 		sc.script(w, scenario.Scenario{Name: "path-death", Directives: []scenario.Directive{
 			scenario.LinkDown{Link: 1, At: c.dur(2 * sim.Second)},
 		}})

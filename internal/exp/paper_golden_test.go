@@ -133,18 +133,6 @@ var paperGolden = map[string][2]string{
 	},
 }
 
-// paperExtraGolden pins three figures at one more (seed, scale) point
-// each: the runs the engine-rewrite and scenario-rewire metric goldens
-// compared before this digest covered them.
-var paperExtraGolden = map[string]struct {
-	cfg    Config
-	digest string
-}{
-	"fig2-triangle":     {Config{Seed: 7, Scale: 0.1}, "97b63e3de99dad5ec659f743226e9b68f0d60d11e8d72fe42aea35fa73d2ff96"},
-	"fig17-mobility":    {Config{Seed: 7, Scale: 0.1}, "e62ce210328d5d351d7d8aaf423e22719b77ef79bc32bb5e29cc6b74ee332006"},
-	"ablation-reinject": {Config{Seed: 42, Scale: 0.5}, "e6760420b19599b486f3f12ca633c787ba52464cbf870e40b08ac3e053595645"},
-}
-
 // paperFabricsGolden holds the digests at paperFabricsConfig.
 var paperFabricsGolden = map[string]string{
 	"table-fattree": "8b86a595e6affbc662873679be3bb3101d7ff2f2b7fcd9fc015123890ca3860f",
@@ -167,23 +155,11 @@ func TestPaperFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all twenty per-figure experiments twice")
 	}
-	check := func(t *testing.T, id string, cfg Config, want string) {
-		e, ok := Get(id)
-		if !ok {
-			t.Fatalf("%s not registered", id)
-		}
-		if got := resultDigest(e.Run(cfg)); got != want {
-			t.Errorf("%s seed %d scale %g digest = %s, want %s", id, cfg.Seed, cfg.Scale, got, want)
-		}
-	}
 	for id, want := range paperGolden {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			for i, cfg := range paperConfigs {
-				check(t, id, cfg, want[i])
-			}
-			if x, ok := paperExtraGolden[id]; ok {
-				check(t, id, x.cfg, x.digest)
+				checkDigest(t, id, cfg, want[i])
 			}
 		})
 	}
@@ -193,7 +169,66 @@ func TestPaperFiguresGolden(t *testing.T) {
 	for id, want := range paperFabricsGolden {
 		t.Run(id+"/fabric", func(t *testing.T) {
 			t.Parallel()
-			check(t, id, paperFabricsConfig, want)
+			checkDigest(t, id, paperFabricsConfig, want)
 		})
 	}
+}
+
+// checkDigest runs experiment id at cfg and compares its resultDigest
+// with want.
+func checkDigest(t *testing.T, id string, cfg Config, want string) {
+	t.Helper()
+	e, ok := Get(id)
+	if !ok {
+		t.Fatalf("%s not registered", id)
+	}
+	if got := resultDigest(e.Run(cfg)); got != want {
+		t.Errorf("%s seed %d scale %g digest = %s, want %s", id, cfg.Seed, cfg.Scale, got, want)
+	}
+}
+
+// pinnedRun is one experiment at one (seed, scale) point and the
+// resultDigest it must produce.
+type pinnedRun struct {
+	id     string
+	cfg    Config
+	digest string
+}
+
+// checkPinned runs each pinned run as a subtest named after its
+// experiment.
+func checkPinned(t *testing.T, runs []pinnedRun) {
+	if testing.Short() {
+		t.Skip("full-experiment golden comparison")
+	}
+	for _, r := range runs {
+		t.Run(r.id, func(t *testing.T) {
+			t.Parallel()
+			checkDigest(t, r.id, r.cfg, r.digest)
+		})
+	}
+}
+
+// TestEngineMetricsGolden pins the two runs the zero-allocation rewrite
+// of internal/sim (typed events, rearm-in-place timers, freelists) was
+// required to reproduce bit for bit. It once compared six metrics per
+// run; the digest covers those and everything else the run reports.
+func TestEngineMetricsGolden(t *testing.T) {
+	checkPinned(t, []pinnedRun{
+		{"fig8-torus", paperConfigs[1], paperGolden["fig8-torus"][1]},
+		{"fig2-triangle", Config{Seed: 7, Scale: 0.1}, "97b63e3de99dad5ec659f743226e9b68f0d60d11e8d72fe42aea35fa73d2ff96"},
+	})
+}
+
+// TestScenarioRewireGolden pins the three runs the rewire of the §5
+// handover and the ablation path death onto internal/scenario was
+// required to reproduce bit for bit: same schedule, same loss and
+// retransmit pattern around the path death. The digest covers the
+// phase rates and delivered-packet counts it once compared.
+func TestScenarioRewireGolden(t *testing.T) {
+	checkPinned(t, []pinnedRun{
+		{"fig17-mobility", paperConfigs[1], paperGolden["fig17-mobility"][1]},
+		{"fig17-mobility", Config{Seed: 7, Scale: 0.1}, "e62ce210328d5d351d7d8aaf423e22719b77ef79bc32bb5e29cc6b74ee332006"},
+		{"ablation-reinject", Config{Seed: 42, Scale: 0.5}, "e6760420b19599b486f3f12ca633c787ba52464cbf870e40b08ac3e053595645"},
+	})
 }

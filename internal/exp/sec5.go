@@ -218,7 +218,7 @@ func runFig17(cfg Config) *Result {
 		// basestation appears with better radio. Rates are absolute Mb/s
 		// (the paper's measured conditions), so the rewire onto
 		// internal/scenario is bit-identical to the hand-coded closures
-		// it replaced (pinned by TestPaperFiguresGolden).
+		// it replaced (pinned by TestScenarioRewireGolden).
 		sc.script(w, scenario.Scenario{Name: "fig17-walk", Directives: []scenario.Directive{
 			scenario.LinkDown{Link: 0, At: p1},
 			scenario.RateRamp{Link: 1, Start: p1, To: 2.8, Abs: true},
