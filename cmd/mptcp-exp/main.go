@@ -33,10 +33,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"mptcp/internal/exp"
@@ -44,53 +42,6 @@ import (
 	"mptcp/internal/sched"
 	"mptcp/internal/workload"
 )
-
-// dropNaN removes NaN-valued metrics before JSON encoding: encoding/json
-// rejects NaN, and an absent field is the honest rendering of "no
-// observations" (metrics.Summary's Min/Max sentinel; -analyze and
-// -diff show missing fields as "-").
-func dropNaN(m map[string]float64) map[string]float64 {
-	for k, v := range m {
-		if math.IsNaN(v) {
-			delete(m, k)
-		}
-	}
-	return m
-}
-
-// trialRecord is the JSONL shape emitted by -json, one line per
-// (experiment, trial): the batch identity plus the headline metrics.
-type trialRecord struct {
-	ID      string             `json:"id"`
-	Ref     string             `json:"ref"`
-	Trial   int                `json:"trial"`
-	Seed    int64              `json:"seed"`
-	Scale   float64            `json:"scale"`
-	WallSec float64            `json:"wall_s"`
-	Metrics map[string]float64 `json:"metrics"`
-	Notes   []string           `json:"notes,omitempty"`
-}
-
-// cellRecord is the JSONL shape for grid experiments (tournament,
-// dynamics, schedgrid, appgrid): one line per grid cell of a trial,
-// replacing that trial's aggregate line. Scenario is set only by
-// scenario-grid experiments; Scheduler and RecvBuf only by scheduler-
-// grid ones; Workload only by the application-workload grid. The full
-// field-by-field schema is documented in DESIGN.md §"JSONL record
-// schema".
-type cellRecord struct {
-	ID        string             `json:"id"`
-	Trial     int                `json:"trial"`
-	Seed      int64              `json:"seed"`
-	Scale     float64            `json:"scale"`
-	Algorithm string             `json:"algorithm"`
-	Topology  string             `json:"topology"`
-	Scenario  string             `json:"scenario,omitempty"`
-	Scheduler string             `json:"scheduler,omitempty"`
-	Workload  string             `json:"workload,omitempty"`
-	RecvBuf   int64              `json:"recv_buf,omitempty"`
-	Metrics   map[string]float64 `json:"metrics"`
-}
 
 func main() {
 	list := flag.Bool("list", false, "list experiments and scenarios")
@@ -208,50 +159,13 @@ func main() {
 	// Stream each trial as soon as it (and its predecessors) finish:
 	// long batches produce output while they run, in deterministic
 	// (experiment, trial) order.
-	enc := json.NewEncoder(os.Stdout)
 	var encErr error
 	exp.RunBatchStream(cfg, exps, *trials, func(tr exp.TrialResult) {
 		if encErr != nil {
 			return
 		}
 		if *jsonOut {
-			// Grid experiments carry per-cell records: emit one line per
-			// (algorithm × topology) cell instead of one aggregate line.
-			if recs := tr.Result.Records; len(recs) > 0 {
-				for _, r := range recs {
-					cr := cellRecord{
-						ID:        tr.ID,
-						Trial:     tr.Trial,
-						Seed:      tr.Seed,
-						Scale:     tr.Scale,
-						Algorithm: r.Algorithm,
-						Topology:  r.Topology,
-						Scenario:  r.Scenario,
-						Scheduler: r.Scheduler,
-						Workload:  r.Workload,
-						RecvBuf:   r.RecvBuf,
-						Metrics:   dropNaN(r.Metrics),
-					}
-					if err := enc.Encode(cr); err != nil {
-						encErr = fmt.Errorf("encoding %s: %v", tr.ID, err)
-						return
-					}
-				}
-				return
-			}
-			rec := trialRecord{
-				ID:      tr.ID,
-				Ref:     tr.Ref,
-				Trial:   tr.Trial,
-				Seed:    tr.Seed,
-				Scale:   tr.Scale,
-				WallSec: tr.WallSec,
-				Metrics: dropNaN(tr.Result.Metrics),
-				Notes:   tr.Result.Notes,
-			}
-			if err := enc.Encode(rec); err != nil {
-				encErr = fmt.Errorf("encoding %s: %v", tr.ID, err)
-			}
+			encErr = tr.WriteJSONL(os.Stdout)
 			return
 		}
 		tr.Result.Render(os.Stdout)

@@ -1,9 +1,9 @@
 // Package analyze turns the JSONL artifacts this repo produces — grid
-// cell records, per-trial records (cmd/mptcp-exp -json) and protocol
-// traces (internal/trace) — into summary tables and CSV, so the
-// paper-style figures reproduce from checked-in artifacts alone,
-// without ad-hoc scripts. It is the consumer half of the ROADMAP's
-// "perf trajectory in-repo + analysis pipeline" item.
+// cell records and per-trial records (exp.Record lines, as
+// cmd/mptcp-exp -json writes them) and protocol traces
+// (internal/trace) — into summary tables and CSV, so the paper-style
+// figures reproduce from checked-in artifacts alone, without ad-hoc
+// scripts.
 //
 // Input lines are classified by shape, not by file: a line with an
 // "ev" field is a trace record, one with an "algorithm" field a grid
@@ -45,7 +45,7 @@ type line struct {
 	RTTSec  float64 `json:"rtt_s"`
 	Cwnd    float64 `json:"cwnd"`
 
-	// Grid cell records and trial records (cmd/mptcp-exp -json).
+	// Grid cell records and trial records (exp.Record's JSON names).
 	ID        string             `json:"id"`
 	Algorithm string             `json:"algorithm"`
 	Topology  string             `json:"topology"`

@@ -81,6 +81,7 @@ func runAppGrid(cfg Config) *Result {
 		id:    "appgrid",
 		title: "Application workloads: completed units (headline: latency-p95 s, or rebuffer ratio for video) per workload × scheduler × algorithm × topology",
 		axes:  []axis{{"workload", workload.Names()}, {"scheduler", appSchedSpecs()}, {"algorithm", appAlgs()}, {"topology", appTopos}},
+		dims:  Record{RecvBuf: appRecvBuf},
 	}
 	res := runGrid(cfg, g, appCell, func(res *Result, c *gridCell, out appOut) []string {
 		wl, spec, alg, tp := c.vals[0], c.vals[1], c.vals[2], c.vals[3]
@@ -92,15 +93,9 @@ func runAppGrid(cfg Config) *Result {
 			res.Metrics[key+"_"+name] = v
 			text += " (" + fmt.Sprintf("%.3g", v) + ")"
 		}
-		res.Records = append(res.Records, Record{
-			Algorithm: alg,
-			Topology:  tp,
-			Scenario:  appScenario[tp],
-			Scheduler: spec,
-			RecvBuf:   appRecvBuf,
-			Workload:  wl,
-			Metrics:   mets,
-		})
+		rec := g.record(c, mets)
+		rec.Scenario = appScenario[tp]
+		res.Records = append(res.Records, rec)
 		return []string{text}
 	})
 	res.note("all transfers share a %d-packet receive buffer; wifi3g runs the handover script (WiFi dies at 0.4T), dualhomed is static; latency fields are omitted when a cell completed nothing", appRecvBuf)

@@ -48,17 +48,12 @@ func runDynamics(cfg Config) *Result {
 		res.Metrics[key+"_mbps"] = out.mbps
 		res.Metrics[key+"_recovery_mbps"] = out.recovery
 		res.Metrics[key+"_jain"] = out.jain
-		res.Records = append(res.Records, Record{
-			Algorithm: c.vals[0],
-			Topology:  c.vals[1],
-			Scenario:  c.vals[2],
-			Metrics: map[string]float64{
-				"mbps":           out.mbps,
-				"recovery_mbps":  out.recovery,
-				"jain":           out.jain,
-				"churn_arrivals": out.churn,
-			},
-		})
+		res.Records = append(res.Records, g.record(c, map[string]float64{
+			"mbps":           out.mbps,
+			"recovery_mbps":  out.recovery,
+			"jain":           out.jain,
+			"churn_arrivals": out.churn,
+		}))
 		return []string{f1(out.mbps) + " (" + f1(out.recovery) + ") [" + f2(out.jain) + "]"}
 	})
 	res.note("every algorithm must survive flaps, ramps, churn and handover on every topology; recovery is the final tenth of the run, after the last disturbance")

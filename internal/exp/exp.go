@@ -2,7 +2,7 @@
 // the paper's evaluation (§2–§5), plus ablations of the design decisions.
 // Each experiment builds its scenario from the substrate packages, runs
 // the packet-level simulation and reports the same rows/series the paper
-// does. The cmd/mptcp-exp tool and the top-level benchmark harness both
+// does. The cmd/mptcp-exp tool and the benchmark module (bench/) both
 // drive this registry.
 package exp
 
@@ -105,31 +105,44 @@ type Figure struct {
 	Curves []Curve
 }
 
-// Record is one machine-readable grid cell of a Result — e.g. one
-// (algorithm × topology) cell of the tournament, or one (algorithm ×
-// topology × scenario) cell of the dynamics grid. Experiments that run
-// a full cross-product attach one Record per cell, in cell order, so
-// drivers can emit them individually (cmd/mptcp-exp -json writes one
-// JSONL line per record instead of one aggregate line).
+// Record is one line of a run's JSONL (TrialResult.WriteJSONL, which
+// cmd/mptcp-exp -json writes): one grid cell of a cross-product
+// experiment, or the headline metrics of a trial of an experiment
+// without cells. The five grids (tournament, dynamics, schedgrid,
+// fleet, appgrid) attach one Record per cell to their Result, in cell
+// order, labelled with the cell's axis values (grid.record); the
+// identity fields are the trial's, and the writer fills them in. The
+// field-by-field schema is DESIGN.md §"JSONL record schema".
 type Record struct {
-	Algorithm string
-	Topology  string
+	ID  string `json:"id"`
+	Ref string `json:"ref,omitempty"` // trial lines only
+	// Trial, Seed and Scale are the trial's: its index in the batch and
+	// the normalised base seed and scale it ran with (not a cell's seed).
+	Trial   int     `json:"trial"`
+	Seed    int64   `json:"seed"`
+	Scale   float64 `json:"scale"`
+	WallSec float64 `json:"wall_s,omitempty"` // trial lines only
+	// The cell's dimensions; empty on a trial line, so a reader tells the
+	// two kinds apart by Algorithm.
+	Algorithm string `json:"algorithm,omitempty"`
+	Topology  string `json:"topology,omitempty"`
 	// Scenario names the network-dynamics script of the cell; empty for
 	// static-network grids (the tournament).
-	Scenario string
+	Scenario string `json:"scenario,omitempty"`
 	// Scheduler names the packet-scheduler spec of the cell (a
 	// sched.Parse spec such as "minrtt" or "minrtt+otr+pen"); empty for
 	// grids without a scheduler axis.
-	Scheduler string
-	// RecvBuf is the shared receive buffer, in packets, constraining the
-	// cell's multipath flows; 0 means unconstrained (grids without a
-	// buffer axis leave it 0).
-	RecvBuf int64
+	Scheduler string `json:"scheduler,omitempty"`
 	// Workload names the application workload driving the cell's
 	// transfers (an internal/workload name such as "web" or "video");
 	// empty for grids without an application layer.
-	Workload string
-	Metrics  map[string]float64
+	Workload string `json:"workload,omitempty"`
+	// RecvBuf is the shared receive buffer, in packets, constraining the
+	// cell's multipath flows; 0 means unconstrained (grids without a
+	// buffer axis leave it 0).
+	RecvBuf int64              `json:"recv_buf,omitempty"`
+	Metrics map[string]float64 `json:"metrics"`
+	Notes   []string           `json:"notes,omitempty"` // trial lines only
 }
 
 // Result is everything an experiment reports.
@@ -138,11 +151,12 @@ type Result struct {
 	Tables  []Table
 	Figures []Figure
 	Notes   []string
-	// Metrics exposes headline scalars (used by benchmarks and
-	// EXPERIMENTS.md): e.g. "mptcp_total_mbps".
+	// Metrics exposes headline scalars, e.g. "mptcp_total_mbps": the
+	// rendered report's metric lines and, for an experiment without
+	// Records, its JSONL line.
 	Metrics map[string]float64
-	// Records holds per-cell grid output for cross-product experiments;
-	// empty for the classic per-figure experiments.
+	// Records holds one line per grid cell for cross-product
+	// experiments; empty for the per-figure experiments.
 	Records []Record
 }
 

@@ -124,6 +124,7 @@ func runFleet(cfg Config) *Result {
 		title: "Fleet: flow-completion time seconds p50/p95/p99 (completed flows) per algorithm × scheduler",
 		axes:  []axis{{"algorithm", cc.Names()}, {"scheduler", fleetScheds()}},
 		cols:  []string{"p50", "p95", "p99", "mean", "completed", "arrivals"},
+		dims:  Record{Topology: "fleet32", Scenario: "poisson-pareto-churn", RecvBuf: fleetRecvBuf},
 	}
 	res := runGrid(cfg, g, func(c *gridCell) fleetOut {
 		return runFleetCell(c.Config, c.vals[0], c.vals[1])
@@ -150,14 +151,7 @@ func runFleet(cfg Config) *Result {
 			mets["fct_mean_s"] = out.fct.Mean()
 			mets["fct_max_s"] = out.fct.Max()
 		}
-		res.Records = append(res.Records, Record{
-			Algorithm: c.vals[0],
-			Topology:  "fleet32",
-			Scenario:  "poisson-pareto-churn",
-			Scheduler: c.vals[1],
-			RecvBuf:   fleetRecvBuf,
-			Metrics:   mets,
-		})
+		res.Records = append(res.Records, g.record(c, mets))
 		return []string{
 			f2(out.fct.P50()), f2(out.fct.P95()), f2(out.fct.P99()), f2(out.fct.Mean()),
 			f0(float64(out.completed)), f0(float64(out.arrivals)),

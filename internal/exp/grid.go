@@ -33,11 +33,11 @@ package exp
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"mptcp/internal/scenario"
 	"mptcp/internal/sched"
-	"mptcp/internal/sim"
 	"mptcp/internal/trace"
 	"mptcp/internal/workload"
 )
@@ -69,6 +69,9 @@ type grid struct {
 	// cols head the per-cell value columns of a grid without a pivot
 	// axis.
 	cols []string
+	// dims are the Record dimensions that every cell of the grid shares
+	// and no axis varies (the fleet's one topology, say).
+	dims Record
 }
 
 // gridCell is one selected cell. The embedded Config is the run's with
@@ -93,6 +96,34 @@ func (c *gridCell) world() *world {
 		c.tr = w.tr
 	}
 	return w
+}
+
+// record is cell c's Record with metrics mets: g.dims, with every
+// dimension that an axis of the same name varies (algorithm, topology,
+// scenario, scheduler, workload, recvbuf) set to the cell's value on it.
+// The Config filters select cells by those same axis values, so a
+// filtered run's lines are exactly the full run's lines that carry the
+// filter's value.
+func (g grid) record(c *gridCell, mets map[string]float64) Record {
+	r := g.dims
+	r.Metrics = mets
+	for i, a := range g.axes {
+		switch v := c.vals[i]; a.name {
+		case "algorithm":
+			r.Algorithm = v
+		case "topology":
+			r.Topology = v
+		case "scenario":
+			r.Scenario = v
+		case "scheduler":
+			r.Scheduler = v
+		case "workload":
+			r.Workload = v
+		case "recvbuf":
+			r.RecvBuf, _ = strconv.ParseInt(v, 10, 64)
+		}
+	}
+	return r
 }
 
 // filter returns the value cfg restricts the axis called name to, ""
@@ -159,18 +190,24 @@ func (g grid) cells(cfg Config) []*gridCell {
 // never goroutine order. measure must build everything it simulates from
 // its cell — the world with c.world(), algorithm instances afresh — since
 // cells run concurrently.
+//
+// A traced cell's events go to cfg.TraceW as soon as it and every cell
+// before it are done: in cell order, so the trace bytes, like the
+// outputs, are the same at any Parallelism, and held in memory only
+// until then. Flush is a no-op on an untraced cell.
 func sweep[T any](res *Result, cfg Config, g grid, measure func(*gridCell) T) ([]*gridCell, []T) {
 	cfg = cfg.norm()
 	cells := g.cells(cfg)
 	outs := make([]T, len(cells))
-	sim.Parallel(len(cells), cfg.Parallelism, func(i int) { outs[i] = measure(cells[i]) })
-	// Cell order again, so the trace bytes, like the outputs, are the
-	// same at any Parallelism. Flush is a no-op on an untraced cell.
-	for _, c := range cells {
-		if err := c.tr.Flush(cfg.TraceW); err != nil {
-			res.note("trace flush failed: %v", err)
-			break
+	var flushErr error
+	inOrder(len(cells), cfg.Parallelism, func(i int) { outs[i] = measure(cells[i]) }, func(i int) {
+		if flushErr == nil {
+			flushErr = cells[i].tr.Flush(cfg.TraceW)
 		}
+		cells[i].tr = nil // the returned cells must not keep its events alive
+	})
+	if flushErr != nil {
+		res.note("trace flush failed: %v", flushErr)
 	}
 	return cells, outs
 }
@@ -188,8 +225,8 @@ func oneWorld(cfg Config, id string, run func(c *gridCell, res *Result)) *Result
 }
 
 // runGrid sweeps g and pivots the outputs into one table: report adds
-// each cell's headline metrics (and Record, for the cross-product grids)
-// to res and returns its table text. The table has one row per
+// each cell's headline metrics (and, in the cross-product grids, its
+// g.record) to res and returns its table text. The table has one row per
 // combination of every axis but the pivot, whose values are the columns.
 func runGrid[T any](cfg Config, g grid, measure func(*gridCell) T, report func(res *Result, c *gridCell, out T) []string) *Result {
 	res := newResult(g.id)

@@ -3,59 +3,92 @@ package exp
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"hash"
+	"os"
+	"strings"
 	"testing"
 )
 
-// recordsDigest is the SHA-256 of a grid's Records as canonical JSON in
-// cell order (encoding/json sorts map keys).
-func recordsDigest(t *testing.T, recs []Record) string {
+// artefactPins is the one pin of the grid artefacts: one `sha256sum`
+// line per file, which CI checks against the real CLI's output and
+// TestGridArtefactsGolden against the same bytes written in process.
+const artefactPins = "testdata/ci_artefacts.sha256"
+
+// readPins parses artefactPins into file name → hex digest.
+func readPins(t *testing.T) map[string]string {
 	t.Helper()
-	b, err := json.Marshal(recs)
+	b, err := os.ReadFile(artefactPins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	pins := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		sum, name, _ := strings.Cut(line, "  ")
+		pins[name] = sum
+	}
+	return pins
 }
 
-// TestGridArtefactsGolden pins every grid's per-cell output, and the
-// trainer's serialized model, across commits: the cmp smokes in CI only
-// compare a filtered run with the full run of the same binary, so a
-// refactor that reshuffles seeds, reorders connection construction or
-// adds an rng draw passes them. Captured at commit 5ca7589. If an
-// intentional protocol or grid-shape change moves a digest, update the
-// literal (the failure message prints the new one) together with
-// testdata/ci_artefacts.sha256 and say why in the commit message.
+// checkPin compares the digest h has accumulated with the pinned one.
+func checkPin(t *testing.T, pins map[string]string, name string, h hash.Hash) {
+	t.Helper()
+	if got := hex.EncodeToString(h.Sum(nil)); got != pins[name] {
+		t.Errorf("%s: sha256 %s, pinned %s; if intended, the new line of %s is\n%s  %s",
+			name, got, pins[name], artefactPins, got, name)
+	}
+}
+
+// gridArtefacts are the experiments CI writes a -json artefact of, each
+// at seed 42, scale 0.05, as <id>.jsonl; the dynamics run is also
+// traced, to dynamics_trace.jsonl.
+var gridArtefacts = []string{"tournament", "dynamics", "schedgrid", "fleet", "appgrid"}
+
+// TestGridArtefactsGolden reproduces every line of artefactPins in
+// process: each grid's JSONL through RunBatchStream and
+// TrialResult.WriteJSONL, the path cmd/mptcp-exp -json takes, the
+// dynamics trace, and the trainer's serialized model (CI's model_a.txt).
+// The cmp smokes in CI only compare a filtered run with the full run of
+// the same binary, so a refactor that reshuffles seeds, reorders
+// connection construction or adds an rng draw passes them; this does
+// not. If an intentional protocol or grid-shape change moves a digest,
+// update the file's line (the failure message prints it) and say why in
+// the commit message.
 func TestGridArtefactsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all five grids at scale 0.05")
 	}
-	for id, want := range map[string]string{
-		"tournament": "3c05cc71ae573abbb38303f48d72bfcedb0a1787a5c71329faaf0647ba7991c5",
-		"dynamics":   "476bd1a7e83384def20b0a3b78b71f0389e02a1e434552ddb3624cbbc7f0cee1",
-		"schedgrid":  "ccc856e2d0e43ade1f028ce8b2699838fe55aa9029bb73f04594eced59ac8113",
-		"fleet":      "2ca0f28a94813d4c4764595c65bd23c9c0b89d4ac9f3cbfca1aac24d06237db1",
-		"appgrid":    "46ac4b8d19aac0097a015d3556b93be6f00be5f81579410d43c8d3474bb58c85",
-	} {
+	pins := readPins(t)
+	if want := len(gridArtefacts) + 2; len(pins) != want {
+		t.Fatalf("%s has %d lines, want %d: every line must be reproduced here", artefactPins, len(pins), want)
+	}
+	for _, id := range gridArtefacts {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			e, ok := Get(id)
 			if !ok {
 				t.Fatalf("%s not registered", id)
 			}
-			if got := recordsDigest(t, e.Run(Config{Seed: 42, Scale: 0.05}).Records); got != want {
-				t.Errorf("%s records digest = %s, want %s", id, got, want)
+			jsonl, tr := sha256.New(), sha256.New()
+			cfg := Config{Seed: 42, Scale: 0.05}
+			if id == "dynamics" {
+				cfg.TraceW = tr
+			}
+			RunBatchStream(cfg, []*Experiment{e}, 1, func(res TrialResult) {
+				if err := res.WriteJSONL(jsonl); err != nil {
+					t.Error(err)
+				}
+			})
+			checkPin(t, pins, id+".jsonl", jsonl)
+			if id == "dynamics" {
+				checkPin(t, pins, "dynamics_trace.jsonl", tr)
 			}
 		})
 	}
 	t.Run("train-model", func(t *testing.T) {
 		t.Parallel()
 		model, _ := TrainSched(TrainConfig{Seed: 7, Scale: 0.02, Rounds: 2})
-		sum := sha256.Sum256(model.Marshal())
-		const want = "080acd7909b7e3c87b04aded0b91b76c31ed49a6646de0acd8f7b90764c705f4"
-		if got := hex.EncodeToString(sum[:]); got != want {
-			t.Errorf("model digest = %s, want %s", got, want)
-		}
+		h := sha256.New()
+		h.Write(model.Marshal())
+		checkPin(t, pins, "model_a.txt", h)
 	})
 }

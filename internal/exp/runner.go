@@ -1,11 +1,17 @@
-// Cell seeds and the batch runner above the experiments; both fan out on
-// sim.Parallel. How an experiment decomposes into cells, and why its
-// results do not depend on the pool, is in grid.go; see DESIGN.md
-// §"Parallel runner" for the full scheme.
+// Cell seeds, the batch runner above the experiments and the JSONL
+// writer of its trials; the runner and the grid engine both fan out in
+// order through inOrder, on sim.Parallel. How an experiment decomposes
+// into cells, and why its results do not depend on the pool, is in
+// grid.go; see DESIGN.md §"Parallel runner" for the full scheme.
 
 package exp
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"maps"
+	"math"
 	"sync"
 	"time"
 
@@ -34,6 +40,48 @@ type TrialResult struct {
 	Result  *Result
 }
 
+// WriteJSONL writes the trial as JSONL to w: one line per Record of a
+// grid experiment, or one line of headline metrics, notes and wall time
+// for an experiment without cells, each stamped with the trial's
+// identity. encoding/json cannot carry NaN or ±Inf, so such a metric is
+// left out of its line (an absent field reads as "no observations", as
+// -analyze renders it); the Result itself is not modified. This is the
+// one encoder of the -json artefacts, and TestGridArtefactsGolden pins
+// its output for every grid.
+func (tr TrialResult) WriteJSONL(w io.Writer) error {
+	recs := tr.Result.Records
+	if len(recs) == 0 {
+		recs = []Record{{Ref: tr.Ref, WallSec: tr.WallSec, Metrics: tr.Result.Metrics, Notes: tr.Result.Notes}}
+	}
+	enc := json.NewEncoder(w)
+	for _, r := range recs {
+		r.ID, r.Trial, r.Seed, r.Scale = tr.ID, tr.Trial, tr.Seed, tr.Scale
+		r.Metrics = finite(r.Metrics)
+		if err := enc.Encode(r); err != nil {
+			return fmt.Errorf("encoding %s: %w", tr.ID, err)
+		}
+	}
+	return nil
+}
+
+// finite returns m without its NaN and ±Inf entries: m itself when it
+// has none, a copy otherwise.
+func finite(m map[string]float64) map[string]float64 {
+	var out map[string]float64
+	for k, v := range m {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			if out == nil {
+				out = maps.Clone(m)
+			}
+			delete(out, k)
+		}
+	}
+	if out == nil {
+		return m
+	}
+	return out
+}
+
 // RunBatchStream runs every experiment in exps for trials repetitions on
 // the worker pool. Trial t of any experiment uses base seed cfg.Seed + t,
 // so a batch is reproducible from (Seed, Scale, trials) alone. The outer
@@ -51,18 +99,14 @@ func RunBatchStream(cfg Config, exps []*Experiment, trials int, emit func(TrialR
 	if trials < 1 {
 		trials = 1
 	}
-	n := len(exps) * trials
-	results := make([]TrialResult, n)
-	ready := make([]bool, n)
-	var mu sync.Mutex
-	next := 0
-	sim.Parallel(n, cfg.Parallelism, func(i int) {
+	results := make([]TrialResult, len(exps)*trials)
+	inOrder(len(results), cfg.Parallelism, func(i int) {
 		e, t := exps[i/trials], i%trials
 		tcfg := cfg
 		tcfg.Seed = cfg.Seed + int64(t)
 		start := time.Now()
 		res := e.Run(tcfg)
-		tr := TrialResult{
+		results[i] = TrialResult{
 			ID:      e.ID,
 			Ref:     e.Ref,
 			Trial:   t,
@@ -71,13 +115,26 @@ func RunBatchStream(cfg Config, exps []*Experiment, trials int, emit func(TrialR
 			WallSec: time.Since(start).Seconds(),
 			Result:  res,
 		}
+	}, func(i int) {
+		emit(results[i])
+		results[i] = TrialResult{} // free the emitted Result
+	})
+}
+
+// inOrder runs fn(i) for every i in [0, n) on up to workers goroutines
+// (sim.Parallel) and calls emit(i) in index order, each as soon as fn(i)
+// and every fn before it have returned. emit calls are serialised and
+// run on the worker goroutines.
+func inOrder(n, workers int, fn, emit func(i int)) {
+	var mu sync.Mutex
+	done := make([]bool, n)
+	next := 0
+	sim.Parallel(n, workers, func(i int) {
+		fn(i)
 		mu.Lock()
 		defer mu.Unlock()
-		results[i], ready[i] = tr, true
-		for next < n && ready[next] {
-			emit(results[next])
-			results[next] = TrialResult{} // free the emitted Result
-			next++
+		for done[i] = true; next < n && done[next]; next++ {
+			emit(next)
 		}
 	})
 }

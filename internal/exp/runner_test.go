@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"mptcp/internal/analyze"
 	"mptcp/internal/sim"
 )
 
@@ -132,5 +134,74 @@ func TestRunBatchOrderSeedsAndDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(batch[i].Result.Metrics, serial[i].Result.Metrics) {
 			t.Errorf("trial %d metrics diverge between batch parallelism 4 and 1", i)
 		}
+	}
+}
+
+// TestWriteJSONLShapes pins the two line shapes of the one JSONL writer
+// byte for byte: a grid trial writes one line per Record, stamped with
+// the trial's identity and carrying only the dimensions its grid sets; a
+// trial without cells writes one line of headline metrics, notes and
+// wall time. NaN and ±Inf cannot be JSON numbers, so they are left out
+// of the line, and the Result they came from keeps them. Strings keep
+// encoding/json's default HTML escaping, as every artefact always has.
+func TestWriteJSONLShapes(t *testing.T) {
+	cell := map[string]float64{"mbps": 1.5, "fct_p99_s": math.NaN(), "ratio": math.Inf(1)}
+	grid := TrialResult{ID: "g", Ref: "§0", Trial: 2, Seed: 44, Scale: 0.5, WallSec: 3, Result: &Result{
+		Records: []Record{
+			{Algorithm: "MPTCP", Topology: "torus", Metrics: cell},
+			{Algorithm: "OLIA", Topology: "wifi3g", Scenario: "handover", Scheduler: "minrtt+otr+pen", Workload: "video", RecvBuf: 16, Metrics: map[string]float64{}},
+		},
+	}}
+	figure := TrialResult{ID: "f", Ref: "§1 Fig. 1", Trial: 0, Seed: 42, Scale: 1, WallSec: 0.25, Result: &Result{
+		Metrics: map[string]float64{"b": 2, "a": math.Inf(-1)},
+		Notes:   []string{"a <note>"},
+	}}
+	var b strings.Builder
+	for _, tr := range []TrialResult{grid, figure} {
+		if err := tr.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := `{"id":"g","trial":2,"seed":44,"scale":0.5,"algorithm":"MPTCP","topology":"torus","metrics":{"mbps":1.5}}
+{"id":"g","trial":2,"seed":44,"scale":0.5,"algorithm":"OLIA","topology":"wifi3g","scenario":"handover","scheduler":"minrtt+otr+pen","workload":"video","recv_buf":16,"metrics":{}}
+{"id":"f","ref":"§1 Fig. 1","trial":0,"seed":42,"scale":1,"wall_s":0.25,"metrics":{"b":2},"notes":["a \u003cnote\u003e"]}
+`
+	if b.String() != want {
+		t.Errorf("JSONL:\n%s\nwant:\n%s", b.String(), want)
+	}
+	if len(cell) != 3 || len(figure.Result.Metrics) != 2 {
+		t.Error("WriteJSONL dropped a non-finite metric from the Result itself")
+	}
+	if r := grid.Result.Records[0]; r.ID != "" || r.Trial != 0 {
+		t.Errorf("WriteJSONL stamped the trial's identity into the Result's Record: %+v", r)
+	}
+}
+
+// TestJSONLReadsBackInAnalyze holds the writer and the offline reader to
+// one schema: every dimension a Record line carries comes back as its
+// column of the -analyze cell table, and a trial line is read as a
+// trial, not a cell.
+func TestJSONLReadsBackInAnalyze(t *testing.T) {
+	var b bytes.Buffer
+	rec := Record{Algorithm: "OLIA", Topology: "wifi3g", Scenario: "handover", Scheduler: "blest", Workload: "web", RecvBuf: 16, Metrics: map[string]float64{"plt_p95_s": 0.5}}
+	for _, tr := range []TrialResult{
+		{ID: "appgrid", Seed: 42, Scale: 0.05, Result: &Result{Records: []Record{rec}}},
+		{ID: "fig3-mesh", Ref: "§2.2 Fig. 3", Seed: 42, Scale: 0.05, WallSec: 1, Result: &Result{Metrics: map[string]float64{"x": 1}}},
+	} {
+		if err := tr.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := analyze.NewReport()
+	if err := rep.Read(&b); err != nil {
+		t.Fatal(err)
+	}
+	if rep.CellLines != 1 || rep.TrialLines != 1 || rep.Skipped != 0 {
+		t.Fatalf("analyze read %d cell, %d trial, %d skipped lines; want 1, 1, 0", rep.CellLines, rep.TrialLines, rep.Skipped)
+	}
+	cells := rep.Sections()[0]
+	want := []string{"appgrid", "OLIA", "wifi3g", "handover", "blest", "web", "16", "plt_p95_s"}
+	if got := cells.Rows[0][:len(want)]; !reflect.DeepEqual(got, want) {
+		t.Errorf("analyze cell row %v, want %v (header %v)", got, want, cells.Header)
 	}
 }

@@ -103,18 +103,12 @@ func runSchedGrid(cfg Config) *Result {
 		key := fmt.Sprintf("%s_%s_%s_buf%s", c.vals[0], strings.ToLower(c.vals[1]), c.vals[2], c.vals[3])
 		res.Metrics[key+"_mbps"] = out.mbps
 		res.Metrics[key+"_jain"] = out.jain
-		res.Records = append(res.Records, Record{
-			Algorithm: c.vals[1],
-			Topology:  c.vals[2],
-			Scheduler: c.vals[0],
-			RecvBuf:   schedBufs[c.at[3]],
-			Metrics: map[string]float64{
-				"mbps":      out.mbps,
-				"jain":      out.jain,
-				"opp_retx":  out.oppRetx,
-				"penalties": out.penalties,
-			},
-		})
+		res.Records = append(res.Records, g.record(c, map[string]float64{
+			"mbps":      out.mbps,
+			"jain":      out.jain,
+			"opp_retx":  out.oppRetx,
+			"penalties": out.penalties,
+		}))
 		return []string{f1(out.mbps) + " [" + f2(out.jain) + "]"}
 	})
 	res.note("recvbuf 0 is unconstrained; 16 forces receive-buffer head-of-line blocking — the regime where minrtt+otr+pen (opportunistic retransmission + subflow penalization, §6) must beat plain minrtt")

@@ -45,11 +45,7 @@ func runTournament(cfg Config) *Result {
 		key := strings.ToLower(c.vals[0]) + "_" + c.vals[1]
 		res.Metrics[key+"_mbps"] = out.mbps
 		res.Metrics[key+"_jain"] = out.jain
-		res.Records = append(res.Records, Record{
-			Algorithm: c.vals[0],
-			Topology:  c.vals[1],
-			Metrics:   map[string]float64{"mbps": out.mbps, "jain": out.jain},
-		})
+		res.Records = append(res.Records, g.record(c, map[string]float64{"mbps": out.mbps, "jain": out.jain}))
 		return []string{f1(out.mbps) + " (" + f2(out.jain) + ")"}
 	})
 	res.note("grid spans the paper's five algorithms plus the Linux-kernel family (OLIA, BALIA, delay-based WVEGAS); REGULAR runs uncoupled over the same path set — the §2.1 strawman")

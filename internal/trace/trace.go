@@ -33,6 +33,8 @@
 // Rings bound memory: each connection keeps the most recent Cap events;
 // older events are dropped and counted, and the flush reports the drop
 // count in that connection's meta line so truncation is never silent.
+// A ring grows to its capacity only as events arrive, so a connection
+// that records little (a short churn flow, say) costs little.
 package trace
 
 import (
@@ -133,17 +135,25 @@ type Event struct {
 	Label string
 }
 
-// connRing is one connection's bounded event history.
+// connRing is one connection's bounded event history. ev grows by
+// append up to cap events and only then wraps, so start stays 0 until
+// the ring is full.
 type connRing struct {
 	ev      []Event
+	cap     int
 	start   int   // index of oldest live event
 	n       int   // live events
 	dropped int64 // events overwritten since the last flush
 }
 
 func (r *connRing) push(ev Event) {
-	if r.n < len(r.ev) {
+	switch {
+	case r.n < len(r.ev):
 		r.ev[(r.start+r.n)%len(r.ev)] = ev
+		r.n++
+		return
+	case len(r.ev) < r.cap:
+		r.ev = append(r.ev, ev)
 		r.n++
 		return
 	}
@@ -183,7 +193,7 @@ func New(cap int, now func() int64) *Tracer {
 		cap = DefaultCap
 	}
 	t := &Tracer{now: now, cap: cap}
-	t.links.ev = make([]Event, cap)
+	t.links.cap = cap
 	return t
 }
 
@@ -224,7 +234,7 @@ func (t *Tracer) ConnID() int32 {
 	defer t.mu.Unlock()
 	id := t.nextConn
 	t.nextConn++
-	t.rings = append(t.rings, &connRing{ev: make([]Event, t.cap)})
+	t.rings = append(t.rings, &connRing{cap: t.cap})
 	return id
 }
 

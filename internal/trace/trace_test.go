@@ -124,14 +124,53 @@ func TestRingOverflow(t *testing.T) {
 	}
 }
 
-// TestRecordZeroAlloc: steady-state recording must not allocate — the
-// rings are preallocated, events are by-value, and the clock closure
-// exists before the measurement. This is what keeps tracing-enabled
-// runs cheap enough to leave on across a whole experiment grid.
+// TestRingGrowsOnDemand: a ring allocates nothing until its connection
+// records, and a ring flushed part-full keeps the overflow contract
+// when it grows on to its capacity and wraps.
+func TestRingGrowsOnDemand(t *testing.T) {
+	tr := New(4, (&fakeClock{}).now)
+	c := tr.ConnID()
+	if n := cap(tr.rings[c].ev) + cap(tr.links.ev); n != 0 {
+		t.Fatalf("fresh tracer holds %d event slots, want 0", n)
+	}
+	tr.Retx(c, 0, 0)
+	tr.Retx(c, 0, 1)
+	var buf bytes.Buffer
+	if err := tr.Flush(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"events":2,"dropped":0}`) {
+		t.Errorf("part-full flush:\n%s", buf.String())
+	}
+	buf.Reset()
+	for seq := int64(2); seq < 8; seq++ {
+		tr.Retx(c, 0, seq)
+	}
+	if err := tr.Flush(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, `"events":4,"dropped":2}`) {
+		t.Errorf("want 4 events / 2 dropped after regrowth, got:\n%s", out)
+	}
+	if i, j := strings.Index(out, `"seq":4}`), strings.Index(out, `"seq":7}`); i < 0 || j < i || strings.Contains(out, `"seq":3}`) {
+		t.Errorf("survivors are not the newest four in order:\n%s", out)
+	}
+}
+
+// TestRecordZeroAlloc: steady-state recording must not allocate — a
+// ring grows to its capacity once, events are by-value, and the clock
+// closure exists before the measurement. This is what keeps
+// tracing-enabled runs cheap enough to leave on across a whole
+// experiment grid.
 func TestRecordZeroAlloc(t *testing.T) {
 	clk := &fakeClock{}
 	tr := New(64, clk.now)
 	c := tr.ConnID()
+	for i := 0; i < 64; i++ { // grow both rings to capacity
+		tr.Retx(c, 0, int64(i))
+		tr.LinkEvent("wifi", "up", 0)
+	}
 	avg := testing.AllocsPerRun(1000, func() {
 		tr.CwndChange(c, 0, 10)
 		tr.RTTSample(c, 1, 0.03)
