@@ -32,10 +32,7 @@
 // connection and never shared across connections or goroutines.
 package core
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // MinCwnd is the floor on any subflow's congestion window, in packets.
 // §2.4: "our implementation of COUPLED keeps window sizes ≥ 1pkt, so it
@@ -265,13 +262,19 @@ func (m *MPTCP) rawIncrease(subs []Subflow, r int) float64 {
 	for i := range ord {
 		ord[i] = i
 	}
-	// Ascending √w/RTT ⇔ ascending w/RTT².
+	// Ascending √w/RTT ⇔ ascending w/RTT². An insertion sort in place: it
+	// allocates nothing, and it is the sort sort.Slice runs on up to 12
+	// elements, so ties keep the order every pinned result was made with.
 	key := func(i int) float64 {
 		s := &subs[i]
 		rtt := s.rtt()
 		return floorMin(s.Cwnd) / (rtt * rtt)
 	}
-	sort.Slice(ord, func(a, b int) bool { return key(ord[a]) < key(ord[b]) })
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && key(ord[j]) < key(ord[j-1]); j-- {
+			ord[j], ord[j-1] = ord[j-1], ord[j]
+		}
+	}
 
 	pos := 0
 	for i, idx := range ord {

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -267,6 +269,66 @@ func TestMPTCPDecreaseInvalidatesCache(t *testing.T) {
 	perAck := &MPTCP{PerAck: true}
 	if got, want := cached.Increase(s, 0), perAck.Increase(s, 0); math.Abs(got-want) > 1e-12 {
 		t.Errorf("after loss: cached %v vs fresh %v", got, want)
+	}
+}
+
+// The increase is recomputed on the per-ACK path whenever the windows
+// grow by a packet, so a recomputation must allocate nothing once the
+// scratch slices exist.
+func TestMPTCPIncreaseAllocationFree(t *testing.T) {
+	m := &MPTCP{}
+	s := withRTT(subs(10, 20, 5), 0.05, 0.2, 0.1)
+	n := testing.AllocsPerRun(100, func() {
+		m.Decrease(s, 0) // invalidates the cache: every Increase misses it
+		m.Increase(s, 1)
+	})
+	if n != 0 {
+		t.Errorf("%.1f allocations per recomputed increase, want 0", n)
+	}
+}
+
+// sortSliceIncrease is rawIncrease as it was written with sort.Slice: the
+// reference the insertion sort must match bit for bit.
+func sortSliceIncrease(subs []Subflow, r int) float64 {
+	n := len(subs)
+	ord := make([]int, n)
+	for i := range ord {
+		ord[i] = i
+	}
+	key := func(i int) float64 {
+		rtt := subs[i].rtt()
+		return floorMin(subs[i].Cwnd) / (rtt * rtt)
+	}
+	sort.Slice(ord, func(a, b int) bool { return key(ord[a]) < key(ord[b]) })
+	pos := slices.Index(ord, r)
+	best, sum := math.Inf(1), 0.0
+	for u, i := range ord {
+		w, rtt := floorMin(subs[i].Cwnd), subs[i].rtt()
+		sum += w / rtt
+		if u >= pos {
+			best = min(best, (w/(rtt*rtt))/(sum*sum))
+		}
+	}
+	return best
+}
+
+// Tied keys are where two sorts may disagree, and the order of the sum
+// decides the last bits of the result: up to 12 subflows, the pinned
+// artefacts' increases are exactly what sort.Slice gave.
+func TestMPTCPIncreaseMatchesSortSliceExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	alg := &MPTCP{PerAck: true}
+	for trial := 0; trial < 2000; trial++ {
+		s := make([]Subflow, 2+rng.Intn(11))
+		for i := range s {
+			// Few distinct values, so many keys tie; 0 exercises DefaultSRTT.
+			s[i] = Subflow{Cwnd: float64(1 + rng.Intn(4)), SRTT: []float64{0, 0.1, 0.05, 0.2}[rng.Intn(4)]}
+		}
+		for r := range s {
+			if got, want := alg.Increase(s, r), sortSliceIncrease(s, r); got != want {
+				t.Fatalf("subflows %+v, r = %d: increase %v, sort.Slice gave %v", s, r, got, want)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -156,6 +157,62 @@ func TestWireRejectsShort(t *testing.T) {
 	sealFrame(buf)
 	if err := h.unmarshal(buf); err == nil {
 		t.Error("overlong Plen accepted")
+	}
+}
+
+// rcvState is what a receiver's core shows of its sequence state.
+type rcvState struct {
+	subRcvNxt, dataRcvNxt, window, readable, delivered, dupData, finSeq int64
+	delayArmed                                                          bool
+}
+
+func snapshot(rx *Receiver) (st rcvState, overflow int64) {
+	rx.mu.Lock()
+	defer rx.mu.Unlock()
+	c := &rx.core
+	return rcvState{c.SubRcvNxt(0), c.DataRcvNxt(), c.Window(), c.Readable(), c.SubDelivered(0), c.DupData,
+		rx.finSeq, rx.held[0].tm.on}, c.Overflow
+}
+
+// A sealed, well-formed data frame whose subflow sequence lies 2⁴⁰ above
+// the cumulative ack is refused like a buffer overflow: no ACK, no state,
+// and no ring sized to reach it. A segment in the window is still
+// acknowledged as usual afterwards.
+func TestFarSubflowSequenceRefused(t *testing.T) {
+	c := newMemConn("rcv")
+	defer c.Close()
+	rx := NewReceiver(42, []net.PacketConn{c}, 16)
+	defer rx.Close()
+	far := segFrame(42, 1<<40, 0, flagFin, "x")
+	before, _ := snapshot(rx)
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	c.deliver(far)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if recvd, _, _ := rx.Stats(); recvd == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the frame was never received")
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 16<<10 {
+		t.Errorf("the frame cost %d B of heap, want under 16 KiB", grew)
+	}
+	time.Sleep(5 * ackDelay) // room for a delayed ACK that must not come
+	if acks := c.typedWrites(typeAck); len(acks) != 0 {
+		t.Errorf("the refused frame drew %d ACKs: %+v", len(acks), acks)
+	}
+	if after, overflow := snapshot(rx); after != before || overflow != 1 {
+		t.Errorf("state %+v -> %+v, overflow count %d; want it unchanged and the drop counted", before, after, overflow)
+	}
+
+	c.deliver(segFrame(42, 0, 0, flagFin, "y")) // the stream's one segment: acknowledged at once
+	h := waitWrites(t, c, typeAck, 1)[0]
+	if h.Seq != 1 || h.DataSeq != 1 || h.Window != 15 || h.Flags&flagSack != 0 {
+		t.Errorf("in-window segment acknowledged with %+v, want seq 1, data 1, window 15, no SACK", h)
 	}
 }
 

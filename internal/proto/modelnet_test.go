@@ -46,9 +46,10 @@ type modelNet struct {
 	heldEcho   []Time
 	heldAt     []Time
 
-	acks   int                 // ACKs delivered to the sender
-	doneAt Time                // when Completed was called, or 0
-	cwndAt []map[int64]float64 // per subflow: cwnd once sndUna reached the key
+	arrivals []modelEvent        // data events in the order the receiver saw them
+	acks     int                 // ACKs delivered to the sender
+	doneAt   Time                // when Completed was called, or 0
+	cwndAt   []map[int64]float64 // per subflow: cwnd once sndUna reached the key
 }
 
 func newModelNet(policy AckPolicy, total int64, delay []Time, lose []map[int64]bool) *modelNet {
@@ -116,6 +117,7 @@ func (m *modelNet) run() *modelNet {
 		m.now = e.at
 		switch e.kind {
 		case "data":
+			m.arrivals = append(m.arrivals, e)
 			v, sack, acks := m.rcv.OnData(e.sub, e.seq, e.data, e.data == m.last)
 			if v == New {
 				m.rcv.Consume(m.rcv.Readable())
@@ -224,5 +226,48 @@ func TestDelayedAckPairedRunMatchesPerPacket(t *testing.T) {
 	if d := delayed.doneAt - every.doneAt; d < -delayed.ackDelay || d > delayed.ackDelay {
 		t.Errorf("delayed run completed at %v, per-packet at %v: more than one ACK delay (%v) apart",
 			delayed.doneAt, every.doneAt, delayed.ackDelay)
+	}
+}
+
+// The receiver's steady state hashes and allocates nothing: the arrivals
+// of a two-subflow transfer with losses on both paths (holes in each
+// subflow) and unequal delays (data-level reordering all along), replayed
+// on a receiver Reset for a new life, leave it in the same state and cost
+// no allocation per segment once its out-of-order rings have grown.
+func TestReceiverReorderingScriptAllocationFree(t *testing.T) {
+	const total = 2000
+	m := newModelNet(AckEveryPacket, total, []Time{5 * Millisecond, 20 * Millisecond},
+		[]map[int64]bool{{40: true, 300: true}, {25: true}}).run()
+	if m.rcv.DataRcvNxt() != total {
+		t.Fatalf("model transfer delivered %d of %d", m.rcv.DataRcvNxt(), total)
+	}
+	var r Receiver
+	sacks, ahead := 0, 0
+	replay := func() {
+		r.Reset(2, 1<<20, AckEveryPacket)
+		sacks, ahead = 0, 0
+		for _, e := range m.arrivals {
+			if e.data > r.DataRcvNxt() {
+				ahead++
+			}
+			v, sack, _ := r.OnData(e.sub, e.seq, e.data, e.data == m.last)
+			if sack >= 0 {
+				sacks++
+			}
+			if v == New {
+				r.Consume(r.Readable())
+			}
+		}
+	}
+	replay()
+	if r.DataRcvNxt() != total || r.SubRcvNxt(0) != m.rcv.SubRcvNxt(0) || r.SubRcvNxt(1) != m.rcv.SubRcvNxt(1) {
+		t.Fatalf("replay ended at data %d, subflows %d/%d; the model at %d, %d/%d", r.DataRcvNxt(),
+			r.SubRcvNxt(0), r.SubRcvNxt(1), m.rcv.DataRcvNxt(), m.rcv.SubRcvNxt(0), m.rcv.SubRcvNxt(1))
+	}
+	if sacks < 3 || ahead < total/4 {
+		t.Fatalf("the script reorders too little: %d SACKed arrivals, %d ahead of the data-level point", sacks, ahead)
+	}
+	if n := testing.AllocsPerRun(20, replay) / float64(len(m.arrivals)); n != 0 {
+		t.Errorf("%.4f allocations per segment on a Reset receiver, want 0", n)
 	}
 }

@@ -12,12 +12,20 @@ package proto
 // window, echoed timestamp — when the core says so: at once, or, under
 // AckDelayed, owed until a second segment or the shell's delay timer
 // (OnAckDelay). The zero value becomes usable with Reset.
+//
+// The out-of-order sets, one per subflow and one for the data level, are
+// bit rings indexed by sequence number, so admitting a packet hashes and
+// allocates nothing once they have grown. A set's memory is bounded by how
+// far above its cumulative point a sequence may lie: the shared buffer
+// bounds the data level, and a subflow sequence maxSubSpan or more above
+// the subflow's cumulative ack is refused (Overflow), so a subflow's ring
+// never exceeds 8 KiB whatever arrives off the wire.
 type Receiver struct {
 	subs []rcvSub
 
 	// Connection-level reassembly.
 	dataRcvNxt int64
-	dataOOO    map[int64]struct{}
+	dataOOO    seqSet
 
 	// Shared receive buffer (§6), in packets: it holds [readPt,
 	// readPt+bufCap), where readPt is what the application has consumed.
@@ -30,7 +38,8 @@ type Receiver struct {
 	policy AckPolicy
 	fin    bool
 
-	// Overflow counts packets dropped because the buffer was full.
+	// Overflow counts packets dropped because the buffer was full or
+	// their subflow sequence lay beyond maxSubSpan.
 	Overflow int64
 	// DupData counts packets carrying already-received data (e.g. after
 	// reinjection); they consume no buffer.
@@ -39,14 +48,19 @@ type Receiver struct {
 
 // rcvSub is one subflow's receive-side state.
 type rcvSub struct {
-	rcvNxt int64              // cumulative acknowledgment
-	ooo    map[int64]struct{} // received above it
+	rcvNxt int64  // cumulative acknowledgment
+	ooo    seqSet // received above it
 	// delivered counts the distinct data packets this subflow was first
 	// to deliver; ackOwed the segments it holds unacknowledged, always
 	// below the policy.
 	delivered int64
 	ackOwed   AckPolicy
 }
+
+// maxSubSpan is how far above a subflow's cumulative ack a sequence may
+// lie: the bound on its out-of-order ring (1<<16 bits, 8 KiB). No correct
+// sender comes near it; its window would have to be 65 536 packets.
+const maxSubSpan = 1 << 16
 
 // AckPolicy is how many quiet in-order segments of a subflow one
 // acknowledgment may cover. A shell picks it once, at Reset.
@@ -67,17 +81,14 @@ const (
 // count.
 func (r *Receiver) Reset(nsub int, bufCap int64, policy AckPolicy) {
 	if len(r.subs) != nsub {
-		*r = Receiver{subs: make([]rcvSub, nsub), dataOOO: make(map[int64]struct{})}
-		for i := range r.subs {
-			r.subs[i].ooo = make(map[int64]struct{})
-		}
+		*r = Receiver{subs: make([]rcvSub, nsub)}
 	}
 	for i := range r.subs {
 		sf := &r.subs[i]
 		sf.rcvNxt, sf.delivered, sf.ackOwed = 0, 0, 0
-		clear(sf.ooo)
+		sf.ooo.reset()
 	}
-	clear(r.dataOOO)
+	r.dataOOO.reset()
 	r.dataRcvNxt, r.readPt, r.bufCap, r.policy, r.fin = 0, 0, bufCap, policy, false
 	r.Overflow, r.DupData = 0, 0
 }
@@ -135,9 +146,10 @@ func (r *Receiver) OnAckDelay(sub int) (owed bool) {
 type Verdict uint8
 
 const (
-	// Overflow: beyond the shared buffer's edge. Drop it like a network
-	// loss — no ACK — so subflow-level retransmission recovers it once
-	// the window reopens; a correct sender never triggers this.
+	// Overflow: beyond the shared buffer's edge, or a subflow sequence
+	// maxSubSpan or more above the subflow's cumulative ack. Drop it like
+	// a network loss — no ACK — so subflow-level retransmission recovers
+	// it once the window reopens; a correct sender never triggers this.
 	Overflow Verdict = iota
 	// Duplicate: data already held or delivered. Acknowledge, keep no
 	// payload.
@@ -162,8 +174,10 @@ const (
 func (r *Receiver) OnData(sub int, seq, dataSeq int64, last bool) (v Verdict, sack int64, acks int) {
 	// Shared-buffer admission comes first: admitting the subflow sequence
 	// while dropping the data would acknowledge a packet whose payload
-	// nobody will resend.
-	if dataSeq >= r.readPt+r.bufCap {
+	// nobody will resend. The span bound rides along: it caps the memory a
+	// sequence read off the wire can claim.
+	sf := &r.subs[sub]
+	if dataSeq >= r.readPt+r.bufCap || seq >= sf.rcvNxt+maxSubSpan {
 		r.Overflow++
 		return Overflow, -1, 0
 	}
@@ -173,32 +187,24 @@ func (r *Receiver) OnData(sub int, seq, dataSeq int64, last bool) (v Verdict, sa
 	// arrivals are SACKed individually and never delayed, so the sender
 	// learns the exact hole set.
 	sack = -1
-	sf := &r.subs[sub]
 	if seq == sf.rcvNxt {
-		sf.rcvNxt = drain(sf.ooo, seq+1)
-	} else if seq > sf.rcvNxt {
-		if _, dup := sf.ooo[seq]; !dup {
-			sack = seq
-		}
-		sf.ooo[seq] = struct{}{}
+		sf.rcvNxt = sf.ooo.drain(seq + 1)
+	} else if seq > sf.rcvNxt && sf.ooo.add(sf.rcvNxt, seq) {
+		sack = seq
 	}
 
 	// Connection-level reassembly.
 	v, was := New, r.dataRcvNxt
-	held := dataSeq < was
-	if !held {
-		_, held = r.dataOOO[dataSeq]
-	}
 	switch {
-	case held:
+	case dataSeq < was || r.dataOOO.has(was, dataSeq):
 		r.DupData++
 		v = Duplicate
 	case dataSeq == was:
 		sf.delivered++
-		r.dataRcvNxt = drain(r.dataOOO, dataSeq+1)
+		r.dataRcvNxt = r.dataOOO.drain(dataSeq + 1)
 	default:
 		sf.delivered++
-		r.dataOOO[dataSeq] = struct{}{}
+		r.dataOOO.add(was, dataSeq)
 	}
 
 	// Only a quiet segment may wait: new data, next in order on a subflow
@@ -208,7 +214,7 @@ func (r *Receiver) OnData(sub int, seq, dataSeq int64, last bool) (v Verdict, sa
 	// on — a loss, a repair, a jump of the flow-control edge — and goes
 	// now, as does the segment that reaches the policy's count.
 	owed := sf.ackOwed
-	if owed+1 < r.policy && v == New && sf.rcvNxt == seq+1 && len(sf.ooo) == 0 &&
+	if owed+1 < r.policy && v == New && sf.rcvNxt == seq+1 && sf.ooo.n == 0 &&
 		r.dataRcvNxt-was <= 1 && !r.fin && 4*r.Window() > r.bufCap {
 		sf.ackOwed++
 		return v, sack, 0
@@ -218,16 +224,4 @@ func (r *Receiver) OnData(sub int, seq, dataSeq int64, last bool) (v Verdict, sa
 		return v, sack, 2
 	}
 	return v, sack, 1
-}
-
-// drain advances a cumulative point from next across the out-of-order
-// set, removing what it passes, and returns where it stopped.
-func drain(ooo map[int64]struct{}, next int64) int64 {
-	for {
-		if _, ok := ooo[next]; !ok {
-			return next
-		}
-		delete(ooo, next)
-		next++
-	}
 }

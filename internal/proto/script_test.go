@@ -219,6 +219,45 @@ func TestReinjectionLeavesInAscendingOrder(t *testing.T) {
 	}
 }
 
+// nopShell performs nothing, so that what an allocation pin counts is the
+// core's own.
+type nopShell struct{}
+
+func (nopShell) Emit(int, int64, int64, bool) {}
+func (nopShell) Probe(int)                    {}
+func (nopShell) ArmRTO(int, Time)             {}
+func (nopShell) StopRTO(int)                  {}
+func (nopShell) ArmPersist(Time)              {}
+func (nopShell) StopPersist()                 {}
+func (nopShell) Completed()                   {}
+
+// Repeated timeouts reinject the same eight segments over and over: the
+// queue rewinds once the pump has drained it, so after the first cycle no
+// timeout or reinjection allocates.
+func TestReinjectionCyclesAllocationFree(t *testing.T) {
+	s := &Sender{}
+	// A 16-packet window keeps each life of subflow 1's flight at 8 packets
+	// however far its slow start runs.
+	s.Reset(nopShell{}, SenderConfig{Subflows: 2, Total: Infinite, InitialCwnd: 8, Window: 16, Sched: sched.FirstFit{}})
+	s.Pump(0) // data 0-7 on subflow 0, 8-15 on subflow 1
+	now := Time(0)
+	cycle := func() {
+		now += Second
+		s.OnRTO(now, 0) // subflow 0's eight segments go to the queue
+		// Subflow 1's flight is acknowledged, but not the data: its window
+		// opens and the pump reinjects the queue there.
+		s.OnAck(now, Ack{Sub: 1, Seq: s.subs[1].sndNxt, DataAck: 0, Window: 16, Sack: -1, RTT: 10 * Millisecond})
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("%.1f allocations per timeout-and-reinjection cycle, want 0", n)
+	}
+	// AllocsPerRun runs one cycle more than it counts.
+	if s.Reinjects != 8*101 || s.subs[1].sndNxt != 8+8*101 {
+		t.Errorf("Reinjects = %d, subflow 1 sent %d; want 808 reinjected and carried by subflow 1",
+			s.Reinjects, s.subs[1].sndNxt-8)
+	}
+}
+
 // Acknowledgments beyond what was sent are clamped: they can neither
 // invert sndUna <= sndNxt nor dataUna <= dataNxt.
 func TestAcksBeyondSentAreClamped(t *testing.T) {

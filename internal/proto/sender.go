@@ -27,7 +27,10 @@
 // own clock (Sender.OnAck, OnRTO, OnPersist, Supply, Pump;
 // Receiver.OnData, OnProbe, OnAckDelay, Consume) and performs the side
 // effects it asks for through the Shell interface or its return values. After warm-up (rings and queues grown) no
-// entry point allocates. DESIGN.md §16 has the ordering contract.
+// entry point allocates or hashes: the receiver's out-of-order sets are
+// bit rings indexed by sequence number, and a subflow sequence 1<<16 or
+// more above the cumulative ack is refused, which bounds a subflow's ring
+// at 8 KiB. DESIGN.md §16 has the ordering contract.
 package proto
 
 import (
@@ -153,13 +156,17 @@ type Sender struct {
 	// retransmitted so each blocking segment is re-sent at most once.
 	oppRetxSeq int64
 
-	dataNxt   int64 // next new data sequence number to assign
-	dataUna   int64 // cumulative data-level acknowledgment
-	edge      int64 // highest permitted dataSeq+1 (flow control edge)
-	limit     int64 // data sequences supplied by the application, or Infinite
-	final     bool  // the supply will not grow: completion is limit acknowledged
-	reinjectQ []int64
-	done      bool
+	dataNxt int64 // next new data sequence number to assign
+	dataUna int64 // cumulative data-level acknowledgment
+	edge    int64 // highest permitted dataSeq+1 (flow control edge)
+	limit   int64 // data sequences supplied by the application, or Infinite
+	final   bool  // the supply will not grow: completion is limit acknowledged
+	// reinjectQ holds data sequences awaiting reinjection from
+	// reinjectQ[reinjectHead] on; it rewinds when it empties, so RTO bursts
+	// reuse one array.
+	reinjectQ    []int64
+	reinjectHead int
+	done         bool
 	// life counts Resets, so an entry point can tell that a shell
 	// callback rebuilt the sender under it.
 	life uint64
@@ -284,9 +291,12 @@ func (s *Sender) checkComplete() {
 // preferring reinjections. ok is false when the connection is app-limited
 // or flow-control limited.
 func (s *Sender) popData() (seq int64, ok bool) {
-	for len(s.reinjectQ) > 0 {
-		seq = s.reinjectQ[0]
-		s.reinjectQ = s.reinjectQ[1:]
+	for s.reinjectHead < len(s.reinjectQ) {
+		seq = s.reinjectQ[s.reinjectHead]
+		s.reinjectHead++
+		if s.reinjectHead == len(s.reinjectQ) {
+			s.reinjectQ, s.reinjectHead = s.reinjectQ[:0], 0
+		}
 		if seq >= s.dataUna {
 			return seq, true
 		}

@@ -67,14 +67,14 @@ type pktMeta struct {
 	sacked  bool
 }
 
-// reset returns the subflow to its initial state; the meta ring keeps
-// its grown size, zeroed.
+// reset returns the subflow to its initial state. The meta ring keeps its
+// grown size and its stale entries: a slot is read only for a sequence in
+// [sndUna, sndNxt), and sendMapped writes it as sndNxt passes it.
 func (sf *subflow) reset() {
 	meta := sf.meta
 	if meta == nil {
 		meta = make([]pktMeta, 256)
 	}
-	clear(meta)
 	*sf = subflow{meta: meta, mask: int64(len(meta) - 1), rto: initialRTO}
 }
 

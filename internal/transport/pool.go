@@ -5,7 +5,7 @@ import "mptcp/internal/netsim"
 // ConnPool recycles completed connections across the lifetime of one
 // simulated world. Connection-churn workloads (scenario.FlowChurn, the
 // fleet experiment) create tens of thousands of short flows; without
-// pooling every flow allocates subflow meta rings, receiver maps and
+// pooling every flow allocates subflow meta rings, receiver rings and
 // scratch slices that become garbage seconds later. A pooled connection
 // is rebuilt by Conn.init, which reuses those allocations: the i-th
 // flow through a pool behaves exactly like a fresh NewConn with the
