@@ -162,16 +162,14 @@ func appCell(c *gridCell) appOut {
 
 	var out appOut
 	spawn := func(pkts int64, done func()) {
-		var conn *transport.Conn
 		cfg := mpConfig(spec, alg, appRecvBuf)
 		cfg.Paths, cfg.Tracer, cfg.DataPackets = sc.paths, w.tr, pkts
-		cfg.OnComplete = func() {
+		cfg.OnComplete = func(conn *transport.Conn) {
 			out.pkts += pkts
 			pool.Put(conn)
 			done()
 		}
-		conn = pool.Get(cfg)
-		conn.Start()
+		pool.Get(cfg).Start()
 	}
 	if scen := appScenario[c.vals[3]]; scen != "" {
 		sc.script(w, scenario.MustBuild(scen, end))

@@ -75,13 +75,12 @@ func TestAppGridPLTHandComputed(t *testing.T) {
 	pool := transport.NewConnPool(n)
 	env := &workload.Env{Sim: s, End: 10 * sim.Second}
 	env.Spawn = func(pkts int64, done func()) {
-		var c *transport.Conn
-		c = pool.Get(transport.Config{
+		c := pool.Get(transport.Config{
 			Paths:       paths,
 			DataPackets: pkts,
 			InitialCwnd: 4,
 			SendJitter:  -1,
-			OnComplete: func() {
+			OnComplete: func(c *transport.Conn) {
 				pool.Put(c)
 				done()
 			},

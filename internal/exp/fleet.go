@@ -118,6 +118,15 @@ func (g *fleetGroup) sendTransit(end sim.Time) {
 	}
 }
 
+// complete folds a finished flow into the group's aggregates and
+// recycles its connection (Config.OnComplete).
+func (g *fleetGroup) complete(c *transport.Conn) {
+	g.fct.Add((c.CompletedAt() - c.StartedAt()).Seconds())
+	g.completed++
+	g.pkts += c.Delivered()
+	g.pool.Put(c)
+}
+
 func runFleet(cfg Config) *Result {
 	g := grid{
 		id:    "fleet",
@@ -226,22 +235,16 @@ func buildFleetGroup(s *sim.Simulator, id int, end sim.Time, algName, schedSpec 
 
 	paths := []transport.Path{topo.PathThrough(g.d1), topo.PathThrough(g.d2)}
 	g.env = &scenario.Env{Sim: s, Net: n, Links: []*topo.Duplex{g.d1, g.d2}}
+	complete := g.complete // bound once: every arrival shares it
 	g.env.Spawn = func(pkts int64) {
-		var c *transport.Conn
-		c = g.pool.Get(transport.Config{
+		g.pool.Get(transport.Config{
 			Alg:         newAlg(algName),
 			Sched:       sched.MustNew(schedSpec),
 			Paths:       paths,
 			DataPackets: pkts,
 			RecvBuf:     fleetRecvBuf,
-			OnComplete: func() {
-				g.fct.Add((c.CompletedAt() - c.StartedAt()).Seconds())
-				g.completed++
-				g.pkts += c.Delivered()
-				g.pool.Put(c)
-			},
-		})
-		c.Start()
+			OnComplete:  complete,
+		}).Start()
 	}
 	scenario.Scenario{
 		Name: "fleet-churn",

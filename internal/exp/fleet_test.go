@@ -72,6 +72,25 @@ func TestFleetCountsIncompleteFlows(t *testing.T) {
 	}
 }
 
+// TestFleetCellAllocsPerArrival bounds what one fleet cell costs the
+// allocator per Poisson arrival, set-up included. Packets come from
+// per-world slabs and every arrival shares its group's bound completion
+// function, so an arrival pays for its algorithm and scheduler objects
+// and little else (≈14 allocations). A heap object per packet of the
+// high-water mark and a closure per arrival would come to ≈19.
+func TestFleetCellAllocsPerArrival(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	var out fleetOut
+	allocs := testing.AllocsPerRun(1, func() {
+		out = runFleetCell(Config{Seed: CellSeed(5, 0), Scale: 0.05}.norm(), "MPTCP", "minrtt")
+	})
+	if per := allocs / float64(out.arrivals); per > 16 {
+		t.Errorf("%.0f allocations for %d arrivals = %.1f per arrival, want at most 16", allocs, out.arrivals, per)
+	}
+}
+
 // TestFleetShardInvariance is the regression test for the sharded
 // engine's core guarantee at the experiment layer: the fleet grid
 // produces bit-identical Records and Metrics whether each cell's 32

@@ -257,6 +257,63 @@ func TestPacketFreelist(t *testing.T) {
 	}
 }
 
+// Freeing a packet twice would hand it to two owners later; the second
+// free must panic instead.
+func TestFreePacketTwicePanics(t *testing.T) {
+	_, n := testNet()
+	p := n.AllocPacket()
+	n.FreePacket(p)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second FreePacket of the same packet did not panic")
+		}
+	}()
+	n.FreePacket(p)
+}
+
+// LivePackets counts what was allocated and not yet freed, whether the
+// packet is held by the caller, queued, propagating, or dropped and
+// freed by a link.
+func TestLivePackets(t *testing.T) {
+	s, n := testNet()
+	l := NewLink("l", 12, sim.Millisecond, 3)
+	dst := &sink{net: n}
+	r := NewRoute(dst, l)
+	held := n.AllocPacket()
+	sendN(n, r, 10, 1500) // 3 queued, 7 dropped at once
+	if got := n.LivePackets(); got != 4 {
+		t.Errorf("live = %d with 3 queued and 1 held, want 4", got)
+	}
+	s.Run()
+	if got := n.LivePackets(); got != 1 {
+		t.Errorf("live = %d after the link drained, want the 1 held", got)
+	}
+	n.FreePacket(held)
+	if got := n.LivePackets(); got != 0 {
+		t.Errorf("live = %d after freeing everything, want 0", got)
+	}
+}
+
+// Packets come in slabs: driving a Net to 4 096 live packets costs a
+// few dozen allocations (the slabs and the freelist's growth), not one
+// per packet.
+func TestPacketSlabAllocs(t *testing.T) {
+	const live = 4096
+	held := make([]*Packet, live)
+	allocs := testing.AllocsPerRun(5, func() {
+		_, n := testNet()
+		for i := range held {
+			held[i] = n.AllocPacket()
+		}
+		if n.LivePackets() != live {
+			t.Fatalf("live = %d, want %d", n.LivePackets(), live)
+		}
+	})
+	if allocs >= 64 {
+		t.Errorf("4096 live packets took %.0f allocations, want < 64", allocs)
+	}
+}
+
 // Property: per-link conservation — once the link drains, every packet
 // offered was delivered or counted as exactly one drop, including across
 // random outages that strand queued and propagating packets.

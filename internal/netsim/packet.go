@@ -99,17 +99,37 @@ func NewRoute(dest Endpoint, links ...*Link) *Route {
 type Net struct {
 	Sim  *sim.Simulator
 	free []*Packet
+	made int // packets carved from slabs so far
 }
+
+// Slab sizes: a refill of an empty freelist carves as many packets as
+// the Net has already made, at least slabMin and at most slabMax, so a
+// world whose packet high-water mark is N costs O(log N + N/slabMax)
+// allocations instead of N.
+const (
+	slabMin = 16
+	slabMax = 256
+)
+
+// freeHop marks a packet on the freelist in its hop field, which no
+// packet in flight can hold; FreePacket panics on a packet so marked.
+const freeHop = -1
 
 // NewNet creates a network bound to s.
 func NewNet(s *sim.Simulator) *Net {
 	return &Net{Sim: s}
 }
 
-// AllocPacket returns a zeroed packet from the freelist.
+// AllocPacket returns a zeroed packet from the freelist, refilling the
+// freelist from a new slab when it is empty.
 func (n *Net) AllocPacket() *Packet {
 	if len(n.free) == 0 {
-		return &Packet{}
+		slab := make([]Packet, min(max(n.made, slabMin), slabMax))
+		for i := range slab {
+			slab[i].hop = freeHop
+			n.free = append(n.free, &slab[i])
+		}
+		n.made += len(slab)
 	}
 	p := n.free[len(n.free)-1]
 	n.free = n.free[:len(n.free)-1]
@@ -118,10 +138,19 @@ func (n *Net) AllocPacket() *Packet {
 }
 
 // FreePacket returns a packet to the freelist. The caller must not touch
-// the packet afterwards.
+// the packet afterwards; freeing it a second time panics.
 func (n *Net) FreePacket(p *Packet) {
+	if p.hop == freeHop {
+		panic("netsim: packet freed twice")
+	}
+	p.hop = freeHop
 	n.free = append(n.free, p)
 }
+
+// LivePackets returns the number of packets allocated and not yet freed:
+// those in flight, queued, or held by an endpoint. A drained world has
+// none.
+func (n *Net) LivePackets() int { return n.made - len(n.free) }
 
 // Send injects pkt into the network along route. Ownership of pkt passes
 // to the network; it is freed automatically if dropped.

@@ -88,9 +88,11 @@ type Config struct {
 	// Defaults to 100 µs; set negative to disable.
 	SendJitter sim.Time
 
-	// OnComplete, if set, is invoked once the final data packet is
-	// cumulatively acknowledged (finite flows only).
-	OnComplete func()
+	// OnComplete, if set, is invoked with the connection once the final
+	// data packet is cumulatively acknowledged (finite flows only). It
+	// takes the connection as its argument so that one function can
+	// serve every connection of a workload.
+	OnComplete func(*Conn)
 
 	// Tracer, when non-nil, records the connection's protocol events —
 	// cwnd changes, RTT samples, losses, retransmissions, scheduler
@@ -124,6 +126,7 @@ type Conn struct {
 	doneAt       sim.Time
 	persistTimer *sim.Timer
 	persistFn    func() // c.onPersist, bound once so a pooled life reuses it
+	liveAt       int    // index in its ConnPool's live set while handed out
 }
 
 // nextConnID is atomic because independent simulator worlds construct
@@ -142,8 +145,8 @@ func NewConn(nw *netsim.Net, cfg Config) *Conn {
 // init (re)constructs the connection in place. A zero Conn becomes a
 // fresh connection; a completed connection is rebuilt for a new life
 // (ConnPool), reusing its subflows, the protocol core's grown scoreboard
-// rings and scratch slices, and its receiver's maps. Reuse requires an
-// equal path count (the pool keys on it); on mismatch everything is
+// rings and scratch slices, and its receiver's bit rings. Reuse requires
+// an equal path count (the pool keys on it); on mismatch everything is
 // rebuilt. A route object is kept only when the new life's path is the
 // very slice the old life used (see sameLinks): a packet from the
 // previous life still in flight then crosses the same links to the same
@@ -278,7 +281,7 @@ func (c *Conn) finish() {
 func (c *Conn) Completed() {
 	c.finish()
 	if c.cfg.OnComplete != nil {
-		c.cfg.OnComplete()
+		c.cfg.OnComplete(c)
 	}
 }
 

@@ -144,11 +144,10 @@ func TestEmissionSequenceGolden(t *testing.T) {
 			l1.LossRate = 0.01
 			paths := []Path{e.path(l1), e.path(l2)}
 			pool := NewConnPool(e.n)
-			var c *Conn
 			lives := 0
 			var spawn func()
 			spawn = func() {
-				c = pool.Get(Config{Paths: paths, DataPackets: 200, RecvBuf: 64, OnComplete: func() {
+				c := pool.Get(Config{Paths: paths, DataPackets: 200, RecvBuf: 64, OnComplete: func(c *Conn) {
 					foldCounters(h, c)
 					pool.Put(c)
 					if lives++; lives < 5 {

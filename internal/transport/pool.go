@@ -17,8 +17,8 @@ import "mptcp/internal/netsim"
 // like everything else owned by one simulator.
 type ConnPool struct {
 	nw   *netsim.Net
-	free map[int][]*Conn
-	live map[*Conn]struct{}
+	free [][]*Conn // completed connections, indexed by path count
+	live []*Conn   // handed out by Get and not yet returned by Put
 
 	// Gets counts Get calls; Reuses the subset served from the pool.
 	Gets, Reuses int64
@@ -26,7 +26,7 @@ type ConnPool struct {
 
 // NewConnPool returns an empty pool over nw.
 func NewConnPool(nw *netsim.Net) *ConnPool {
-	return &ConnPool{nw: nw, free: make(map[int][]*Conn), live: make(map[*Conn]struct{})}
+	return &ConnPool{nw: nw}
 }
 
 // Get returns a connection configured with cfg — recycled when a
@@ -35,32 +35,44 @@ func NewConnPool(nw *netsim.Net) *ConnPool {
 // connection back with Put once it completes.
 func (p *ConnPool) Get(cfg Config) *Conn {
 	p.Gets++
-	k := len(cfg.Paths)
-	if l := p.free[k]; len(l) > 0 {
-		c := l[len(l)-1]
+	var c *Conn
+	if k := len(cfg.Paths); k < len(p.free) && len(p.free[k]) > 0 {
+		l := p.free[k]
+		c = l[len(l)-1]
 		l[len(l)-1] = nil
 		p.free[k] = l[:len(l)-1]
 		p.Reuses++
 		c.init(p.nw, cfg)
-		p.live[c] = struct{}{}
-		return c
+	} else {
+		c = NewConn(p.nw, cfg)
 	}
-	c := NewConn(p.nw, cfg)
-	p.live[c] = struct{}{}
+	c.liveAt = len(p.live)
+	p.live = append(p.live, c)
 	return c
 }
 
 // Put hands a finished connection back for recycling. Only completed
 // (or Stopped) connections may be pooled: a live connection still owns
-// timers and in-flight state that recycling would corrupt. Calling Put
-// from Config.OnComplete is safe — the completion path releases the
-// connection's timers before invoking the callback.
+// timers and in-flight state that recycling would corrupt. Nor may a
+// connection be put twice, or into a pool that did not hand it out.
+// Calling Put from Config.OnComplete is safe — the completion path
+// releases the connection's timers before invoking the callback.
 func (p *ConnPool) Put(c *Conn) {
 	if !c.Done() {
 		panic("transport: pooling a connection that has not completed")
 	}
-	delete(p.live, c)
+	i := c.liveAt
+	if i >= len(p.live) || p.live[i] != c {
+		panic("transport: pooling a connection that is not out of this pool (never handed out, or already put back)")
+	}
+	last := p.live[len(p.live)-1]
+	p.live[i], last.liveAt = last, i
+	p.live[len(p.live)-1] = nil
+	p.live = p.live[:len(p.live)-1]
 	k := len(c.cfg.Paths)
+	if k >= len(p.free) {
+		p.free = append(p.free, make([][]*Conn, k+1-len(p.free))...)
+	}
 	p.free[k] = append(p.free[k], c)
 }
 
@@ -73,11 +85,10 @@ func (p *ConnPool) LiveCount() int64 { return int64(len(p.live)) }
 // LiveDelivered sums Delivered across the live connections: the data
 // packets already delivered by flows that have not completed. Workloads
 // add this to their completed-flow totals so goodput at a horizon does
-// not undercount in-flight transfers. Map iteration order is irrelevant
-// because the result is a sum.
+// not undercount in-flight transfers.
 func (p *ConnPool) LiveDelivered() int64 {
 	var pkts int64
-	for c := range p.live {
+	for _, c := range p.live {
 		pkts += c.Delivered()
 	}
 	return pkts

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 
 	"mptcp/internal/netsim"
@@ -48,7 +49,7 @@ func runFlowSequence(seed int64, count int, usePool bool) []poolFlowRecord {
 			Paths:       paths,
 			DataPackets: 400,
 			RecvBuf:     64,
-			OnComplete: func() {
+			OnComplete: func(c *Conn) {
 				rec := poolFlowRecord{
 					started:   c.StartedAt(),
 					done:      c.CompletedAt(),
@@ -134,8 +135,9 @@ func TestConnPoolRecyclesObjects(t *testing.T) {
 
 // TestConnPoolCycleAllocs bounds what a pooled life costs the allocator
 // when the next flow uses the very path slices of the last one (the
-// fleet's case): the bound timer callbacks and the four route objects
-// carry over, so what is left is the protocol core's per-life state. A
+// fleet's case): the bound timer callbacks, the four route objects and
+// the completion function, bound once outside the cycle, carry over, so
+// what is left is the protocol core's per-life state. A
 // life over other slices gets fresh routes — equal links are not enough,
 // a straggler of the old life must keep the route object it left with.
 func TestConnPoolCycleAllocs(t *testing.T) {
@@ -149,14 +151,13 @@ func TestConnPoolCycleAllocs(t *testing.T) {
 		})
 	}
 	pool := NewConnPool(n)
-	cfg := Config{Paths: paths, DataPackets: 10}
+	cfg := Config{Paths: paths, DataPackets: 10, OnComplete: pool.Put}
 	cycle := func() *Conn {
 		c := pool.Get(cfg)
 		c.Start()
 		for !c.Done() {
 			s.RunUntil(s.Now() + sim.Millisecond)
 		}
-		pool.Put(c)
 		return c
 	}
 	c := cycle()
@@ -232,25 +233,24 @@ func TestConnPoolRecycleInsideOnComplete(t *testing.T) {
 	pool := NewConnPool(n)
 
 	var completed int
-	var c *Conn
-	var spawn func()
-	spawn = func() {
-		c = pool.Get(Config{
+	var spawn func() *Conn
+	spawn = func() *Conn {
+		c := pool.Get(Config{
 			Paths:       paths,
 			DataPackets: 6,
 			SendJitter:  -1,
-			OnComplete: func() {
+			OnComplete: func(c *Conn) {
 				completed++
 				pool.Put(c)
 				if completed >= 2 {
 					return
 				}
-				spawn() // recycle the conn inside the completing ACK
-				// 1 ms after the recycle — less than the 10 ms RTT, so
-				// no ACK of the new life has arrived yet — the new life
-				// must still be in its initial state: the old life's
-				// final ack (6) must not have touched it.
-				recycled := c
+				// Recycle the conn inside the completing ACK. 1 ms after
+				// the recycle — less than the 10 ms RTT, so no ACK of the
+				// new life has arrived yet — the new life must still be in
+				// its initial state: the old life's final ack (6) must not
+				// have touched it.
+				recycled := spawn()
 				s.After(sim.Millisecond, func() {
 					if sent := recycled.Subflows()[0].PktsSent; sent != 2 {
 						t.Errorf("new life sent %d packets, want its initial window of 2 (old life's ack applied?)", sent)
@@ -262,11 +262,68 @@ func TestConnPoolRecycleInsideOnComplete(t *testing.T) {
 			},
 		})
 		c.Start()
+		return c
 	}
 	spawn()
 	s.RunUntil(30 * sim.Second)
 	if completed != 2 {
 		t.Fatalf("completed %d transfers, want 2", completed)
+	}
+}
+
+// TestPooledFlowsFreeEveryPacket: a world of finite pooled flows owns
+// no packet once its event queue drains. Each flow's successor recycles
+// the connection inside OnComplete, so packets of the finished life
+// still in flight reach the new life and must be freed by the FlowID
+// guard; random loss on every link and an outage of one forward link
+// mid-run strand packets in queues and on the wire. A packet any of
+// these paths forgot to free would stay live.
+func TestPooledFlowsFreeEveryPacket(t *testing.T) {
+	stragglers := 0
+	for _, loss := range []float64{0, 0.01, 0.05} {
+		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
+			e := newEnv(23)
+			l1 := netsim.NewLink("p1", 8, 10*sim.Millisecond, 20)
+			l2 := netsim.NewLink("p2", 4, 40*sim.Millisecond, 20)
+			paths := []Path{e.path(l1), e.path(l2)}
+			for _, p := range paths {
+				p.Fwd[0].LossRate, p.Rev[0].LossRate = loss, loss
+			}
+			pool := NewConnPool(e.n)
+			const lives = 12
+			started := 0
+			var complete func(*Conn)
+			spawn := func() {
+				started++
+				pool.Get(Config{Paths: paths, DataPackets: 80, RecvBuf: 16, OnComplete: complete}).Start()
+			}
+			complete = func(c *Conn) {
+				// Whatever is live now belongs to the life just finished.
+				stragglers += e.n.LivePackets()
+				pool.Put(c)
+				if started < lives {
+					spawn()
+				}
+			}
+			spawn()
+			var stranded int64
+			e.s.At(sim.Second, func() { l2.SetDown(true); stranded = l2.Stats.Drops })
+			e.s.At(2*sim.Second, func() { l2.SetDown(false); stranded = l2.Stats.Drops - stranded })
+			e.s.Run()
+			if started != lives || pool.LiveCount() != 0 || pool.Reuses != lives-1 {
+				t.Fatalf("started %d, live %d, reuses %d: want %d flows run to completion through one connection",
+					started, pool.LiveCount(), pool.Reuses, lives)
+			}
+			if stranded == 0 {
+				t.Fatal("the outage dropped nothing: no flow was using the link")
+			}
+			if live := e.n.LivePackets(); live != 0 {
+				t.Errorf("%d packets still live after the world drained, want 0", live)
+			}
+		})
+	}
+	if stragglers == 0 {
+		t.Error("no packet outlived its flow: the FlowID guard went unexercised")
 	}
 }
 
@@ -282,6 +339,26 @@ func TestConnPoolRejectsLiveConn(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Put of a live connection did not panic")
+		}
+	}()
+	pool.Put(c)
+}
+
+// TestConnPoolRejectsDoublePut: a connection put twice would later be
+// handed to two flows at once, so the second Put must panic.
+func TestConnPoolRejectsDoublePut(t *testing.T) {
+	s := sim.New(1)
+	n := netsim.NewNet(s)
+	l := netsim.NewLink("l", 10, 5*sim.Millisecond, 50)
+	r := netsim.NewLink("r", 10, 5*sim.Millisecond, 50)
+	pool := NewConnPool(n)
+	c := pool.Get(Config{Paths: []Path{{Fwd: []*netsim.Link{l}, Rev: []*netsim.Link{r}}}, DataPackets: 5})
+	c.Start()
+	s.Run()
+	pool.Put(c)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Put of the same connection did not panic")
 		}
 	}()
 	pool.Put(c)

@@ -155,7 +155,7 @@ func TestFiniteFlowCompletes(t *testing.T) {
 	c := NewConn(e.n, Config{
 		Paths:       []Path{e.path(l)},
 		DataPackets: 500,
-		OnComplete:  func() { completed = true },
+		OnComplete:  func(*Conn) { completed = true },
 	})
 	c.Start()
 	e.s.RunUntil(60 * sim.Second)
