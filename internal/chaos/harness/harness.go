@@ -30,6 +30,7 @@ import (
 	"mptcp/internal/chaos"
 	"mptcp/internal/chaos/leak"
 	"mptcp/internal/mptcpnet"
+	"mptcp/internal/sim"
 )
 
 // Config parameterises one harness run. The zero value is filled with
@@ -203,7 +204,7 @@ func Run(cfg Config) (*Result, error) {
 			log.Emit(chaos.Event{Ev: "kill-all"})
 		}()
 	} else {
-		d := chaos.NewDirector(groups, cfg.Tick, cfg.Seed*7919+1, log)
+		d := chaos.NewDirector(groups, cfg.Tick, sim.MixSeed(cfg.Seed, 0), log)
 		go func() {
 			defer chaosWG.Done()
 			d.Run(stop)
@@ -305,9 +306,11 @@ func RunT(t *testing.T, cfg Config) *Result {
 // buildSocket opens cfg.Paths real UDP path pairs on loopback, wraps
 // each direction in a chaos.Path, and wires up the endpoints. Path 0 of
 // every connection is the protected group: the director keeps it
-// survivable, anchoring the completion invariant.
+// survivable, anchoring the completion invariant. Socket k's rngs derive
+// from sim.MixSeed(cfg.Seed, 1+k), index 0 being the director's: path i
+// takes indices 2i and 2i+1 below it, the payload the next one.
 func buildSocket(k int, cfg Config) (*socket, []chaos.Group, error) {
-	seed := cfg.Seed*1_000_000 + int64(k)*1_000
+	seed := sim.MixSeed(cfg.Seed, 1+k)
 	sk := &socket{id: k}
 	var sConns, rConns []net.PacketConn
 	var remotes []net.Addr
@@ -328,8 +331,8 @@ func buildSocket(k int, cfg Config) (*socket, []chaos.Group, error) {
 		if cfg.SenderPath != nil {
 			sCfg = *cfg.SenderPath
 		}
-		sPath := chaos.New(sRaw, sCfg, seed+int64(i)*2)
-		rPath := chaos.New(rRaw, chaos.PathConfig{Delay: time.Millisecond}, seed+int64(i)*2+1)
+		sPath := chaos.New(sRaw, sCfg, sim.MixSeed(seed, 2*i))
+		rPath := chaos.New(rRaw, chaos.PathConfig{Delay: time.Millisecond}, sim.MixSeed(seed, 2*i+1))
 		sk.sPaths = append(sk.sPaths, sPath)
 		sk.rPaths = append(sk.rPaths, rPath)
 		sConns = append(sConns, sPath)
@@ -345,7 +348,7 @@ func buildSocket(k int, cfg Config) (*socket, []chaos.Group, error) {
 	sk.rx = mptcpnet.NewReceiver(connID, rConns, cfg.RecvBuf)
 	sk.tx = mptcpnet.NewSender(connID, sConns, remotes, cfg.Net)
 	sk.data = make([]byte, cfg.Bytes)
-	rand.New(rand.NewSource(seed + 500)).Read(sk.data)
+	rand.New(rand.NewSource(sim.MixSeed(seed, 2*cfg.Paths))).Read(sk.data)
 	return sk, groups, nil
 }
 

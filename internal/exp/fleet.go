@@ -113,8 +113,6 @@ func (g *fleetGroup) sendTransit(end sim.Time) {
 	g.out.Send(g.ringDest, 1+g.s.Rand().Intn(8))
 	if next := g.s.Now() + fleetTransitEvery; next < end {
 		g.tick.ResetAt(next)
-	} else {
-		g.tick.Release()
 	}
 }
 

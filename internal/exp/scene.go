@@ -130,11 +130,14 @@ func wifi3gScene(w *world, mp func() transport.Config) *scene {
 
 // script binds a scenario script to the scene: its links become the
 // script's targets, reporting their state changes to the world's tracer,
-// and churn directives spawn single-path transfers by the scene's rule.
+// and churn directives spawn single-path transfers by the scene's rule,
+// each a life of one connection pool.
 func (sc *scene) script(w *world, scn scenario.Scenario) *scenario.Env {
 	env := &scenario.Env{Sim: w.s, Net: w.n, Links: sc.links}
+	pool := transport.NewConnPool(w.n)
+	done := pool.Put // bound once: every arrival shares it
 	env.Spawn = func(pkts int64) {
-		transport.NewConn(w.n, transport.Config{Paths: sc.churn(), DataPackets: pkts, Tracer: w.tr}).Start()
+		pool.Get(transport.Config{Paths: sc.churn(), DataPackets: pkts, Tracer: w.tr, OnComplete: done}).Start()
 	}
 	if w.tr != nil {
 		for _, d := range sc.links {

@@ -217,12 +217,14 @@ func runServerPoisson(cfg Config) *Result {
 		// than a megabyte for each of thousands of short flows.
 		sizes := traffic.NewParetoMean(1.5, 200e3/1500) // mean 200 kB in packets
 		pa := &traffic.PoissonArrivals{Net: w.n, Rate: 10}
+		pool := transport.NewConnPool(w.n)
+		done := pool.Put // bound once: every arrival shares it
 		pa.Spawn = func() {
 			n := int64(sizes.Sample(w.s.Rand()))
 			if n < 1 {
 				n = 1
 			}
-			transport.NewConn(w.n, transport.Config{Paths: sc.paths[:1], DataPackets: n}).Start()
+			pool.Get(transport.Config{Paths: sc.paths[:1], DataPackets: n, OnComplete: done}).Start()
 		}
 		pa.Start()
 		var flip func()

@@ -138,14 +138,6 @@ func Sum(xs []float64) float64 {
 	return t
 }
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return Sum(xs) / float64(len(xs))
-}
-
 // Percentile returns the p-th percentile (0..100) by nearest-rank on a
 // sorted copy.
 func Percentile(xs []float64, p float64) float64 {

@@ -118,7 +118,7 @@ func TestSummary(t *testing.T) {
 	if s.N() != 10000 {
 		t.Fatalf("N = %d", s.N())
 	}
-	m := Mean(xs)
+	m := Sum(xs) / float64(len(xs))
 	if math.Abs(s.Mean()-m) > 1e-9*math.Abs(m) {
 		t.Errorf("mean %v, exact %v", s.Mean(), m)
 	}

@@ -270,8 +270,8 @@ func (s *Sender) Finish() {
 // timers cancelled. Late ACKs and timer fires become no-ops.
 func (s *Sender) Stop() {
 	s.done = true
-	// Clear the flow-control latch too: a late ACK's window update must
-	// not touch a persist timer the shell may have released.
+	// Clear the flow-control latch too, so the state matches the stopped
+	// timers: a late ACK's window update makes no further shell call.
 	s.fcBlocked, s.persistArmed = false, false
 	s.sh.StopPersist()
 	for i := range s.subs {

@@ -134,7 +134,7 @@ func (d RateRamp) install(env *Env) error {
 }
 
 // rampRun steps one RateRamp through its set-points on a single
-// rearm-in-place timer, releasing it after the last step.
+// rearm-in-place timer, left idle after the last step.
 type rampRun struct {
 	link *topo.Duplex
 	d    RateRamp
@@ -148,18 +148,16 @@ func (r *rampRun) step() {
 	f := r.d.From + (r.d.To-r.d.From)*float64(r.k)/float64(n)
 	r.link.AB.SetRate(r.base * f)
 	r.k++
-	if r.k > n {
-		r.tm.Release()
-		return
+	if r.k <= n {
+		r.tm.ResetAt(r.d.Start + sim.Time(int64(r.d.End-r.d.Start)*int64(r.k)/int64(n)))
 	}
-	r.tm.ResetAt(r.d.Start + sim.Time(int64(r.d.End-r.d.Start)*int64(r.k)/int64(n)))
 }
 
 // PeriodicFlap takes link Link down for Down at the start of every
 // Period, from Start until End — the stairwell walked past repeatedly,
 // or an interface that keeps dissociating. The link is always up after
 // the final flap; cycles that would not fit a full Down before End are
-// not started. Runs on one rearm-in-place timer, released when done.
+// not started. Runs on one rearm-in-place timer.
 type PeriodicFlap struct {
 	Link       int
 	Start, End sim.Time
@@ -202,11 +200,9 @@ func (f *flapRun) step() {
 	f.link.SetDown(false)
 	f.down = false
 	f.cycle += f.d.Period
-	if f.cycle+f.d.Down > f.d.End {
-		f.tm.Release()
-		return
+	if f.cycle+f.d.Down <= f.d.End {
+		f.tm.ResetAt(f.cycle)
 	}
-	f.tm.ResetAt(f.cycle)
 }
 
 // BackgroundCBR attaches a bursty on/off constant-bit-rate interferer
@@ -248,7 +244,7 @@ func (d BackgroundCBR) install(env *Env) error {
 // MeanPkts packets — the §3 flash-crowd/server workload as a reusable
 // script. Arrival gaps and sizes draw from env.Sim.Rand(); arrivals are
 // counted in env.ChurnArrivals. Runs on one rearm-in-place timer,
-// released at End.
+// last armed before End.
 type FlowChurn struct {
 	Start, End sim.Time
 	Rate       float64 // arrivals per second
@@ -291,9 +287,7 @@ func (c *churnRun) step() {
 		c.env.Spawn(pkts)
 	}
 	next := now + traffic.PoissonGap(c.env.Sim.Rand(), c.d.Rate)
-	if next > c.d.End {
-		c.tm.Release()
-		return
+	if next <= c.d.End {
+		c.tm.ResetAt(next)
 	}
-	c.tm.ResetAt(next)
 }

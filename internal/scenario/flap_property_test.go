@@ -23,7 +23,7 @@ import (
 //     floor once loss stops;
 //   - cwnds stay at or above the protocol minimum of 1 throughout;
 //   - teardown leaks nothing: once the connection stops, the event queue
-//     drains to empty (every scenario and transport timer was released).
+//     drains to empty (no scenario or transport timer is left armed).
 func TestFlapRegrowsEveryAlgorithm(t *testing.T) {
 	const T = 20 * sim.Second // flaps end at 4T/5 = 16 s; 4 s of recovery
 	for _, name := range cc.Names() {
@@ -78,8 +78,8 @@ func TestFlapRegrowsEveryAlgorithm(t *testing.T) {
 			}
 
 			// No leaked timers: stop the connection, drain in-flight
-			// packets, and the queue must be empty — the flap timer was
-			// released when the schedule ended, the connection's on Stop.
+			// packets, and the queue must be empty — the flap timer stopped
+			// rearming when the schedule ended, the connection's on Stop.
 			c.Stop()
 			s.Run()
 			if got := s.Pending(); got != 0 {

@@ -20,8 +20,8 @@
 // (by index, in the topology's canonical order) and an optional Spawn
 // callback for flow churn. Installing schedules every directive's events
 // on env.Sim; periodic directives (PeriodicFlap, RateRamp, FlowChurn)
-// compile onto rearm-in-place sim.Timers and release them when they
-// finish, so a completed scenario leaves no events behind.
+// compile onto one rearm-in-place sim.Timer each and stop rearming it
+// when they finish, so a completed scenario leaves no events behind.
 //
 // All scenario randomness (churn arrival gaps, Pareto flow sizes, CBR
 // burst lengths) is drawn from env.Sim.Rand() — the world's single
@@ -54,8 +54,8 @@ type Env struct {
 
 	// Spawn starts one short-lived flow of the given size in packets;
 	// required by FlowChurn, ignored by every other directive. The
-	// callee owns the flow (typically a transport.Conn with DataPackets
-	// set, which releases its timers on completion).
+	// callee owns the flow: typically a transport.ConnPool life with
+	// DataPackets set, handed back to the pool on completion.
 	Spawn func(pkts int64)
 
 	// ChurnArrivals counts the flows FlowChurn spawned; read it after

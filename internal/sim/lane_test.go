@@ -173,7 +173,7 @@ func (w *scriptWorld) step() {
 	case 5:
 		w.timers[k].Stop()
 	case 6:
-		w.timers[k].Release()
+		w.timers[k].Stop()
 		w.newTimer(k)
 	case 7:
 		if !w.running {

@@ -17,9 +17,8 @@
 // interface plus a pointer-sized argument, rearmable timers (NewTimer)
 // are re-keyed in place by Reset, and a Lane keeps a whole FIFO of events
 // behind one heap entry. Cancelled events are removed eagerly, so the
-// heap holds live events only. A Timer freelist owned by the Simulator
-// (mirroring netsim's packet freelist) recycles timer objects across
-// short-lived connections via NewTimer/Release.
+// heap holds live events only. A timer's owner keeps it for as long as it
+// needs one; a pooled connection keeps its timers across its lives.
 package sim
 
 import (
@@ -129,19 +128,6 @@ func (t *Timer) ResetAt(at Time) {
 	}
 }
 
-// Release stops the timer and returns it to the simulator's freelist for
-// reuse by a later NewTimer. The caller must not touch the handle
-// afterwards; owners release their timers on teardown (e.g. a completed
-// connection) so workloads that churn connections recycle timer objects.
-func (t *Timer) Release() {
-	if t == nil || t.fn == nil {
-		return // nil or already released: never double-insert in the freelist
-	}
-	t.Stop()
-	t.fn = nil
-	t.s.free = append(t.s.free, t)
-}
-
 // Lane is a FIFO of typed events for one Handler, for a source whose
 // event times never decrease — a link's departures. The whole lane is
 // one heap entry keyed by its head; every item still draws its sequence
@@ -202,7 +188,6 @@ type Simulator struct {
 	seq    uint64
 	rng    *rand.Rand
 	nsteps uint64
-	free   []*Timer // Timer freelist (NewTimer / Release)
 }
 
 // New returns a Simulator whose random source is seeded with seed.
@@ -221,17 +206,10 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Steps() uint64 { return s.nsteps }
 
 // NewTimer returns an idle rearmable timer that runs fn when it fires;
-// arm it with Reset. The timer comes from the simulator's freelist when
-// one is available.
+// arm it with Reset.
 func (s *Simulator) NewTimer(fn func()) *Timer {
 	if fn == nil {
 		panic("sim: NewTimer with nil function")
-	}
-	if n := len(s.free); n > 0 {
-		t := s.free[n-1]
-		s.free = s.free[:n-1]
-		t.fn = fn
-		return t
 	}
 	return &Timer{s: s, fn: fn, slot: -1}
 }

@@ -151,20 +151,6 @@ func TestTimerRearmFromCallback(t *testing.T) {
 	}
 }
 
-func TestTimerReleaseRecycles(t *testing.T) {
-	s := New(1)
-	t1 := s.NewTimer(func() {})
-	t1.Reset(Second)
-	t1.Release()
-	if s.Pending() != 0 {
-		t.Error("Release should stop the timer")
-	}
-	t2 := s.NewTimer(func() {})
-	if t1 != t2 {
-		t.Error("freelist did not recycle the released timer")
-	}
-}
-
 type probeHandler struct {
 	got []any
 	at  []Time

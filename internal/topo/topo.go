@@ -197,7 +197,6 @@ func (w *Wireless) Paths() []transport.Path {
 // paper inserts 10 ms with dummynet).
 type DualHomed struct {
 	Link1, Link2 *Duplex
-	wan          sim.Time
 }
 
 // NewDualHomed builds the server with two rateMbps access links and wan

@@ -125,8 +125,7 @@ type Conn struct {
 	startedAt    sim.Time
 	doneAt       sim.Time
 	persistTimer *sim.Timer
-	persistFn    func() // c.onPersist, bound once so a pooled life reuses it
-	liveAt       int    // index in its ConnPool's live set while handed out
+	liveAt       int // index in its ConnPool's live set while handed out
 }
 
 // nextConnID is atomic because independent simulator worlds construct
@@ -144,15 +143,15 @@ func NewConn(nw *netsim.Net, cfg Config) *Conn {
 
 // init (re)constructs the connection in place. A zero Conn becomes a
 // fresh connection; a completed connection is rebuilt for a new life
-// (ConnPool), reusing its subflows, the protocol core's grown scoreboard
-// rings and scratch slices, and its receiver's bit rings. Reuse requires
-// an equal path count (the pool keys on it); on mismatch everything is
-// rebuilt. A route object is kept only when the new life's path is the
-// very slice the old life used (see sameLinks): a packet from the
-// previous life still in flight then crosses the same links to the same
-// endpoint as it would have, and the FlowID guard in the receive paths
-// discards it on arrival. Any other path gets a fresh route and leaves
-// the old object intact for such stragglers.
+// (ConnPool), reusing its subflows and their timers, the protocol core's
+// grown scoreboard rings and scratch slices, and its receiver's bit
+// rings. Reuse requires an equal path count (the pool keys on it); on
+// mismatch everything is rebuilt. A route object is kept only when the
+// new life's path is the very slice the old life used (see sameLinks): a
+// packet from the previous life still in flight then crosses the same
+// links to the same endpoint as it would have, and the FlowID guard in
+// the receive paths discards it on arrival. Any other path gets a fresh
+// route and leaves the old object intact for such stragglers.
 func (c *Conn) init(nw *netsim.Net, cfg Config) {
 	if len(cfg.Paths) == 0 {
 		panic("transport: connection needs at least one path")
@@ -191,15 +190,18 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 		c.core.Finish()
 	}
 	c.Counters = &c.core.Counters
-	if c.persistFn == nil {
-		c.persistFn = c.onPersist
+	// The timers are created once, kept for every life and rearmed in
+	// place (the RTO on every ACK) rather than re-created: the core stops
+	// them when a life ends, and a timer takes its place in the event
+	// order from each Reset, not from the object.
+	if c.persistTimer == nil {
+		c.persistTimer = nw.Sim.NewTimer(c.onPersist)
 	}
-	c.persistTimer = nw.Sim.NewTimer(c.persistFn)
 	if len(c.subs) != n {
 		c.subs, c.recv = make([]*Subflow, n), &Receiver{rev: make([]*netsim.Route, n)}
 		for i := range c.subs {
 			sf := &Subflow{conn: c, id: i}
-			sf.rtoFn = sf.onRTO
+			sf.rtoTimer = nw.Sim.NewTimer(sf.onRTO)
 			c.subs[i] = sf
 		}
 	}
@@ -208,9 +210,6 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 	for i, p := range cfg.Paths {
 		sf := c.subs[i]
 		sf.SubflowStats, sf.nextSend = c.core.Stats(i), 0
-		// One owned timer for the life of the subflow, rearmed in place
-		// on every ACK (ArmRTO) instead of re-created.
-		sf.rtoTimer = nw.Sim.NewTimer(sf.rtoFn)
 		if sf.fwd == nil || !sameLinks(sf.fwd.Links, p.Fwd) {
 			sf.fwd = netsim.NewRoute(c.recv, p.Fwd...)
 		}
@@ -259,27 +258,15 @@ func (c *Conn) Stop() {
 		return
 	}
 	c.core.Stop()
-	c.finish()
-}
-
-// finish stamps the end of the connection's life and returns its timers
-// (already stopped by the core) to the simulator's freelist: a finished
-// connection leaves no timer garbage behind, which matters for workloads
-// that churn through thousands of connections (the §3 server
-// experiment).
-func (c *Conn) finish() {
 	c.doneAt = c.net.Sim.Now()
-	c.persistTimer.Release()
-	for _, sf := range c.subs {
-		sf.rtoTimer.Release()
-	}
 }
 
 // Completed implements proto.Shell: the final data packet was
-// cumulatively acknowledged. OnComplete may Put and re-Get this very
-// connection; the timers are released first so that is safe.
+// cumulatively acknowledged. The core has already stopped every timer,
+// so OnComplete may Put this very connection back into its pool and
+// even Get it again for a new life.
 func (c *Conn) Completed() {
-	c.finish()
+	c.doneAt = c.net.Sim.Now()
 	if c.cfg.OnComplete != nil {
 		c.cfg.OnComplete(c)
 	}

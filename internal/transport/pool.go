@@ -3,14 +3,15 @@ package transport
 import "mptcp/internal/netsim"
 
 // ConnPool recycles completed connections across the lifetime of one
-// simulated world. Connection-churn workloads (scenario.FlowChurn, the
-// fleet experiment) create tens of thousands of short flows; without
-// pooling every flow allocates subflow meta rings, receiver rings and
-// scratch slices that become garbage seconds later. A pooled connection
-// is rebuilt by Conn.init, which reuses those allocations: the i-th
-// flow through a pool behaves exactly like a fresh NewConn with the
-// same Config (same transmissions, same completion time), so pooling is
-// a pure allocation optimisation.
+// simulated world, and is the one way to run a flow that an arrival
+// process spawns: scenario.FlowChurn, the §3 server downloads, the fleet
+// and the application workloads all create thousands of short flows,
+// and without pooling every flow allocates subflows, timers, scoreboard
+// and receiver rings and scratch slices that become garbage seconds
+// later. A pooled connection is rebuilt by Conn.init, which reuses those
+// allocations: the i-th flow through a pool behaves exactly like a fresh
+// NewConn with the same Config (same transmissions, same completion
+// time), so pooling is a pure allocation optimisation.
 //
 // The pool is keyed by path count, the one shape parameter Conn.init
 // cannot convert in place. It is single-world and not goroutine-safe,
@@ -55,8 +56,9 @@ func (p *ConnPool) Get(cfg Config) *Conn {
 // (or Stopped) connections may be pooled: a live connection still owns
 // timers and in-flight state that recycling would corrupt. Nor may a
 // connection be put twice, or into a pool that did not hand it out.
-// Calling Put from Config.OnComplete is safe — the completion path
-// releases the connection's timers before invoking the callback.
+// Calling Put from Config.OnComplete is safe — the core stops the
+// connection's timers before the callback runs — so a spawner can bind
+// OnComplete to pool.Put once for all its arrivals.
 func (p *ConnPool) Put(c *Conn) {
 	if !c.Done() {
 		panic("transport: pooling a connection that has not completed")

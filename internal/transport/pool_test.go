@@ -15,21 +15,38 @@ type poolFlowRecord struct {
 	retx          int64
 }
 
-// runFlowSequence runs `count` finite two-path flows back to back in
-// one world — each next flow starts 50 ms after the previous completes
-// — and returns their outcomes. With usePool the flows cycle through a
-// ConnPool; otherwise every flow is a fresh NewConn. One forward link
-// carries random loss so recovery machinery (and its rng draws) is
-// exercised too.
-func runFlowSequence(seed int64, count int, usePool bool) []poolFlowRecord {
-	s := sim.New(seed)
+// seqFlows is the number of flows in a flowSequence.
+const seqFlows = 6
+
+// flowSequence is one world of seqFlows finite two-path flows run back
+// to back.
+type flowSequence struct {
+	seed int64
+	// gap separates a completion from the next start; 0 starts the next
+	// flow inside OnComplete, so packets of the finished life are still
+	// in flight when the next one begins.
+	gap sim.Time
+	// loss is the random loss rate of each forward link, so recovery
+	// machinery (and its rng draws) is exercised too.
+	loss [2]float64
+	// freshSlices gives every flow its own copy of the path slices over
+	// the same links, so a recycled connection rebuilds its routes
+	// instead of keeping them.
+	freshSlices bool
+}
+
+// run returns the flows' outcomes. With usePool the flows cycle through
+// a ConnPool; otherwise every flow is a fresh NewConn. stragglers counts
+// the packets still live at each completion.
+func (q flowSequence) run(usePool bool) (out []poolFlowRecord, stragglers int) {
+	s := sim.New(q.seed)
 	n := netsim.NewNet(s)
+	l1 := netsim.NewLink("p1", 8, 10*sim.Millisecond, 20)
+	l2 := netsim.NewLink("p2", 4, 25*sim.Millisecond, 20)
+	l1.LossRate, l2.LossRate = q.loss[0], q.loss[1]
+	r1 := netsim.NewLink("p1-rev", 8, 10*sim.Millisecond, 20)
+	r2 := netsim.NewLink("p2-rev", 4, 25*sim.Millisecond, 20)
 	mkPaths := func() []Path {
-		l1 := netsim.NewLink("p1", 8, 10*sim.Millisecond, 20)
-		l2 := netsim.NewLink("p2", 4, 25*sim.Millisecond, 20)
-		l1.LossRate = 0.01
-		r1 := netsim.NewLink("p1-rev", 8, 10*sim.Millisecond, 20)
-		r2 := netsim.NewLink("p2-rev", 4, 25*sim.Millisecond, 20)
 		return []Path{{Fwd: []*netsim.Link{l1}, Rev: []*netsim.Link{r1}},
 			{Fwd: []*netsim.Link{l2}, Rev: []*netsim.Link{r2}}}
 	}
@@ -38,11 +55,13 @@ func runFlowSequence(seed int64, count int, usePool bool) []poolFlowRecord {
 	if usePool {
 		pool = NewConnPool(n)
 	}
-	out := make([]poolFlowRecord, 0, count)
 	var launch func(i int)
 	launch = func(i int) {
-		if i >= count {
+		if i >= seqFlows {
 			return
+		}
+		if q.freshSlices {
+			paths = mkPaths()
 		}
 		var c *Conn
 		cfg := Config{
@@ -59,10 +78,15 @@ func runFlowSequence(seed int64, count int, usePool bool) []poolFlowRecord {
 					rec.retx += sf.PktsRetx
 				}
 				out = append(out, rec)
+				stragglers += n.LivePackets()
 				if usePool {
 					pool.Put(c)
 				}
-				s.After(50*sim.Millisecond, func() { launch(i + 1) })
+				if q.gap == 0 {
+					launch(i + 1)
+				} else {
+					s.After(q.gap, func() { launch(i + 1) })
+				}
 			},
 		}
 		if usePool {
@@ -74,26 +98,47 @@ func runFlowSequence(seed int64, count int, usePool bool) []poolFlowRecord {
 	}
 	launch(0)
 	s.RunUntil(120 * sim.Second)
-	if usePool && pool.Reuses == 0 && count > 1 {
+	if usePool && pool.Reuses == 0 {
 		panic("pool never recycled a connection")
 	}
-	return out
+	return out, stragglers
 }
 
 // TestConnPoolTransparent pins pooling as a pure allocation
 // optimisation: a sequence of flows through the pool produces exactly
 // the outcomes of the same sequence with fresh connections — same
-// start/completion times, deliveries and retransmission counts.
+// start/completion times, deliveries and retransmission counts. The
+// first input leaves 50 ms between flows; the rest recycle inside
+// OnComplete, under loss on both forward links, with shared and with
+// fresh path slices, so packets and ACKs of earlier lives reach the
+// recycled connection and its kept timers.
 func TestConnPoolTransparent(t *testing.T) {
-	fresh := runFlowSequence(31, 6, false)
-	pooled := runFlowSequence(31, 6, true)
-	if len(fresh) != 6 || len(pooled) != 6 {
-		t.Fatalf("completed %d fresh / %d pooled flows, want 6 each", len(fresh), len(pooled))
-	}
-	for i := range fresh {
-		if fresh[i] != pooled[i] {
-			t.Fatalf("flow %d diverges: fresh %+v vs pooled %+v", i, fresh[i], pooled[i])
+	seqs := []flowSequence{{seed: 31, gap: 50 * sim.Millisecond, loss: [2]float64{0.01, 0}}}
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, loss := range []float64{0.01, 0.03, 0.08} {
+			for _, fresh := range []bool{false, true} {
+				seqs = append(seqs, flowSequence{seed: seed, loss: [2]float64{loss, loss}, freshSlices: fresh})
+			}
 		}
+	}
+	stragglers := 0
+	for _, q := range seqs {
+		fresh, _ := q.run(false)
+		pooled, live := q.run(true)
+		if len(fresh) != seqFlows || len(pooled) != seqFlows {
+			t.Fatalf("%+v: completed %d fresh / %d pooled flows, want %d each", q, len(fresh), len(pooled), seqFlows)
+		}
+		for i := range fresh {
+			if fresh[i] != pooled[i] {
+				t.Fatalf("%+v: flow %d diverges: fresh %+v vs pooled %+v", q, i, fresh[i], pooled[i])
+			}
+		}
+		if q.gap == 0 {
+			stragglers += live
+		}
+	}
+	if stragglers == 0 {
+		t.Error("no packet outlived its flow: immediate recycling went unexercised")
 	}
 }
 

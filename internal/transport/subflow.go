@@ -19,7 +19,6 @@ type Subflow struct {
 	id       int
 	fwd      *netsim.Route
 	rtoTimer *sim.Timer
-	rtoFn    func() // sf.onRTO, bound once so a pooled life reuses it
 
 	// nextSend enforces FIFO transmission within the subflow when random
 	// send jitter is enabled.
