@@ -61,7 +61,7 @@ type Sender struct {
 	// [freed, dataEnd): Write fills dataEnd, Close appends the empty
 	// end-of-stream segment, and a frame is freed when the core's
 	// data-level ACK passes it.
-	segs       ring[*frame]
+	segs       proto.Ring[*frame]
 	dataEnd    int64
 	freed      int64
 	persist    timer
@@ -132,7 +132,9 @@ func (tm *timer) expired() bool {
 }
 
 // defaultWindow is the conservative flow-control edge assumed until the
-// first ACK advertises the receiver's real shared-buffer window.
+// first ACK advertises the receiver's real shared-buffer window. Being
+// the core's SenderConfig.Window, it also starts each subflow's
+// scoreboard ring at 64 slots.
 const defaultWindow = 64
 
 // maxRTOStreak is the give-up bound, the only one: when EVERY subflow has
@@ -219,7 +221,7 @@ func (s *Sender) Write(p []byte) (int, error) {
 		}
 		f := getFrame()
 		f.n = headerSize + copy(f.buf[headerSize:], p[:min(len(p), MaxPayload)])
-		s.segs.put(s.freed, s.dataEnd, f)
+		s.segs.Put(s.freed, s.dataEnd, f)
 		s.dataEnd++
 		p = p[f.n-headerSize:]
 		n += f.n - headerSize
@@ -238,7 +240,7 @@ func (s *Sender) Close() error {
 		s.closed = true
 		f := getFrame()
 		f.n = headerSize
-		s.segs.put(s.freed, s.dataEnd, f)
+		s.segs.Put(s.freed, s.dataEnd, f)
 		s.dataEnd++
 		s.core.Supply(s.now(), s.dataEnd)
 		s.core.Finish()
@@ -278,7 +280,7 @@ func (s *Sender) pumpLocked() {
 // blocked on backpressure.
 func (s *Sender) settleLocked() {
 	for una := s.core.DataUna(); s.freed < una; s.freed++ {
-		putFrame(*s.segs.at(s.freed))
+		putFrame(*s.segs.At(s.freed))
 	}
 	s.cond.Broadcast()
 }
@@ -358,7 +360,7 @@ func (s *Sender) seg(d int64) *frame {
 	if d < s.freed || d >= s.dataEnd {
 		return nil
 	}
-	return *s.segs.at(d)
+	return *s.segs.At(d)
 }
 
 // --- proto.Shell: the core's side effects (all called with s.mu held) ---

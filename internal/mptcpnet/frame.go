@@ -27,26 +27,3 @@ var framePool = sync.Pool{New: func() any { return new(frame) }}
 
 func getFrame() *frame  { return framePool.Get().(*frame) }
 func putFrame(f *frame) { framePool.Put(f) }
-
-// ring is a power-of-two circular buffer indexed by sequence number, the
-// shape of the protocol core's scoreboard: the owner keeps the live range
-// [lo, hi) and the ring doubles on demand, so it is sized by what is
-// actually outstanding, never by a window the peer advertises.
-type ring[T any] struct{ buf []T }
-
-// at returns seq's slot. Only valid for lo <= seq < lo+len(buf).
-func (r *ring[T]) at(seq int64) *T { return &r.buf[seq&int64(len(r.buf)-1)] }
-
-// put stores v at seq, growing the ring until [lo, seq] fits.
-func (r *ring[T]) put(lo, seq int64, v T) {
-	if n := int64(len(r.buf)); seq-lo >= n {
-		old := r.buf
-		for n = max(n, 16); n <= seq-lo; n *= 2 {
-		}
-		r.buf = make([]T, n)
-		for s := lo; s < lo+int64(len(old)); s++ {
-			*r.at(s) = old[s&int64(len(old)-1)]
-		}
-	}
-	*r.at(seq) = v
-}

@@ -35,7 +35,7 @@ type Receiver struct {
 	// sequence, from readNxt (the core's consumed point) up:
 	// [readNxt, core.DataRcvNxt()) is the in-order queue Read copies out
 	// of, slots above it are the reorder buffer.
-	segs    ring[*frame]
+	segs    proto.Ring[*frame]
 	readNxt int64
 	finSeq  int64 // data sequence of the end-of-stream segment, -1 until it arrives
 	closed  bool
@@ -101,7 +101,7 @@ func (r *Receiver) Read(p []byte) (int, error) {
 	}
 	n, reopened := 0, false
 	for n < len(p) && r.core.Readable() > 0 {
-		f := *r.segs.at(r.readNxt)
+		f := *r.segs.At(r.readNxt)
 		c := copy(p[n:], f.buf[f.off:f.n])
 		n, f.off = n+c, f.off+c
 		if f.off == f.n { // consumed: the frame goes back to the pool
@@ -280,7 +280,7 @@ func (r *Receiver) onDataLocked(sub int, h *header, payload []byte) (sack int64,
 		}
 		f := getFrame()
 		f.n, f.off = headerSize+copy(f.buf[headerSize:], payload), headerSize
-		r.segs.put(r.readNxt, h.DataSeq, f)
+		r.segs.Put(r.readNxt, h.DataSeq, f)
 		// Only an arrival that makes data readable wakes Read: waking it
 		// for a segment that merely joins the reorder buffer costs a
 		// goroutine switch that finds nothing — on paths of unequal

@@ -26,11 +26,13 @@
 // lock or random source. A shell feeds it events stamped with the shell's
 // own clock (Sender.OnAck, OnRTO, OnPersist, Supply, Pump;
 // Receiver.OnData, OnProbe, OnAckDelay, Consume) and performs the side
-// effects it asks for through the Shell interface or its return values. After warm-up (rings and queues grown) no
-// entry point allocates or hashes: the receiver's out-of-order sets are
-// bit rings indexed by sequence number, and a subflow sequence 1<<16 or
-// more above the cumulative ack is refused, which bounds a subflow's ring
-// at 8 KiB. DESIGN.md §16 has the ordering contract.
+// effects it asks for through the Shell interface or its return values.
+// After warm-up (rings and queues grown) no entry point allocates or
+// hashes. A subflow's scoreboard is a Ring indexed by sequence number,
+// sized from the initial window and doubled by what is outstanding; the
+// receiver's out-of-order sets are bit rings, and a subflow sequence 1<<16
+// or more above the cumulative ack is refused, which bounds a subflow's
+// bit ring at 8 KiB. DESIGN.md §16 has the ordering contract.
 package proto
 
 import (
@@ -106,7 +108,9 @@ type SenderConfig struct {
 	// a long-lived flow, or a count the shell may raise with Supply.
 	Total int64
 	// Window is the flow-control edge assumed until the first ACK
-	// advertises the receiver's real shared-buffer window.
+	// advertises the receiver's real shared-buffer window. It also sizes
+	// each subflow's empty scoreboard ring: rounded up to a power of two
+	// within [16, 256] slots.
 	Window int64
 	// InitialCwnd is the initial congestion window in packets
 	// (default 2, as in Linux of the paper's era).
@@ -219,7 +223,7 @@ func (s *Sender) Reset(sh Shell, cfg SenderConfig) {
 		s.dupNxt = dupNxt
 	}
 	for i := range subs {
-		subs[i].reset()
+		subs[i].reset(cfg.Window)
 		ccs[i] = core.Subflow{Cwnd: cfg.InitialCwnd, SSThresh: math.Inf(1)}
 	}
 }
@@ -506,7 +510,7 @@ func (s *Sender) findBlocker() int {
 	for i := range s.subs {
 		sf := &s.subs[i]
 		for seq := sf.sndUna; seq < sf.sndNxt; seq++ {
-			if m := sf.slot(seq); !m.sacked && m.dataSeq == s.dataUna {
+			if m := sf.meta.At(seq); !m.sacked && m.dataSeq == s.dataUna {
 				return i
 			}
 		}

@@ -23,10 +23,9 @@ type subflow struct {
 	sndUna int64
 
 	// meta maps outstanding subflow sequence numbers to their data-level
-	// mapping and scoreboard state, in a power-of-two ring buffer sized
-	// by what is actually outstanding.
-	meta []pktMeta
-	mask int64
+	// mapping and scoreboard state. It starts at the sender's initial
+	// window (see reset) and grows with what is actually outstanding.
+	meta Ring[pktMeta]
 
 	// Fast-recovery state (SACK + conservation/PRR-style): on entry the
 	// window is halved once; every subsequent arriving ACK permits one
@@ -67,30 +66,21 @@ type pktMeta struct {
 	sacked  bool
 }
 
-// reset returns the subflow to its initial state. The meta ring keeps its
+// reset returns the subflow to its initial state. An empty meta ring is
+// sized from the configured initial window, rounded up to a power of two
+// within [16, 256]: the shared receive buffer bounds what a subflow
+// usually has outstanding, 256 slots are what a long-lived flow grows to
+// anyway, and the ring still doubles on demand. A used ring keeps its
 // grown size and its stale entries: a slot is read only for a sequence in
 // [sndUna, sndNxt), and sendMapped writes it as sndNxt passes it.
-func (sf *subflow) reset() {
+func (sf *subflow) reset(window int64) {
 	meta := sf.meta
-	if meta == nil {
-		meta = make([]pktMeta, 256)
-	}
-	*sf = subflow{meta: meta, mask: int64(len(meta) - 1), rto: initialRTO}
+	meta.Size(min(max(window, 16), 256))
+	*sf = subflow{meta: meta, rto: initialRTO}
 }
 
 // outstanding is the number of unacknowledged packets in flight.
 func (sf *subflow) outstanding() int64 { return sf.sndNxt - sf.sndUna }
-
-func (sf *subflow) slot(seq int64) *pktMeta { return &sf.meta[seq&sf.mask] }
-
-func (sf *subflow) growRing() {
-	old, oldMask := sf.meta, sf.mask
-	sf.meta = make([]pktMeta, len(old)*2)
-	sf.mask = int64(len(sf.meta) - 1)
-	for s := sf.sndUna; s < sf.sndNxt; s++ {
-		sf.meta[s&sf.mask] = old[s&oldMask]
-	}
-}
 
 func (sf *subflow) inRepair() bool { return sf.repairEnd > sf.sndUna }
 
@@ -108,7 +98,7 @@ func (s *Sender) sendRepairs(i int) {
 	for sf.repairNxt < sf.repairEnd && sf.repairNxt-sf.sndUna < s.window(i) {
 		seq := sf.repairNxt
 		sf.repairNxt++
-		if sf.slot(seq).sacked {
+		if sf.meta.At(seq).sacked {
 			continue // receiver already has it
 		}
 		s.transmit(i, seq, true)
@@ -134,10 +124,7 @@ func (s *Sender) sendMapped(i int, dataSeq int64) {
 	sf := &s.subs[i]
 	seq := sf.sndNxt
 	sf.sndNxt++
-	for sf.outstanding() > sf.mask {
-		sf.growRing()
-	}
-	*sf.slot(seq) = pktMeta{dataSeq: dataSeq}
+	sf.meta.Put(sf.sndUna, seq, pktMeta{dataSeq: dataSeq})
 	s.transmit(i, seq, false)
 }
 
@@ -148,7 +135,7 @@ func (s *Sender) sendMapped(i int, dataSeq int64) {
 // sequence numbers what they always were).
 func (s *Sender) transmit(i int, seq int64, retx bool) {
 	sf := &s.subs[i]
-	m := sf.slot(seq)
+	m := sf.meta.At(seq)
 	m.retx = m.retx || retx
 	sf.PktsSent++
 	if retx {
@@ -193,7 +180,7 @@ func (s *Sender) OnAck(now Time, a Ack) {
 	// our own spurious retransmissions — must not drive loss detection.
 	newInfo := false
 	if a.Sack >= sf.sndUna && a.Sack < sf.sndNxt {
-		if m := sf.slot(a.Sack); !m.sacked {
+		if m := sf.meta.At(a.Sack); !m.sacked {
 			m.sacked = true
 			newInfo = true
 		}
@@ -306,7 +293,7 @@ func (s *Sender) retransmitHole(i int) bool {
 	sf := &s.subs[i]
 	seq := max(sf.rtxNxt, sf.sndUna)
 	for ; seq < sf.recover; seq++ {
-		if m := sf.slot(seq); m.sacked || m.retx {
+		if m := sf.meta.At(seq); m.sacked || m.retx {
 			continue
 		}
 		sf.rtxNxt = seq + 1
@@ -347,7 +334,7 @@ func (s *Sender) OnRTO(now Time, i int) {
 	// ascending data-sequence order — reinjected.
 	reinject := len(s.subs) > 1 && !s.cfg.DisableReinject
 	for seq := sf.sndUna; seq < sf.sndNxt; seq++ {
-		m := sf.slot(seq)
+		m := sf.meta.At(seq)
 		m.retx = false
 		if reinject && !m.sacked && m.dataSeq >= s.dataUna {
 			s.reinjectQ = append(s.reinjectQ, m.dataSeq)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mptcp/internal/netsim"
@@ -33,6 +34,10 @@ type flowSequence struct {
 	// the same links, so a recycled connection rebuilds its routes
 	// instead of keeping them.
 	freshSlices bool
+	// alternateBuf gives even flows a 16-packet receive buffer and odd
+	// ones the default, so a pooled connection's scoreboard rings, sized
+	// by the first life's buffer, must grow in the middle of a later one.
+	alternateBuf bool
 }
 
 // run returns the flows' outcomes. With usePool the flows cycle through
@@ -64,10 +69,14 @@ func (q flowSequence) run(usePool bool) (out []poolFlowRecord, stragglers int) {
 			paths = mkPaths()
 		}
 		var c *Conn
+		recvBuf := int64(64)
+		if q.alternateBuf {
+			recvBuf = [2]int64{16, 0}[i%2]
+		}
 		cfg := Config{
 			Paths:       paths,
 			DataPackets: 400,
-			RecvBuf:     64,
+			RecvBuf:     recvBuf,
 			OnComplete: func(c *Conn) {
 				rec := poolFlowRecord{
 					started:   c.StartedAt(),
@@ -111,7 +120,9 @@ func (q flowSequence) run(usePool bool) (out []poolFlowRecord, stragglers int) {
 // first input leaves 50 ms between flows; the rest recycle inside
 // OnComplete, under loss on both forward links, with shared and with
 // fresh path slices, so packets and ACKs of earlier lives reach the
-// recycled connection and its kept timers.
+// recycled connection and its kept timers. The last inputs alternate the
+// receive buffer between lives, so a pooled ring grows mid-life where a
+// fresh one starts large.
 func TestConnPoolTransparent(t *testing.T) {
 	seqs := []flowSequence{{seed: 31, gap: 50 * sim.Millisecond, loss: [2]float64{0.01, 0}}}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -119,6 +130,11 @@ func TestConnPoolTransparent(t *testing.T) {
 			for _, fresh := range []bool{false, true} {
 				seqs = append(seqs, flowSequence{seed: seed, loss: [2]float64{loss, loss}, freshSlices: fresh})
 			}
+		}
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, loss := range []float64{0.01, 0.03} {
+			seqs = append(seqs, flowSequence{seed: seed, loss: [2]float64{loss, loss}, alternateBuf: true})
 		}
 	}
 	stragglers := 0
@@ -222,6 +238,44 @@ func TestConnPoolCycleAllocs(t *testing.T) {
 	}
 	if c.subs[0].fwd.Links[0] != paths[0].Fwd[0] || c.subs[1].fwd.Links[0] != paths[1].Fwd[0] {
 		t.Error("routes do not follow the configured paths")
+	}
+}
+
+// TestFreshConnFootprint bounds what constructing a fresh two-path
+// connection costs the allocator, in bytes and in objects. Each subflow's
+// scoreboard ring starts at the receive buffer, rounded up to a power of
+// two within [16, 256], since no more can be outstanding: a short flow
+// behind a 64-packet buffer must not pay for the 4 KiB rings a long-lived
+// flow with the default buffer grows to anyway.
+func TestFreshConnFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := newEnv(1)
+	paths := []Path{
+		e.path(netsim.NewLink("a", 100, sim.Millisecond, 50)),
+		e.path(netsim.NewLink("b", 100, sim.Millisecond, 50)),
+	}
+	const conns, maxAllocs = 200, 23
+	for _, tc := range []struct {
+		recvBuf  int64
+		maxBytes uint64
+	}{{64, 4608}, {0, 10752}} {
+		cfg := Config{Paths: paths, DataPackets: 10, RecvBuf: tc.recvBuf}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range conns {
+			NewConn(e.n, cfg)
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / conns
+		allocs := (after.Mallocs - before.Mallocs) / conns
+		t.Logf("RecvBuf %d: %d B in %d objects per connection", tc.recvBuf, bytes, allocs)
+		if bytes > tc.maxBytes || allocs > maxAllocs {
+			t.Errorf("RecvBuf %d: a fresh connection takes %d B in %d objects, want at most %d B in %d",
+				tc.recvBuf, bytes, allocs, tc.maxBytes, maxAllocs)
+		}
 	}
 }
 
