@@ -12,7 +12,7 @@
 //	mptcp-exp -exp appgrid [-workload video] [-json]
 //	mptcp-exp -run fig15-wireless-compete -trace trace.jsonl
 //	mptcp-exp -exp dynamics -json -trace trace.jsonl
-//	mptcp-exp -exp fleet [-shards 4] -json
+//	mptcp-exp -exp fleet -json
 //	mptcp-exp -analyze [-csv out.csv] grid.jsonl trace.jsonl
 //	mptcp-exp -analyze -diff A.jsonl B.jsonl
 //	mptcp-exp -train-sched internal/sched/bandit.model -seed 1 -scale 0.2 [-train-rounds 40]
@@ -59,7 +59,6 @@ func main() {
 	analyze := flag.Bool("analyze", false, "aggregate JSONL artifacts (grid records, trial records, traces) named as positional args ('-' or none = stdin) into summary tables")
 	diff := flag.Bool("diff", false, "with -analyze, compare exactly two JSONL files A and B and print per-cell delta tables instead of aggregates")
 	csvOut := flag.String("csv", "", "with -analyze, also write the summary rows as CSV to FILE ('-' = stdout)")
-	shards := flag.Int("shards", 0, "max concurrent partition domains per cell for sharded-engine experiments (fleet); 0 = GOMAXPROCS, results identical for every value")
 	trainSched := flag.String("train-sched", "", "train the learned bandit scheduler offline over the schedgrid corpus and write the serialized model to FILE (deterministic for a fixed -seed/-scale/-train-rounds)")
 	trainRounds := flag.Int("train-rounds", 40, "with -train-sched, passes over the training corpus (one ε-greedy episode per corpus cell per round)")
 	flag.Parse()
@@ -138,7 +137,7 @@ func main() {
 		exps = []*exp.Experiment{e}
 	}
 
-	cfg := exp.Config{Seed: *seed, Scale: *scale, Parallelism: *parallel, Shards: *shards, Scenario: *scenarioID, Sched: *schedSpec, Workload: *workloadID}
+	cfg := exp.Config{Seed: *seed, Scale: *scale, Parallelism: *parallel, Scenario: *scenarioID, Sched: *schedSpec, Workload: *workloadID}
 	var traceFile *os.File
 	if *traceOut != "" {
 		// Experiments and trials run concurrently and each flushes its own

@@ -34,11 +34,9 @@ type Config struct {
 	// grid.go). Zero means runtime.GOMAXPROCS(0); results are
 	// bit-identical for every value.
 	Parallelism int
-	// Shards bounds how many partition domains of a sharded-engine
-	// experiment (fleet) run concurrently within one cell. Zero means
-	// runtime.GOMAXPROCS(0); like Parallelism, results are bit-identical
-	// for every value (sim.Sharded's barrier-merge guarantees it).
-	// Experiments without intra-cell sharding ignore it.
+	// Shards is inert: a sharded-engine experiment (fleet) runs a cell's
+	// domains on the cell's own goroutine. It remains because the
+	// benchmark module still sets it.
 	Shards int
 	// Scenario, Sched and Workload restrict a grid experiment to one
 	// value of its "scenario", "scheduler" or "workload" axis (dynamics;

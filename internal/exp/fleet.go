@@ -19,7 +19,7 @@ func init() {
 		ID:  "fleet",
 		Ref: "scaled-up §3 server workload",
 		Desc: "Fleet-scale flow-completion times: tens of thousands of short MPTCP connections under Poisson " +
-			"arrivals × Pareto sizes across a sharded multi-core engine; FCT p50/p95/p99 per cc × scheduler cell.",
+			"arrivals × Pareto sizes across 32 partitioned simulation domains; FCT p50/p95/p99 per cc × scheduler cell.",
 		Run: runFleet,
 	})
 }
@@ -61,7 +61,7 @@ type fleetOut struct {
 	incomplete int64 // flows still in flight at the horizon
 	pkts       int64 // data packets delivered by completed flows
 	partial    int64 // data packets delivered by incomplete flows
-	transit    int64 // cross-shard transit bursts delivered
+	transit    int64 // cross-domain transit bursts delivered
 	reuses     int64 // pool recycles (diagnostics)
 }
 
@@ -95,8 +95,8 @@ func (k *fleetSink) Receive(p *netsim.Packet) { k.n.FreePacket(p) }
 
 // OnEvent absorbs one transit burst from the previous group in the
 // ring: arg packets are injected into this group's primary access
-// queue, so cross-shard traffic genuinely perturbs the local flows —
-// the shards=1 ≡ shards=N pin is meaningless if domains never interact.
+// queue, so cross-domain traffic genuinely perturbs the local flows and
+// the barrier merge order is part of what fleet.jsonl pins.
 func (g *fleetGroup) OnEvent(arg any) {
 	k := arg.(int)
 	g.transit++
@@ -170,15 +170,14 @@ func runFleet(cfg Config) *Result {
 }
 
 // runFleetCell simulates one (algorithm × scheduler) cell on a sharded
-// engine: fleetDomains connection groups on their own per-shard heaps,
-// merged at fleetPipeLatency barriers. Memory stays bounded by
+// engine: fleetDomains connection groups on their own heaps, run one
+// after another between fleetPipeLatency barriers. Memory stays bounded by
 // streaming aggregation — completion times fold straight into each
 // group's metrics.Summary, and connection state recycles through a
 // per-group ConnPool — so the cell never retains per-flow samples.
 func runFleetCell(cell Config, algName, schedSpec string) fleetOut {
 	end := cell.dur(fleetDur)
 	sh := sim.NewSharded(cell.Seed, fleetDomains)
-	sh.SetShards(cell.Shards)
 
 	groups := make([]*fleetGroup, fleetDomains)
 	for i := range groups {

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"mptcp/internal/netsim"
@@ -88,65 +86,5 @@ func TestFleetCellAllocsPerArrival(t *testing.T) {
 	})
 	if per := allocs / float64(out.arrivals); per > 16 {
 		t.Errorf("%.0f allocations for %d arrivals = %.1f per arrival, want at most 16", allocs, out.arrivals, per)
-	}
-}
-
-// TestFleetShardInvariance is the regression test for the sharded
-// engine's core guarantee at the experiment layer: the fleet grid
-// produces bit-identical Records and Metrics whether each cell's 32
-// domains run on one shard, four, or one per CPU, because every domain
-// derives its randomness from DomainSeed and cross-domain transit
-// merges at barriers in wiring order. The dynamics grid (which has no
-// intra-cell sharding) is covered too, pinning the contract that
-// Config.Shards never perturbs an experiment that ignores it — Records
-// and trace bytes alike.
-func TestFleetShardInvariance(t *testing.T) {
-	e, ok := Get("fleet")
-	if !ok {
-		t.Fatal("fleet not registered")
-	}
-	base := Config{Seed: 5, Scale: 0.02, Parallelism: 2, Shards: 1}
-	ref := e.Run(base)
-	if len(ref.Records) == 0 {
-		t.Fatal("fleet produced no records")
-	}
-	// Non-vacuity: the cells must have completed flows and carried
-	// cross-domain transit, or the invariance below proves nothing.
-	for _, r := range ref.Records {
-		if r.Metrics["completed"] == 0 {
-			t.Fatalf("cell %s/%s completed no flows", r.Algorithm, r.Scheduler)
-		}
-		if r.Metrics["transit"] == 0 {
-			t.Fatalf("cell %s/%s saw no cross-domain transit", r.Algorithm, r.Scheduler)
-		}
-	}
-	for _, shards := range []int{4, 0} {
-		cfg := base
-		cfg.Shards = shards
-		got := e.Run(cfg)
-		if !reflect.DeepEqual(ref.Records, got.Records) {
-			t.Errorf("fleet records diverge between shards=1 and shards=%d", shards)
-		}
-		if !reflect.DeepEqual(ref.Metrics, got.Metrics) {
-			t.Errorf("fleet metrics diverge between shards=1 and shards=%d", shards)
-		}
-	}
-
-	dyn, ok := Get("dynamics")
-	if !ok {
-		t.Fatal("dynamics not registered")
-	}
-	runDyn := func(shards int) (*Result, []byte) {
-		var buf bytes.Buffer
-		res := dyn.Run(Config{Seed: 5, Scale: 0.02, Parallelism: 2, Shards: shards, TraceW: &buf})
-		return res, buf.Bytes()
-	}
-	dRef, dTrace := runDyn(1)
-	d4, d4Trace := runDyn(4)
-	if !reflect.DeepEqual(dRef.Records, d4.Records) {
-		t.Error("dynamics records diverge between shards=1 and shards=4")
-	}
-	if !bytes.Equal(dTrace, d4Trace) {
-		t.Error("dynamics trace bytes diverge between shards=1 and shards=4")
 	}
 }

@@ -1,28 +1,23 @@
-// Sharded multi-core execution of partitioned simulations.
+// Partitioned execution of a simulation.
 //
-// A Sharded engine runs many independent Simulator partitions
-// ("domains") — one per topology component or connection group — in
-// lock-step epochs across a bounded set of worker goroutines
-// ("shards"). Within an epoch every domain advances its own event heap
-// alone; packets that cross a domain boundary travel through a Pipe and
-// are held back until the epoch barrier, where the coordinator merges
-// them into the destination domains in a fixed order. Because every
-// domain owns its randomness (DomainSeed, the same derived-seed
-// discipline as internal/exp's CellSeed) and sees cross-domain events
-// in an order that depends only on pipe identity and send time — never
-// on goroutine scheduling — the whole simulation is bit-identical for
-// every shard count, including 1. The epoch length is the minimum pipe
-// latency (the classic conservative lookahead of parallel discrete-
-// event simulation): a message sent during an epoch can never be due
-// before the next barrier, so no domain ever receives an event in its
-// past.
+// A Sharded engine runs many Simulator partitions ("domains") — one per
+// topology component or connection group — in lock-step epochs on the
+// calling goroutine. Within an epoch every domain advances its own event
+// heap alone, in index order; packets that cross a domain boundary
+// travel through a Pipe and are held back until the epoch barrier,
+// where they are merged into the destination domains in a fixed order
+// (pipe id, then send order). Every domain owns its randomness
+// (DomainSeed, the same derived-seed discipline as internal/exp's
+// CellSeed). The epoch length is the minimum pipe latency (the classic
+// conservative lookahead of parallel discrete-event simulation): a
+// message sent during an epoch can never be due before the next
+// barrier, so no domain ever receives an event in its past. Partitioning
+// pays without threads: many small heaps are cheaper to run than one
+// large one (DESIGN.md §12).
+
 package sim
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // DomainSeed derives the simulator seed for domain idx of a sharded
 // engine whose base seed is base — the same discipline (MixSeed) as the
@@ -33,14 +28,13 @@ func DomainSeed(base int64, idx int) int64 {
 	return MixSeed(base, idx)
 }
 
-// Sharded coordinates n domain Simulators. Construct with NewSharded,
-// wire cross-domain traffic with NewPipe, then Run. The zero value is
-// not usable.
+// Sharded runs n domain Simulators in epochs, one domain after another
+// on the calling goroutine. Construct with NewSharded, wire cross-domain
+// traffic with NewPipe, then Run. The zero value is not usable.
 type Sharded struct {
-	doms   []*Simulator
-	pipes  []*Pipe
-	epoch  Time // barrier interval = min pipe latency; 0 until a pipe exists
-	shards int
+	doms  []*Simulator
+	pipes []*Pipe
+	epoch Time // barrier interval = min pipe latency; 0 until a pipe exists
 }
 
 // NewSharded creates an engine of n domains; domain i is seeded with
@@ -62,10 +56,9 @@ func NewSharded(seed int64, n int) *Sharded {
 // Pipe.
 func (sh *Sharded) Domain(i int) *Simulator { return sh.doms[i] }
 
-// SetShards bounds how many domains run concurrently during an epoch.
-// Zero or negative means runtime.GOMAXPROCS(0). Results are
-// bit-identical for every value; shards only trades wall-clock time.
-func (sh *Sharded) SetShards(n int) { sh.shards = n }
+// SetShards does nothing: every domain runs on the calling goroutine.
+// It remains for callers written when domains ran on worker goroutines.
+func (sh *Sharded) SetShards(int) {}
 
 // Steps returns the total number of events executed across all domains.
 func (sh *Sharded) Steps() uint64 {
@@ -120,7 +113,7 @@ func (sh *Sharded) NewPipe(src, dst int, latency Time) *Pipe {
 // from code executing inside the source domain (an event handler or
 // timer of that domain's Simulator); the message is buffered until the
 // epoch barrier and injected there, so the destination's heap is never
-// touched concurrently.
+// touched mid-epoch.
 func (p *Pipe) Send(h Handler, arg any) {
 	p.buf = append(p.buf, msg{at: p.sh.doms[p.src].Now() + p.latency, h: h, arg: arg})
 }
@@ -128,9 +121,9 @@ func (p *Pipe) Send(h Handler, arg any) {
 // Run advances every domain to absolute time end. With pipes, execution
 // proceeds in epochs of the minimum pipe latency, merging cross-domain
 // messages at each barrier in (pipe id, send order) — an ordering that
-// depends only on the wiring, never on goroutine scheduling. Without
-// pipes the domains are fully independent and each runs to end in one
-// stretch. Run may be called repeatedly with increasing horizons.
+// depends only on the wiring. Without pipes the domains are fully
+// independent and each runs to end in one stretch. Run may be called
+// repeatedly with increasing horizons.
 func (sh *Sharded) Run(end Time) {
 	if len(sh.pipes) == 0 {
 		sh.runEpoch(end)
@@ -183,46 +176,9 @@ func (sh *Sharded) barrier() {
 	}
 }
 
-// runEpoch advances every domain to until, fanning the domains across
-// the shard worker pool. Domains share no state (pipes buffer on the
-// source side), so the assignment of domains to workers cannot affect
-// results.
+// runEpoch advances every domain to until, in index order.
 func (sh *Sharded) runEpoch(until Time) {
-	Parallel(len(sh.doms), sh.shards, func(i int) { sh.doms[i].RunUntil(until) })
-}
-
-// Parallel runs fn(i) for every i in [0, n) on at most workers
-// goroutines (runtime.GOMAXPROCS(0) when workers <= 0) and returns once
-// every call has completed. It is the one worker pool of the tree: the
-// sharded engine's epochs and internal/exp's grid cells, batch trials
-// and training episodes all fan out through it. fn must write its
-// output only to slots indexed by i (never to shared state), which keeps
-// Parallel race-free and its callers' results independent of
-// scheduling order.
-func Parallel(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	for _, d := range sh.doms {
+		d.RunUntil(until)
 	}
-	if workers = min(workers, n); workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }

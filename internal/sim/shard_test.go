@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"sync"
-	"sync/atomic"
+	"runtime"
 	"testing"
 )
 
@@ -11,86 +10,74 @@ import (
 // hash and forwards the hash to the next domain over a pipe, plus a
 // Handler that folds received cross-domain values in. The final hash is
 // sensitive to both event ordering and rng draws, so any divergence in
-// scheduling or merge order across shard counts shows up immediately.
+// scheduling or merge order shows up immediately.
 type shardNode struct {
-	s    *Simulator
-	hash uint64
-	recv int
+	s     *Simulator
+	out   *Pipe
+	next  *shardNode
+	hash  uint64
+	recv  int
+	probe func() // when set, run by every event of the node
 }
 
 func (n *shardNode) OnEvent(arg any) {
 	v := arg.(uint64)
 	n.hash = n.hash*1099511628211 ^ v
 	n.recv++
+	if n.probe != nil {
+		n.probe()
+	}
 }
 
-// runRing wires nDom domains into a ring of pipes (node i ticks every
-// millisecond and sends its hash to node i+1 over a 5ms pipe), runs to
-// end with the given shard count, and returns each node's final hash,
-// receive count, and the engine's total step count.
-func runRing(shards int, seed int64, nDom int, end Time) ([]uint64, []int, uint64) {
+func (n *shardNode) tick() {
+	r := uint64(n.s.Rand().Int63())
+	n.hash = n.hash*31 + r ^ uint64(n.s.Now())
+	n.out.Send(n.next, n.hash)
+	n.s.After(Millisecond, n.tick)
+	if n.probe != nil {
+		n.probe()
+	}
+}
+
+// newRing wires nDom domains into a ring of pipes: node i ticks every
+// millisecond and sends its hash to node i+1 over a 5ms pipe.
+func newRing(seed int64, nDom int) (*Sharded, []*shardNode) {
 	sh := NewSharded(seed, nDom)
 	nodes := make([]*shardNode, nDom)
 	for i := range nodes {
 		nodes[i] = &shardNode{s: sh.Domain(i)}
 	}
-	type edge struct {
-		p   *Pipe
-		dst *shardNode
-	}
-	edges := make([]edge, nDom)
-	for i := range nodes {
-		j := (i + 1) % nDom
-		edges[i] = edge{p: sh.NewPipe(i, j, 5*Millisecond), dst: nodes[j]}
-	}
-	for i := range nodes {
-		node := nodes[i]
-		e := edges[i]
-		var tick func()
-		tick = func() {
-			r := uint64(node.s.Rand().Int63())
-			node.hash = node.hash*31 + r ^ uint64(node.s.Now())
-			e.p.Send(e.dst, node.hash)
-			node.s.After(Millisecond, tick)
-		}
-		node.s.After(Millisecond, tick)
-	}
-	sh.SetShards(shards)
-	sh.Run(end)
-	hashes := make([]uint64, nDom)
-	recvs := make([]int, nDom)
 	for i, n := range nodes {
-		hashes[i] = n.hash
-		recvs[i] = n.recv
+		j := (i + 1) % nDom
+		n.out, n.next = sh.NewPipe(i, j, 5*Millisecond), nodes[j]
+		n.s.After(Millisecond, n.tick)
 	}
-	return hashes, recvs, sh.Steps()
+	return sh, nodes
 }
 
-// TestShardCountInvariance pins the tentpole contract: a pipe-coupled
-// multi-domain workload produces bit-identical state at shards = 1, 2,
-// 4 and the default (GOMAXPROCS).
-func TestShardCountInvariance(t *testing.T) {
-	const nDom, seed = 8, int64(7)
-	end := 200 * Millisecond
-	refHash, refRecv, refSteps := runRing(1, seed, nDom, end)
-	for _, shards := range []int{2, 4, 0} {
-		h, r, steps := runRing(shards, seed, nDom, end)
-		for i := range h {
-			if h[i] != refHash[i] {
-				t.Fatalf("shards=%d: domain %d hash %x != shards=1 hash %x", shards, i, h[i], refHash[i])
+// TestShardedRunsOnCallerGoroutine pins that the engine starts no
+// goroutines: every event of 32 pipe-coupled domains sees the goroutine
+// count Run was called with, even after SetShards asks for four.
+func TestShardedRunsOnCallerGoroutine(t *testing.T) {
+	sh, nodes := newRing(7, 32)
+	want := runtime.NumGoroutine()
+	var events, off int
+	for _, n := range nodes {
+		n.probe = func() {
+			events++
+			if runtime.NumGoroutine() != want {
+				off++
 			}
-			if r[i] != refRecv[i] {
-				t.Fatalf("shards=%d: domain %d recv %d != shards=1 recv %d", shards, i, r[i], refRecv[i])
-			}
-		}
-		if steps != refSteps {
-			t.Fatalf("shards=%d: %d steps != shards=1 %d steps", shards, steps, refSteps)
 		}
 	}
-	// The workload must actually exercise cross-domain delivery, or the
-	// invariance above is vacuous.
-	for i, r := range refRecv {
-		if r == 0 {
+	sh.SetShards(4)
+	sh.Run(100 * Millisecond)
+	if off > 0 {
+		t.Fatalf("%d of %d events ran beside goroutines the engine started", off, events)
+	}
+	// Non-vacuity: every domain must take part in cross-domain traffic.
+	for i, n := range nodes {
+		if n.recv == 0 {
 			t.Fatalf("domain %d received no cross-domain messages", i)
 		}
 	}
@@ -100,34 +87,16 @@ func TestShardCountInvariance(t *testing.T) {
 // horizons and the split makes no difference to the final state.
 func TestShardedRepeatedRun(t *testing.T) {
 	const nDom, seed = 4, int64(11)
-	oneShot, _, _ := runRing(2, seed, nDom, 100*Millisecond)
+	sh, oneShot := newRing(seed, nDom)
+	sh.Run(100 * Millisecond)
 
-	// Same build, run in two stretches.
-	sh := NewSharded(seed, nDom)
-	nodes := make([]*shardNode, nDom)
-	for i := range nodes {
-		nodes[i] = &shardNode{s: sh.Domain(i)}
-	}
-	for i := range nodes {
-		j := (i + 1) % nDom
-		p := sh.NewPipe(i, j, 5*Millisecond)
-		node := nodes[i]
-		dst := nodes[j]
-		var tick func()
-		tick = func() {
-			r := uint64(node.s.Rand().Int63())
-			node.hash = node.hash*31 + r ^ uint64(node.s.Now())
-			p.Send(dst, node.hash)
-			node.s.After(Millisecond, tick)
-		}
-		node.s.After(Millisecond, tick)
-	}
-	sh.SetShards(2)
+	sh, split := newRing(seed, nDom)
 	sh.Run(40 * Millisecond)
 	sh.Run(100 * Millisecond)
-	for i, n := range nodes {
-		if n.hash != oneShot[i] {
-			t.Fatalf("domain %d: split run hash %x != one-shot %x", i, n.hash, oneShot[i])
+	for i, n := range split {
+		if n.hash != oneShot[i].hash || n.recv != oneShot[i].recv {
+			t.Fatalf("domain %d: split run (%x, %d) != one-shot (%x, %d)",
+				i, n.hash, n.recv, oneShot[i].hash, oneShot[i].recv)
 		}
 	}
 }
@@ -189,46 +158,5 @@ func TestPipeValidation(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestParallelRunsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		n := 37
-		counts := make([]int32, n)
-		Parallel(n, workers, func(i int) {
-			atomic.AddInt32(&counts[i], 1)
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Errorf("workers %d: index %d ran %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestParallelBoundsConcurrency(t *testing.T) {
-	const limit = 3
-	var cur, peak int32
-	var mu sync.Mutex
-	Parallel(50, limit, func(i int) {
-		c := atomic.AddInt32(&cur, 1)
-		mu.Lock()
-		if c > peak {
-			peak = c
-		}
-		mu.Unlock()
-		atomic.AddInt32(&cur, -1)
-	})
-	if peak > limit {
-		t.Errorf("observed %d concurrent units, limit %d", peak, limit)
-	}
-}
-
-func TestParallelEmpty(t *testing.T) {
-	called := false
-	Parallel(0, 0, func(int) { called = true })
-	if called {
-		t.Error("Parallel(0, ...) ran the body")
 	}
 }

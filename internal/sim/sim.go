@@ -5,20 +5,24 @@
 // congestion control for multipath TCP" (Wischik et al., NSDI 2011). The
 // engine is single-threaded and fully deterministic: events firing at the
 // same instant are executed in scheduling order, and all randomness flows
-// from one seeded source.
+// from one seeded source. A Sharded engine partitions one simulation into
+// many Simulators coupled by fixed-latency Pipes, and still runs them all
+// on the calling goroutine.
 //
 // # Zero-allocation scheduling
 //
 // The event queue is a binary min-heap of pointer-free {time, sequence,
-// slot} entries; what an entry dispatches — a one-shot function, a typed
-// handler callback, a rearmable timer or the head of a Lane — lives in a
-// slot table beside it, recycled through a free list. Scheduling never
-// allocates per event: typed events (Post) carry a pre-built handler
-// interface plus a pointer-sized argument, rearmable timers (NewTimer)
-// are re-keyed in place by Reset, and a Lane keeps a whole FIFO of events
-// behind one heap entry. Cancelled events are removed eagerly, so the
-// heap holds live events only. A timer's owner keeps it for as long as it
-// needs one; a pooled connection keeps its timers across its lives.
+// slot} entries; what an entry dispatches — a Handler and its argument,
+// or the head of a Lane — lives in a slot table beside it, recycled
+// through a free list. One-shot functions (At/After) and rearmable
+// timers (NewTimer) are Handlers too, so every event but a lane head is
+// dispatched one way. Scheduling never allocates per event: typed events
+// (Post) carry a pre-built handler interface plus a pointer-sized
+// argument, rearmable timers are re-keyed in place by Reset, and a Lane
+// keeps a whole FIFO of events behind one heap entry. Cancelled events
+// are removed eagerly, so the heap holds live events only. A timer's
+// owner keeps it for as long as it needs one; a pooled connection keeps
+// its timers across its lives.
 package sim
 
 import (
@@ -55,15 +59,11 @@ type Handler interface {
 	OnEvent(arg any)
 }
 
-// evKind tags the payload union.
-type evKind uint8
+// funcEvent is a one-shot function scheduled with At/After. A func value
+// is pointer-shaped, so converting it to Handler does not allocate.
+type funcEvent func()
 
-const (
-	evFunc    evKind = iota // one-shot function (At/After)
-	evHandler               // typed callback: h.OnEvent(arg)
-	evTimer                 // rearmable Timer: tm.fn()
-	evLane                  // head of a Lane: ln.h.OnEvent(head.arg)
-)
+func (f funcEvent) OnEvent(any) { f() }
 
 // entry is one heap element: the (at, seq) key and the slot of its
 // payload. It holds no pointers, so a sift moves 24 bytes per level with
@@ -74,15 +74,12 @@ type entry struct {
 	slot int32
 }
 
-// payload is what a queued entry dispatches. Exactly one of {fn, h/arg,
-// tm, ln} is meaningful, per kind.
+// payload is what a queued entry dispatches: h.OnEvent(arg), or, when
+// ln is set, the head item of that lane.
 type payload struct {
-	kind evKind
-	fn   func()
-	h    Handler
-	arg  any
-	tm   *Timer
-	ln   *Lane
+	h   Handler
+	arg any
+	ln  *Lane
 }
 
 // Timer is a rearmable handle to a scheduled event, created with
@@ -108,6 +105,14 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
+// OnEvent fires the timer; the simulator calls it when the timer is
+// due. The timer goes idle before the callback, so the callback may
+// rearm it.
+func (t *Timer) OnEvent(any) {
+	t.slot = -1
+	t.fn()
+}
+
 // Reset (re)arms the timer to fire d from now. If the timer is already
 // queued its event is rearmed in place; otherwise a fresh event is
 // pushed. Like the initial scheduling, a rearm counts as a new scheduling
@@ -119,8 +124,7 @@ func (t *Timer) ResetAt(at Time) {
 	s := t.s
 	if t.slot < 0 {
 		t.slot = s.push(at)
-		p := &s.slots[t.slot]
-		p.kind, p.tm = evTimer, t
+		s.slots[t.slot].h = t
 	} else {
 		s.checkFuture(at)
 		s.seq++
@@ -156,8 +160,7 @@ func (l *Lane) Post(at Time, arg any) {
 	s := l.s
 	switch {
 	case l.n == 0:
-		p := &s.slots[s.push(at)]
-		p.kind, p.ln = evLane, l
+		s.slots[s.push(at)].ln = l
 	case at < l.q[(l.head+l.n-1)&(len(l.q)-1)].at:
 		s.Post(at, l.h, arg)
 		return
@@ -217,10 +220,7 @@ func (s *Simulator) NewTimer(fn func()) *Timer {
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it is always a bug in the caller. For an event that must be
 // cancelled or rearmed later, use NewTimer instead.
-func (s *Simulator) At(t Time, fn func()) {
-	p := &s.slots[s.push(t)]
-	p.kind, p.fn = evFunc, fn
-}
+func (s *Simulator) At(t Time, fn func()) { s.Post(t, funcEvent(fn), nil) }
 
 // After schedules fn to run d nanoseconds from now.
 func (s *Simulator) After(d Time, fn func()) {
@@ -233,7 +233,7 @@ func (s *Simulator) After(d Time, fn func()) {
 // cost is one heap insert and nothing for the garbage collector.
 func (s *Simulator) Post(t Time, h Handler, arg any) {
 	p := &s.slots[s.push(t)]
-	p.kind, p.h, p.arg = evHandler, h, arg
+	p.h, p.arg = h, arg
 }
 
 // RunUntil executes events in timestamp order until the event queue is
@@ -255,14 +255,14 @@ func (s *Simulator) run(end Time) {
 	for len(s.heap) > 0 && s.heap[0].at <= end {
 		e := s.heap[0]
 		s.now = e.at
-		// Each case takes what it needs out of the payload and settles
+		// Each branch takes what it needs out of the payload and settles
 		// the heap before calling out: the callee may schedule anything.
-		switch p := &s.slots[e.slot]; p.kind {
-		case evLane:
+		p := &s.slots[e.slot]
+		h, arg := p.h, p.arg
+		if l := p.ln; l != nil {
 			// Re-key the top to the lane's next item (one sift) rather
 			// than pop now and push later.
-			l := p.ln
-			arg := l.q[l.head].arg
+			h, arg = l.h, l.q[l.head].arg
 			l.q[l.head].arg = nil
 			l.head = (l.head + 1) & (len(l.q) - 1)
 			if l.n--; l.n > 0 {
@@ -271,21 +271,10 @@ func (s *Simulator) run(end Time) {
 			} else {
 				s.remove(0)
 			}
-			l.h.OnEvent(arg)
-		case evFunc:
-			fn := p.fn
+		} else {
 			s.remove(0)
-			fn()
-		case evHandler:
-			h, arg := p.h, p.arg
-			s.remove(0)
-			h.OnEvent(arg)
-		case evTimer:
-			tm := p.tm
-			s.remove(0)
-			tm.slot = -1 // idle before the callback, so it may rearm
-			tm.fn()
 		}
+		h.OnEvent(arg)
 		s.nsteps++
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -368,3 +369,11 @@ func TestTimerResetZeroAlloc(t *testing.T) {
 type countHandler struct{ n int }
 
 func (c *countHandler) OnEvent(arg any) { c.n++ }
+
+// TestPayloadSize pins the slot payload at a handler, its argument and
+// a lane pointer: every event but a lane head is a Handler.
+func TestPayloadSize(t *testing.T) {
+	if got := unsafe.Sizeof(payload{}); got > 40 {
+		t.Fatalf("slot payload is %d B, want at most 40", got)
+	}
+}
