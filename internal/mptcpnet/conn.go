@@ -38,8 +38,9 @@ type Config struct {
 }
 
 // Sender is the transmitting side of a multipath connection. It
-// implements io.WriteCloser; Write blocks when both the send buffer and
-// the network are full, providing backpressure.
+// implements io.WriteCloser; Write blocks once the send buffer reaches
+// one run (maxRunSegs) past the flow-control edge, so the buffer never
+// holds more than the receiver's window plus one run.
 //
 // It is the real-UDP shell of the protocol core: it owns the payload and
 // wire frames, the sockets and their goroutines and the time.Timers, and
@@ -133,8 +134,8 @@ func (tm *timer) expired() bool {
 
 // defaultWindow is the conservative flow-control edge assumed until the
 // first ACK advertises the receiver's real shared-buffer window. Being
-// the core's SenderConfig.Window, it also starts each subflow's
-// scoreboard ring at 64 slots.
+// the core's SenderConfig.Window, it also bounds Write's backlog until
+// then and starts each subflow's scoreboard ring at 64 slots.
 const defaultWindow = 64
 
 // maxRTOStreak is the give-up bound, the only one: when EVERY subflow has
@@ -152,9 +153,6 @@ const maxRTOStreak = 8
 
 // sendQueueCap is the per-subflow writer queue depth, in segments.
 const sendQueueCap = 512
-
-// maxUnsent caps the segments Write queues ahead of the network.
-const maxUnsent = 1024
 
 // NewSender builds a sender whose subflow i talks over conns[i] to
 // remotes[i]. The caller owns the PacketConns until Close; a
@@ -205,11 +203,12 @@ func (s *Sender) Write(p []byte) (int, error) {
 	defer s.mu.Unlock()
 	n := 0
 	for len(p) > 0 {
-		// Backpressure: cap the unassigned queue — but keep the network
+		// Backpressure: the send buffer follows the window, ending at
+		// most one run past the flow-control edge — but keep the network
 		// pumped before blocking, or nothing would ever drain it.
-		if s.dataEnd-s.core.DataNxt() > maxUnsent {
+		if s.dataEnd >= s.core.Edge()+maxRunSegs {
 			s.pumpLocked()
-			for s.dataEnd-s.core.DataNxt() > maxUnsent && s.err == nil && !s.closed {
+			for s.dataEnd >= s.core.Edge()+maxRunSegs && s.err == nil && !s.closed {
 				s.cond.Wait()
 			}
 		}

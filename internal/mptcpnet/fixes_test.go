@@ -355,11 +355,12 @@ func TestReadWakesWhenGapFills(t *testing.T) {
 
 // An application that stops reading must stop the sender: unread data
 // counts against the shared buffer, so the receiver never holds more than
-// bufSegments and Write blocks on backpressure; draining Read lets the
-// rest through.
+// bufSegments and Write blocks on backpressure, with the send buffer no
+// larger than the window plus one run; draining Read lets the rest
+// through.
 func TestUnreadDataIsFlowControlled(t *testing.T) {
-	const bufSegments = defaultWindow            // what the sender assumes before the first ACK
-	const segs = maxUnsent + 4*bufSegments + 500 // more than Write may queue ahead of the network
+	const bufSegments = defaultWindow             // what the sender assumes before the first ACK
+	const segs = 2*(bufSegments+maxRunSegs) + 500 // more than the receiver and Write's backlog hold together
 	tx, rx, _ := memPipe(t, Config{}, bufSegments)
 	written := make(chan error, 1)
 	go func() {
@@ -385,6 +386,12 @@ func TestUnreadDataIsFlowControlled(t *testing.T) {
 	}
 	if _, _, overflow := rx.Stats(); overflow != 0 {
 		t.Errorf("sender overran the advertised window %d times", overflow)
+	}
+	tx.mu.Lock()
+	held := tx.dataEnd - tx.freed
+	tx.mu.Unlock()
+	if held > bufSegments+maxRunSegs {
+		t.Errorf("sender holds %d payload frames with the receiver stalled, want at most the window plus one run, %d", held, bufSegments+maxRunSegs)
 	}
 	select {
 	case err := <-written:

@@ -317,8 +317,8 @@ func transferWithSetup(t *testing.T, size, paths int, mk func(i int) (net.Packet
 }
 
 func TestLargeTransferExceedsSendBuffer(t *testing.T) {
-	// Regression: a single Write larger than the sender's internal
-	// 1024-segment queue must pump the network before blocking on
+	// Regression: a single Write larger than the send buffer (the
+	// window plus one run) must pump the network before blocking on
 	// backpressure, or the transfer deadlocks before the first packet.
 	_, rx := transfer(t, 2<<20, 2, func(i int) (net.PacketConn, net.PacketConn, net.Addr) {
 		return pipePair(t, time.Millisecond, 0, 40e6, 800+int64(i))

@@ -256,6 +256,10 @@ func (s *Sender) DataNxt() int64 { return s.dataNxt }
 // DataUna returns the data-level cumulative acknowledgment.
 func (s *Sender) DataUna() int64 { return s.dataUna }
 
+// Edge returns the flow-control edge: one past the highest data sequence
+// the receiver's window admits (SenderConfig.Window before the first ACK).
+func (s *Sender) Edge() int64 { return s.edge }
+
 // Supply raises the number of data packets the application has handed
 // over to limit and pumps.
 func (s *Sender) Supply(now Time, limit int64) {
