@@ -27,9 +27,15 @@ import "time"
 
 // PathConfig is the full fault model one Path applies to its outgoing
 // datagrams. The zero value is a transparent path.
+//
+// Datagrams leave in the order they are due (write time plus delay), and
+// write order breaks ties. Jitter, ReorderRate and an Update that
+// shortens Delay (or lifts RateBps) while datagrams wait are the only
+// sources of reordering.
 type PathConfig struct {
 	// Delay is the one-way propagation delay added to every datagram;
-	// Jitter adds a uniform random extra in [0, Jitter).
+	// Jitter adds a uniform random extra in [0, Jitter), so datagrams
+	// written less than Jitter apart may overtake one another.
 	Delay  time.Duration
 	Jitter time.Duration
 

@@ -261,7 +261,7 @@ func Run(cfg Config) (*Result, error) {
 	for _, p := range allPaths {
 		for p.Pending() != 0 {
 			if time.Now().After(pendingDeadline) {
-				violate("chaos path %s still holds %d scheduled deliveries after close: leaked timers", p.LocalAddr(), p.Pending())
+				violate("chaos path %s still holds %d scheduled deliveries after close: Close left them queued", p.LocalAddr(), p.Pending())
 				break
 			}
 			time.Sleep(5 * time.Millisecond)

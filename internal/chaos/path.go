@@ -3,6 +3,7 @@ package chaos
 import (
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,10 +15,17 @@ import (
 // rng handed to New, so a run's behaviour reproduces from its seed plus
 // the (logged) schedule of configuration changes.
 //
+// Delayed datagrams wait in one delay line and leave in the order they
+// are due; write order breaks ties. So a Path reorders only where its
+// PathConfig asks: Jitter, ReorderRate, and an Update that shortens Delay
+// (or lifts RateBps) while datagrams wait. One timer points at the line's
+// head, and datagram buffers come from the Path's own free list.
+//
 // Path is safe for concurrent use; configuration may be mutated while
 // writers are in flight (that is the point).
 type Path struct {
 	conn net.PacketConn
+	udp  *net.UDPConn // conn, when it is one: ReadFrom's address cache
 
 	mu       sync.Mutex
 	cfg      PathConfig
@@ -26,8 +34,19 @@ type Path struct {
 	nextFree time.Time // token-bucket serialisation horizon
 	rng      *rand.Rand
 	closed   bool
-	timers   map[int64]*time.Timer // outstanding delayed deliveries
-	timerSeq int64
+
+	// The delay line: line[head:] ordered by (due, write order). One
+	// delivery at a time drains it, into out, outside the lock.
+	line       []delivery
+	head       int
+	out        []delivery
+	free       [][]byte // buffers of delivered datagrams
+	timer      *time.Timer
+	delivering bool
+
+	rmu     sync.Mutex // ReadFrom's source-address cache
+	fromAP  netip.AddrPort
+	fromUDP net.Addr
 
 	sent       atomic.Int64
 	dropped    atomic.Int64
@@ -37,14 +56,22 @@ type Path struct {
 	pending    atomic.Int64 // scheduled-but-undelivered datagrams
 }
 
+// delivery is one datagram waiting in a Path's delay line.
+type delivery struct {
+	due  time.Time
+	buf  []byte
+	addr net.Addr
+}
+
 // New wraps conn in a chaos Path with the given fault model and seed.
 // The Path owns conn: Close closes it and cancels pending deliveries.
 func New(conn net.PacketConn, cfg PathConfig, seed int64) *Path {
+	udp, _ := conn.(*net.UDPConn)
 	return &Path{
-		conn:   conn,
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(seed)),
-		timers: make(map[int64]*time.Timer),
+		conn: conn,
+		udp:  udp,
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -86,7 +113,7 @@ func (p *Path) Stats() Stats {
 // Pending returns the number of datagrams scheduled for delayed delivery
 // that have not yet hit (or been cancelled from) the wire. The harness
 // asserts this drains to zero at teardown — a non-zero residue after
-// Close would be a leaked timer.
+// Close would be a datagram Close failed to cancel.
 func (p *Path) Pending() int64 { return p.pending.Load() }
 
 // WriteTo applies the fault model and forwards (or eats) the datagram.
@@ -104,7 +131,8 @@ func (p *Path) WriteTo(b []byte, addr net.Addr) (int, error) {
 		p.mu.Unlock()
 		return len(b), nil
 	}
-	delay := p.delayLocked(len(b))
+	now := time.Now()
+	delay := p.delayLocked(len(b), now)
 	if p.cfg.ReorderRate > 0 && p.rng.Float64() < p.cfg.ReorderRate {
 		delay += p.cfg.ReorderDelay
 		p.reordered.Add(1)
@@ -112,23 +140,26 @@ func (p *Path) WriteTo(b []byte, addr net.Addr) (int, error) {
 	dup := p.cfg.DupRate > 0 && p.rng.Float64() < p.cfg.DupRate
 	var dupDelay time.Duration
 	if dup {
-		dupDelay = p.delayLocked(len(b))
+		dupDelay = p.delayLocked(len(b), now)
 		p.duplicated.Add(1)
 	}
 
-	buf := make([]byte, len(b))
+	buf := p.bufLocked(len(b))
 	copy(buf, b)
 	if p.cfg.CorruptRate > 0 && p.rng.Float64() < p.cfg.CorruptRate {
 		p.corruptLocked(buf)
 		p.corrupted.Add(1)
 	}
 	p.sent.Add(1)
+	var dupBuf []byte
 	if dup {
 		p.sent.Add(1)
+		dupBuf = p.bufLocked(len(buf))
+		copy(dupBuf, buf)
 	}
-	p.scheduleLocked(buf, addr, delay)
+	p.scheduleLocked(buf, addr, delay, now)
 	if dup {
-		p.scheduleLocked(buf, addr, dupDelay)
+		p.scheduleLocked(dupBuf, addr, dupDelay, now)
 	}
 	p.mu.Unlock()
 	return len(b), nil
@@ -158,16 +189,15 @@ func (p *Path) lostLocked() bool {
 	return lost
 }
 
-// delayLocked computes this datagram's delivery delay: propagation +
-// jitter + token-bucket serialisation.
-func (p *Path) delayLocked(size int) time.Duration {
+// delayLocked computes the delivery delay of a datagram written at now:
+// propagation + jitter + token-bucket serialisation.
+func (p *Path) delayLocked(size int, now time.Time) time.Duration {
 	d := p.cfg.Delay
 	if p.cfg.Jitter > 0 {
 		d += time.Duration(p.rng.Int63n(int64(p.cfg.Jitter)))
 	}
 	if p.cfg.RateBps > 0 {
 		tx := time.Duration(float64(size*8) / p.cfg.RateBps * float64(time.Second))
-		now := time.Now()
 		if p.nextFree.Before(now) {
 			p.nextFree = now
 		}
@@ -188,35 +218,124 @@ func (p *Path) corruptLocked(buf []byte) {
 	}
 }
 
-// scheduleLocked delivers buf after delay (immediately when zero),
-// tracking the timer so Close can cancel it.
-func (p *Path) scheduleLocked(buf []byte, addr net.Addr, delay time.Duration) {
+// bufLocked returns a buffer of n bytes from the free list. One too small
+// is dropped for a new one, so the list settles at the largest datagram.
+func (p *Path) bufLocked(n int) []byte {
+	if k := len(p.free); k > 0 {
+		buf := p.free[k-1]
+		p.free = p.free[:k-1]
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// scheduleLocked writes buf now when delay is zero, and otherwise queues
+// it in the delay line behind every datagram due no later, re-arming the
+// timer when it becomes the head.
+func (p *Path) scheduleLocked(buf []byte, addr net.Addr, delay time.Duration, now time.Time) {
 	if delay <= 0 {
 		p.conn.WriteTo(buf, addr) //nolint:errcheck // lossy path semantics
+		p.free = append(p.free, buf)
 		return
 	}
 	p.pending.Add(1)
-	id := p.timerSeq
-	p.timerSeq++
-	p.timers[id] = time.AfterFunc(delay, func() {
-		p.mu.Lock()
-		_, live := p.timers[id]
-		delete(p.timers, id)
-		closed := p.closed
+	d := delivery{due: now.Add(delay), buf: buf, addr: addr}
+	if len(p.line) == cap(p.line) && p.head > 0 {
+		// Slide the live part down before append would grow the slice.
+		n := copy(p.line, p.line[p.head:])
+		clear(p.line[n:])
+		p.line, p.head = p.line[:n], 0
+	}
+	i := len(p.line)
+	p.line = append(p.line, d)
+	for i > p.head && p.line[i-1].due.After(d.due) {
+		p.line[i] = p.line[i-1]
+		i--
+	}
+	p.line[i] = d
+	if i == p.head {
+		p.armLocked(now)
+	}
+}
+
+// armLocked points the timer at the head of the delay line. A running
+// delivery re-arms it when it finishes; an empty line leaves it stopped.
+func (p *Path) armLocked(now time.Time) {
+	if p.delivering || p.closed || p.head == len(p.line) {
+		return
+	}
+	d := p.line[p.head].due.Sub(now)
+	if p.timer == nil {
+		p.timer = time.AfterFunc(d, p.deliver)
+		return
+	}
+	p.timer.Reset(d)
+}
+
+// deliver is the timer's callback. It takes every datagram that is due
+// off the line's head and writes them in order outside the lock, until
+// none is due, then re-arms the timer. A callback that finds another one
+// delivering leaves the work to it.
+func (p *Path) deliver() {
+	p.mu.Lock()
+	if p.delivering {
 		p.mu.Unlock()
-		if live && !closed {
-			p.conn.WriteTo(buf, addr) //nolint:errcheck
+		return
+	}
+	p.delivering = true
+	for !p.closed {
+		q := p.line[p.head:]
+		now := time.Now()
+		k := 0
+		for k < len(q) && !q[k].due.After(now) {
+			k++
 		}
-		// If this callback runs at all, Close's Stop() either never
-		// happened or returned false (and so did not settle the count):
-		// the decrement is always ours.
-		p.pending.Add(-1)
-	})
+		if k == 0 {
+			break
+		}
+		p.out = append(p.out[:0], q[:k]...)
+		clear(q[:k])
+		if p.head += k; p.head == len(p.line) {
+			p.line, p.head = p.line[:0], 0
+		}
+		p.mu.Unlock()
+		for _, d := range p.out {
+			p.conn.WriteTo(d.buf, d.addr) //nolint:errcheck // lossy path semantics
+			p.pending.Add(-1)
+		}
+		p.mu.Lock()
+		for i, d := range p.out {
+			p.free = append(p.free, d.buf)
+			p.out[i] = delivery{}
+		}
+	}
+	p.delivering = false
+	p.armLocked(time.Now())
+	p.mu.Unlock()
 }
 
 // ReadFrom passes through to the wrapped conn: faults apply on the write
-// side only.
-func (p *Path) ReadFrom(b []byte) (int, net.Addr, error) { return p.conn.ReadFrom(b) }
+// side only. Over a *net.UDPConn it reads the source as a netip.AddrPort
+// and returns the same net.Addr for as long as the source stays the
+// same, so a steady stream costs no address per datagram.
+func (p *Path) ReadFrom(b []byte) (int, net.Addr, error) {
+	if p.udp == nil {
+		return p.conn.ReadFrom(b)
+	}
+	n, ap, err := p.udp.ReadFromUDPAddrPort(b)
+	if err != nil {
+		return n, nil, err
+	}
+	p.rmu.Lock()
+	if ap != p.fromAP {
+		p.fromAP, p.fromUDP = ap, net.UDPAddrFromAddrPort(ap)
+	}
+	from := p.fromUDP
+	p.rmu.Unlock()
+	return n, from, nil
+}
 
 // Close cancels pending deliveries and closes the wrapped conn.
 func (p *Path) Close() error {
@@ -226,15 +345,14 @@ func (p *Path) Close() error {
 		return nil
 	}
 	p.closed = true
-	for id, tm := range p.timers {
-		if tm.Stop() {
-			// Stopped before firing: settle its pending count here. A
-			// timer that already fired settles its own (it will find its
-			// id gone from the map).
-			p.pending.Add(-1)
-		}
-		delete(p.timers, id)
+	if p.timer != nil {
+		p.timer.Stop()
 	}
+	// A delivery in flight settles its own datagrams; the queued ones are
+	// cancelled here.
+	p.pending.Add(-int64(len(p.line) - p.head))
+	clear(p.line)
+	p.line, p.head = p.line[:0], 0
 	p.mu.Unlock()
 	return p.conn.Close()
 }

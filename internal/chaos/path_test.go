@@ -2,8 +2,11 @@ package chaos
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -178,6 +181,194 @@ func TestPathReorderHoldsBack(t *testing.T) {
 	}
 	if st := p.Stats(); st.Reordered != 1 {
 		t.Errorf("Reordered = %d, want 1", st.Reordered)
+	}
+}
+
+// TestPathDeliversInDueOrder writes 2 000 numbered datagrams in bursts of
+// 20, as a sender's window opens, and counts arrivals that come after a
+// higher number. A fixed delay and the benchmark's WiFi path (delay,
+// loss, rate limit) ask for no reordering, so they must show none; with
+// Jitter, datagrams must overtake one another.
+func TestPathDeliversInDueOrder(t *testing.T) {
+	const n, burst = 2000, 20
+	for _, tc := range []struct {
+		name    string
+		cfg     PathConfig
+		reorder bool
+	}{
+		{"delay", PathConfig{Delay: 5 * time.Millisecond}, false},
+		{"wifi", PathConfig{Delay: 5 * time.Millisecond, LossRate: 0.01, RateBps: 16e6}, false},
+		{"jitter", PathConfig{Delay: 5 * time.Millisecond, Jitter: 5 * time.Millisecond}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSink()
+			p := New(s, tc.cfg, 9)
+			defer p.Close()
+			msg := make([]byte, 64)
+			for i := 0; i < n; i++ {
+				binary.BigEndian.PutUint32(msg, uint32(i))
+				p.WriteTo(msg, sinkAddr{}) //nolint:errcheck
+				if i%burst == burst-1 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for p.Pending() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d deliveries still pending", p.Pending())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			frames := s.got()
+			if want := p.Stats().Sent; int64(len(frames)) != want {
+				t.Fatalf("delivered %d frames, want %d", len(frames), want)
+			}
+			late, top := 0, -1
+			for _, f := range frames {
+				if k := int(binary.BigEndian.Uint32(f)); k < top {
+					late++
+				} else {
+					top = k
+				}
+			}
+			t.Logf("%d of %d frames out of order", late, len(frames))
+			if tc.reorder && late == 0 {
+				t.Error("jittered path delivered every frame in write order")
+			}
+			if !tc.reorder && late > 0 {
+				t.Errorf("%d of %d frames out of order on a path that asks for no reordering", late, len(frames))
+			}
+		})
+	}
+}
+
+// loopback opens a UDP socket on 127.0.0.1, skipping the test without one.
+func loopback(t *testing.T) *net.UDPConn {
+	t.Helper()
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("no loopback UDP: %v", err)
+	}
+	return c
+}
+
+// TestPathConcurrentUse drives two jittered Paths from two writers each
+// while their Delay changes under them, and reads the peer Path from two
+// goroutines: every datagram arrives with its own sender's address, and
+// Pending drains to zero. Under -race it checks that the delay line and
+// ReadFrom's address cache are guarded. The writers keep at most a window
+// of datagrams unread, so a slow reader cannot overflow the socket.
+func TestPathConcurrentUse(t *testing.T) {
+	const senders, writers, each, window = 2, 2, 150, 32
+	rx := New(loopback(t), PathConfig{}, 12)
+	var tx [senders]*Path
+	for i := range tx {
+		tx[i] = New(loopback(t), PathConfig{Delay: time.Millisecond, Jitter: time.Millisecond}, int64(13+i))
+		defer tx[i].Close()
+	}
+
+	var got atomic.Int64
+	var readers sync.WaitGroup
+	defer readers.Wait()
+	defer rx.Close()
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			buf := make([]byte, 64)
+			for {
+				n, from, err := rx.ReadFrom(buf)
+				if err != nil {
+					return
+				}
+				if i := int(buf[0]); n != 8 || i >= senders || from.String() != tx[i].LocalAddr().String() {
+					t.Errorf("datagram %x from %v", buf[:n], from)
+				}
+				got.Add(1)
+			}
+		}()
+	}
+	var sent atomic.Int64
+	var wg sync.WaitGroup
+	for i := range tx {
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(p *Path, i int) {
+				defer wg.Done()
+				msg := make([]byte, 8)
+				msg[0] = byte(i)
+				deadline := time.Now().Add(5 * time.Second)
+				for k := 0; k < each; k++ {
+					for sent.Load()-got.Load() >= window {
+						if time.Now().After(deadline) {
+							t.Errorf("%d datagrams sent, %d arrived", sent.Load(), got.Load())
+							return
+						}
+						time.Sleep(100 * time.Microsecond)
+					}
+					sent.Add(1)
+					p.WriteTo(msg, rx.LocalAddr()) //nolint:errcheck
+					if k%10 == 9 {
+						p.Update(func(c *PathConfig) { c.Delay = time.Duration(k%3) * time.Millisecond })
+					}
+				}
+			}(tx[i], i)
+		}
+	}
+	wg.Wait()
+	const want = senders * writers * each
+	deadline := time.Now().Add(5 * time.Second)
+	for got.Load() < want || tx[0].Pending()+tx[1].Pending() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d datagrams arrived, %d still pending", got.Load(), want, tx[0].Pending()+tx[1].Pending())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPathSteadyStateAllocationFree pins the emulator's per-datagram cost
+// at zero heap allocations: a delayed WriteTo, its delivery from the
+// delay line and the peer Path's ReadFrom over a loopback *net.UDPConn
+// pair. The buffer, timer, closure and source address each datagram
+// once cost must not come back.
+func TestPathSteadyStateAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	a := New(loopback(t), PathConfig{Delay: 200 * time.Microsecond}, 10)
+	defer a.Close()
+	b := New(loopback(t), PathConfig{}, 11)
+	defer b.Close()
+	to := b.LocalAddr()
+	msg := make([]byte, 1200)
+	buf := make([]byte, 2048)
+	const burst = 8
+	// rounds writes bursts of datagrams and reads each back.
+	rounds := func(k int) {
+		for r := 0; r < k; r++ {
+			for i := 0; i < burst; i++ {
+				if _, err := a.WriteTo(msg, to); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+			for i := 0; i < burst; i++ {
+				if _, _, err := b.ReadFrom(buf); err != nil {
+					t.Fatalf("read: %v", err)
+				}
+			}
+		}
+	}
+	rounds(50) // line and free list grown, timer created
+	const measured = 250
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rounds(measured)
+	runtime.ReadMemStats(&m1)
+	per := float64(m1.Mallocs-m0.Mallocs) / (measured * burst)
+	t.Logf("%.3f allocs per datagram", per)
+	if per > 0.1 {
+		t.Errorf("%.2f heap allocations per datagram, want <= 0.1", per)
 	}
 }
 
