@@ -15,7 +15,6 @@
 //	mptcp-exp -exp fleet -json
 //	mptcp-exp -analyze [-csv out.csv] grid.jsonl trace.jsonl
 //	mptcp-exp -analyze -diff A.jsonl B.jsonl
-//	mptcp-exp -train-sched internal/sched/bandit.model -seed 1 -scale 0.2 [-train-rounds 40]
 //
 // Independent trial cells fan out across -parallel workers (default
 // GOMAXPROCS); results are bit-identical for every worker count. With
@@ -59,8 +58,6 @@ func main() {
 	analyze := flag.Bool("analyze", false, "aggregate JSONL artifacts (grid records, trial records, traces) named as positional args ('-' or none = stdin) into summary tables")
 	diff := flag.Bool("diff", false, "with -analyze, compare exactly two JSONL files A and B and print per-cell delta tables instead of aggregates")
 	csvOut := flag.String("csv", "", "with -analyze, also write the summary rows as CSV to FILE ('-' = stdout)")
-	trainSched := flag.String("train-sched", "", "train the learned bandit scheduler offline over the schedgrid corpus and write the serialized model to FILE (deterministic for a fixed -seed/-scale/-train-rounds)")
-	trainRounds := flag.Int("train-rounds", 40, "with -train-sched, passes over the training corpus (one ε-greedy episode per corpus cell per round)")
 	flag.Parse()
 	if *expID != "" {
 		id = expID
@@ -98,14 +95,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-
-	if *trainSched != "" {
-		if err := runTrainSched(*trainSched, *seed, *scale, *trainRounds, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list || *id == "" {

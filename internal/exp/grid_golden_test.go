@@ -45,8 +45,8 @@ var gridArtefacts = []string{"tournament", "dynamics", "schedgrid", "fleet", "ap
 
 // TestGridArtefactsGolden reproduces every line of artefactPins in
 // process: each grid's JSONL through RunBatchStream and
-// TrialResult.WriteJSONL, the path cmd/mptcp-exp -json takes, the
-// dynamics trace, and the trainer's serialized model (CI's model_a.txt).
+// TrialResult.WriteJSONL, the path cmd/mptcp-exp -json takes, and the
+// dynamics trace.
 // The cmp smokes in CI only compare a filtered run with the full run of
 // the same binary, so a refactor that reshuffles seeds, reorders
 // connection construction or adds an rng draw passes them; this does
@@ -58,7 +58,7 @@ func TestGridArtefactsGolden(t *testing.T) {
 		t.Skip("runs all five grids at scale 0.05")
 	}
 	pins := readPins(t)
-	if want := len(gridArtefacts) + 2; len(pins) != want {
+	if want := len(gridArtefacts) + 1; len(pins) != want {
 		t.Fatalf("%s has %d lines, want %d: every line must be reproduced here", artefactPins, len(pins), want)
 	}
 	for _, id := range gridArtefacts {
@@ -84,11 +84,4 @@ func TestGridArtefactsGolden(t *testing.T) {
 			}
 		})
 	}
-	t.Run("train-model", func(t *testing.T) {
-		t.Parallel()
-		model, _ := TrainSched(TrainConfig{Seed: 7, Scale: 0.02, Rounds: 2})
-		h := sha256.New()
-		h.Write(model.Marshal())
-		checkPin(t, pins, "model_a.txt", h)
-	})
 }

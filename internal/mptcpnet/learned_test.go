@@ -9,7 +9,7 @@ import (
 	"mptcp/internal/sched"
 )
 
-// TestLearnedSchedulerOverSockets: the embedded bandit policy must
+// TestLearnedSchedulerOverSockets: the frozen bandit policy must
 // drive a real two-path socket transfer to completion — first over
 // plainly heterogeneous paths, then under a constrained shared receive
 // buffer over a fast and a slow, rate-limited path. The second leg is

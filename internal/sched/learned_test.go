@@ -3,9 +3,111 @@ package sched
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 )
+
+func TestClassifierRanges(t *testing.T) {
+	// Every classifier output must be a legal index for its dimension,
+	// over a sweep of adversarial inputs.
+	for _, srtt := range []float64{-1, 0, 0.001, 0.05, 0.2, 10} {
+		for _, min := range []float64{-1, 0, 0.001, 0.05, 0.2} {
+			if c := rttClass(srtt, min); c < 0 || c >= nRTT {
+				t.Fatalf("rttClass(%g, %g) = %d out of range", srtt, min, c)
+			}
+		}
+	}
+	for _, free := range []int64{-5, 0, 1, 2, 7, 100} {
+		for _, w := range []int64{-1, 0, 1, 4, 10, 1 << 40} {
+			if c := headroomClass(free, w); c < 0 || c >= nHeadroom {
+				t.Fatalf("headroomClass(%d, %d) = %d out of range", free, w, c)
+			}
+		}
+	}
+	for _, w := range []int64{-10, 0, 3, 4, 15, 16, 63, 64, 1 << 50} {
+		if c := pressureClass(w); c < 0 || c >= nPressure {
+			t.Fatalf("pressureClass(%d) = %d out of range", w, c)
+		}
+	}
+}
+
+func TestClassifierBoundaries(t *testing.T) {
+	// The documented thresholds, exactly.
+	if got := rttClass(0, 0.1); got != 0 {
+		t.Errorf("unmeasured RTT class = %d, want 0", got)
+	}
+	if got := rttClass(0.1, 0); got != 1 {
+		t.Errorf("only-measured RTT class = %d, want 1", got)
+	}
+	if got := rttClass(rttNear*0.1, 0.1); got != 1 {
+		t.Errorf("ratio == rttNear class = %d, want 1", got)
+	}
+	if got := rttClass(rttFar*0.1, 0.1); got != 2 {
+		t.Errorf("ratio == rttFar class = %d, want 2", got)
+	}
+	if got := rttClass(rttFar*0.1*1.01, 0.1); got != 3 {
+		t.Errorf("ratio > rttFar class = %d, want 3", got)
+	}
+	if got := pressureClass(pressTight - 1); got != 0 {
+		t.Errorf("pressureClass(%d) = %d, want 0", pressTight-1, got)
+	}
+	if got := pressureClass(pressLow - 1); got != 1 {
+		t.Errorf("pressureClass(%d) = %d, want 1", pressLow-1, got)
+	}
+	if got := pressureClass(pressMid); got != 3 {
+		t.Errorf("pressureClass(%d) = %d, want 3", pressMid, got)
+	}
+	if got := headroomClass(1, 4); got != 0 {
+		t.Errorf("headroomClass(1, 4) = %d, want 0", got)
+	}
+	if got := headroomClass(2, 4); got != 1 {
+		t.Errorf("headroomClass(2, 4) = %d, want 1", got)
+	}
+	if got := headroomClass(3, 4); got != 2 {
+		t.Errorf("headroomClass(3, 4) = %d, want 2", got)
+	}
+}
+
+func TestActionIndexBijective(t *testing.T) {
+	seen := map[int]bool{}
+	for r := 0; r < nRTT; r++ {
+		for h := 0; h < nHeadroom; h++ {
+			for p := 0; p < nPressure; p++ {
+				idx := actionIndex(r, h, p)
+				if idx < 0 || idx >= nActions {
+					t.Fatalf("actionIndex(%d,%d,%d) = %d out of range", r, h, p, idx)
+				}
+				if seen[idx] {
+					t.Fatalf("actionIndex(%d,%d,%d) = %d collides", r, h, p, idx)
+				}
+				seen[idx] = true
+			}
+		}
+	}
+	if len(seen) != nActions {
+		t.Fatalf("actionIndex covers %d of %d buckets", len(seen), nActions)
+	}
+}
+
+func TestActionIndexPanicsOutOfRange(t *testing.T) {
+	for _, tc := range [][3]int{{-1, 0, 0}, {nRTT, 0, 0}, {0, nHeadroom, 0}, {0, 0, nPressure}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("actionIndex(%v) should panic", tc)
+				}
+			}()
+			actionIndex(tc[0], tc[1], tc[2])
+		}()
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("waitIndex(nPressure) should panic")
+			}
+		}()
+		waitIndex(nPressure)
+	}()
+}
 
 // randViews builds a random subflow slate: mixed measured/unmeasured
 // RTTs, sendable and recovering subflows, full and free windows.
@@ -30,16 +132,11 @@ func randCtx(rng *rand.Rand) Ctx {
 
 // TestBanditNeverPicksBlockedSubflow is the core safety property: over a
 // large random slate of states, Pick returns either -1 or a subflow with
-// window space, never a blocked one — for the embedded model, an
-// untrained model, and an exploring instance.
+// window space, never a blocked one — for the trained table and an
+// untrained one.
 func TestBanditNeverPicksBlockedSubflow(t *testing.T) {
-	embedded, err := NewBandit()
-	if err != nil {
-		t.Fatalf("NewBandit: %v", err)
-	}
 	rng := rand.New(rand.NewSource(1))
-	explorer := NewBanditExplorer(&Model{}, rand.New(rand.NewSource(2)), 0.5, &Episode{})
-	for _, b := range []*Bandit{embedded, NewBanditFrom(&Model{}), explorer} {
+	for _, b := range []Scheduler{MustNew("bandit"), Bandit{&banditTable{}}} {
 		for trial := 0; trial < 20000; trial++ {
 			ctx, subs := randCtx(rng), randViews(rng)
 			i := b.Pick(ctx, subs)
@@ -59,10 +156,7 @@ func TestBanditNeverPicksBlockedSubflow(t *testing.T) {
 // TestBanditReturnsMinusOneWhenNothingSendable pins the no-candidate
 // contract directly.
 func TestBanditReturnsMinusOneWhenNothingSendable(t *testing.T) {
-	b, err := NewBandit()
-	if err != nil {
-		t.Fatalf("NewBandit: %v", err)
-	}
+	b := MustNew("bandit")
 	cases := [][]View{
 		{},
 		{{Cwnd: 10, Inflight: 10, SRTT: 0.01, Sendable: true}},                                      // window full
@@ -81,11 +175,7 @@ func TestBanditReturnsMinusOneWhenNothingSendable(t *testing.T) {
 // and across independently constructed instances, and Pick does not
 // mutate its inputs.
 func TestBanditFrozenInferenceIsPure(t *testing.T) {
-	b1, err1 := NewBandit()
-	b2, err2 := NewBandit()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("NewBandit: %v, %v", err1, err2)
-	}
+	b1, b2 := MustNew("bandit"), MustNew("bandit")
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 5000; trial++ {
 		ctx, subs := randCtx(rng), randViews(rng)
@@ -108,7 +198,7 @@ func TestBanditFrozenInferenceIsPure(t *testing.T) {
 // TestBanditUntrainedFallsBackToMinRTT: with an empty table every pick
 // must match the Linux default scheduler.
 func TestBanditUntrainedFallsBackToMinRTT(t *testing.T) {
-	b := NewBanditFrom(&Model{})
+	b := Bandit{&banditTable{}}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5000; trial++ {
 		ctx, subs := randCtx(rng), randViews(rng)
@@ -120,17 +210,17 @@ func TestBanditUntrainedFallsBackToMinRTT(t *testing.T) {
 
 // TestBanditWaitRequiresInflight: the learned wait may never park a
 // connection with nothing in flight — there would be no future ACK to
-// wake it. Build a model where waiting dominates every action bucket
+// wake it. Build a table where waiting dominates every action bucket
 // and check the guard holds.
 func TestBanditWaitRequiresInflight(t *testing.T) {
-	m := &Model{}
-	for i := range m.Q {
-		m.Q[i], m.QN[i] = 0.1, 1
+	tab := &banditTable{}
+	for i := range tab.q {
+		tab.q[i] = 0.1
 	}
-	for i := range m.W {
-		m.W[i], m.WN[i] = 100, 1 // wait looks infinitely attractive
+	for i := range tab.w {
+		tab.w[i] = 100 // wait looks infinitely attractive
 	}
-	b := NewBanditFrom(m)
+	b := Bandit{tab}
 	idle := []View{{Cwnd: 10, Inflight: 0, SRTT: 0.01, Sendable: true}}
 	if got := b.Pick(Ctx{Window: 2}, idle); got != 0 {
 		t.Errorf("wait with nothing in flight: Pick = %d, want 0", got)
@@ -150,69 +240,10 @@ func TestBanditWaitRequiresInflight(t *testing.T) {
 	}
 }
 
-// TestBanditExplorerDeterministicBySeed: two explorers over the same
-// model with equal seeds reproduce identical pick sequences and episode
-// counters; a different seed diverges.
-func TestBanditExplorerDeterministicBySeed(t *testing.T) {
-	model, err := loadBanditModel()
-	if err != nil {
-		t.Fatalf("loadBanditModel: %v", err)
-	}
-	run := func(seed int64) ([]int, *Episode) {
-		ep := &Episode{}
-		b := NewBanditExplorer(model, rand.New(rand.NewSource(seed)), 0.3, ep)
-		states := rand.New(rand.NewSource(99)) // same state stream for all runs
-		picks := make([]int, 0, 2000)
-		for trial := 0; trial < 2000; trial++ {
-			picks = append(picks, b.Pick(randCtx(states), randViews(states)))
-		}
-		return picks, ep
-	}
-	p1, e1 := run(5)
-	p2, e2 := run(5)
-	if !reflect.DeepEqual(p1, p2) || *e1 != *e2 {
-		t.Fatal("same-seed explorers diverged")
-	}
-	p3, _ := run(6)
-	if reflect.DeepEqual(p1, p3) {
-		t.Fatal("different-seed explorers picked identically (rng unused?)")
-	}
-}
-
-// TestBanditCorruptModelFailsCleanly: damaged or truncated embedded
-// bytes must turn New("bandit") into a clean error — no panic — while
-// the registry listing keeps working; restoring the bytes restores the
-// scheduler.
-func TestBanditCorruptModelFailsCleanly(t *testing.T) {
-	defer banditReset(nil)
-	good := embeddedModel
-	for name, bad := range map[string][]byte{
-		"garbage":   []byte("not a model at all"),
-		"truncated": good[:len(good)/2],
-		"empty":     {},
-		"skewed":    []byte("mptcp-bandit v0\n"),
-	} {
-		banditReset(bad)
-		s, err := New("bandit")
-		if err == nil {
-			t.Fatalf("%s: New(bandit) = %v, want error", name, s)
-		}
-		if !strings.Contains(err.Error(), "bandit") {
-			t.Errorf("%s: error does not name the scheduler: %v", name, err)
-		}
-		// The catalogue must still list the entry (Help, -list).
-		if _, err := schedulers.Lookup("bandit"); err != nil {
-			t.Errorf("%s: bandit vanished from the registry", name)
-		}
-	}
-	banditReset(nil)
-	if _, err := New("bandit"); err != nil {
-		t.Fatalf("restoring the embedded model did not recover: %v", err)
-	}
-}
-
-// TestBanditEmbeddedModelLoads pins that the checked-in model behind
-// sched.New("bandit") parses and is actually trained.
+// TestBanditEmbeddedModelLoads pins the frozen table behind
+// sched.New("bandit"): the registry builds the scheduler, and the table
+// holds the trained policy — 37 action buckets and the two wait buckets
+// of the tight pressure classes, every other bucket untrained.
 func TestBanditEmbeddedModelLoads(t *testing.T) {
 	s, err := New("bandit")
 	if err != nil {
@@ -221,15 +252,27 @@ func TestBanditEmbeddedModelLoads(t *testing.T) {
 	if s.Name() != "bandit" {
 		t.Errorf("Name() = %q", s.Name())
 	}
-	m, err := loadBanditModel()
-	if err != nil {
-		t.Fatalf("loadBanditModel: %v", err)
+	if b, ok := s.(Bandit); !ok || b.t != &trainedBandit {
+		t.Fatalf("New(bandit) = %#v, want a Bandit over the trained table", s)
 	}
-	if m.Episodes == 0 {
-		t.Fatal("embedded model is untrained")
+	trained := 0
+	for _, q := range trainedBandit.q {
+		if q != 0 {
+			trained++
+		}
 	}
-	info, _ := schedulers.Lookup("bandit")
-	if !strings.Contains(info.Provenance, m.Corpus) {
-		t.Errorf("Provenance %q does not name the corpus %q", info.Provenance, m.Corpus)
+	if trained != 37 {
+		t.Errorf("%d trained action buckets, want 37", trained)
+	}
+	if w := trainedBandit.w; w[0] == 0 || w[1] == 0 || w[2] != 0 || w[3] != 0 {
+		t.Errorf("wait buckets %v, want exactly 0 and 1 trained", w)
+	}
+}
+
+// TestNewBanditAllocatesNothing: the scheduler is a pointer to the
+// shared table, so building one per connection costs no allocation.
+func TestNewBanditAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { MustNew("bandit") }); n != 0 {
+		t.Errorf("New(bandit) allocates %v times, want 0", n)
 	}
 }

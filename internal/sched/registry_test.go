@@ -30,20 +30,17 @@ func TestInfoMetadataComplete(t *testing.T) {
 		if info.Desc == "" || info.Ref == "" {
 			t.Errorf("%s: metadata incomplete: %+v", info.Name, info)
 		}
-		// Provenance marks learned schedulers only: the bandit must say
-		// what it was trained on, classical entries must stay blank.
-		if learned := info.Name == "bandit"; learned != (info.Provenance != "") {
-			t.Errorf("%s: Provenance = %q, learned = %v", info.Name, info.Provenance, learned)
-		}
 	}
+	// One line per scheduler: the frozen bandit has no provenance line
+	// (its table's comment carries that).
 	help := Help()
 	for _, name := range Names() {
-		if !strings.Contains(help, name) {
+		if !strings.Contains(help, "  "+name+" ") {
 			t.Errorf("Help() misses %s", name)
 		}
 	}
-	if !strings.Contains(help, "trained: mptcp-bandit v1") {
-		t.Errorf("Help() misses the bandit provenance line:\n%s", help)
+	if lines := strings.Count(help, "\n"); lines != len(Names()) {
+		t.Errorf("Help() has %d lines, want %d:\n%s", lines, len(Names()), help)
 	}
 }
 

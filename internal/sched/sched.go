@@ -24,8 +24,8 @@
 // One catalogue (below) lists every scheduler's constructor and Info
 // record; New resolves names by internal/registry's rule, and
 // Names/Infos/Help drive CLI help and the schedgrid experiment. The
-// learned "bandit" entry (learned.go) keeps its trained model beside it
-// (model.go, bandit.model).
+// learned "bandit" entry (learned.go) keeps its frozen policy table
+// beside it.
 //
 // A Scheduler sees subflows as neutral View records (window, in-flight,
 // smoothed RTT, sendability) plus a connection-level Ctx (the shared
@@ -143,46 +143,40 @@ type Info struct {
 	Desc string
 	// Ref names the scheduler's origin (Linux scheduler module, paper).
 	Ref string
-	// Provenance documents what a learned scheduler was trained on —
-	// model version, training corpus and seed — so CLI -list shows
-	// where a policy's behaviour comes from. Empty for classical
-	// (hand-written) schedulers.
-	Provenance string
 }
 
 type entry struct {
 	Info
-	ctor func() (Scheduler, error)
+	ctor func() Scheduler
 }
 
 var schedulers = registry.New[entry]("sched", "scheduler")
 
 // The catalogue, in presentation order. Every constructor returns a
-// fresh instance per call. The learned scheduler's can fail (its model
-// must load); it is listed all the same, and New reports the error.
+// fresh instance per call.
 func init() {
 	for _, e := range []entry{
 		{Info{Name: "firstfit", Aliases: []string{"stripe", "fill"}, Ref: "paper §6 striping",
 			Desc: "fill subflows with window space in configuration order"},
-			func() (Scheduler, error) { return FirstFit{}, nil }},
+			func() Scheduler { return FirstFit{} }},
 		{Info{Name: "minrtt", Aliases: []string{"lowrtt", "default"}, Ref: "Linux mptcp_sched default",
 			Desc: "prefer the subflow with the smallest smoothed RTT"},
-			func() (Scheduler, error) { return MinRTT{}, nil }},
+			func() Scheduler { return MinRTT{} }},
 		{Info{Name: "roundrobin", Aliases: []string{"rr"}, Ref: "Linux mptcp_rr",
 			Desc: "rotate segments across subflows by least segments assigned"},
-			func() (Scheduler, error) { return RoundRobin{}, nil }},
+			func() Scheduler { return RoundRobin{} }},
 		{Info{Name: "wcwnd", Aliases: []string{"weighted", "maxspace"}, Ref: "cwnd-weighted striping",
 			Desc: "prefer the subflow with the most free congestion-window space"},
-			func() (Scheduler, error) { return WeightedCwnd{}, nil }},
+			func() Scheduler { return WeightedCwnd{} }},
 		{Info{Name: "redundant", Aliases: []string{"dup"}, Ref: "Linux mptcp_redundant",
 			Desc: "duplicate every segment on all subflows with window space"},
-			func() (Scheduler, error) { return Redundant{}, nil }},
+			func() Scheduler { return Redundant{} }},
 		{Info{Name: "blest", Aliases: []string{"blocking-estimation"}, Ref: "Ferlin et al., BLEST (IFIP Networking 2016)",
 			Desc: "minRTT that skips a slow subflow when sending on it would HoL-block the shared receive buffer"},
-			func() (Scheduler, error) { return &BLEST{}, nil }},
-		{Info{Name: "bandit", Aliases: []string{"learned"}, Ref: "learned scheduling, cf. arXiv:2309.09372", Provenance: banditProvenance(),
+			func() Scheduler { return &BLEST{} }},
+		{Info{Name: "bandit", Aliases: []string{"learned"}, Ref: "learned scheduling, cf. arXiv:2309.09372",
 			Desc: "offline-trained contextual bandit over SRTT ratio, cwnd headroom and receive-window pressure"},
-			func() (Scheduler, error) { return NewBandit() }},
+			func() Scheduler { return Bandit{&trainedBandit} }},
 	} {
 		schedulers.Add(e, e.Name, e.Aliases...)
 	}
@@ -195,11 +189,7 @@ func New(name string) (Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := e.ctor()
-	if err != nil {
-		return nil, fmt.Errorf("sched: constructing %s: %w", e.Name, err)
-	}
-	return s, nil
+	return e.ctor(), nil
 }
 
 // MustNew is New for callers with a statically known name; it panics on
@@ -266,16 +256,11 @@ func Infos() []Info {
 	return out
 }
 
-// Help renders a one-line-per-scheduler summary for CLI usage text,
-// with a provenance line under learned entries documenting the model
-// version, training corpus and seed the policy came from.
+// Help renders a one-line-per-scheduler summary for CLI usage text.
 func Help() string {
 	var sb strings.Builder
 	for _, info := range Infos() {
 		fmt.Fprintf(&sb, "  %-12s %s (%s)\n", info.Name, info.Desc, info.Ref)
-		if info.Provenance != "" {
-			fmt.Fprintf(&sb, "  %-12s trained: %s\n", "", info.Provenance)
-		}
 	}
 	return sb.String()
 }

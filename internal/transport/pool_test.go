@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mptcp/internal/netsim"
+	"mptcp/internal/sched"
 	"mptcp/internal/sim"
 )
 
@@ -423,6 +424,64 @@ func TestPooledFlowsFreeEveryPacket(t *testing.T) {
 	}
 	if stragglers == 0 {
 		t.Error("no packet outlived its flow: the FlowID guard went unexercised")
+	}
+}
+
+// lifeCounts is what a connection's receiver saw during one life.
+type lifeCounts struct {
+	dupData, overflow int64
+	delivered         [2]int64 // per subflow
+}
+
+// TestRecycledConnIgnoresPreviousLifeData: under the redundant
+// scheduler the slow path still carries copies of a life's data when
+// the fast path completes it, and a connection recycled inside
+// OnComplete receives those copies with subflow and data sequence
+// numbers inside its own windows. The receiver's FlowID guard must drop
+// them: every life's duplicate, overflow and per-subflow delivery counts
+// equal those of the same flows on fresh connections.
+func TestRecycledConnIgnoresPreviousLifeData(t *testing.T) {
+	const lives = 4
+	run := func(usePool bool) (out []lifeCounts, stragglers int) {
+		e := newEnv(5)
+		fast := e.path(netsim.NewLink("fast", 8, 5*sim.Millisecond, 50))
+		slow := e.path(netsim.NewLink("slow", 2, 50*sim.Millisecond, 50))
+		pool := NewConnPool(e.n)
+		cfg := Config{Paths: []Path{fast, slow}, Sched: sched.MustNew("redundant"), DataPackets: 400}
+		launch := func() {
+			if usePool {
+				pool.Get(cfg).Start()
+			} else {
+				NewConn(e.n, cfg).Start()
+			}
+		}
+		cfg.OnComplete = func(c *Conn) {
+			r := c.Receiver()
+			out = append(out, lifeCounts{r.DupData, r.Overflow, [2]int64{r.SubDelivered(0), r.SubDelivered(1)}})
+			stragglers += e.n.LivePackets()
+			if usePool {
+				pool.Put(c)
+			}
+			if len(out) < lives {
+				launch()
+			}
+		}
+		launch()
+		e.s.RunUntil(60 * sim.Second)
+		return out, stragglers
+	}
+	fresh, _ := run(false)
+	pooled, stragglers := run(true)
+	if len(fresh) != lives || len(pooled) != lives {
+		t.Fatalf("completed %d fresh / %d pooled lives, want %d each", len(fresh), len(pooled), lives)
+	}
+	if stragglers == 0 {
+		t.Fatal("no packet outlived its life: the previous life's copies went unexercised")
+	}
+	for i := range fresh {
+		if fresh[i] != pooled[i] {
+			t.Errorf("life %d: pooled receiver saw %+v, a fresh one %+v", i, pooled[i], fresh[i])
+		}
 	}
 }
 
