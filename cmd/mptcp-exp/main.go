@@ -32,112 +32,148 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"mptcp/internal/cc"
 	"mptcp/internal/exp"
+	"mptcp/internal/registry"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sched"
 	"mptcp/internal/workload"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list experiments and scenarios")
-	id := flag.String("run", "", "experiment ID to run (or 'all')")
-	expID := flag.String("exp", "", "alias of -run")
-	seed := flag.Int64("seed", 42, "base random seed")
-	scale := flag.Float64("scale", 1.0, "duration/topology scale (1.0 = paper fidelity)")
-	parallel := flag.Int("parallel", 0, "max concurrent trial cells (0 = GOMAXPROCS)")
-	trials := flag.Int("trials", 1, "repetitions per experiment, base seeds seed..seed+trials-1")
-	scenarioID := flag.String("scenario", "", "restrict the dynamics experiment to one scenario (see -list; names are case-insensitive); cell seeds match the full grid")
-	schedSpec := flag.String("sched", "", "restrict the schedgrid, appgrid and fleet experiments to one scheduler spec, e.g. minrtt+otr+pen (see -list); cell seeds match the full grid")
-	workloadID := flag.String("workload", "", "restrict the appgrid experiment to one application workload (see -list; names are case-insensitive); cell seeds match the full grid")
-	jsonOut := flag.Bool("json", false, "emit one JSON record per trial instead of rendered reports")
-	traceOut := flag.String("trace", "", "write the cells' per-connection protocol traces (JSONL) to FILE; every experiment but fleet records one")
-	analyze := flag.Bool("analyze", false, "aggregate JSONL artifacts (grid records, trial records, traces) named as positional args ('-' or none = stdin) into summary tables")
-	diff := flag.Bool("diff", false, "with -analyze, compare exactly two JSONL files A and B and print per-cell delta tables instead of aggregates")
-	csvOut := flag.String("csv", "", "with -analyze, also write the summary rows as CSV to FILE ('-' = stdout)")
-	flag.Parse()
-	if *expID != "" {
-		id = expID
-	}
+// options holds mptcp-exp's flag values.
+type options struct {
+	list, jsonOut, analyze, diff        bool
+	run, exp, scenario, sched, workload string
+	trace, csv                          string
+	seed                                int64
+	scale                               float64
+	parallel, trials                    int
+}
 
-	if *analyze {
+// newFlags returns mptcp-exp's flag set, bound to o. README.md's flag
+// table is rendered from it.
+func newFlags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("mptcp-exp", flag.ExitOnError)
+	fs.BoolVar(&o.list, "list", false, "list the experiments, controllers, scenarios, schedulers and workloads, then exit")
+	fs.StringVar(&o.run, "run", "", "experiment `id` to run (see -list), or 'all'")
+	fs.StringVar(&o.exp, "exp", "", "alias of -run `id`")
+	fs.Int64Var(&o.seed, "seed", 42, "base random seed; equal seeds give bit-identical results")
+	fs.Float64Var(&o.scale, "scale", 1.0, "duration/topology scale: 1.0 is paper fidelity, 0.05 a CI smoke")
+	fs.IntVar(&o.parallel, "parallel", 0, "max concurrent trial cells (0 = GOMAXPROCS); results are bit-identical for every value")
+	fs.IntVar(&o.trials, "trials", 1, "repetitions per experiment, on base seeds seed..seed+trials-1")
+	fs.StringVar(&o.scenario, "scenario", "", "restrict the dynamics experiment to one scenario `name` (see -list; case-insensitive); cell seeds match the full grid")
+	fs.StringVar(&o.sched, "sched", "", "restrict the schedgrid, appgrid and fleet experiments to one scheduler `spec`, e.g. minrtt+otr+pen (see -list; canonicalised); cell seeds match the full grid, and a spec that is not a column of the grid fails with the column list")
+	fs.StringVar(&o.workload, "workload", "", "restrict the appgrid experiment to one application workload `name` (see -list; case-insensitive); cell seeds match the full grid")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit one JSONL record per trial, or per cell of a grid experiment, instead of rendered reports")
+	fs.StringVar(&o.trace, "trace", "", "write the cells' per-connection protocol traces (JSONL), each labelled with its cell's axis values, to `file`; every experiment but fleet records one; requires one experiment and -trials 1")
+	fs.BoolVar(&o.analyze, "analyze", false, "aggregate JSONL artifacts (grid records, trial records, traces) named as positional args ('-' or none = stdin) into summary tables")
+	fs.BoolVar(&o.diff, "diff", false, "with -analyze, compare exactly two JSONL files A and B and print per-cell delta tables instead of aggregates")
+	fs.StringVar(&o.csv, "csv", "", "with -analyze, also write the summary rows as CSV to `file` ('-' = stdout)")
+	return fs
+}
+
+// check rejects a flag that only -analyze reads when -analyze is off,
+// and a filter that names nothing in its catalogue.
+func (o *options) check() error {
+	if o.analyze {
+		return nil
+	}
+	switch {
+	case o.diff:
+		return errors.New("-diff requires -analyze")
+	case o.csv != "":
+		return errors.New("-csv requires -analyze")
+	}
+	var err error
+	if o.scenario != "" {
+		_, err = scenario.Build(o.scenario, 1)
+	}
+	if err == nil && o.sched != "" {
+		_, _, err = sched.Parse(o.sched)
+	}
+	if err == nil && o.workload != "" {
+		_, err = workload.Build(o.workload, 1)
+	}
+	return err
+}
+
+// list writes every catalogue, one registry.Help block per section.
+func list(w io.Writer) {
+	for i, c := range []struct {
+		title string
+		infos []registry.Info
+	}{
+		{"Experiments reproducing Wischik et al., NSDI 2011 (-run <id>):", exp.Infos()},
+		{"Congestion controllers (every grid's algorithm axis):", cc.Infos()},
+		{"Network-dynamics scenarios (dynamics experiment, -scenario <name>):", scenario.Infos()},
+		{"Packet schedulers (schedgrid experiment, -sched <name>[+otr][+pen]):", sched.Infos()},
+		{"Application workloads (appgrid experiment, -workload <name>):", workload.Infos()},
+	} {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintln(w, c.title)
+		fmt.Fprint(w, registry.Help(c.infos))
+	}
+}
+
+func main() {
+	var o options
+	fs := newFlags(&o)
+	fs.Parse(os.Args[1:])
+	id := o.run
+	if o.exp != "" {
+		id = o.exp
+	}
+	if err := o.check(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if o.analyze {
 		run := runAnalyze
-		if *diff {
+		if o.diff {
 			run = runAnalyzeDiff
 		}
-		if err := run(flag.Args(), *csvOut); err != nil {
+		if err := run(fs.Args(), o.csv); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *diff {
-		fmt.Fprintln(os.Stderr, "-diff requires -analyze")
-		os.Exit(1)
-	}
-	if *scenarioID != "" {
-		if _, err := scenario.Build(*scenarioID, 1); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *schedSpec != "" {
-		if _, _, err := sched.Parse(*schedSpec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *workloadID != "" {
-		if _, err := workload.Build(*workloadID, 1); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
-	if *list || *id == "" {
-		fmt.Println("Experiments reproducing Wischik et al., NSDI 2011:")
-		for _, e := range exp.All() {
-			fmt.Printf("  %-24s %-18s %s\n", e.ID, e.Ref, e.Desc)
-		}
-		fmt.Println("\nNetwork-dynamics scenarios (dynamics experiment, -scenario <name>):")
-		for _, s := range scenario.Infos() {
-			fmt.Printf("  %-24s %s\n", s.Name, s.Desc)
-		}
-		fmt.Println("\nPacket schedulers (schedgrid experiment, -sched <name>[+otr][+pen]):")
-		fmt.Print(sched.Help())
-		fmt.Println("\nApplication workloads (appgrid experiment, -workload <name>):")
-		for _, w := range workload.Infos() {
-			fmt.Printf("  %-24s %s\n", w.Name, w.Desc)
-		}
+	if o.list || id == "" {
+		list(os.Stdout)
 		return
 	}
 	var exps []*exp.Experiment
-	if *id == "all" {
+	if id == "all" {
 		exps = exp.All()
 	} else {
-		e, ok := exp.Get(*id)
+		e, ok := exp.Get(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *id)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
 			os.Exit(1)
 		}
 		exps = []*exp.Experiment{e}
 	}
 
-	cfg := exp.Config{Seed: *seed, Scale: *scale, Parallelism: *parallel, Scenario: *scenarioID, Sched: *schedSpec, Workload: *workloadID}
+	cfg := exp.Config{Seed: o.seed, Scale: o.scale, Parallelism: o.parallel, Scenario: o.scenario, Sched: o.sched, Workload: o.workload}
 	var traceFile *os.File
-	if *traceOut != "" {
+	if o.trace != "" {
 		// Experiments and trials run concurrently and each flushes its own
 		// cells to the trace writer; one traced run keeps the file
 		// deterministic.
-		if *trials > 1 || len(exps) > 1 {
+		if o.trials > 1 || len(exps) > 1 {
 			fmt.Fprintln(os.Stderr, "-trace requires one experiment and -trials 1 (concurrent runs would interleave trace output)")
 			os.Exit(1)
 		}
 		var err error
-		if traceFile, err = os.Create(*traceOut); err != nil {
+		if traceFile, err = os.Create(o.trace); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -148,16 +184,16 @@ func main() {
 	// long batches produce output while they run, in deterministic
 	// (experiment, trial) order.
 	var encErr error
-	exp.RunBatchStream(cfg, exps, *trials, func(tr exp.TrialResult) {
+	exp.RunBatchStream(cfg, exps, o.trials, func(tr exp.TrialResult) {
 		if encErr != nil {
 			return
 		}
-		if *jsonOut {
+		if o.jsonOut {
 			encErr = tr.WriteJSONL(os.Stdout)
 			return
 		}
 		tr.Result.Render(os.Stdout)
-		if *trials > 1 {
+		if o.trials > 1 {
 			fmt.Printf("\n  (trial %d, seed %d, wall time %.1fs)\n\n", tr.Trial, tr.Seed, tr.WallSec)
 		} else {
 			fmt.Printf("\n  (wall time %.1fs)\n\n", tr.WallSec)
@@ -175,8 +211,8 @@ func main() {
 		if err == nil && st.Size() == 0 {
 			// Only cells that run in one simulated world trace; an empty
 			// file would read as "traced, nothing happened".
-			os.Remove(*traceOut)
-			err = fmt.Errorf("-trace: nothing in this run records a protocol trace (every experiment but fleet does); %s not written", *traceOut)
+			os.Remove(o.trace)
+			err = fmt.Errorf("-trace: nothing in this run records a protocol trace (every experiment but fleet does); %s not written", o.trace)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -31,6 +31,7 @@ import (
 
 	"mptcp/internal/cc"
 	"mptcp/internal/mptcpnet"
+	"mptcp/internal/registry"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func main() {
 	// The accepted names (and the list below) come from the algorithm
 	// registry, so a newly registered algorithm shows up here for free.
 	algName := flag.String("alg", "MPTCP",
-		"congestion control (case-insensitive): "+strings.Join(cc.Names(), ", ")+"\n"+cc.Help())
+		"congestion control, by name or alias (case-insensitive):\n"+registry.Help(cc.Infos()))
 	connID := flag.Uint64("conn", 1, "connection ID (must match on both ends)")
 	debugAddr := flag.String("debug-addr", "",
 		"serve live introspection over HTTP on this address (e.g. localhost:6060 or :0):\n"+

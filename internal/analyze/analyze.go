@@ -1,9 +1,8 @@
-// Package analyze turns the JSONL artifacts this repo produces — grid
-// cell records and per-trial records (exp.Record lines, as
-// cmd/mptcp-exp -json writes them) and protocol traces
-// (internal/trace) — into summary tables and CSV, so the paper-style
-// figures reproduce from checked-in artifacts alone, without ad-hoc
-// scripts.
+// Package analyze turns the JSONL artifacts of mptcp-exp into summary
+// tables and CSV. It reads grid cell records and per-trial records
+// (exp.Record lines, as cmd/mptcp-exp -json writes them) and protocol
+// traces (internal/trace), so the paper-style figures reproduce from
+// checked-in artifacts alone, without ad-hoc scripts.
 //
 // Input lines are classified by shape, not by file: a line with an
 // "ev" field is a trace record, one with an "algorithm" field a grid

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mptcp/internal/core"
+	"mptcp/internal/registry"
 )
 
 // The catalogue's order and lookup rule are pinned with the other
@@ -66,11 +67,16 @@ func TestHooksMetadataMatchesImplementations(t *testing.T) {
 	}
 }
 
+// TestHelpMentionsEveryAlgorithm: the one renderer behind mptcp-xfer
+// -alg's usage text and mptcp-exp -list names every algorithm and every
+// alias.
 func TestHelpMentionsEveryAlgorithm(t *testing.T) {
-	h := Help()
-	for _, name := range Names() {
-		if !strings.Contains(h, name) {
-			t.Errorf("Help() omits %s", name)
+	h := registry.Help(Infos())
+	for _, info := range Infos() {
+		for _, name := range append([]string{info.Name}, info.Aliases...) {
+			if !strings.Contains(h, name) {
+				t.Errorf("help omits %s", name)
+			}
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package chaos is the fault-injection layer for the mptcpnet userspace
-// transport: a net.PacketConn middleware (Path) that subjects real UDP
+// transport. A net.PacketConn middleware (Path) subjects real UDP
 // datagrams to the misbehaviour the paper's evaluation leans on — dead
 // radios, bursty wireless loss, reordering, duplication, bit corruption,
-// partitions — plus the machinery to orchestrate and observe it:
+// partitions — and the rest of the package orchestrates and observes it:
 //
 //   - Path wraps any net.PacketConn and applies a PathConfig to outgoing
 //     datagrams: delay/jitter, i.i.d. loss, Gilbert–Elliott burst loss,

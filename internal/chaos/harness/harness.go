@@ -1,5 +1,5 @@
 // Package harness runs fleets of concurrent mptcpnet transfers over real
-// UDP sockets while a chaos director mutates path conditions, and asserts
+// UDP sockets while a chaos director mutates path conditions. It asserts
 // the invariants that make the stack a usable transport rather than a
 // demo:
 //

@@ -1,6 +1,7 @@
-// Package core implements the multipath congestion-control algorithms of
-// "Design, implementation and evaluation of congestion control for
-// multipath TCP" (Wischik, Raiciu, Greenhalgh, Handley — NSDI 2011):
+// Package core implements every multipath congestion controller as pure
+// window arithmetic. The algorithms of "Design, implementation and
+// evaluation of congestion control for multipath TCP" (Wischik, Raiciu,
+// Greenhalgh, Handley — NSDI 2011) are:
 //
 //   - REGULAR (uncoupled): independent TCP NewReno on every subflow,
 //   - EWTCP (§2.1): equally-weighted TCP,

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mptcp/internal/metrics"
+	"mptcp/internal/registry"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 	"mptcp/internal/transport"
@@ -172,9 +173,9 @@ func appCell(c *gridCell) appOut {
 		pool.Get(cfg).Start()
 	}
 	if scen := appScenario[c.vals[3]]; scen != "" {
-		sc.script(w, scenario.MustBuild(scen, end))
+		sc.script(w, registry.Must(scenario.Build(scen, end)))
 	}
-	st := workload.MustBuild(c.vals[0], end).Install(&workload.Env{Sim: w.s, Spawn: spawn, End: end})
+	st := registry.Must(workload.Build(c.vals[0], end)).Install(&workload.Env{Sim: w.s, Spawn: spawn, End: end})
 	w.s.RunUntil(end)
 
 	out.stats = st

@@ -5,6 +5,7 @@ import (
 
 	"mptcp/internal/cc"
 	"mptcp/internal/metrics"
+	"mptcp/internal/registry"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 )
@@ -68,7 +69,7 @@ func dynCell(c *gridCell) dynOut {
 	w := c.world()
 	warm, end := c.dur(dynWarm), c.dur(dynEnd)
 	sc := scenes[c.vals[1]](w, mpAlg(c.vals[0]))
-	env := sc.script(w, scenario.MustBuild(c.vals[2], end))
+	env := sc.script(w, registry.Must(scenario.Build(c.vals[2], end)))
 
 	w.s.RunUntil(warm)
 	base := snapshot(sc.all)

@@ -109,21 +109,32 @@ type Figure struct {
 // without cells. The five grids (tournament, dynamics, schedgrid,
 // fleet, appgrid) attach one Record per cell to their Result, in cell
 // order, labelled with the cell's axis values (grid.record); the
-// identity fields are the trial's, and the writer fills them in. The
-// field-by-field schema is DESIGN.md §"JSONL record schema".
+// identity fields are the trial's, and the writer fills them in.
+// DESIGN.md §"JSONL records" renders its field table from the comments
+// below.
 type Record struct {
-	ID  string `json:"id"`
-	Ref string `json:"ref,omitempty"` // trial lines only
-	// Trial, Seed and Scale are the trial's: its index in the batch and
-	// the normalised base seed and scale it ran with (not a cell's seed).
-	Trial   int     `json:"trial"`
-	Seed    int64   `json:"seed"`
-	Scale   float64 `json:"scale"`
-	WallSec float64 `json:"wall_s,omitempty"` // trial lines only
-	// The cell's dimensions; empty on a trial line, so a reader tells the
-	// two kinds apart by Algorithm.
+	// ID is the experiment's ID (see -list).
+	ID string `json:"id"`
+	// Ref is the paper table or figure the experiment reproduces; trial
+	// lines only.
+	Ref string `json:"ref,omitempty"`
+	// Trial is the 0-based index of the trial in the batch.
+	Trial int `json:"trial"`
+	// Seed is the trial's base seed (seed + trial), not a cell's: cell i
+	// simulates with CellSeed(seed, i).
+	Seed int64 `json:"seed"`
+	// Scale is the duration/topology scale the trial ran with (1.0 is
+	// paper fidelity).
+	Scale float64 `json:"scale"`
+	// WallSec is the trial's wall-clock time in seconds; trial lines
+	// only.
+	WallSec float64 `json:"wall_s,omitempty"`
+	// Algorithm is the cell's congestion controller (a cc name); empty
+	// on a trial line, so a reader tells the two kinds apart by it.
 	Algorithm string `json:"algorithm,omitempty"`
-	Topology  string `json:"topology,omitempty"`
+	// Topology is the cell's topology column (torus, dualhomed, fattree,
+	// wifi3g; fleet32 on the fleet).
+	Topology string `json:"topology,omitempty"`
 	// Scenario names the network-dynamics script of the cell; empty for
 	// static-network grids (the tournament).
 	Scenario string `json:"scenario,omitempty"`
@@ -138,9 +149,13 @@ type Record struct {
 	// RecvBuf is the shared receive buffer, in packets, constraining the
 	// cell's multipath flows; 0 means unconstrained (grids without a
 	// buffer axis leave it 0).
-	RecvBuf int64              `json:"recv_buf,omitempty"`
+	RecvBuf int64 `json:"recv_buf,omitempty"`
+	// Metrics are the cell's measurements, or the trial's headline
+	// scalars; a NaN or ±Inf value is left out of the line.
 	Metrics map[string]float64 `json:"metrics"`
-	Notes   []string           `json:"notes,omitempty"` // trial lines only
+	// Notes are the experiment's human-readable caveats; trial lines
+	// only.
+	Notes []string `json:"notes,omitempty"`
 }
 
 // Result is everything an experiment reports.
@@ -233,9 +248,12 @@ type Experiment struct {
 
 var experiments = registry.New[*Experiment]("exp", "experiment")
 
-// register adds an experiment to the catalogue; each file registers its
-// own in init, so the catalogue's order is the files' init order.
-func register(e *Experiment) { experiments.Add(e, e.ID) }
+// register adds an experiment to the catalogue under the same Info
+// record as every other catalogue entry; each file registers its own in
+// init, so the catalogue's order is the files' init order.
+func register(e *Experiment) {
+	experiments.Add(registry.Info{Name: e.ID, Ref: e.Ref, Desc: e.Desc}, e)
+}
 
 // Get looks an experiment up by ID.
 func Get(id string) (*Experiment, bool) {
@@ -245,6 +263,9 @@ func Get(id string) (*Experiment, bool) {
 
 // All returns the experiments in catalogue order.
 func All() []*Experiment { return experiments.Entries() }
+
+// Infos returns the experiments' metadata records in All order.
+func Infos() []registry.Info { return experiments.Infos() }
 
 // --- shared helpers ---------------------------------------------------
 

@@ -1,4 +1,4 @@
-package sim
+package exp
 
 import (
 	"sync"
@@ -10,7 +10,7 @@ func TestParallelRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		n := 37
 		counts := make([]int32, n)
-		Parallel(n, workers, func(i int) {
+		parallel(n, workers, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		for i, c := range counts {
@@ -25,7 +25,7 @@ func TestParallelBoundsConcurrency(t *testing.T) {
 	const limit = 3
 	var cur, peak int32
 	var mu sync.Mutex
-	Parallel(50, limit, func(i int) {
+	parallel(50, limit, func(i int) {
 		c := atomic.AddInt32(&cur, 1)
 		mu.Lock()
 		if c > peak {
@@ -41,8 +41,8 @@ func TestParallelBoundsConcurrency(t *testing.T) {
 
 func TestParallelEmpty(t *testing.T) {
 	called := false
-	Parallel(0, 0, func(int) { called = true })
+	parallel(0, 0, func(int) { called = true })
 	if called {
-		t.Error("Parallel(0, ...) ran the body")
+		t.Error("parallel(0, ...) ran the body")
 	}
 }

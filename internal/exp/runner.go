@@ -1,6 +1,6 @@
 // Cell seeds, the batch runner above the experiments and the JSONL
 // writer of its trials; the runner and the grid engine both fan out in
-// order through inOrder, on sim.Parallel. How an experiment decomposes
+// order through inOrder, on parallel. How an experiment decomposes
 // into cells, and why its results do not depend on the pool, is in
 // grid.go; see DESIGN.md §"Parallel runner" for the full scheme.
 
@@ -12,6 +12,7 @@ import (
 	"io"
 	"maps"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -122,14 +123,14 @@ func RunBatchStream(cfg Config, exps []*Experiment, trials int, emit func(TrialR
 }
 
 // inOrder runs fn(i) for every i in [0, n) on up to workers goroutines
-// (sim.Parallel) and calls emit(i) in index order, each as soon as fn(i)
+// (parallel) and calls emit(i) in index order, each as soon as fn(i)
 // and every fn before it have returned. emit calls are serialised and
 // run on the worker goroutines.
 func inOrder(n, workers int, fn, emit func(i int)) {
 	var mu sync.Mutex
 	done := make([]bool, n)
 	next := 0
-	sim.Parallel(n, workers, func(i int) {
+	parallel(n, workers, func(i int) {
 		fn(i)
 		mu.Lock()
 		defer mu.Unlock()
@@ -137,4 +138,39 @@ func inOrder(n, workers int, fn, emit func(i int)) {
 			emit(next)
 		}
 	})
+}
+
+// parallel runs fn(i) for every i in [0, n) on at most workers
+// goroutines (runtime.GOMAXPROCS(0) when workers <= 0) and returns once
+// every call has completed. It is the one worker pool of the tree: grid
+// cells and batch trials fan out through it, by way of inOrder. fn must
+// write its output only to slots indexed by i (never to shared state),
+// which keeps parallel race-free and its callers' results independent
+// of scheduling order.
+func parallel(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for g := 0; g < workers; g++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 }

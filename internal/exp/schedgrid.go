@@ -6,6 +6,7 @@ import (
 
 	"mptcp/internal/cc"
 	"mptcp/internal/metrics"
+	"mptcp/internal/registry"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sched"
 	"mptcp/internal/sim"
@@ -127,7 +128,7 @@ func schedCell(w *world, cell Config, scene, scen string, spec schedSpec, alg st
 	warm, end := cell.dur(schedWarm), cell.dur(schedEnd)
 	sc := scenes[scene](w, func() transport.Config { return mpConfig(spec, alg, recvBuf) })
 	if scen != "" {
-		sc.script(w, scenario.MustBuild(scen, end))
+		sc.script(w, registry.Must(scenario.Build(scen, end)))
 	}
 	rates := w.measure(sc.all, warm, end)
 	out := schedOut{mbps: metrics.Sum(rates[sc.lo:sc.hi]), jain: metrics.JainIndex(rates)}

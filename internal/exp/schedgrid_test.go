@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mptcp/internal/cc"
+	"mptcp/internal/registry"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
@@ -102,7 +103,7 @@ func TestSchedulersSurviveHandover(t *testing.T) {
 			})
 			mp.Start()
 			env := &scenario.Env{Sim: w.s, Net: w.n, Links: []*topo.Duplex{wl.WiFi, wl.G3}}
-			sc := scenario.MustBuild("handover", end)
+			sc := registry.Must(scenario.Build("handover", end))
 			sc.MustInstall(env)
 			w.s.RunUntil(end - end/10)
 			tail := mp.Delivered()

@@ -1,5 +1,5 @@
 // Package metrics provides the measurement utilities the experiments in
-// internal/exp build their tables and figures from:
+// internal/exp build their tables and figures from. They are:
 //
 //   - Series, a sampled time series with a Rate derivative
 //     (per-interval deltas);

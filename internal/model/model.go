@@ -1,6 +1,6 @@
 // Package model provides the analytic throughput models the paper uses to
-// reason about multipath congestion control: the √(2/p) TCP window
-// formula (eq. 2), closed-form equilibria for EWTCP/COUPLED/SEMICOUPLED,
+// reason about multipath congestion control. They are the √(2/p) TCP
+// window formula (eq. 2), closed-form equilibria for EWTCP/COUPLED/SEMICOUPLED,
 // a fluid (expected-drift) Equilibrium solver for arbitrary
 // core.Algorithm implementations, and checkers for the two fairness
 // goals of §2.5 (GoalThroughput: do at least as well as a TCP on the

@@ -1,6 +1,6 @@
 // Package mptcpnet is a userspace Multipath TCP implementation over UDP,
 // realising the protocol design of §6 of the paper with real sockets and
-// goroutines:
+// goroutines. It has:
 //
 //   - one UDP subflow per path, each with its own sequence space and
 //     RFC 6298-style retransmission timer;

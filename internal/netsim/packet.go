@@ -1,7 +1,7 @@
-// Package netsim implements the packet-level network model used by the
-// MPTCP congestion-control reproduction: store-and-forward links with
-// finite drop-tail buffers, propagation delay, optional random loss and
-// time-varying rate (for the wireless scenarios of §5 of the paper).
+// Package netsim implements the simulator's packet-level network model.
+// Its links store and forward, with finite drop-tail buffers,
+// propagation delay, optional random loss and time-varying rate (for the
+// wireless scenarios of §5 of the paper).
 //
 // The model is intentionally minimal but faithful to the paper's custom
 // simulator: a packet traverses an explicit route (a sequence of links),

@@ -162,7 +162,7 @@ func (m *modelNet) run() *modelNet {
 	return m
 }
 
-// The model_result guard DESIGN.md §15 asked for before ACK coalescing:
+// The model_result guard DESIGN.md §11 asked for before ACK coalescing:
 // the same transfer over the same two paths (10 ms and 40 ms round trips,
 // one loss on each), once with per-packet and once with delayed ACKs. The
 // sender counts acknowledged segments, not ACK arrivals, so nothing but

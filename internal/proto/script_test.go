@@ -3,7 +3,7 @@ package proto
 // Event scripts: each test drives a Sender (or Receiver) with a handful
 // of hand-stamped inputs and reads what it asked of a recording shell.
 // No simulator, no sockets, no sleeps. Every rule that once held on only
-// one of the two stacks (DESIGN.md §16 has the table) is pinned here,
+// one of the two stacks (DESIGN.md §9 has the table) is pinned here,
 // once, for both.
 
 import (
@@ -109,7 +109,7 @@ func ack(sub int, seq int64, rtt Time) Ack {
 	return Ack{Sub: sub, Seq: seq, DataAck: seq, Window: 1 << 20, Sack: -1, RTT: rtt}
 }
 
-// The transmission contract shells rely on (DESIGN.md §16): the idle
+// The transmission contract shells rely on (DESIGN.md §9): the idle
 // retransmission timer is armed before the packet is emitted, and is not
 // re-armed for later packets of the same flight.
 func TestTransmitArmsIdleTimerThenEmits(t *testing.T) {

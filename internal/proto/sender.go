@@ -1,6 +1,6 @@
 // Package proto is the one implementation of the paper's §6 protocol,
 // shared by the simulated endpoint (internal/transport) and the real-UDP
-// one (internal/mptcpnet):
+// one (internal/mptcpnet). Its parts are:
 //
 //   - separate sequence spaces: per-subflow sequence numbers for loss
 //     detection, and connection-level data sequence numbers for stream
@@ -32,7 +32,7 @@
 // sized from the initial window and doubled by what is outstanding; the
 // receiver's out-of-order sets are bit rings, and a subflow sequence 1<<16
 // or more above the cumulative ack is refused, which bounds a subflow's
-// bit ring at 8 KiB. DESIGN.md §16 has the ordering contract.
+// bit ring at 8 KiB. DESIGN.md §9 has the ordering contract.
 package proto
 
 import (

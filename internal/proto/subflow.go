@@ -131,7 +131,7 @@ func (s *Sender) sendMapped(i int, dataSeq int64) {
 // transmit hands subflow sequence seq to the shell. The scoreboard entry,
 // the counters, the trace record and an idle retransmission timer are all
 // settled first, so the shell's Emit is the last side effect of every
-// transmission (DESIGN.md §16: this order keeps the simulator's event
+// transmission (DESIGN.md §9: this order keeps the simulator's event
 // sequence numbers what they always were).
 func (s *Sender) transmit(i int, seq int64, retx bool) {
 	sf := &s.subs[i]

@@ -136,9 +136,9 @@ func TestCatalogues(t *testing.T) {
 // package, the kind and every canonical name.
 func TestSetRules(t *testing.T) {
 	s := registry.New[int]("pkg", "thing")
-	s.Add(2, "zeta", "z")
-	s.Add(0, "Alpha")
-	s.Add(1, "mid", "M2")
+	s.Add(registry.Info{Name: "zeta", Aliases: []string{"z"}, Ref: "§1", Desc: "last letter"}, 2)
+	s.Add(registry.Info{Name: "Alpha"}, 0)
+	s.Add(registry.Info{Name: "mid", Aliases: []string{"M2"}}, 1)
 	if got, want := s.Names(), []string{"zeta", "Alpha", "mid"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Names() = %v, want %v", got, want)
 	}
@@ -171,13 +171,47 @@ func TestDuplicateRejected(t *testing.T) {
 	} {
 		func() {
 			s := registry.New[int]("pkg", "thing")
-			s.Add(0, "alpha", "a")
+			s.Add(registry.Info{Name: "alpha", Aliases: []string{"a"}}, 0)
 			defer func() {
 				if recover() == nil {
 					t.Errorf("Add(%q, %q) did not panic", tc.name, tc.aliases)
 				}
 			}()
-			s.Add(1, tc.name, tc.aliases...)
+			s.Add(registry.Info{Name: tc.name, Aliases: tc.aliases}, 1)
 		}()
 	}
+}
+
+// TestHelp pins the one renderer behind -list and mptcp-xfer's usage
+// text: aligned name and provenance columns, aliases last, and no
+// provenance column for a catalogue without any.
+func TestHelp(t *testing.T) {
+	got := registry.Help([]registry.Info{
+		{Name: "zeta", Aliases: []string{"z", "Z2"}, Ref: "§1", Desc: "last"},
+		{Name: "Alpha", Ref: "RFC 6356", Desc: "first"},
+	})
+	want := "  zeta   §1        last (also z, Z2)\n" +
+		"  Alpha  RFC 6356  first\n"
+	if got != want {
+		t.Errorf("Help =\n%s\nwant\n%s", got, want)
+	}
+	if got, want := registry.Help([]registry.Info{{Name: "a", Desc: "d"}}), "  a  d\n"; got != want {
+		t.Errorf("Help without refs = %q, want %q", got, want)
+	}
+}
+
+// TestBuildAndMust: Build hands the argument to the builder a name
+// resolves to, and Must panics on the lookup error.
+func TestBuildAndMust(t *testing.T) {
+	s := registry.New[func(int) string]("pkg", "thing")
+	s.Add(registry.Info{Name: "twice", Aliases: []string{"x2"}}, func(n int) string { return strings.Repeat("ab", n) })
+	if got := registry.Must(registry.Build(s, " X2 ", 2)); got != "abab" {
+		t.Errorf("Build(x2, 2) = %q", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Must(Build(nope)) did not panic")
+		}
+	}()
+	registry.Must(registry.Build(s, "nope", 1))
 }

@@ -5,6 +5,7 @@ import (
 
 	"mptcp/internal/cc"
 	"mptcp/internal/netsim"
+	"mptcp/internal/registry"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
@@ -44,7 +45,7 @@ func TestFlapRegrowsEveryAlgorithm(t *testing.T) {
 			c.Start()
 
 			env := &scenario.Env{Sim: s, Net: nw, Links: []*topo.Duplex{l0, l1}}
-			scenario.MustBuild("flap", T).MustInstall(env)
+			registry.Must(scenario.Build("flap", T)).MustInstall(env)
 
 			// During the flap phase the connection must not stall.
 			flapsEnd := 4 * T / 5

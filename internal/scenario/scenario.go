@@ -1,4 +1,4 @@
-// Package scenario is the declarative network-dynamics engine: a
+// Package scenario is the declarative network-dynamics engine. A
 // Scenario is a named list of typed directives — link flaps, rate ramps,
 // delay steps, background interference, flow churn — that compile onto
 // the deterministic event engine of internal/sim and drive any
@@ -79,7 +79,7 @@ type Directive interface {
 
 // Scenario is a named, declarative list of directives. The zero value
 // is an empty scenario. Times inside directives are absolute simulated
-// instants; builders (see Info) lay them out as fractions of a run
+// instants; builders (see Build) lay them out as fractions of a run
 // length so one script scales with the experiment.
 type Scenario struct {
 	Name       string
@@ -112,40 +112,18 @@ func (s Scenario) MustInstall(env *Env) {
 
 // --- the catalogue of named scenario builders ---------------------------
 
-// Info is one named scenario builder. The builder receives the run's end
-// time T (already scaled by the caller) and lays its directive times out
-// as fractions of T, so the script's event count is independent of
+// scenarios holds one builder per named scenario. A builder receives the
+// run's end time T (already scaled by the caller) and lays its script
+// out as fractions of T, so what it does per run is the same at every
 // scale.
-type Info struct {
-	Name  string
-	Desc  string
-	build func(T sim.Time) Scenario
-}
-
-var scenarios = registry.New[Info]("scenario", "scenario")
+var scenarios = registry.New[func(T sim.Time) Scenario]("scenario", "scenario")
 
 // Names lists the registered scenarios in catalogue order — the column
 // order of the dynamics grid.
 func Names() []string { return scenarios.Names() }
 
-// Infos returns the registered scenarios in Names order.
-func Infos() []Info { return scenarios.Entries() }
+// Infos returns the catalogue's metadata records in Names order.
+func Infos() []registry.Info { return scenarios.Infos() }
 
 // Build constructs the named scenario for a run ending at T.
-func Build(name string, T sim.Time) (Scenario, error) {
-	e, err := scenarios.Lookup(name)
-	if err != nil {
-		return Scenario{}, err
-	}
-	return e.build(T), nil
-}
-
-// MustBuild is Build for names known to be registered; it panics on
-// unknown names.
-func MustBuild(name string, T sim.Time) Scenario {
-	s, err := Build(name, T)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
-}
+func Build(name string, T sim.Time) (Scenario, error) { return registry.Build(scenarios, name, T) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mptcp/internal/netsim"
+	"mptcp/internal/registry"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
@@ -35,7 +36,7 @@ func TestRegistryBuiltins(t *testing.T) {
 	for _, name := range scenario.Names() {
 		_, env := testEnv(1, 2)
 		env.Spawn = func(int64) {}
-		sc := scenario.MustBuild(name, 10*sim.Second)
+		sc := registry.Must(scenario.Build(name, 10*sim.Second))
 		if sc.Name != name {
 			t.Errorf("built scenario named %q, want %q", sc.Name, name)
 		}

@@ -3,6 +3,8 @@ package sched
 import (
 	"strings"
 	"testing"
+
+	"mptcp/internal/registry"
 )
 
 // The catalogue's order and lookup rule are pinned with the other
@@ -33,14 +35,14 @@ func TestInfoMetadataComplete(t *testing.T) {
 	}
 	// One line per scheduler: the frozen bandit has no provenance line
 	// (its table's comment carries that).
-	help := Help()
+	help := registry.Help(infos)
 	for _, name := range Names() {
 		if !strings.Contains(help, "  "+name+" ") {
-			t.Errorf("Help() misses %s", name)
+			t.Errorf("help misses %s", name)
 		}
 	}
 	if lines := strings.Count(help, "\n"); lines != len(Names()) {
-		t.Errorf("Help() has %d lines, want %d:\n%s", lines, len(Names()), help)
+		t.Errorf("help has %d lines, want %d:\n%s", lines, len(Names()), help)
 	}
 }
 

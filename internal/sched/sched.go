@@ -1,8 +1,8 @@
-// Package sched is the pluggable packet-scheduler subsystem: a registry
-// of named scheduler constructors with per-scheduler metadata, the
-// scheduler contract both endpoint stacks dispatch through, and the
-// paper's two receive-buffer-blocking countermeasures (opportunistic
-// retransmission and subflow penalization) as composable options.
+// Package sched is the pluggable packet-scheduler subsystem. It holds a
+// catalogue of named scheduler constructors, the scheduler contract both
+// endpoint stacks dispatch through, and the paper's two
+// receive-buffer-blocking countermeasures (opportunistic retransmission
+// and subflow penalization) as composable options.
 //
 // The paper's implementation section (§6) shows that coupled congestion
 // control alone is not enough on real paths: with a single shared
@@ -21,9 +21,9 @@
 //     that caused the blocking, rate-limited to once per RTT, so it
 //     stops re-filling the buffer with far-ahead segments.
 //
-// One catalogue (below) lists every scheduler's constructor and Info
-// record; New resolves names by internal/registry's rule, and
-// Names/Infos/Help drive CLI help and the schedgrid experiment. The
+// One catalogue (below) lists every scheduler's constructor and
+// registry.Info record; New resolves names by internal/registry's rule,
+// and Names/Infos drive the CLI's -list and the schedgrid experiment. The
 // learned "bandit" entry (learned.go) keeps its frozen policy table
 // beside it.
 //
@@ -133,74 +133,47 @@ func (o Options) String() string {
 	return sb.String()
 }
 
-// Info is the registry metadata of one scheduler.
-type Info struct {
-	// Name is the canonical (lower-case) scheduler name.
-	Name string
-	// Aliases are alternative names accepted by New.
-	Aliases []string
-	// Desc is a one-line description for CLI help and docs.
-	Desc string
-	// Ref names the scheduler's origin (Linux scheduler module, paper).
-	Ref string
-}
-
-type entry struct {
-	Info
-	ctor func() Scheduler
-}
-
-var schedulers = registry.New[entry]("sched", "scheduler")
+var schedulers = registry.New[func() Scheduler]("sched", "scheduler")
 
 // The catalogue, in presentation order. Every constructor returns a
 // fresh instance per call.
 func init() {
-	for _, e := range []entry{
-		{Info{Name: "firstfit", Aliases: []string{"stripe", "fill"}, Ref: "paper §6 striping",
-			Desc: "fill subflows with window space in configuration order"},
-			func() Scheduler { return FirstFit{} }},
-		{Info{Name: "minrtt", Aliases: []string{"lowrtt", "default"}, Ref: "Linux mptcp_sched default",
-			Desc: "prefer the subflow with the smallest smoothed RTT"},
-			func() Scheduler { return MinRTT{} }},
-		{Info{Name: "roundrobin", Aliases: []string{"rr"}, Ref: "Linux mptcp_rr",
-			Desc: "rotate segments across subflows by least segments assigned"},
-			func() Scheduler { return RoundRobin{} }},
-		{Info{Name: "wcwnd", Aliases: []string{"weighted", "maxspace"}, Ref: "cwnd-weighted striping",
-			Desc: "prefer the subflow with the most free congestion-window space"},
-			func() Scheduler { return WeightedCwnd{} }},
-		{Info{Name: "redundant", Aliases: []string{"dup"}, Ref: "Linux mptcp_redundant",
-			Desc: "duplicate every segment on all subflows with window space"},
-			func() Scheduler { return Redundant{} }},
-		{Info{Name: "blest", Aliases: []string{"blocking-estimation"}, Ref: "Ferlin et al., BLEST (IFIP Networking 2016)",
-			Desc: "minRTT that skips a slow subflow when sending on it would HoL-block the shared receive buffer"},
-			func() Scheduler { return &BLEST{} }},
-		{Info{Name: "bandit", Aliases: []string{"learned"}, Ref: "learned scheduling, cf. arXiv:2309.09372",
-			Desc: "offline-trained contextual bandit over SRTT ratio, cwnd headroom and receive-window pressure"},
-			func() Scheduler { return Bandit{&trainedBandit} }},
-	} {
-		schedulers.Add(e, e.Name, e.Aliases...)
-	}
+	schedulers.Add(registry.Info{Name: "firstfit", Aliases: []string{"stripe", "fill"}, Ref: "paper §6 striping",
+		Desc: "fill subflows with window space in configuration order"},
+		func() Scheduler { return FirstFit{} })
+	schedulers.Add(registry.Info{Name: "minrtt", Aliases: []string{"lowrtt", "default"}, Ref: "Linux mptcp_sched default",
+		Desc: "prefer the subflow with the smallest smoothed RTT"},
+		func() Scheduler { return MinRTT{} })
+	schedulers.Add(registry.Info{Name: "roundrobin", Aliases: []string{"rr"}, Ref: "Linux mptcp_rr",
+		Desc: "rotate segments across subflows by least segments assigned"},
+		func() Scheduler { return RoundRobin{} })
+	schedulers.Add(registry.Info{Name: "wcwnd", Aliases: []string{"weighted", "maxspace"}, Ref: "cwnd-weighted striping",
+		Desc: "prefer the subflow with the most free congestion-window space"},
+		func() Scheduler { return WeightedCwnd{} })
+	schedulers.Add(registry.Info{Name: "redundant", Aliases: []string{"dup"}, Ref: "Linux mptcp_redundant",
+		Desc: "duplicate every segment on all subflows with window space"},
+		func() Scheduler { return Redundant{} })
+	schedulers.Add(registry.Info{Name: "blest", Aliases: []string{"blocking-estimation"}, Ref: "Ferlin et al., BLEST (IFIP Networking 2016)",
+		Desc: "minRTT that skips a slow subflow when sending on it would HoL-block the shared receive buffer"},
+		func() Scheduler { return &BLEST{} })
+	schedulers.Add(registry.Info{Name: "bandit", Aliases: []string{"learned"}, Ref: "learned scheduling, cf. arXiv:2309.09372",
+		Desc: "offline-trained contextual bandit over SRTT ratio, cwnd headroom and receive-window pressure"},
+		func() Scheduler { return Bandit{&trainedBandit} })
 }
 
 // New constructs a fresh instance of the scheduler registered under
 // name (or one of its aliases).
 func New(name string) (Scheduler, error) {
-	e, err := schedulers.Lookup(name)
+	ctor, err := schedulers.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return e.ctor(), nil
+	return ctor(), nil
 }
 
 // MustNew is New for callers with a statically known name; it panics on
 // lookup failure.
-func MustNew(name string) Scheduler {
-	s, err := New(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
+func MustNew(name string) Scheduler { return registry.Must(New(name)) }
 
 // Parse resolves a scheduler spec of the form
 //
@@ -247,20 +220,5 @@ func Canonical(spec string) (string, error) {
 // Names lists the canonical scheduler names in catalogue order.
 func Names() []string { return schedulers.Names() }
 
-// Infos returns the registered metadata in the same order as Names.
-func Infos() []Info {
-	var out []Info
-	for _, e := range schedulers.Entries() {
-		out = append(out, e.Info)
-	}
-	return out
-}
-
-// Help renders a one-line-per-scheduler summary for CLI usage text.
-func Help() string {
-	var sb strings.Builder
-	for _, info := range Infos() {
-		fmt.Fprintf(&sb, "  %-12s %s (%s)\n", info.Name, info.Desc, info.Ref)
-	}
-	return sb.String()
-}
+// Infos returns the catalogue's metadata records in Names order.
+func Infos() []registry.Info { return schedulers.Infos() }

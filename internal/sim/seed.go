@@ -1,6 +1,7 @@
 // Derived-seed discipline shared by the parallel cell runner
 // (internal/exp.CellSeed), the sharded engine (DomainSeed) and the chaos
 // harness.
+
 package sim
 
 // MixSeed derives the child seed for unit idx of a run whose base seed

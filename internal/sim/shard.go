@@ -13,7 +13,7 @@
 // message sent during an epoch can never be due before the next
 // barrier, so no domain ever receives an event in its past. Partitioning
 // pays without threads: many small heaps are cheaper to run than one
-// large one (DESIGN.md §12).
+// large one (DESIGN.md §2).
 
 package sim
 

@@ -1,7 +1,7 @@
-// Package topo builds the network topologies of the paper's evaluation:
-// ad-hoc wired scenarios (§2, §3, §5), the five-link torus of Fig. 7,
-// the dual-homed server of §3, the WiFi/3G wireless client of §5, and
-// the FatTree and BCube data centres of §4.
+// Package topo builds the network topologies of the paper's evaluation.
+// They are ad-hoc wired scenarios (§2, §3, §5), the five-link torus of
+// Fig. 7, the dual-homed server of §3, the WiFi/3G wireless client of
+// §5, and the FatTree and BCube data centres of §4.
 //
 // All topologies are expressed as directed netsim.Links assembled into
 // transport.Paths. A Duplex is the basic building block: a pair of

@@ -28,7 +28,7 @@ func appendMeta(b []byte, conn int32, label string, events int, dropped int64) [
 }
 
 // appendEvent appends one event line. Field sets are fixed per kind so
-// the schema (DESIGN.md §11) is enumerable.
+// the schema (DESIGN.md §17) is enumerable.
 func appendEvent(b []byte, ev Event) []byte {
 	b = append(b, `{"ev":"`...)
 	b = append(b, ev.Kind.String()...)

@@ -1,9 +1,9 @@
-// Package trace is the structured, time-aware protocol tracer behind
-// the repo's time-resolved evaluation: the paper's §4–§6 figures are
+// Package trace is the structured, time-aware protocol tracer of both
+// endpoint stacks and the netsim links. The paper's §4–§6 figures are
 // built from per-subflow trajectories of cwnd, srtt and loss/recovery
 // events over time, and this package records exactly those trajectories
-// from both endpoint stacks (internal/transport on simulated time,
-// internal/mptcpnet on wall clock) and from the netsim links.
+// (internal/transport on simulated time, internal/mptcpnet on wall
+// clock).
 //
 // # Design
 //

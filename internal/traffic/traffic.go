@@ -1,8 +1,8 @@
 // Package traffic provides the workload generators used in the paper's
-// evaluation: on/off constant-bit-rate interference (§3, Fig. 9), Poisson
-// flow arrivals with Pareto-distributed sizes (§3's server experiment),
-// and the data-centre traffic patterns TP1/TP2/TP3 of §4 (permutation
-// and sparse matrices over a host set).
+// evaluation. They are on/off constant-bit-rate interference (§3, Fig.
+// 9), Poisson flow arrivals with Pareto-distributed sizes (§3's server
+// experiment), and the data-centre traffic patterns TP1/TP2/TP3 of §4
+// (permutation and sparse matrices over a host set).
 //
 // Generators draw all randomness from the rand.Rand the caller passes —
 // in experiments, one derived from the cell seed — and drive

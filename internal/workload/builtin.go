@@ -1,6 +1,9 @@
 package workload
 
-import "mptcp/internal/sim"
+import (
+	"mptcp/internal/registry"
+	"mptcp/internal/sim"
+)
 
 // scaledPkts converts a packets-per-second intensity into a per-unit
 // size for a unit lasting d, with a floor so tiny scaled runs still
@@ -21,25 +24,21 @@ func init() {
 	// elephant) scale with T instead, keeping the offered load in
 	// packets per second meaningful against the fixed link speeds.
 	// Listed alphabetically: this is the appgrid's workload axis.
-	for _, b := range []Info{
-		{"mice", "mice-and-elephants: Poisson mice (60 over T, Pareto mean 30 pkts) vs one back-to-back elephant; metric: mouse completion time",
-			func(T sim.Time) Workload {
-				return Mice{Rate: 60 / T.Seconds(), MeanPkts: 30, Elephants: 1, ElephantPkts: scaledPkts(70, T, 50)}
-			}},
-		{"rpc", "closed-loop RPC: 4 clients, 8-packet requests, exponential think (mean T/150); metric: request latency",
-			func(T sim.Time) Workload {
-				return RPC{Sessions: 4, ThinkMean: T / 150, ReqPkts: 8}
-			}},
-		{"video", "DASH streaming: 2 players, chunk = T/30 of media at ~100 pkt/s, startup 2, buffer cap 5 chunks; metric: rebuffer ratio",
-			func(T sim.Time) Workload {
-				chunk := T / 30
-				return Video{Sessions: 2, ChunkPkts: scaledPkts(100, chunk, 2), ChunkDur: chunk, Startup: 2, AheadMax: 5}
-			}},
-		{"web", "page browsing: 3 users fetching dependency-ordered object graphs, think mean T/60; metric: page-load time",
-			func(T sim.Time) Workload {
-				return Web{Sessions: 3, ThinkMean: T / 60}
-			}},
-	} {
-		workloads.Add(b, b.Name)
-	}
+	workloads.Add(registry.Info{Name: "mice", Desc: "mice-and-elephants: Poisson mice (60 over T, Pareto mean 30 pkts) vs one back-to-back elephant; metric: mouse completion time"},
+		func(T sim.Time) Workload {
+			return Mice{Rate: 60 / T.Seconds(), MeanPkts: 30, Elephants: 1, ElephantPkts: scaledPkts(70, T, 50)}
+		})
+	workloads.Add(registry.Info{Name: "rpc", Desc: "closed-loop RPC: 4 clients, 8-packet requests, exponential think (mean T/150); metric: request latency"},
+		func(T sim.Time) Workload {
+			return RPC{Sessions: 4, ThinkMean: T / 150, ReqPkts: 8}
+		})
+	workloads.Add(registry.Info{Name: "video", Desc: "DASH streaming: 2 players, chunk = T/30 of media at ~100 pkt/s, startup 2, buffer cap 5 chunks; metric: rebuffer ratio"},
+		func(T sim.Time) Workload {
+			chunk := T / 30
+			return Video{Sessions: 2, ChunkPkts: scaledPkts(100, chunk, 2), ChunkDur: chunk, Startup: 2, AheadMax: 5}
+		})
+	workloads.Add(registry.Info{Name: "web", Desc: "page browsing: 3 users fetching dependency-ordered object graphs, think mean T/60; metric: page-load time"},
+		func(T sim.Time) Workload {
+			return Web{Sessions: 3, ThinkMean: T / 60}
+		})
 }

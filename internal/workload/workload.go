@@ -1,8 +1,8 @@
-// Package workload is the application layer of the simulator: closed-
-// loop request/response traffic, web-page object graphs, chunked video
-// streaming and mixed mice-and-elephants file transfer, all expressed
-// against one tiny spawning interface so the same workload can run over
-// any topology, scheduler and congestion controller.
+// Package workload is the application layer of the simulator. It
+// expresses closed-loop request/response traffic, web-page object
+// graphs, chunked video streaming and mixed mice-and-elephants file
+// transfer against one tiny spawning interface, so the same workload can
+// run over any topology, scheduler and congestion controller.
 //
 // The paper evaluates congestion control with long-running flows, but
 // the dynamics users feel — page-load time, RPC tail latency, video
@@ -88,40 +88,18 @@ type Workload interface {
 
 // --- the catalogue of named workload builders ----------------------------
 
-// Info is one named workload builder. The builder receives the run's
-// issuing horizon T (already scaled by the caller) and lays its rates
-// and think times out as fractions of T, so the offered load is
-// independent of scale.
-type Info struct {
-	Name  string
-	Desc  string
-	build func(T sim.Time) Workload
-}
-
-var workloads = registry.New[Info]("workload", "workload")
+// workloads holds one builder per named workload. A builder receives the
+// run's end time T (already scaled by the caller) and lays its script
+// out as fractions of T, so what it does per run is the same at every
+// scale.
+var workloads = registry.New[func(T sim.Time) Workload]("workload", "workload")
 
 // Names lists the registered workloads in catalogue order — the row
 // order of the appgrid experiment.
 func Names() []string { return workloads.Names() }
 
-// Infos returns the registered workloads in Names order.
-func Infos() []Info { return workloads.Entries() }
+// Infos returns the catalogue's metadata records in Names order.
+func Infos() []registry.Info { return workloads.Infos() }
 
 // Build constructs the named workload for a run ending at T.
-func Build(name string, T sim.Time) (Workload, error) {
-	e, err := workloads.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return e.build(T), nil
-}
-
-// MustBuild is Build for names known to be registered; it panics on
-// unknown names.
-func MustBuild(name string, T sim.Time) Workload {
-	w, err := Build(name, T)
-	if err != nil {
-		panic(err.Error())
-	}
-	return w
-}
+func Build(name string, T sim.Time) (Workload, error) { return registry.Build(workloads, name, T) }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mptcp/internal/registry"
 	"mptcp/internal/sim"
 )
 
@@ -30,8 +31,8 @@ func TestRegistry(t *testing.T) {
 		if in.Desc == "" {
 			t.Errorf("workload %s has no description", in.Name)
 		}
-		if w := MustBuild(in.Name, 30*sim.Second); w.Name() != in.Name {
-			t.Errorf("MustBuild(%q).Name() = %q", in.Name, w.Name())
+		if w := registry.Must(Build(in.Name, 30*sim.Second)); w.Name() != in.Name {
+			t.Errorf("registry.Must(Build(%q)).Name() = %q", in.Name, w.Name())
 		}
 	}
 }
@@ -245,7 +246,7 @@ func TestBuiltinsRunToCompletion(t *testing.T) {
 			run := func() *Stats {
 				T := 10 * sim.Second
 				s, env, _ := fakeEnv(5, T, 200*sim.Microsecond)
-				st := MustBuild(name, T).Install(env)
+				st := registry.Must(Build(name, T)).Install(env)
 				s.RunUntil(2 * T)
 				return st
 			}
