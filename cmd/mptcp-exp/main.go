@@ -79,10 +79,17 @@ func newFlags(o *options) *flag.FlagSet {
 }
 
 // check rejects a flag that only -analyze reads when -analyze is off,
-// and a filter that names nothing in its catalogue.
-func (o *options) check() error {
+// any other flag set in fs when it is on, and a filter that names
+// nothing in its catalogue.
+func (o *options) check(fs *flag.FlagSet) error {
+	var err error
 	if o.analyze {
-		return nil
+		fs.Visit(func(f *flag.Flag) {
+			if err == nil && f.Name != "analyze" && f.Name != "diff" && f.Name != "csv" {
+				err = fmt.Errorf("-%s does not apply to -analyze", f.Name)
+			}
+		})
+		return err
 	}
 	switch {
 	case o.diff:
@@ -90,7 +97,6 @@ func (o *options) check() error {
 	case o.csv != "":
 		return errors.New("-csv requires -analyze")
 	}
-	var err error
 	if o.scenario != "" {
 		_, err = scenario.Build(o.scenario, 1)
 	}
@@ -131,7 +137,7 @@ func main() {
 	if o.exp != "" {
 		id = o.exp
 	}
-	if err := o.check(); err != nil {
+	if err := o.check(fs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -25,6 +25,9 @@ import (
 	"time"
 
 	"mptcp/internal/chaos"
+	"mptcp/internal/chaos/harness"
+	"mptcp/internal/scenario"
+	"mptcp/internal/sim"
 )
 
 var (
@@ -106,27 +109,13 @@ func TestE2EBinaryTransferOverFlappingRelay(t *testing.T) {
 		relays = append(relays, r)
 	}
 
-	stopFlap := make(chan struct{})
-	defer close(stopFlap)
-	go func() {
-		tick := time.NewTicker(30 * time.Millisecond)
-		defer tick.Stop()
-		killed := false
-		for {
-			select {
-			case <-stopFlap:
-				relays[1].Path().Heal()
-				return
-			case <-tick.C:
-				if killed {
-					relays[1].Path().Heal()
-				} else {
-					relays[1].Path().Kill()
-				}
-				killed = !killed
-			}
-		}
-	}()
+	// Relay 1 is down 30 ms of every 60 until the test ends.
+	clock := harness.NewClock()
+	defer clock.Stop()
+	flap := scenario.PeriodicFlap{Link: 0, Start: 30 * sim.Millisecond, End: sim.Time(time.Hour),
+		Period: 60 * sim.Millisecond, Down: 30 * sim.Millisecond}
+	scenario.Scenario{Name: "relay-flap", Directives: []scenario.Directive{flap}}.MustInstall(&scenario.Env{
+		Clock: clock, Links: []scenario.Link{harness.Link{Name: "relay1", Paths: []*chaos.Path{relays[1].Path()}}}})
 
 	var toAddrs []string
 	for _, r := range relays {

@@ -8,9 +8,10 @@
 //     datagrams: delay/jitter, i.i.d. loss, Gilbert–Elliott burst loss,
 //     reordering, duplication, bit corruption and a token-bucket rate
 //     limit, all driven by one seeded rng so a failing run reproduces
-//     from its seed. Kill/Heal model a radio vanishing and returning.
-//   - Director mutates a fleet of Paths over time — either a scripted
-//     kill/heal Schedule or a seeded random walk — logging every action.
+//     from its seed. SetDown models a radio vanishing and returning.
+//   - Director mutates a fleet of Paths by a seeded random walk (the
+//     fuzzing mode), logging every action. Scripted conditions are
+//     scenario scripts, bound to Paths by chaos/harness.
 //   - Relay is a store-nothing UDP forwarder that interposes a Path
 //     between two real processes, so even a sender and receiver that
 //     know nothing about this package can be tested under chaos.
@@ -19,7 +20,8 @@
 //
 // The companion packages chaos/leak (goroutine snapshot-diff leak
 // detector) and chaos/harness (N-socket transfer harness asserting the
-// liveness and integrity invariants) complete the test stack; see
+// liveness and integrity invariants, and the wall Clock and Link that
+// run internal/scenario scripts on Paths) complete the test stack; see
 // TESTING.md at the repo root.
 package chaos
 

@@ -3,56 +3,8 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 )
-
-// Step is one scripted action against a named path group: at offset At
-// from script start, kill or heal every path in the group (a group is
-// typically both directions of one subflow, so killing it is a
-// partition).
-type Step struct {
-	At   time.Duration
-	Kill bool // true = kill the group, false = heal it
-	Name string
-}
-
-// Script is a deterministic kill/heal schedule keyed by group name. Play
-// sorts steps by time and applies them until done or stopped.
-type Script []Step
-
-// Play runs the script against the named groups, blocking until the last
-// step fires or stop closes. Unknown group names are ignored (logged).
-func (s Script) Play(groups map[string][]*Path, log *Log, stop <-chan struct{}) {
-	sorted := append(Script(nil), s...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	start := time.Now()
-	for _, st := range sorted {
-		wait := time.Until(start.Add(st.At))
-		if wait > 0 {
-			select {
-			case <-stop:
-				return
-			case <-time.After(wait):
-			}
-		}
-		paths, ok := groups[st.Name]
-		if !ok {
-			log.Emit(Event{Ev: "script-unknown-group", Path: st.Name})
-			continue
-		}
-		ev := "heal"
-		for _, p := range paths {
-			if st.Kill {
-				p.Kill()
-				ev = "kill"
-			} else {
-				p.Heal()
-			}
-		}
-		log.Emit(Event{Ev: ev, Path: st.Name, Detail: "scripted"})
-	}
-}
 
 // Group is a set of Paths the director treats as one unit — both
 // directions of a subflow, so a kill is a partition of that subflow.
@@ -105,7 +57,7 @@ func (d *Director) Run(stop <-chan struct{}) {
 func (d *Director) HealAll() {
 	for _, g := range d.Groups {
 		for _, p := range g.Paths {
-			p.Heal()
+			p.SetDown(false)
 			p.Update(func(c *PathConfig) {
 				c.LossRate = 0
 				c.GE = nil
@@ -128,12 +80,12 @@ func (d *Director) mutate() {
 			return
 		}
 		for _, p := range g.Paths {
-			p.Kill()
+			p.SetDown(true)
 		}
 		d.Log.Emit(Event{Ev: "kill", Path: g.Name})
 	case verb < 0.40: // heal (over-weighted: kills must not accumulate)
 		for _, p := range g.Paths {
-			p.Heal()
+			p.SetDown(false)
 		}
 		d.Log.Emit(Event{Ev: "heal", Path: g.Name})
 	case verb < 0.55: // loss step, bursty or i.i.d.

@@ -1,7 +1,7 @@
 // Package harness runs fleets of concurrent mptcpnet transfers over real
-// UDP sockets while a chaos director mutates path conditions. It asserts
-// the invariants that make the stack a usable transport rather than a
-// demo:
+// UDP sockets while a chaos director, or a scenario script on a wall
+// Clock, mutates path conditions. It asserts the invariants that make
+// the stack a usable transport rather than a demo:
 //
 //  1. Liveness: every transfer resolves within its deadline — it either
 //     completes or fails with an explicit error. Silent stalls are
@@ -30,6 +30,7 @@ import (
 	"mptcp/internal/chaos"
 	"mptcp/internal/chaos/leak"
 	"mptcp/internal/mptcpnet"
+	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 )
 
@@ -45,10 +46,11 @@ type Config struct {
 	Tick        time.Duration // director tick (default 20ms)
 	WaitTimeout time.Duration // per-transfer resolution bound (default 60s)
 
-	// KillAll switches to the terminal scenario: after KillDelay every
-	// path of every connection is killed and stays dead. The invariant
-	// flips — every transfer must FAIL with an explicit error (the
-	// sender's give-up paths), and teardown must still leak nothing.
+	// KillAll switches to the terminal scenario, in place of Scenario: a
+	// script that takes every path of every connection down at
+	// KillDelay. The invariant flips — every transfer must FAIL with an
+	// explicit error (the sender's give-up paths), and teardown must
+	// still leak nothing.
 	KillAll   bool
 	KillDelay time.Duration // default 50ms
 
@@ -60,9 +62,11 @@ type Config struct {
 	// mutates on top of it.
 	SenderPath *chaos.PathConfig
 
-	// Script, when non-empty, is a deterministic kill/heal schedule
-	// played alongside the director; group names are "s<socket>-p<path>".
-	Script chaos.Script
+	// Scenario, when non-empty, replaces the director: it is installed
+	// on every connection, link i being path i (a Link named
+	// "s<socket>-p<path>"), on one wall Clock started with the run.
+	// Directives that need the simulator fail the run at install.
+	Scenario scenario.Scenario
 
 	LogW io.Writer // optional JSONL event sink (chaos.Log schema)
 }
@@ -110,8 +114,7 @@ func (c *Config) defaults() {
 // wrappers, and the endpoints.
 type socket struct {
 	id     int
-	sPaths []*chaos.Path // sender-side (data direction)
-	rPaths []*chaos.Path // receiver-side (ACK direction)
+	groups []chaos.Group // path i: {data direction, ACK direction}
 	tx     *mptcpnet.Sender
 	rx     *mptcpnet.Receiver
 	data   []byte
@@ -142,21 +145,38 @@ func Run(cfg Config) (*Result, error) {
 		log.Emit(chaos.Event{Ev: "violation", Seed: cfg.Seed, Detail: msg})
 	}
 
-	// Build every socket over real loopback UDP.
+	scn := cfg.Scenario
+	if cfg.KillAll {
+		scn = scenario.Scenario{Name: "kill-all"}
+		for i := 0; i < cfg.Paths; i++ {
+			scn.Directives = append(scn.Directives, scenario.LinkDown{Link: i, At: sim.Time(cfg.KillDelay)})
+		}
+	}
+	clock := NewClock()
+
+	// Build every socket over real loopback UDP, and script its paths.
 	var sockets []*socket
 	var groups []chaos.Group
 	var allPaths []*chaos.Path
 	for k := 0; k < cfg.Sockets; k++ {
-		sk, gs, err := buildSocket(k, cfg)
+		sk, err := buildSocket(k, cfg)
+		if err == nil { // script the socket: link i is path group i
+			sockets = append(sockets, sk)
+			env := &scenario.Env{Clock: clock}
+			for _, g := range sk.groups {
+				env.Links = append(env.Links, Link{Name: g.Name, Paths: g.Paths, Log: log})
+			}
+			err = scn.Install(env)
+		}
 		if err != nil {
+			clock.Stop()
 			for _, s := range sockets {
 				s.teardown()
 			}
 			return nil, fmt.Errorf("seed=%d: socket %d setup: %w", cfg.Seed, k, err)
 		}
-		sockets = append(sockets, sk)
-		groups = append(groups, gs...)
-		for _, g := range gs {
+		groups = append(groups, sk.groups...)
+		for _, g := range sk.groups {
 			allPaths = append(allPaths, g.Paths...)
 		}
 	}
@@ -168,43 +188,16 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(sk *socket) {
 			defer wg.Done()
-			outcomes <- sk.run(cfg, log)
+			outcomes <- sk.run(cfg)
 		}(sk)
 	}
 
-	// Launch the chaos: a random-walk director, or the terminal kill-all.
-	stop := make(chan struct{})
+	// Without a script, a random-walk director mutates the paths.
 	var chaosWG sync.WaitGroup
-	// The script outlives the director's churn window (its own steps say
-	// when it ends); scriptStop only unblocks it if the run bails early.
-	scriptStop := make(chan struct{})
-	if len(cfg.Script) > 0 {
-		pathsOf := make(map[string][]*chaos.Path, len(groups))
-		for _, g := range groups {
-			pathsOf[g.Name] = g.Paths
-		}
-		chaosWG.Add(1)
-		go func() {
-			defer chaosWG.Done()
-			cfg.Script.Play(pathsOf, log, scriptStop)
-		}()
-	}
-	chaosWG.Add(1)
-	if cfg.KillAll {
-		go func() {
-			defer chaosWG.Done()
-			select {
-			case <-stop:
-				return
-			case <-time.After(cfg.KillDelay):
-			}
-			for _, p := range allPaths {
-				p.Kill()
-			}
-			log.Emit(chaos.Event{Ev: "kill-all"})
-		}()
-	} else {
+	if len(scn.Directives) == 0 {
+		stop := make(chan struct{})
 		d := chaos.NewDirector(groups, cfg.Tick, sim.MixSeed(cfg.Seed, 0), log)
+		chaosWG.Add(1)
 		go func() {
 			defer chaosWG.Done()
 			d.Run(stop)
@@ -227,7 +220,7 @@ func Run(cfg Config) (*Result, error) {
 				res.Errored++
 				log.Emit(chaos.Event{Ev: "xfer-error", Socket: o.socket, Err: o.err.Error()})
 				if !cfg.KillAll {
-					violate("socket %d failed under survivable chaos (a protected path stayed up): %v", o.socket, o.err)
+					violate("socket %d failed under survivable chaos: %v", o.socket, o.err)
 				}
 			case !o.integrity:
 				violate("socket %d completed but delivered %d/%d bytes or a corrupted stream", o.socket, o.got, cfg.Bytes)
@@ -243,10 +236,7 @@ func Run(cfg Config) (*Result, error) {
 			resolved = len(sockets) // bail; teardown below unwedges the stragglers
 		}
 	}
-	if cfg.KillAll {
-		close(stop)
-	}
-	close(scriptStop)
+	clock.Stop()
 
 	// Teardown: close every chaos path (and with it the real sockets),
 	// then the endpoints; the leak check below proves it all unwound.
@@ -309,23 +299,22 @@ func RunT(t *testing.T, cfg Config) *Result {
 // survivable, anchoring the completion invariant. Socket k's rngs derive
 // from sim.MixSeed(cfg.Seed, 1+k), index 0 being the director's: path i
 // takes indices 2i and 2i+1 below it, the payload the next one.
-func buildSocket(k int, cfg Config) (*socket, []chaos.Group, error) {
+func buildSocket(k int, cfg Config) (*socket, error) {
 	seed := sim.MixSeed(cfg.Seed, 1+k)
 	sk := &socket{id: k}
 	var sConns, rConns []net.PacketConn
 	var remotes []net.Addr
-	var groups []chaos.Group
 	for i := 0; i < cfg.Paths; i++ {
 		sRaw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 		if err != nil {
 			sk.teardownPaths()
-			return nil, nil, err
+			return nil, err
 		}
 		rRaw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 		if err != nil {
 			sRaw.Close()
 			sk.teardownPaths()
-			return nil, nil, err
+			return nil, err
 		}
 		sCfg := chaos.PathConfig{Delay: time.Millisecond}
 		if cfg.SenderPath != nil {
@@ -333,12 +322,10 @@ func buildSocket(k int, cfg Config) (*socket, []chaos.Group, error) {
 		}
 		sPath := chaos.New(sRaw, sCfg, sim.MixSeed(seed, 2*i))
 		rPath := chaos.New(rRaw, chaos.PathConfig{Delay: time.Millisecond}, sim.MixSeed(seed, 2*i+1))
-		sk.sPaths = append(sk.sPaths, sPath)
-		sk.rPaths = append(sk.rPaths, rPath)
 		sConns = append(sConns, sPath)
 		rConns = append(rConns, rPath)
 		remotes = append(remotes, rRaw.LocalAddr())
-		groups = append(groups, chaos.Group{
+		sk.groups = append(sk.groups, chaos.Group{
 			Name:      fmt.Sprintf("s%d-p%d", k, i),
 			Paths:     []*chaos.Path{sPath, rPath},
 			Protected: i == 0,
@@ -349,13 +336,13 @@ func buildSocket(k int, cfg Config) (*socket, []chaos.Group, error) {
 	sk.tx = mptcpnet.NewSender(connID, sConns, remotes, cfg.Net)
 	sk.data = make([]byte, cfg.Bytes)
 	rand.New(rand.NewSource(sim.MixSeed(seed, 2*cfg.Paths))).Read(sk.data)
-	return sk, groups, nil
+	return sk, nil
 }
 
 // run drives one transfer to resolution: sender writes, closes and
 // waits; reader drains to EOF and hashes. Returns when the transfer
 // completed, failed with an error, or the deadline passed (stall).
-func (sk *socket) run(cfg Config, log *chaos.Log) outcome {
+func (sk *socket) run(cfg Config) outcome {
 	wantSum := sha256.Sum256(sk.data)
 
 	werr := make(chan error, 1)
@@ -428,10 +415,9 @@ func (sk *socket) teardown() {
 }
 
 func (sk *socket) teardownPaths() {
-	for _, p := range sk.sPaths {
-		p.Close()
-	}
-	for _, p := range sk.rPaths {
-		p.Close()
+	for _, g := range sk.groups {
+		for _, p := range g.Paths {
+			p.Close()
+		}
 	}
 }

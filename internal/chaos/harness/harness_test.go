@@ -10,12 +10,16 @@ package harness
 
 import (
 	"flag"
+	"sync"
 	"testing"
 	"time"
 
 	"mptcp/internal/chaos"
 	"mptcp/internal/mptcpnet"
+	"mptcp/internal/registry"
+	"mptcp/internal/scenario"
 	"mptcp/internal/sched"
+	"mptcp/internal/sim"
 )
 
 var chaosSeed = flag.Int64("chaos.seed", 0,
@@ -148,38 +152,87 @@ func TestChaosAllPathsDeadGivesUp(t *testing.T) {
 	}
 }
 
-// TestChaosScriptedPartition uses a deterministic kill/heal script rather
-// than the random director: one subflow partitioned for a fixed window
-// mid-transfer, exercising reinjection and recovery on a schedule.
+// TestChaosScriptedPartition uses a scenario script rather than the
+// random director: one subflow of every connection partitioned for a
+// fixed window mid-transfer, exercising reinjection and recovery on a
+// schedule.
 func TestChaosScriptedPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos run")
 	}
-	seed := seedFor(t) + 57
-	// The harness's random director is disabled by a zero-length churn;
-	// the script drives the partition instead.
-	res, err := Run(Config{
+	res := RunT(t, Config{
 		Sockets: 2,
 		Paths:   2,
 		Bytes:   128 << 10,
-		Seed:    seed,
-		Churn:   time.Millisecond,
+		Seed:    seedFor(t) + 57,
 		// ~8 Mb/s per path so the transfer spans the partition window.
 		SenderPath: &chaos.PathConfig{Delay: time.Millisecond, RateBps: 8e6},
-		Script: chaos.Script{
-			{At: 15 * time.Millisecond, Kill: true, Name: "s0-p1"},
-			{At: 15 * time.Millisecond, Kill: true, Name: "s1-p1"},
-			{At: 500 * time.Millisecond, Kill: false, Name: "s0-p1"},
-			{At: 500 * time.Millisecond, Kill: false, Name: "s1-p1"},
-		},
+		Scenario: scenario.Scenario{Name: "partition", Directives: []scenario.Directive{
+			scenario.LinkDown{Link: 1, At: 15 * sim.Millisecond},
+			scenario.LinkUp{Link: 1, At: 500 * sim.Millisecond},
+		}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Error(v)
-	}
 	if res.Completed != 2 {
 		t.Errorf("completed %d/2 transfers through the scripted partition", res.Completed)
+	}
+}
+
+// TestChaosScenarioBuiltins runs the simulator's flap and handover
+// scripts, unchanged, on the real stack: every connection's path 0 flaps
+// (or dies and returns, while path 1 slows down) under rate-limited
+// paths that make each transfer span the script. Every transfer must
+// complete byte-exact, and the scripted kills must have cut traffic.
+func TestChaosScenarioBuiltins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second chaos run")
+	}
+	for i, name := range []string{"flap", "handover"} {
+		t.Run(name, func(t *testing.T) {
+			res := RunT(t, Config{
+				Sockets:    2,
+				Paths:      2,
+				Bytes:      384 << 10,
+				Seed:       seedFor(t) + 71 + int64(i),
+				SenderPath: &chaos.PathConfig{Delay: time.Millisecond, RateBps: 4e6},
+				Scenario:   registry.Must(scenario.Build(name, 600*sim.Millisecond)),
+			})
+			if res.Completed != 2 {
+				t.Errorf("completed %d/2 transfers under %s", res.Completed, name)
+			}
+			if res.PathStats.Dropped == 0 {
+				t.Errorf("%s dropped nothing: the scripted outage missed the transfer", name)
+			}
+		})
+	}
+}
+
+// TestChaosClockStop: a stopped Clock runs nothing more — neither what
+// was pending nor what is scheduled after — and Stop returns only once
+// a callback already running has finished.
+func TestChaosClockStop(t *testing.T) {
+	c := NewClock()
+	var mu sync.Mutex
+	var fired []string
+	note := func(s string) func() {
+		return func() { mu.Lock(); fired = append(fired, s); mu.Unlock() }
+	}
+	running := make(chan struct{})
+	c.At(0, func() {
+		close(running)
+		time.Sleep(20 * time.Millisecond)
+		note("running")()
+	})
+	c.At(sim.Time(time.Hour), note("pending"))
+	<-running
+	c.Stop()
+	c.At(0, note("late"))
+	mu.Lock()
+	got := append([]string(nil), fired...)
+	mu.Unlock()
+	time.Sleep(20 * time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 1 || got[0] != "running" || len(fired) != 1 {
+		t.Errorf("fired %v by Stop's return, %v after; want [running] both times", got, fired)
 	}
 }

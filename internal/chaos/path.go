@@ -75,18 +75,12 @@ func New(conn net.PacketConn, cfg PathConfig, seed int64) *Path {
 	}
 }
 
-// Kill makes the path eat every datagram — the radio is gone. Reads still
-// pass through (a dead transmitter does not deafen the receiver).
-func (p *Path) Kill() {
+// SetDown kills the path, which then eats every datagram — the radio is
+// gone — or heals it. Reads still pass through (a dead transmitter does
+// not deafen the receiver).
+func (p *Path) SetDown(down bool) {
 	p.mu.Lock()
-	p.killed = true
-	p.mu.Unlock()
-}
-
-// Heal reverses Kill.
-func (p *Path) Heal() {
-	p.mu.Lock()
-	p.killed = false
+	p.killed = down
 	p.mu.Unlock()
 }
 

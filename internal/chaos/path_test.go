@@ -106,7 +106,7 @@ func TestPathKillHeal(t *testing.T) {
 	s := newSink()
 	p := New(s, PathConfig{}, 1)
 	defer p.Close()
-	p.Kill()
+	p.SetDown(true)
 	write(t, p, 10)
 	if n := len(s.got()); n != 0 {
 		t.Fatalf("killed path delivered %d frames", n)
@@ -114,7 +114,7 @@ func TestPathKillHeal(t *testing.T) {
 	if st := p.Stats(); st.Dropped != 10 {
 		t.Errorf("killed path counted %d drops, want 10", st.Dropped)
 	}
-	p.Heal()
+	p.SetDown(false)
 	write(t, p, 5)
 	if n := len(s.got()); n != 5 {
 		t.Errorf("healed path delivered %d frames, want 5", n)
@@ -446,35 +446,5 @@ func TestRelayForwardsBothWays(t *testing.T) {
 	n, _, err = client.ReadFrom(buf)
 	if err != nil || string(buf[:n]) != "pong" {
 		t.Fatalf("client read %q, %v", buf[:n], err)
-	}
-}
-
-// TestScriptPlaysInOrder: a kill/heal script fires against the named
-// groups at its offsets, regardless of declaration order.
-func TestScriptPlaysInOrder(t *testing.T) {
-	s := newSink()
-	p := New(s, PathConfig{}, 8)
-	defer p.Close()
-	groups := map[string][]*Path{"p0": {p}}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		Script{
-			{At: 30 * time.Millisecond, Kill: false, Name: "p0"},
-			{At: 0, Kill: true, Name: "p0"},
-		}.Play(groups, nil, nil)
-	}()
-	killed := func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.killed
-	}
-	time.Sleep(10 * time.Millisecond)
-	if !killed() {
-		t.Error("path not killed by the t=0 step")
-	}
-	<-done
-	if killed() {
-		t.Error("path not healed by the final step")
 	}
 }

@@ -231,7 +231,7 @@ func buildFleetGroup(s *sim.Simulator, id int, end sim.Time, algName, schedSpec 
 	g.tick = s.NewTimer(func() { g.sendTransit(end) })
 
 	paths := []transport.Path{topo.PathThrough(g.d1), topo.PathThrough(g.d2)}
-	g.env = &scenario.Env{Sim: s, Net: n, Links: []*topo.Duplex{g.d1, g.d2}}
+	g.env = &scenario.Env{Clock: s, Net: n, Rand: s.Rand(), Links: []scenario.Link{g.d1, g.d2}}
 	complete := g.complete // bound once: every arrival shares it
 	g.env.Spawn = func(pkts int64) {
 		g.pool.Get(transport.Config{

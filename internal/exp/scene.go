@@ -133,14 +133,15 @@ func wifi3gScene(w *world, mp func() transport.Config) *scene {
 // and churn directives spawn single-path transfers by the scene's rule,
 // each a life of one connection pool.
 func (sc *scene) script(w *world, scn scenario.Scenario) *scenario.Env {
-	env := &scenario.Env{Sim: w.s, Net: w.n, Links: sc.links}
+	env := &scenario.Env{Clock: w.s, Net: w.n, Rand: w.s.Rand(), Links: make([]scenario.Link, len(sc.links))}
 	pool := transport.NewConnPool(w.n)
 	done := pool.Put // bound once: every arrival shares it
 	env.Spawn = func(pkts int64) {
 		pool.Get(transport.Config{Paths: sc.churn(), DataPackets: pkts, Tracer: w.tr, OnComplete: done}).Start()
 	}
-	if w.tr != nil {
-		for _, d := range sc.links {
+	for i, d := range sc.links {
+		env.Links[i] = d
+		if w.tr != nil {
 			d.Trace(w.tr)
 		}
 	}

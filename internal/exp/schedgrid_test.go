@@ -7,7 +7,6 @@ import (
 	"mptcp/internal/registry"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
-	"mptcp/internal/topo"
 	"mptcp/internal/transport"
 )
 
@@ -102,7 +101,7 @@ func TestSchedulersSurviveHandover(t *testing.T) {
 				Paths:     wl.Paths(),
 			})
 			mp.Start()
-			env := &scenario.Env{Sim: w.s, Net: w.n, Links: []*topo.Duplex{wl.WiFi, wl.G3}}
+			env := &scenario.Env{Clock: w.s, Net: w.n, Links: []scenario.Link{wl.WiFi, wl.G3}}
 			sc := registry.Must(scenario.Build("handover", end))
 			sc.MustInstall(env)
 			w.s.RunUntil(end - end/10)

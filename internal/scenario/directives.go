@@ -16,12 +16,7 @@ type LinkDown struct {
 }
 
 func (d LinkDown) install(env *Env) error {
-	l, err := env.link(d.Link)
-	if err != nil {
-		return err
-	}
-	env.Sim.At(d.At, func() { l.SetDown(true) })
-	return nil
+	return at(env, d.Link, d.At, func(l Link) { l.SetDown(true) })
 }
 
 // LinkUp restores link Link at At.
@@ -31,11 +26,16 @@ type LinkUp struct {
 }
 
 func (d LinkUp) install(env *Env) error {
-	l, err := env.link(d.Link)
+	return at(env, d.Link, d.At, func(l Link) { l.SetDown(false) })
+}
+
+// at schedules f on env.Links[link] at t.
+func at(env *Env, link int, t sim.Time, f func(Link)) error {
+	l, err := env.link(link)
 	if err != nil {
 		return err
 	}
-	env.Sim.At(d.At, func() { l.SetDown(false) })
+	env.Clock.At(t, func() { f(l) })
 	return nil
 }
 
@@ -58,8 +58,8 @@ func (d DelayStep) install(env *Env) error {
 	if d.Factor <= 0 {
 		return fmt.Errorf("delay factor %v must be positive", d.Factor)
 	}
-	base := l.AB.PropDelay // install-time delay; Duplex keeps both directions equal
-	env.Sim.At(d.At, func() { l.SetDelay(sim.Time(float64(base) * d.Factor)) })
+	base := l.Delay() // install-time delay
+	env.Clock.At(d.At, func() { l.SetDelay(sim.Time(float64(base) * d.Factor)) })
 	return nil
 }
 
@@ -72,15 +72,10 @@ type LossStep struct {
 }
 
 func (d LossStep) install(env *Env) error {
-	l, err := env.link(d.Link)
-	if err != nil {
-		return err
-	}
 	if d.Loss < 0 || d.Loss > 1 {
 		return fmt.Errorf("loss rate %v outside [0,1]", d.Loss)
 	}
-	env.Sim.At(d.At, func() { l.SetLossRate(d.Loss) })
-	return nil
+	return at(env, d.Link, d.At, func(l Link) { l.SetLossRate(d.Loss) })
 }
 
 // RateRamp reschedules link Link's forward (data-direction) line rate
@@ -104,60 +99,41 @@ func (d RateRamp) install(env *Env) error {
 	if err != nil {
 		return err
 	}
-	rate := func(f float64) float64 {
-		if d.Abs {
-			return f
-		}
-		return l.AB.RateBps / 1e6 * f
+	base := 1.0 // the set rate is base × the interpolated value
+	if !d.Abs {
+		base = l.Rate()
 	}
 	if d.Steps <= 1 {
-		target := rate(d.To)
+		target := base * d.To
 		if target <= 0 {
 			return fmt.Errorf("rate %v must be positive", target)
 		}
-		env.Sim.At(d.Start, func() { l.AB.SetRate(target) })
+		env.Clock.At(d.Start, func() { l.SetRate(target) })
 		return nil
 	}
 	if d.End <= d.Start {
 		return fmt.Errorf("ramp needs End > Start (got %v..%v)", d.Start, d.End)
 	}
-	if rate(d.From) <= 0 || rate(d.To) <= 0 {
+	if base*d.From <= 0 || base*d.To <= 0 {
 		return fmt.Errorf("ramp endpoints must give positive rates")
 	}
-	r := &rampRun{link: l, d: d, base: rate(1)}
-	if d.Abs {
-		r.base = 1 // step() multiplies base by the interpolated value
+	n, k := d.Steps-1, 0
+	var step func() // set-point k, then schedule k+1; bound once
+	step = func() {
+		l.SetRate(base * (d.From + (d.To-d.From)*float64(k)/float64(n)))
+		if k++; k <= n {
+			env.Clock.At(d.Start+sim.Time(int64(d.End-d.Start)*int64(k)/int64(n)), step)
+		}
 	}
-	r.tm = env.Sim.NewTimer(r.step)
-	r.tm.ResetAt(d.Start)
+	env.Clock.At(d.Start, step)
 	return nil
-}
-
-// rampRun steps one RateRamp through its set-points on a single
-// rearm-in-place timer, left idle after the last step.
-type rampRun struct {
-	link *topo.Duplex
-	d    RateRamp
-	base float64 // install-time forward rate in Mb/s (1 when Abs)
-	k    int     // next step index, 0..Steps-1
-	tm   *sim.Timer
-}
-
-func (r *rampRun) step() {
-	n := r.d.Steps - 1
-	f := r.d.From + (r.d.To-r.d.From)*float64(r.k)/float64(n)
-	r.link.AB.SetRate(r.base * f)
-	r.k++
-	if r.k <= n {
-		r.tm.ResetAt(r.d.Start + sim.Time(int64(r.d.End-r.d.Start)*int64(r.k)/int64(n)))
-	}
 }
 
 // PeriodicFlap takes link Link down for Down at the start of every
 // Period, from Start until End — the stairwell walked past repeatedly,
 // or an interface that keeps dissociating. The link is always up after
 // the final flap; cycles that would not fit a full Down before End are
-// not started. Runs on one rearm-in-place timer.
+// not started. Keeps one event pending at a time.
 type PeriodicFlap struct {
 	Link       int
 	Start, End sim.Time
@@ -176,33 +152,21 @@ func (d PeriodicFlap) install(env *Env) error {
 	if d.Start+d.Down > d.End {
 		return fmt.Errorf("no flap fits between Start %v and End %v", d.Start, d.End)
 	}
-	f := &flapRun{d: d, link: l, cycle: d.Start}
-	f.tm = env.Sim.NewTimer(f.step)
-	f.tm.ResetAt(d.Start)
+	cycle, down := d.Start, false // the current cycle's start; link state
+	var step func()               // bound once
+	step = func() {
+		down = !down
+		l.SetDown(down)
+		switch {
+		case down:
+			env.Clock.At(cycle+d.Down, step)
+		case cycle+d.Period+d.Down <= d.End:
+			cycle += d.Period
+			env.Clock.At(cycle, step)
+		}
+	}
+	env.Clock.At(d.Start, step)
 	return nil
-}
-
-type flapRun struct {
-	d     PeriodicFlap
-	link  *topo.Duplex
-	cycle sim.Time // start of the current flap cycle
-	down  bool
-	tm    *sim.Timer
-}
-
-func (f *flapRun) step() {
-	if !f.down {
-		f.link.SetDown(true)
-		f.down = true
-		f.tm.ResetAt(f.cycle + f.d.Down)
-		return
-	}
-	f.link.SetDown(false)
-	f.down = false
-	f.cycle += f.d.Period
-	if f.cycle+f.d.Down <= f.d.End {
-		f.tm.ResetAt(f.cycle)
-	}
 }
 
 // BackgroundCBR attaches a bursty on/off constant-bit-rate interferer
@@ -210,7 +174,8 @@ func (f *flapRun) step() {
 // End. The burst rate is RateFactor times the link's
 // forward line rate at install, so the same script saturates a 100 Mb/s
 // access link and a 2 Mb/s radio alike; on/off periods are exponential
-// with the given means.
+// with the given means. It needs a simulated link: Env.Net and a
+// *topo.Duplex.
 type BackgroundCBR struct {
 	Link            int
 	Start, End      sim.Time
@@ -223,8 +188,9 @@ func (d BackgroundCBR) install(env *Env) error {
 	if err != nil {
 		return err
 	}
-	if env.Net == nil {
-		return fmt.Errorf("BackgroundCBR needs Env.Net")
+	dl, ok := l.(*topo.Duplex)
+	if env.Net == nil || !ok {
+		return fmt.Errorf("BackgroundCBR needs Env.Net and a simulated link")
 	}
 	if d.RateFactor <= 0 || d.MeanOn <= 0 || d.MeanOff <= 0 {
 		return fmt.Errorf("CBR needs positive RateFactor and on/off means")
@@ -232,9 +198,9 @@ func (d BackgroundCBR) install(env *Env) error {
 	if d.End <= d.Start {
 		return fmt.Errorf("CBR needs End > Start (got %v..%v)", d.Start, d.End)
 	}
-	cbr := traffic.NewOnOffCBR(env.Net, l.AB.RateBps/1e6*d.RateFactor, d.MeanOn, d.MeanOff, l.AB)
-	env.Sim.At(d.Start, cbr.Start)
-	env.Sim.At(d.End, cbr.Stop)
+	cbr := traffic.NewOnOffCBR(env.Net, dl.Rate()*d.RateFactor, d.MeanOn, d.MeanOff, dl.AB)
+	env.Clock.At(d.Start, cbr.Start)
+	env.Clock.At(d.End, cbr.Stop)
 	return nil
 }
 
@@ -242,9 +208,9 @@ func (d BackgroundCBR) install(env *Env) error {
 // of Rate arrivals per second between Start and End, with
 // Pareto(1.5)-distributed sizes (the paper's file sizes) of mean
 // MeanPkts packets — the §3 flash-crowd/server workload as a reusable
-// script. Arrival gaps and sizes draw from env.Sim.Rand(); arrivals are
-// counted in env.ChurnArrivals. Runs on one rearm-in-place timer,
-// last armed before End.
+// script. Arrival gaps and sizes draw from env.Rand; arrivals are
+// counted in env.ChurnArrivals. Keeps one event pending at a time, the
+// last one before End.
 type FlowChurn struct {
 	Start, End sim.Time
 	Rate       float64 // arrivals per second
@@ -252,8 +218,8 @@ type FlowChurn struct {
 }
 
 func (d FlowChurn) install(env *Env) error {
-	if env.Spawn == nil {
-		return fmt.Errorf("FlowChurn needs Env.Spawn")
+	if env.Spawn == nil || env.Rand == nil {
+		return fmt.Errorf("FlowChurn needs Env.Spawn and Env.Rand")
 	}
 	if d.Rate <= 0 || d.MeanPkts < 1 {
 		return fmt.Errorf("churn needs positive Rate and MeanPkts >= 1")
@@ -261,33 +227,22 @@ func (d FlowChurn) install(env *Env) error {
 	if d.End <= d.Start {
 		return fmt.Errorf("churn needs End > Start (got %v..%v)", d.Start, d.End)
 	}
-	c := &churnRun{env: env, d: d, sizes: traffic.NewParetoMean(1.5, d.MeanPkts)}
-	c.tm = env.Sim.NewTimer(c.step)
-	c.tm.ResetAt(d.Start)
-	return nil
-}
-
-type churnRun struct {
-	env   *Env
-	d     FlowChurn
-	sizes traffic.Pareto
-	tm    *sim.Timer
-}
-
-// step fires once at Start (beginning the process without an arrival)
-// and then once per arrival.
-func (c *churnRun) step() {
-	now := c.env.Sim.Now()
-	if now > c.d.Start {
-		c.env.ChurnArrivals++
-		pkts := int64(c.sizes.Sample(c.env.Sim.Rand()))
-		if pkts < 1 {
-			pkts = 1
+	sizes := traffic.NewParetoMean(1.5, d.MeanPkts)
+	var step func() // once at Start (no arrival), then once per arrival; bound once
+	step = func() {
+		now := env.Clock.Now()
+		if now > d.Start {
+			env.ChurnArrivals++
+			pkts := int64(sizes.Sample(env.Rand))
+			if pkts < 1 {
+				pkts = 1
+			}
+			env.Spawn(pkts)
 		}
-		c.env.Spawn(pkts)
+		if t := now + traffic.PoissonGap(env.Rand, d.Rate); t <= d.End {
+			env.Clock.At(t, step)
+		}
 	}
-	next := now + traffic.PoissonGap(c.env.Sim.Rand(), c.d.Rate)
-	if next <= c.d.End {
-		c.tm.ResetAt(next)
-	}
+	env.Clock.At(d.Start, step)
+	return nil
 }

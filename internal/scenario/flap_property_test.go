@@ -44,7 +44,7 @@ func TestFlapRegrowsEveryAlgorithm(t *testing.T) {
 			})
 			c.Start()
 
-			env := &scenario.Env{Sim: s, Net: nw, Links: []*topo.Duplex{l0, l1}}
+			env := &scenario.Env{Clock: s, Net: nw, Links: []scenario.Link{l0, l1}}
 			registry.Must(scenario.Build("flap", T)).MustInstall(env)
 
 			// During the flap phase the connection must not stall.

@@ -1,8 +1,7 @@
 // Package scenario is the declarative network-dynamics engine. A
 // Scenario is a named list of typed directives — link flaps, rate ramps,
 // delay steps, background interference, flow churn — that compile onto
-// the deterministic event engine of internal/sim and drive any
-// netsim.Net-backed topology.
+// a Clock and drive any set of scriptable Links.
 //
 // The paper's most compelling results (§5: WiFi/3G handover, mobility,
 // flash-crowd dynamics) come from *time-varying* networks. Before this
@@ -11,46 +10,72 @@
 // "handover" script can run against the torus, the dual-homed server or
 // the wireless client, under every registered congestion-control
 // algorithm (the `dynamics` experiment in internal/exp does exactly
-// that).
+// that), and against the real UDP stack's chaos paths
+// (internal/chaos/harness).
 //
 // # Binding and determinism
 //
-// A Scenario is pure data until Install binds it to an Env — one
-// simulated world plus the duplex links a topology exposes for scripting
-// (by index, in the topology's canonical order) and an optional Spawn
-// callback for flow churn. Installing schedules every directive's events
-// on env.Sim; periodic directives (PeriodicFlap, RateRamp, FlowChurn)
-// compile onto one rearm-in-place sim.Timer each and stop rearming it
-// when they finish, so a completed scenario leaves no events behind.
+// A Scenario is pure data until Install binds it to an Env: a Clock,
+// the Links a topology exposes for scripting (by index, in the
+// topology's canonical order) and, for the directives that need the
+// simulator, its Net, random source and a Spawn callback. On the
+// simulator the Clock is the *sim.Simulator itself and the Links are
+// *topo.Duplex; the chaos harness binds wall time and chaos.Path pairs.
+// Installing schedules every directive's events with Clock.At; periodic
+// directives (PeriodicFlap, RateRamp, FlowChurn) keep one pending event
+// each, chaining the next from the step that fires, and stop when they
+// finish, so a completed scenario leaves no events behind.
 //
 // All scenario randomness (churn arrival gaps, Pareto flow sizes, CBR
-// burst lengths) is drawn from env.Sim.Rand() — the world's single
-// seeded source — so a scenario run is exactly as reproducible as the
-// world it runs in: same seed, bit-identical schedule. Directives with
-// relative parameters (rate/delay factors) capture their base values at
-// install time, which makes one scenario meaningful across topologies
-// with very different link speeds.
+// burst lengths) is drawn from the simulated world's single seeded
+// source, so a scenario run is exactly as reproducible as the world it
+// runs in: same seed, bit-identical schedule. Directives with relative
+// parameters (rate/delay factors) capture their base values at install
+// time, which makes one scenario meaningful across topologies with very
+// different link speeds.
 package scenario
 
 import (
 	"fmt"
+	"math/rand"
 
 	"mptcp/internal/netsim"
 	"mptcp/internal/registry"
 	"mptcp/internal/sim"
-	"mptcp/internal/topo"
 )
 
-// Env is the binding target of a scenario: one simulated world and the
-// link set a topology exposes for scripting. Directives reference links
-// by index into Links (the topology's canonical order, e.g. the torus's
-// links A..E, or [WiFi, 3G] for the wireless client).
-type Env struct {
-	Sim *sim.Simulator
-	Net *netsim.Net
+// Clock is the time a scenario runs on: *sim.Simulator, or a wall clock
+// over real sockets. At runs f once at absolute time t.
+type Clock interface {
+	Now() sim.Time
+	At(t sim.Time, f func())
+}
 
-	// Links are the scriptable duplex links, in canonical order.
-	Links []*topo.Duplex
+// Link is one scriptable bidirectional link: *topo.Duplex, or a pair of
+// chaos paths. SetDown, SetDelay and SetLossRate act on both
+// directions; Rate and SetRate are the forward (data) direction's line
+// rate in Mb/s, Delay its propagation delay.
+type Link interface {
+	SetDown(down bool)
+	Delay() sim.Time
+	SetDelay(d sim.Time)
+	Rate() float64
+	SetRate(mbps float64)
+	SetLossRate(p float64)
+}
+
+// Env is the binding target of a scenario: a clock and the link set a
+// topology exposes for scripting. Directives reference links by index
+// into Links (the topology's canonical order, e.g. the torus's links
+// A..E, or [WiFi, 3G] for the wireless client).
+type Env struct {
+	Clock Clock
+	Links []Link
+
+	// Net and Rand are the simulated world's packet network and seeded
+	// random source; BackgroundCBR needs Net, FlowChurn needs Rand.
+	Net  *netsim.Net
+	Rand *rand.Rand
 
 	// Spawn starts one short-lived flow of the given size in packets;
 	// required by FlowChurn, ignored by every other directive. The
@@ -63,7 +88,7 @@ type Env struct {
 	ChurnArrivals int64
 }
 
-func (e *Env) link(i int) (*topo.Duplex, error) {
+func (e *Env) link(i int) (Link, error) {
 	if i < 0 || i >= len(e.Links) {
 		return nil, fmt.Errorf("link %d out of range (env has %d)", i, len(e.Links))
 	}
@@ -87,12 +112,12 @@ type Scenario struct {
 }
 
 // Install validates every directive against env and schedules its
-// events on env.Sim. It must be called before the instants the
+// events on env.Clock. It must be called before the instants the
 // directives reference (scheduling in the past panics in sim);
 // experiments install at time zero, right after building their flows.
 func (s Scenario) Install(env *Env) error {
-	if env == nil || env.Sim == nil {
-		return fmt.Errorf("scenario %s: install needs an Env with a Simulator", s.Name)
+	if env == nil || env.Clock == nil {
+		return fmt.Errorf("scenario %s: install needs an Env with a Clock", s.Name)
 	}
 	for i, d := range s.Directives {
 		if err := d.install(env); err != nil {

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,14 +14,16 @@ import (
 
 // testEnv builds a world with n duplex links (10 Mb/s, 5 ms, 50-pkt
 // buffers) ready for directive scripting.
-func testEnv(seed int64, n int) (*sim.Simulator, *scenario.Env) {
+func testEnv(seed int64, n int) (*sim.Simulator, *scenario.Env, []*topo.Duplex) {
 	s := sim.New(seed)
-	nw := netsim.NewNet(s)
-	env := &scenario.Env{Sim: s, Net: nw}
+	env := &scenario.Env{Clock: s, Net: netsim.NewNet(s), Rand: s.Rand()}
+	var ds []*topo.Duplex
 	for i := 0; i < n; i++ {
-		env.Links = append(env.Links, topo.NewDuplex("l"+string(rune('0'+i)), 10, 5*sim.Millisecond, 50))
+		d := topo.NewDuplex("l"+string(rune('0'+i)), 10, 5*sim.Millisecond, 50)
+		ds = append(ds, d)
+		env.Links = append(env.Links, d)
 	}
-	return s, env
+	return s, env, ds
 }
 
 // TestRegistryBuiltins: every builtin is described, builds a script of
@@ -34,7 +37,7 @@ func TestRegistryBuiltins(t *testing.T) {
 		}
 	}
 	for _, name := range scenario.Names() {
-		_, env := testEnv(1, 2)
+		_, env, _ := testEnv(1, 2)
 		env.Spawn = func(int64) {}
 		sc := registry.Must(scenario.Build(name, 10*sim.Second))
 		if sc.Name != name {
@@ -66,7 +69,7 @@ func TestInstallValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, env := testEnv(1, 2)
+			_, env, _ := testEnv(1, 2)
 			if tc.name != "churn without spawn" {
 				env.Spawn = func(int64) {}
 			}
@@ -79,7 +82,7 @@ func TestInstallValidation(t *testing.T) {
 }
 
 func TestLinkDownUpSchedule(t *testing.T) {
-	s, env := testEnv(1, 1)
+	s, env, ds := testEnv(1, 1)
 	sc := scenario.Scenario{Name: "outage", Directives: []scenario.Directive{
 		scenario.LinkDown{Link: 0, At: sim.Second},
 		scenario.LinkUp{Link: 0, At: 3 * sim.Second},
@@ -87,7 +90,7 @@ func TestLinkDownUpSchedule(t *testing.T) {
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}
-	l := env.Links[0]
+	l := ds[0]
 	s.RunUntil(sim.Second - 1)
 	if l.AB.Down() || l.BA.Down() {
 		t.Error("link down before the directive instant")
@@ -103,14 +106,14 @@ func TestLinkDownUpSchedule(t *testing.T) {
 }
 
 func TestRateRampSteps(t *testing.T) {
-	s, env := testEnv(1, 1)
+	s, env, ds := testEnv(1, 1)
 	sc := scenario.Scenario{Name: "ramp", Directives: []scenario.Directive{
 		scenario.RateRamp{Link: 0, Start: sim.Second, End: 4 * sim.Second, From: 1, To: 0.25, Steps: 4},
 	}}
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}
-	fwd, rev := env.Links[0].AB, env.Links[0].BA
+	fwd, rev := ds[0].AB, ds[0].BA
 	// Steps at 1s, 2s, 3s, 4s with factors 1, 0.75, 0.5, 0.25 of 10 Mb/s.
 	wants := []struct {
 		at   sim.Time
@@ -137,7 +140,7 @@ func TestRateRampSteps(t *testing.T) {
 }
 
 func TestRateRampAbsolute(t *testing.T) {
-	s, env := testEnv(1, 1)
+	s, env, ds := testEnv(1, 1)
 	sc := scenario.Scenario{Name: "abs", Directives: []scenario.Directive{
 		scenario.RateRamp{Link: 0, Start: sim.Second, To: 2.8, Abs: true},
 	}}
@@ -145,13 +148,13 @@ func TestRateRampAbsolute(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run()
-	if got := env.Links[0].AB.RateBps; got != 2.8e6 {
+	if got := ds[0].AB.RateBps; got != 2.8e6 {
 		t.Errorf("absolute set gave %v bps, want exactly 2.8e6", got)
 	}
 }
 
 func TestDelayStepFactors(t *testing.T) {
-	s, env := testEnv(1, 2)
+	s, env, ds := testEnv(1, 2)
 	sc := scenario.Scenario{Name: "steps", Directives: []scenario.Directive{
 		scenario.DelayStep{Link: 0, At: sim.Second, Factor: 2},
 		// Both capture the install-time base: the second step restores it.
@@ -160,7 +163,7 @@ func TestDelayStepFactors(t *testing.T) {
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}
-	l := env.Links[0]
+	l := ds[0]
 	s.RunUntil(sim.Second)
 	if l.AB.PropDelay != 10*sim.Millisecond || l.BA.PropDelay != 10*sim.Millisecond {
 		t.Errorf("factor 2 gave %v/%v, want 10ms both directions", l.AB.PropDelay, l.BA.PropDelay)
@@ -172,13 +175,13 @@ func TestDelayStepFactors(t *testing.T) {
 }
 
 func TestPeriodicFlapPattern(t *testing.T) {
-	s, env := testEnv(1, 1)
+	s, env, ds := testEnv(1, 1)
 	flap := scenario.PeriodicFlap{Link: 0, Start: sim.Second, End: 4 * sim.Second,
 		Period: sim.Second, Down: 250 * sim.Millisecond}
 	if err := (scenario.Scenario{Name: "flap", Directives: []scenario.Directive{flap}}).Install(env); err != nil {
 		t.Fatal(err)
 	}
-	l := env.Links[0]
+	l := ds[0]
 	type sample struct {
 		at   sim.Time
 		down bool
@@ -211,7 +214,7 @@ func TestPeriodicFlapPattern(t *testing.T) {
 }
 
 func TestFlowChurnSpawnsAndCounts(t *testing.T) {
-	s, env := testEnv(3, 1)
+	s, env, _ := testEnv(3, 1)
 	var sizes []int64
 	env.Spawn = func(pkts int64) { sizes = append(sizes, pkts) }
 	churn := scenario.FlowChurn{Start: sim.Second, End: 21 * sim.Second, Rate: 2, MeanPkts: 50}
@@ -244,7 +247,7 @@ func TestFlowChurnSpawnsAndCounts(t *testing.T) {
 
 func TestFlowChurnDeterminism(t *testing.T) {
 	run := func() []int64 {
-		s, env := testEnv(7, 1)
+		s, env, _ := testEnv(7, 1)
 		var sizes []int64
 		env.Spawn = func(pkts int64) { sizes = append(sizes, pkts) }
 		churn := scenario.FlowChurn{Start: 0, End: 10 * sim.Second, Rate: 5, MeanPkts: 30}
@@ -266,7 +269,7 @@ func TestFlowChurnDeterminism(t *testing.T) {
 }
 
 func TestBackgroundCBRWindow(t *testing.T) {
-	s, env := testEnv(9, 2)
+	s, env, ds := testEnv(9, 2)
 	sc := scenario.Scenario{Name: "cbr", Directives: []scenario.Directive{
 		scenario.BackgroundCBR{Link: 1, Start: sim.Second, End: 5 * sim.Second,
 			RateFactor: 1, MeanOn: 50 * sim.Millisecond, MeanOff: 100 * sim.Millisecond},
@@ -274,7 +277,7 @@ func TestBackgroundCBRWindow(t *testing.T) {
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}
-	l := env.Links[1].AB
+	l := ds[1].AB
 	s.RunUntil(sim.Second)
 	if l.Stats.Arrivals != 0 {
 		t.Errorf("CBR sent %d packets before its window opened", l.Stats.Arrivals)
@@ -290,7 +293,131 @@ func TestBackgroundCBRWindow(t *testing.T) {
 		t.Errorf("CBR kept sending after End: %d -> %d packets", inWindow, l.Stats.Arrivals)
 	}
 	// The untouched link carries nothing.
-	if env.Links[0].AB.Stats.Arrivals != 0 {
+	if ds[0].AB.Stats.Arrivals != 0 {
 		t.Error("CBR leaked onto the wrong link")
+	}
+}
+
+// recClock and recLink are a recording Clock and Link: At queues its
+// events and run fires them in (time, scheduling) order, as the
+// simulator does, while every link change is appended to log.
+type recClock struct {
+	now sim.Time
+	q   []recEvent
+	log []recOp
+}
+
+type recEvent struct {
+	at sim.Time
+	f  func()
+}
+
+type recOp struct {
+	at   sim.Time
+	link int
+	op   string
+	v    float64
+}
+
+func (c *recClock) Now() sim.Time { return c.now }
+
+func (c *recClock) At(t sim.Time, f func()) { c.q = append(c.q, recEvent{t, f}) }
+
+func (c *recClock) run() {
+	for len(c.q) > 0 {
+		i := 0
+		for j, e := range c.q {
+			if e.at < c.q[i].at {
+				i = j
+			}
+		}
+		e := c.q[i]
+		c.q = append(c.q[:i], c.q[i+1:]...)
+		c.now = e.at
+		e.f()
+	}
+}
+
+type recLink struct {
+	c     *recClock
+	i     int
+	delay sim.Time
+	rate  float64
+}
+
+func (l *recLink) rec(op string, v float64) { l.c.log = append(l.c.log, recOp{l.c.now, l.i, op, v}) }
+
+func (l *recLink) SetDown(down bool) {
+	if down {
+		l.rec("down", 0)
+	} else {
+		l.rec("up", 0)
+	}
+}
+func (l *recLink) Delay() sim.Time       { return l.delay }
+func (l *recLink) SetDelay(d sim.Time)   { l.delay = d; l.rec("delay", d.Seconds()) }
+func (l *recLink) Rate() float64         { return l.rate }
+func (l *recLink) SetRate(mbps float64)  { l.rate = mbps; l.rec("rate", mbps) }
+func (l *recLink) SetLossRate(p float64) { l.rec("loss", p) }
+
+// recEnv is a two-link Env on a recording clock: no simulator behind it,
+// as on the real stack. Both links run at 10 Mb/s with a 10 ms delay.
+func recEnv() (*recClock, *scenario.Env) {
+	c := &recClock{}
+	env := &scenario.Env{Clock: c}
+	for i := 0; i < 2; i++ {
+		env.Links = append(env.Links, &recLink{c: c, i: i, delay: 10 * sim.Millisecond, rate: 10})
+	}
+	return c, env
+}
+
+// TestBuiltinsOnRecordingLinks pins, on the Clock and Link interfaces
+// alone, the exact (time, link, op, value) sequence flap and handover
+// produce at T = 1 s: the same script any binding — the simulator's
+// duplexes or the chaos harness's socket paths — receives. RateRamp
+// sets only the forward rate (the reverse direction has no setter on
+// Link; TestRateRampSteps checks a Duplex's BA keeps its rate).
+func TestBuiltinsOnRecordingLinks(t *testing.T) {
+	ms := sim.Millisecond
+	var flap []recOp
+	for cycle := 200 * ms; cycle <= 700*ms; cycle += 100 * ms {
+		flap = append(flap, recOp{cycle, 0, "down", 0}, recOp{cycle + 40*ms, 0, "up", 0})
+	}
+	for _, tc := range []struct {
+		name string
+		want []recOp
+	}{
+		{"flap", flap},
+		{"handover", []recOp{
+			{400 * ms, 0, "down", 0},
+			{400 * ms, 1, "delay", 0.02},
+			{400 * ms, 1, "rate", 13},
+			{700 * ms, 0, "up", 0},
+			{700 * ms, 0, "delay", 0.005},
+			{700 * ms, 1, "delay", 0.01},
+			{700 * ms, 0, "rate", 12},
+			{700 * ms, 1, "rate", 10},
+		}},
+	} {
+		c, env := recEnv()
+		registry.Must(scenario.Build(tc.name, sim.Second)).MustInstall(env)
+		c.run()
+		if !reflect.DeepEqual(c.log, tc.want) {
+			t.Errorf("%s:\n got %v\nwant %v", tc.name, c.log, tc.want)
+		}
+	}
+}
+
+// TestSimOnlyDirectivesNameThemselves: ramp's interferer needs a
+// netsim link and churn spawns simulated flows, so on an Env without
+// Net, Rand and Spawn — a real-stack Env — they fail at install with an
+// error naming the directive.
+func TestSimOnlyDirectivesNameThemselves(t *testing.T) {
+	for name, want := range map[string]string{"ramp": "BackgroundCBR", "churn": "FlowChurn"} {
+		_, env := recEnv()
+		err := registry.Must(scenario.Build(name, sim.Second)).Install(env)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s on a recording Env: Install = %v, want an error naming %s", name, err, want)
+		}
 	}
 }

@@ -72,6 +72,16 @@ func (d *Duplex) SetDelay(delay sim.Time) {
 	d.BA.SetDelay(delay)
 }
 
+// Delay returns the forward direction's propagation delay.
+func (d *Duplex) Delay() sim.Time { return d.AB.PropDelay }
+
+// Rate returns the forward direction's line rate in Mb/s.
+func (d *Duplex) Rate() float64 { return d.AB.RateBps / 1e6 }
+
+// SetRate changes the forward direction's line rate (Mb/s); the reverse
+// (ACK) direction keeps its own.
+func (d *Duplex) SetRate(mbps float64) { d.AB.SetRate(mbps) }
+
 // PathThrough builds a transport.Path traversing the duplexes in order
 // (forward over AB, ACKs back over BA in reverse order).
 func PathThrough(ds ...*Duplex) transport.Path {

@@ -28,7 +28,7 @@ func (m Mice) Install(env *Env) *Stats {
 	// The mice are FlowChurn's arrival process verbatim, bound to a
 	// private scenario Env whose Spawn wraps ours with the completion
 	// bookkeeping the scenario layer doesn't have.
-	senv := &scenario.Env{Sim: env.Sim}
+	senv := &scenario.Env{Clock: env.Sim, Rand: env.Sim.Rand()}
 	senv.Spawn = func(pkts int64) {
 		st.Issued++
 		start := env.Sim.Now()
