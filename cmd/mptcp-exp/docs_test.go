@@ -225,8 +225,11 @@ func flagTable() string {
 
 // TestDocCrossReferences: every DESIGN.md §<n> and §"<title>" cited in
 // the code, the documents that describe the present and CI names a
-// heading DESIGN.md has. CHANGES.md is history and keeps the numbers it
-// was written with.
+// heading DESIGN.md has, and every backticked Test… or Fuzz… name that
+// README.md, TESTING.md, DESIGN.md or a workflow cites is declared in a
+// _test.go file, or is the prefix of one that is (a -run pattern such
+// as TestChaos). CHANGES.md is history and keeps the numbers and names
+// it was written with.
 func TestDocCrossReferences(t *testing.T) {
 	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
@@ -238,25 +241,37 @@ func TestDocCrossReferences(t *testing.T) {
 	}
 	byNumber := regexp.MustCompile(`DESIGN\.md(?:\s|//|#)*§(\d+[a-z]?)`)
 	byTitle := regexp.MustCompile(`§"([^"]+)"`)
-	check := func(path string) {
+	declaration := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	backticked := regexp.MustCompile("`[^`\n]+`")
+	testName := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*`)
+	read := func(path string) string {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range byNumber.FindAllStringSubmatch(string(b), -1) {
+		return string(b)
+	}
+	checkSections := func(path string) {
+		b := read(path)
+		for _, m := range byNumber.FindAllStringSubmatch(b, -1) {
 			if !numbers[m[1]] {
 				t.Errorf("%s cites DESIGN.md §%s, which has no such section", path, m[1])
 			}
 		}
-		for _, m := range byTitle.FindAllStringSubmatch(string(b), -1) {
+		for _, m := range byTitle.FindAllStringSubmatch(b, -1) {
 			if !titles[strings.Join(strings.Fields(m[1]), " ")] {
 				t.Errorf("%s cites §%q, which DESIGN.md has no heading for", path, m[1])
 			}
 		}
 	}
-	for _, f := range []string{"README.md", "TESTING.md", "ROADMAP.md", "DESIGN.md"} {
-		check(filepath.Join(root, f))
+	var docs []string
+	for _, f := range []string{"README.md", "TESTING.md", "DESIGN.md", "ROADMAP.md"} {
+		checkSections(filepath.Join(root, f))
+		if f != "ROADMAP.md" {
+			docs = append(docs, filepath.Join(root, f))
+		}
 	}
+	var declared []string
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -265,11 +280,28 @@ func TestDocCrossReferences(t *testing.T) {
 			return filepath.SkipDir
 		case d.Name() == "docs_test.go": // its own patterns would read as citations
 		case !d.IsDir() && (strings.HasSuffix(path, ".go") || strings.Contains(path, ".github/workflows/") || strings.Contains(path, ".claude/skills/")):
-			check(path)
+			checkSections(path)
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range declaration.FindAllStringSubmatch(read(path), -1) {
+				declared = append(declared, m[1])
+			}
+		}
+		if strings.Contains(path, ".github/workflows/") && !d.IsDir() {
+			docs = append(docs, path)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range docs {
+		for _, span := range backticked.FindAllString(read(f), -1) {
+			for _, name := range testName.FindAllString(span, -1) {
+				if !slices.ContainsFunc(declared, func(d string) bool { return strings.HasPrefix(d, name) }) {
+					t.Errorf("%s cites `%s`, which no _test.go declares", f, name)
+				}
+			}
+		}
 	}
 }

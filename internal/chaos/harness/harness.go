@@ -58,8 +58,11 @@ type Config struct {
 	RecvBuf int64           // receiver shared buffer, segments (default 512)
 
 	// SenderPath, when non-nil, is the initial fault model for every
-	// data-direction path (default: clean 1ms delay). The director still
-	// mutates on top of it.
+	// data-direction path (default: clean 1ms delay, no rate limit). The
+	// director still mutates on top of it. A scenario's relative rate
+	// directives (a RateRamp without Abs, such as handover's) scale the
+	// path's RateBps, so they need one set here: on the default path
+	// they fail at install.
 	SenderPath *chaos.PathConfig
 
 	// Scenario, when non-empty, replaces the director: it is installed

@@ -10,6 +10,7 @@ package harness
 
 import (
 	"flag"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -203,6 +204,16 @@ func TestChaosScenarioBuiltins(t *testing.T) {
 				t.Errorf("%s dropped nothing: the scripted outage missed the transfer", name)
 			}
 		})
+	}
+}
+
+// TestChaosHandoverNeedsRatedPaths: handover ramps the 3G link's rate by a
+// factor, and the default data path has no rate limit to scale, so the
+// run fails at install with an error that says so.
+func TestChaosHandoverNeedsRatedPaths(t *testing.T) {
+	_, err := Run(Config{Scenario: registry.Must(scenario.Build("handover", 600*sim.Millisecond))})
+	if err == nil || !strings.Contains(err.Error(), "link 1 has no rate to scale") {
+		t.Errorf("handover on the default paths: Run = %v, want an error naming the link without a rate", err)
 	}
 }
 

@@ -105,40 +105,3 @@ func TestAppGridPLTHandComputed(t *testing.T) {
 		t.Errorf("pool reuses = %d, want 1 (dependent object recycles the root's connection)", pool.Reuses)
 	}
 }
-
-// TestAppGridCompletenessAndOrder: the full grid has one record per
-// (workload × scheduler × algorithm × topology) in workload-major cell
-// order, every record names its workload and carries the common
-// accounting metrics.
-func TestAppGridCompletenessAndOrder(t *testing.T) {
-	e, _ := Get("appgrid")
-	res := e.Run(Config{Seed: 5, Scale: 0.02})
-	wls, specs, algs, topos := workload.Names(), appSchedSpecs(), appAlgs(), appTopos
-	want := len(wls) * len(specs) * len(algs) * len(topos)
-	if len(res.Records) != want {
-		t.Fatalf("%d records, want %d", len(res.Records), want)
-	}
-	i := 0
-	for _, wl := range wls {
-		for _, spec := range specs {
-			for _, alg := range algs {
-				for _, tp := range topos {
-					r := res.Records[i]
-					i++
-					if r.Workload != wl || r.Scheduler != spec || r.Algorithm != alg || r.Topology != tp {
-						t.Fatalf("record %d is %s/%s/%s/%s, want %s/%s/%s/%s",
-							i-1, r.Workload, r.Scheduler, r.Algorithm, r.Topology, wl, spec, alg, tp)
-					}
-					if r.Scenario != appScenario[tp] || r.RecvBuf != appRecvBuf {
-						t.Errorf("record %d: scenario %q recvbuf %d", i-1, r.Scenario, r.RecvBuf)
-					}
-					for _, m := range []string{"issued", "completed", "incomplete", "goodput_mbps"} {
-						if _, ok := r.Metrics[m]; !ok {
-							t.Errorf("record %d (%s/%s) lacks %s", i-1, wl, tp, m)
-						}
-					}
-				}
-			}
-		}
-	}
-}

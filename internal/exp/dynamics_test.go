@@ -1,64 +1,6 @@
 package exp
 
-import (
-	"math"
-	"testing"
-
-	"mptcp/internal/cc"
-	"mptcp/internal/scenario"
-)
-
-// TestDynamicsGridComplete pins the dynamics experiment's acceptance
-// shape: one record per (algorithm × topology × scenario) cell, every
-// registered algorithm against every topology and scenario script, with
-// finite metrics.
-func TestDynamicsGridComplete(t *testing.T) {
-	e, ok := Get("dynamics")
-	if !ok {
-		t.Fatal("dynamics not registered")
-	}
-	res := e.Run(Config{Seed: 2, Scale: 0.02})
-	algs := cc.Names()
-	topos := []string{"torus", "dualhomed", "wifi3g"}
-	scens := scenario.Names()
-	if want := len(algs) * len(topos) * len(scens); len(res.Records) != want {
-		t.Fatalf("%d records, want %d (one per algorithm × topology × scenario cell)", len(res.Records), want)
-	}
-	seen := map[string]bool{}
-	for _, r := range res.Records {
-		if r.Scenario == "" {
-			t.Errorf("record %s/%s has no scenario", r.Algorithm, r.Topology)
-		}
-		key := r.Algorithm + "/" + r.Topology + "/" + r.Scenario
-		if seen[key] {
-			t.Errorf("duplicate cell %s", key)
-		}
-		seen[key] = true
-		for k, v := range r.Metrics {
-			if v != v || math.IsInf(v, 0) || v < 0 {
-				t.Errorf("cell %s metric %s = %v", key, k, v)
-			}
-		}
-		if r.Metrics["jain"] > 1+1e-9 {
-			t.Errorf("cell %s Jain index %v > 1", key, r.Metrics["jain"])
-		}
-		if r.Scenario == "churn" && r.Metrics["churn_arrivals"] == 0 {
-			t.Errorf("cell %s: churn scenario spawned no flows", key)
-		}
-		if r.Scenario != "churn" && r.Metrics["churn_arrivals"] != 0 {
-			t.Errorf("cell %s: non-churn scenario spawned %v flows", key, r.Metrics["churn_arrivals"])
-		}
-	}
-	for _, a := range algs {
-		for _, tp := range topos {
-			for _, sc := range scens {
-				if !seen[a+"/"+tp+"/"+sc] {
-					t.Errorf("missing cell %s/%s/%s", a, tp, sc)
-				}
-			}
-		}
-	}
-}
+import "testing"
 
 // TestDynamicsRecovery asserts the dynamics grid's qualitative claim at
 // moderate scale, for the two outage scenarios (flap, handover): every

@@ -1,44 +1,6 @@
 package exp
 
-import (
-	"math"
-	"strings"
-	"testing"
-
-	"mptcp/internal/cc"
-)
-
-// TestAllExperimentsSmoke runs every registered experiment at a tiny
-// scale: they must complete, render, and produce finite metrics.
-func TestAllExperimentsSmoke(t *testing.T) {
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			if testing.Short() && (strings.HasPrefix(e.ID, "table-fattree") ||
-				strings.HasPrefix(e.ID, "table-bcube") ||
-				strings.HasPrefix(e.ID, "fig1")) {
-				t.Skip("heavy experiment skipped in -short")
-			}
-			res := e.Run(Config{Seed: 1, Scale: 0.02})
-			if res.ID != e.ID {
-				t.Errorf("result ID %q != experiment ID %q", res.ID, e.ID)
-			}
-			if len(res.Tables) == 0 && len(res.Figures) == 0 {
-				t.Error("experiment produced no tables or figures")
-			}
-			for k, v := range res.Metrics {
-				if v != v || v < 0 { // NaN or negative
-					t.Errorf("metric %s = %v", k, v)
-				}
-			}
-			var sb strings.Builder
-			res.Render(&sb)
-			if !strings.Contains(sb.String(), e.ID) {
-				t.Error("render omitted the experiment ID")
-			}
-		})
-	}
-}
+import "testing"
 
 // TestRegistryLookup: every experiment carries its metadata and a
 // runner. The catalogue's order and lookup rule are pinned in
@@ -152,45 +114,6 @@ func TestShapeAblationReinject(t *testing.T) {
 	}
 	if res.Metrics["noreinject_done"] != 0 {
 		t.Error("transfer without reinjection should strand")
-	}
-}
-
-// TestTournamentGridComplete pins the tournament's acceptance shape:
-// one record per (algorithm × topology) cell, for every registered
-// algorithm across all four topologies, with finite metrics.
-func TestTournamentGridComplete(t *testing.T) {
-	e, ok := Get("tournament")
-	if !ok {
-		t.Fatal("tournament not registered")
-	}
-	res := e.Run(Config{Seed: 2, Scale: 0.02})
-	algs := cc.Names()
-	topos := []string{"torus", "dualhomed", "fattree", "wifi3g"}
-	if want := len(algs) * len(topos); len(res.Records) != want {
-		t.Fatalf("%d records, want %d (one per algorithm × topology cell)", len(res.Records), want)
-	}
-	seen := map[string]bool{}
-	for _, r := range res.Records {
-		key := r.Algorithm + "/" + r.Topology
-		if seen[key] {
-			t.Errorf("duplicate cell %s", key)
-		}
-		seen[key] = true
-		for k, v := range r.Metrics {
-			if v != v || math.IsInf(v, 0) || v < 0 {
-				t.Errorf("cell %s metric %s = %v", key, k, v)
-			}
-		}
-		if r.Metrics["jain"] > 1+1e-9 {
-			t.Errorf("cell %s Jain index %v > 1", key, r.Metrics["jain"])
-		}
-	}
-	for _, a := range algs {
-		for _, tp := range topos {
-			if !seen[a+"/"+tp] {
-				t.Errorf("missing cell %s/%s", a, tp)
-			}
-		}
 	}
 }
 

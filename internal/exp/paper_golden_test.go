@@ -209,25 +209,26 @@ func checkPinned(t *testing.T, runs []pinnedRun) {
 	}
 }
 
-// TestEngineMetricsGolden pins the two runs the zero-allocation rewrite
-// of internal/sim (typed events, rearm-in-place timers, freelists) was
+// TestEngineMetricsGolden pins a run the zero-allocation rewrite of
+// internal/sim (typed events, rearm-in-place timers, freelists) was
 // required to reproduce bit for bit. It once compared six metrics per
-// run; the digest covers those and everything else the run reports.
+// run; the digest covers those and everything else the run reports. The
+// rewrite's other run, fig8-torus at paperConfigs[1], is one of
+// TestPaperFiguresGolden's.
 func TestEngineMetricsGolden(t *testing.T) {
 	checkPinned(t, []pinnedRun{
-		{"fig8-torus", paperConfigs[1], paperGolden["fig8-torus"][1]},
 		{"fig2-triangle", Config{Seed: 7, Scale: 0.1}, "97b63e3de99dad5ec659f743226e9b68f0d60d11e8d72fe42aea35fa73d2ff96"},
 	})
 }
 
-// TestScenarioRewireGolden pins the three runs the rewire of the §5
-// handover and the ablation path death onto internal/scenario was
-// required to reproduce bit for bit: same schedule, same loss and
-// retransmit pattern around the path death. The digest covers the
-// phase rates and delivered-packet counts it once compared.
+// TestScenarioRewireGolden pins the runs the rewire of the §5 handover
+// and the ablation path death onto internal/scenario was required to
+// reproduce bit for bit: same schedule, same loss and retransmit pattern
+// around the path death. The digest covers the phase rates and
+// delivered-packet counts it once compared. The rewire's third run,
+// fig17-mobility at paperConfigs[1], is one of TestPaperFiguresGolden's.
 func TestScenarioRewireGolden(t *testing.T) {
 	checkPinned(t, []pinnedRun{
-		{"fig17-mobility", paperConfigs[1], paperGolden["fig17-mobility"][1]},
 		{"fig17-mobility", Config{Seed: 7, Scale: 0.1}, "e62ce210328d5d351d7d8aaf423e22719b77ef79bc32bb5e29cc6b74ee332006"},
 		{"ablation-reinject", Config{Seed: 42, Scale: 0.5}, "e6760420b19599b486f3f12ca633c787ba52464cbf870e40b08ac3e053595645"},
 	})

@@ -58,47 +58,6 @@ func TestChainedSeedDerivationNoCollision(t *testing.T) {
 	}
 }
 
-// TestDeterminismAcrossParallelism is the regression test for the
-// parallel runner's core guarantee: a representative multi-cell
-// experiment produces bit-identical results whether its cells run on one
-// worker or eight, because every cell's randomness derives from
-// CellSeed(base, idx) rather than from scheduling order. The tournament
-// (8 algorithms × 4 topologies) and the dynamics grid (8 algorithms ×
-// 3 topologies × 4 scenarios — the largest, and the one whose scenario
-// scripts drive timers, churn and background traffic from the world
-// rng) are covered so the full matrices inherit the guarantee,
-// including their per-cell Records. A repeated same-seed parallel run
-// guards against any hidden shared state between cells.
-func TestDeterminismAcrossParallelism(t *testing.T) {
-	for _, id := range []string{"fig8-torus", "sec23-wifi3g-model", "tournament", "dynamics", "schedgrid", "fleet", "appgrid"} {
-		t.Run(id, func(t *testing.T) {
-			e, ok := Get(id)
-			if !ok {
-				t.Fatalf("%s not registered", id)
-			}
-			serial := e.Run(Config{Seed: 5, Scale: 0.02, Parallelism: 1})
-			parallel := e.Run(Config{Seed: 5, Scale: 0.02, Parallelism: 8})
-			if !reflect.DeepEqual(serial.Metrics, parallel.Metrics) {
-				t.Errorf("metrics diverge across parallelism:\n  serial:   %v\n  parallel: %v",
-					serial.Metrics, parallel.Metrics)
-			}
-			if !reflect.DeepEqual(serial.Records, parallel.Records) {
-				t.Error("per-cell records diverge across parallelism")
-			}
-			again := e.Run(Config{Seed: 5, Scale: 0.02, Parallelism: 8})
-			if !reflect.DeepEqual(parallel.Metrics, again.Metrics) || !reflect.DeepEqual(parallel.Records, again.Records) {
-				t.Error("two same-seed runs diverge (hidden shared state between cells?)")
-			}
-			var sa, sb strings.Builder
-			serial.Render(&sa)
-			parallel.Render(&sb)
-			if sa.String() != sb.String() {
-				t.Error("rendered reports diverge across parallelism")
-			}
-		})
-	}
-}
-
 func TestRunBatchOrderSeedsAndDeterminism(t *testing.T) {
 	e1, _ := Get("fig3-mesh")
 	e2, _ := Get("ablation-reinject")

@@ -3,60 +3,11 @@ package exp
 import (
 	"testing"
 
-	"mptcp/internal/cc"
 	"mptcp/internal/registry"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 	"mptcp/internal/transport"
 )
-
-// TestSchedGridComplete runs the full scheduler grid at tiny scale and
-// checks its shape: one Record per (scheduler spec × algorithm ×
-// topology × recvbuf) cell, in deterministic cell order, with the
-// countermeasure spec present and its activity counters populated only
-// where they can fire.
-func TestSchedGridComplete(t *testing.T) {
-	e, ok := Get("schedgrid")
-	if !ok {
-		t.Fatal("schedgrid not registered")
-	}
-	res := e.Run(Config{Seed: 9, Scale: 0.02})
-	specs, algs, bufs := schedSpecs(), cc.Names(), schedBufs
-	want := len(specs) * len(algs) * 3 * len(bufs)
-	if len(res.Records) != want {
-		t.Fatalf("got %d records, want %d", len(res.Records), want)
-	}
-	idx := 0
-	seenCM := false
-	for _, spec := range specs {
-		for _, alg := range algs {
-			for _, tp := range []string{"torus", "dualhomed", "wifi3g"} {
-				for _, buf := range bufs {
-					r := res.Records[idx]
-					idx++
-					if r.Scheduler != spec || r.Algorithm != alg || r.Topology != tp || r.RecvBuf != buf {
-						t.Fatalf("record %d = {%s %s %s %d}, want {%s %s %s %d}",
-							idx-1, r.Scheduler, r.Algorithm, r.Topology, r.RecvBuf, spec, alg, tp, buf)
-					}
-					for _, k := range []string{"mbps", "jain", "opp_retx", "penalties"} {
-						if _, ok := r.Metrics[k]; !ok {
-							t.Errorf("record %d misses metric %s", idx-1, k)
-						}
-					}
-					if spec == "minrtt+otr+pen" && (r.Metrics["opp_retx"] > 0 || r.Metrics["penalties"] > 0) {
-						seenCM = true
-					}
-					if spec == "minrtt" && (r.Metrics["opp_retx"] > 0 || r.Metrics["penalties"] > 0) {
-						t.Errorf("plain minrtt cell reports countermeasure activity: %+v", r)
-					}
-				}
-			}
-		}
-	}
-	if !seenCM {
-		t.Error("no countermeasure cell reported any opp_retx/penalties activity")
-	}
-}
 
 // TestCountermeasuresBeatPlainMinRTTOnWiFi3G is the acceptance pin for
 // the §6 countermeasures: on the busy-wireless cell (lossy WiFi beside

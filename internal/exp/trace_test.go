@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"os"
-	"reflect"
 	"testing"
 )
 
@@ -59,87 +58,6 @@ func TestTraceGoldenWiFi3GFlap(t *testing.T) {
 			}
 		}
 		t.Fatalf("trace length diverges from golden: got %d lines, want %d", len(gl), len(wl))
-	}
-}
-
-// tracedGrids are the four grids whose cells run in one simulated world,
-// each with a filter that keeps the traced runs below small (the
-// tournament has no filter axis; its grid is small enough), and two of
-// the paper's own figures: a swept one and a single-world one.
-var tracedGrids = []struct {
-	id     string
-	filter Config
-}{
-	{"tournament", Config{}},
-	{"dynamics", Config{Scenario: "flap"}},
-	{"schedgrid", Config{Sched: "minrtt+otr+pen"}},
-	{"appgrid", Config{Workload: "video"}},
-	{"fig15-wireless-compete", Config{}},
-	{"fig17-mobility", Config{}},
-}
-
-// TestTraceDeterministicAcrossParallelism extends the runner's core
-// guarantee to the trace artifact: a grid's concatenated trace file is
-// byte-identical whether cells run on one worker or eight, because each
-// cell records into a private tracer and the grid engine flushes them
-// sequentially in cell order.
-func TestTraceDeterministicAcrossParallelism(t *testing.T) {
-	for _, g := range tracedGrids {
-		t.Run(g.id, func(t *testing.T) {
-			e, _ := Get(g.id)
-			run := func(par int) []byte {
-				var b bytes.Buffer
-				cfg := g.filter
-				cfg.Seed, cfg.Scale, cfg.Parallelism, cfg.TraceW = 5, 0.02, par, &b
-				e.Run(cfg)
-				return b.Bytes()
-			}
-			serial := run(1)
-			parallel := run(8)
-			if len(serial) == 0 {
-				t.Fatal("traced run produced no trace output")
-			}
-			if !bytes.Equal(serial, parallel) {
-				t.Fatalf("trace bytes diverge across parallelism: %d vs %d bytes", len(serial), len(parallel))
-			}
-			if again := run(8); !bytes.Equal(parallel, again) {
-				t.Error("two same-seed traced runs diverge (hidden shared state?)")
-			}
-		})
-	}
-}
-
-// TestTracingDoesNotPerturbResults: enabling tracing must leave the
-// simulation bit-identical — the tracer only observes, never draws from
-// the world RNG or changes event timing. Metrics and per-cell Records
-// of traced and untraced same-seed runs must be DeepEqual, and the
-// rendered reports (all a per-figure experiment has) the same bytes.
-func TestTracingDoesNotPerturbResults(t *testing.T) {
-	for _, g := range tracedGrids {
-		t.Run(g.id, func(t *testing.T) {
-			e, _ := Get(g.id)
-			cfg := g.filter
-			cfg.Seed, cfg.Scale, cfg.Parallelism = 5, 0.02, 4
-			plain := e.Run(cfg)
-			var b bytes.Buffer
-			cfg.TraceW = &b
-			withTrace := e.Run(cfg)
-			if !reflect.DeepEqual(plain.Metrics, withTrace.Metrics) {
-				t.Errorf("tracing perturbed metrics:\n  off: %v\n  on:  %v", plain.Metrics, withTrace.Metrics)
-			}
-			if !reflect.DeepEqual(plain.Records, withTrace.Records) {
-				t.Error("tracing perturbed per-cell records")
-			}
-			var off, on bytes.Buffer
-			plain.Render(&off)
-			withTrace.Render(&on)
-			if !bytes.Equal(off.Bytes(), on.Bytes()) {
-				t.Error("tracing perturbed the rendered report")
-			}
-			if b.Len() == 0 {
-				t.Error("traced run wrote no trace output")
-			}
-		})
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // A clean bulk transfer is acknowledged about once per two segments, and
 // the coalescing manufactures no retransmission.
 func TestDelayedAckHalvesAckTraffic(t *testing.T) {
-	tx, rx, _ := memPipe(t, Config{}, 256)
+	tx, rx, _ := memPipe(t, 1, Config{}, 256)
 	const segs = 2000
 	go func() {
 		tx.Write(make([]byte, segs*MaxPayload)) //nolint:errcheck
@@ -42,7 +42,7 @@ func TestDelayedAckHalvesAckTraffic(t *testing.T) {
 // end-of-stream segment behind it is acknowledged at once, covering it,
 // and Wait returns long before any retransmission timer could have fired.
 func TestDelayedAckTailIsNotHeld(t *testing.T) {
-	tx, rx, snd := memPipe(t, Config{}, 256)
+	tx, rx, snds := memPipe(t, 1, Config{}, 256)
 	if _, err := tx.Write(make([]byte, 3*MaxPayload)); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDelayedAckTailIsNotHeld(t *testing.T) {
 	if st := tx.Stats(); st.SegsRetx != 0 {
 		t.Errorf("%d retransmissions of a 3-segment transfer, want 0", st.SegsRetx)
 	}
-	if ends := endWrites(snd); len(ends) != 1 || ends[0].DataSeq != 3 || ends[0].Plen != 0 {
+	if ends := endWrites(snds[0]); len(ends) != 1 || ends[0].DataSeq != 3 || ends[0].Plen != 0 {
 		t.Errorf("end-of-stream transmissions %+v, want one empty segment at data sequence 3, acknowledged first time", ends)
 	}
 }

@@ -8,7 +8,6 @@ package mptcpnet
 
 import (
 	"io"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -36,34 +35,13 @@ func endWrites(c *memConn) []header {
 	return hs
 }
 
-// memPipe2 is memPipe with two subflows; snds[i] is the sender's end of
-// subflow i.
-func memPipe2(t *testing.T, cfg Config, bufSegments int64) (*Sender, *Receiver, [2]*memConn) {
-	t.Helper()
-	snds := [2]*memConn{newMemConn("snd0"), newMemConn("snd1")}
-	rcvs := [2]*memConn{newMemConn("rcv0"), newMemConn("rcv1")}
-	for i := range snds {
-		wire(snds[i], rcvs[i])
-	}
-	t.Cleanup(func() {
-		for i := range snds {
-			snds[i].Close()
-			rcvs[i].Close()
-		}
-	})
-	const connID = 7
-	rx := NewReceiver(connID, []net.PacketConn{rcvs[0], rcvs[1]}, bufSegments)
-	tx := NewSender(connID, []net.PacketConn{snds[0], snds[1]}, []net.Addr{rcvs[0].addr, rcvs[1].addr}, cfg)
-	return tx, rx, snds
-}
-
 // The end-of-stream segment lost on its first transmission, behind data
 // that is all acknowledged: no later segment will ever SACK around it, so
 // the ordinary retransmission timer is what repairs it.
 func TestEndOfStreamLostIsRepairedByRTO(t *testing.T) {
-	tx, rx, snd := memPipe(t, Config{MinRTO: 20 * time.Millisecond}, 256)
+	tx, rx, snds := memPipe(t, 1, Config{MinRTO: 20 * time.Millisecond}, 256)
 	var ends atomic.Int64
-	snd.drop = func(b []byte) bool { return isEnd(b) && ends.Add(1) == 1 }
+	snds[0].drop = func(b []byte) bool { return isEnd(b) && ends.Add(1) == 1 }
 	if _, err := tx.Write(make([]byte, 4*MaxPayload)); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +64,7 @@ func TestEndOfStreamLostIsRepairedByRTO(t *testing.T) {
 // it: its timeout reinjects the segment onto the other subflow, still
 // flagged, and the stream ends there.
 func TestEndOfStreamReinjectedWhenItsSubflowDies(t *testing.T) {
-	tx, rx, snds := memPipe2(t, Config{MinRTO: 20 * time.Millisecond}, 256)
+	tx, rx, snds := memPipe(t, 2, Config{MinRTO: 20 * time.Millisecond}, 256)
 	var dead atomic.Int32 // 1 + the subflow that carried the end of stream first
 	for i, c := range snds {
 		c.drop = func(b []byte) bool {
@@ -118,7 +96,7 @@ func TestEndOfStreamReinjectedWhenItsSubflowDies(t *testing.T) {
 // Close on a stream nobody wrote to: the end-of-stream segment is data
 // sequence 0, the first Read is the EOF, and the sender completes.
 func TestEndOfStreamOnEmptyStream(t *testing.T) {
-	tx, rx, snd := memPipe(t, Config{}, 256)
+	tx, rx, snds := memPipe(t, 1, Config{}, 256)
 	tx.Close()
 	if n, err := rx.Read(make([]byte, 16)); n != 0 || err != io.EOF {
 		t.Fatalf("Read on an empty stream = %d, %v, want 0, EOF", n, err)
@@ -130,7 +108,7 @@ func TestEndOfStreamOnEmptyStream(t *testing.T) {
 		t.Errorf("sent %d segments (%d retransmitted), receiver counts %d: want the end-of-stream segment alone, counted by both",
 			st.SegsSent, st.SegsRetx, received(rx))
 	}
-	if ends := endWrites(snd); len(ends) != 1 || ends[0].DataSeq != 0 {
+	if ends := endWrites(snds[0]); len(ends) != 1 || ends[0].DataSeq != 0 {
 		t.Errorf("end-of-stream transmissions %+v, want one at data sequence 0", ends)
 	}
 }
@@ -141,7 +119,7 @@ func TestEndOfStreamOnEmptyStream(t *testing.T) {
 // EOF.
 func TestReadConsumesEndOfStreamSegmentAsEOF(t *testing.T) {
 	const bufSegments = 8
-	tx, rx, _ := memPipe(t, Config{}, bufSegments)
+	tx, rx, _ := memPipe(t, 1, Config{}, bufSegments)
 	if _, err := tx.Write([]byte("ab")); err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +149,9 @@ func TestReadConsumesEndOfStreamSegmentAsEOF(t *testing.T) {
 // running.
 func TestEndOfStreamPeerGoneGivesUpOnce(t *testing.T) {
 	leak.Check(t, 5*time.Second) // registered first: runs after memPipe's cleanup closed the sockets
-	tx, rx, snd := memPipe(t, Config{MinRTO: time.Millisecond}, 256)
+	tx, rx, snds := memPipe(t, 1, Config{MinRTO: time.Millisecond}, 256)
 	var gone atomic.Bool
-	snd.drop = func([]byte) bool { return gone.Load() }
+	snds[0].drop = func([]byte) bool { return gone.Load() }
 	if _, err := tx.Write(make([]byte, 4*MaxPayload)); err != nil {
 		t.Fatal(err)
 	}

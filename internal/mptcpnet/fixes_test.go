@@ -8,6 +8,7 @@ package mptcpnet
 // are pinned by internal/proto's event scripts.)
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -141,11 +142,22 @@ func (c *memConn) typedWrites(typ byte) []header {
 	return hs
 }
 
-func newTestSender(t *testing.T, cfg Config) (*Sender, *memConn) {
+// newTestSender is a sender of the given number of subflows over
+// unwired memConns: nothing is ever acknowledged. cs[i] is subflow i's
+// socket.
+func newTestSender(t *testing.T, subflows int, cfg Config) (*Sender, []*memConn) {
 	t.Helper()
-	c := newMemConn("snd")
-	t.Cleanup(func() { c.Close() })
-	return NewSender(42, []net.PacketConn{c}, []net.Addr{memAddr("rcv")}, cfg), c
+	var conns []net.PacketConn
+	var remotes []net.Addr
+	var cs []*memConn
+	for i := 0; i < subflows; i++ {
+		c := newMemConn(fmt.Sprintf("snd%d", i))
+		t.Cleanup(func() { c.Close() })
+		cs = append(cs, c)
+		conns = append(conns, c)
+		remotes = append(remotes, memAddr(fmt.Sprintf("rcv%d", i)))
+	}
+	return NewSender(42, conns, remotes, cfg), cs
 }
 
 // segFrame is the sealed datagram of one data segment as a sender would
@@ -180,7 +192,7 @@ func waitWrites(t *testing.T, c *memConn, typ byte, n int) []header {
 // per-subflow writer goroutine serialises what a goroutine per segment
 // would leave to scheduler luck.
 func TestInSubflowSendOrderFIFO(t *testing.T) {
-	tx, rx, snd := memPipe(t, Config{}, 256)
+	tx, rx, snds := memPipe(t, 1, Config{}, 256)
 	const segs = 200
 	go func() {
 		tx.Write(make([]byte, segs*MaxPayload)) //nolint:errcheck
@@ -189,28 +201,18 @@ func TestInSubflowSendOrderFIFO(t *testing.T) {
 	if got := drainEOF(t, rx); got != segs*MaxPayload {
 		t.Fatalf("received %d bytes, want %d", got, segs*MaxPayload)
 	}
-	for i, h := range waitWrites(t, snd, typeData, segs)[:segs] {
+	for i, h := range waitWrites(t, snds[0], typeData, segs)[:segs] {
 		if h.Seq != int64(i) {
 			t.Fatalf("socket write %d carries seq %d: transmissions reordered", i, h.Seq)
 		}
 	}
 }
 
-// newTestSender2 is a two-subflow sender over unwired memConns: nothing
-// is ever acknowledged.
-func newTestSender2(t *testing.T, cfg Config) (*Sender, [2]*memConn) {
-	t.Helper()
-	cs := [2]*memConn{newMemConn("snd0"), newMemConn("snd1")}
-	t.Cleanup(func() { cs[0].Close(); cs[1].Close() })
-	s := NewSender(42, []net.PacketConn{cs[0], cs[1]}, []net.Addr{memAddr("rcv0"), memAddr("rcv1")}, cfg)
-	return s, cs
-}
-
 // Timer.Stop cannot recall a callback that is already waiting for the
 // connection lock: an onRTO that runs before the armed deadline (it lost
 // the race with the ACK that re-armed the timer) must change nothing.
 func TestStaleRTOFireIsIgnored(t *testing.T) {
-	s, cs := newTestSender2(t, Config{})
+	s, cs := newTestSender(t, 2, Config{})
 	if _, err := s.Write(make([]byte, 8*MaxPayload)); err != nil {
 		t.Fatal(err)
 	}
@@ -237,16 +239,26 @@ func TestStaleRTOFireIsIgnored(t *testing.T) {
 	}
 }
 
-// memPipe builds a sender/receiver pair over the in-memory transport.
-func memPipe(t *testing.T, cfg Config, bufSegments int64) (*Sender, *Receiver, *memConn) {
+// memPipe builds a sender/receiver pair of the given number of subflows
+// over the in-memory transport; snds[i] is the sender's end of subflow
+// i.
+func memPipe(t *testing.T, subflows int, cfg Config, bufSegments int64) (*Sender, *Receiver, []*memConn) {
 	t.Helper()
-	snd, rcv := newMemConn("snd"), newMemConn("rcv")
-	wire(snd, rcv)
-	t.Cleanup(func() { snd.Close(); rcv.Close() })
+	var snds []*memConn
+	var sConns, rConns []net.PacketConn
+	var remotes []net.Addr
+	for i := 0; i < subflows; i++ {
+		snd, rcv := newMemConn(fmt.Sprintf("snd%d", i)), newMemConn(fmt.Sprintf("rcv%d", i))
+		wire(snd, rcv)
+		t.Cleanup(func() { snd.Close(); rcv.Close() })
+		snds = append(snds, snd)
+		sConns, rConns = append(sConns, snd), append(rConns, rcv)
+		remotes = append(remotes, rcv.addr)
+	}
 	const connID = 7
-	rx := NewReceiver(connID, []net.PacketConn{rcv}, bufSegments)
-	tx := NewSender(connID, []net.PacketConn{snd}, []net.Addr{memAddr("rcv")}, cfg)
-	return tx, rx, snd
+	rx := NewReceiver(connID, rConns, bufSegments)
+	tx := NewSender(connID, sConns, remotes, cfg)
+	return tx, rx, snds
 }
 
 // drainEOF reads rx to EOF and reports the byte count.
@@ -278,7 +290,7 @@ func received(rx *Receiver) int64 {
 // On a loss-free FIFO pipe there is nothing to recover: any fast
 // retransmit would be manufactured by send-side reordering.
 func TestNoSpuriousRetxOnCleanPipe(t *testing.T) {
-	tx, rx, _ := memPipe(t, Config{}, 256)
+	tx, rx, _ := memPipe(t, 1, Config{}, 256)
 	const size = 512 << 10
 	go func() {
 		tx.Write(make([]byte, size)) //nolint:errcheck
@@ -300,11 +312,11 @@ func TestNoSpuriousRetxOnCleanPipe(t *testing.T) {
 // the error surfaces, instead of leaking a parked writer per abandoned
 // sender.
 func TestSocketCloseAbortsSender(t *testing.T) {
-	s, c := newTestSender(t, Config{})
+	s, cs := newTestSender(t, 1, Config{})
 	if _, err := s.Write(make([]byte, MaxPayload)); err != nil { // unacked data in flight
 		t.Fatal(err)
 	}
-	c.Close()
+	cs[0].Close()
 	select {
 	case <-s.done:
 	case <-time.After(5 * time.Second):
@@ -361,7 +373,7 @@ func TestReadWakesWhenGapFills(t *testing.T) {
 func TestUnreadDataIsFlowControlled(t *testing.T) {
 	const bufSegments = defaultWindow             // what the sender assumes before the first ACK
 	const segs = 2*(bufSegments+maxRunSegs) + 500 // more than the receiver and Write's backlog hold together
-	tx, rx, _ := memPipe(t, Config{}, bufSegments)
+	tx, rx, _ := memPipe(t, 1, Config{}, bufSegments)
 	written := make(chan error, 1)
 	go func() {
 		for i := 0; i < segs; i++ {

@@ -290,30 +290,19 @@ func TestSchedulerRoundRobin(t *testing.T) {
 
 func TestPathDeathReinjection(t *testing.T) {
 	var emus []*chaos.Path
-	tx, _ := transferWithSetup(t, 400<<10, 2, func(i int) (net.PacketConn, net.PacketConn, net.Addr) {
+	// Kill path 1 shortly after the transfer starts.
+	time.AfterFunc(50*time.Millisecond, func() {
+		emus[1].Update(func(c *chaos.PathConfig) { c.LossRate = 1 })
+	})
+	tx, _ := transfer(t, 400<<10, 2, func(i int) (net.PacketConn, net.PacketConn, net.Addr) {
 		// ~4 Mb/s per path so the 400 KB transfer spans ~400 ms.
 		s, r, ra := pipePair(t, time.Millisecond, 0, 4e6, 500+int64(i))
 		emus = append(emus, s.(*chaos.Path))
 		return s, r, ra
-	}, Config{}, 60*time.Second, func() {
-		// Kill path 1 shortly after the transfer starts.
-		time.AfterFunc(50*time.Millisecond, func() {
-			emus[1].Update(func(c *chaos.PathConfig) { c.LossRate = 1 })
-		})
-	})
+	}, Config{}, 60*time.Second)
 	if st := tx.Stats(); st.Reinjects == 0 {
 		t.Error("path death should have triggered data reinjection")
 	}
-}
-
-// transferWithSetup is transfer with a pre-start hook.
-func transferWithSetup(t *testing.T, size, paths int, mk func(i int) (net.PacketConn, net.PacketConn, net.Addr), cfg Config, timeout time.Duration, setup func()) (*Sender, *Receiver) {
-	t.Helper()
-	setupDone := setup
-	if setupDone != nil {
-		setupDone()
-	}
-	return transfer(t, size, paths, mk, cfg, timeout)
 }
 
 func TestLargeTransferExceedsSendBuffer(t *testing.T) {

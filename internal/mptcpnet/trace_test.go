@@ -18,9 +18,9 @@ import (
 // force, stamped on the wall clock in non-decreasing order.
 func TestTracerOverMemPipe(t *testing.T) {
 	tr := trace.New(0, trace.WallNow(time.Now()))
-	tx, rx, snd := memPipe(t, Config{Tracer: tr, MinRTO: 20 * time.Millisecond}, 256)
+	tx, rx, snds := memPipe(t, 1, Config{Tracer: tr, MinRTO: 20 * time.Millisecond}, 256)
 	var data atomic.Int64
-	snd.drop = func(b []byte) bool {
+	snds[0].drop = func(b []byte) bool {
 		var h header
 		return h.unmarshal(b) == nil && h.Type == typeData && data.Add(1)%40 == 0
 	}

@@ -101,7 +101,9 @@ func (d RateRamp) install(env *Env) error {
 	}
 	base := 1.0 // the set rate is base × the interpolated value
 	if !d.Abs {
-		base = l.Rate()
+		if base = l.Rate(); base <= 0 {
+			return fmt.Errorf("link %d has no rate to scale (rate %v Mb/s): a relative ramp needs a rate-limited link", d.Link, base)
+		}
 	}
 	if d.Steps <= 1 {
 		target := base * d.To

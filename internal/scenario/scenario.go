@@ -115,17 +115,49 @@ type Scenario struct {
 // events on env.Clock. It must be called before the instants the
 // directives reference (scheduling in the past panics in sim);
 // experiments install at time zero, right after building their flows.
+// Install is atomic: the directives install onto a clock that holds
+// their events back, and only once every one has succeeded do the
+// events reach env.Clock, in the order they were scheduled. A failing
+// directive leaves nothing scheduled.
 func (s Scenario) Install(env *Env) error {
 	if env == nil || env.Clock == nil {
 		return fmt.Errorf("scenario %s: install needs an Env with a Clock", s.Name)
 	}
+	clock := env.Clock
+	held := &heldClock{Clock: clock, evs: make([]heldEvent, 0, 2*len(s.Directives))}
+	var err error
+	env.Clock = held
 	for i, d := range s.Directives {
-		if err := d.install(env); err != nil {
-			return fmt.Errorf("scenario %s: directive %d (%T): %w", s.Name, i, d, err)
+		if err = d.install(env); err != nil {
+			err = fmt.Errorf("scenario %s: directive %d (%T): %w", s.Name, i, d, err)
+			break
 		}
+	}
+	env.Clock = clock // before any event can fire and schedule its successor
+	if err != nil {
+		return err
+	}
+	for _, e := range held.evs {
+		clock.At(e.t, e.f)
 	}
 	return nil
 }
+
+// heldClock is the Clock directives install onto: Now is the real
+// clock's, and At only records the event. A directive schedules at most
+// two events at install (BackgroundCBR's start and stop), so a buffer of
+// twice the directives never grows.
+type heldClock struct {
+	Clock
+	evs []heldEvent
+}
+
+type heldEvent struct {
+	t sim.Time
+	f func()
+}
+
+func (c *heldClock) At(t sim.Time, f func()) { c.evs = append(c.evs, heldEvent{t, f}) }
 
 // MustInstall is Install for static scripts whose validity is a code
 // invariant; it panics on error.

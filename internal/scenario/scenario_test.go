@@ -411,13 +411,18 @@ func TestBuiltinsOnRecordingLinks(t *testing.T) {
 // TestSimOnlyDirectivesNameThemselves: ramp's interferer needs a
 // netsim link and churn spawns simulated flows, so on an Env without
 // Net, Rand and Spawn — a real-stack Env — they fail at install with an
-// error naming the directive.
+// error naming the directive. Install is atomic: ramp's two RateRamps
+// come before its BackgroundCBR and validate, yet neither may leave an
+// event on the clock.
 func TestSimOnlyDirectivesNameThemselves(t *testing.T) {
 	for name, want := range map[string]string{"ramp": "BackgroundCBR", "churn": "FlowChurn"} {
-		_, env := recEnv()
+		c, env := recEnv()
 		err := registry.Must(scenario.Build(name, sim.Second)).Install(env)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s on a recording Env: Install = %v, want an error naming %s", name, err, want)
+		}
+		if len(c.q) != 0 || env.Clock != c {
+			t.Errorf("%s: a failed Install left %d events scheduled (clock restored: %v)", name, len(c.q), env.Clock == c)
 		}
 	}
 }
