@@ -2,11 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"mptcp/internal/cc"
@@ -14,20 +16,16 @@ import (
 	"mptcp/internal/workload"
 )
 
-// contractConfig is the one configuration TestEngineContract runs every
-// experiment at: the base run, on one worker.
+// contractConfig is the one configuration the engine-contract tests
+// below run every experiment at: the base run, on one worker.
 var contractConfig = Config{Seed: 5, Scale: 0.02, Parallelism: 1}
 
-// contractRuns are the runs TestEngineContract makes beside each
-// experiment's base run, at the base's seed and scale, each at
-// Parallelism 8 and, when traced, at Parallelism 1 as well. filter sets
-// Scenario, Sched or Workload to a value of a grid axis, in canonical
-// spelling or not, and field reads the Record field it selects on,
-// which must then hold want; a nil field keeps every cell. Each run
-// checks parallelism and its filter or trace at once, so no
-// configuration runs twice. The fleet's parallel run is its minrtt
-// cells; the figures without a run here are pinned at GOMAXPROCS
-// workers by TestPaperFiguresGolden.
+// contractRuns are made beside the base runs, at Parallelism 8 and,
+// when traced, at 1 too. filter sets a grid axis, in canonical spelling
+// or not; field reads the Record field it selects on, which must hold
+// want (a nil field keeps every cell). Each run checks parallelism and
+// a filter or trace at once. The figures without a run here are pinned
+// at GOMAXPROCS workers by TestPaperFiguresGolden.
 var contractRuns = []contractRun{
 	{id: "fig8-torus"},
 	{id: "sec23-wifi3g-model"},
@@ -63,134 +61,183 @@ func scenarioOf(r Record) string  { return r.Scenario }
 func schedulerOf(r Record) string { return r.Scheduler }
 func workloadOf(r Record) string  { return r.Workload }
 
-// gridShapes check each grid's base run cell by cell.
-var gridShapes = map[string]func(t *testing.T, res *Result){
-	"tournament": tournamentShape,
-	"dynamics":   dynamicsShape,
-	"schedgrid":  schedGridShape,
-	"appgrid":    appGridShape,
+func (r contractRun) String() string {
+	return fmt.Sprintf("%s {scenario %q sched %q workload %q traced %v}",
+		r.id, r.filter.Scenario, r.filter.Sched, r.filter.Workload, r.traced)
 }
 
-// TestEngineContract holds every registered experiment to the engine's
-// contract at contractConfig. The base run must complete, render with
-// its ID, and report finite, non-negative metrics; a grid's base run
-// must have every cell once, in cell order (gridShapes). Every run of
-// contractRuns must then reproduce the base:
-//   - at any Parallelism: cell seeds derive from CellSeed(base, idx),
-//     never from scheduling order, and a run shares no state with the
-//     base run before it;
-//   - filtered: a filter selects a non-empty subset of cells and
-//     reproduces those cells' records bit for bit, because cell seeds
-//     derive from full-grid indices rather than filtered positions, and
-//     the filter value is canonicalised before it is matched;
-//   - traced: the tracer only observes, never draws from the world rng
-//     or changes event timing, and a grid's concatenated trace is the
-//     same bytes on one worker or eight, because each cell records into
-//     a private tracer and the grid engine flushes them in cell order.
-//
-// A run that keeps every cell must match the base's metrics and
-// rendered report too; a filtered one, the base's value of every metric
-// it reports.
-func TestEngineContract(t *testing.T) {
+// contractResult is one run: its result, rendered report, and the
+// length and SHA-256 of its trace.
+type contractResult struct {
+	res      *Result
+	render   string
+	traceLen int
+	trace    [sha256.Size]byte
+}
+
+// contractResults maps a configuration {experiment, index into
+// contractRuns or -1 for the base run, parallelism} to its run. The
+// contract tests below each check one clause on the same runs, so each
+// configuration is made once per test process, by the first test that
+// reads it.
+var contractResults sync.Map // [3]any → func() contractResult
+
+func contractResultOf(id string, run, par int) contractResult {
+	f, _ := contractResults.LoadOrStore([3]any{id, run, par}, sync.OnceValue(func() contractResult {
+		e, _ := Get(id)
+		cfg, tr := contractConfig, new(bytes.Buffer)
+		if run >= 0 {
+			cfg = contractRuns[run].filter
+			cfg.Seed, cfg.Scale = contractConfig.Seed, contractConfig.Scale
+			if contractRuns[run].traced {
+				cfg.TraceW = tr
+			}
+		}
+		cfg.Parallelism = par
+		res := e.Run(cfg)
+		var sb strings.Builder
+		res.Render(&sb)
+		return contractResult{res, sb.String(), tr.Len(), sha256.Sum256(tr.Bytes())}
+	}))
+	return f.(func() contractResult)()
+}
+
+func contractBase(id string) contractResult {
+	return contractResultOf(id, -1, contractConfig.Parallelism)
+}
+
+// forContractRuns calls check, in a parallel subtest named after the
+// experiment, on every run of contractRuns that keep selects.
+func forContractRuns(t *testing.T, keep func(contractRun) bool, check func(t *testing.T, run int)) {
+	for i, r := range contractRuns {
+		if keep(r) && slices.IndexFunc(contractRuns, func(o contractRun) bool { return o.id == r.id && keep(o) }) == i {
+			t.Run(r.id, func(t *testing.T) {
+				t.Parallel()
+				for j, o := range contractRuns {
+					if o.id == r.id && keep(o) {
+						check(t, j)
+					}
+				}
+			})
+		}
+	}
+}
+
+// reproducesBase checks every run of contractRuns that keep selects,
+// at each of its parallelisms, against its experiment's base run. A
+// run that keeps every cell must match the base's records, metrics and
+// rendered report; a filtered one must select a non-empty subset of
+// cells, reproduce their records, and report the base's value of every
+// metric it reports.
+func reproducesBase(t *testing.T, keep func(contractRun) bool) {
+	forContractRuns(t, keep, func(t *testing.T, i int) {
+		r, base := contractRuns[i], contractBase(contractRuns[i].id)
+		var want []Record
+		for _, rec := range base.res.Records {
+			if r.field == nil || r.field(rec) == r.want {
+				want = append(want, rec)
+			}
+		}
+		pars := []int{8}
+		if r.traced {
+			pars = []int{1, 8}
+		}
+		for _, par := range pars {
+			got := contractResultOf(r.id, i, par)
+			if (r.field != nil && len(got.res.Records) == 0) || !reflect.DeepEqual(got.res.Records, want) {
+				t.Errorf("%v at parallelism %d: %d records diverge from the base run's %d selected cells",
+					r, par, len(got.res.Records), len(want))
+			}
+			if r.field == nil && (!reflect.DeepEqual(got.res.Metrics, base.res.Metrics) || got.render != base.render) {
+				t.Errorf("%v at parallelism %d: metrics or rendered report diverge from the base run:\n  base: %v\n  got:  %v",
+					r, par, base.res.Metrics, got.res.Metrics)
+			}
+			for k, v := range got.res.Metrics {
+				if b, ok := base.res.Metrics[k]; !ok || b != v {
+					t.Errorf("%v at parallelism %d: metric %s = %v, the base run has %v", r, par, k, v, b)
+				}
+			}
+		}
+	})
+}
+
+// TestAllExperimentsSmoke runs every registered experiment at
+// contractConfig: it must complete, render with its ID, and report
+// finite, non-negative metrics.
+func TestAllExperimentsSmoke(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			compared := slices.ContainsFunc(contractRuns, func(r contractRun) bool { return r.id == e.ID })
-			if testing.Short() && !compared && (strings.HasPrefix(e.ID, "table-fattree") ||
+			if testing.Short() && (strings.HasPrefix(e.ID, "table-fattree") ||
 				strings.HasPrefix(e.ID, "table-bcube") ||
 				strings.HasPrefix(e.ID, "fig1")) {
 				t.Skip("heavy experiment skipped in -short")
 			}
 			t.Parallel()
-			base := e.Run(contractConfig)
-			if base.ID != e.ID {
-				t.Errorf("result ID %q != experiment ID %q", base.ID, e.ID)
+			base := contractBase(e.ID)
+			if base.res.ID != e.ID {
+				t.Errorf("result ID %q != experiment ID %q", base.res.ID, e.ID)
 			}
-			if len(base.Tables) == 0 && len(base.Figures) == 0 {
+			if len(base.res.Tables) == 0 && len(base.res.Figures) == 0 {
 				t.Error("experiment produced no tables or figures")
 			}
-			for k, v := range base.Metrics {
+			for k, v := range base.res.Metrics {
 				if v != v || v < 0 { // NaN or negative
 					t.Errorf("metric %s = %v", k, v)
 				}
 			}
-			var render strings.Builder
-			base.Render(&render)
-			if !strings.Contains(render.String(), e.ID) {
+			if !strings.Contains(base.render, e.ID) {
 				t.Error("render omitted the experiment ID")
-			}
-			if shape := gridShapes[e.ID]; shape != nil {
-				shape(t, base)
-			}
-			for _, r := range contractRuns {
-				if r.id == e.ID {
-					checkAgainstBase(t, e, base, render.String(), r)
-				}
 			}
 		})
 	}
 }
 
-// checkAgainstBase makes run r of experiment e and compares it with
-// e's base run.
-func checkAgainstBase(t *testing.T, e *Experiment, base *Result, render string, r contractRun) {
-	var want []Record
-	for _, rec := range base.Records {
-		if r.field == nil || r.field(rec) == r.want {
-			want = append(want, rec)
-		}
-	}
-	pars := []int{8}
-	if r.traced {
-		pars = []int{1, 8}
-	}
-	name := fmt.Sprintf("%s {scenario %q sched %q workload %q traced %v}",
-		e.ID, r.filter.Scenario, r.filter.Sched, r.filter.Workload, r.traced)
-	var traces [][]byte
-	for _, par := range pars {
-		cfg := r.filter
-		cfg.Seed, cfg.Scale, cfg.Parallelism = contractConfig.Seed, contractConfig.Scale, par
-		var tr bytes.Buffer
-		if r.traced {
-			cfg.TraceW = &tr
-		}
-		got := e.Run(cfg)
-		if (r.field != nil && len(got.Records) == 0) || !reflect.DeepEqual(got.Records, want) {
-			t.Errorf("%s at parallelism %d: %d records diverge from the base run's %d selected cells",
-				name, par, len(got.Records), len(want))
-		}
-		if r.field == nil {
-			if !reflect.DeepEqual(got.Metrics, base.Metrics) {
-				t.Errorf("%s at parallelism %d: metrics diverge from the base run:\n  base: %v\n  got:  %v",
-					name, par, base.Metrics, got.Metrics)
-			}
-			var sb strings.Builder
-			got.Render(&sb)
-			if sb.String() != render {
-				t.Errorf("%s at parallelism %d: rendered report diverges from the base run", name, par)
-			}
-		} else {
-			for k, v := range got.Metrics {
-				if b, ok := base.Metrics[k]; !ok || b != v {
-					t.Errorf("%s at parallelism %d: metric %s = %v, the base run has %v", name, par, k, v, b)
-				}
-			}
-		}
-		if r.traced {
-			if tr.Len() == 0 {
-				t.Errorf("%s at parallelism %d wrote no trace output", name, par)
-			}
-			traces = append(traces, tr.Bytes())
-		}
-	}
-	if len(traces) == 2 && !bytes.Equal(traces[0], traces[1]) {
-		t.Errorf("%s: trace bytes diverge across parallelism: %d vs %d bytes", name, len(traces[0]), len(traces[1]))
-	}
+// TestDeterminismAcrossParallelism is the regression test for the
+// parallel runner's core guarantee: every run of contractRuns
+// reproduces its experiment's base run on eight workers, per-cell
+// Records included, because every cell's randomness derives from
+// CellSeed(base, idx) rather than from scheduling order. Each run
+// follows the base run in one process, so hidden shared state shows.
+func TestDeterminismAcrossParallelism(t *testing.T) {
+	reproducesBase(t, func(contractRun) bool { return true })
 }
 
-// tournamentShape: one record per (algorithm × topology) cell, for
-// every registered algorithm across all four topologies, with finite
-// metrics.
-func tournamentShape(t *testing.T, res *Result) {
+// TestGridFilterKeepsSeeds pins the filter contract for the grids: a
+// filtered run selects a non-empty subset of cells and reproduces those
+// cells' records bit for bit, because cell seeds derive from full-grid
+// indices rather than filtered positions; and the filter value is
+// canonicalised before it is matched.
+func TestGridFilterKeepsSeeds(t *testing.T) {
+	reproducesBase(t, func(r contractRun) bool { return r.field != nil })
+}
+
+// TestTraceDeterministicAcrossParallelism extends the runner's core
+// guarantee to the trace artefact: a grid's concatenated trace is
+// byte-identical whether cells run on one worker or eight, because
+// each cell records into a private tracer and the grid engine flushes
+// them sequentially in cell order.
+func TestTraceDeterministicAcrossParallelism(t *testing.T) {
+	forContractRuns(t, func(r contractRun) bool { return r.traced }, func(t *testing.T, i int) {
+		serial, parallel := contractResultOf(contractRuns[i].id, i, 1), contractResultOf(contractRuns[i].id, i, 8)
+		if serial.traceLen == 0 || serial.trace != parallel.trace {
+			t.Errorf("%v: trace bytes empty or diverging across parallelism: %d vs %d bytes",
+				contractRuns[i], serial.traceLen, parallel.traceLen)
+		}
+	})
+}
+
+// TestTracingDoesNotPerturbResults: enabling tracing must leave the
+// simulation bit-identical, because the tracer only observes, never
+// draws from the world rng or changes event timing. Every traced run,
+// on one worker and on eight, must reproduce the untraced base run.
+func TestTracingDoesNotPerturbResults(t *testing.T) {
+	reproducesBase(t, func(r contractRun) bool { return r.traced })
+}
+
+// TestTournamentGridComplete: the base run has one record per
+// (algorithm × topology) cell, with finite metrics.
+func TestTournamentGridComplete(t *testing.T) {
+	res := contractBase("tournament").res
 	algs := cc.Names()
 	topos := []string{"torus", "dualhomed", "fattree", "wifi3g"}
 	if want := len(algs) * len(topos); len(res.Records) != want {
@@ -214,11 +261,11 @@ func tournamentShape(t *testing.T, res *Result) {
 	}
 }
 
-// dynamicsShape: one record per (algorithm × topology × scenario) cell,
-// every registered algorithm against every topology and scenario
-// script, with finite metrics; only churn cells spawn flows, and every
-// one of them does.
-func dynamicsShape(t *testing.T, res *Result) {
+// TestDynamicsGridComplete: the base run has one record per (algorithm
+// × topology × scenario) cell, with finite metrics; only churn cells
+// spawn flows, and every one of them does.
+func TestDynamicsGridComplete(t *testing.T) {
+	res := contractBase("dynamics").res
 	algs := cc.Names()
 	topos := []string{"torus", "dualhomed", "wifi3g"}
 	scens := scenario.Names()
@@ -268,10 +315,11 @@ func checkCellMetrics(t *testing.T, key string, r Record) {
 	}
 }
 
-// schedGridShape: one Record per (scheduler spec × algorithm × topology
-// × recvbuf) cell, in cell order, with the countermeasure spec present
-// and its activity counters populated only where they can fire.
-func schedGridShape(t *testing.T, res *Result) {
+// TestSchedGridComplete: the base run has one Record per (scheduler
+// spec × algorithm × topology × recvbuf) cell, in cell order, with
+// countermeasure activity only where it can fire, and some of it.
+func TestSchedGridComplete(t *testing.T) {
+	res := contractBase("schedgrid").res
 	specs, algs, bufs := schedSpecs(), cc.Names(), schedBufs
 	want := len(specs) * len(algs) * 3 * len(bufs)
 	if len(res.Records) != want {
@@ -309,10 +357,11 @@ func schedGridShape(t *testing.T, res *Result) {
 	}
 }
 
-// appGridShape: one record per (workload × scheduler × algorithm ×
-// topology) in workload-major cell order; every record names its
-// workload and carries the common accounting metrics.
-func appGridShape(t *testing.T, res *Result) {
+// TestAppGridCompletenessAndOrder: the base run has one record per
+// (workload × scheduler × algorithm × topology) in cell order, each
+// with its workload and the common accounting metrics.
+func TestAppGridCompletenessAndOrder(t *testing.T) {
+	res := contractBase("appgrid").res
 	wls, specs, algs, topos := workload.Names(), appSchedSpecs(), appAlgs(), appTopos
 	want := len(wls) * len(specs) * len(algs) * len(topos)
 	if len(res.Records) != want {
