@@ -7,12 +7,12 @@
 //	mptcp-exp -list
 //	mptcp-exp -run fig8-torus [-scale 1.0] [-seed 42]
 //	mptcp-exp -run all [-parallel 8] [-trials 5] [-json]
-//	mptcp-exp -exp dynamics [-scenario handover] [-json]
-//	mptcp-exp -exp schedgrid [-sched minrtt+otr+pen] [-json]
-//	mptcp-exp -exp appgrid [-workload video] [-json]
+//	mptcp-exp -run dynamics [-scenario handover] [-json]
+//	mptcp-exp -run schedgrid [-sched minrtt+otr+pen] [-json]
+//	mptcp-exp -run appgrid [-workload video] [-json]
 //	mptcp-exp -run fig15-wireless-compete -trace trace.jsonl
-//	mptcp-exp -exp dynamics -json -trace trace.jsonl
-//	mptcp-exp -exp fleet -json
+//	mptcp-exp -run dynamics -json -trace trace.jsonl
+//	mptcp-exp -run fleet -json
 //	mptcp-exp -analyze [-csv out.csv] grid.jsonl trace.jsonl
 //	mptcp-exp -analyze -diff A.jsonl B.jsonl
 //
@@ -48,12 +48,12 @@ import (
 
 // options holds mptcp-exp's flag values.
 type options struct {
-	list, jsonOut, analyze, diff        bool
-	run, exp, scenario, sched, workload string
-	trace, csv                          string
-	seed                                int64
-	scale                               float64
-	parallel, trials                    int
+	list, jsonOut, analyze, diff   bool
+	run, scenario, sched, workload string
+	trace, csv                     string
+	seed                           int64
+	scale                          float64
+	parallel, trials               int
 }
 
 // newFlags returns mptcp-exp's flag set, bound to o. README.md's flag
@@ -62,7 +62,6 @@ func newFlags(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("mptcp-exp", flag.ExitOnError)
 	fs.BoolVar(&o.list, "list", false, "list the experiments, controllers, scenarios, schedulers and workloads, then exit")
 	fs.StringVar(&o.run, "run", "", "experiment `id` to run (see -list), or 'all'")
-	fs.StringVar(&o.exp, "exp", "", "alias of -run `id`")
 	fs.Int64Var(&o.seed, "seed", 42, "base random seed; equal seeds give bit-identical results")
 	fs.Float64Var(&o.scale, "scale", 1.0, "duration/topology scale: 1.0 is paper fidelity, 0.05 a CI smoke")
 	fs.IntVar(&o.parallel, "parallel", 0, "max concurrent trial cells (0 = GOMAXPROCS); results are bit-identical for every value")
@@ -133,10 +132,6 @@ func main() {
 	var o options
 	fs := newFlags(&o)
 	fs.Parse(os.Args[1:])
-	id := o.run
-	if o.exp != "" {
-		id = o.exp
-	}
 	if err := o.check(fs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -152,17 +147,17 @@ func main() {
 		}
 		return
 	}
-	if o.list || id == "" {
+	if o.list || o.run == "" {
 		list(os.Stdout)
 		return
 	}
 	var exps []*exp.Experiment
-	if id == "all" {
+	if o.run == "all" {
 		exps = exp.All()
 	} else {
-		e, ok := exp.Get(id)
+		e, ok := exp.Get(o.run)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", o.run)
 			os.Exit(1)
 		}
 		exps = []*exp.Experiment{e}

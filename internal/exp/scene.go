@@ -1,13 +1,14 @@
 // The scene catalogue: the paper's evaluation worlds, each built in
 // exactly one place. Every grid column and per-figure experiment that
 // runs on a §2.2 mesh, the §2.3 fixed-loss pair, the §3 torus, the §3
-// dual-homed server, a §4 data-centre fabric, the §5 busy wireless
-// client or the §5 wired pair takes its world from here, so the link
+// dual-homed server, a §4 data-centre fabric, a §5 wireless client or
+// the §5 wired pair takes its world from here, so the link names and
 // parameters, the flow population and — what the byte-identical
-// artefacts depend on — the order in which connections are constructed
-// and started cannot drift between experiments. A world used by one
-// experiment only is built in that experiment, with the same add and
-// script.
+// artefacts depend on — the order in which links and connections are
+// constructed and started cannot drift between experiments. The links
+// are topo.Duplexes chosen here; only the §4 fabrics come whole from
+// internal/topo. A world used by one experiment only is built in that
+// experiment, with the same add and script.
 
 package exp
 
@@ -17,7 +18,6 @@ import (
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
-	"mptcp/internal/traffic"
 	"mptcp/internal/transport"
 )
 
@@ -67,38 +67,48 @@ func (sc *scene) add(w *world, cfg transport.Config, paths []transport.Path) *tr
 	return c
 }
 
-// torusScene is §3's five-link torus (1000 pkt/s links, 100 ms RTT, link
-// C at capC) with five two-path flows; churn crosses a random link.
+// torusScene is the ring of Fig. 7: five links A..E (named torus-A …
+// torus-E; 1000 pkt/s, link C at capC; 100 ms RTT, one bandwidth-delay
+// product of buffer) and five two-path flows, flow i over links i and
+// (i+1) mod 5, so every link carries exactly two flows; churn crosses a
+// random link.
 func torusScene(w *world, capC float64, mp func() transport.Config) *scene {
-	tor := topo.NewTorus([]float64{1000, 1000, capC, 1000, 1000}, 100*sim.Millisecond)
-	sc := &scene{links: tor.Links, churn: func() []transport.Path {
-		return []transport.Path{topo.PathThrough(tor.Links[w.s.Rand().Intn(5)])}
-	}}
+	rtt := 100 * sim.Millisecond
+	sc := &scene{}
+	for i, r := range []float64{1000, 1000, capC, 1000, 1000} {
+		sc.links = append(sc.links, topo.NewDuplexPkt("torus-"+string('A'+rune(i)), r, rtt/2, topo.BDPPacketsPkt(r, rtt)))
+	}
+	sc.churn = func() []transport.Path {
+		return []transport.Path{topo.PathThrough(sc.links[w.s.Rand().Intn(5)])}
+	}
 	if mp != nil {
 		for ; sc.hi < 5; sc.hi++ {
-			sc.add(w, mp(), tor.FlowPaths(sc.hi)).Start()
+			sc.add(w, mp(), []transport.Path{topo.PathThrough(sc.links[sc.hi]), topo.PathThrough(sc.links[(sc.hi+1)%5])}).Start()
 		}
 	}
 	return sc
 }
 
-// dualHomedScene is §3's multihomed server: n1 TCPs on access link 1, n2
-// on link 2, then nmp multipath flows across both (the grids run 2, 6
-// and 4); churn is a client download on a random access link.
+// dualHomedScene is §3's multihomed server: two 100 Mb/s access links
+// (server-link1, server-link2), each with 10 ms of one-way wide-area
+// latency (the paper's dummynet leg) and one bandwidth-delay product of
+// buffer; n1 TCPs on link 1, n2 on link 2, then nmp multipath flows
+// across both (the grids run 2, 6 and 4). churn is a client download on
+// a random access link.
 func dualHomedScene(w *world, n1, n2, nmp int, mp func() transport.Config) *scene {
 	rtt := 20 * sim.Millisecond
-	d := topo.NewDualHomed(100, rtt/2, topo.BDPPackets(100, rtt))
-	sc := &scene{
-		links: []*topo.Duplex{d.Link1, d.Link2},
-		paths: d.MultipathPaths(),
-		churn: func() []transport.Path { return d.ClientPath(1 + w.s.Rand().Intn(2)) },
+	buf := topo.BDPPackets(100, rtt)
+	sc := linkScene(topo.NewDuplex("server-link1", 100, rtt/2, buf), topo.NewDuplex("server-link2", 100, rtt/2, buf))
+	sc.churn = func() []transport.Path {
+		i := w.s.Rand().Intn(2)
+		return sc.paths[i : i+1]
 	}
 	for i := 0; i < n1+n2; i++ {
-		link := 1
+		link := 0
 		if i >= n1 {
-			link = 2
+			link = 1
 		}
-		sc.add(w, transport.Config{}, d.ClientPath(link)).Start()
+		sc.add(w, transport.Config{}, sc.paths[link:link+1]).Start()
 	}
 	sc.lo, sc.hi = n1+n2, n1+n2
 	if mp != nil {
@@ -113,8 +123,7 @@ func dualHomedScene(w *world, n1, n2, nmp int, mp func() transport.Config) *scen
 // one competing TCP per radio, all three constructed before any starts;
 // churn is a neighbour's download on the same WiFi basestation.
 func wifi3gScene(w *world, mp func() transport.Config) *scene {
-	wl := busyWireless()
-	sc := linkScene(wl.WiFi, wl.G3)
+	sc := busyWireless()
 	sc.churn = func() []transport.Path { return sc.paths[:1] }
 	if mp != nil {
 		sc.add(w, mp(), sc.paths)
@@ -126,6 +135,40 @@ func wifi3gScene(w *world, mp func() transport.Config) *scene {
 		c.Start()
 	}
 	return sc
+}
+
+// radio is one §5 radio link: rate, one-way delay, buffer and the
+// data direction's i.i.d. loss.
+type radio struct {
+	mbps  float64
+	delay sim.Time
+	buf   int // packets
+	loss  float64
+}
+
+// radioPair is §5's mobile client, path 0 over WiFi and path 1 over 3G.
+// Interference hits the WiFi segment in both directions, the small ACKs
+// losing a quarter of the data rate; the 3G radio loses on the data
+// direction only. A zero loss is a loss-free radio.
+func radioPair(wifi, g3 radio) *scene {
+	sc := linkScene(topo.NewDuplex("wifi", wifi.mbps, wifi.delay, wifi.buf), topo.NewDuplex("3g", g3.mbps, g3.delay, g3.buf))
+	sc.links[0].AB.LossRate = wifi.loss
+	sc.links[0].BA.LossRate = wifi.loss / 4
+	sc.links[1].AB.LossRate = g3.loss
+	return sc
+}
+
+// goodWireless is the static experiment's radio conditions (lab bench
+// next to the basestation): fast WiFi, idle 3G.
+func goodWireless() *scene {
+	return radioPair(radio{16, 5 * sim.Millisecond, 30, 0.004}, radio{2.2, 30 * sim.Millisecond, 400, 0.0005})
+}
+
+// busyWireless is Fig. 15's conditions: heavy 2.4 GHz interference (the
+// paper measured ~5 Mb/s of total WiFi capacity during those five
+// minutes) and a slow, overbuffered 3G cell.
+func busyWireless() *scene {
+	return radioPair(radio{6, 8 * sim.Millisecond, 20, 0.015}, radio{2.0, 60 * sim.Millisecond, 300, 0.0005})
 }
 
 // script binds a scenario script to the scene: its links become the
@@ -240,12 +283,18 @@ func dcPaths(cfg Config) int {
 	return 8
 }
 
-// tp1 draws §4's TP1: a random permutation, every host sending to one
-// other host.
+// tp1 draws §4's TP1: a random permutation, host i sending to dst[i] !=
+// i and every host receiving exactly one flow. It draws a uniform
+// permutation and swaps each fixed point once with its cyclic successor,
+// which never creates a new one.
 func tp1(rng *rand.Rand, n int) (src, dst []int) {
-	for s, t := range traffic.Permutation(rng, n) {
-		src = append(src, s)
-		dst = append(dst, t)
+	dst = rng.Perm(n)
+	for i := 0; i < n; i++ {
+		if dst[i] == i {
+			j := (i + 1) % n
+			dst[i], dst[j] = dst[j], dst[i]
+		}
+		src = append(src, i)
 	}
 	return src, dst
 }

@@ -6,8 +6,6 @@ import (
 
 	"mptcp/internal/cc"
 	"mptcp/internal/metrics"
-	"mptcp/internal/registry"
-	"mptcp/internal/scenario"
 	"mptcp/internal/sched"
 	"mptcp/internal/sim"
 	"mptcp/internal/transport"
@@ -99,7 +97,7 @@ func runSchedGrid(cfg Config) *Result {
 		axes:  []axis{{"scheduler", schedSpecs()}, {"algorithm", cc.Names()}, {"topology", schedTopos}, {"recvbuf", axisVals(schedBufs)}},
 	}
 	res := runGrid(cfg, g, func(c *gridCell) schedOut {
-		return schedCell(c.world(), c.Config, c.vals[2], "", parseSchedSpec(c.vals[0]), c.vals[1], schedBufs[c.at[3]])
+		return schedCell(c.world(), c.Config, c.vals[2], parseSchedSpec(c.vals[0]), c.vals[1], schedBufs[c.at[3]])
 	}, func(res *Result, c *gridCell, out schedOut) []string {
 		key := fmt.Sprintf("%s_%s_%s_buf%s", c.vals[0], strings.ToLower(c.vals[1]), c.vals[2], c.vals[3])
 		res.Metrics[key+"_mbps"] = out.mbps
@@ -118,18 +116,15 @@ func runSchedGrid(cfg Config) *Result {
 
 // schedCell measures one scene with its multipath flows driven by the
 // scheduler column, algorithm and shared receive buffer under test (the
-// single-path TCPs keep stack defaults), optionally under a scenario
-// script: the multipath aggregate, Jain's index over all flows and the
-// multipath flows' countermeasure activity. The wifi3g scene's
+// single-path TCPs keep stack defaults): the multipath aggregate, Jain's
+// index over all flows and the multipath flows' countermeasure
+// activity. The wifi3g scene's
 // overbuffered 3G path (hundreds of packets of queue) is exactly the
 // slow subflow that head-of-line-blocks a constrained shared buffer, so
 // that column is where the §6 countermeasures earn their keep.
-func schedCell(w *world, cell Config, scene, scen string, spec schedSpec, alg string, recvBuf int64) schedOut {
+func schedCell(w *world, cell Config, scene string, spec schedSpec, alg string, recvBuf int64) schedOut {
 	warm, end := cell.dur(schedWarm), cell.dur(schedEnd)
 	sc := scenes[scene](w, func() transport.Config { return mpConfig(spec, alg, recvBuf) })
-	if scen != "" {
-		sc.script(w, registry.Must(scenario.Build(scen, end)))
-	}
 	rates := w.measure(sc.all, warm, end)
 	out := schedOut{mbps: metrics.Sum(rates[sc.lo:sc.hi]), jain: metrics.JainIndex(rates)}
 	for _, c := range sc.mp() {

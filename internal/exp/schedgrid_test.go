@@ -6,7 +6,6 @@ import (
 	"mptcp/internal/registry"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
-	"mptcp/internal/transport"
 )
 
 // TestCountermeasuresBeatPlainMinRTTOnWiFi3G is the acceptance pin for
@@ -18,8 +17,8 @@ import (
 // real regression — not realisation noise — trips it.
 func TestCountermeasuresBeatPlainMinRTTOnWiFi3G(t *testing.T) {
 	cell := Config{Seed: CellSeed(42, 0), Scale: 0.1}.norm()
-	plain := schedCell(newWorld(cell.Seed), cell, "wifi3g", "", parseSchedSpec("minrtt"), "MPTCP", 16)
-	cured := schedCell(newWorld(cell.Seed), cell, "wifi3g", "", parseSchedSpec("minrtt+otr+pen"), "MPTCP", 16)
+	plain := schedCell(newWorld(cell.Seed), cell, "wifi3g", parseSchedSpec("minrtt"), "MPTCP", 16)
+	cured := schedCell(newWorld(cell.Seed), cell, "wifi3g", parseSchedSpec("minrtt+otr+pen"), "MPTCP", 16)
 	if cured.oppRetx == 0 || cured.penalties == 0 {
 		t.Errorf("countermeasures idle on the blocking cell: otr=%v pen=%v", cured.oppRetx, cured.penalties)
 	}
@@ -43,18 +42,10 @@ func TestSchedulersSurviveHandover(t *testing.T) {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
 			w := newWorld(77)
-			wl := busyWireless()
-			ps := parseSchedSpec(spec)
-			mp := transport.NewConn(w.n, transport.Config{
-				Alg:       newAlg("MPTCP"),
-				Sched:     ps.mk(),
-				SchedOpts: ps.opts,
-				Paths:     wl.Paths(),
-			})
+			sc := busyWireless()
+			mp := sc.add(w, mpConfig(parseSchedSpec(spec), "MPTCP", 0), sc.paths)
 			mp.Start()
-			env := &scenario.Env{Clock: w.s, Net: w.n, Links: []scenario.Link{wl.WiFi, wl.G3}}
-			sc := registry.Must(scenario.Build("handover", end))
-			sc.MustInstall(env)
+			sc.script(w, registry.Must(scenario.Build("handover", end)))
 			w.s.RunUntil(end - end/10)
 			tail := mp.Delivered()
 			w.s.RunUntil(end)
@@ -92,7 +83,7 @@ func TestLearnedSchedulerBeatsMinRTTAndBLEST(t *testing.T) {
 			cfg = cfg.norm()
 			cfg.Seed = CellSeed(42, k)
 			episode := func(spec string) float64 {
-				return schedCell(newWorld(cfg.Seed), cfg, c.scene, "", parseSchedSpec(spec), "MPTCP", c.buf).mbps
+				return schedCell(newWorld(cfg.Seed), cfg, c.scene, parseSchedSpec(spec), "MPTCP", c.buf).mbps
 			}
 			bandit += episode("bandit")
 			minrtt += episode("minrtt")

@@ -2,9 +2,9 @@ package exp
 
 import (
 	"mptcp/internal/metrics"
+	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
-	"mptcp/internal/traffic"
 	"mptcp/internal/transport"
 )
 
@@ -96,12 +96,15 @@ func runTableDynamic(cfg Config) *Result {
 		// queueing delay (a full 50-packet buffer adds ~6 ms), and the
 		// 50-packet buffer must cover the bandwidth-delay product for
 		// the bottom link to be fully utilisable.
-		top := topo.NewDuplex("top", 100, 2*sim.Millisecond, 50)
-		bot := topo.NewDuplex("bot", 100, 2*sim.Millisecond, 50)
-		sc := linkScene(top, bot)
+		sc := linkScene(topo.NewDuplex("top", 100, 2*sim.Millisecond, 50), topo.NewDuplex("bot", 100, 2*sim.Millisecond, 50))
 		mp := sc.add(w, transport.Config{Alg: newAlg(c.vals[0])}, sc.paths)
+		// Fig. 9's interferer on the top link: line-rate bursts of mean
+		// 10 ms, mean 100 ms apart. Its first draw runs at time 0, ahead
+		// of every event mp.Start schedules.
+		sc.script(w, scenario.Scenario{Name: "fig9-cbr", Directives: []scenario.Directive{
+			scenario.BackgroundCBR{Link: 0, End: end, RateFactor: 1, MeanOn: 10 * sim.Millisecond, MeanOff: 100 * sim.Millisecond},
+		}})
 		mp.Start()
-		traffic.NewOnOffCBR(w.n, 100, 10*sim.Millisecond, 100*sim.Millisecond, top.AB).Start()
 
 		w.s.RunUntil(warm)
 		b0, b1 := mp.SubflowDelivered(0), mp.SubflowDelivered(1)
@@ -198,6 +201,23 @@ func rateCurves(sampler *metrics.Sampler) []Curve {
 	return curves
 }
 
+// poissonArrivals calls spawn at the arrivals of a Poisson process of
+// rate arrivals per second, drawing its gaps from the world's source.
+// The rate may change at any time: §3's server alternates 10/s and 60/s.
+type poissonArrivals struct {
+	s     *sim.Simulator
+	rate  float64
+	spawn func()
+}
+
+// start schedules the first arrival; each arrival schedules the next.
+func (pa *poissonArrivals) start() {
+	pa.s.After(scenario.PoissonGap(pa.s.Rand(), pa.rate), func() {
+		pa.spawn()
+		pa.start()
+	})
+}
+
 func runServerPoisson(cfg Config) *Result {
 	// The three multipath algorithms compete in one shared world, as in
 	// the paper, so this is a single cell.
@@ -215,24 +235,24 @@ func runServerPoisson(cfg Config) *Result {
 		// light (10/s) and heavy (60/s) phases. The downloads are background
 		// load and stay untraced: a tracer ring per arrival would hold more
 		// than a megabyte for each of thousands of short flows.
-		sizes := traffic.NewParetoMean(1.5, 200e3/1500) // mean 200 kB in packets
-		pa := &traffic.PoissonArrivals{Net: w.n, Rate: 10}
+		sizes := scenario.NewParetoMean(1.5, 200e3/1500) // mean 200 kB in packets
+		pa := &poissonArrivals{s: w.s, rate: 10}
 		pool := transport.NewConnPool(w.n)
 		done := pool.Put // bound once: every arrival shares it
-		pa.Spawn = func() {
+		pa.spawn = func() {
 			n := int64(sizes.Sample(w.s.Rand()))
 			if n < 1 {
 				n = 1
 			}
 			pool.Get(transport.Config{Paths: sc.paths[:1], DataPackets: n, OnComplete: done}).Start()
 		}
-		pa.Start()
+		pa.start()
 		var flip func()
 		flip = func() {
-			if pa.Rate == 10 {
-				pa.Rate = 60
+			if pa.rate == 10 {
+				pa.rate = 60
 			} else {
-				pa.Rate = 10
+				pa.rate = 10
 			}
 			w.s.After(phase, flip)
 		}

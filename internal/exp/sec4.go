@@ -9,7 +9,6 @@ import (
 	"mptcp/internal/netsim"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
-	"mptcp/internal/traffic"
 )
 
 func init() {
@@ -108,7 +107,7 @@ func dcTable(cfg Config, id, title string, salt int64, nPaths int,
 		case "TP2":
 			src, dst = tp2(rng)
 		case "TP3":
-			src, dst = traffic.SparseFlows(rng, fab.NumHosts(), 0.3)
+			src, dst = sparseFlows(rng, fab.NumHosts(), 0.3)
 		}
 		paths := nPaths
 		if c.vals[0] == "SINGLE-PATH" {
@@ -122,12 +121,48 @@ func dcTable(cfg Config, id, title string, salt int64, nPaths int,
 	})
 }
 
+// sparseFlows draws §4's TP3: a fraction frac of the n hosts each open
+// one flow to a uniformly random other host.
+func sparseFlows(rng *rand.Rand, n int, frac float64) (src, dst []int) {
+	hosts := rng.Perm(n)
+	k := int(float64(n) * frac)
+	for i := 0; i < k; i++ {
+		s := hosts[i]
+		d := rng.Intn(n)
+		for d == s {
+			d = rng.Intn(n)
+		}
+		src = append(src, s)
+		dst = append(dst, d)
+	}
+	return src, dst
+}
+
+// oneToMany draws TP2 on a fabric without structural neighbours (the
+// FatTree): every host opens fanout flows to distinct random other
+// hosts.
+func oneToMany(rng *rand.Rand, n, fanout int) (src, dst []int) {
+	for s := 0; s < n; s++ {
+		seen := map[int]bool{s: true}
+		for len(seen) < fanout+1 {
+			d := rng.Intn(n)
+			if seen[d] {
+				continue
+			}
+			seen[d] = true
+			src = append(src, s)
+			dst = append(dst, d)
+		}
+	}
+	return src, dst
+}
+
 func runTableFatTree(cfg Config) *Result {
 	res := dcTable(cfg, "table-fattree",
 		"FatTree per-host throughput (Mb/s); paper: single 51/94/60, EWTCP 92/92.5/99, MPTCP 95/97/99", 7, 8,
 		func() (dcFabric, func(*rand.Rand) (src, dst []int)) {
 			ft := fatTree(cfg)
-			return ft, func(rng *rand.Rand) (src, dst []int) { return traffic.OneToMany(rng, ft.NumHosts(), 12) }
+			return ft, func(rng *rand.Rand) (src, dst []int) { return oneToMany(rng, ft.NumHosts(), 12) }
 		})
 	if k, _, _ := dcSizes(cfg); k != 8 {
 		res.note("scaled-down fabric (k=%d); run with -scale 1 for the paper's 128-host FatTree", k)

@@ -6,7 +6,6 @@ import (
 	"mptcp/internal/metrics"
 	"mptcp/internal/scenario"
 	"mptcp/internal/sim"
-	"mptcp/internal/topo"
 	"mptcp/internal/transport"
 )
 
@@ -43,25 +42,6 @@ func init() {
 	})
 }
 
-// goodWireless reproduces the static experiment's radio conditions (lab
-// bench next to the basestation).
-func goodWireless() *topo.Wireless {
-	return topo.NewWireless(topo.WirelessConfig{
-		WiFiMbps: 16, WiFiDelay: 5 * sim.Millisecond, WiFiLoss: 0.004, WiFiBuf: 30,
-		G3Mbps: 2.2, G3Delay: 30 * sim.Millisecond, G3Loss: 0.0005, G3Buf: 400,
-	})
-}
-
-// busyWireless reproduces Fig. 15's conditions: heavy 2.4 GHz
-// interference (the paper measured ~5 Mb/s of total WiFi capacity during
-// those five minutes) and a slow, overbuffered 3G cell.
-func busyWireless() *topo.Wireless {
-	return topo.NewWireless(topo.WirelessConfig{
-		WiFiMbps: 6, WiFiDelay: 8 * sim.Millisecond, WiFiLoss: 0.015, WiFiBuf: 20,
-		G3Mbps: 2.0, G3Delay: 60 * sim.Millisecond, G3Loss: 0.0005, G3Buf: 300,
-	})
-}
-
 func runWirelessStatic(cfg Config) *Result {
 	g := grid{
 		id:    "table-wireless-static",
@@ -72,8 +52,7 @@ func runWirelessStatic(cfg Config) *Result {
 	res := runGrid(cfg, g, func(c *gridCell) float64 {
 		w := c.world()
 		alg, lo, hi := radioFlow(c.vals[0])
-		wl := goodWireless()
-		sc := linkScene(wl.WiFi, wl.G3)
+		sc := goodWireless()
 		sc.add(w, transport.Config{Alg: newAlg(alg)}, sc.paths[lo:hi]).Start()
 		return w.measure(sc.all, c.dur(10*sim.Second), c.dur(110*sim.Second))[0]
 	}, func(res *Result, c *gridCell, r float64) []string {
@@ -201,11 +180,7 @@ func runFig17(cfg Config) *Result {
 		p3 := c.dur(120 * sim.Second)
 
 		w := c.world()
-		wl := topo.NewWireless(topo.WirelessConfig{
-			WiFiMbps: 10, WiFiDelay: 8 * sim.Millisecond, WiFiLoss: 0.01, WiFiBuf: 25,
-			G3Mbps: 2.0, G3Delay: 50 * sim.Millisecond, G3Loss: 0.0005, G3Buf: 300,
-		})
-		sc := linkScene(wl.WiFi, wl.G3)
+		sc := radioPair(radio{10, 8 * sim.Millisecond, 25, 0.01}, radio{2.0, 50 * sim.Millisecond, 300, 0.0005})
 		tcpW := sc.add(w, transport.Config{}, sc.paths[:1])
 		tcpG := sc.add(w, transport.Config{}, sc.paths[1:])
 		mp := sc.add(w, transport.Config{Alg: newAlg("MPTCP")}, sc.paths)

@@ -4,26 +4,36 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"sync"
 	"testing"
 )
 
 var updateTrace = flag.Bool("update-trace-golden", false,
 	"rewrite testdata/trace_wifi3g_flap.golden.jsonl from the current engine")
 
-// traceWiFi3GFlapCell runs the fixed reference cell — MPTCP on the
-// WiFi+3G topology under the flap scenario, seed CellSeed(5, 0), scale
-// 0.02 — with tracing on and returns the flushed trace bytes.
-func traceWiFi3GFlapCell(t *testing.T) []byte {
-	t.Helper()
+// traceWiFi3GFlap runs the fixed reference cell — MPTCP on the WiFi+3G
+// topology under the flap scenario, seed CellSeed(5, 0), scale 0.02 —
+// with tracing on, once per test process, and keeps the flushed trace
+// bytes for every test that reads them.
+var traceWiFi3GFlap = sync.OnceValues(func() ([]byte, error) {
 	var sink bytes.Buffer
 	c := &gridCell{Config: Config{Scale: 0.02, TraceW: &sink}.norm(), vals: []string{"MPTCP", "wifi3g", "flap"}}
 	c.Seed = CellSeed(5, 0)
 	dynCell(c)
 	var b bytes.Buffer
-	if err := c.tr.Flush(&b); err != nil {
+	err := c.tr.Flush(&b)
+	return b.Bytes(), err
+})
+
+// traceWiFi3GFlapCell returns the reference cell's trace, a copy of its
+// own, so no test writes to the shared bytes.
+func traceWiFi3GFlapCell(t *testing.T) []byte {
+	t.Helper()
+	b, err := traceWiFi3GFlap()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes()
+	return bytes.Clone(b)
 }
 
 // TestTraceGoldenWiFi3GFlap pins the trace JSONL of a fixed-seed cell

@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 
+	"mptcp/internal/netsim"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
-	"mptcp/internal/traffic"
 )
 
 // LinkDown takes link Link (both directions) down at At: arrivals are
@@ -172,7 +174,7 @@ func (d PeriodicFlap) install(env *Env) error {
 }
 
 // BackgroundCBR attaches a bursty on/off constant-bit-rate interferer
-// (traffic.OnOffCBR) to link Link's forward direction between Start and
+// (OnOffCBR) to link Link's forward direction between Start and
 // End. The burst rate is RateFactor times the link's
 // forward line rate at install, so the same script saturates a 100 Mb/s
 // access link and a 2 Mb/s radio alike; on/off periods are exponential
@@ -200,7 +202,7 @@ func (d BackgroundCBR) install(env *Env) error {
 	if d.End <= d.Start {
 		return fmt.Errorf("CBR needs End > Start (got %v..%v)", d.Start, d.End)
 	}
-	cbr := traffic.NewOnOffCBR(env.Net, dl.Rate()*d.RateFactor, d.MeanOn, d.MeanOff, dl.AB)
+	cbr := NewOnOffCBR(env.Net, dl.Rate()*d.RateFactor, d.MeanOn, d.MeanOff, dl.AB)
 	env.Clock.At(d.Start, cbr.Start)
 	env.Clock.At(d.End, cbr.Stop)
 	return nil
@@ -229,7 +231,7 @@ func (d FlowChurn) install(env *Env) error {
 	if d.End <= d.Start {
 		return fmt.Errorf("churn needs End > Start (got %v..%v)", d.Start, d.End)
 	}
-	sizes := traffic.NewParetoMean(1.5, d.MeanPkts)
+	sizes := NewParetoMean(1.5, d.MeanPkts)
 	var step func() // once at Start (no arrival), then once per arrival; bound once
 	step = func() {
 		now := env.Clock.Now()
@@ -241,10 +243,139 @@ func (d FlowChurn) install(env *Env) error {
 			}
 			env.Spawn(pkts)
 		}
-		if t := now + traffic.PoissonGap(env.Rand, d.Rate); t <= d.End {
+		if t := now + PoissonGap(env.Rand, d.Rate); t <= d.End {
 			env.Clock.At(t, step)
 		}
 	}
 	env.Clock.At(d.Start, step)
 	return nil
+}
+
+// The samplers behind BackgroundCBR and FlowChurn. They draw every
+// random number from the simulated world's one seeded source and pace
+// transmission off rearm-in-place sim.Timers, so they are exactly as
+// reproducible as the world that hosts them.
+
+// sink discards delivered CBR packets.
+type sink struct{ net *netsim.Net }
+
+func (s *sink) Receive(p *netsim.Packet) { s.net.FreePacket(p) }
+
+// OnOffCBR is a bursty constant-bit-rate source: it transmits at RateMbps
+// during on-periods and is silent during off-periods, both drawn from
+// exponential distributions. §3 (Fig. 9) uses mean on 10 ms at 100 Mb/s
+// and mean off 100 ms to stress multipath responsiveness.
+type OnOffCBR struct {
+	Net      *netsim.Net
+	Route    *netsim.Route
+	RateMbps float64
+	MeanOn   sim.Time
+	MeanOff  sim.Time
+
+	on        bool
+	stopped   bool
+	PktsSent  int64
+	sendTimer *sim.Timer
+}
+
+// NewOnOffCBR builds the source; links is the forward path. Call Start.
+func NewOnOffCBR(nw *netsim.Net, rateMbps float64, meanOn, meanOff sim.Time, links ...*netsim.Link) *OnOffCBR {
+	c := &OnOffCBR{
+		Net:      nw,
+		Route:    netsim.NewRoute(&sink{net: nw}, links...),
+		RateMbps: rateMbps,
+		MeanOn:   meanOn,
+		MeanOff:  meanOff,
+	}
+	c.sendTimer = nw.Sim.NewTimer(c.sendNext)
+	return c
+}
+
+// Start begins the on/off cycle (starting in an off-period so flows have
+// a moment to establish).
+func (c *OnOffCBR) Start() {
+	c.Net.Sim.After(c.expDur(c.MeanOff), c.turnOn)
+}
+
+func (c *OnOffCBR) expDur(mean sim.Time) sim.Time {
+	d := sim.Time(c.Net.Sim.Rand().ExpFloat64() * float64(mean))
+	if d < sim.Microsecond {
+		d = sim.Microsecond
+	}
+	return d
+}
+
+// Stop ends the on/off cycle permanently: no further packets are sent.
+// Pending cycle events fire as no-ops.
+func (c *OnOffCBR) Stop() {
+	c.stopped = true
+	c.on = false
+	c.sendTimer.Stop()
+}
+
+func (c *OnOffCBR) turnOn() {
+	if c.stopped {
+		return
+	}
+	c.on = true
+	c.sendNext()
+	c.Net.Sim.After(c.expDur(c.MeanOn), c.turnOff)
+}
+
+func (c *OnOffCBR) turnOff() {
+	if c.stopped {
+		return
+	}
+	c.on = false
+	c.sendTimer.Stop()
+	c.Net.Sim.After(c.expDur(c.MeanOff), c.turnOn)
+}
+
+func (c *OnOffCBR) sendNext() {
+	if !c.on {
+		return
+	}
+	p := c.Net.AllocPacket()
+	p.Size = netsim.DataPacketSize
+	c.Net.Send(c.Route, p)
+	c.PktsSent++
+	gap := sim.Time(float64(netsim.DataPacketSize*8) / (c.RateMbps * 1e6) * float64(sim.Second))
+	c.sendTimer.Reset(gap)
+}
+
+// Pareto samples a Pareto distribution with shape alpha and the given
+// mean (alpha must exceed 1 for the mean to exist). The paper's server
+// workload uses Pareto file sizes with mean 200 kB.
+type Pareto struct {
+	Alpha float64
+	Xm    float64 // scale (minimum value)
+}
+
+// NewParetoMean constructs a Pareto with shape alpha and the target mean:
+// mean = alpha·xm/(alpha−1).
+func NewParetoMean(alpha, mean float64) Pareto {
+	return Pareto{Alpha: alpha, Xm: mean * (alpha - 1) / alpha}
+}
+
+// Sample draws one value.
+func (p Pareto) Sample(rng *rand.Rand) float64 {
+	u := rng.Float64()
+	for u == 0 {
+		u = rng.Float64()
+	}
+	return p.Xm / math.Pow(u, 1/p.Alpha)
+}
+
+// Mean returns the distribution mean.
+func (p Pareto) Mean() float64 { return p.Alpha * p.Xm / (p.Alpha - 1) }
+
+// PoissonGap draws the time to the next arrival of a Poisson process of
+// rate arrivals per second, floored at one microsecond so that a process
+// always advances the clock.
+func PoissonGap(rng *rand.Rand, rate float64) sim.Time {
+	gap := sim.Time(rng.ExpFloat64() / rate * float64(sim.Second))
+	if gap < sim.Microsecond {
+		gap = sim.Microsecond
+	}
+	return gap
 }

@@ -30,32 +30,6 @@ func TestBDP(t *testing.T) {
 	}
 }
 
-func TestTorusStructure(t *testing.T) {
-	tor := NewTorus([]float64{1000, 1000, 500, 1000, 1000}, 100*sim.Millisecond)
-	if len(tor.Links) != 5 {
-		t.Fatalf("links = %d, want 5", len(tor.Links))
-	}
-	// Flow i uses links i and i+1; so link C (index 2) serves flows 1,2.
-	useCount := make(map[*netsim.Link]int)
-	for f := 0; f < 5; f++ {
-		paths := tor.FlowPaths(f)
-		if len(paths) != 2 {
-			t.Fatalf("flow %d: %d paths, want 2", f, len(paths))
-		}
-		for _, p := range paths {
-			if len(p.Fwd) != 1 {
-				t.Fatalf("torus paths are single-hop, got %d", len(p.Fwd))
-			}
-			useCount[p.Fwd[0]]++
-		}
-	}
-	for i, d := range tor.Links {
-		if useCount[d.AB] != 2 {
-			t.Errorf("link %s used by %d flows, want 2", TorusLinkNames[i], useCount[d.AB])
-		}
-	}
-}
-
 func TestFatTreeDimensions(t *testing.T) {
 	ft := NewFatTree(FatTreeConfig{K: 8})
 	if ft.NumHosts() != 128 {
@@ -238,32 +212,4 @@ func levelOf(b *BCube, l *netsim.Link, src int) int {
 		}
 	}
 	return -1
-}
-
-// TestWirelessZeroLossStaysZero: every WirelessConfig field is taken
-// as given, so a loss-free radio can be expressed.
-func TestWirelessZeroLossStaysZero(t *testing.T) {
-	w := NewWireless(WirelessConfig{
-		WiFiMbps: 10, WiFiDelay: 5 * sim.Millisecond, WiFiBuf: 20,
-		G3Mbps: 2, G3Delay: 50 * sim.Millisecond, G3Buf: 400,
-	})
-	if len(w.Paths()) != 2 {
-		t.Fatalf("wireless paths = %d, want 2", len(w.Paths()))
-	}
-	for _, l := range []*netsim.Link{w.WiFi.AB, w.WiFi.BA, w.G3.AB, w.G3.BA} {
-		if l.LossRate != 0 {
-			t.Errorf("%s: loss rate %v, want the configured 0", l.Name, l.LossRate)
-		}
-	}
-}
-
-func TestDualHomed(t *testing.T) {
-	d := NewDualHomed(100, 10*sim.Millisecond, 100)
-	if got := d.ClientPath(1)[0].Fwd[0]; got != d.Link1.AB {
-		t.Error("client path 1 not through link 1")
-	}
-	mp := d.MultipathPaths()
-	if len(mp) != 2 {
-		t.Fatalf("multipath paths = %d, want 2", len(mp))
-	}
 }
