@@ -2,16 +2,16 @@
 // transport. A net.PacketConn middleware (Path) subjects real UDP
 // datagrams to the misbehaviour the paper's evaluation leans on — dead
 // radios, bursty wireless loss, reordering, duplication, bit corruption,
-// partitions — and the rest of the package orchestrates and observes it:
+// partitions — and the rest of the package carries and records it:
 //
 //   - Path wraps any net.PacketConn and applies a PathConfig to outgoing
 //     datagrams: delay/jitter, i.i.d. loss, Gilbert–Elliott burst loss,
 //     reordering, duplication, bit corruption and a token-bucket rate
 //     limit, all driven by one seeded rng so a failing run reproduces
 //     from its seed. SetDown models a radio vanishing and returning.
-//   - Director mutates a fleet of Paths by a seeded random walk (the
-//     fuzzing mode), logging every action. Scripted conditions are
-//     scenario scripts, bound to Paths by chaos/harness.
+//     What changes a Path, and when, is not this package's business:
+//     chaos/harness drives Paths by scenario scripts or a seeded random
+//     walk, both on its wall Clock.
 //   - Relay is a store-nothing UDP forwarder that interposes a Path
 //     between two real processes, so even a sender and receiver that
 //     know nothing about this package can be tested under chaos.
@@ -20,8 +20,9 @@
 //
 // The companion packages chaos/leak (goroutine snapshot-diff leak
 // detector) and chaos/harness (N-socket transfer harness asserting the
-// liveness and integrity invariants, and the wall Clock and Link that
-// run internal/scenario scripts on Paths) complete the test stack; see
+// liveness and integrity invariants, and the wall Clock and Link on
+// which its director and internal/scenario scripts change Paths)
+// complete the test stack; see
 // TESTING.md at the repo root.
 package chaos
 

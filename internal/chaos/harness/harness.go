@@ -1,7 +1,9 @@
 // Package harness runs fleets of concurrent mptcpnet transfers over real
-// UDP sockets while a chaos director, or a scenario script on a wall
-// Clock, mutates path conditions. It asserts the invariants that make
-// the stack a usable transport rather than a demo:
+// UDP sockets while a seeded random-walk director, or a scenario script,
+// mutates path conditions. Both run as events on one wall Clock over the
+// subflows' Links, and stopping the clock stops every fault. It asserts
+// the invariants that make the stack a usable transport rather than a
+// demo:
 //
 //  1. Liveness: every transfer resolves within its deadline — it either
 //     completes or fails with an explicit error. Silent stalls are
@@ -42,8 +44,8 @@ type Config struct {
 	Bytes   int   // payload per transfer (default 64 KiB)
 	Seed    int64 // master seed; every derived rng and message includes it
 
-	Churn       time.Duration // director mutation phase (default 1s)
-	Tick        time.Duration // director tick (default 20ms)
+	Churn       time.Duration // director mutation phase, heal-all at its end (default 1s)
+	Tick        time.Duration // director step interval (default 20ms)
 	WaitTimeout time.Duration // per-transfer resolution bound (default 60s)
 
 	// KillAll switches to the terminal scenario, in place of Scenario: a
@@ -116,11 +118,11 @@ func (c *Config) defaults() {
 // socket is one connection under test: the real UDP conns, their chaos
 // wrappers, and the endpoints.
 type socket struct {
-	id     int
-	groups []chaos.Group // path i: {data direction, ACK direction}
-	tx     *mptcpnet.Sender
-	rx     *mptcpnet.Receiver
-	data   []byte
+	id    int
+	links []Link // path i: {data direction, ACK direction}
+	tx    *mptcpnet.Sender
+	rx    *mptcpnet.Receiver
+	data  []byte
 }
 
 // outcome is one transfer's resolution.
@@ -159,15 +161,15 @@ func Run(cfg Config) (*Result, error) {
 
 	// Build every socket over real loopback UDP, and script its paths.
 	var sockets []*socket
-	var groups []chaos.Group
+	var links []Link
 	var allPaths []*chaos.Path
 	for k := 0; k < cfg.Sockets; k++ {
-		sk, err := buildSocket(k, cfg)
-		if err == nil { // script the socket: link i is path group i
+		sk, err := buildSocket(k, cfg, log)
+		if err == nil { // script the socket: link i is path i
 			sockets = append(sockets, sk)
 			env := &scenario.Env{Clock: clock}
-			for _, g := range sk.groups {
-				env.Links = append(env.Links, Link{Name: g.Name, Paths: g.Paths, Log: log})
+			for _, l := range sk.links {
+				env.Links = append(env.Links, l)
 			}
 			err = scn.Install(env)
 		}
@@ -178,10 +180,15 @@ func Run(cfg Config) (*Result, error) {
 			}
 			return nil, fmt.Errorf("seed=%d: socket %d setup: %w", cfg.Seed, k, err)
 		}
-		groups = append(groups, sk.groups...)
-		for _, g := range sk.groups {
-			allPaths = append(allPaths, g.Paths...)
+		links = append(links, sk.links...)
+		for _, l := range sk.links {
+			allPaths = append(allPaths, l.Paths...)
 		}
+	}
+
+	// Without a script, the random-walk director mutates the paths.
+	if len(scn.Directives) == 0 {
+		direct(clock, links, cfg.Tick, cfg.Churn, sim.MixSeed(cfg.Seed, 0), log)
 	}
 
 	// Launch the transfers.
@@ -193,19 +200,6 @@ func Run(cfg Config) (*Result, error) {
 			defer wg.Done()
 			outcomes <- sk.run(cfg)
 		}(sk)
-	}
-
-	// Without a script, a random-walk director mutates the paths.
-	var chaosWG sync.WaitGroup
-	if len(scn.Directives) == 0 {
-		stop := make(chan struct{})
-		d := chaos.NewDirector(groups, cfg.Tick, sim.MixSeed(cfg.Seed, 0), log)
-		chaosWG.Add(1)
-		go func() {
-			defer chaosWG.Done()
-			d.Run(stop)
-		}()
-		time.AfterFunc(cfg.Churn, func() { close(stop) })
 	}
 
 	// Collect resolutions.
@@ -239,7 +233,7 @@ func Run(cfg Config) (*Result, error) {
 			resolved = len(sockets) // bail; teardown below unwedges the stragglers
 		}
 	}
-	clock.Stop()
+	clock.Stop() // no fault, scripted or random, fires from here on
 
 	// Teardown: close every chaos path (and with it the real sockets),
 	// then the endpoints; the leak check below proves it all unwound.
@@ -247,7 +241,6 @@ func Run(cfg Config) (*Result, error) {
 		sk.teardown()
 	}
 	wg.Wait()
-	chaosWG.Wait()
 
 	// Invariant 3a: every delayed chaos delivery drained or cancelled.
 	pendingDeadline := time.Now().Add(3 * time.Second)
@@ -298,11 +291,11 @@ func RunT(t *testing.T, cfg Config) *Result {
 
 // buildSocket opens cfg.Paths real UDP path pairs on loopback, wraps
 // each direction in a chaos.Path, and wires up the endpoints. Path 0 of
-// every connection is the protected group: the director keeps it
+// every connection is the protected link: the director keeps it
 // survivable, anchoring the completion invariant. Socket k's rngs derive
 // from sim.MixSeed(cfg.Seed, 1+k), index 0 being the director's: path i
 // takes indices 2i and 2i+1 below it, the payload the next one.
-func buildSocket(k int, cfg Config) (*socket, error) {
+func buildSocket(k int, cfg Config, log *chaos.Log) (*socket, error) {
 	seed := sim.MixSeed(cfg.Seed, 1+k)
 	sk := &socket{id: k}
 	var sConns, rConns []net.PacketConn
@@ -328,9 +321,10 @@ func buildSocket(k int, cfg Config) (*socket, error) {
 		sConns = append(sConns, sPath)
 		rConns = append(rConns, rPath)
 		remotes = append(remotes, rRaw.LocalAddr())
-		sk.groups = append(sk.groups, chaos.Group{
+		sk.links = append(sk.links, Link{
 			Name:      fmt.Sprintf("s%d-p%d", k, i),
 			Paths:     []*chaos.Path{sPath, rPath},
+			Log:       log,
 			Protected: i == 0,
 		})
 	}
@@ -418,8 +412,8 @@ func (sk *socket) teardown() {
 }
 
 func (sk *socket) teardownPaths() {
-	for _, g := range sk.groups {
-		for _, p := range g.Paths {
+	for _, l := range sk.links {
+		for _, p := range l.Paths {
 			p.Close()
 		}
 	}

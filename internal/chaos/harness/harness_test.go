@@ -36,24 +36,34 @@ func seedFor(t *testing.T) int64 {
 	return s
 }
 
+// directorPath is the loss-free base model of the director runs: its
+// 2 Mb/s rate limit stretches each transfer over most of the churn
+// window, so every drop counted comes from the random walk.
+var directorPath = &chaos.PathConfig{Delay: time.Millisecond, RateBps: 2e6}
+
 // TestChaosTransfersSurviveDirector is the core liveness run: concurrent
 // connections over real UDP while the director randomly kills, heals,
 // degrades, reorders, duplicates, corrupts and partitions paths. Path 0
 // of every connection is protected (never killed, mild faults), so every
-// transfer must complete, byte-exact, and teardown must leak nothing.
+// transfer must complete, byte-exact, and teardown must leak nothing;
+// and the walk's faults must have hit the traffic.
 func TestChaosTransfersSurviveDirector(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos run")
 	}
 	res := RunT(t, Config{
-		Sockets: 6,
-		Paths:   2,
-		Bytes:   64 << 10,
-		Seed:    seedFor(t),
-		Churn:   1500 * time.Millisecond,
+		Sockets:    6,
+		Paths:      2,
+		Bytes:      256 << 10,
+		Seed:       seedFor(t),
+		Churn:      1500 * time.Millisecond,
+		SenderPath: directorPath,
 	})
 	if res.Completed != 6 {
 		t.Errorf("completed %d/6 transfers", res.Completed)
+	}
+	if res.PathStats.Dropped == 0 {
+		t.Errorf("the director dropped nothing: its faults missed the transfers (%+v)", res.PathStats)
 	}
 }
 
@@ -65,18 +75,36 @@ func TestChaosThreePathsWithCountermeasures(t *testing.T) {
 		t.Skip("multi-second chaos run")
 	}
 	res := RunT(t, Config{
-		Sockets: 4,
-		Paths:   3,
-		Bytes:   48 << 10,
-		Seed:    seedFor(t) + 13,
-		Churn:   1500 * time.Millisecond,
-		RecvBuf: 128,
+		Sockets:    4,
+		Paths:      3,
+		Bytes:      384 << 10,
+		Seed:       seedFor(t) + 13,
+		Churn:      1500 * time.Millisecond,
+		SenderPath: directorPath,
+		RecvBuf:    128,
 		Net: mptcpnet.Config{
 			SchedOpts: sched.Options{OpportunisticRetx: true, Penalize: true},
 		},
 	})
 	if res.Completed != 4 {
 		t.Errorf("completed %d/4 transfers", res.Completed)
+	}
+	if res.PathStats.Dropped == 0 {
+		t.Errorf("the director dropped nothing: its faults missed the transfers (%+v)", res.PathStats)
+	}
+}
+
+// TestChaosRunEndsWithTransfers: Run returns once every transfer has
+// resolved, not when the director's churn window closes; stopping the
+// clock is all it takes to stop the walk.
+func TestChaosRunEndsWithTransfers(t *testing.T) {
+	start := time.Now()
+	res := RunT(t, Config{Sockets: 2, Bytes: 16 << 10, Seed: seedFor(t) + 83, Churn: 30 * time.Second})
+	if res.Completed != 2 {
+		t.Errorf("completed %d/2 transfers", res.Completed)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Errorf("Run took %v: it waited out the 30s churn window after its transfers resolved", took)
 	}
 }
 

@@ -51,11 +51,13 @@ func (c *Clock) Stop() {
 // Link is a scenario.Link over one subflow's chaos Paths. Paths[0]
 // carries the data direction, which Delay, Rate and SetRate address;
 // SetDown, SetDelay and SetLossRate act on every Path. Each change is
-// logged under Name (Log may be nil).
+// logged under Name (Log may be nil). The director keeps a Protected
+// link survivable; scripts act on it like any other.
 type Link struct {
-	Name  string
-	Paths []*chaos.Path
-	Log   *chaos.Log
+	Name      string
+	Paths     []*chaos.Path
+	Log       *chaos.Log
+	Protected bool
 }
 
 // set applies f to the first n Paths and logs the change.
@@ -80,7 +82,7 @@ func (l Link) SetDown(down bool) {
 	for _, p := range l.Paths {
 		p.SetDown(down)
 	}
-	l.Log.Emit(chaos.Event{Ev: ev, Path: l.Name, Detail: "scenario"})
+	l.Log.Emit(chaos.Event{Ev: ev, Path: l.Name})
 }
 
 func (l Link) Delay() sim.Time { return sim.Time(l.data().Delay) }

@@ -15,6 +15,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"mptcp/internal/chaos"
 )
 
 var soak = flag.Bool("soak", false, "run the multi-minute soak tier")
@@ -45,9 +47,13 @@ func TestSoakChurn(t *testing.T) {
 		t.Logf("round %d/%d seed=%d", round+1, rounds, seed)
 		start := time.Now()
 		res := RunT(t, Config{
-			Sockets:     sockets,
-			Paths:       2,
-			Bytes:       96 << 10,
+			Sockets: sockets,
+			Paths:   2,
+			// 1 MiB over two 400 kb/s paths takes 10.5 s undisturbed, so
+			// every transfer spans most of the churn window: Run returns
+			// when the last one resolves, not when the churn ends.
+			Bytes:       1 << 20,
+			SenderPath:  &chaos.PathConfig{Delay: time.Millisecond, RateBps: 400e3},
 			Seed:        seed,
 			Churn:       20 * time.Second,
 			Tick:        10 * time.Millisecond,

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Event is one line of the chaos event log: what the director (or the
-// harness) did, when, to which path. A failing soak run's JSONL log plus
+// Event is one line of the chaos event log: what the harness, its
+// director or a script did, when, to which path. A failing soak run's JSONL log plus
 // the seed is a complete replay recipe.
 type Event struct {
 	T      float64 `json:"t"` // seconds since the log was opened
