@@ -6,8 +6,9 @@
 // demo:
 //
 //  1. Liveness: every transfer resolves within its deadline — it either
-//     completes or fails with an explicit error. Silent stalls are
-//     violations.
+//     completes, or fails with an explicit error while every one of its
+//     paths is down. A stall, a Wait that runs out of time, and an error
+//     while a path is still up are violations.
 //  2. Integrity: a completed transfer delivered exactly the bytes that
 //     were sent (length and SHA-256).
 //  3. Cleanliness: after teardown, zero goroutines and zero scheduled
@@ -48,14 +49,6 @@ type Config struct {
 	Tick        time.Duration // director step interval (default 20ms)
 	WaitTimeout time.Duration // per-transfer resolution bound (default 60s)
 
-	// KillAll switches to the terminal scenario, in place of Scenario: a
-	// script that takes every path of every connection down at
-	// KillDelay. The invariant flips — every transfer must FAIL with an
-	// explicit error (the sender's give-up paths), and teardown must
-	// still leak nothing.
-	KillAll   bool
-	KillDelay time.Duration // default 50ms
-
 	Net     mptcpnet.Config // per-connection transport config
 	RecvBuf int64           // receiver shared buffer, segments (default 512)
 
@@ -69,8 +62,9 @@ type Config struct {
 
 	// Scenario, when non-empty, replaces the director: it is installed
 	// on every connection, link i being path i (a Link named
-	// "s<socket>-p<path>"), on one wall Clock started with the run.
-	// Directives that need the simulator fail the run at install.
+	// "s<socket>-p<path>"), on one wall Clock started with the
+	// transfers, so its times count from their launch. Directives that
+	// need the simulator fail the run at install.
 	Scenario scenario.Scenario
 
 	LogW io.Writer // optional JSONL event sink (chaos.Log schema)
@@ -107,9 +101,6 @@ func (c *Config) defaults() {
 	if c.WaitTimeout <= 0 {
 		c.WaitTimeout = 60 * time.Second
 	}
-	if c.KillDelay <= 0 {
-		c.KillDelay = 50 * time.Millisecond
-	}
 	if c.RecvBuf <= 0 {
 		c.RecvBuf = 512
 	}
@@ -129,6 +120,7 @@ type socket struct {
 type outcome struct {
 	socket    int
 	err       error // non-nil: failed with an explicit error
+	allDown   bool  // every path of the connection was down at err
 	stalled   bool  // neither completed nor errored within the deadline
 	got       int
 	integrity bool // length and hash matched
@@ -141,7 +133,7 @@ func Run(cfg Config) (*Result, error) {
 	snap := leak.Take()
 	log := chaos.NewLog(cfg.LogW)
 	log.Emit(chaos.Event{Ev: "run-start", Seed: cfg.Seed,
-		Detail: fmt.Sprintf("sockets=%d paths=%d bytes=%d killall=%v", cfg.Sockets, cfg.Paths, cfg.Bytes, cfg.KillAll)})
+		Detail: fmt.Sprintf("sockets=%d paths=%d bytes=%d", cfg.Sockets, cfg.Paths, cfg.Bytes)})
 
 	res := &Result{}
 	violate := func(format string, args ...any) {
@@ -150,48 +142,42 @@ func Run(cfg Config) (*Result, error) {
 		log.Emit(chaos.Event{Ev: "violation", Seed: cfg.Seed, Detail: msg})
 	}
 
-	scn := cfg.Scenario
-	if cfg.KillAll {
-		scn = scenario.Scenario{Name: "kill-all"}
-		for i := 0; i < cfg.Paths; i++ {
-			scn.Directives = append(scn.Directives, scenario.LinkDown{Link: i, At: sim.Time(cfg.KillDelay)})
-		}
-	}
-	clock := NewClock()
-
-	// Build every socket over real loopback UDP, and script its paths.
+	// Build every socket over real loopback UDP.
 	var sockets []*socket
 	var links []Link
-	var allPaths []*chaos.Path
+	abort := func(k int, err error) (*Result, error) {
+		for _, s := range sockets {
+			s.teardown()
+		}
+		return nil, fmt.Errorf("seed=%d: socket %d setup: %w", cfg.Seed, k, err)
+	}
 	for k := 0; k < cfg.Sockets; k++ {
 		sk, err := buildSocket(k, cfg, log)
-		if err == nil { // script the socket: link i is path i
-			sockets = append(sockets, sk)
-			env := &scenario.Env{Clock: clock}
-			for _, l := range sk.links {
-				env.Links = append(env.Links, l)
-			}
-			err = scn.Install(env)
-		}
 		if err != nil {
-			clock.Stop()
-			for _, s := range sockets {
-				s.teardown()
-			}
-			return nil, fmt.Errorf("seed=%d: socket %d setup: %w", cfg.Seed, k, err)
+			return abort(k, err)
 		}
+		sockets = append(sockets, sk)
 		links = append(links, sk.links...)
-		for _, l := range sk.links {
-			allPaths = append(allPaths, l.Paths...)
-		}
 	}
 
-	// Without a script, the random-walk director mutates the paths.
-	if len(scn.Directives) == 0 {
+	// The clock starts with the transfers, so every script time counts
+	// from their launch. A scenario scripts each socket, link i being
+	// path i; without one, the random-walk director mutates the paths.
+	log.Emit(chaos.Event{Ev: "launch", Seed: cfg.Seed})
+	clock := NewClock()
+	if len(cfg.Scenario.Directives) == 0 {
 		direct(clock, links, cfg.Tick, cfg.Churn, sim.MixSeed(cfg.Seed, 0), log)
 	}
-
-	// Launch the transfers.
+	for _, sk := range sockets {
+		env := &scenario.Env{Clock: clock}
+		for _, l := range sk.links {
+			env.Links = append(env.Links, l)
+		}
+		if err := cfg.Scenario.Install(env); err != nil {
+			clock.Stop()
+			return abort(sk.id, err)
+		}
+	}
 	outcomes := make(chan outcome, len(sockets))
 	var wg sync.WaitGroup
 	for _, sk := range sockets {
@@ -216,17 +202,14 @@ func Run(cfg Config) (*Result, error) {
 			case o.err != nil:
 				res.Errored++
 				log.Emit(chaos.Event{Ev: "xfer-error", Socket: o.socket, Err: o.err.Error()})
-				if !cfg.KillAll {
-					violate("socket %d failed under survivable chaos: %v", o.socket, o.err)
+				if !o.allDown {
+					violate("socket %d failed while one of its paths was up: %v", o.socket, o.err)
 				}
 			case !o.integrity:
 				violate("socket %d completed but delivered %d/%d bytes or a corrupted stream", o.socket, o.got, cfg.Bytes)
 			default:
 				res.Completed++
 				log.Emit(chaos.Event{Ev: "xfer-done", Socket: o.socket, Bytes: o.got})
-				if cfg.KillAll {
-					violate("socket %d completed although every path was killed at %v", o.socket, cfg.KillDelay)
-				}
 			}
 		case <-deadline:
 			violate("%d/%d transfers unresolved at harness deadline", len(sockets)-resolved, len(sockets))
@@ -242,15 +225,24 @@ func Run(cfg Config) (*Result, error) {
 	}
 	wg.Wait()
 
-	// Invariant 3a: every delayed chaos delivery drained or cancelled.
+	// Invariant 3a: every delayed chaos delivery drained or cancelled;
+	// then the paths' counters are final.
 	pendingDeadline := time.Now().Add(3 * time.Second)
-	for _, p := range allPaths {
-		for p.Pending() != 0 {
-			if time.Now().After(pendingDeadline) {
-				violate("chaos path %s still holds %d scheduled deliveries after close: Close left them queued", p.LocalAddr(), p.Pending())
-				break
+	for _, l := range links {
+		for _, p := range l.Paths {
+			for p.Pending() != 0 {
+				if time.Now().After(pendingDeadline) {
+					violate("chaos path %s still holds %d scheduled deliveries after close: Close left them queued", p.LocalAddr(), p.Pending())
+					break
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
-			time.Sleep(5 * time.Millisecond)
+			st := p.Stats()
+			res.PathStats.Sent += st.Sent
+			res.PathStats.Dropped += st.Dropped
+			res.PathStats.Duplicated += st.Duplicated
+			res.PathStats.Corrupted += st.Corrupted
+			res.PathStats.Reordered += st.Reordered
 		}
 	}
 
@@ -259,14 +251,6 @@ func Run(cfg Config) (*Result, error) {
 		violate("leaked goroutine:\n%s", stack)
 	}
 
-	for _, p := range allPaths {
-		st := p.Stats()
-		res.PathStats.Sent += st.Sent
-		res.PathStats.Dropped += st.Dropped
-		res.PathStats.Duplicated += st.Duplicated
-		res.PathStats.Corrupted += st.Corrupted
-		res.PathStats.Reordered += st.Reordered
-	}
 	for _, sk := range sockets {
 		res.Corrupted += sk.rx.Corrupted() + sk.tx.Stats().Corrupt
 	}
@@ -341,6 +325,7 @@ func buildSocket(k int, cfg Config, log *chaos.Log) (*socket, error) {
 // completed, failed with an error, or the deadline passed (stall).
 func (sk *socket) run(cfg Config) outcome {
 	wantSum := sha256.Sum256(sk.data)
+	deadline := time.Now().Add(cfg.WaitTimeout)
 
 	werr := make(chan error, 1)
 	go func() {
@@ -349,7 +334,7 @@ func (sk *socket) run(cfg Config) outcome {
 			return
 		}
 		sk.tx.Close()
-		werr <- sk.tx.Wait(cfg.WaitTimeout)
+		werr <- sk.tx.Wait(time.Until(deadline))
 	}()
 
 	type readResult struct {
@@ -373,33 +358,46 @@ func (sk *socket) run(cfg Config) outcome {
 		}
 	}()
 
-	deadline := time.After(cfg.WaitTimeout)
+	expired := time.After(time.Until(deadline))
 	select {
 	case err := <-werr:
 		if err != nil {
-			// Sender gave up (all paths dead, socket closed). Release the
-			// reader and report the explicit error.
+			// The sender gave up, or its Wait ran out of time: the
+			// latter resolved nothing. Release the reader.
+			down, late := sk.down(), !time.Now().Before(deadline)
 			sk.rx.Close()
 			<-rres
-			return outcome{socket: sk.id, err: err}
+			return outcome{socket: sk.id, err: err, allDown: down, stalled: late}
 		}
 		// Sender finished cleanly: the reader must reach EOF promptly.
 		select {
 		case r := <-rres:
 			if r.err != nil {
-				return outcome{socket: sk.id, err: r.err, got: len(r.got)}
+				return outcome{socket: sk.id, err: r.err, allDown: sk.down(), got: len(r.got)}
 			}
 			ok := len(r.got) == len(sk.data) && sha256.Sum256(r.got) == wantSum
 			return outcome{socket: sk.id, got: len(r.got), integrity: ok}
-		case <-deadline:
+		case <-expired:
 			return outcome{socket: sk.id, stalled: true}
 		}
-	case <-deadline:
+	case <-expired:
 		// Neither the sender resolved nor ... the writer may be wedged in
 		// Write backpressure with no error: the definition of a silent
 		// stall.
 		return outcome{socket: sk.id, stalled: true}
 	}
+}
+
+// down reports whether every path of the connection is down.
+func (sk *socket) down() bool {
+	for _, l := range sk.links {
+		for _, p := range l.Paths {
+			if !p.Down() {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // teardown closes every chaos path (closing the real sockets beneath,

@@ -9,6 +9,8 @@ package harness
 //	go test -race -run TestChaosX ./internal/chaos/harness -chaos.seed=<seed>
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"strings"
 	"sync"
@@ -153,31 +155,127 @@ func TestChaosAllFaultKindsExercised(t *testing.T) {
 	}
 }
 
+// killAll is the terminal script: every path of a connection goes down
+// at 30 ms and stays down.
+var killAll = scenario.Scenario{Name: "kill-all", Directives: []scenario.Directive{
+	scenario.LinkDown{Link: 0, At: 30 * sim.Millisecond},
+	scenario.LinkDown{Link: 1, At: 30 * sim.Millisecond},
+}}
+
+// deadPathsRun is a run whose two paths per connection all stop
+// delivering at 30 ms, while each transfer is still in flight (~2 Mb/s
+// per path stretches it to ~130 ms): the senders must give up.
+func deadPathsRun(seed int64, scn scenario.Scenario) Config {
+	return Config{
+		Sockets:     2,
+		Paths:       2,
+		Bytes:       32 << 10,
+		Seed:        seed,
+		SenderPath:  &chaos.PathConfig{Delay: time.Millisecond, RateBps: 2e6},
+		Scenario:    scn,
+		WaitTimeout: 90 * time.Second,
+		Net:         mptcpnet.Config{MinRTO: 2 * time.Millisecond},
+	}
+}
+
 // TestChaosAllPathsDeadGivesUp is the terminal scenario: every path of
-// every connection is killed shortly after start and stays dead. The
-// invariant flips — every transfer must FAIL with an explicit error (the
-// sender's one give-up rule: consecutive RTOs on every path), nothing may
-// complete, nothing may stall silently, and teardown must still leak zero
-// goroutines and timers.
+// every connection is killed shortly after launch and stays dead. Every
+// transfer must fail with an explicit error (the sender's one give-up
+// rule: every path timing out with no progress), which the harness
+// accepts because every path was down; nothing may complete, nothing
+// may stall silently, and teardown must still leak zero goroutines and
+// timers.
 func TestChaosAllPathsDeadGivesUp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second give-up backoff")
 	}
-	res := RunT(t, Config{
-		Sockets: 2,
-		Paths:   2,
-		Bytes:   32 << 10,
-		Seed:    seedFor(t) + 41,
-		KillAll: true,
-		// ~2 Mb/s per path keeps the transfer in flight (~130ms) well past
-		// the kill, so the sender is cut off mid-stream.
-		SenderPath:  &chaos.PathConfig{Delay: time.Millisecond, RateBps: 2e6},
-		KillDelay:   30 * time.Millisecond,
-		WaitTimeout: 90 * time.Second,
-		Net:         mptcpnet.Config{MinRTO: 2 * time.Millisecond},
-	})
+	res := RunT(t, deadPathsRun(seedFor(t)+41, killAll))
 	if res.Errored != 2 || res.Completed != 0 {
 		t.Errorf("errored=%d completed=%d, want all 2 to fail explicitly", res.Errored, res.Completed)
+	}
+}
+
+// TestChaosErrorWithPathUpIsViolation: the same give-up, with path 0
+// losing everything rather than killed, is a violation. A sender may
+// fail only once every one of its paths is down.
+func TestChaosErrorWithPathUpIsViolation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second give-up backoff")
+	}
+	res, err := Run(deadPathsRun(seedFor(t)+43, scenario.Scenario{Name: "lossy", Directives: []scenario.Directive{
+		scenario.LossStep{Link: 0, At: 30 * sim.Millisecond, Loss: 1},
+		scenario.LinkDown{Link: 1, At: 30 * sim.Millisecond},
+	}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errored != 2 || len(res.Violations) != 2 {
+		t.Fatalf("errored=%d, violations %q: want both senders' errors judged violations", res.Errored, res.Violations)
+	}
+	for _, v := range res.Violations {
+		if !strings.Contains(v, "while one of its paths was up") {
+			t.Errorf("violation %q, want the sender's error with a path up", v)
+		}
+	}
+}
+
+// TestChaosWaitTimeoutIsViolation: every path is down, but at the
+// default 200 ms MinRTO the senders' give-up bound is 51 s, so their
+// Waits run out of time at the 300 ms deadline. That resolves nothing:
+// each is a stall, whatever the paths.
+func TestChaosWaitTimeoutIsViolation(t *testing.T) {
+	cfg := deadPathsRun(seedFor(t)+47, killAll)
+	cfg.WaitTimeout, cfg.Net = 300*time.Millisecond, mptcpnet.Config{}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errored != 0 || len(res.Violations) != 2 {
+		t.Fatalf("errored=%d, violations %q: want both transfers judged stalls", res.Errored, res.Violations)
+	}
+	for _, v := range res.Violations {
+		if !strings.Contains(v, "stalled") {
+			t.Errorf("violation %q, want a stall", v)
+		}
+	}
+}
+
+// TestChaosScriptTimesCountFromLaunch: the run's clock starts with its
+// transfers, so every scripted kill in the log comes at least its At
+// after the launch event. (~2 Mb/s per path keeps each transfer in
+// flight past the kill.)
+func TestChaosScriptTimesCountFromLaunch(t *testing.T) {
+	const at = 20 * sim.Millisecond
+	var buf bytes.Buffer
+	RunT(t, Config{
+		Sockets:    8,
+		Bytes:      16 << 10,
+		Seed:       seedFor(t) + 89,
+		SenderPath: &chaos.PathConfig{Delay: time.Millisecond, RateBps: 2e6},
+		LogW:       &buf,
+		Scenario: scenario.Scenario{Name: "blip", Directives: []scenario.Directive{
+			scenario.LinkDown{Link: 1, At: at},
+			scenario.LinkUp{Link: 1, At: 2 * at},
+		}},
+	})
+	launch, kills := -1.0, 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var e chaos.Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		switch e.Ev {
+		case "launch":
+			launch = e.T
+		case "kill":
+			kills++
+			if launch < 0 || e.T-launch < at.Seconds() {
+				t.Errorf("kill of %s at %.6fs, launch at %.6fs: want it at least %v after the launch", e.Path, e.T, launch, at)
+			}
+		}
+	}
+	if kills != 8 {
+		t.Errorf("logged %d kills, want one per socket", kills)
 	}
 }
 

@@ -84,6 +84,13 @@ func (p *Path) SetDown(down bool) {
 	p.mu.Unlock()
 }
 
+// Down reports whether the path is killed.
+func (p *Path) Down() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.killed
+}
+
 // Update mutates the fault model in place under the lock, so one knob
 // can change without racing another mutator's read-modify-write.
 // Datagrams already scheduled keep the faults drawn at write time.

@@ -12,15 +12,18 @@ import (
 // fleet experiment records (CompletedAt − StartedAt: Start until the
 // final data packet is cumulatively acknowledged at the sender) against
 // a timeline small enough to compute by hand. One single-path flow of 4
-// data packets, initial cwnd 4, jitter off, over a 1000 pkt/s link with
-// 45 ms propagation each way:
+// data packets, from the initial window of 2, over a 1000 pkt/s link
+// with 45 ms propagation each way:
 //
 //	data tx     = 1500·8 / 12e6 s  = 1 ms exactly
 //	ack tx      = 40·8 / 12e6 s    = 26666 ns (truncated)
-//	4th packet finishes serialising at 4 ms, arrives 4+45 = 49 ms;
-//	its ack departs 49 ms + ackTx and lands 45 ms later.
+//	the 1st packet's ack lands at dataTx + 45 ms + ackTx + 45 ms, and
+//	slow start sends the 3rd and 4th back to back;
+//	the 4th's ack lands 2·dataTx + 45 ms + ackTx + 45 ms after that.
 //
-// FCT = 4·dataTx + 45 ms + ackTx + 45 ms.
+// FCT = 3·dataTx + 2·(45 ms + ackTx + 45 ms), plus each round's send
+// jitter: its first packet waits a uniform draw of at most 100 µs, and
+// its second queues behind the first's serialisation anyway.
 func TestFleetFCTHandComputed(t *testing.T) {
 	s := sim.New(7)
 	n := netsim.NewNet(s)
@@ -29,22 +32,26 @@ func TestFleetFCTHandComputed(t *testing.T) {
 	c := transport.NewConn(n, transport.Config{
 		Paths:       []transport.Path{{Fwd: []*netsim.Link{fwd}, Rev: []*netsim.Link{rev}}},
 		DataPackets: 4,
-		InitialCwnd: 4,
-		SendJitter:  -1,
 	})
 	c.Start()
 	s.RunUntil(5 * sim.Second)
 	if !c.Done() {
 		t.Fatal("flow did not complete")
 	}
+	want, jitter := fourPacketFCT()
+	if got := c.CompletedAt() - c.StartedAt(); got < want || got > want+jitter {
+		t.Errorf("FCT %v, want %v plus at most %v of send jitter", got, want, jitter)
+	}
+}
 
+// fourPacketFCT returns TestFleetFCTHandComputed's hand-computed
+// completion time of a 4-packet flow and the most its two rounds' send
+// jitter adds to it.
+func fourPacketFCT() (fct, jitter sim.Time) {
 	dataBits, ackBits := float64(netsim.DataPacketSize*8), float64(netsim.AckPacketSize*8)
 	dataTx := sim.Time(dataBits / 12e6 * float64(sim.Second))
 	ackTx := sim.Time(ackBits / 12e6 * float64(sim.Second))
-	want := 4*dataTx + 45*sim.Millisecond + ackTx + 45*sim.Millisecond
-	if got := c.CompletedAt() - c.StartedAt(); got != want {
-		t.Errorf("FCT %v, want %v", got, want)
-	}
+	return 3*dataTx + 2*(45*sim.Millisecond+ackTx+45*sim.Millisecond), 2 * 100 * sim.Microsecond
 }
 
 // TestFleetCountsIncompleteFlows is the regression test for the goodput

@@ -88,7 +88,8 @@ type sendSubflow struct {
 	// on a loss-free path.
 	sendQ chan *frame
 
-	rto timer // the retransmission timer, guarded by the parent's mu
+	rto          timer      // the retransmission timer, guarded by the parent's mu
+	stalledSince proto.Time // the first timeout since the subflow's last progress
 }
 
 // timer is a time.Timer created once and re-armed with Reset. deadline
@@ -138,18 +139,23 @@ func (tm *timer) expired() bool {
 // then and starts each subflow's scoreboard ring at 64 slots.
 const defaultWindow = 64
 
-// maxRTOStreak is the give-up bound, the only one: when EVERY subflow has
-// suffered this many consecutive retransmission timeouts with no
-// cumulative-ACK progress anywhere, the connection is dead end to end
-// (all radios gone and staying gone) and the sender aborts with an error
-// rather than retransmitting forever — the transfers-complete-or-fail
-// invariant the chaos harness asserts. A single live subflow resets its
-// own count on every ACK, so no amount of chaos on the other paths
-// trips this while one path still delivers. Eight doublings put the
-// final wait at 256× the measured RTO — patient enough to ride out any
-// plausible congestion event, yet bounded (seconds to about a minute)
-// rather than the hours twelve doublings would cost.
-const maxRTOStreak = 8
+// deadMinRTOs is the give-up bound, the only one, in minimum RTOs: when
+// EVERY subflow has gone on timing out with no cumulative-ACK progress
+// for deadMinRTOs × MinRTO since its first timeout, the connection is
+// dead end to end (all radios gone and staying gone) and the sender
+// aborts with an error rather than retransmitting forever — the
+// transfers-complete-or-fail invariant the chaos harness asserts. A
+// single live subflow ends its own streak on every ACK, so no amount of
+// chaos on the other paths trips this while one path still delivers,
+// and an idle connection's first timeout starts a streak rather than
+// ending one. 254 × MinRTO is what the seven doublings after a first
+// timeout at the minimum RTO take (51 s at the default 200 ms): patient
+// enough to ride out any plausible congestion event. The bound is time,
+// not a count of timeouts, so it holds whether or not a subflow ever
+// took an RTT sample — eight timeouts from RFC 6298's initial 1 s RTO
+// would take ≈ 183 s. The sender gives up at the first timeout past the
+// bound: within one more backed-off RTO of it.
+const deadMinRTOs = 254
 
 // sendQueueCap is the per-subflow writer queue depth, in segments.
 const sendQueueCap = 512
@@ -540,8 +546,11 @@ func (sf *sendSubflow) onRTO() {
 		return
 	}
 	now := s.now()
+	if s.core.Backoff(sf.id) == 0 {
+		sf.stalledSince = now
+	}
 	s.core.OnRTO(now, sf.id)
-	if s.allPathsDeadLocked() {
+	if s.allPathsDeadLocked(now) {
 		s.abortLocked(errors.New("mptcpnet: every subflow timed out repeatedly with no progress, giving up"))
 		return
 	}
@@ -552,11 +561,11 @@ func (sf *sendSubflow) onRTO() {
 	s.settleLocked()
 }
 
-// allPathsDeadLocked reports whether every subflow has hit the
-// consecutive-RTO give-up bound — the all-paths-dead terminal state.
-func (s *Sender) allPathsDeadLocked() bool {
-	for i := range s.subs {
-		if s.core.Backoff(i) < maxRTOStreak {
+// allPathsDeadLocked reports whether every subflow has been timing out
+// for the give-up bound — the all-paths-dead terminal state.
+func (s *Sender) allPathsDeadLocked(now proto.Time) bool {
+	for i, sf := range s.subs {
+		if s.core.Backoff(i) == 0 || now-sf.stalledSince < deadMinRTOs*s.core.MinRTO() {
 			return false
 		}
 	}

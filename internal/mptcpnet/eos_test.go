@@ -178,3 +178,61 @@ func TestEndOfStreamPeerGoneGivesUpOnce(t *testing.T) {
 		t.Errorf("after giving up: completed=%t persist armed=%t rto armed=%t, want none", tx.completed, tx.persist.on, tx.subs[0].rto.on)
 	}
 }
+
+// The peer is gone before its first ACK: the subflow never measures its
+// path and times out from RFC 6298's initial 1 s RTO. The give-up bound
+// is time, not a count of timeouts, so the sender still gives up within
+// seconds — eight doublings from 1 s would take about three minutes.
+func TestPeerGoneBeforeFirstAckGivesUp(t *testing.T) {
+	leak.Check(t, 5*time.Second)
+	tx, _, snds := memPipe(t, 1, Config{MinRTO: time.Millisecond}, 256)
+	snds[0].drop = func([]byte) bool { return true }
+	if _, err := tx.Write(make([]byte, 4*MaxPayload)); err != nil {
+		t.Fatal(err)
+	}
+	tx.Close()
+	start := time.Now()
+	err := tx.Wait(10 * time.Second)
+	if err == nil || !strings.Contains(err.Error(), "every subflow timed out") {
+		t.Fatalf("Wait = %v after %v, want the all-paths-dead error within 10s", err, time.Since(start))
+	}
+}
+
+// A connection that sat idle for longer than the give-up bound and then
+// loses its first new transmission is not dead: that timeout starts a
+// streak rather than ending one, and the retransmission gets through.
+func TestIdleConnectionSurvivesItsFirstTimeout(t *testing.T) {
+	tx, rx, snds := memPipe(t, 1, Config{MinRTO: time.Millisecond}, 256)
+	if _, err := tx.Write(make([]byte, 4*MaxPayload)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(rx, make([]byte, 4*MaxPayload)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond) // idle past 254 × MinRTO
+	var lost atomic.Bool
+	snds[0].drop = func([]byte) bool { return lost.CompareAndSwap(false, true) }
+	if _, err := tx.Write(make([]byte, MaxPayload)); err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan error, 1)
+	go func() { _, err := io.ReadFull(rx, make([]byte, MaxPayload)); read <- err }()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-tx.done:
+		t.Fatalf("the sender ended at its first timeout after the idle spell: %v", tx.Wait(0))
+	}
+	tx.mu.Lock()
+	rtos := tx.core.Stats(0).RTOs
+	tx.mu.Unlock()
+	if rtos == 0 {
+		t.Error("the lost segment was repaired without a timeout: the test did not reach the give-up rule")
+	}
+	tx.Close()
+	if err := tx.Wait(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -34,6 +34,13 @@ import (
 // Infinite marks an unlimited data supply (a long-lived flow).
 const Infinite = proto.Infinite
 
+// sendJitter is the maximum uniform random delay added to each data
+// packet transmission (FIFO order within a subflow is preserved). A
+// small jitter breaks the drop-tail phase locking that plagues
+// deterministic simulations of flows with identical RTTs (Floyd &
+// Jacobson, "On Traffic Phase Effects in Packet-Switched Gateways").
+const sendJitter = 100 * sim.Microsecond
+
 // Path is the pair of routes used by one subflow: Fwd carries data from
 // sender to receiver, Rev carries ACKs back.
 type Path struct {
@@ -71,22 +78,10 @@ type Config struct {
 	// a window large enough never to bind (1<<20).
 	RecvBuf int64
 
-	// InitialCwnd is the initial congestion window in packets
-	// (default 2, as in Linux of the paper's era).
-	InitialCwnd float64
-
 	// DisableReinject turns off data-level reinjection: after an RTO on
 	// one subflow, outstanding data is normally also made available to
 	// other subflows so a dead path cannot strand the stream.
 	DisableReinject bool
-
-	// SendJitter is the maximum uniform random delay added to each data
-	// packet transmission (FIFO order within a subflow is preserved). A
-	// small jitter breaks the drop-tail phase locking that plagues
-	// deterministic simulations of flows with identical RTTs (Floyd &
-	// Jacobson, "On Traffic Phase Effects in Packet-Switched Gateways").
-	// Defaults to 100 µs; set negative to disable.
-	SendJitter sim.Time
 
 	// OnComplete, if set, is invoked with the connection once the final
 	// data packet is cumulatively acknowledged (finite flows only). It
@@ -162,12 +157,6 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 	if cfg.DataPackets == 0 {
 		cfg.DataPackets = Infinite
 	}
-	switch {
-	case cfg.SendJitter == 0:
-		cfg.SendJitter = 100 * sim.Microsecond
-	case cfg.SendJitter < 0:
-		cfg.SendJitter = 0
-	}
 	if cfg.Sched == nil {
 		cfg.Sched = sched.FirstFit{}
 	}
@@ -182,7 +171,6 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 		SchedOpts:       cfg.SchedOpts,
 		Total:           cfg.DataPackets,
 		Window:          cfg.RecvBuf,
-		InitialCwnd:     cfg.InitialCwnd,
 		DisableReinject: cfg.DisableReinject,
 		Tracer:          cfg.Tracer,
 	})
@@ -298,11 +286,8 @@ func (c *Conn) SRTT(i int) sim.Time { return sim.Time(c.core.SRTT(i)) }
 // shell's one random draw per emission.
 func (c *Conn) Emit(sub int, seq, dataSeq int64, retx bool) {
 	sf, nw := c.subs[sub], c.net
-	at := nw.Sim.Now()
-	if j := c.cfg.SendJitter; j > 0 {
-		at = max(at+sim.Time(nw.Sim.Rand().Int63n(int64(j)+1)), sf.nextSend)
-		sf.nextSend = at
-	}
+	at := max(nw.Sim.Now()+sim.Time(nw.Sim.Rand().Int63n(int64(sendJitter)+1)), sf.nextSend)
+	sf.nextSend = at
 	p := nw.AllocPacket()
 	p.Size = netsim.DataPacketSize
 	p.FlowID = c.ID

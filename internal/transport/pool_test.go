@@ -338,7 +338,6 @@ func TestConnPoolRecycleInsideOnComplete(t *testing.T) {
 		c := pool.Get(Config{
 			Paths:       paths,
 			DataPackets: 6,
-			SendJitter:  -1,
 			OnComplete: func(c *Conn) {
 				completed++
 				pool.Put(c)
