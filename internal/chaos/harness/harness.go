@@ -27,6 +27,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -122,8 +123,8 @@ type outcome struct {
 	err       error // non-nil: failed with an explicit error
 	allDown   bool  // every path of the connection was down at err
 	stalled   bool  // neither completed nor errored within the deadline
-	got       int
-	integrity bool // length and hash matched
+	got       int   // bytes the reader had received
+	integrity bool  // length and hash matched
 }
 
 // Run executes one harness run and reports the outcome. It never calls
@@ -322,7 +323,8 @@ func buildSocket(k int, cfg Config, log *chaos.Log) (*socket, error) {
 
 // run drives one transfer to resolution: sender writes, closes and
 // waits; reader drains to EOF and hashes. Returns when the transfer
-// completed, failed with an error, or the deadline passed (stall).
+// completed, failed with an error, or the deadline passed (stall); every
+// outcome carries the bytes the reader had received by then.
 func (sk *socket) run(cfg Config) outcome {
 	wantSum := sha256.Sum256(sk.data)
 	deadline := time.Now().Add(cfg.WaitTimeout)
@@ -342,12 +344,14 @@ func (sk *socket) run(cfg Config) outcome {
 		err error
 	}
 	rres := make(chan readResult, 1)
+	var read atomic.Int64 // the reader's running byte count
 	go func() {
 		var got []byte
 		buf := make([]byte, 64<<10)
 		for {
 			n, err := sk.rx.Read(buf)
 			got = append(got, buf[:n]...)
+			read.Add(int64(n))
 			if err != nil {
 				if err == io.EOF {
 					err = nil
@@ -366,8 +370,8 @@ func (sk *socket) run(cfg Config) outcome {
 			// latter resolved nothing. Release the reader.
 			down, late := sk.down(), !time.Now().Before(deadline)
 			sk.rx.Close()
-			<-rres
-			return outcome{socket: sk.id, err: err, allDown: down, stalled: late}
+			r := <-rres
+			return outcome{socket: sk.id, err: err, allDown: down, stalled: late, got: len(r.got)}
 		}
 		// Sender finished cleanly: the reader must reach EOF promptly.
 		select {
@@ -378,13 +382,13 @@ func (sk *socket) run(cfg Config) outcome {
 			ok := len(r.got) == len(sk.data) && sha256.Sum256(r.got) == wantSum
 			return outcome{socket: sk.id, got: len(r.got), integrity: ok}
 		case <-expired:
-			return outcome{socket: sk.id, stalled: true}
+			return outcome{socket: sk.id, stalled: true, got: int(read.Load())}
 		}
 	case <-expired:
 		// Neither the sender resolved nor ... the writer may be wedged in
 		// Write backpressure with no error: the definition of a silent
 		// stall.
-		return outcome{socket: sk.id, stalled: true}
+		return outcome{socket: sk.id, stalled: true, got: int(read.Load())}
 	}
 }
 

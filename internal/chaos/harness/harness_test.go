@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -236,6 +237,36 @@ func TestChaosWaitTimeoutIsViolation(t *testing.T) {
 	for _, v := range res.Violations {
 		if !strings.Contains(v, "stalled") {
 			t.Errorf("violation %q, want a stall", v)
+		}
+	}
+}
+
+// TestChaosStallReportNamesBytesRead: at 100 kb/s per path the reader
+// has had data for several hundred milliseconds when every path dies at
+// 400 ms, and at the default MinRTO the senders' Waits run out at the
+// 800 ms deadline. Each stall names the bytes its reader got, not 0.
+func TestChaosStallReportNamesBytesRead(t *testing.T) {
+	cfg := deadPathsRun(seedFor(t)+53, scenario.Scenario{Name: "late-kill-all", Directives: []scenario.Directive{
+		scenario.LinkDown{Link: 0, At: 400 * sim.Millisecond},
+		scenario.LinkDown{Link: 1, At: 400 * sim.Millisecond},
+	}})
+	cfg.SenderPath = &chaos.PathConfig{Delay: time.Millisecond, RateBps: 1e5}
+	cfg.WaitTimeout, cfg.Net = 800*time.Millisecond, mptcpnet.Config{}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) != 2 {
+		t.Fatalf("violations %q: want both transfers judged stalls", res.Violations)
+	}
+	for _, v := range res.Violations {
+		var sock, got, want int
+		if _, err := fmt.Sscanf(v[strings.Index(v, "socket"):], "socket %d stalled silently: %d/%d bytes", &sock, &got, &want); err != nil {
+			t.Fatalf("violation %q: %v", v, err)
+		}
+		if got < mptcpnet.MaxPayload || got >= want {
+			t.Errorf("violation %q names %d of %d bytes read, want at least one segment's %d and less than all",
+				v, got, want, mptcpnet.MaxPayload)
 		}
 	}
 }

@@ -110,7 +110,7 @@ func runAblationReinject(cfg Config) *Result {
 	}, func(res *Result, c *gridCell, flow *transport.Conn) []string {
 		metric := []string{"reinject", "noreinject"}[c.at[0]]
 		done, doneMetric := "no", 0.0
-		if flow.Done() {
+		if flow.Done() && flow.Err() == nil {
 			done, doneMetric = "yes", 1
 		}
 		res.Metrics[metric+"_done"] = doneMetric

@@ -45,8 +45,8 @@ type Config struct {
 // It is the real-UDP shell of the protocol core: it owns the payload and
 // wire frames, the sockets and their goroutines and the time.Timers, and
 // implements proto.Shell. Every protocol decision — what to send where,
-// loss recovery, flow control, when the stream is delivered — is the
-// core's.
+// loss recovery, flow control, when the stream is delivered, when to give
+// up — is the core's.
 type Sender struct {
 	cfg    Config
 	connID uint64
@@ -88,8 +88,7 @@ type sendSubflow struct {
 	// on a loss-free path.
 	sendQ chan *frame
 
-	rto          timer      // the retransmission timer, guarded by the parent's mu
-	stalledSince proto.Time // the first timeout since the subflow's last progress
+	rto timer // the retransmission timer, guarded by the parent's mu
 }
 
 // timer is a time.Timer created once and re-armed with Reset. deadline
@@ -138,24 +137,6 @@ func (tm *timer) expired() bool {
 // the core's SenderConfig.Window, it also bounds Write's backlog until
 // then and starts each subflow's scoreboard ring at 64 slots.
 const defaultWindow = 64
-
-// deadMinRTOs is the give-up bound, the only one, in minimum RTOs: when
-// EVERY subflow has gone on timing out with no cumulative-ACK progress
-// for deadMinRTOs × MinRTO since its first timeout, the connection is
-// dead end to end (all radios gone and staying gone) and the sender
-// aborts with an error rather than retransmitting forever — the
-// transfers-complete-or-fail invariant the chaos harness asserts. A
-// single live subflow ends its own streak on every ACK, so no amount of
-// chaos on the other paths trips this while one path still delivers,
-// and an idle connection's first timeout starts a streak rather than
-// ending one. 254 × MinRTO is what the seven doublings after a first
-// timeout at the minimum RTO take (51 s at the default 200 ms): patient
-// enough to ride out any plausible congestion event. The bound is time,
-// not a count of timeouts, so it holds whether or not a subflow ever
-// took an RTT sample — eight timeouts from RFC 6298's initial 1 s RTO
-// would take ≈ 183 s. The sender gives up at the first timeout past the
-// bound: within one more backed-off RTO of it.
-const deadMinRTOs = 254
 
 // sendQueueCap is the per-subflow writer queue depth, in segments.
 const sendQueueCap = 512
@@ -300,8 +281,8 @@ func (s *Sender) closeDoneLocked() {
 	}
 }
 
-// abortLocked records err and gives up: every path is dead, or a subflow
-// socket was closed under us.
+// abortLocked records err and gives up: the core found every path dead,
+// or a subflow socket was closed under us.
 func (s *Sender) abortLocked(err error) {
 	if s.err == nil {
 		s.err = err
@@ -411,8 +392,13 @@ func (s *Sender) ArmPersist(d proto.Time)      { s.persist.arm(d) }
 func (s *Sender) StopPersist()                 { s.persist.stop() }
 
 // Completed is the one completion predicate: the data-level ACK passed
-// the end-of-stream segment.
-func (s *Sender) Completed() {
+// the end-of-stream segment. With an error the core gave up on a
+// connection whose every path is dead, and the sender aborts with it.
+func (s *Sender) Completed(err error) {
+	if err != nil {
+		s.abortLocked(err)
+		return
+	}
 	s.completed = true
 	s.closeDoneLocked()
 }
@@ -546,30 +532,12 @@ func (sf *sendSubflow) onRTO() {
 		return
 	}
 	now := s.now()
-	if s.core.Backoff(sf.id) == 0 {
-		sf.stalledSince = now
-	}
 	s.core.OnRTO(now, sf.id)
-	if s.allPathsDeadLocked(now) {
-		s.abortLocked(errors.New("mptcpnet: every subflow timed out repeatedly with no progress, giving up"))
-		return
-	}
 	// The core's OnRTO does not pump (in the simulator the other
 	// subflows' ACK clock does); here they may all be idle, so the
 	// reinjections must leave now.
 	s.core.Pump(now)
 	s.settleLocked()
-}
-
-// allPathsDeadLocked reports whether every subflow has been timing out
-// for the give-up bound — the all-paths-dead terminal state.
-func (s *Sender) allPathsDeadLocked(now proto.Time) bool {
-	for i, sf := range s.subs {
-		if s.core.Backoff(i) == 0 || now-sf.stalledSince < deadMinRTOs*s.core.MinRTO() {
-			return false
-		}
-	}
-	return true
 }
 
 // onPersist is the persist timer's callback.

@@ -23,6 +23,7 @@ type shellCall struct {
 	dataSeq int64
 	retx    bool
 	d       Time
+	err     error // completed
 }
 
 func (c shellCall) String() string {
@@ -56,8 +57,8 @@ func (r *recorder) ArmRTO(sub int, d Time) {
 func (r *recorder) StopRTO(sub int)   { r.calls = append(r.calls, shellCall{op: "stopRTO", sub: sub}) }
 func (r *recorder) ArmPersist(d Time) { r.calls = append(r.calls, shellCall{op: "armPersist", d: d}) }
 func (r *recorder) StopPersist()      { r.calls = append(r.calls, shellCall{op: "stopPersist"}) }
-func (r *recorder) Completed() {
-	r.calls = append(r.calls, shellCall{op: "completed"})
+func (r *recorder) Completed(err error) {
+	r.calls = append(r.calls, shellCall{op: "completed", err: err})
 	if r.onCompleted != nil {
 		r.onCompleted()
 	}
@@ -135,15 +136,17 @@ func TestRTOClampedAndBackoffCapped(t *testing.T) {
 	if d := lastArm(r.take(), 0); d != MaxRTO {
 		t.Fatalf("timer armed for %v after a 10 h sample, want the %v clamp", d, MaxRTO)
 	}
-	now := Time(0)
+	// The timeouts come a second apart, whatever they arm, so all thirty
+	// stay inside the give-up bound (254 × MinRTO) and each one arms.
+	now := 10 * 3600 * Second
 	for i := 0; i < 3*maxBackoff; i++ {
-		now += MaxRTO
+		now += Second
 		s.OnRTO(now, 0)
 		if d := lastArm(r.take(), 0); d <= 0 || d > MaxRTO {
 			t.Fatalf("timeout %d: timer armed for %v, want within (0, %v]", i, d, MaxRTO)
 		}
 	}
-	if b := s.Backoff(0); b != maxBackoff {
+	if b := s.subs[0].backoff; b != maxBackoff {
 		t.Errorf("backoff = %d after %d consecutive timeouts, want the cap %d", b, 3*maxBackoff, maxBackoff)
 	}
 	// A small RTO backs off exponentially up to the same clamp.
@@ -177,7 +180,7 @@ func TestRTTSampleTakenFromRetransmissionsEcho(t *testing.T) {
 	if got := s.SRTT(0); got != 30*Millisecond {
 		t.Errorf("srtt = %v after the retransmission's ACK, want its 30 ms sample", got)
 	}
-	if b := s.Backoff(0); b != 0 {
+	if b := s.subs[0].backoff; b != 0 {
 		t.Errorf("backoff = %d after cumulative-ACK progress, want 0", b)
 	}
 	// An ACK with no echo (a window update) feeds nothing.
@@ -229,7 +232,7 @@ func (nopShell) ArmRTO(int, Time)             {}
 func (nopShell) StopRTO(int)                  {}
 func (nopShell) ArmPersist(Time)              {}
 func (nopShell) StopPersist()                 {}
-func (nopShell) Completed()                   {}
+func (nopShell) Completed(error)              {}
 
 // Repeated timeouts reinject the same eight segments over and over: the
 // queue rewinds once the pump has drained it, so after the first cycle no

@@ -36,6 +36,7 @@
 package proto
 
 import (
+	"errors"
 	"math"
 
 	"mptcp/internal/core"
@@ -69,6 +70,28 @@ const (
 	persistInterval = 200 * Millisecond
 )
 
+// deadMinRTOs is the give-up bound, the only one, in minimum RTOs: when
+// EVERY subflow has gone on timing out with no cumulative-ACK progress
+// for deadMinRTOs × MinRTO since its first timeout, the connection is
+// dead end to end (all radios gone and staying gone) and the sender
+// aborts with an error rather than retransmitting forever — the
+// transfers-complete-or-fail invariant the chaos harness asserts. A
+// single live subflow ends its own streak on every ACK, so no amount of
+// chaos on the other paths trips this while one path still delivers,
+// and an idle connection's first timeout starts a streak rather than
+// ending one. 254 × MinRTO is what the seven doublings after a first
+// timeout at the minimum RTO take (51 s at the default 200 ms): patient
+// enough to ride out any plausible congestion event. The bound is time,
+// not a count of timeouts, so it holds whether or not a subflow ever
+// took an RTT sample — eight timeouts from RFC 6298's initial 1 s RTO
+// would take ≈ 183 s. The sender gives up at the first timeout past the
+// bound: within one more backed-off RTO of it.
+const deadMinRTOs = 254
+
+// ErrAllPathsDead is the error Completed reports when the sender gave up
+// under the deadMinRTOs bound.
+var ErrAllPathsDead = errors.New("proto: every subflow timed out repeatedly with no progress, giving up")
+
 // Shell performs the sender's side effects. Every call is made
 // synchronously from inside a Sender entry point, in the order the
 // protocol decides them.
@@ -87,10 +110,12 @@ type Shell interface {
 	// persist timer (OnPersist).
 	ArmPersist(d Time)
 	StopPersist()
-	// Completed reports that the final data packet of a finished supply
-	// was cumulatively acknowledged. The sender has already stopped
-	// itself; the shell may Reset it for a new life before returning.
-	Completed()
+	// Completed reports the end of the sender's life: err is nil when the
+	// final data packet of a finished supply was cumulatively
+	// acknowledged, and ErrAllPathsDead when every subflow timed out past
+	// the give-up bound. The sender has already stopped itself; the shell
+	// may Reset it for a new life before returning.
+	Completed(err error)
 }
 
 // SenderConfig parameterises one life of a Sender.
@@ -240,13 +265,6 @@ func (s *Sender) Cwnd(i int) float64 { return s.cc[i].Cwnd }
 // SRTT returns subflow i's smoothed RTT estimate (0: no sample yet).
 func (s *Sender) SRTT(i int) Time { return s.subs[i].srtt }
 
-// MinRTO returns the lower bound on the retransmission timeout in force.
-func (s *Sender) MinRTO() Time { return s.cfg.MinRTO }
-
-// Backoff returns subflow i's count of consecutive retransmission
-// timeouts since it last made cumulative-ACK progress (capped at 10).
-func (s *Sender) Backoff(i int) uint { return s.subs[i].backoff }
-
 // Stats returns subflow i's live counters.
 func (s *Sender) Stats(i int) *SubflowStats { return &s.subs[i].SubflowStats }
 
@@ -291,7 +309,7 @@ func (s *Sender) Stop() {
 func (s *Sender) checkComplete() {
 	if s.final && !s.done && s.dataUna >= s.limit {
 		s.Stop()
-		s.sh.Completed()
+		s.sh.Completed(nil)
 	}
 }
 

@@ -48,9 +48,11 @@ type subflow struct {
 
 	// RFC 6298 retransmission timer. backoff counts consecutive
 	// timeouts since the last cumulative-ACK progress; the timer runs at
-	// rto << backoff. rtoArmed mirrors the shell's timer.
+	// rto << backoff. stalledSince is the first of those timeouts, when
+	// backoff > 0 (see deadMinRTOs). rtoArmed mirrors the shell's timer.
 	srtt, rttvar, rto Time
 	backoff           uint
+	stalledSince      Time
 	rtoArmed          bool
 
 	// nextPenalty rate-limits receive-buffer penalization (§6) to once
@@ -309,6 +311,9 @@ func (s *Sender) retransmitHole(i int) bool {
 // the timer off. Outstanding data becomes eligible for reinjection on the
 // other subflows, so a dead path cannot strand the connection (§5
 // mobility, §6). It does not pump: reinjections leave with the next pump.
+// If every subflow has now been timing out past the give-up bound, the
+// sender stops before it arms or emits anything and reports
+// ErrAllPathsDead through Completed.
 func (s *Sender) OnRTO(now Time, i int) {
 	sf := &s.subs[i]
 	sf.rtoArmed = false
@@ -316,6 +321,17 @@ func (s *Sender) OnRTO(now Time, i int) {
 		return
 	}
 	sf.RTOs++
+	if sf.backoff == 0 {
+		sf.stalledSince = now
+	}
+	if sf.backoff < maxBackoff {
+		sf.backoff++
+	}
+	if s.allPathsDead(now) {
+		s.Stop()
+		s.sh.Completed(ErrAllPathsDead)
+		return
+	}
 	cw := &s.cc[i]
 	if s.lossObs != nil {
 		s.lossObs.OnLoss(s.cc, i)
@@ -343,11 +359,19 @@ func (s *Sender) OnRTO(now Time, i int) {
 	}
 	sf.repairNxt = sf.sndUna
 	sf.repairEnd = sf.sndNxt
-	if sf.backoff < maxBackoff {
-		sf.backoff++
-	}
 	s.armRTO(i)
 	s.sendRepairs(i)
+}
+
+// allPathsDead reports whether every subflow has been timing out for the
+// give-up bound: the all-paths-dead terminal state.
+func (s *Sender) allPathsDead(now Time) bool {
+	for i := range s.subs {
+		if sf := &s.subs[i]; sf.backoff == 0 || now-sf.stalledSince < deadMinRTOs*s.cfg.MinRTO {
+			return false
+		}
+	}
+	return true
 }
 
 // sampleRTT folds one RTT measurement into subflow i's RFC 6298

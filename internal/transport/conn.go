@@ -119,6 +119,7 @@ type Conn struct {
 	started      bool
 	startedAt    sim.Time
 	doneAt       sim.Time
+	err          error // why the core gave up, or nil
 	persistTimer *sim.Timer
 	liveAt       int // index in its ConnPool's live set while handed out
 }
@@ -163,7 +164,7 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 	n := len(cfg.Paths)
 	c.ID = int(nextConnID.Add(1))
 	c.net, c.cfg = nw, cfg
-	c.started, c.startedAt, c.doneAt = false, 0, 0
+	c.started, c.startedAt, c.doneAt, c.err = false, 0, 0, nil
 	c.core.Reset(c, proto.SenderConfig{
 		Subflows:        n,
 		Alg:             cfg.Alg,
@@ -235,7 +236,7 @@ func (c *Conn) Subflows() []*Subflow { return c.subs }
 func (c *Conn) Alg() core.Algorithm { return c.core.Alg() }
 
 // Done reports whether a finite flow has been fully acknowledged (or the
-// connection was stopped).
+// connection was stopped, or gave up: see Err).
 func (c *Conn) Done() bool { return c.core.Done() }
 
 // Stop terminates the connection immediately: no more transmissions, all
@@ -250,15 +251,20 @@ func (c *Conn) Stop() {
 }
 
 // Completed implements proto.Shell: the final data packet was
-// cumulatively acknowledged. The core has already stopped every timer,
-// so OnComplete may Put this very connection back into its pool and
-// even Get it again for a new life.
-func (c *Conn) Completed() {
+// cumulatively acknowledged, or, with an error, the core gave up on a
+// connection whose every path is dead. The core has already stopped
+// every timer, so OnComplete may Put this very connection back into its
+// pool and even Get it again for a new life; a connection that gave up
+// keeps its error for Err instead.
+func (c *Conn) Completed(err error) {
 	c.doneAt = c.net.Sim.Now()
-	if c.cfg.OnComplete != nil {
+	if c.err = err; err == nil && c.cfg.OnComplete != nil {
 		c.cfg.OnComplete(c)
 	}
 }
+
+// Err returns why the connection gave up, or nil.
+func (c *Conn) Err() error { return c.err }
 
 // StartedAt returns when Start was called.
 func (c *Conn) StartedAt() sim.Time { return c.startedAt }

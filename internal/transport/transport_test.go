@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"mptcp/internal/core"
 	"mptcp/internal/netsim"
+	"mptcp/internal/proto"
 	"mptcp/internal/sim"
 )
 
@@ -262,6 +264,40 @@ func TestNoReinjectStrandsData(t *testing.T) {
 	e.s.RunUntil(120 * sim.Second)
 	if c.Done() {
 		t.Error("flow completed despite stranded data — reinjection ablation broken")
+	}
+}
+
+// Both paths die after the first ACK and stay dead: the core gives up
+// at the first timeout past its bound (254 × the default 200 ms MinRTO),
+// and the simulator shell keeps the error instead of completing. Nothing
+// is left scheduled, so no timer is armed.
+func TestAllPathsDeadConnGivesUp(t *testing.T) {
+	e := newEnv(11)
+	l1 := netsim.NewLink("p1", 10, 10*sim.Millisecond, 50)
+	l2 := netsim.NewLink("p2", 10, 10*sim.Millisecond, 50)
+	completed := false
+	c := NewConn(e.n, Config{
+		Paths:       []Path{e.path(l1), e.path(l2)},
+		DataPackets: 1000,
+		OnComplete:  func(*Conn) { completed = true },
+	})
+	c.Start()
+	e.s.RunUntil(25 * sim.Millisecond)
+	if c.SRTT(0) == 0 && c.SRTT(1) == 0 {
+		t.Fatal("no ACK within 25 ms: the paths would die before the first one")
+	}
+	l1.SetDown(true)
+	l2.SetDown(true)
+	e.s.RunUntil(10 * 60 * sim.Second)
+	if !errors.Is(c.Err(), proto.ErrAllPathsDead) || completed || !c.Done() {
+		t.Fatalf("Err() = %v, OnComplete ran: %t, Done: %t; want ErrAllPathsDead, no completion, a stopped connection",
+			c.Err(), completed, c.Done())
+	}
+	if at := c.CompletedAt(); at < 254*200*sim.Millisecond || at > 254*200*sim.Millisecond+sim.Time(proto.MaxRTO) {
+		t.Errorf("gave up at %v, want within one backed-off RTO past the 50.8 s bound", at)
+	}
+	if n := e.s.Pending(); n != 0 {
+		t.Errorf("%d events still scheduled after giving up, want no armed timer", n)
 	}
 }
 
