@@ -261,6 +261,41 @@ func TestReinjectionCyclesAllocationFree(t *testing.T) {
 	}
 }
 
+// One timeout over a full flight queues the whole flight for
+// reinjection in ascending order, and the queue grows to it at most once
+// rather than doubling its way up from empty.
+func TestRTOBurstGrowsReinjectQueueOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const flight = 64
+	setup := func() *Sender {
+		s := &Sender{}
+		s.Reset(nopShell{}, SenderConfig{Subflows: 2, Total: Infinite, InitialCwnd: flight, Window: 1 << 20, Sched: sched.FirstFit{}})
+		s.Pump(0) // data 0-63 on subflow 0, 64-127 on subflow 1
+		return s
+	}
+	var s *Sender
+	base := testing.AllocsPerRun(10, func() { s = setup() })
+	if got := s.subs[0].outstanding(); got != flight {
+		t.Fatalf("subflow 0 has %d segments outstanding, want %d", got, flight)
+	}
+	burst := testing.AllocsPerRun(10, func() {
+		s = setup()
+		s.OnRTO(Second, 0)
+	})
+	if n := burst - base; n > 1 {
+		t.Errorf("a timeout over %d outstanding segments allocated %.0f objects, want at most 1", flight, n)
+	}
+	want := make([]int64, flight)
+	for i := range want {
+		want[i] = int64(i)
+	}
+	if !reflect.DeepEqual(s.reinjectQ, want) {
+		t.Errorf("reinjection queue = %v, want data 0-%d in order", s.reinjectQ, flight-1)
+	}
+}
+
 // Acknowledgments beyond what was sent are clamped: they can neither
 // invert sndUna <= sndNxt nor dataUna <= dataNxt.
 func TestAcksBeyondSentAreClamped(t *testing.T) {

@@ -1,5 +1,7 @@
 package proto
 
+import "slices"
+
 // SubflowStats are one subflow's transmission counters.
 type SubflowStats struct {
 	PktsSent int64 // data packets transmitted (incl. retransmissions)
@@ -347,8 +349,12 @@ func (s *Sender) OnRTO(now Time, i int) {
 
 	// Go-back-N repair: everything outstanding and unsacked is presumed
 	// lost, including earlier recovery retransmissions, and — in
-	// ascending data-sequence order — reinjected.
+	// ascending data-sequence order — reinjected. The queue grows once,
+	// by at most the outstanding count, not by doubling from empty.
 	reinject := len(s.subs) > 1 && !s.cfg.DisableReinject
+	if reinject {
+		s.reinjectQ = slices.Grow(s.reinjectQ, int(sf.outstanding()))
+	}
 	for seq := sf.sndUna; seq < sf.sndNxt; seq++ {
 		m := sf.meta.At(seq)
 		m.retx = false

@@ -15,14 +15,15 @@
 // slot} entries; what an entry dispatches — a Handler and its argument,
 // or the head of a Lane — lives in a slot table beside it, recycled
 // through a free list. One-shot functions (At/After) and rearmable
-// timers (NewTimer) are Handlers too, so every event but a lane head is
-// dispatched one way. Scheduling never allocates per event: typed events
+// Timers are Handlers too, so every event but a lane head is dispatched
+// one way. Scheduling never allocates per event: typed events
 // (Post) carry a pre-built handler interface plus a pointer-sized
 // argument, rearmable timers are re-keyed in place by Reset, and a Lane
 // keeps a whole FIFO of events behind one heap entry. Cancelled events
-// are removed eagerly, so the heap holds live events only. A timer's
-// owner keeps it for as long as it needs one; a pooled connection keeps
-// its timers across its lives.
+// are removed eagerly, so the heap holds live events only. A Timer lives
+// inside its owner, which is the Handler it fires (NewTimer wraps a
+// function for owners that are not), and the owner keeps it for as long
+// as it needs one; a pooled connection keeps its timers across its lives.
 package sim
 
 import (
@@ -82,15 +83,27 @@ type payload struct {
 	ln  *Lane
 }
 
-// Timer is a rearmable handle to a scheduled event, created with
-// Simulator.NewTimer. Reset rearms it in place: if the timer is queued,
-// its entry is re-keyed and the heap repaired (heap fix), so
-// stop-and-rearm cycles — a retransmission timer touched on every ACK —
-// create no garbage and leave no dead entries in the queue.
+// Timer is a rearmable handle to a scheduled event. Its owner embeds it
+// and sets it up in place with Init, naming the Handler it fires —
+// usually the owner itself — so the timer costs no object of its own;
+// Simulator.NewTimer allocates one that runs a function. Reset
+// rearms it in place: if the timer is queued, its entry is re-keyed and
+// the heap repaired (heap fix), so stop-and-rearm cycles — a
+// retransmission timer touched on every ACK — create no garbage and
+// leave no dead entries in the queue.
 type Timer struct {
 	s    *Simulator
-	fn   func()
+	h    Handler
 	slot int32 // slot of the timer's queued entry, -1 when idle
+}
+
+// Init makes t an idle timer of s that calls h.OnEvent(nil) when it
+// fires; arm it with Reset. A queued timer must not be re-initialised.
+func (t *Timer) Init(s *Simulator, h Handler) {
+	if h == nil {
+		panic("sim: timer with nil handler")
+	}
+	*t = Timer{s: s, h: h, slot: -1}
 }
 
 // Stop cancels the timer, removing its event from the queue. It is safe
@@ -106,11 +119,11 @@ func (t *Timer) Stop() bool {
 }
 
 // OnEvent fires the timer; the simulator calls it when the timer is
-// due. The timer goes idle before the callback, so the callback may
+// due. The timer goes idle before its handler runs, so the handler may
 // rearm it.
 func (t *Timer) OnEvent(any) {
 	t.slot = -1
-	t.fn()
+	t.h.OnEvent(nil)
 }
 
 // Reset (re)arms the timer to fire d from now. If the timer is already
@@ -209,17 +222,20 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Steps() uint64 { return s.nsteps }
 
 // NewTimer returns an idle rearmable timer that runs fn when it fires;
-// arm it with Reset.
+// arm it with Reset. It is Init over a heap Timer, for an owner that is
+// no Handler.
 func (s *Simulator) NewTimer(fn func()) *Timer {
 	if fn == nil {
 		panic("sim: NewTimer with nil function")
 	}
-	return &Timer{s: s, fn: fn, slot: -1}
+	t := new(Timer)
+	t.Init(s, funcEvent(fn))
+	return t
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it is always a bug in the caller. For an event that must be
-// cancelled or rearmed later, use NewTimer instead.
+// cancelled or rearmed later, use a Timer instead.
 func (s *Simulator) At(t Time, fn func()) { s.Post(t, funcEvent(fn), nil) }
 
 // After schedules fn to run d nanoseconds from now.

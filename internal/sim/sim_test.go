@@ -366,6 +366,46 @@ func TestTimerResetZeroAlloc(t *testing.T) {
 	}
 }
 
+// timerOwner embeds its timer and is the Handler the timer fires, the
+// way a transport subflow holds its retransmission timer.
+type timerOwner struct {
+	tm    Timer
+	fired int
+}
+
+func (o *timerOwner) OnEvent(any) { o.fired++ }
+
+// TestInPlaceTimerZeroAlloc: a Timer initialised inside its owner and
+// firing into it costs the allocator nothing — Init, arm, rearm, stop,
+// arm again and fire allocate 0 — and NewTimer, the same Timer over a
+// function, still runs its function.
+func TestInPlaceTimerZeroAlloc(t *testing.T) {
+	s := New(1)
+	o := &timerOwner{}
+	allocs := testing.AllocsPerRun(100, func() {
+		o.tm.Init(s, o)
+		o.tm.Reset(Second)
+		o.tm.Reset(2 * Second)
+		o.tm.Stop()
+		o.tm.Reset(Millisecond)
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("in-place timer cycle allocated %.1f objects/op, want 0", allocs)
+	}
+	if o.fired != 101 || s.Pending() != 0 {
+		t.Errorf("owner fired %d times with %d events left, want 101 and 0", o.fired, s.Pending())
+	}
+	var firedAt Time = -1
+	tm := s.NewTimer(func() { firedAt = s.Now() })
+	want := s.Now() + Second
+	tm.Reset(Second)
+	s.Run()
+	if firedAt != want {
+		t.Errorf("NewTimer's function ran at %v, want %v", firedAt, want)
+	}
+}
+
 type countHandler struct{ n int }
 
 func (c *countHandler) OnEvent(arg any) { c.n++ }

@@ -102,7 +102,12 @@ type Config struct {
 // Conn is the sender side of a (multipath) connection together with its
 // receiver model. Create with NewConn, then Start. It is the simulator
 // shell of the protocol core: it owns the routes, the timers and the
-// send-jitter draw, and implements proto.Shell.
+// send-jitter draw, and implements proto.Shell. Its persist timer fires
+// into the Conn itself (OnEvent).
+//
+// A connection is one block: the receiver and the persist timer are
+// fields, the subflows — each with its RTO timer and both its routes —
+// one slice of values, and a fresh connection's routes one array.
 type Conn struct {
 	ID int
 	// OppRetx counts opportunistic retransmissions; Penalties counts
@@ -113,15 +118,15 @@ type Conn struct {
 	net  *netsim.Net
 	cfg  Config
 	core proto.Sender
-	subs []*Subflow
-	recv *Receiver
+	subs []Subflow
+	recv Receiver
 
-	started      bool
-	startedAt    sim.Time
-	doneAt       sim.Time
-	err          error // why the core gave up, or nil
-	persistTimer *sim.Timer
-	liveAt       int // index in its ConnPool's live set while handed out
+	started   bool
+	startedAt sim.Time
+	doneAt    sim.Time
+	err       error // why the core gave up, or nil
+	persist   sim.Timer
+	liveAt    int // index in its ConnPool's live set while handed out
 }
 
 // nextConnID is atomic because independent simulator worlds construct
@@ -138,16 +143,17 @@ func NewConn(nw *netsim.Net, cfg Config) *Conn {
 }
 
 // init (re)constructs the connection in place. A zero Conn becomes a
-// fresh connection; a completed connection is rebuilt for a new life
-// (ConnPool), reusing its subflows and their timers, the protocol core's
-// grown scoreboard rings and scratch slices, and its receiver's bit
-// rings. Reuse requires an equal path count (the pool keys on it); on
-// mismatch everything is rebuilt. A route object is kept only when the
-// new life's path is the very slice the old life used (see sameLinks): a
-// packet from the previous life still in flight then crosses the same
-// links to the same endpoint as it would have, and the FlowID guard in
-// the receive paths discards it on arrival. Any other path gets a fresh
-// route and leaves the old object intact for such stragglers.
+// fresh connection, whose 2n routes come from one array; a completed
+// connection is rebuilt for a new life (ConnPool), reusing its subflows
+// and their timers, the protocol core's grown scoreboard rings and
+// scratch slices, and its receiver's bit rings. Reuse requires an equal
+// path count (the pool keys on it); on mismatch everything is rebuilt. A
+// route object is kept only when the new life's path is the very slice
+// the old life used (see sameLinks): a packet from the previous life
+// still in flight then crosses the same links to the same endpoint as it
+// would have, and the FlowID guard in the receive paths discards it on
+// arrival. Any other path gets a fresh route object and leaves the old
+// one, in the array or not, intact for such stragglers.
 func (c *Conn) init(nw *netsim.Net, cfg Config) {
 	if len(cfg.Paths) == 0 {
 		panic("transport: connection needs at least one path")
@@ -179,31 +185,31 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 		c.core.Finish()
 	}
 	c.Counters = &c.core.Counters
-	// The timers are created once, kept for every life and rearmed in
+	// The timers are set up once, kept for every life and rearmed in
 	// place (the RTO on every ACK) rather than re-created: the core stops
 	// them when a life ends, and a timer takes its place in the event
 	// order from each Reset, not from the object.
-	if c.persistTimer == nil {
-		c.persistTimer = nw.Sim.NewTimer(c.onPersist)
-	}
 	if len(c.subs) != n {
-		c.subs, c.recv = make([]*Subflow, n), &Receiver{rev: make([]*netsim.Route, n)}
-		for i := range c.subs {
-			sf := &Subflow{conn: c, id: i}
-			sf.rtoTimer = nw.Sim.NewTimer(sf.onRTO)
-			c.subs[i] = sf
+		c.subs = make([]Subflow, n)
+		routes := make([]netsim.Route, 2*n)
+		for i, p := range cfg.Paths {
+			sf := &c.subs[i]
+			routes[2*i], routes[2*i+1] = netsim.Route{Links: p.Fwd, Dest: &c.recv}, netsim.Route{Links: p.Rev, Dest: sf}
+			sf.conn, sf.id, sf.fwd, sf.rev = c, i, &routes[2*i], &routes[2*i+1]
+			sf.rto.Init(nw.Sim, sf)
 		}
+		c.persist.Init(nw.Sim, c)
 	}
-	c.recv.net, c.recv.conn, c.recv.stalled = nw, c, false
+	c.recv.conn, c.recv.stalled = c, false
 	c.recv.Reset(n, cfg.RecvBuf, proto.AckEveryPacket)
 	for i, p := range cfg.Paths {
-		sf := c.subs[i]
+		sf := &c.subs[i]
 		sf.SubflowStats, sf.nextSend = c.core.Stats(i), 0
-		if sf.fwd == nil || !sameLinks(sf.fwd.Links, p.Fwd) {
-			sf.fwd = netsim.NewRoute(c.recv, p.Fwd...)
+		if !sameLinks(sf.fwd.Links, p.Fwd) {
+			sf.fwd = netsim.NewRoute(&c.recv, p.Fwd...)
 		}
-		if r := c.recv.rev[i]; r == nil || !sameLinks(r.Links, p.Rev) {
-			c.recv.rev[i] = netsim.NewRoute(sf, p.Rev...)
+		if !sameLinks(sf.rev.Links, p.Rev) {
+			sf.rev = netsim.NewRoute(sf, p.Rev...)
 		}
 	}
 }
@@ -227,10 +233,10 @@ func (c *Conn) Start() {
 func (c *Conn) now() proto.Time { return proto.Time(c.net.Sim.Now()) }
 
 // Receiver returns the connection's receiver model.
-func (c *Conn) Receiver() *Receiver { return c.recv }
+func (c *Conn) Receiver() *Receiver { return &c.recv }
 
 // Subflows returns the sender-side subflows (read-only use).
-func (c *Conn) Subflows() []*Subflow { return c.subs }
+func (c *Conn) Subflows() []Subflow { return c.subs }
 
 // Alg returns the congestion control algorithm driving the connection.
 func (c *Conn) Alg() core.Algorithm { return c.core.Alg() }
@@ -291,7 +297,7 @@ func (c *Conn) SRTT(i int) sim.Time { return sim.Time(c.core.SRTT(i)) }
 // while preserving FIFO order within the subflow. The jitter is the
 // shell's one random draw per emission.
 func (c *Conn) Emit(sub int, seq, dataSeq int64, retx bool) {
-	sf, nw := c.subs[sub], c.net
+	sf, nw := &c.subs[sub], c.net
 	at := max(nw.Sim.Now()+sim.Time(nw.Sim.Rand().Int63n(int64(sendJitter)+1)), sf.nextSend)
 	sf.nextSend = at
 	p := nw.AllocPacket()
@@ -320,12 +326,13 @@ func (c *Conn) Probe(sub int) {
 // ArmRTO, StopRTO, ArmPersist and StopPersist implement proto.Shell over
 // sim.Timer, which rearms in place: the per-ACK stop-and-rearm leaves no
 // dead entry in the event queue and allocates nothing.
-func (c *Conn) ArmRTO(sub int, d proto.Time) { c.subs[sub].rtoTimer.Reset(sim.Time(d)) }
-func (c *Conn) StopRTO(sub int)              { c.subs[sub].rtoTimer.Stop() }
-func (c *Conn) ArmPersist(d proto.Time)      { c.persistTimer.Reset(sim.Time(d)) }
-func (c *Conn) StopPersist()                 { c.persistTimer.Stop() }
+func (c *Conn) ArmRTO(sub int, d proto.Time) { c.subs[sub].rto.Reset(sim.Time(d)) }
+func (c *Conn) StopRTO(sub int)              { c.subs[sub].rto.Stop() }
+func (c *Conn) ArmPersist(d proto.Time)      { c.persist.Reset(sim.Time(d)) }
+func (c *Conn) StopPersist()                 { c.persist.Stop() }
 
-func (c *Conn) onPersist() { c.core.OnPersist(c.now()) }
+// OnEvent fires the persist timer (sim.Handler).
+func (c *Conn) OnEvent(any) { c.core.OnPersist(c.now()) }
 
 func (c *Conn) String() string {
 	return fmt.Sprintf("conn%d[%s,%d subflows]", c.ID, c.Alg().Name(), len(c.subs))

@@ -30,7 +30,8 @@ func (t *emissionTap) Receive(p *netsim.Packet) {
 // are rebuilt for every life of a pooled connection, so it is called
 // after each Get.
 func tapEmissions(nw *netsim.Net, c *Conn, h hash.Hash) {
-	for _, sf := range c.Subflows() {
+	for i := range c.subs {
+		sf := &c.subs[i]
 		sf.fwd = netsim.NewRoute(&emissionTap{nw: nw, next: sf.fwd, h: h})
 	}
 }
@@ -127,13 +128,13 @@ func TestEmissionSequenceGolden(t *testing.T) {
 			e.s.RunUntil(6 * sim.Second)
 			// Lose the window updates on both subflows: only the persist
 			// probe can restart the sender.
-			for _, r := range c.recv.rev {
-				r.Links[0].SetDown(true)
+			for i := range c.subs {
+				c.subs[i].rev.Links[0].SetDown(true)
 			}
 			c.Receiver().SetAppStalled(false)
 			e.s.RunUntil(6500 * sim.Millisecond)
-			for _, r := range c.recv.rev {
-				r.Links[0].SetDown(false)
+			for i := range c.subs {
+				c.subs[i].rev.Links[0].SetDown(false)
 			}
 			e.s.RunUntil(10 * sim.Second)
 			foldCounters(h, c)

@@ -197,8 +197,8 @@ func TestConnPoolRecyclesObjects(t *testing.T) {
 
 // TestConnPoolCycleAllocs bounds what a pooled life costs the allocator
 // when the next flow uses the very path slices of the last one (the
-// fleet's case): the bound timer callbacks, the four route objects and
-// the completion function, bound once outside the cycle, carry over, so
+// fleet's case): the timers, the four route objects and the completion
+// function, bound once outside the cycle, carry over, so
 // what is left is the protocol core's per-life state. A
 // life over other slices gets fresh routes — equal links are not enough,
 // a straggler of the old life must keep the route object it left with.
@@ -223,18 +223,18 @@ func TestConnPoolCycleAllocs(t *testing.T) {
 		return c
 	}
 	c := cycle()
-	fwd, rev := c.subs[1].fwd, c.recv.rev[1]
+	fwd, rev := c.subs[1].fwd, c.subs[1].rev
 	if allocs := testing.AllocsPerRun(100, func() { cycle() }); allocs > 2 {
 		t.Errorf("pooled life allocated %.1f objects, want at most 2", allocs)
 	}
-	if c.subs[1].fwd != fwd || c.recv.rev[1] != rev {
+	if c.subs[1].fwd != fwd || c.subs[1].rev != rev {
 		t.Error("a life over the same path slices did not keep its routes")
 	}
 	cfg.Paths = []Path{paths[0], {Fwd: []*netsim.Link{paths[1].Fwd[0]}, Rev: []*netsim.Link{paths[1].Rev[0]}}}
 	if cycle() != c {
 		t.Fatal("pool did not recycle the connection")
 	}
-	if c.subs[1].fwd == fwd || c.recv.rev[1] == rev {
+	if c.subs[1].fwd == fwd || c.subs[1].rev == rev {
 		t.Error("a life over other slices (equal links) reused the previous life's routes")
 	}
 	if c.subs[0].fwd.Links[0] != paths[0].Fwd[0] || c.subs[1].fwd.Links[0] != paths[1].Fwd[0] {
@@ -247,7 +247,11 @@ func TestConnPoolCycleAllocs(t *testing.T) {
 // scoreboard ring starts at the receive buffer, rounded up to a power of
 // two within [16, 256], since no more can be outstanding: a short flow
 // behind a 64-packet buffer must not pay for the 4 KiB rings a long-lived
-// flow with the default buffer grows to anyway.
+// flow with the default buffer grows to anyway. The ten objects are the
+// Conn (receiver and persist timer inside), its subflow slice (RTO
+// timers inside) and its route array, the core's three per-subflow
+// slices and two scoreboard rings, the receiver's per-subflow slice, and
+// the default algorithm this Config leaves to NewConn.
 func TestFreshConnFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -257,7 +261,7 @@ func TestFreshConnFootprint(t *testing.T) {
 		e.path(netsim.NewLink("a", 100, sim.Millisecond, 50)),
 		e.path(netsim.NewLink("b", 100, sim.Millisecond, 50)),
 	}
-	const conns, maxAllocs = 200, 23
+	const conns, maxAllocs = 200, 10
 	for _, tc := range []struct {
 		recvBuf  int64
 		maxBytes uint64

@@ -110,7 +110,7 @@ func TestPersistProbeRecoversLostWindowUpdate(t *testing.T) {
 	e.s.RunUntil(6 * sim.Second)
 	// Take the ACK path down over the moment of the window update so the
 	// update is lost, then restore it.
-	ackLink := c.recv.rev[0].Links[0]
+	ackLink := c.subs[0].rev.Links[0]
 	ackLink.SetDown(true)
 	c.Receiver().SetAppStalled(false) // window update lost
 	e.s.RunUntil(6500 * sim.Millisecond)

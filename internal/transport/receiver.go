@@ -8,8 +8,8 @@ import (
 
 // Receiver is the receive-side model of a connection: the protocol
 // core's receiver (per-subflow cumulative acknowledgment, data-level
-// reassembly, one shared receive buffer) plus the reverse routes and an
-// application that reads instantly unless stalled.
+// reassembly, one shared receive buffer) and an application that reads
+// instantly unless stalled. It answers on its subflows' reverse routes.
 //
 // The core runs under proto.AckEveryPacket: each data packet is answered
 // at once with a pure ACK carrying the subflow cumulative ack, the
@@ -18,10 +18,8 @@ import (
 // policy mptcpnet runs is not an option here.
 type Receiver struct {
 	proto.Receiver
-	net     *netsim.Net
 	conn    *Conn
-	rev     []*netsim.Route // per-subflow reverse routes
-	stalled bool            // application stopped reading (flow-control tests)
+	stalled bool // application stopped reading (flow-control tests)
 }
 
 // SetAppStalled freezes or resumes the receiving application's reads.
@@ -33,7 +31,7 @@ func (r *Receiver) SetAppStalled(stalled bool) {
 	r.stalled = stalled
 	if !stalled {
 		r.Consume(r.Readable())
-		for i := range r.rev {
+		for i := range r.conn.subs {
 			r.sendAck(i, 0, -1)
 		}
 	}
@@ -44,11 +42,11 @@ func (r *Receiver) Receive(pkt *netsim.Packet) {
 	if pkt.FlowID != r.conn.ID {
 		// Straggler from a previous life of a pooled connection (see
 		// Subflow.Receive): drop without acknowledging.
-		r.net.FreePacket(pkt)
+		r.conn.net.FreePacket(pkt)
 		return
 	}
 	sub, seq, dataSeq, sentAt, probe := pkt.SubflowID, pkt.Seq, pkt.DataSeq, pkt.SentAt, pkt.IsProbe
-	r.net.FreePacket(pkt)
+	r.conn.net.FreePacket(pkt)
 	if probe {
 		// Window probe: acknowledge current state, change nothing.
 		r.sendAck(sub, sentAt, -1)
@@ -67,7 +65,8 @@ func (r *Receiver) Receive(pkt *netsim.Packet) {
 }
 
 func (r *Receiver) sendAck(sub int, echo sim.Time, sack int64) {
-	a := r.net.AllocPacket()
+	nw := r.conn.net
+	a := nw.AllocPacket()
 	a.Size = netsim.AckPacketSize
 	a.FlowID = r.conn.ID
 	a.SubflowID = sub
@@ -79,5 +78,5 @@ func (r *Receiver) sendAck(sub int, echo sim.Time, sack int64) {
 		a.HasSack = true
 		a.SackSeq = sack
 	}
-	r.net.Send(r.rev[sub], a)
+	nw.Send(r.conn.subs[sub].rev, a)
 }

@@ -6,26 +6,28 @@ import (
 	"mptcp/internal/sim"
 )
 
-// Subflow is the simulator shell of one sender-side subflow: its forward
-// route, its retransmission timer and its send-jitter FIFO clock. The
-// subflow's protocol state — scoreboard, loss recovery, RTT estimator —
-// lives in the connection's protocol core. It implements netsim.Endpoint
-// to consume ACKs arriving on its reverse route.
+// Subflow is the simulator shell of one sender-side subflow: its data
+// and ACK routes, its retransmission timer and its send-jitter FIFO
+// clock. The subflow's protocol state — scoreboard, loss recovery, RTT
+// estimator — lives in the connection's protocol core. It implements
+// netsim.Endpoint to consume ACKs arriving on its reverse route, and
+// sim.Handler to fire its retransmission timer.
 type Subflow struct {
 	// PktsSent, PktsRetx, RTOs and FastRetx, kept by the protocol core.
 	*proto.SubflowStats
 
 	conn     *Conn
 	id       int
-	fwd      *netsim.Route
-	rtoTimer *sim.Timer
+	fwd, rev *netsim.Route // data to the receiver; ACKs back to this subflow
+	rto      sim.Timer
 
-	// nextSend enforces FIFO transmission within the subflow when random
-	// send jitter is enabled.
+	// nextSend keeps the subflow's transmissions in FIFO order under the
+	// send jitter: no packet leaves before the one emitted ahead of it.
 	nextSend sim.Time
 }
 
-func (sf *Subflow) onRTO() { sf.conn.core.OnRTO(sf.conn.now(), sf.id) }
+// OnEvent fires the retransmission timer (sim.Handler).
+func (sf *Subflow) OnEvent(any) { sf.conn.core.OnRTO(sf.conn.now(), sf.id) }
 
 // Receive consumes an ACK delivered by the network (netsim.Endpoint).
 func (sf *Subflow) Receive(pkt *netsim.Packet) {
